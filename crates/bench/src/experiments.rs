@@ -30,9 +30,7 @@ pub const ALL_IDS: [&str; 10] = [
 /// Extension experiments beyond the paper's figures: ablations of design
 /// choices the paper fixes by fiat, the §V-F restart measurement it
 /// reports only qualitatively, the §VII future-work container mode, the
-/// PVFS2 backend it mentions but never measures, the hot-path
-/// contention sweep (sharded table/pool + batched submission vs the
-/// pre-overhaul global locks; emits `BENCH_contention.json`), the
+/// PVFS2 backend it mentions but never measures, the
 /// chunk transform sweep (compression × dedup × integrity; emits
 /// `BENCH_compress.json`), the ring-engine depth sweep (in-flight
 /// ops vs throughput at fixed `io_threads`; emits `BENCH_engine.json`),
@@ -48,13 +46,12 @@ pub const ALL_IDS: [&str; 10] = [
 /// ack latency vs direct durable writes, throughput vs dirty volume ×
 /// drain bandwidth, and crash-during-drain recovery gating zero
 /// wrong-byte restarts; emits `BENCH_tiered.json`).
-pub const EXTENSION_IDS: [&str; 12] = [
+pub const EXTENSION_IDS: [&str; 11] = [
     "iothreads",
     "chunksweep",
     "restart",
     "container",
     "pvfs",
-    "contention",
     "compress",
     "engine",
     "fsck",
@@ -82,7 +79,6 @@ pub fn run_one(id: &str, quick: bool) -> Option<ExpOutput> {
         "container" => container(quick),
         "pvfs" => pvfs(quick),
         "restart" => restart(quick),
-        "contention" => contention(quick),
         "compress" => compress(quick),
         "engine" => engine(quick),
         "fsck" => fsck(quick),
@@ -794,7 +790,7 @@ fn restart(quick: bool) -> ExpOutput {
             "hit_rate": best.hit_rate,
         },
     });
-    // The acceptance artifact, like BENCH_contention.json: written at
+    // The acceptance artifact: written at
     // the invocation directory for CI to upload and gate on.
     let pretty = serde_json::to_string_pretty(&json).unwrap_or_default();
     let _ = std::fs::write("BENCH_restart.json", pretty);
@@ -863,111 +859,6 @@ fn pvfs(quick: bool) -> ExpOutput {
         title: "Extension: CRFS over PVFS2 vs over Lustre".into(),
         text,
         json: json!({ "rows": rows_json }),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Hot-path contention sweep (extension; emits BENCH_contention.json)
-// ---------------------------------------------------------------------
-
-fn contention(quick: bool) -> ExpOutput {
-    let threads_sweep = real::contention_threads_sweep(quick);
-    let batch_sweep = real::contention_batch_sweep(quick);
-
-    let mut t = Table::new(&[
-        "Writers",
-        "Baseline MiB/s",
-        "Overhauled MiB/s",
-        "Speedup",
-        "Baseline locks/chunk",
-        "Overhauled locks/chunk",
-    ]);
-    let mut threads_json = Vec::new();
-    let mut headline: Option<(f64, f64)> = None;
-    for pair in threads_sweep.chunks(2) {
-        let (base, over) = (&pair[0], &pair[1]);
-        debug_assert_eq!(base.threads, over.threads);
-        let speedup = over.mibs / base.mibs.max(1e-9);
-        if base.threads == 8 {
-            headline = Some((base.mibs, over.mibs));
-        }
-        t.row(&[
-            base.threads.to_string(),
-            format!("{:.0}", base.mibs),
-            format!("{:.0}", over.mibs),
-            format!("{speedup:.2}x"),
-            format!("{:.2}", base.locks_per_chunk),
-            format!("{:.2}", over.locks_per_chunk),
-        ]);
-        for p in [base, over] {
-            threads_json.push(json!({
-                "threads": p.threads, "mode": p.mode, "mibs": p.mibs,
-                "chunks_sealed": p.chunks_sealed,
-                "engine_submits": p.engine_submits,
-                "locks_per_chunk": p.locks_per_chunk,
-                "pool_waits": p.pool_waits,
-                "shard_lock_waits": p.shard_lock_waits,
-            }));
-        }
-    }
-
-    let mut bt = Table::new(&["submit_batch", "MiB/s", "Queue locks/chunk"]);
-    let mut batch_json = Vec::new();
-    for (batch, p) in &batch_sweep {
-        bt.row(&[
-            batch.to_string(),
-            format!("{:.0}", p.mibs),
-            format!("{:.2}", p.locks_per_chunk),
-        ]);
-        batch_json.push(json!({
-            "submit_batch": *batch, "mibs": p.mibs,
-            "chunks_sealed": p.chunks_sealed,
-            "engine_submits": p.engine_submits,
-            "locks_per_chunk": p.locks_per_chunk,
-        }));
-    }
-
-    let (base8, over8) = headline.expect("8-thread cell measured");
-    let speedup8 = over8 / base8.max(1e-9);
-    let text = format!(
-        "Hot-path contention sweep: 4 KiB chunks, 4 MiB pool, 256 KiB \
-         writes, discard backend, 2 IO threads; median of 5 runs per cell \
-         (threads-vs-throughput + batch-size sweep)\n\n\
-         {t}\n{bt}\n\
-         headline: {over8:.0} MiB/s vs {base8:.0} MiB/s baseline at 8 writers \
-         ({speedup8:.2}x) — sharded file table + lock-free pool shards + \
-         lock-free seal/complete ledger + batched submission/retirement vs \
-         the pre-overhaul Mutex-per-structure hot path.\n"
-    );
-    let json = json!({
-        "workload": {
-            "chunk_size": 4 << 10,
-            "pool_size": 4 << 20,
-            "io_threads": 2,
-            "write_size": 256 << 10,
-            "backend": "discard",
-            "runs_per_cell": 5,
-            "quick": quick,
-        },
-        "threads_sweep": threads_json,
-        "batch_sweep": batch_json,
-        "headline": {
-            "threads": 8,
-            "baseline_mibs": base8,
-            "overhauled_mibs": over8,
-            "speedup": speedup8,
-        },
-    });
-    // The acceptance artifact: machine-readable trajectory record at the
-    // invocation directory (CI uploads it; `--json` additionally writes
-    // the per-experiment copy).
-    let pretty = serde_json::to_string_pretty(&json).unwrap_or_default();
-    let _ = std::fs::write("BENCH_contention.json", pretty);
-    ExpOutput {
-        id: "contention",
-        title: "Hot-path contention: sharded + batched vs pre-overhaul locking".into(),
-        text,
-        json,
     }
 }
 
@@ -1179,8 +1070,7 @@ fn compress(quick: bool) -> ExpOutput {
         // included), where `crfs-stat BENCH_compress.json` finds it.
         "stats": lz.stats.to_value(),
     });
-    // The acceptance artifact, like BENCH_contention.json and
-    // BENCH_restart.json: written at the invocation directory for CI to
+    // The acceptance artifact, like BENCH_restart.json: written at the invocation directory for CI to
     // upload and gate on.
     let pretty = serde_json::to_string_pretty(&json).unwrap_or_default();
     let _ = std::fs::write("BENCH_compress.json", pretty);
@@ -1200,7 +1090,6 @@ fn engine(quick: bool) -> ExpOutput {
     let points = real::engine_depth_sweep(quick);
 
     let mut t = Table::new(&[
-        "Engine",
         "Depth",
         "IO threads",
         "MiB/s",
@@ -1212,7 +1101,6 @@ fn engine(quick: bool) -> ExpOutput {
     let mut rows_json = Vec::new();
     for p in &points {
         t.row(&[
-            p.engine.to_string(),
             p.depth.to_string(),
             p.io_threads.to_string(),
             format!("{:.0}", p.mibs),
@@ -1230,7 +1118,6 @@ fn engine(quick: bool) -> ExpOutput {
             },
         ]);
         rows_json.push(json!({
-            "engine": p.engine,
             "depth": p.depth,
             "io_threads": p.io_threads,
             "secs": p.secs,
@@ -1243,59 +1130,55 @@ fn engine(quick: bool) -> ExpOutput {
         }));
     }
 
-    // Headline: the deepest ring cell (the one with byte-exact restart
-    // verification) against the threaded baseline, whose in-flight
-    // ceiling is its thread count.
-    let threaded = points
-        .iter()
-        .find(|p| p.engine == "threaded")
-        .expect("threaded baseline present");
-    let ring = points
-        .iter()
-        .filter(|p| p.engine == "ring")
-        .max_by_key(|p| p.depth)
-        .expect("ring cells present");
-    let scaling = ring.mibs / threaded.mibs.max(1e-9);
-    let verify_ok = points.iter().all(|p| p.verify_ok) && ring.verified_bytes > 0;
+    // Headline: the deepest cell (the one with byte-exact restart
+    // verification) against the shallowest, whose in-flight ceiling is
+    // the issue-thread count.
+    let shallow = points.first().expect("sweep has cells");
+    let deep = points.last().expect("sweep has cells");
+    let scaling = deep.mibs / shallow.mibs.max(1e-9);
+    let verify_ok = points.iter().all(|p| p.verify_ok) && deep.verified_bytes > 0;
 
     let text = format!(
-        "Ring-engine depth sweep: 8 writers × 256 KiB chunks into a \
+        "Ring depth sweep: 8 writers × 256 KiB chunks into a \
          latency-bound RPC store (2 ms write RTT) at fixed io_threads \
-         = {}, threaded baseline vs ring at increasing slab depth, \
-         median of 3 runs per cell; deepest ring cell restart-verified \
-         byte-exactly on a fresh mount\n\n\
+         = {}, ring_depth {} → {}, median of 3 runs per cell; deepest \
+         cell restart-verified byte-exactly on a fresh mount\n\n\
          {t}\n\
-         headline: ring {:.0} MiB/s at depth {} vs threaded {:.0} MiB/s \
-         at depth {} ({scaling:.2}x) — in-flight ops scale with the \
-         descriptor slab, not the issue-thread count, because workers \
-         hand RPCs to the completion ring instead of blocking on them.\n",
-        threaded.io_threads, ring.mibs, ring.depth, threaded.mibs, threaded.depth,
+         headline: {:.0} MiB/s at depth {} vs {:.0} MiB/s at depth {} \
+         ({scaling:.2}x) — in-flight ops scale with the descriptor \
+         slab, not the issue-thread count, because workers hand RPCs \
+         to the completion ring instead of blocking on them.\n",
+        shallow.io_threads,
+        shallow.depth,
+        deep.depth,
+        deep.mibs,
+        deep.depth,
+        shallow.mibs,
+        shallow.depth,
     );
     let json = json!({
         "workload": {
             "chunk_size": 256 << 10,
             "writers": 8,
-            "io_threads": threaded.io_threads,
+            "io_threads": shallow.io_threads,
             "backend": "rpc(restart_store)",
             "quick": quick,
         },
         "sweep": rows_json,
         "headline": {
-            "threaded_mibs": threaded.mibs,
-            "ring_mibs": ring.mibs,
-            "depth": ring.depth,
+            "depth4_mibs": shallow.mibs,
+            "depth64_mibs": deep.mibs,
             "scaling": scaling,
             "verify_ok": verify_ok,
-            "verified_bytes": ring.verified_bytes,
+            "verified_bytes": deep.verified_bytes,
         },
-        // The headline ring cell's full snapshot (stage histograms,
+        // The deepest cell's full snapshot (stage histograms,
         // `write_issue_to_complete` included), where
         // `crfs-stat BENCH_engine.json` finds it.
-        "stats": ring.stats.to_value(),
+        "stats": deep.stats.to_value(),
     });
-    // The acceptance artifact, like BENCH_contention.json and
-    // BENCH_compress.json: written at the invocation directory for CI
-    // to upload and gate on.
+    // The acceptance artifact, like BENCH_compress.json: written at
+    // the invocation directory for CI to upload and gate on.
     let pretty = serde_json::to_string_pretty(&json).unwrap_or_default();
     let _ = std::fs::write("BENCH_engine.json", pretty);
     ExpOutput {

@@ -15,7 +15,7 @@ use crfs_blcr::{CheckpointWriter, ProcessImage, RestartReader};
 use crfs_core::backend::{
     Backend, DiscardBackend, MemBackend, OpenOptions, ReadCursor, ThrottleParams, ThrottledBackend,
 };
-use crfs_core::{CodecKind, Crfs, CrfsConfig, EngineKind, Vfs};
+use crfs_core::{CodecKind, Crfs, CrfsConfig, Vfs};
 use storage_model::{RpcStore, RpcStoreParams};
 
 /// One cell of the Fig. 5 sweep.
@@ -610,163 +610,17 @@ pub fn compress_sweep(quick: bool) -> Vec<CompressPoint> {
 }
 
 // ---------------------------------------------------------------------
-// Hot-path contention sweep (the `exp contention` experiment)
+// Ring depth sweep (the `exp engine` experiment)
 // ---------------------------------------------------------------------
 
-/// One measured cell of the contention sweep: `writers` threads
-/// streaming into a discard-backed CRFS mount under a given locking
-/// configuration.
-#[derive(Debug, Clone)]
-pub struct ContentionPoint {
-    /// Writer-thread count.
-    pub threads: usize,
-    /// `"baseline"` (pre-overhaul global locks, per-chunk submission) or
-    /// `"overhauled"` (sharded table/pool + batched submission).
-    pub mode: &'static str,
-    /// Aggregate write throughput, MiB/s.
-    pub mibs: f64,
-    /// Chunks sealed over the run.
-    pub chunks_sealed: u64,
-    /// Engine submissions (producer-side queue-lock acquisitions).
-    pub engine_submits: u64,
-    /// Queue-lock acquisitions per sealed chunk (1.0 unbatched; < 1
-    /// whenever batching engages).
-    pub locks_per_chunk: f64,
-    /// Pool acquisitions that had to block.
-    pub pool_waits: u64,
-    /// Contended open-file-table shard locks.
-    pub shard_lock_waits: u64,
-}
-
-/// The workload both sweeps share: concurrent per-thread streams of
-/// 256 KiB application writes (64 chunks each at the 4 KiB chunk size
-/// below) onto [`DiscardBackend`] — the paper's Fig. 5 measurement
-/// device, tuned so per-chunk overhead (locks, wakeups, queue traffic,
-/// buffer recycling), not memcpy, dominates: small chunks multiply the
-/// per-chunk costs, and the deliberately tight pool keeps every buffer
-/// cycling through acquire/release at full rate — exactly the convoy
-/// the sharded lock-free pool and batched retirement remove.
-fn contention_config() -> CrfsConfig {
-    CrfsConfig::default()
-        .with_chunk_size(4 << 10)
-        .with_pool_size(4 << 20) // 1024 buffers, recycled continuously
-        .with_io_threads(2)
-}
-
-/// Runs `point` five times and keeps the median-throughput run — the
-/// sweep shares a noisy machine with the rest of CI, and the median is
-/// robust to slow outliers in either direction.
-fn median_of_5(mut point: impl FnMut() -> ContentionPoint) -> ContentionPoint {
-    let mut runs: Vec<ContentionPoint> = (0..5).map(|_| point()).collect();
-    runs.sort_by(|a, b| a.mibs.total_cmp(&b.mibs));
-    runs.swap_remove(2)
-}
-
-/// Measures one contention cell. The config decides which code paths
-/// (legacy vs sharded/batched) the mount uses.
-pub fn contention_point(
-    config: CrfsConfig,
-    mode: &'static str,
-    writers: usize,
-    bytes_per_writer: usize,
-) -> ContentionPoint {
-    let fs = Crfs::mount(Arc::new(DiscardBackend::new()), config).expect("mount");
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for w in 0..writers {
-            let fs = &fs;
-            s.spawn(move || {
-                let f = fs.create(&format!("/stream{w}")).expect("create");
-                let buf = vec![0x5au8; 256 << 10];
-                let mut remaining = bytes_per_writer;
-                while remaining > 0 {
-                    let n = remaining.min(buf.len());
-                    f.write(&buf[..n]).expect("write");
-                    remaining -= n;
-                }
-                f.close().expect("close");
-            });
-        }
-    });
-    let secs = t0.elapsed().as_secs_f64();
-    let snap = fs.stats();
-    fs.unmount().expect("unmount");
-    ContentionPoint {
-        threads: writers,
-        mode,
-        mibs: (writers * bytes_per_writer) as f64 / secs / (1 << 20) as f64,
-        chunks_sealed: snap.chunks_sealed,
-        engine_submits: snap.engine_submits,
-        locks_per_chunk: if snap.chunks_sealed == 0 {
-            0.0
-        } else {
-            snap.engine_submits as f64 / snap.chunks_sealed as f64
-        },
-        pool_waits: snap.pool_waits,
-        shard_lock_waits: snap.shard_lock_waits,
-    }
-}
-
-/// Threads-vs-throughput sweep: baseline (pre-overhaul locking) against
-/// the overhauled hot path at its default knobs, at 1..=8 writer
-/// threads, each cell the median of five runs. `quick` trims the
-/// per-writer volume for smoke runs.
-pub fn contention_threads_sweep(quick: bool) -> Vec<ContentionPoint> {
-    let per_writer = if quick { 8 << 20 } else { 48 << 20 };
-    let mut out = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        out.push(median_of_5(|| {
-            contention_point(
-                contention_config().with_legacy_locking(true),
-                "baseline",
-                threads,
-                per_writer,
-            )
-        }));
-        out.push(median_of_5(|| {
-            contention_point(contention_config(), "overhauled", threads, per_writer)
-        }));
-    }
-    out
-}
-
-/// Batch-size sweep at 8 writer threads: how throughput and queue-lock
-/// acquisitions per chunk respond to `submit_batch`/`worker_batch`
-/// (sharded table/pool held constant; only batching varies).
-pub fn contention_batch_sweep(quick: bool) -> Vec<(usize, ContentionPoint)> {
-    let per_writer = if quick { 8 << 20 } else { 48 << 20 };
-    [1usize, 2, 4, 8, 16, 32, 64]
-        .iter()
-        .map(|&batch| {
-            (
-                batch,
-                median_of_5(|| {
-                    contention_point(
-                        contention_config()
-                            .with_submit_batch(batch)
-                            .with_worker_batch(batch.clamp(1, 32)),
-                        "overhauled",
-                        8,
-                        per_writer,
-                    )
-                }),
-            )
-        })
-        .collect()
-}
-
 /// One cell of the `exp engine` sweep: a fixed-`io_threads` mount
-/// streaming checkpoint chunks into the latency-bound RPC store. For
-/// the threaded engine the in-flight ceiling *is* `io_threads` (one
-/// blocked worker per RPC); for the ring engine it is `ring_depth`
-/// slab descriptors, so throughput should keep climbing with depth at
+/// streaming checkpoint chunks into the latency-bound RPC store. The
+/// in-flight ceiling is `ring_depth` slab descriptors, not the issue
+/// thread count, so throughput should keep climbing with depth at
 /// constant thread count.
 #[derive(Debug, Clone)]
 pub struct EngineSweepPoint {
-    /// Engine under test ("threaded" or "ring").
-    pub engine: &'static str,
-    /// In-flight depth knob: `io_threads` for threaded, `ring_depth`
-    /// for ring.
+    /// The mount's `ring_depth`.
     pub depth: usize,
     /// Issue threads (held constant across the whole sweep).
     pub io_threads: usize,
@@ -776,7 +630,7 @@ pub struct EngineSweepPoint {
     pub mibs: f64,
     /// High-water mark of concurrently in-flight engine ops.
     pub inflight_hwm: u64,
-    /// Completion-ring drain passes (0 on the threaded engine).
+    /// Completion-ring drain passes.
     pub completion_reaps: u64,
     /// Mean completions retired per reap pass.
     pub avg_reap_len: f64,
@@ -793,9 +647,8 @@ pub struct EngineSweepPoint {
 /// The store profile for the engine sweep: a remote aggregation store
 /// where the per-RPC round trip, not the transfer, dominates — 2 ms
 /// write RTT at 4 GiB/s link speed. Latency-bound cells keep the
-/// depth effect far above CPU and scheduler noise: the threaded
-/// engine's ceiling is `io_threads` RPCs per 2 ms, the ring's is
-/// `ring_depth`.
+/// depth effect far above CPU and scheduler noise: the ceiling is
+/// `ring_depth` RPCs per 2 ms.
 fn engine_store_params() -> RpcStoreParams {
     RpcStoreParams {
         read_rtt: std::time::Duration::from_micros(1000),
@@ -810,7 +663,6 @@ fn engine_store_params() -> RpcStoreParams {
 /// chunk back and compares byte-for-byte against the regenerated
 /// payload — the restart-correctness proof for the async path.
 pub fn engine_cell(
-    engine: EngineKind,
     depth: usize,
     io_threads: usize,
     chunk: usize,
@@ -820,14 +672,11 @@ pub fn engine_cell(
 ) -> EngineSweepPoint {
     let backend: Arc<dyn Backend> =
         Arc::new(RpcStore::new(MemBackend::new(), engine_store_params()));
-    let mut config = CrfsConfig::default()
+    let config = CrfsConfig::default()
         .with_chunk_size(chunk)
         .with_pool_size(128 * chunk)
         .with_io_threads(io_threads)
-        .with_engine(engine);
-    if engine == EngineKind::Ring {
-        config = config.with_ring_depth(depth);
-    }
+        .with_ring_depth(depth);
 
     let fs = Crfs::mount(Arc::clone(&backend), config.clone()).expect("mount");
     fs.mkdir_all("/ckpt").expect("mkdir");
@@ -872,10 +721,6 @@ pub fn engine_cell(
 
     let logical = writers as u64 * chunks_per_writer * chunk as u64;
     EngineSweepPoint {
-        engine: match engine {
-            EngineKind::Ring => "ring",
-            _ => "threaded",
-        },
         depth,
         io_threads,
         secs,
@@ -889,12 +734,10 @@ pub fn engine_cell(
     }
 }
 
-/// The `exp engine` sweep: in-flight depth versus throughput at fixed
-/// `io_threads = 4` on the latency-bound RPC store. The threaded
-/// baseline is pinned at depth 4 — its in-flight ceiling is its thread
-/// count, which is the point — while the ring engine sweeps
-/// `ring_depth` well past it. The deepest ring cell runs with full
-/// byte-exact restart verification.
+/// The `exp engine` sweep: `ring_depth` versus throughput at fixed
+/// `io_threads = 4` on the latency-bound RPC store, from depth 4 (as
+/// many ops in flight as issue threads) up to 64. The deepest cell runs
+/// with full byte-exact restart verification.
 pub fn engine_depth_sweep(quick: bool) -> Vec<EngineSweepPoint> {
     const IO_THREADS: usize = 4;
     const CHUNK: usize = 256 << 10;
@@ -906,42 +749,27 @@ pub fn engine_depth_sweep(quick: bool) -> Vec<EngineSweepPoint> {
         &[4, 8, 16, 32, 64]
     };
     let max_depth = *depths.last().expect("non-empty depth list");
-
-    // Median of three runs per cell — the sweep shares a noisy machine
-    // with the rest of CI (same rationale as `median_of_5` above, one
-    // notch cheaper because the latency-bound cells are already far
-    // less jittery than the CPU-bound contention ones).
-    let median = |mut cell: Box<dyn FnMut() -> EngineSweepPoint + '_>| {
-        let mut runs: Vec<EngineSweepPoint> = (0..3).map(|_| cell()).collect();
-        runs.sort_by(|a, b| a.mibs.total_cmp(&b.mibs));
-        runs.swap_remove(1)
-    };
-
-    let mut out = vec![median(Box::new(|| {
-        engine_cell(
-            EngineKind::Threaded,
-            IO_THREADS,
-            IO_THREADS,
-            CHUNK,
-            WRITERS,
-            chunks_per_writer,
-            false,
-        )
-    }))];
-    for &depth in depths {
-        out.push(median(Box::new(move || {
-            engine_cell(
-                EngineKind::Ring,
-                depth,
-                IO_THREADS,
-                CHUNK,
-                WRITERS,
-                chunks_per_writer,
-                depth == max_depth, // verify the headline cell byte-exactly
-            )
-        })));
-    }
-    out
+    depths
+        .iter()
+        .map(|&depth| {
+            // Median of three runs per cell: the sweep shares a noisy
+            // machine with the rest of CI.
+            let mut runs: Vec<EngineSweepPoint> = (0..3)
+                .map(|_| {
+                    engine_cell(
+                        depth,
+                        IO_THREADS,
+                        CHUNK,
+                        WRITERS,
+                        chunks_per_writer,
+                        depth == max_depth, // verify the headline cell byte-exactly
+                    )
+                })
+                .collect();
+            runs.sort_by(|a, b| a.mibs.total_cmp(&b.mibs));
+            runs.swap_remove(1)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1488,7 +1316,6 @@ fn obs_ring_cell(
         .with_chunk_size(chunk)
         .with_pool_size(128 * chunk)
         .with_io_threads(4)
-        .with_engine(EngineKind::Ring)
         .with_ring_depth(32)
         .with_obs(true);
     let fs = Crfs::mount(backend, config).expect("mount");
@@ -2023,69 +1850,28 @@ mod tests {
     }
 
     #[test]
-    fn contention_point_measures_and_counts() {
-        let p = contention_point(
-            CrfsConfig::default()
-                .with_chunk_size(4 << 10)
-                .with_pool_size(1 << 20)
-                .with_io_threads(2),
-            "overhauled",
-            2,
-            2 << 20,
-        );
-        assert_eq!(p.threads, 2);
-        assert!(p.mibs > 0.0);
-        assert_eq!(p.chunks_sealed, 2 * (2 << 20) / (4 << 10));
-        assert!(p.engine_submits > 0 && p.engine_submits <= p.chunks_sealed);
-        assert!(
-            p.locks_per_chunk < 1.0,
-            "batched submission must cost < 1 queue lock per chunk, got {}",
-            p.locks_per_chunk
-        );
-        let legacy = contention_point(
-            CrfsConfig::default()
-                .with_chunk_size(4 << 10)
-                .with_pool_size(1 << 20)
-                .with_io_threads(2)
-                .with_legacy_locking(true),
-            "baseline",
-            2,
-            2 << 20,
-        );
-        assert_eq!(
-            legacy.engine_submits, legacy.chunks_sealed,
-            "legacy submits per chunk"
-        );
-        assert_eq!(legacy.locks_per_chunk, 1.0);
-    }
-
-    #[test]
     fn ring_depth_beats_thread_count_on_latency_bound_store() {
-        // Miniature engine cell: 2 issue threads, so the threaded
-        // engine holds at most 2 RPCs in flight while the ring holds
-        // 16. On a 200 µs/write store the depth advantage must show
-        // even at tiny volume (loose bound for CI noise; the real
-        // sweep shows far more).
-        let threaded = engine_cell(EngineKind::Threaded, 2, 2, 64 << 10, 4, 16, false);
-        let ring = engine_cell(EngineKind::Ring, 16, 2, 64 << 10, 4, 16, true);
-        assert!(ring.verify_ok, "ring restart must be byte-exact");
-        assert_eq!(ring.verified_bytes, 4 * 16 * (64 << 10) as u64);
-        assert!(ring.completion_reaps > 0, "reapers must have run");
-        assert!(ring.avg_reap_len >= 1.0);
-        // The gauge counts submitted-not-yet-retired ops, so on the
-        // threaded engine it includes the queue backlog; the meaningful
-        // claim is that the ring holds more ops in flight than it has
-        // issue threads.
+        // Miniature engine cell: 2 issue threads. At depth 2 the mount
+        // holds at most 2 RPCs in flight, at depth 16 it holds 16. On a
+        // 2 ms/write store the depth advantage must show even at tiny
+        // volume (loose bound for CI noise; the real sweep shows far
+        // more).
+        let shallow = engine_cell(2, 2, 64 << 10, 4, 16, false);
+        let deep = engine_cell(16, 2, 64 << 10, 4, 16, true);
+        assert!(deep.verify_ok, "restart must be byte-exact");
+        assert_eq!(deep.verified_bytes, 4 * 16 * (64 << 10) as u64);
+        assert!(deep.completion_reaps > 0, "the reaper must have run");
+        assert!(deep.avg_reap_len >= 1.0);
         assert!(
-            ring.inflight_hwm > 2,
-            "ring hwm {} must exceed its 2 issue threads",
-            ring.inflight_hwm
+            deep.inflight_hwm > 2,
+            "hwm {} must exceed the 2 issue threads",
+            deep.inflight_hwm
         );
         assert!(
-            ring.mibs > threaded.mibs * 1.2,
-            "ring {:.0} MiB/s vs threaded {:.0} MiB/s",
-            ring.mibs,
-            threaded.mibs
+            deep.mibs > shallow.mibs * 1.2,
+            "depth 16 {:.0} MiB/s vs depth 2 {:.0} MiB/s",
+            deep.mibs,
+            shallow.mibs
         );
     }
 

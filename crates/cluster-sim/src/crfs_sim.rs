@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use crfs_core::chunking::{flush_plan, plan_write, ChunkState, FlushStep, PlanStep};
 use crfs_core::engine::account::ChunkAccounting;
-use crfs_core::{CrfsConfig, EngineKind};
+use crfs_core::CrfsConfig;
 use simkit::sync::{unbounded, Semaphore, Sender, WaitGroup};
 use simkit::time::{now, sleep, SimTime};
 use storage_model::params::{CrfsCostParams, FuseParams, ReadCostParams};
@@ -95,7 +95,7 @@ struct FileState {
 /// `crfs_core::transform`): per-chunk compression ratio, dedup hit
 /// rate, and codec throughput. Chunks are charged `logical /
 /// compress_bandwidth` of CPU time *in IO-worker context* (compression
-/// parallelizes across workers, exactly like the real engines), and the
+/// parallelizes across workers, exactly like the real engine), and the
 /// backend write shrinks to the stored size — a dedup hit stores only a
 /// reference record.
 #[derive(Debug, Clone, Copy)]
@@ -455,17 +455,11 @@ impl CrfsSim {
         let read_costs = Rc::new(Cell::new(ReadCostParams::shared_fs()));
         let crash = Rc::new(CrashState::default());
         let tier: SimTierCell = Rc::new(RefCell::new(None));
-        // The worker-task count models the engine's in-flight op limit.
-        // Queue engines block one worker per op, so `io_threads` tasks;
-        // the ring engine parks per-op state in its descriptor slab, so
-        // its limit is `ring_depth` (the pool semaphore still bounds
-        // total buffered chunks). Chunking is engine-independent either
-        // way — the conformance suite holds across the matrix.
-        let workers = match config.engine {
-            EngineKind::Ring => config.ring_depth,
-            _ => config.io_threads,
-        };
-        for _ in 0..workers {
+        // The worker-task count models the engine's in-flight op limit:
+        // the simulated storage targets are synchronous, so each op
+        // blocks one of the `io_threads` issue workers (the pool
+        // semaphore still bounds total buffered chunks).
+        for _ in 0..config.io_threads {
             let rx = rx.clone();
             let target = target.clone();
             let stats = Rc::clone(&stats);
@@ -492,7 +486,7 @@ impl CrfsSim {
                             if !compress.is_zero() {
                                 // Codec CPU in worker context: overlaps
                                 // other workers' backend writes, like
-                                // the real engines.
+                                // the real engine.
                                 sleep(compress).await;
                                 stats.stages.transform_encode.record_dur(compress);
                             }
@@ -1001,7 +995,7 @@ impl CrfsSim {
         // flushed early when the batch limit is reached or before a
         // blocking pool acquire (the awaited-on buffers only come back
         // once submitted chunks complete).
-        let submit_batch = self.config.resolved_submit_batch();
+        let submit_batch = self.config.submit_batch;
         let mut pending: Vec<ChunkState> = Vec::new();
         let plan = plan_write(cur, offset, len as usize, self.config.chunk_size);
         for step in plan {

@@ -4,41 +4,14 @@ use crate::error::{CrfsError, Result};
 use crate::transform::CodecKind;
 use std::time::Duration;
 
-/// Which IO engine a mount dispatches sealed chunks through.
+/// The IO engine of a mount. There is one ([`crate::engine::RingEngine`]).
 ///
-/// See [`crate::engine`] for the engine implementations and contract.
+/// Kept for `benchmark/src/workload.rs`; goes with the next benchmark PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// Work queue + `io_threads` workers, one backend write per chunk —
-    /// the paper's §IV-B design and the default.
+    /// Submission/completion rings over a slab of in-flight descriptors.
     #[default]
-    Threaded,
-    /// Threaded, plus merging of adjacent sealed chunks of a file into
-    /// single larger backend writes.
-    Coalescing,
-    /// Synchronous dispatch on the writer's thread; deterministic, for
-    /// tests and baselines.
-    Inline,
-    /// Submission/completion rings over a slab of in-flight descriptors:
-    /// in-flight ops scale with `ring_depth` instead of `io_threads`,
-    /// and backends with an asynchronous path (`begin_write_at`) overlap
-    /// many writes per issue thread.
     Ring,
-}
-
-impl EngineKind {
-    /// Parses an engine name (`threaded`, `coalescing`, `inline`,
-    /// `ring`) as used by CLI flags and the examples' `CRFS_ENGINE`
-    /// environment selector.
-    pub fn parse(name: &str) -> Option<EngineKind> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "threaded" => Some(EngineKind::Threaded),
-            "coalescing" => Some(EngineKind::Coalescing),
-            "inline" => Some(EngineKind::Inline),
-            "ring" => Some(EngineKind::Ring),
-            _ => None,
-        }
-    }
 }
 
 /// Configuration for a CRFS mount.
@@ -56,7 +29,7 @@ pub struct CrfsConfig {
     /// 4–64 MiB and settles on 16 MiB to bound memory stolen from the
     /// application.
     pub pool_size: usize,
-    /// Number of IO worker threads draining the work queue. The paper
+    /// Number of IO worker threads draining the submission ring. The paper
     /// finds 4 "generally yields the best throughput" — enough to keep the
     /// backend busy, few enough to throttle backend contention.
     pub io_threads: usize,
@@ -74,8 +47,6 @@ pub struct CrfsConfig {
     /// reproduces the paper's raw pass-through reads (safe for
     /// checkpoint/restart usage, where reads only happen after `close`).
     pub read_flushes: bool,
-    /// IO engine dispatching sealed chunks to the backend.
-    pub engine: EngineKind,
     /// Number of hash shards for the open-file table. `0` (default)
     /// auto-sizes to `next_pow2(io_threads * 4)`; any other value is
     /// rounded up to a power of two. Concurrent open/write/close on
@@ -87,12 +58,8 @@ pub struct CrfsConfig {
     /// chunk count; any other value is rounded up to a power of two.
     pub pool_shards: usize,
     /// Maximum sealed chunks a single `write()` collects before handing
-    /// them to the engine as one `submit_batch` (one queue-lock
-    /// acquisition instead of one per chunk). `1` disables batching.
+    /// them to the engine as one `submit_batch`. `1` disables batching.
     pub submit_batch: usize,
-    /// Maximum queued items an IO worker drains per queue-lock
-    /// acquisition. `1` reproduces the paper's one-pop-per-wakeup.
-    pub worker_batch: usize,
     /// Chunks of read-ahead the restart read path issues when it detects
     /// sequential access: prefetch reads go through the IO engine (the
     /// same worker pool that drains writes) and park in the file's read
@@ -104,12 +71,6 @@ pub struct CrfsConfig {
     /// `next_pow2(read_ahead_chunks * 2)`; any other value is rounded up
     /// to a power of two. Irrelevant when `read_ahead_chunks` is 0.
     pub read_cache_slots: usize,
-    /// Pre-sharding/pre-batching baseline for A/B contention
-    /// measurement: a single-`Mutex` buffer pool, a one-shard file
-    /// table, and per-chunk submission — the code path this repository
-    /// shipped before the hot-path overhaul. Used by the `exp
-    /// contention` experiment; leave `false` for production mounts.
-    pub legacy_locking: bool,
     /// Chunk transform codec (see [`crate::transform`]). The default,
     /// [`CodecKind::None`], disables the transform stage entirely —
     /// chunks land raw at their logical offsets, the paper's layout.
@@ -136,16 +97,11 @@ pub struct CrfsConfig {
     /// become GC-reclaimable). Pinned epochs — ones with an open
     /// restart view — survive past the window.
     pub snapshot_keep_epochs: usize,
-    /// In-flight descriptor slab size for [`EngineKind::Ring`]: the
-    /// maximum ops (write chunks + prefetch reads) the ring engine keeps
-    /// in flight at once. The effective bound is
-    /// `min(ring_depth, pool_chunks)` — a chunk in flight holds a pool
-    /// buffer. Ignored by the other engines.
+    /// In-flight descriptor slab size: the maximum ops (write chunks +
+    /// prefetch reads) the IO engine keeps in flight at once. The
+    /// effective bound is `min(ring_depth, pool_chunks)` — a chunk in
+    /// flight holds a pool buffer.
     pub ring_depth: usize,
-    /// Completion-reaper threads for [`EngineKind::Ring`]: a small pool
-    /// draining the completion ring and retiring descriptors in batches.
-    /// Ignored by the other engines.
-    pub reapers: usize,
     /// Alignment [`crate::backend::LocalFileBackend`] uses for its
     /// O_DIRECT-style write path (offset and length must be multiples of
     /// this to take the direct path). Must be a power of two; 4096
@@ -196,21 +152,17 @@ impl Default for CrfsConfig {
             max_write: 128 << 10,
             crossing_delay: None,
             read_flushes: true,
-            engine: EngineKind::Threaded,
             table_shards: 0,
             pool_shards: 0,
             submit_batch: 16,
-            worker_batch: 8,
             read_ahead_chunks: 4,
             read_cache_slots: 0,
-            legacy_locking: false,
             codec: CodecKind::None,
             dedup: false,
             dedup_keep_epochs: 2,
             snapshots: false,
             snapshot_keep_epochs: 4,
             ring_depth: 64,
-            reapers: 1,
             write_align: 4096,
             obs: true,
             flight_capacity: crate::obs::DEFAULT_FLIGHT_CAPACITY,
@@ -243,9 +195,9 @@ impl CrfsConfig {
         self
     }
 
-    /// Convenience builder: selects the IO engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
+    /// Stores nothing: there is one IO engine. Kept for
+    /// `benchmark/src/workload.rs`; goes with the next benchmark PR.
+    pub fn with_engine(self, _engine: EngineKind) -> Self {
         self
     }
 
@@ -268,12 +220,6 @@ impl CrfsConfig {
         self
     }
 
-    /// Convenience builder: sets the worker drain batch limit.
-    pub fn with_worker_batch(mut self, n: usize) -> Self {
-        self.worker_batch = n;
-        self
-    }
-
     /// Convenience builder: sets the sequential read-ahead window in
     /// chunks (`0` disables prefetching).
     pub fn with_read_ahead(mut self, chunks: usize) -> Self {
@@ -285,12 +231,6 @@ impl CrfsConfig {
     /// (`0` = auto).
     pub fn with_read_cache_slots(mut self, n: usize) -> Self {
         self.read_cache_slots = n;
-        self
-    }
-
-    /// Convenience builder: toggles the pre-overhaul baseline locking.
-    pub fn with_legacy_locking(mut self, on: bool) -> Self {
-        self.legacy_locking = on;
         self
     }
 
@@ -325,17 +265,10 @@ impl CrfsConfig {
         self
     }
 
-    /// Convenience builder: sets the ring engine's in-flight descriptor
+    /// Convenience builder: sets the IO engine's in-flight descriptor
     /// slab size.
     pub fn with_ring_depth(mut self, depth: usize) -> Self {
         self.ring_depth = depth;
-        self
-    }
-
-    /// Convenience builder: sets the ring engine's completion-reaper
-    /// thread count.
-    pub fn with_reapers(mut self, n: usize) -> Self {
-        self.reapers = n;
         self
     }
 
@@ -412,11 +345,8 @@ impl CrfsConfig {
 
     /// The open-file-table shard count a mount will actually use: the
     /// configured value (or `io_threads * 4` when auto) rounded up to a
-    /// power of two; `1` in legacy mode.
+    /// power of two.
     pub fn resolved_table_shards(&self) -> usize {
-        if self.legacy_locking {
-            return 1;
-        }
         let n = if self.table_shards == 0 {
             self.io_threads.max(1) * 4
         } else {
@@ -427,12 +357,8 @@ impl CrfsConfig {
 
     /// The buffer-pool shard count a mount will actually use: the
     /// configured value (or `io_threads * 2` when auto) rounded up to a
-    /// power of two and capped at the pool's chunk count; `1` in legacy
-    /// mode.
+    /// power of two and capped at the pool's chunk count.
     pub fn resolved_pool_shards(&self) -> usize {
-        if self.legacy_locking {
-            return 1;
-        }
         let n = if self.pool_shards == 0 {
             self.io_threads.max(1) * 2
         } else {
@@ -441,24 +367,6 @@ impl CrfsConfig {
         n.max(1)
             .next_power_of_two()
             .min(self.pool_chunks().max(1).next_power_of_two())
-    }
-
-    /// The submission batch limit actually in effect (`1` in legacy mode).
-    pub fn resolved_submit_batch(&self) -> usize {
-        if self.legacy_locking {
-            1
-        } else {
-            self.submit_batch
-        }
-    }
-
-    /// The worker drain batch actually in effect (`1` in legacy mode).
-    pub fn resolved_worker_batch(&self) -> usize {
-        if self.legacy_locking {
-            1
-        } else {
-            self.worker_batch
-        }
     }
 
     /// The per-file read-cache slot count a mount will actually use: the
@@ -506,11 +414,6 @@ impl CrfsConfig {
                 "submit_batch must be at least 1 (1 disables batching)".into(),
             ));
         }
-        if self.worker_batch == 0 {
-            return Err(CrfsError::Config(
-                "worker_batch must be at least 1 (1 disables batched draining)".into(),
-            ));
-        }
         if self.dedup && self.codec == CodecKind::None {
             return Err(CrfsError::Config(
                 "dedup requires the framed layout: set codec to identity, rle or lz".into(),
@@ -537,9 +440,6 @@ impl CrfsConfig {
             return Err(CrfsError::Config(
                 "ring_depth must be at least 2 to pipeline".into(),
             ));
-        }
-        if self.reapers == 0 {
-            return Err(CrfsError::Config("reapers must be at least 1".into()));
         }
         if !self.write_align.is_power_of_two() {
             return Err(CrfsError::Config(format!(
@@ -574,22 +474,6 @@ mod tests {
         assert_eq!(c.io_threads, 4);
         assert_eq!(c.max_write, 128 << 10);
         assert_eq!(c.pool_chunks(), 4);
-        assert_eq!(c.engine, EngineKind::Threaded);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn engine_kind_parses_and_selects() {
-        assert_eq!(EngineKind::parse("Threaded"), Some(EngineKind::Threaded));
-        assert_eq!(EngineKind::parse(" inline "), Some(EngineKind::Inline));
-        assert_eq!(
-            EngineKind::parse("coalescing"),
-            Some(EngineKind::Coalescing)
-        );
-        assert_eq!(EngineKind::parse("ring"), Some(EngineKind::Ring));
-        assert_eq!(EngineKind::parse("fancy"), None);
-        let c = CrfsConfig::default().with_engine(EngineKind::Coalescing);
-        assert_eq!(c.engine, EngineKind::Coalescing);
         c.validate().unwrap();
     }
 
@@ -597,16 +481,10 @@ mod tests {
     fn ring_knobs_default_and_validate() {
         let c = CrfsConfig::default();
         assert_eq!(c.ring_depth, 64);
-        assert_eq!(c.reapers, 1);
         assert_eq!(c.write_align, 4096);
-        let c = c
-            .with_engine(EngineKind::Ring)
-            .with_ring_depth(16)
-            .with_reapers(2)
-            .with_write_align(512);
+        let c = c.with_ring_depth(16).with_write_align(512);
         c.validate().unwrap();
         assert!(c.clone().with_ring_depth(1).validate().is_err());
-        assert!(c.clone().with_reapers(0).validate().is_err());
         assert!(c.with_write_align(3000).validate().is_err());
     }
 
@@ -640,10 +518,6 @@ mod tests {
         assert!(c.validate().is_err());
         assert!(CrfsConfig::default()
             .with_submit_batch(0)
-            .validate()
-            .is_err());
-        assert!(CrfsConfig::default()
-            .with_worker_batch(0)
             .validate()
             .is_err());
     }
@@ -751,23 +625,5 @@ mod tests {
             .validate()
             .is_err());
         assert!(c.with_tier_drain_window(0).validate().is_err());
-    }
-
-    #[test]
-    fn legacy_locking_forces_baseline_shape() {
-        let c = CrfsConfig::default()
-            .with_legacy_locking(true)
-            .with_table_shards(64)
-            .with_pool_shards(8)
-            .with_submit_batch(32)
-            .with_worker_batch(16);
-        assert_eq!(c.resolved_table_shards(), 1);
-        assert_eq!(c.resolved_pool_shards(), 1);
-        assert_eq!(c.resolved_submit_batch(), 1);
-        assert_eq!(c.resolved_worker_batch(), 1);
-        c.validate().unwrap();
-        let c = c.with_legacy_locking(false);
-        assert_eq!(c.resolved_submit_batch(), 32);
-        assert_eq!(c.resolved_worker_batch(), 16);
     }
 }

@@ -6,17 +6,15 @@
 //! until they match, remembering the first asynchronous write error.
 //!
 //! [`ChunkAccounting`] is that state machine as a pure, synchronization-
-//! free value: the threaded filesystem wraps it in a `Mutex` + `Condvar`
-//! ([`FileEntry`](crate::file::FileEntry)) and the discrete-event
-//! simulator (`cluster-sim`) wraps it in a `RefCell` + `WaitGroup`, so
-//! both implementations provably run the same accounting rules and cannot
-//! drift.
+//! free value, which the discrete-event simulator (`cluster-sim`) wraps
+//! in a `RefCell` + `WaitGroup`. The threaded filesystem keeps the same
+//! two counters as atomics on [`FileEntry`](crate::file::FileEntry), with
+//! this module's [`StoredError`] as the sticky error.
 
 use std::io;
 
 /// `io::Error` is not `Clone`; persist kind + message so the error can be
-/// re-surfaced at every later synchronization point (and fanned out to
-/// each chunk of a coalesced write).
+/// re-surfaced at every later synchronization point.
 #[derive(Debug, Clone)]
 pub struct StoredError {
     kind: io::ErrorKind,

@@ -1,50 +1,35 @@
-//! Pluggable IO engines: the machinery between sealed chunks and the
-//! backend.
+//! The IO engine: the machinery between sealed chunks and the backend.
 //!
 //! The paper's §IV decouples checkpoint `write()` streams from backend IO
-//! with a work queue drained by a bounded pool of IO threads. This module
-//! makes that layer a replaceable subsystem behind the [`IoEngine`]
-//! trait; [`Crfs`](crate::Crfs) programs purely against the trait:
+//! with a queue of sealed chunks drained by a bounded pool of IO threads.
+//! [`RingEngine`] is that layer: a submission ring the write path posts
+//! sealed chunks (and the restart path posts prefetch reads) onto,
+//! `io_threads` issue workers starting one backend op per chunk, and a
+//! completion ring a reaper retires in batches. [`Crfs`](crate::Crfs)
+//! holds it by its type; this module holds what the engine and the write
+//! path share — the chunk types and the dispatch / retire / refuse steps.
 //!
-//! - [`ThreadedEngine`] — the paper's default: a FIFO work queue and
-//!   `io_threads` worker threads, one large `write_at` per sealed chunk.
-//! - [`CoalescingEngine`] — the same pipeline, but adjacent sealed chunks
-//!   of the same file merge (at the queue tail and again at dispatch)
-//!   into single larger backend writes — stdchk-style write-optimized
-//!   aggregation taken one level further. Strictly fewer backend ops for
-//!   the same bytes whenever the backend is slower than the writers.
-//! - [`InlineEngine`] — fully synchronous submission, for deterministic
-//!   tests and as the degenerate "no async IO" baseline.
-//!
-//! Engines own their threads; completion, ordering and error accounting
-//! flow through the shared [`ChunkAccounting`](account::ChunkAccounting)
-//! ledger on each [`FileEntry`], which the close/fsync barrier waits on.
+//! The engine owns its threads; completion, ordering and error accounting
+//! flow through the seal/complete ledger on each [`FileEntry`], which the
+//! close/fsync barrier waits on.
 
 pub mod account;
-mod coalescing;
-mod inline;
-mod queue;
 mod ring;
-mod threaded;
 
-pub use coalescing::CoalescingEngine;
-pub use inline::InlineEngine;
 pub use ring::RingEngine;
-pub use threaded::ThreadedEngine;
 
 use std::io;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::config::{CrfsConfig, EngineKind};
-use crate::error::{CrfsError, Result};
+use crate::error::CrfsError;
 use crate::file::FileEntry;
 use crate::obs::EventKind;
 use crate::pool::BufferPool;
 use crate::stats::CrfsStats;
 
-/// A sealed chunk travelling from the write path to an IO engine.
+/// A sealed chunk travelling from the write path to the IO engine.
 ///
 /// Carries exactly the metadata the paper lists: "target file handler,
 /// offset into the file, valid data size in the chunk".
@@ -65,7 +50,7 @@ pub struct SealedChunk {
     pub sealed_at: Option<Instant>,
 }
 
-/// A prefetch read travelling from the restart read path to an IO
+/// A prefetch read travelling from the restart read path to the IO
 /// engine — the read-side twin of [`SealedChunk`], served by the same
 /// worker pool. Completion installs the filled buffer into the entry's
 /// [`ReadState`](crate::prefetch::ReadState) cache (or recycles it if
@@ -90,85 +75,13 @@ pub struct ReadChunk {
     pub issued_at: Option<Instant>,
 }
 
-/// One unit of engine work: the queue the worker pool drains carries
-/// checkpoint writes and restart prefetch reads side by side.
+/// One unit of engine work: the submission ring carries checkpoint
+/// writes and restart prefetch reads side by side.
 pub enum IoItem {
     /// A sealed aggregation chunk to write out.
     Write(SealedChunk),
     /// A prefetch read to fill and park in the read cache.
     Read(ReadChunk),
-}
-
-/// An IO dispatch strategy for sealed chunks.
-///
-/// Implementations must uphold the barrier contract: every accepted
-/// `submit` eventually calls `note_completed` exactly once on the chunk's
-/// entry and returns the buffer to the pool — including on backend
-/// failure and on shutdown.
-pub trait IoEngine: Send + Sync {
-    /// Hands a sealed chunk to the engine. The chunk's `note_sealed` has
-    /// already been recorded by the caller. Returns
-    /// [`CrfsError::Unmounted`] if the engine has shut down (in which
-    /// case the chunk is failed and its buffer recycled, so barriers
-    /// cannot hang).
-    fn submit(&self, chunk: SealedChunk) -> Result<()>;
-
-    /// Hands a whole batch of sealed chunks to the engine under a single
-    /// queue-lock acquisition (the write path collects the chunks a large
-    /// `write()` seals and submits them together). Same contract as
-    /// [`submit`](IoEngine::submit), applied to every chunk: on shutdown
-    /// the entire batch is failed-and-recycled and `Unmounted` returned
-    /// once — acceptance is all-or-nothing, never partial.
-    fn submit_batch(&self, chunks: Vec<SealedChunk>) -> Result<()>;
-
-    /// Hands a batch of prefetch reads to the engine under a single
-    /// queue-lock acquisition. The caller has already recorded them on
-    /// the file's read ledger (`note_issued`); the engine retires every
-    /// accepted chunk exactly once — installed into the read cache,
-    /// discarded as stale, or (on shutdown) aborted with its buffer
-    /// recycled — so the close-time drain can never hang.
-    fn submit_reads(&self, reads: Vec<ReadChunk>) -> Result<()>;
-
-    /// Blocks until every chunk accepted so far has completed.
-    fn drain(&self);
-
-    /// Stops the engine: refuses new chunks, drains what was accepted,
-    /// joins worker threads. Idempotent and safe to call concurrently.
-    fn shutdown(&self);
-
-    /// Engine name for diagnostics.
-    fn name(&self) -> &'static str;
-}
-
-/// Builds the engine selected by `config.engine`.
-pub fn build(
-    config: &CrfsConfig,
-    pool: Arc<BufferPool>,
-    stats: Arc<CrfsStats>,
-) -> Result<Arc<dyn IoEngine>> {
-    let worker_batch = config.resolved_worker_batch();
-    Ok(match config.engine {
-        EngineKind::Threaded => Arc::new(ThreadedEngine::new(
-            config.io_threads,
-            worker_batch,
-            pool,
-            stats,
-        )?),
-        EngineKind::Coalescing => Arc::new(CoalescingEngine::new(
-            config.io_threads,
-            worker_batch,
-            pool,
-            stats,
-        )?),
-        EngineKind::Inline => Arc::new(InlineEngine::new(pool, stats)),
-        EngineKind::Ring => Arc::new(RingEngine::new(
-            config.io_threads,
-            config.ring_depth,
-            config.reapers,
-            pool,
-            stats,
-        )?),
-    })
 }
 
 /// Issues the backend write for one sealed chunk. On a transformed
@@ -180,9 +93,6 @@ pub fn build(
 /// the backend write is timed (`transform_ns` owns the codec time).
 /// Returns the result and the bytes the backend actually received.
 fn dispatch_chunk(stats: &CrfsStats, chunk: &SealedChunk) -> (io::Result<()>, u64) {
-    if let Some(sealed) = chunk.sealed_at {
-        stats.stages.seal_to_submit.record_dur(sealed.elapsed());
-    }
     stats.flight.record_cached(
         EventKind::Issued,
         &chunk.entry.path,
@@ -239,119 +149,15 @@ fn dispatch_chunk(stats: &CrfsStats, chunk: &SealedChunk) -> (io::Result<()>, u6
     }
 }
 
-/// Records the completion flight event for one issued chunk write.
-fn note_write_event(stats: &CrfsStats, entry: &FileEntry, offset: u64, len: usize, ok: bool) {
-    let kind = if ok {
-        EventKind::Completed
-    } else {
-        EventKind::WriteFailed
-    };
-    stats
-        .flight
-        .record_cached(kind, &entry.path, &entry.flight_tag, offset, len as u64);
-}
-
-/// Issues one backend write for `chunk` and retires it: timing + byte
-/// stats, completion accounting, buffer recycling. Shared by the
-/// threaded and inline engines (the coalescing engine fans completion out
-/// over its merged segments itself).
-fn write_and_retire(stats: &CrfsStats, pool: &BufferPool, chunk: SealedChunk) {
-    let (res, stored) = dispatch_chunk(stats, &chunk);
-    note_write_event(stats, &chunk.entry, chunk.offset, chunk.len, res.is_ok());
-    stats.backend_writes.fetch_add(1, Relaxed);
-    if res.is_ok() {
-        stats.bytes_out.fetch_add(stored, Relaxed);
-    }
-    stats.chunks_completed.fetch_add(1, Relaxed);
-    stats.completion_reaps.fetch_add(1, Relaxed);
-    stats.completion_reaped.fetch_add(1, Relaxed);
-    stats.note_retired(1);
-    // Recycle before completing: a passed close/fsync barrier then
-    // implies the file's buffers are back in the pool (the occupancy
-    // gauge reads exact at quiescence).
-    pool.release(chunk.buf);
-    chunk.entry.note_completed(res);
-}
-
-/// Retires one batch of already-issued writes: completion + reap
-/// accounting, batch buffer recycling (one waiter wake), then ledger
-/// completion — the release-before-complete ordering every engine must
-/// preserve, paid once per batch. The single shared retire loop: the
-/// threaded workers, the coalescing dispatcher, and the ring reaper all
-/// end here. Backend-op stats (`backend_writes`, `bytes_out`,
-/// `backend_write_ns`) are the issuer's job — they are engine-shaped —
-/// so they are counted before this call.
-fn retire_batch(
-    stats: &CrfsStats,
-    pool: &BufferPool,
-    bufs: Vec<Vec<u8>>,
-    completions: Vec<(Arc<FileEntry>, io::Result<()>)>,
-) {
-    if completions.is_empty() {
-        return;
-    }
-    let n = completions.len() as u64;
-    stats.chunks_completed.fetch_add(n, Relaxed);
-    stats.completion_reaps.fetch_add(1, Relaxed);
-    stats.completion_reaped.fetch_add(n, Relaxed);
-    stats.note_retired(n);
-    pool.release_many(bufs);
-    for (entry, res) in completions {
-        entry.note_completed(res);
-    }
-}
-
-/// [`write_and_retire`] over a whole drained batch: one backend write
-/// per chunk as before, but the stats, buffer recycling, and pool
-/// wakeup are paid once per batch instead of once per chunk. Used by
-/// the threaded engine's workers.
-fn write_and_retire_batch(stats: &CrfsStats, pool: &BufferPool, chunks: Vec<SealedChunk>) {
-    if chunks.is_empty() {
-        return;
-    }
-    let n = chunks.len() as u64;
-    let mut bufs = Vec::with_capacity(chunks.len());
-    let mut completions = Vec::with_capacity(chunks.len());
-    let mut ok_bytes = 0u64;
-    for chunk in chunks {
-        let (res, stored) = dispatch_chunk(stats, &chunk);
-        note_write_event(stats, &chunk.entry, chunk.offset, chunk.len, res.is_ok());
-        if res.is_ok() {
-            ok_bytes += stored;
-        }
-        bufs.push(chunk.buf);
-        completions.push((chunk.entry, res));
-    }
-    stats.backend_writes.fetch_add(n, Relaxed);
-    stats.bytes_out.fetch_add(ok_bytes, Relaxed);
-    retire_batch(stats, pool, bufs, completions);
-}
-
-/// Drains one mixed worker batch: prefetch reads install inline (each
-/// fills its own cache slot, so there is nothing to batch), writes
-/// dispatch and retire together. Shared by the threaded engine's
-/// batched workers; the ring engine's issue/reap split runs the same
-/// demux one op at a time.
-fn run_item_batch(stats: &CrfsStats, pool: &BufferPool, batch: Vec<IoItem>) {
-    let mut writes = Vec::with_capacity(batch.len());
-    for item in batch {
-        match item {
-            IoItem::Write(chunk) => writes.push(chunk),
-            IoItem::Read(chunk) => read_and_install(stats, pool, chunk),
-        }
-    }
-    write_and_retire_batch(stats, pool, writes);
-}
-
 /// Executes one prefetch read and retires it against the entry's read
 /// cache: a successful, non-empty read is parked in the chunk's slot
 /// (unless invalidated meanwhile or writers are starved for buffers);
-/// anything else recycles the buffer as a wasted fetch. Shared by every
-/// engine. The read goes through [`FileEntry::read_backend`], so on
-/// transformed entries every prefetch fill decodes and **verifies** its
-/// frames; a chunk failing verification is retired as a wasted prefetch
-/// (buffer back to the pool, ledger balanced) and the reader's own
-/// direct read surfaces the integrity error.
+/// anything else recycles the buffer as a wasted fetch. The read goes
+/// through [`FileEntry::read_backend`], so on transformed entries every
+/// prefetch fill decodes and **verifies** its frames; a chunk failing
+/// verification is retired as a wasted prefetch (buffer back to the
+/// pool, ledger balanced) and the reader's own direct read surfaces the
+/// integrity error.
 fn read_and_install(stats: &CrfsStats, pool: &BufferPool, mut chunk: ReadChunk) {
     let rs = chunk
         .entry
@@ -375,7 +181,7 @@ fn read_and_install(stats: &CrfsStats, pool: &BufferPool, mut chunk: ReadChunk) 
     }
 }
 
-/// Fails a batch of prefetch reads an engine refused (shutdown race):
+/// Fails a batch of prefetch reads the engine refused (shutdown race):
 /// every chunk retires on its read ledger and recycles its buffer, and a
 /// single `Unmounted` is returned.
 fn refuse_reads(
@@ -395,10 +201,10 @@ fn refuse_reads(
     CrfsError::Unmounted
 }
 
-/// Fails a chunk that an engine refused (shutdown race): completes it
+/// Fails a chunk that the engine refused (shutdown race): completes it
 /// with an error so close/fsync barriers cannot hang, and recycles the
 /// buffer. Counted as refused, not completed — the chunk never reached
-/// the backend, so it must not skew the op-savings accounting.
+/// the backend, so it must not count as a completed write.
 fn refuse(stats: &CrfsStats, pool: &BufferPool, chunk: SealedChunk) -> CrfsError {
     stats.flight.record_cached(
         EventKind::Refused,
@@ -428,179 +234,4 @@ fn refuse_batch(
         refuse(stats, pool, chunk);
     }
     CrfsError::Unmounted
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::backend::{Backend, MemBackend, OpenOptions};
-
-    fn fixture(
-        chunks: usize,
-    ) -> (
-        Arc<BufferPool>,
-        Arc<CrfsStats>,
-        Arc<FileEntry>,
-        Arc<MemBackend>,
-    ) {
-        let pool = Arc::new(BufferPool::new(1024, chunks));
-        let stats = Arc::new(CrfsStats::new());
-        let be = Arc::new(MemBackend::new());
-        let f = be.open("/e", OpenOptions::create_truncate()).unwrap();
-        let entry = Arc::new(FileEntry::new("/e", f));
-        (pool, stats, entry, be)
-    }
-
-    fn chunk_of(
-        pool: &BufferPool,
-        entry: &Arc<FileEntry>,
-        offset: u64,
-        fill: u8,
-        len: usize,
-    ) -> SealedChunk {
-        let (mut buf, _) = pool.acquire().unwrap();
-        buf[..len].iter_mut().for_each(|b| *b = fill);
-        entry.note_sealed();
-        SealedChunk {
-            entry: Arc::clone(entry),
-            buf,
-            len,
-            offset,
-            sealed_at: None,
-        }
-    }
-
-    const ENGINE_COUNT: usize = 4;
-
-    fn engine(which: usize, pool: &Arc<BufferPool>, stats: &Arc<CrfsStats>) -> Arc<dyn IoEngine> {
-        match which {
-            0 => Arc::new(ThreadedEngine::new(2, 4, Arc::clone(pool), Arc::clone(stats)).unwrap()),
-            1 => {
-                Arc::new(CoalescingEngine::new(2, 4, Arc::clone(pool), Arc::clone(stats)).unwrap())
-            }
-            2 => Arc::new(InlineEngine::new(Arc::clone(pool), Arc::clone(stats))),
-            _ => Arc::new(RingEngine::new(2, 8, 1, Arc::clone(pool), Arc::clone(stats)).unwrap()),
-        }
-    }
-
-    #[test]
-    fn every_engine_lands_bytes_and_completes() {
-        for which in 0..ENGINE_COUNT {
-            let (pool, stats, entry, be) = fixture(4);
-            let engine = engine(which, &pool, &stats);
-            engine
-                .submit(chunk_of(&pool, &entry, 0, b'a', 1024))
-                .unwrap();
-            engine
-                .submit(chunk_of(&pool, &entry, 1024, b'b', 512))
-                .unwrap();
-            engine.drain();
-            let (_, err) = entry.wait_outstanding();
-            assert!(err.is_none(), "{}: {err:?}", engine.name());
-            let data = be.contents("/e").unwrap();
-            assert_eq!(data.len(), 1536, "{}", engine.name());
-            assert!(data[..1024].iter().all(|&b| b == b'a'));
-            assert!(data[1024..].iter().all(|&b| b == b'b'));
-            engine.shutdown();
-            assert_eq!(pool.free_chunks(), 4, "{}: buffers leaked", engine.name());
-        }
-    }
-
-    #[test]
-    fn every_engine_accepts_batches_and_counts_submits() {
-        for which in 0..ENGINE_COUNT {
-            let (pool, stats, entry, be) = fixture(4);
-            let engine = engine(which, &pool, &stats);
-            let batch = vec![
-                chunk_of(&pool, &entry, 0, b'a', 1024),
-                chunk_of(&pool, &entry, 1024, b'b', 1024),
-                chunk_of(&pool, &entry, 2048, b'c', 512),
-            ];
-            engine.submit_batch(batch).unwrap();
-            engine.submit_batch(Vec::new()).unwrap(); // empty batch is a no-op
-            engine.drain();
-            let (_, err) = entry.wait_outstanding();
-            assert!(err.is_none(), "{}: {err:?}", engine.name());
-            assert_eq!(be.contents("/e").unwrap().len(), 2560, "{}", engine.name());
-            assert_eq!(
-                stats.chunks_completed.load(Relaxed),
-                3,
-                "{}: every batched chunk completes individually",
-                engine.name()
-            );
-            assert_eq!(
-                stats.engine_submits.load(Relaxed),
-                1,
-                "{}: a 3-chunk batch is one submission (empty batches don't count)",
-                engine.name()
-            );
-            engine.shutdown();
-            assert_eq!(pool.free_chunks(), 4, "{}: buffers leaked", engine.name());
-        }
-    }
-
-    #[test]
-    fn batch_refused_after_shutdown_fails_every_chunk() {
-        for which in 0..ENGINE_COUNT {
-            let (pool, stats, entry, _be) = fixture(4);
-            let engine = engine(which, &pool, &stats);
-            engine.shutdown();
-            let batch = vec![
-                chunk_of(&pool, &entry, 0, b'x', 100),
-                chunk_of(&pool, &entry, 100, b'y', 100),
-            ];
-            let err = engine.submit_batch(batch).unwrap_err();
-            assert!(matches!(err, CrfsError::Unmounted), "{}", engine.name());
-            // Both chunks completed (with errors), so barriers cannot hang.
-            let (_, err) = entry.wait_outstanding();
-            assert!(err.is_some(), "{}", engine.name());
-            assert_eq!(stats.chunks_refused.load(Relaxed), 2, "{}", engine.name());
-            assert_eq!(stats.chunks_completed.load(Relaxed), 0, "{}", engine.name());
-            assert_eq!(pool.free_chunks(), 4, "{}: buffers leaked", engine.name());
-        }
-    }
-
-    #[test]
-    fn submit_after_shutdown_fails_chunk_not_barrier() {
-        for which in 0..ENGINE_COUNT {
-            let (pool, stats, entry, _be) = fixture(4);
-            let engine = engine(which, &pool, &stats);
-            engine.shutdown();
-            let err = engine
-                .submit(chunk_of(&pool, &entry, 0, b'x', 100))
-                .unwrap_err();
-            assert!(matches!(err, CrfsError::Unmounted), "{}", engine.name());
-            // The refused chunk still completed (with an error), so a
-            // barrier on the entry returns instead of hanging.
-            let (_, err) = entry.wait_outstanding();
-            assert!(err.is_some(), "{}", engine.name());
-            assert_eq!(pool.free_chunks(), 4, "{}: buffers leaked", engine.name());
-            // Refused, not completed: never reached the backend.
-            assert_eq!(stats.chunks_refused.load(Relaxed), 1, "{}", engine.name());
-            assert_eq!(stats.chunks_completed.load(Relaxed), 0, "{}", engine.name());
-        }
-    }
-
-    #[test]
-    fn shutdown_is_idempotent_and_concurrent_safe() {
-        for which in 0..ENGINE_COUNT {
-            let (pool, stats, entry, be) = fixture(4);
-            let engine = engine(which, &pool, &stats);
-            engine
-                .submit(chunk_of(&pool, &entry, 0, b'z', 1024))
-                .unwrap();
-            let mut handles = Vec::new();
-            for _ in 0..4 {
-                let e = Arc::clone(&engine);
-                handles.push(std::thread::spawn(move || e.shutdown()));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            engine.shutdown();
-            // The accepted chunk was drained exactly once.
-            assert_eq!(be.contents("/e").unwrap().len(), 1024, "{}", engine.name());
-            assert_eq!(stats.chunks_completed.load(Relaxed), 1, "{}", engine.name());
-        }
-    }
 }

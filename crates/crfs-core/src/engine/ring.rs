@@ -1,20 +1,17 @@
 //! Ring engine: submission/completion rings over an in-flight
 //! descriptor slab.
 //!
-//! The threaded engines cap in-flight IO at `io_threads` — each op owns
-//! a blocked worker thread from dispatch to completion. This engine
-//! decouples the two the way io_uring-style interfaces do: per-op state
-//! lives in a slab of `ring_depth` descriptors, submitters post
-//! descriptor indices onto a lock-free **submission ring**, a pool of
-//! `io_threads` issue workers starts the backend ops, and a small
-//! reaper pool drains a **completion ring**, retiring descriptors in
-//! batches through the shared retire path. On a backend with an
-//! asynchronous write path ([`BackendFile::begin_write_at`]) an issue
-//! worker starts an op and immediately moves to the next — in-flight
-//! ops scale with `ring_depth`, far past the thread count. Synchronous
-//! backends transparently fall back to blocking dispatch inside the
-//! issue worker (the shim adapter: `begin_write_at` returns
-//! `Ok(false)`), degrading to threaded-engine behavior, never breaking.
+//! Per-op state lives in a slab of `ring_depth` descriptors. Submitters
+//! post descriptor indices onto a lock-free **submission ring**, a pool
+//! of `io_threads` issue workers starts the backend ops, and a reaper
+//! thread drains a **completion ring**, retiring descriptors in batches.
+//! On a backend with an asynchronous write path
+//! ([`BackendFile::begin_write_at`](crate::backend::BackendFile::begin_write_at))
+//! an issue worker starts an op and immediately moves to the next —
+//! in-flight ops scale with `ring_depth`, far past the thread count. On a
+//! synchronous backend (`begin_write_at` returns `Ok(false)`) the issue
+//! worker blocks in `write_at`, so at most `io_threads` backend writes
+//! are in flight: the paper's §IV-B throttle.
 //!
 //! ## Descriptor lifecycle
 //!
@@ -31,23 +28,33 @@
 //! the handshake makes inline completions (and `FaultyBackend`'s
 //! completion-time failures) safe without recursion or deadlock.
 //!
+//! ## Parking
+//!
+//! Four positions block: a submitter on a full slab, an issue worker on
+//! an empty submission ring, the reaper on an empty completion ring, and
+//! `drain` on in-flight ops. Each has a gate `Mutex` + `Condvar`. The
+//! rings themselves are lock-free, so a waker changes the condition
+//! first and then takes and drops the gate before it notifies
+//! ([`RingInner::wake`]); a waiter re-checks its condition *under the
+//! gate* and only then waits. Either the waiter's check runs after the
+//! waker's change and sees it, or the waiter already holds the gate, the
+//! waker's lock blocks until the wait releases it, and the notify finds
+//! the waiter parked. No wait is timed: an idle mount makes no wakeups.
+//!
 //! ## Backpressure and shutdown
 //!
-//! A full slab (no free descriptor) parks the submitter on a timed
-//! condvar until a reap frees a slot — the same park-and-recheck idiom
-//! as the buffer pool's empty slow path. Batch acceptance is
-//! *incremental*: each chunk of a `submit_batch` acquires, fills and
-//! posts its own descriptor, so a batch larger than the slab streams
-//! through it instead of deadlocking on slots its own head holds. The
-//! one observable relaxation vs the queue engines: a shutdown racing
-//! mid-batch refuses only the not-yet-posted suffix (every chunk still
-//! completes exactly once, and the caller still sees one `Unmounted`).
+//! A full slab (no free descriptor) parks the submitter until a reap
+//! frees a slot. Batch acceptance is *incremental*: each chunk of a
+//! `submit_batch` acquires, fills and posts its own descriptor, so a
+//! batch larger than the slab streams through it instead of deadlocking
+//! on slots its own head holds. A shutdown racing mid-batch therefore
+//! refuses only the not-yet-posted suffix (every chunk still completes
+//! exactly once, and the caller still sees one `Unmounted`).
 //!
-//! Ordering vs the seal/complete ledger is unchanged: completions may
-//! arrive in any order, but every accepted op calls `note_completed`
-//! exactly once after its buffer is back in the pool, so close/fsync
-//! barriers and `pool_free == pool_total` at quiescence hold exactly as
-//! on the other engines.
+//! Completions may arrive in any order, but every accepted op calls
+//! `note_completed` exactly once after its buffer is back in the pool,
+//! so a passed close/fsync barrier implies `pool_free == pool_total` at
+//! quiescence.
 
 use parking_lot::{Condvar, Mutex};
 use std::io;
@@ -55,139 +62,22 @@ use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use super::{
-    dispatch_chunk, read_and_install, refuse, refuse_batch, refuse_reads, retire_batch, IoEngine,
-    IoItem, ReadChunk, SealedChunk,
+    dispatch_chunk, read_and_install, refuse, refuse_batch, refuse_reads, IoItem, ReadChunk,
+    SealedChunk,
 };
 use crate::backend::CompletionSink;
 use crate::error::{CrfsError, Result};
 use crate::obs::EventKind;
 use crate::pool::BufferPool;
+use crate::ring::Ring;
 use crate::stats::CrfsStats;
 
-/// Park-and-recheck period for every waiting position (submitters on a
-/// full slab, issuers/reapers on empty rings, drain on quiescence):
-/// bounds a theoretical missed wakeup at 1ms without polling overhead.
-const EMPTY_RECHECK: Duration = Duration::from_millis(1);
-
-/// Most descriptors a reaper retires per pass — bounds the latency of
+/// Most descriptors the reaper retires per pass — bounds the latency of
 /// one reap batch while still amortizing the pool wakeup.
 const REAP_BATCH: usize = 64;
-
-/// Pads a hot atomic to its own cache line (see `pool.rs`).
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-/// One slot of a [`SlotRing`]: a Vyukov sequence gating a descriptor
-/// index. The value is a plain `usize`, so no `UnsafeCell` is needed —
-/// publication is still ordered by the `seq` Release/Acquire pair.
-struct IdxSlot {
-    seq: AtomicUsize,
-    val: AtomicUsize,
-}
-
-/// A bounded lock-free MPMC ring of descriptor indices — the same
-/// sequence-tagged design as the buffer pool's free-list shards.
-/// Capacity is 2x the slab, so a push can only fail transiently (a
-/// concurrent pop between its head-CAS and seq store); `push_spin`
-/// rides that out.
-struct SlotRing {
-    mask: usize,
-    head: CachePadded<AtomicUsize>,
-    tail: CachePadded<AtomicUsize>,
-    slots: Box<[IdxSlot]>,
-}
-
-impl SlotRing {
-    fn new(capacity: usize) -> SlotRing {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots = (0..cap)
-            .map(|i| IdxSlot {
-                seq: AtomicUsize::new(i),
-                val: AtomicUsize::new(0),
-            })
-            .collect();
-        SlotRing {
-            mask: cap - 1,
-            head: CachePadded(AtomicUsize::new(0)),
-            tail: CachePadded(AtomicUsize::new(0)),
-            slots,
-        }
-    }
-
-    fn push(&self, v: usize) -> std::result::Result<(), usize> {
-        let mut pos = self.tail.0.load(Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(std::sync::atomic::Ordering::Acquire);
-            let dif = seq as isize - pos as isize;
-            if dif == 0 {
-                match self
-                    .tail
-                    .0
-                    .compare_exchange_weak(pos, pos.wrapping_add(1), Relaxed, Relaxed)
-                {
-                    Ok(_) => {
-                        slot.val.store(v, Relaxed);
-                        slot.seq
-                            .store(pos.wrapping_add(1), std::sync::atomic::Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if dif < 0 {
-                return Err(v);
-            } else {
-                pos = self.tail.0.load(Relaxed);
-            }
-        }
-    }
-
-    fn push_spin(&self, v: usize) {
-        let mut v = v;
-        loop {
-            match self.push(v) {
-                Ok(()) => return,
-                Err(b) => {
-                    v = b;
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-
-    fn pop(&self) -> Option<usize> {
-        let mut pos = self.head.0.load(Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(std::sync::atomic::Ordering::Acquire);
-            let dif = seq as isize - pos.wrapping_add(1) as isize;
-            if dif == 0 {
-                match self
-                    .head
-                    .0
-                    .compare_exchange_weak(pos, pos.wrapping_add(1), Relaxed, Relaxed)
-                {
-                    Ok(_) => {
-                        let v = slot.val.load(Relaxed);
-                        slot.seq.store(
-                            pos.wrapping_add(self.mask).wrapping_add(1),
-                            std::sync::atomic::Ordering::Release,
-                        );
-                        return Some(v);
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if dif < 0 {
-                return None;
-            } else {
-                pos = self.head.0.load(Relaxed);
-            }
-        }
-    }
-}
 
 /// Per-descriptor state. The `Issuing`/`CompletedEarly` pair implements
 /// the who-finishes-second-publishes handshake for inline completions.
@@ -210,7 +100,7 @@ enum DescState {
         stored: u64,
         issued: Instant,
     },
-    /// Completed, waiting on the completion ring for a reaper.
+    /// Completed, waiting on the completion ring for the reaper.
     Done {
         chunk: SealedChunk,
         res: io::Result<()>,
@@ -220,12 +110,14 @@ enum DescState {
 
 struct RingInner {
     slots: Box<[Mutex<DescState>]>,
-    /// Free descriptor indices (submitters pop).
-    free: SlotRing,
+    /// Free descriptor indices (submitters pop). Like the two rings
+    /// below, sized at twice the slab so a push can only fail while a
+    /// concurrent pop is mid-flight; `push_spin` rides that out.
+    free: Ring<usize>,
     /// Queued descriptor indices (issue workers pop).
-    subq: SlotRing,
-    /// Done descriptor indices (reapers pop).
-    compq: SlotRing,
+    subq: Ring<usize>,
+    /// Done descriptor indices (the reaper pops).
+    compq: Ring<usize>,
     pool: Arc<BufferPool>,
     stats: Arc<CrfsStats>,
     /// Descriptors between submit-accept and slot-free; the drain and
@@ -250,8 +142,9 @@ struct RingInner {
 }
 
 impl RingInner {
-    /// Serialized notify (see pool.rs): lock-drop the gate so a parked
-    /// waiter between its recheck and its wait cannot miss the signal.
+    /// Serialized notify: called after the condition changed; taking and
+    /// dropping the gate orders the notify after any waiter that checked
+    /// the old condition has parked (see the module docs, "Parking").
     fn wake(gate: &Mutex<()>, cv: &Condvar, all: bool) {
         drop(gate.lock());
         if all {
@@ -282,17 +175,23 @@ impl RingInner {
             self.retire_inflight(1);
             return Err(item);
         }
-        let idx = loop {
-            if let Some(idx) = self.free.pop() {
-                break idx;
+        let idx = match self.free.pop() {
+            Some(idx) => idx,
+            None => {
+                // Full slab: park until a reap frees a descriptor.
+                let mut g = self.submit_gate.lock();
+                loop {
+                    if let Some(idx) = self.free.pop() {
+                        break idx;
+                    }
+                    if self.closed.load(SeqCst) {
+                        drop(g);
+                        self.retire_inflight(1);
+                        return Err(item);
+                    }
+                    self.submit_cv.wait(&mut g);
+                }
             }
-            if self.closed.load(SeqCst) {
-                self.retire_inflight(1);
-                return Err(item);
-            }
-            // Full slab: park until a reap frees a descriptor.
-            let mut g = self.submit_gate.lock();
-            let _ = self.submit_cv.wait_for(&mut g, EMPTY_RECHECK);
         };
         *self.slots[idx].lock() = DescState::Queued(item);
         self.subq.push_spin(idx);
@@ -300,7 +199,7 @@ impl RingInner {
         Ok(())
     }
 
-    /// Publishes a finished op on the completion ring and wakes a
+    /// Publishes a finished op on the completion ring and wakes the
     /// reaper.
     fn push_completion(&self, idx: usize) {
         self.compq.push_spin(idx);
@@ -318,7 +217,7 @@ impl RingInner {
 
     /// Issues one queued op. Raw writes try the backend's asynchronous
     /// path first; transformed writes and the synchronous fallback run
-    /// `dispatch_chunk` in this worker (threaded-engine behavior).
+    /// `dispatch_chunk` in this worker, which blocks for the write.
     fn issue_one(self: &Arc<Self>, idx: usize, sink: &Arc<dyn CompletionSink>) {
         let item = {
             let mut slot = self.slots[idx].lock();
@@ -335,19 +234,14 @@ impl RingInner {
                 read_and_install(&self.stats, &self.pool, chunk);
                 self.release_slot(idx);
             }
-            IoItem::Write(mut chunk) => {
-                // Consume the seal stamp here (not in `dispatch_chunk`)
-                // so the sync fallback cannot record the queue latency
-                // twice.
-                if let Some(sealed) = chunk.sealed_at.take() {
+            IoItem::Write(chunk) => {
+                if let Some(sealed) = chunk.sealed_at {
                     self.stats
                         .stages
                         .seal_to_submit
                         .record_dur(sealed.elapsed());
                 }
-                // One backend op per chunk on either path (the ring
-                // never coalesces), counted at issue like the other
-                // engines count at dispatch.
+                // One backend op per chunk on either path.
                 self.stats.backend_writes.fetch_add(1, Relaxed);
                 let chunk = if chunk.entry.transform.is_none() {
                     match self.try_begin_async(idx, chunk, sink) {
@@ -452,8 +346,8 @@ impl RingInner {
         self.push_completion(idx);
     }
 
-    /// Retires up to [`REAP_BATCH`] completed descriptors through the
-    /// shared retire path, then recycles the descriptors.
+    /// Retires up to [`REAP_BATCH`] completed descriptors — stats, buffer
+    /// recycling, ledger completion — then recycles the descriptors.
     fn reap(&self, idxs: Vec<usize>) {
         let mut bufs = Vec::with_capacity(idxs.len());
         let mut completions = Vec::with_capacity(idxs.len());
@@ -482,10 +376,19 @@ impl RingInner {
                 _ => unreachable!("completion ring carried a non-Done descriptor"),
             }
         }
-        self.stats.bytes_out.fetch_add(ok_bytes, Relaxed);
-        // Buffers back, then note_completed — the shared ordering.
-        retire_batch(&self.stats, &self.pool, bufs, completions);
         let n = idxs.len();
+        self.stats.bytes_out.fetch_add(ok_bytes, Relaxed);
+        self.stats.chunks_completed.fetch_add(n as u64, Relaxed);
+        self.stats.completion_reaps.fetch_add(1, Relaxed);
+        self.stats.completion_reaped.fetch_add(n as u64, Relaxed);
+        self.stats.note_retired(n as u64);
+        // Buffers back (one waiter wake for the batch), then
+        // note_completed: a passed close/fsync barrier implies the
+        // file's buffers are in the pool.
+        self.pool.release_many(bufs);
+        for (entry, res) in completions {
+            entry.note_completed(res);
+        }
         for idx in idxs {
             self.free.push_spin(idx);
         }
@@ -493,38 +396,40 @@ impl RingInner {
         self.retire_inflight(n);
     }
 
-    fn issue_loop(self: Arc<Self>, sink: Arc<dyn CompletionSink>) {
+    /// Pops the next index off `ring`, parking on `gate` while it is
+    /// empty. `None` once the engine is stopping and the ring is empty.
+    fn pop_or_park(&self, ring: &Ring<usize>, gate: &Mutex<()>, cv: &Condvar) -> Option<usize> {
+        if let Some(idx) = ring.pop() {
+            return Some(idx);
+        }
+        let mut g = gate.lock();
         loop {
-            if let Some(idx) = self.subq.pop() {
-                self.issue_one(idx, &sink);
-                continue;
+            if let Some(idx) = ring.pop() {
+                return Some(idx);
             }
             if self.stopping.load(SeqCst) {
-                return;
+                return None;
             }
-            let mut g = self.issue_gate.lock();
-            let _ = self.issue_cv.wait_for(&mut g, EMPTY_RECHECK);
+            cv.wait(&mut g);
+        }
+    }
+
+    fn issue_loop(self: Arc<Self>, sink: Arc<dyn CompletionSink>) {
+        while let Some(idx) = self.pop_or_park(&self.subq, &self.issue_gate, &self.issue_cv) {
+            self.issue_one(idx, &sink);
         }
     }
 
     fn reap_loop(self: Arc<Self>) {
-        loop {
-            let mut idxs = Vec::new();
+        while let Some(first) = self.pop_or_park(&self.compq, &self.reap_gate, &self.reap_cv) {
+            let mut idxs = vec![first];
             while idxs.len() < REAP_BATCH {
                 match self.compq.pop() {
                     Some(idx) => idxs.push(idx),
                     None => break,
                 }
             }
-            if !idxs.is_empty() {
-                self.reap(idxs);
-                continue;
-            }
-            if self.stopping.load(SeqCst) {
-                return;
-            }
-            let mut g = self.reap_gate.lock();
-            let _ = self.reap_cv.wait_for(&mut g, EMPTY_RECHECK);
+            self.reap(idxs);
         }
     }
 }
@@ -576,12 +481,11 @@ pub struct RingEngine {
 }
 
 impl RingEngine {
-    /// Spawns `io_threads` issue workers and `reapers` completion
-    /// reapers over a slab of `ring_depth` descriptors.
+    /// Spawns `io_threads` issue workers and one completion reaper over
+    /// a slab of `ring_depth` descriptors.
     pub fn new(
         io_threads: usize,
         ring_depth: usize,
-        reapers: usize,
         pool: Arc<BufferPool>,
         stats: Arc<CrfsStats>,
     ) -> Result<RingEngine> {
@@ -589,9 +493,9 @@ impl RingEngine {
         let slots = (0..depth).map(|_| Mutex::new(DescState::Free)).collect();
         let inner = Arc::new(RingInner {
             slots,
-            free: SlotRing::new(depth * 2),
-            subq: SlotRing::new(depth * 2),
-            compq: SlotRing::new(depth * 2),
+            free: Ring::new(depth * 2),
+            subq: Ring::new(depth * 2),
+            compq: Ring::new(depth * 2),
             pool: Arc::clone(&pool),
             stats: Arc::clone(&stats),
             inflight: AtomicUsize::new(0),
@@ -610,7 +514,7 @@ impl RingEngine {
             inner.free.push_spin(idx);
         }
         let sink: Arc<dyn CompletionSink> = Arc::clone(&inner) as Arc<dyn CompletionSink>;
-        let mut handles = Vec::with_capacity(io_threads.max(1) + reapers.max(1));
+        let mut handles = Vec::with_capacity(io_threads.max(1) + 1);
         for i in 0..io_threads.max(1) {
             let inner = Arc::clone(&inner);
             let sink = Arc::clone(&sink);
@@ -621,15 +525,13 @@ impl RingEngine {
                     .map_err(CrfsError::Io)?,
             );
         }
-        for i in 0..reapers.max(1) {
-            let inner = Arc::clone(&inner);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("crfs-ring-reap-{i}"))
-                    .spawn(move || inner.reap_loop())
-                    .map_err(CrfsError::Io)?,
-            );
-        }
+        let reaper = Arc::clone(&inner);
+        handles.push(
+            std::thread::Builder::new()
+                .name("crfs-ring-reap".into())
+                .spawn(move || reaper.reap_loop())
+                .map_err(CrfsError::Io)?,
+        );
         Ok(RingEngine {
             inner,
             pool,
@@ -637,10 +539,15 @@ impl RingEngine {
             handles: Mutex::new(handles),
         })
     }
-}
 
-impl IoEngine for RingEngine {
-    fn submit(&self, chunk: SealedChunk) -> Result<()> {
+    /// Hands a sealed chunk to the engine. The chunk's `note_sealed` has
+    /// already been recorded by the caller. Every accepted chunk
+    /// eventually calls `note_completed` exactly once on its entry and
+    /// returns its buffer to the pool — including on backend failure.
+    /// Returns [`CrfsError::Unmounted`] if the engine has shut down (in
+    /// which case the chunk is failed and its buffer recycled, so
+    /// barriers cannot hang).
+    pub fn submit(&self, chunk: SealedChunk) -> Result<()> {
         self.stats.engine_submits.fetch_add(1, Relaxed);
         self.stats.note_inflight(1);
         match self.inner.submit_one(IoItem::Write(chunk)) {
@@ -650,7 +557,11 @@ impl IoEngine for RingEngine {
         }
     }
 
-    fn submit_batch(&self, chunks: Vec<SealedChunk>) -> Result<()> {
+    /// Hands over the chunks one large `write()` sealed, counted as one
+    /// submission. Same contract as [`submit`](Self::submit) for every
+    /// chunk; on shutdown the not-yet-posted chunks are
+    /// failed-and-recycled and `Unmounted` is returned once.
+    pub fn submit_batch(&self, chunks: Vec<SealedChunk>) -> Result<()> {
         if chunks.is_empty() {
             return Ok(());
         }
@@ -673,7 +584,12 @@ impl IoEngine for RingEngine {
         Ok(())
     }
 
-    fn submit_reads(&self, reads: Vec<ReadChunk>) -> Result<()> {
+    /// Hands a batch of prefetch reads to the engine. The caller has
+    /// already recorded them on the file's read ledger (`note_issued`);
+    /// the engine retires every chunk exactly once — installed into the
+    /// read cache, discarded as stale, or (on shutdown) aborted with its
+    /// buffer recycled — so the close-time drain can never hang.
+    pub fn submit_reads(&self, reads: Vec<ReadChunk>) -> Result<()> {
         if reads.is_empty() {
             return Ok(());
         }
@@ -692,32 +608,31 @@ impl IoEngine for RingEngine {
         Ok(())
     }
 
-    fn drain(&self) {
+    /// Blocks until every op accepted so far has completed.
+    pub fn drain(&self) {
         let mut g = self.inner.quiet_gate.lock();
         while self.inner.inflight.load(SeqCst) != 0 {
-            let _ = self.inner.quiet_cv.wait_for(&mut g, EMPTY_RECHECK);
+            self.inner.quiet_cv.wait(&mut g);
         }
     }
 
-    fn shutdown(&self) {
-        // Refuse new submissions, then wait out everything accepted
-        // (including ops parked in backends' asynchronous paths), then
-        // stop and join the workers. Idempotent: a second call finds
-        // the flags set and the handle list empty.
+    /// Stops the engine: refuses new submissions, waits out everything
+    /// accepted (including ops parked in backends' asynchronous paths),
+    /// then stops and joins the workers. Idempotent and safe to call
+    /// concurrently: a second call finds the flags set and the handle
+    /// list empty.
+    pub fn shutdown(&self) {
         self.inner.closed.store(true, SeqCst);
+        // A submitter parked on a full slab backs out on `closed`.
+        RingInner::wake(&self.inner.submit_gate, &self.inner.submit_cv, true);
         self.drain();
         self.inner.stopping.store(true, SeqCst);
         RingInner::wake(&self.inner.issue_gate, &self.inner.issue_cv, true);
         RingInner::wake(&self.inner.reap_gate, &self.inner.reap_cv, true);
-        RingInner::wake(&self.inner.submit_gate, &self.inner.submit_cv, true);
         let mut handles = self.handles.lock();
         for h in handles.drain(..) {
             let _ = h.join();
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "ring"
     }
 }
 
@@ -782,7 +697,7 @@ mod tests {
             let res = self.inner.write_at(offset, data);
             let sink = Arc::clone(sink);
             std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(2));
+                std::thread::sleep(std::time::Duration::from_millis(2));
                 sink.complete(token, res);
             });
             Ok(true)
@@ -806,13 +721,138 @@ mod tests {
         Arc::new(FileEntry::new(path, Box::new(DeferredFile { inner })))
     }
 
+    fn plain_entry(be: &MemBackend, path: &str) -> Arc<FileEntry> {
+        let f = be.open(path, OpenOptions::create_truncate()).unwrap();
+        Arc::new(FileEntry::new(path, f))
+    }
+
+    fn engine(pool: &Arc<BufferPool>, stats: &Arc<CrfsStats>) -> Arc<RingEngine> {
+        Arc::new(RingEngine::new(2, 8, Arc::clone(pool), Arc::clone(stats)).unwrap())
+    }
+
+    #[test]
+    fn lands_bytes_and_completes() {
+        let (pool, stats, be) = fixture(4);
+        let entry = plain_entry(&be, "/e");
+        let engine = engine(&pool, &stats);
+        engine
+            .submit(chunk_of(&pool, &entry, 0, b'a', 1024))
+            .unwrap();
+        engine
+            .submit(chunk_of(&pool, &entry, 1024, b'b', 512))
+            .unwrap();
+        engine.drain();
+        let (_, err) = entry.wait_outstanding();
+        assert!(err.is_none(), "{err:?}");
+        let data = be.contents("/e").unwrap();
+        assert_eq!(data.len(), 1536);
+        assert!(data[..1024].iter().all(|&b| b == b'a'));
+        assert!(data[1024..].iter().all(|&b| b == b'b'));
+        engine.shutdown();
+        assert_eq!(pool.free_chunks(), 4, "buffers leaked");
+    }
+
+    #[test]
+    fn accepts_batches_and_counts_submits() {
+        let (pool, stats, be) = fixture(4);
+        let entry = plain_entry(&be, "/e");
+        let engine = engine(&pool, &stats);
+        let batch = vec![
+            chunk_of(&pool, &entry, 0, b'a', 1024),
+            chunk_of(&pool, &entry, 1024, b'b', 1024),
+            chunk_of(&pool, &entry, 2048, b'c', 512),
+        ];
+        engine.submit_batch(batch).unwrap();
+        engine.submit_batch(Vec::new()).unwrap(); // empty batch is a no-op
+        engine.drain();
+        let (_, err) = entry.wait_outstanding();
+        assert!(err.is_none(), "{err:?}");
+        assert_eq!(be.contents("/e").unwrap().len(), 2560);
+        assert_eq!(
+            stats.chunks_completed.load(Relaxed),
+            3,
+            "every batched chunk completes individually"
+        );
+        assert_eq!(
+            stats.engine_submits.load(Relaxed),
+            1,
+            "a 3-chunk batch is one submission (empty batches don't count)"
+        );
+        engine.shutdown();
+        assert_eq!(pool.free_chunks(), 4, "buffers leaked");
+    }
+
+    #[test]
+    fn batch_refused_after_shutdown_fails_every_chunk() {
+        let (pool, stats, be) = fixture(4);
+        let entry = plain_entry(&be, "/e");
+        let engine = engine(&pool, &stats);
+        engine.shutdown();
+        let batch = vec![
+            chunk_of(&pool, &entry, 0, b'x', 100),
+            chunk_of(&pool, &entry, 100, b'y', 100),
+        ];
+        let err = engine.submit_batch(batch).unwrap_err();
+        assert!(matches!(err, CrfsError::Unmounted));
+        // Both chunks completed (with errors), so barriers cannot hang.
+        let (_, err) = entry.wait_outstanding();
+        assert!(err.is_some());
+        let snap = stats.snapshot();
+        assert_eq!(snap.chunks_refused, 2);
+        assert_eq!(snap.chunks_completed, 0);
+        assert_eq!(snap.ops_inflight, 0);
+        assert_eq!(pool.free_chunks(), 4, "buffers leaked");
+    }
+
+    #[test]
+    fn submit_after_shutdown_fails_chunk_not_barrier() {
+        let (pool, stats, be) = fixture(4);
+        let entry = plain_entry(&be, "/e");
+        let engine = engine(&pool, &stats);
+        engine.shutdown();
+        let err = engine
+            .submit(chunk_of(&pool, &entry, 0, b'x', 100))
+            .unwrap_err();
+        assert!(matches!(err, CrfsError::Unmounted));
+        // The refused chunk still completed (with an error), so a
+        // barrier on the entry returns instead of hanging.
+        let (_, err) = entry.wait_outstanding();
+        assert!(err.is_some());
+        assert_eq!(pool.free_chunks(), 4, "buffers leaked");
+        // Refused, not completed: never reached the backend.
+        assert_eq!(stats.chunks_refused.load(Relaxed), 1);
+        assert_eq!(stats.chunks_completed.load(Relaxed), 0);
+    }
+
+    #[test]
+    fn shutdown_is_idempotent_and_concurrent_safe() {
+        let (pool, stats, be) = fixture(4);
+        let entry = plain_entry(&be, "/e");
+        let engine = engine(&pool, &stats);
+        engine
+            .submit(chunk_of(&pool, &entry, 0, b'z', 1024))
+            .unwrap();
+        let mut handles = Vec::new();
+        for _ in 0..4 {
+            let e = Arc::clone(&engine);
+            handles.push(std::thread::spawn(move || e.shutdown()));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        engine.shutdown();
+        // The accepted chunk was drained exactly once.
+        assert_eq!(be.contents("/e").unwrap().len(), 1024);
+        assert_eq!(stats.chunks_completed.load(Relaxed), 1);
+    }
+
     #[test]
     fn async_completions_scale_past_issue_threads() {
         // 1 issue thread, depth 8: with a deferred backend all 8 chunks
         // must be in flight simultaneously (a blocked-thread engine
         // could hold only 1).
         let (pool, stats, be) = fixture(8);
-        let engine = RingEngine::new(1, 8, 1, Arc::clone(&pool), Arc::clone(&stats)).unwrap();
+        let engine = RingEngine::new(1, 8, Arc::clone(&pool), Arc::clone(&stats)).unwrap();
         let entry = deferred_entry(&be, "/d");
         let batch: Vec<SealedChunk> = (0..8)
             .map(|i| chunk_of(&pool, &entry, i * 1024, b'a' + i as u8, 1024))
@@ -840,9 +880,8 @@ mod tests {
         // Depth 2, 12 chunks: submitters must park and resume as reaps
         // free descriptors, never deadlock.
         let (pool, stats, be) = fixture(12);
-        let engine = RingEngine::new(2, 2, 1, Arc::clone(&pool), Arc::clone(&stats)).unwrap();
-        let f = be.open("/s", OpenOptions::create_truncate()).unwrap();
-        let entry = Arc::new(FileEntry::new("/s", f));
+        let engine = RingEngine::new(2, 2, Arc::clone(&pool), Arc::clone(&stats)).unwrap();
+        let entry = plain_entry(&be, "/s");
         let batch: Vec<SealedChunk> = (0..12)
             .map(|i| chunk_of(&pool, &entry, i * 1024, b'x', 1024))
             .collect();
@@ -863,7 +902,7 @@ mod tests {
         // begin_write_at — the CompletedEarly handshake path.
         let (pool, stats, _) = fixture(4);
         let be = FaultyBackend::new(MemBackend::new(), FailureMode::FailCompletionsAfter(0));
-        let engine = RingEngine::new(2, 4, 1, Arc::clone(&pool), Arc::clone(&stats)).unwrap();
+        let engine = RingEngine::new(2, 4, Arc::clone(&pool), Arc::clone(&stats)).unwrap();
         let f = be.open("/bad", OpenOptions::create_truncate()).unwrap();
         let entry = Arc::new(FileEntry::new("/bad", f));
         engine
@@ -879,25 +918,164 @@ mod tests {
         assert_eq!(snap.ops_inflight, 0);
     }
 
+    // ------------------------------------------------------------------
+    // §IV-B throttle: "enough threads to keep the backend busy, few
+    // enough to throttle contention"
+    // ------------------------------------------------------------------
+
+    use crate::config::CrfsConfig;
+    use crate::Crfs;
+
+    #[derive(Default)]
+    struct GateState {
+        in_flight: usize,
+        hwm: usize,
+        open: bool,
+        /// Accepted asynchronous writes awaiting their completion.
+        held: Vec<(u64, Arc<dyn CompletionSink>)>,
+    }
+
+    impl GateState {
+        fn enter(&mut self) {
+            self.in_flight += 1;
+            self.hwm = self.hwm.max(self.in_flight);
+        }
+    }
+
+    type Gate = Arc<(Mutex<GateState>, Condvar)>;
+
+    /// A backend whose writes stay in flight until the test lets them
+    /// go, counting how many are in flight at once. Synchronous
+    /// (`write_at` blocks on the gate) or asynchronous (`begin_write_at`
+    /// accepts and parks the completion).
+    struct GatedBackend {
+        inner: MemBackend,
+        gate: Gate,
+        asynchronous: bool,
+    }
+
+    struct GatedFile {
+        inner: Box<dyn BackendFile>,
+        gate: Gate,
+        asynchronous: bool,
+    }
+
+    impl Backend for GatedBackend {
+        fn name(&self) -> &str {
+            "gated"
+        }
+        fn open(&self, path: &str, opts: OpenOptions) -> io::Result<Box<dyn BackendFile>> {
+            Ok(Box::new(GatedFile {
+                inner: self.inner.open(path, opts)?,
+                gate: Arc::clone(&self.gate),
+                asynchronous: self.asynchronous,
+            }))
+        }
+        crate::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists, file_len,
+            list_dir, drain_barrier, attach_stats);
+    }
+
+    impl BackendFile for GatedFile {
+        fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
+            let (state, changed) = &*self.gate;
+            let mut st = state.lock();
+            st.enter();
+            changed.notify_all();
+            while !st.open {
+                changed.wait(&mut st);
+            }
+            drop(st);
+            let res = self.inner.write_at(offset, data);
+            state.lock().in_flight -= 1;
+            res
+        }
+        fn begin_write_at(
+            &self,
+            token: u64,
+            offset: u64,
+            data: &[u8],
+            sink: &Arc<dyn CompletionSink>,
+        ) -> io::Result<bool> {
+            if !self.asynchronous {
+                return Ok(false);
+            }
+            self.inner.write_at(offset, data)?;
+            let (state, changed) = &*self.gate;
+            let mut st = state.lock();
+            st.enter();
+            st.held.push((token, Arc::clone(sink)));
+            changed.notify_all();
+            Ok(true)
+        }
+        crate::forward_file_ops!(inner: read_at, sync, len, set_len);
+    }
+
+    /// Mounts over a [`GatedBackend`] with `io_threads = 3`, depth 64,
+    /// queues 12 one-chunk writes from one `write()`, and returns once
+    /// `want` of them are in flight at the backend.
+    fn mount_gated_and_queue(
+        asynchronous: bool,
+        want: usize,
+    ) -> (Arc<Crfs>, crate::fs::CrfsFile, Gate) {
+        let gate: Gate = Arc::default();
+        let be = GatedBackend {
+            inner: MemBackend::new(),
+            gate: Arc::clone(&gate),
+            asynchronous,
+        };
+        let config = CrfsConfig::default()
+            .with_chunk_size(1024)
+            .with_pool_size(32 * 1024)
+            .with_io_threads(3)
+            .with_ring_depth(64);
+        let fs = Crfs::mount(Arc::new(be), config).unwrap();
+        let f = fs.create("/t").unwrap();
+        f.write(&[7u8; 12 * 1024]).unwrap(); // seals 12 chunks = 4 x io_threads
+        let (state, changed) = &*gate;
+        let mut st = state.lock();
+        while st.in_flight < want {
+            assert!(
+                !changed.wait_for(&mut st, std::time::Duration::from_secs(10)),
+                "only {} of {want} writes reached the backend",
+                st.in_flight
+            );
+        }
+        drop(st);
+        (fs, f, gate)
+    }
+
     #[test]
-    fn mid_batch_shutdown_completes_prefix_and_refuses_suffix() {
-        let (pool, stats, be) = fixture(4);
-        let engine =
-            Arc::new(RingEngine::new(2, 4, 1, Arc::clone(&pool), Arc::clone(&stats)).unwrap());
-        let f = be.open("/r", OpenOptions::create_truncate()).unwrap();
-        let entry = Arc::new(FileEntry::new("/r", f));
-        engine.shutdown();
-        let batch = vec![
-            chunk_of(&pool, &entry, 0, b'a', 100),
-            chunk_of(&pool, &entry, 100, b'b', 100),
-        ];
-        let err = engine.submit_batch(batch).unwrap_err();
-        assert!(matches!(err, CrfsError::Unmounted));
-        let (_, err) = entry.wait_outstanding();
-        assert!(err.is_some());
-        let snap = stats.snapshot();
-        assert_eq!(snap.chunks_refused, 2);
-        assert_eq!(snap.ops_inflight, 0);
-        assert_eq!(pool.free_chunks(), 4);
+    fn sync_backend_sees_exactly_io_threads_writes_in_flight() {
+        let (fs, f, gate) = mount_gated_and_queue(false, 3);
+        let (state, changed) = &*gate;
+        // All three issue workers are now blocked inside `write_at`;
+        // nothing else can start a write until one returns.
+        state.lock().open = true;
+        changed.notify_all();
+        f.close().unwrap();
+        let st = state.lock();
+        assert_eq!(st.hwm, 3, "9 more chunks were queued behind 3 IO threads");
+        assert_eq!(st.in_flight, 0);
+        drop(st);
+        assert_eq!(fs.stats().chunks_completed, 12);
+        fs.unmount().unwrap();
+    }
+
+    #[test]
+    fn async_backend_gets_more_than_io_threads_writes_in_flight() {
+        let (fs, f, gate) = mount_gated_and_queue(true, 12);
+        let (state, _) = &*gate;
+        let held = {
+            let mut st = state.lock();
+            assert_eq!(st.hwm, 12, "3 issue workers started all 12 writes");
+            st.in_flight = 0;
+            std::mem::take(&mut st.held)
+        };
+        for (token, sink) in held {
+            sink.complete(token, Ok(()));
+        }
+        f.close().unwrap();
+        assert_eq!(fs.stats().chunks_completed, 12);
+        fs.unmount().unwrap();
     }
 }

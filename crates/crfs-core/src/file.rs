@@ -6,17 +6,11 @@
 //! "complete chunk count" (chunks the IO threads finished). `close()` and
 //! `fsync()` block until the counters match.
 //!
-//! Two ledger implementations exist behind `Ledger`:
-//!
-//! - **Atomic** (default): seal/complete are relaxed atomic increments —
-//!   the per-chunk hot path takes no lock; a `Mutex`+`Condvar` pair is
-//!   touched only by parked barrier waiters and on the rare async-error
-//!   path. Part of the hot-path contention overhaul.
-//! - **Locked** (legacy baseline): the pre-overhaul `Mutex<ChunkAccounting>`
-//!   around the shared ledger value — kept verbatim so `exp contention`
-//!   can measure the overhaul against the code it replaced. The
-//!   [`ChunkAccounting`] state machine it wraps remains the ledger the
-//!   cluster simulator runs, so the conformance story is unchanged.
+//! The ledger is lock-free on the per-chunk path: seal and complete are
+//! atomic increments; a `Mutex` + `Condvar` pair is touched only by
+//! parked barrier waiters and on the rare async-error path. The
+//! simulator runs the same two-counter rule as the pure
+//! [`ChunkAccounting`](crate::engine::account::ChunkAccounting) value.
 
 use parking_lot::{Condvar, Mutex};
 use std::io;
@@ -30,51 +24,24 @@ use std::sync::Arc;
 
 use crate::backend::BackendFile;
 use crate::chunking::ChunkState;
-use crate::engine::account::{ChunkAccounting, StoredError};
+use crate::engine::account::StoredError;
 
-/// Park-and-recheck period for barrier waiters on the atomic ledger; a
-/// belt-and-braces guard against the store-buffer race between a
-/// completer's waiter check and a waiter's final recheck.
+/// Park-and-recheck period for barrier waiters; a belt-and-braces guard
+/// against the store-buffer race between a completer's waiter check and
+/// a waiter's final recheck.
 const BARRIER_RECHECK: Duration = Duration::from_millis(1);
 
-/// Per-file seal/complete ledger with a blocking barrier on top.
-enum Ledger {
-    /// Lock-free counting; lock only to park/wake barrier waiters and to
-    /// record the sticky first error.
-    Atomic {
-        sealed: AtomicU64,
-        completed: AtomicU64,
-        error: Mutex<Option<StoredError>>,
-        waiters: AtomicUsize,
-        gate: Mutex<()>,
-        cv: Condvar,
-    },
-    /// Pre-overhaul: every note takes the entry mutex (the measurable
-    /// baseline; also what `CrfsConfig::legacy_locking` mounts use).
-    Locked {
-        counts: Mutex<ChunkAccounting>,
-        cv: Condvar,
-    },
-}
-
-impl Ledger {
-    fn atomic() -> Ledger {
-        Ledger::Atomic {
-            sealed: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            error: Mutex::new(None),
-            waiters: AtomicUsize::new(0),
-            gate: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn locked() -> Ledger {
-        Ledger::Locked {
-            counts: Mutex::new(ChunkAccounting::new()),
-            cv: Condvar::new(),
-        }
-    }
+/// Per-file seal/complete ledger with a blocking barrier on top:
+/// lock-free counting; lock only to park/wake barrier waiters and to
+/// record the sticky first error.
+#[derive(Default)]
+struct Ledger {
+    sealed: AtomicU64,
+    completed: AtomicU64,
+    error: Mutex<Option<StoredError>>,
+    waiters: AtomicUsize,
+    gate: Mutex<()>,
+    cv: Condvar,
 }
 
 /// A file's current aggregation chunk: a pool buffer plus its placement.
@@ -129,40 +96,18 @@ pub struct FileEntry {
 }
 
 impl FileEntry {
-    /// Creates an entry with refcount 1, no pending chunks, and the
-    /// lock-free atomic ledger.
+    /// Creates an entry with refcount 1 and no pending chunks.
     pub fn new(path: impl Into<Arc<str>>, file: Box<dyn BackendFile>) -> FileEntry {
-        FileEntry::with_ledger(path, file, false)
+        FileEntry::with_transform(path, file, None, None)
     }
 
-    /// Creates an entry selecting the ledger implementation: `legacy`
-    /// mounts keep the pre-overhaul `Mutex<ChunkAccounting>` path.
-    pub fn with_ledger(
-        path: impl Into<Arc<str>>,
-        file: Box<dyn BackendFile>,
-        legacy: bool,
-    ) -> FileEntry {
-        FileEntry::with_options(path, file, legacy, None)
-    }
-
-    /// Full constructor: ledger selection plus an optional read
-    /// cache/prefetch state (mounts with `read_ahead_chunks > 0`).
-    pub fn with_options(
-        path: impl Into<Arc<str>>,
-        file: Box<dyn BackendFile>,
-        legacy: bool,
-        read_state: Option<Arc<crate::prefetch::ReadState>>,
-    ) -> FileEntry {
-        FileEntry::with_transform(path, file, legacy, read_state, None)
-    }
-
-    /// [`with_options`](Self::with_options) plus the chunk transform
-    /// state. A transformed entry's logical length comes from its frame
-    /// map, not the backend file size (stored ≠ logical bytes).
+    /// Full constructor: an optional read cache/prefetch state (mounts
+    /// with `read_ahead_chunks > 0`) and the chunk transform state. A
+    /// transformed entry's logical length comes from its frame map, not
+    /// the backend file size (stored ≠ logical bytes).
     pub fn with_transform(
         path: impl Into<Arc<str>>,
         file: Box<dyn BackendFile>,
-        legacy: bool,
         read_state: Option<Arc<crate::prefetch::ReadState>>,
         transform: Option<Arc<crate::transform::FileTransform>>,
     ) -> FileEntry {
@@ -181,11 +126,7 @@ impl FileEntry {
             transform,
             snapshot_epoch: None,
             flight_tag: AtomicU64::new(0),
-            ledger: if legacy {
-                Ledger::locked()
-            } else {
-                Ledger::atomic()
-            },
+            ledger: Ledger::default(),
         }
     }
 
@@ -203,128 +144,64 @@ impl FileEntry {
 
     /// Registers a chunk as enqueued (bumps the write chunk count).
     pub fn note_sealed(&self) {
-        match &self.ledger {
-            Ledger::Atomic { sealed, .. } => {
-                sealed.fetch_add(1, Relaxed);
-            }
-            Ledger::Locked { counts, .. } => counts.lock().note_sealed(),
-        }
+        self.ledger.sealed.fetch_add(1, Relaxed);
     }
 
     /// Registers a chunk as finished by an IO worker, recording the first
     /// error if the backend write failed, and wakes barrier waiters.
     pub fn note_completed(&self, result: io::Result<()>) {
-        match &self.ledger {
-            Ledger::Atomic {
-                completed,
-                error,
-                waiters,
-                gate,
-                cv,
-                ..
-            } => {
-                if let Err(e) = result {
-                    let mut err = error.lock();
-                    if err.is_none() {
-                        *err = Some(StoredError::capture(&e));
-                    }
-                }
-                completed.fetch_add(1, Release);
-                if waiters.load(Relaxed) > 0 {
-                    // Serialize with a parked waiter's final recheck.
-                    drop(gate.lock());
-                    cv.notify_all();
-                }
+        let l = &self.ledger;
+        if let Err(e) = result {
+            let mut err = l.error.lock();
+            if err.is_none() {
+                *err = Some(StoredError::capture(&e));
             }
-            Ledger::Locked { counts, cv } => {
-                counts.lock().note_completed(result);
-                cv.notify_all();
-            }
+        }
+        l.completed.fetch_add(1, Release);
+        if l.waiters.load(Relaxed) > 0 {
+            // Serialize with a parked waiter's final recheck.
+            drop(l.gate.lock());
+            l.cv.notify_all();
         }
     }
 
-    /// Whether every sealed chunk has completed (atomic ledger).
-    fn atomic_quiescent(sealed: &AtomicU64, completed: &AtomicU64) -> bool {
+    /// Whether every sealed chunk has completed.
+    fn quiescent(&self) -> bool {
         // Read `sealed` first: completion only grows, so completed >=
         // sealed-at-read-time means every chunk sealed before the check
         // is done (later seals are concurrent with the barrier).
-        let s = sealed.load(Acquire);
-        completed.load(Acquire) >= s
+        let s = self.ledger.sealed.load(Acquire);
+        self.ledger.completed.load(Acquire) >= s
     }
 
     /// Blocks until every sealed chunk has completed, then reports the
     /// sticky asynchronous error, if any. Returns the time spent blocked.
     pub fn wait_outstanding(&self) -> (Duration, Option<io::Error>) {
-        match &self.ledger {
-            Ledger::Atomic {
-                sealed,
-                completed,
-                error,
-                waiters,
-                gate,
-                cv,
-            } => {
-                let take_err = || error.lock().as_ref().map(StoredError::to_io);
-                if Self::atomic_quiescent(sealed, completed) {
-                    return (Duration::ZERO, take_err());
-                }
-                let t0 = Instant::now();
-                waiters.fetch_add(1, Relaxed);
-                let mut g = gate.lock();
-                while !Self::atomic_quiescent(sealed, completed) {
-                    // Timed re-arm: self-heals a missed notify.
-                    let _ = cv.wait_for(&mut g, BARRIER_RECHECK);
-                }
-                drop(g);
-                waiters.fetch_sub(1, Relaxed);
-                (t0.elapsed(), take_err())
-            }
-            Ledger::Locked { counts, cv } => {
-                let mut c = counts.lock();
-                if c.is_quiescent() {
-                    return (Duration::ZERO, c.error());
-                }
-                let t0 = Instant::now();
-                while !c.is_quiescent() {
-                    cv.wait(&mut c);
-                }
-                (t0.elapsed(), c.error())
-            }
+        if self.quiescent() {
+            return (Duration::ZERO, self.async_error());
         }
+        let l = &self.ledger;
+        let t0 = Instant::now();
+        l.waiters.fetch_add(1, Relaxed);
+        let mut g = l.gate.lock();
+        while !self.quiescent() {
+            // Timed re-arm: self-heals a missed notify.
+            let _ = l.cv.wait_for(&mut g, BARRIER_RECHECK);
+        }
+        drop(g);
+        l.waiters.fetch_sub(1, Relaxed);
+        (t0.elapsed(), self.async_error())
     }
 
     /// Chunks currently in flight (sealed but not completed).
     pub fn outstanding(&self) -> u64 {
-        match &self.ledger {
-            Ledger::Atomic {
-                sealed, completed, ..
-            } => {
-                let s = sealed.load(Acquire);
-                s.saturating_sub(completed.load(Acquire))
-            }
-            Ledger::Locked { counts, .. } => counts.lock().outstanding(),
-        }
+        let s = self.ledger.sealed.load(Acquire);
+        s.saturating_sub(self.ledger.completed.load(Acquire))
     }
 
     /// The sticky asynchronous error, if one occurred.
     pub fn async_error(&self) -> Option<io::Error> {
-        match &self.ledger {
-            Ledger::Atomic { error, .. } => error.lock().as_ref().map(StoredError::to_io),
-            Ledger::Locked { counts, .. } => counts.lock().error(),
-        }
-    }
-
-    /// (sealed, completed) totals, for diagnostics.
-    fn ledger_counts(&self) -> (u64, u64) {
-        match &self.ledger {
-            Ledger::Atomic {
-                sealed, completed, ..
-            } => (sealed.load(Relaxed), completed.load(Relaxed)),
-            Ledger::Locked { counts, .. } => {
-                let c = counts.lock();
-                (c.sealed(), c.completed())
-            }
-        }
+        self.ledger.error.lock().as_ref().map(StoredError::to_io)
     }
 
     /// Logical file length: the larger of the stored length (frame map
@@ -341,12 +218,11 @@ impl FileEntry {
 
 impl std::fmt::Debug for FileEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (sealed, completed) = self.ledger_counts();
         f.debug_struct("FileEntry")
             .field("path", &self.path)
             .field("refcount", &self.refcount.load(Relaxed))
-            .field("sealed", &sealed)
-            .field("completed", &completed)
+            .field("sealed", &self.ledger.sealed.load(Relaxed))
+            .field("completed", &self.ledger.completed.load(Relaxed))
             .field("has_error", &self.async_error().is_some())
             .finish()
     }
@@ -358,96 +234,89 @@ mod tests {
     use crate::backend::{Backend, MemBackend, OpenOptions};
     use std::sync::Arc;
 
-    fn entries() -> [Arc<FileEntry>; 2] {
-        [false, true].map(|legacy| {
-            let be = MemBackend::new();
-            let f = be.open("/t", OpenOptions::create_truncate()).unwrap();
-            Arc::new(FileEntry::with_ledger("/t", f, legacy))
-        })
+    fn entry() -> Arc<FileEntry> {
+        let be = MemBackend::new();
+        let f = be.open("/t", OpenOptions::create_truncate()).unwrap();
+        Arc::new(FileEntry::new("/t", f))
     }
 
     #[test]
     fn barrier_waits_for_completion() {
-        for e in entries() {
-            e.note_sealed();
-            e.note_sealed();
-            assert_eq!(e.outstanding(), 2);
+        let e = entry();
+        e.note_sealed();
+        e.note_sealed();
+        assert_eq!(e.outstanding(), 2);
 
-            let e2 = Arc::clone(&e);
-            let h = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                e2.note_completed(Ok(()));
-                std::thread::sleep(Duration::from_millis(20));
-                e2.note_completed(Ok(()));
-            });
-            let (waited, err) = e.wait_outstanding();
-            h.join().unwrap();
-            assert!(err.is_none());
-            assert!(waited >= Duration::from_millis(20));
-            assert_eq!(e.outstanding(), 0);
-        }
+        let e2 = Arc::clone(&e);
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            e2.note_completed(Ok(()));
+            std::thread::sleep(Duration::from_millis(20));
+            e2.note_completed(Ok(()));
+        });
+        let (waited, err) = e.wait_outstanding();
+        h.join().unwrap();
+        assert!(err.is_none());
+        assert!(waited >= Duration::from_millis(20));
+        assert_eq!(e.outstanding(), 0);
     }
 
     #[test]
     fn first_async_error_is_sticky() {
-        for e in entries() {
-            e.note_sealed();
-            e.note_sealed();
-            e.note_completed(Err(io::Error::other("first")));
-            e.note_completed(Err(io::Error::other("second")));
-            let (_, err) = e.wait_outstanding();
-            assert!(err.unwrap().to_string().contains("first"));
-            // Still reported on the next barrier.
-            assert!(e.async_error().unwrap().to_string().contains("first"));
-        }
+        let e = entry();
+        e.note_sealed();
+        e.note_sealed();
+        e.note_completed(Err(io::Error::other("first")));
+        e.note_completed(Err(io::Error::other("second")));
+        let (_, err) = e.wait_outstanding();
+        assert!(err.unwrap().to_string().contains("first"));
+        // Still reported on the next barrier.
+        assert!(e.async_error().unwrap().to_string().contains("first"));
     }
 
     #[test]
     fn wait_with_nothing_outstanding_is_instant() {
-        for e in entries() {
-            let (waited, err) = e.wait_outstanding();
-            assert_eq!(waited, Duration::ZERO);
-            assert!(err.is_none());
-        }
+        let e = entry();
+        let (waited, err) = e.wait_outstanding();
+        assert_eq!(waited, Duration::ZERO);
+        assert!(err.is_none());
     }
 
     #[test]
     fn barrier_survives_many_concurrent_completers() {
-        // The atomic ledger's parked-waiter protocol under churn: many
+        // The ledger's parked-waiter protocol under churn: many
         // threads completing while one waits; the barrier must neither
         // hang nor pass early.
-        for e in entries() {
-            const CHUNKS: u64 = 600;
-            for _ in 0..CHUNKS {
-                e.note_sealed();
-            }
-            let mut workers = Vec::new();
-            for w in 0..3 {
-                let e = Arc::clone(&e);
-                workers.push(std::thread::spawn(move || {
-                    for _ in 0..CHUNKS / 3 {
-                        e.note_completed(Ok(()));
-                        if w == 0 {
-                            std::thread::yield_now();
-                        }
+        let e = entry();
+        const CHUNKS: u64 = 600;
+        for _ in 0..CHUNKS {
+            e.note_sealed();
+        }
+        let mut workers = Vec::new();
+        for w in 0..3 {
+            let e = Arc::clone(&e);
+            workers.push(std::thread::spawn(move || {
+                for _ in 0..CHUNKS / 3 {
+                    e.note_completed(Ok(()));
+                    if w == 0 {
+                        std::thread::yield_now();
                     }
-                }));
-            }
-            let (_, err) = e.wait_outstanding();
-            assert!(err.is_none());
-            assert_eq!(e.outstanding(), 0);
-            for h in workers {
-                h.join().unwrap();
-            }
+                }
+            }));
+        }
+        let (_, err) = e.wait_outstanding();
+        assert!(err.is_none());
+        assert_eq!(e.outstanding(), 0);
+        for h in workers {
+            h.join().unwrap();
         }
     }
 
     #[test]
     fn logical_len_tracks_pending_extent() {
-        for e in entries() {
-            assert_eq!(e.logical_len().unwrap(), 0);
-            e.max_extent.fetch_max(4096, Relaxed);
-            assert_eq!(e.logical_len().unwrap(), 4096);
-        }
+        let e = entry();
+        assert_eq!(e.logical_len().unwrap(), 0);
+        e.max_extent.fetch_max(4096, Relaxed);
+        assert_eq!(e.logical_len().unwrap(), 4096);
     }
 }

@@ -1,7 +1,6 @@
 //! The CRFS filesystem front end: write aggregation, the open-file
 //! table, and the POSIX-like public API. Sealed chunks are dispatched
-//! through a pluggable [`IoEngine`] — see
-//! [`crate::engine`] for the threaded/coalescing/inline implementations.
+//! through the [`RingEngine`] — see [`crate::engine`].
 
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -13,7 +12,7 @@ use std::time::Duration;
 use crate::backend::{normalize_path, parent_of, Backend, OpenOptions};
 use crate::chunking::{flush_plan, plan_write, ChunkState, FlushStep, PlanStep};
 use crate::config::CrfsConfig;
-use crate::engine::{IoEngine, ReadChunk, SealedChunk};
+use crate::engine::{ReadChunk, RingEngine, SealedChunk};
 use crate::error::{CrfsError, Result};
 use crate::file::{CurrentChunk, FileEntry};
 use crate::obs::EventKind;
@@ -104,17 +103,11 @@ impl FileTable {
 struct Shared {
     backend: Arc<dyn Backend>,
     config: CrfsConfig,
-    /// Sealed chunks a single `write()` may collect before handing them
-    /// to the engine in one `submit_batch` (resolved from the config at
-    /// mount).
-    submit_batch: usize,
     pool: Arc<BufferPool>,
     table: FileTable,
     stats: Arc<CrfsStats>,
-    /// The IO dispatch strategy. Plain `Arc` — the per-write path takes
-    /// no lock to reach the engine (the old design funnelled every seal
-    /// through a `Mutex<Option<Sender>>`).
-    engine: Arc<dyn IoEngine>,
+    /// The IO engine; the per-write path takes no lock to reach it.
+    engine: RingEngine,
     /// Chunk transform stage (codec + dedup index + integrity); `None`
     /// when `config.codec` is `None` and chunks ship raw.
     transform: Option<Arc<TransformCtx>>,
@@ -138,20 +131,16 @@ pub struct Crfs {
 impl Crfs {
     /// Mounts CRFS over `backend` with the given configuration.
     ///
-    /// Allocates the buffer pool and starts the configured IO engine
-    /// (by default `config.io_threads` worker threads, as the paper does
-    /// at mount time).
+    /// Allocates the buffer pool and starts the IO engine
+    /// (`config.io_threads` worker threads, as the paper does at mount
+    /// time).
     pub fn mount(backend: Arc<dyn Backend>, config: CrfsConfig) -> Result<Arc<Crfs>> {
         config.validate()?;
-        let pool = Arc::new(if config.legacy_locking {
-            BufferPool::legacy(config.chunk_size, config.pool_chunks())
-        } else {
-            BufferPool::with_shards(
-                config.chunk_size,
-                config.pool_chunks(),
-                config.resolved_pool_shards(),
-            )
-        });
+        let pool = Arc::new(BufferPool::with_shards(
+            config.chunk_size,
+            config.pool_chunks(),
+            config.resolved_pool_shards(),
+        ));
         let stats = Arc::new(CrfsStats::for_config(config.obs, config.flight_capacity));
         if let Some(path) = &config.flight_dump {
             stats.flight.set_dump_path(Some(path.clone()));
@@ -159,16 +148,19 @@ impl Crfs {
         // Layers below the engine (tier drains, promotions) record into
         // the same stats block as the filesystem itself.
         backend.attach_stats(&stats);
-        let engine = crate::engine::build(&config, Arc::clone(&pool), Arc::clone(&stats))?;
+        let engine = RingEngine::new(
+            config.io_threads,
+            config.ring_depth,
+            Arc::clone(&pool),
+            Arc::clone(&stats),
+        )?;
         let table = FileTable::new(config.resolved_table_shards(), Arc::clone(&stats));
-        let submit_batch = config.resolved_submit_batch();
         let transform =
             TransformCtx::from_config(&config, Arc::clone(&backend), Arc::clone(&stats))
                 .map_err(CrfsError::Io)?;
         let shared = Arc::new(Shared {
             backend,
             config,
-            submit_batch,
             pool,
             table,
             stats,
@@ -208,11 +200,6 @@ impl Crfs {
     /// nothing has happened yet.
     pub fn flight_record_jsonl(&self) -> String {
         self.shared.stats.flight.dump_jsonl()
-    }
-
-    /// Name of the active IO engine (`threaded`, `coalescing`, `inline`).
-    pub fn engine_name(&self) -> &'static str {
-        self.shared.engine.name()
     }
 
     /// Advances the mount's checkpoint epoch — call between checkpoint
@@ -384,7 +371,6 @@ impl Crfs {
             let entry = Arc::new(FileEntry::with_transform(
                 Arc::clone(&path),
                 file,
-                self.shared.config.legacy_locking,
                 read_state,
                 file_transform,
             ));
@@ -489,13 +475,8 @@ impl Crfs {
                 self.shared.config.resolved_read_cache_slots(),
             ))
         });
-        let mut entry = FileEntry::with_transform(
-            Arc::clone(&key),
-            log,
-            self.shared.config.legacy_locking,
-            read_state,
-            Some(file_transform),
-        );
+        let mut entry =
+            FileEntry::with_transform(Arc::clone(&key), log, read_state, Some(file_transform));
         entry.snapshot_epoch = Some(epoch);
         let entry = Arc::new(entry);
         let mut shard = self.shared.table.lock_shard(&key);
@@ -657,7 +638,7 @@ impl Crfs {
         // which case its coherence flush sees the buffered data.
         entry.dirty_low.fetch_min(offset, Relaxed);
         let chunk_size = self.shared.config.chunk_size;
-        let max_batch = self.shared.submit_batch;
+        let max_batch = self.shared.config.submit_batch;
         let mut batch: Vec<SealedChunk> = Vec::new();
         let mut slot = entry.chunk.lock();
         let plan = plan_write(
@@ -1804,44 +1785,33 @@ mod tests {
     }
 
     #[test]
-    fn transform_roundtrip_across_engines_and_codecs() {
-        for engine in [
-            EngineKind::Threaded,
-            EngineKind::Coalescing,
-            EngineKind::Inline,
-            EngineKind::Ring,
-        ] {
-            for codec in [CodecKind::Identity, CodecKind::Rle, CodecKind::Lz] {
-                let config = small_config().with_engine(engine).with_codec(codec);
-                let (fs, _be) = mount_mem(config);
-                let f = fs.create("/t").unwrap();
-                let data = compressible(10_000, 3);
-                f.write(&data).unwrap();
-                f.flush().unwrap();
-                let mut back = vec![0u8; data.len()];
-                assert_eq!(f.read_at(0, &mut back).unwrap(), data.len());
-                assert_eq!(back, data, "{engine:?}/{codec:?}");
-                assert_eq!(f.len().unwrap(), data.len() as u64);
-                f.close().unwrap();
-                assert_eq!(fs.file_len("/t").unwrap(), data.len() as u64);
-                let snap = fs.stats();
-                assert_eq!(snap.chunks_sealed, snap.chunks_completed);
-                assert_eq!(
-                    snap.bytes_logical,
-                    data.len() as u64,
-                    "{engine:?}/{codec:?}"
+    fn transform_roundtrip_across_codecs() {
+        for codec in [CodecKind::Identity, CodecKind::Rle, CodecKind::Lz] {
+            let config = small_config().with_codec(codec);
+            let (fs, _be) = mount_mem(config);
+            let f = fs.create("/t").unwrap();
+            let data = compressible(10_000, 3);
+            f.write(&data).unwrap();
+            f.flush().unwrap();
+            let mut back = vec![0u8; data.len()];
+            assert_eq!(f.read_at(0, &mut back).unwrap(), data.len());
+            assert_eq!(back, data, "{codec:?}");
+            assert_eq!(f.len().unwrap(), data.len() as u64);
+            f.close().unwrap();
+            assert_eq!(fs.file_len("/t").unwrap(), data.len() as u64);
+            let snap = fs.stats();
+            assert_eq!(snap.chunks_sealed, snap.chunks_completed);
+            assert_eq!(snap.bytes_logical, data.len() as u64, "{codec:?}");
+            assert_eq!(snap.integrity_failures, 0, "{codec:?}");
+            if codec != CodecKind::Identity {
+                assert!(
+                    snap.bytes_stored < snap.bytes_logical,
+                    "{codec:?}: {} stored for {} logical",
+                    snap.bytes_stored,
+                    snap.bytes_logical
                 );
-                assert_eq!(snap.integrity_failures, 0, "{engine:?}/{codec:?}");
-                if codec != CodecKind::Identity {
-                    assert!(
-                        snap.bytes_stored < snap.bytes_logical,
-                        "{engine:?}/{codec:?}: {} stored for {} logical",
-                        snap.bytes_stored,
-                        snap.bytes_logical
-                    );
-                }
-                fs.unmount().unwrap();
             }
+            fs.unmount().unwrap();
         }
     }
 
@@ -1981,186 +1951,97 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // engine semantics, across all IoEngine implementations
+    // engine semantics as seen through the mount
     // ------------------------------------------------------------------
 
     use crate::backend::{ThrottleParams, ThrottledBackend};
-    use crate::config::EngineKind;
-
-    const ALL_ENGINES: [EngineKind; 4] = [
-        EngineKind::Threaded,
-        EngineKind::Coalescing,
-        EngineKind::Inline,
-        EngineKind::Ring,
-    ];
 
     #[test]
-    fn every_engine_preserves_write_close_semantics() {
-        for engine in ALL_ENGINES {
-            let (fs, be) = mount_mem(small_config().with_engine(engine));
-            assert_eq!(
-                fs.engine_name(),
-                match engine {
-                    EngineKind::Threaded => "threaded",
-                    EngineKind::Coalescing => "coalescing",
-                    EngineKind::Inline => "inline",
-                    EngineKind::Ring => "ring",
-                }
-            );
-            let f = fs.create("/x").unwrap();
-            f.write(&vec![3u8; 5000]).unwrap();
-            f.close().unwrap();
-            let data = be.contents("/x").unwrap();
-            assert_eq!(data.len(), 5000, "{engine:?}");
-            assert!(data.iter().all(|&b| b == 3), "{engine:?}");
-            let snap = fs.stats();
-            assert_eq!(snap.chunks_sealed, snap.chunks_completed, "{engine:?}");
-            assert_eq!(snap.bytes_out, 5000, "{engine:?}");
-            assert_eq!(
-                snap.backend_writes + snap.chunks_coalesced,
-                snap.chunks_completed,
-                "{engine:?}: ops + merges must account for every chunk"
-            );
-        }
-    }
-
-    #[test]
-    fn every_engine_observes_close_barrier_under_slow_backend() {
-        for engine in ALL_ENGINES {
-            let be = Arc::new(ThrottledBackend::new(
-                MemBackend::new(),
-                ThrottleParams {
-                    bandwidth: 512 << 20,
-                    per_op_latency: std::time::Duration::from_millis(2),
-                    seek_penalty: std::time::Duration::ZERO,
-                },
-            ));
-            let fs = Crfs::mount(
-                be.clone(),
-                small_config().with_engine(engine).with_io_threads(1),
-            )
-            .unwrap();
-            let f = fs.create("/barrier").unwrap();
-            f.write(&vec![1u8; 4 * 1024]).unwrap(); // 4 sealed chunks
-            f.close().unwrap();
-            // close must have waited until every sealed chunk completed.
-            let snap = fs.stats();
-            assert_eq!(snap.chunks_sealed, snap.chunks_completed, "{engine:?}");
-            assert_eq!(snap.bytes_out, 4 * 1024, "{engine:?}");
-            assert_eq!(be.inner().contents("/barrier").unwrap().len(), 4 * 1024);
-            fs.unmount().unwrap();
-        }
-    }
-
-    #[test]
-    fn every_engine_propagates_deferred_write_errors() {
-        for engine in ALL_ENGINES {
-            let be = Arc::new(FaultyBackend::new(
-                MemBackend::new(),
-                FailureMode::FailWritesAfter(0),
-            ));
-            let fs =
-                Crfs::mount(be as Arc<dyn Backend>, small_config().with_engine(engine)).unwrap();
-            let f = fs.create("/bad").unwrap();
-            f.write(&vec![1u8; 3000]).unwrap();
-            // flush_entry (via flush) surfaces the engine's async error.
-            let err = f.flush().unwrap_err();
-            assert!(
-                matches!(err, CrfsError::DeferredWrite { .. }),
-                "{engine:?}: got {err:?}"
-            );
-            // The sticky error also re-surfaces at close.
-            let err = f.close().unwrap_err();
-            assert!(
-                matches!(err, CrfsError::DeferredWrite { .. }),
-                "{engine:?}: got {err:?}"
-            );
-            let snap = fs.stats();
-            assert_eq!(snap.chunks_sealed, snap.chunks_completed, "{engine:?}");
-        }
-    }
-
-    /// The acceptance demo: on a small-write checkpoint workload over a
-    /// slow backend, the coalescing engine issues strictly fewer backend
-    /// `write_at` ops than the threaded engine, with byte-identical file
-    /// contents.
-    #[test]
-    fn coalescing_issues_strictly_fewer_backend_ops() {
-        fn run(engine: EngineKind) -> (Vec<u8>, StatsSnapshot) {
-            let be = Arc::new(ThrottledBackend::new(
-                MemBackend::new(),
-                ThrottleParams {
-                    bandwidth: 256 << 20,
-                    per_op_latency: std::time::Duration::from_millis(4),
-                    seek_penalty: std::time::Duration::ZERO,
-                },
-            ));
-            // 1 KiB chunks, 16-chunk pool, one IO thread: while the first
-            // write_at sits in the 4 ms device window, later seals queue
-            // up (and, for the coalescing engine, merge).
-            let config = CrfsConfig::default()
-                .with_chunk_size(1024)
-                .with_pool_size(16 * 1024)
-                .with_io_threads(1)
-                .with_engine(engine);
-            let fs = Crfs::mount(be.clone(), config).unwrap();
-            let f = fs.create("/ckpt").unwrap();
-            // The paper's workload shape: a storm of small writes.
-            for i in 0..96u64 {
-                f.write(&[(i % 251) as u8; 128]).unwrap();
-            }
-            f.close().unwrap();
-            let contents = be.inner().contents("/ckpt").unwrap();
-            let snap = fs.stats();
-            fs.unmount().unwrap();
-            (contents, snap)
-        }
-        let (threaded_bytes, threaded) = run(EngineKind::Threaded);
-        let (coalesced_bytes, coalesced) = run(EngineKind::Coalescing);
+    fn engine_preserves_write_close_semantics() {
+        let (fs, be) = mount_mem(small_config());
+        let f = fs.create("/x").unwrap();
+        f.write(&vec![3u8; 5000]).unwrap();
+        f.close().unwrap();
+        let data = be.contents("/x").unwrap();
+        assert_eq!(data.len(), 5000);
+        assert!(data.iter().all(|&b| b == 3));
+        let snap = fs.stats();
+        assert_eq!(snap.chunks_sealed, snap.chunks_completed);
+        assert_eq!(snap.bytes_out, 5000);
         assert_eq!(
-            threaded_bytes, coalesced_bytes,
-            "identical resulting contents"
+            snap.backend_writes, snap.chunks_completed,
+            "one backend op per completed chunk"
         );
-        assert_eq!(threaded.chunks_sealed, coalesced.chunks_sealed);
-        assert_eq!(threaded.backend_writes, threaded.chunks_completed);
+    }
+
+    #[test]
+    fn engine_observes_close_barrier_under_slow_backend() {
+        let be = Arc::new(ThrottledBackend::new(
+            MemBackend::new(),
+            ThrottleParams {
+                bandwidth: 512 << 20,
+                per_op_latency: std::time::Duration::from_millis(2),
+                seek_penalty: std::time::Duration::ZERO,
+            },
+        ));
+        let fs = Crfs::mount(be.clone(), small_config().with_io_threads(1)).unwrap();
+        let f = fs.create("/barrier").unwrap();
+        f.write(&vec![1u8; 4 * 1024]).unwrap(); // 4 sealed chunks
+        f.close().unwrap();
+        // close must have waited until every sealed chunk completed.
+        let snap = fs.stats();
+        assert_eq!(snap.chunks_sealed, snap.chunks_completed);
+        assert_eq!(snap.bytes_out, 4 * 1024);
+        assert_eq!(be.inner().contents("/barrier").unwrap().len(), 4 * 1024);
+        fs.unmount().unwrap();
+    }
+
+    #[test]
+    fn engine_propagates_deferred_write_errors() {
+        let be = Arc::new(FaultyBackend::new(
+            MemBackend::new(),
+            FailureMode::FailWritesAfter(0),
+        ));
+        let fs = Crfs::mount(be as Arc<dyn Backend>, small_config()).unwrap();
+        let f = fs.create("/bad").unwrap();
+        f.write(&vec![1u8; 3000]).unwrap();
+        // flush_entry (via flush) surfaces the engine's async error.
+        let err = f.flush().unwrap_err();
         assert!(
-            coalesced.backend_writes < threaded.backend_writes,
-            "coalescing must save backend ops: {} vs {}",
-            coalesced.backend_writes,
-            threaded.backend_writes
+            matches!(err, CrfsError::DeferredWrite { .. }),
+            "got {err:?}"
         );
-        assert!(coalesced.chunks_coalesced > 0);
-        assert_eq!(coalesced.backend_ops_saved(), coalesced.chunks_coalesced);
+        // The sticky error also re-surfaces at close.
+        let err = f.close().unwrap_err();
+        assert!(
+            matches!(err, CrfsError::DeferredWrite { .. }),
+            "got {err:?}"
+        );
+        let snap = fs.stats();
+        assert_eq!(snap.chunks_sealed, snap.chunks_completed);
     }
 
     /// Batched submission is observable: a multi-chunk write makes one
     /// engine submission, and the accounting ledger still balances.
     #[test]
     fn large_write_submits_chunks_as_one_batch() {
-        for engine in ALL_ENGINES {
-            let (fs, be) = mount_mem(
-                small_config()
-                    .with_pool_size(16 << 10)
-                    .with_engine(engine)
-                    .with_submit_batch(16),
-            );
-            let f = fs.create("/batched").unwrap();
-            f.write(&vec![4u8; 8 * 1024]).unwrap(); // seals 8 chunks
-            f.close().unwrap();
-            assert_eq!(be.contents("/batched").unwrap().len(), 8 * 1024);
-            let snap = fs.stats();
-            assert_eq!(snap.chunks_sealed, 8, "{engine:?}");
-            assert_eq!(snap.chunks_sealed, snap.chunks_completed, "{engine:?}");
-            // 8 full chunks in one batch + the close-time partial-less
-            // flush submits nothing extra (the write ended chunk-aligned).
-            assert_eq!(snap.engine_submits, 1, "{engine:?}");
-            assert!(snap.avg_batch_len() >= 8.0, "{engine:?}");
-            assert_eq!(
-                snap.backend_writes + snap.chunks_coalesced,
-                snap.chunks_completed,
-                "{engine:?}"
-            );
-        }
+        let (fs, be) = mount_mem(
+            small_config()
+                .with_pool_size(16 << 10)
+                .with_submit_batch(16),
+        );
+        let f = fs.create("/batched").unwrap();
+        f.write(&vec![4u8; 8 * 1024]).unwrap(); // seals 8 chunks
+        f.close().unwrap();
+        assert_eq!(be.contents("/batched").unwrap().len(), 8 * 1024);
+        let snap = fs.stats();
+        assert_eq!(snap.chunks_sealed, 8);
+        assert_eq!(snap.chunks_sealed, snap.chunks_completed);
+        // 8 full chunks in one batch + the close-time partial-less
+        // flush submits nothing extra (the write ended chunk-aligned).
+        assert_eq!(snap.engine_submits, 1);
+        assert!(snap.avg_batch_len() >= 8.0);
+        assert_eq!(snap.backend_writes, snap.chunks_completed);
     }
 
     /// With batching disabled (submit_batch = 1) every sealed chunk is
@@ -2180,70 +2061,51 @@ mod tests {
 
     /// Unmount racing a storm of multi-chunk (batched) writes: every
     /// sealed chunk must complete exactly once (written or refused), no
-    /// barrier may hang, and every pool buffer must come back — for all
-    /// three engines.
+    /// barrier may hang, and every pool buffer must come back.
     #[test]
     fn unmount_during_batched_writes_never_leaks_or_hangs() {
-        for engine in ALL_ENGINES {
-            let config = CrfsConfig::default()
-                .with_chunk_size(1024)
-                .with_pool_size(8 << 10)
-                .with_io_threads(2)
-                .with_engine(engine)
-                .with_submit_batch(8);
-            let (fs, _be) = mount_mem(config);
-            let mut writers = Vec::new();
-            for w in 0..4 {
-                let fs = Arc::clone(&fs);
-                writers.push(thread::spawn(move || {
-                    let Ok(f) = fs.create(&format!("/race{w}")) else {
-                        return; // lost the race to unmount entirely
-                    };
-                    for _ in 0..50 {
-                        // 4-chunk writes so submission is genuinely batched.
-                        if f.write(&vec![w as u8; 4 * 1024]).is_err() {
-                            break; // unmounted under us — expected
-                        }
+        let config = CrfsConfig::default()
+            .with_chunk_size(1024)
+            .with_pool_size(8 << 10)
+            .with_io_threads(2)
+            .with_submit_batch(8);
+        let (fs, _be) = mount_mem(config);
+        let mut writers = Vec::new();
+        for w in 0..4 {
+            let fs = Arc::clone(&fs);
+            writers.push(thread::spawn(move || {
+                let Ok(f) = fs.create(&format!("/race{w}")) else {
+                    return; // lost the race to unmount entirely
+                };
+                for _ in 0..50 {
+                    // 4-chunk writes so submission is genuinely batched.
+                    if f.write(&vec![w as u8; 4 * 1024]).is_err() {
+                        break; // unmounted under us — expected
                     }
-                    let _ = f.close();
-                }));
-            }
-            // Let the writers get going, then pull the rug.
-            thread::sleep(std::time::Duration::from_millis(5));
-            let _ = fs.unmount();
-            for h in writers {
-                h.join().unwrap();
-            }
-            let snap = fs.stats();
-            assert_eq!(
-                snap.chunks_sealed,
-                snap.chunks_completed + snap.chunks_refused,
-                "{engine:?}: every sealed chunk written or refused exactly once"
-            );
-            assert_eq!(
-                snap.backend_writes + snap.chunks_coalesced,
-                snap.chunks_completed,
-                "{engine:?}: op accounting balances"
-            );
-            assert_eq!(
-                snap.pool_free_chunks, snap.pool_total_chunks,
-                "{engine:?}: every buffer returned to the pool"
-            );
+                }
+                let _ = f.close();
+            }));
         }
-    }
-
-    #[test]
-    fn legacy_locking_mount_still_correct() {
-        let (fs, be) = mount_mem(small_config().with_legacy_locking(true));
-        let f = fs.create("/legacy").unwrap();
-        f.write(&vec![9u8; 5000]).unwrap();
-        f.close().unwrap();
-        assert_eq!(be.contents("/legacy").unwrap().len(), 5000);
+        // Let the writers get going, then pull the rug.
+        thread::sleep(std::time::Duration::from_millis(5));
+        let _ = fs.unmount();
+        for h in writers {
+            h.join().unwrap();
+        }
         let snap = fs.stats();
-        assert_eq!(snap.chunks_sealed, snap.chunks_completed);
-        // Per-chunk submission in legacy mode.
-        assert_eq!(snap.engine_submits, snap.chunks_sealed);
-        fs.unmount().unwrap();
+        assert_eq!(
+            snap.chunks_sealed,
+            snap.chunks_completed + snap.chunks_refused,
+            "every sealed chunk written or refused exactly once"
+        );
+        assert_eq!(
+            snap.backend_writes, snap.chunks_completed,
+            "op accounting balances"
+        );
+        assert_eq!(
+            snap.pool_free_chunks, snap.pool_total_chunks,
+            "every buffer returned to the pool"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -2252,44 +2114,42 @@ mod tests {
 
     /// The restart workload: write a checkpoint, close, reopen, stream
     /// it back sequentially. The read cache must serve hits, the ledger
-    /// must balance, and every buffer must come back — on all engines.
+    /// must balance, and every buffer must come back.
     #[test]
     fn sequential_reopen_read_hits_prefetch_cache() {
-        for engine in ALL_ENGINES {
-            let (fs, _be) = mount_mem(small_config().with_engine(engine).with_read_ahead(4));
-            let data: Vec<u8> = (0..16 * 1024u32).map(|i| (i % 251) as u8).collect();
-            let f = fs.create("/img").unwrap();
-            f.write(&data).unwrap();
-            f.close().unwrap();
+        let (fs, _be) = mount_mem(small_config().with_read_ahead(4));
+        let data: Vec<u8> = (0..16 * 1024u32).map(|i| (i % 251) as u8).collect();
+        let f = fs.create("/img").unwrap();
+        f.write(&data).unwrap();
+        f.close().unwrap();
 
-            let g = fs.open("/img").unwrap();
-            let mut got = Vec::new();
-            let mut buf = [0u8; 512];
-            loop {
-                let n = g.read(&mut buf).unwrap();
-                if n == 0 {
-                    break;
-                }
-                got.extend_from_slice(&buf[..n]);
+        let g = fs.open("/img").unwrap();
+        let mut got = Vec::new();
+        let mut buf = [0u8; 512];
+        loop {
+            let n = g.read(&mut buf).unwrap();
+            if n == 0 {
+                break;
             }
-            g.close().unwrap();
-            assert_eq!(got, data, "{engine:?}");
-
-            let snap = fs.stats();
-            assert!(snap.read_hits > 0, "{engine:?}: cache never hit");
-            assert!(snap.prefetch_issued > 0, "{engine:?}");
-            assert_eq!(
-                snap.prefetch_issued, snap.prefetch_completed,
-                "{engine:?}: read ledger balances"
-            );
-            assert!(snap.prefetch_wasted <= snap.prefetch_issued, "{engine:?}");
-            assert_eq!(
-                snap.pool_free_chunks, snap.pool_total_chunks,
-                "{engine:?}: every cached buffer returned"
-            );
-            assert_eq!(snap.bytes_read, 16 * 1024, "{engine:?}");
-            fs.unmount().unwrap();
+            got.extend_from_slice(&buf[..n]);
         }
+        g.close().unwrap();
+        assert_eq!(got, data);
+
+        let snap = fs.stats();
+        assert!(snap.read_hits > 0, "cache never hit");
+        assert!(snap.prefetch_issued > 0);
+        assert_eq!(
+            snap.prefetch_issued, snap.prefetch_completed,
+            "read ledger balances"
+        );
+        assert!(snap.prefetch_wasted <= snap.prefetch_issued);
+        assert_eq!(
+            snap.pool_free_chunks, snap.pool_total_chunks,
+            "every cached buffer returned"
+        );
+        assert_eq!(snap.bytes_read, 16 * 1024);
+        fs.unmount().unwrap();
     }
 
     /// A second sequential pass over an already-streamed file must
@@ -2405,40 +2265,38 @@ mod tests {
     /// Unmount racing active prefetch: ledgers balance, nothing leaks.
     #[test]
     fn unmount_during_prefetch_reads_never_leaks() {
-        for engine in ALL_ENGINES {
-            let (fs, _be) = mount_mem(small_config().with_engine(engine).with_read_ahead(8));
-            let f = fs.create("/r").unwrap();
-            f.write(&vec![5u8; 32 * 1024]).unwrap();
-            f.close().unwrap();
-            let mut readers = Vec::new();
-            for _ in 0..3 {
-                let fs = Arc::clone(&fs);
-                readers.push(thread::spawn(move || {
-                    let Ok(g) = fs.open("/r") else { return };
-                    let mut buf = [0u8; 700];
-                    while let Ok(n) = g.read(&mut buf) {
-                        if n == 0 {
-                            break;
-                        }
+        let (fs, _be) = mount_mem(small_config().with_read_ahead(8));
+        let f = fs.create("/r").unwrap();
+        f.write(&vec![5u8; 32 * 1024]).unwrap();
+        f.close().unwrap();
+        let mut readers = Vec::new();
+        for _ in 0..3 {
+            let fs = Arc::clone(&fs);
+            readers.push(thread::spawn(move || {
+                let Ok(g) = fs.open("/r") else { return };
+                let mut buf = [0u8; 700];
+                while let Ok(n) = g.read(&mut buf) {
+                    if n == 0 {
+                        break;
                     }
-                    let _ = g.close();
-                }));
-            }
-            thread::sleep(std::time::Duration::from_millis(2));
-            let _ = fs.unmount();
-            for h in readers {
-                h.join().unwrap();
-            }
-            let snap = fs.stats();
-            assert_eq!(
-                snap.prefetch_issued, snap.prefetch_completed,
-                "{engine:?}: every issued prefetch retired"
-            );
-            assert_eq!(
-                snap.pool_free_chunks, snap.pool_total_chunks,
-                "{engine:?}: every buffer returned"
-            );
+                }
+                let _ = g.close();
+            }));
         }
+        thread::sleep(std::time::Duration::from_millis(2));
+        let _ = fs.unmount();
+        for h in readers {
+            h.join().unwrap();
+        }
+        let snap = fs.stats();
+        assert_eq!(
+            snap.prefetch_issued, snap.prefetch_completed,
+            "every issued prefetch retired"
+        );
+        assert_eq!(
+            snap.pool_free_chunks, snap.pool_total_chunks,
+            "every buffer returned"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -2447,39 +2305,37 @@ mod tests {
 
     #[test]
     fn concurrent_unmounts_drain_exactly_once() {
-        for engine in ALL_ENGINES {
-            let (fs, be) = mount_mem(small_config().with_engine(engine));
-            let f = fs.create("/pending").unwrap();
-            f.write(&vec![5u8; 2500]).unwrap();
-            f.close().unwrap();
-            // Leave a second file open so unmount itself has flushing to do.
-            let g = fs.create("/open").unwrap();
-            g.write(&vec![6u8; 1500]).unwrap();
-            let mut handles = Vec::new();
-            for _ in 0..8 {
-                let fs = Arc::clone(&fs);
-                handles.push(thread::spawn(move || fs.unmount()));
-            }
-            let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            let oks = results.iter().filter(|r| r.is_ok()).count();
-            assert_eq!(oks, 1, "{engine:?}: exactly one unmount performs teardown");
-            for r in &results {
-                if r.is_err() {
-                    assert!(
-                        matches!(r, Err(CrfsError::Unmounted)),
-                        "{engine:?}: losers report Unmounted, got {r:?}"
-                    );
-                }
-            }
-            // All data drained exactly once, nothing lost or duplicated.
-            assert_eq!(be.contents("/pending").unwrap(), vec![5u8; 2500]);
-            assert_eq!(be.contents("/open").unwrap(), vec![6u8; 1500]);
-            let snap = fs.stats();
-            assert_eq!(snap.chunks_sealed, snap.chunks_completed, "{engine:?}");
-            assert_eq!(snap.bytes_out, 4000, "{engine:?}");
-            // A later Drop of `fs` must not attempt a second drain.
-            drop(g);
+        let (fs, be) = mount_mem(small_config());
+        let f = fs.create("/pending").unwrap();
+        f.write(&vec![5u8; 2500]).unwrap();
+        f.close().unwrap();
+        // Leave a second file open so unmount itself has flushing to do.
+        let g = fs.create("/open").unwrap();
+        g.write(&vec![6u8; 1500]).unwrap();
+        let mut handles = Vec::new();
+        for _ in 0..8 {
+            let fs = Arc::clone(&fs);
+            handles.push(thread::spawn(move || fs.unmount()));
         }
+        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let oks = results.iter().filter(|r| r.is_ok()).count();
+        assert_eq!(oks, 1, "exactly one unmount performs teardown");
+        for r in &results {
+            if r.is_err() {
+                assert!(
+                    matches!(r, Err(CrfsError::Unmounted)),
+                    "losers report Unmounted, got {r:?}"
+                );
+            }
+        }
+        // All data drained exactly once, nothing lost or duplicated.
+        assert_eq!(be.contents("/pending").unwrap(), vec![5u8; 2500]);
+        assert_eq!(be.contents("/open").unwrap(), vec![6u8; 1500]);
+        let snap = fs.stats();
+        assert_eq!(snap.chunks_sealed, snap.chunks_completed);
+        assert_eq!(snap.bytes_out, 4000);
+        // A later Drop of `fs` must not attempt a second drain.
+        drop(g);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!                                     │     │ full / sealed           │
 //!                  BufferPool ◀───────┼─────┤                         │
 //!                  (fixed chunks,     │     ▼                         │
-//!                   recycled)         │  WorkQueue ──▶ IO threads ────┼──▶ Backend
+//!                   recycled)         │  RingEngine ─▶ IO threads ────┼──▶ Backend
 //!                                     └───────────────────────────────┘   (ext3/NFS/
 //!                                                                          Lustre/...)
 //! ```
@@ -86,6 +86,7 @@ pub mod fsck;
 pub mod obs;
 pub mod pool;
 pub mod prefetch;
+mod ring;
 pub mod snapshot;
 pub mod stats;
 pub mod transform;
@@ -93,7 +94,6 @@ pub mod vfs;
 
 pub use backend::{Backend, BackendFile, CompletionSink};
 pub use config::{CrfsConfig, EngineKind};
-pub use engine::IoEngine;
 pub use error::{CrfsError, Result};
 pub use fs::{Crfs, CrfsFile};
 pub use obs::{EventKind, FlightEvent, FlightRecorder, Histogram, HistogramSnapshot};

@@ -81,8 +81,8 @@ stages! {
     (seal_to_submit, "Queue latency from chunk seal to the engine issuing its backend write."),
     (transform_encode, "Write-side transform time per chunk: content hash, dedup lookup, codec, frame header."),
     (transform_decode, "Read-side transform time per frame: decode, reference resolution, checksum verify."),
-    (write_sync, "Synchronous backend `write_at` duration per issued op (threaded/coalescing/inline engines, and the ring engine's sync-shim path)."),
-    (write_issue_to_complete, "Ring-engine async span from `begin_write_at` issue to completion-sink callback, per op."),
+    (write_sync, "Synchronous backend `write_at` duration per issued op (transformed chunks, and raw chunks on a backend without `begin_write_at`)."),
+    (write_issue_to_complete, "Async span from `begin_write_at` issue to completion-sink callback, per op."),
     (read_hit, "Service time of chunk-granular read segments served from the prefetch cache."),
     (read_miss, "Service time of chunk-granular read segments that went to the backend directly."),
     (prefetch_fill, "Backend fetch time of one prefetch read, issue to cache-install."),

@@ -9,185 +9,45 @@
 //! ## Contention structure
 //!
 //! The free list is split into power-of-two **shards**, each a bounded
-//! lock-free MPMC ring (Vyukov-style sequence-tagged slots): the hot
+//! lock-free MPMC ring (the crate's `ring` module): the hot
 //! acquire/release path is a couple of atomic CAS/stores and never takes
-//! a lock, so writer threads and IO workers stop convoying on a single
-//! `Mutex` the way the original single-free-list pool did. A `Mutex` +
-//! `Condvar` pair exists purely as the **empty slow path**: a writer that
-//! finds every shard empty parks on it until a release (or `close`) wakes
-//! it. The wait re-arms on a short timeout as a belt-and-braces guard
-//! against the theoretical store-buffer race between a releaser's
-//! waiter-count check and a waiter's final ring scan.
-//!
-//! [`BufferPool::legacy`] keeps the pre-overhaul single-`Mutex` pool
-//! alive as a measurable baseline for the `exp contention` experiment
-//! (with the `closed`-check bug of that era fixed in both paths: a
-//! closed pool never hands out buffers, even when its free list is
-//! non-empty).
+//! a lock, so writer threads and IO workers do not convoy on a free-list
+//! `Mutex`. A `Mutex` + `Condvar` pair exists purely as the **empty slow
+//! path**: a writer that finds every shard empty parks on it until a
+//! release (or `close`) wakes it. The wait re-arms on a short timeout as
+//! a belt-and-braces guard against the theoretical store-buffer race
+//! between a releaser's waiter-count check and a waiter's final ring
+//! scan.
 
 use parking_lot::{Condvar, Mutex};
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::sync::atomic::{
     AtomicBool, AtomicUsize,
     Ordering::{Acquire, Relaxed, Release},
 };
 use std::time::{Duration, Instant};
 
+use crate::ring::{CachePadded, Ring};
+
 /// Park-and-recheck period for the empty slow path; bounds the cost of a
 /// (theoretical) missed wakeup without measurable polling overhead —
 /// pool-exhaustion waits are milliseconds-scale by design.
 const EMPTY_RECHECK: Duration = Duration::from_millis(1);
 
-/// Pads a hot atomic to its own cache line: producers CAS-ing `tail`
-/// must not invalidate the line consumers CAS on `head` (false sharing
-/// would reintroduce the cross-core traffic the sharded pool removes).
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-/// One slot of a [`Ring`]: a sequence number gating a possibly-present
-/// buffer, per Vyukov's bounded MPMC queue.
-struct Slot {
-    seq: AtomicUsize,
-    buf: UnsafeCell<MaybeUninit<Vec<u8>>>,
-}
-
-/// A bounded lock-free MPMC ring of buffers (one pool shard).
-///
-/// Invariant maintained by [`BufferPool`]: each ring's capacity is at
-/// least the pool's total buffer count, so `push` cannot fail no matter
-/// how releases distribute across shards.
-struct Ring {
-    mask: usize,
-    /// Dequeue position (own cache line).
-    head: CachePadded<AtomicUsize>,
-    /// Enqueue position (own cache line).
-    tail: CachePadded<AtomicUsize>,
-    slots: Box<[Slot]>,
-}
-
-// The UnsafeCell contents are only touched by the thread that won the
-// corresponding head/tail CAS, and publication is ordered by the slot's
-// `seq` (Release store / Acquire load).
-unsafe impl Send for Ring {}
-unsafe impl Sync for Ring {}
-
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        let cap = capacity.max(1).next_power_of_two();
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                buf: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        Ring {
-            mask: cap - 1,
-            head: CachePadded(AtomicUsize::new(0)),
-            tail: CachePadded(AtomicUsize::new(0)),
-            slots,
-        }
-    }
-
-    /// Enqueues `v`; returns it if the ring is full (never happens under
-    /// the pool's capacity invariant).
-    fn push(&self, v: Vec<u8>) -> Result<(), Vec<u8>> {
-        let mut pos = self.tail.0.load(Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Acquire);
-            let dif = seq as isize - pos as isize;
-            if dif == 0 {
-                match self
-                    .tail
-                    .0
-                    .compare_exchange_weak(pos, pos.wrapping_add(1), Relaxed, Relaxed)
-                {
-                    Ok(_) => {
-                        unsafe { (*slot.buf.get()).write(v) };
-                        slot.seq.store(pos.wrapping_add(1), Release);
-                        return Ok(());
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if dif < 0 {
-                return Err(v);
-            } else {
-                pos = self.tail.0.load(Relaxed);
-            }
-        }
-    }
-
-    /// Dequeues a buffer, or `None` if the ring is empty.
-    fn pop(&self) -> Option<Vec<u8>> {
-        let mut pos = self.head.0.load(Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Acquire);
-            let dif = seq as isize - pos.wrapping_add(1) as isize;
-            if dif == 0 {
-                match self
-                    .head
-                    .0
-                    .compare_exchange_weak(pos, pos.wrapping_add(1), Relaxed, Relaxed)
-                {
-                    Ok(_) => {
-                        let v = unsafe { (*slot.buf.get()).assume_init_read() };
-                        slot.seq
-                            .store(pos.wrapping_add(self.mask).wrapping_add(1), Release);
-                        return Some(v);
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if dif < 0 {
-                return None;
-            } else {
-                pos = self.head.0.load(Relaxed);
-            }
-        }
-    }
-}
-
-impl Drop for Ring {
-    fn drop(&mut self) {
-        // Drain remaining buffers so their Vecs are dropped.
-        while self.pop().is_some() {}
-    }
-}
-
-/// Pre-overhaul free-list state (the `legacy` baseline).
-struct LegacyState {
-    free: Vec<Vec<u8>>,
-}
-
-enum PoolImpl {
-    Sharded {
-        shards: Box<[Ring]>,
-        shard_mask: usize,
-        /// Round-robin start points spreading acquires and releases
-        /// across shards, each on its own cache line so producers and
-        /// consumers don't bounce a shared line on every operation.
-        acquire_cursor: CachePadded<AtomicUsize>,
-        release_cursor: CachePadded<AtomicUsize>,
-        /// Empty-slow-path parking. Not touched by the lock-free fast
-        /// path.
-        gate: Mutex<()>,
-        cv: Condvar,
-        waiters: AtomicUsize,
-    },
-    Legacy {
-        state: Mutex<LegacyState>,
-        cv: Condvar,
-        /// Writers parked on the empty pool (the sharded flavor tracks
-        /// this in its own variant); lets the read cache yield buffers
-        /// to starving writers in both flavors.
-        waiters: AtomicUsize,
-    },
-}
-
 /// Fixed-size pool of reusable chunk buffers.
 pub struct BufferPool {
-    imp: PoolImpl,
+    /// Free-list shards. Each ring's capacity is twice the pool's buffer
+    /// count, so a release fits wherever round-robin points it.
+    shards: Box<[Ring<Vec<u8>>]>,
+    shard_mask: usize,
+    /// Round-robin start points spreading acquires and releases across
+    /// shards, each on its own cache line so producers and consumers
+    /// don't bounce a shared line on every operation.
+    acquire_cursor: CachePadded<AtomicUsize>,
+    release_cursor: CachePadded<AtomicUsize>,
+    /// Empty-slow-path parking. Not touched by the lock-free fast path.
+    gate: Mutex<()>,
+    cv: Condvar,
+    waiters: AtomicUsize,
     chunk_size: usize,
     total_chunks: usize,
     closed: AtomicBool,
@@ -220,40 +80,20 @@ impl BufferPool {
         // (wherever round-robin points a release), with headroom for
         // slots transiently unavailable while a concurrent pop is
         // between its head-CAS and its sequence store.
-        let rings: Box<[Ring]> = (0..n).map(|_| Ring::new(total_chunks * 2)).collect();
+        let rings: Box<[Ring<Vec<u8>>]> = (0..n).map(|_| Ring::new(total_chunks * 2)).collect();
         for i in 0..total_chunks {
             if rings[i & (n - 1)].push(vec![0u8; chunk_size]).is_err() {
                 unreachable!("fresh ring has room");
             }
         }
         BufferPool {
-            imp: PoolImpl::Sharded {
-                shards: rings,
-                shard_mask: n - 1,
-                acquire_cursor: CachePadded(AtomicUsize::new(0)),
-                release_cursor: CachePadded(AtomicUsize::new(0)),
-                gate: Mutex::new(()),
-                cv: Condvar::new(),
-                waiters: AtomicUsize::new(0),
-            },
-            chunk_size,
-            total_chunks,
-            closed: AtomicBool::new(false),
-            free_count: CachePadded(AtomicUsize::new(total_chunks)),
-        }
-    }
-
-    /// Creates the pre-overhaul single-`Mutex` pool — the contention
-    /// baseline measured by `exp contention`.
-    pub fn legacy(chunk_size: usize, total_chunks: usize) -> BufferPool {
-        assert!(chunk_size > 0 && total_chunks > 0);
-        let free = (0..total_chunks).map(|_| vec![0u8; chunk_size]).collect();
-        BufferPool {
-            imp: PoolImpl::Legacy {
-                state: Mutex::new(LegacyState { free }),
-                cv: Condvar::new(),
-                waiters: AtomicUsize::new(0),
-            },
+            shards: rings,
+            shard_mask: n - 1,
+            acquire_cursor: CachePadded(AtomicUsize::new(0)),
+            release_cursor: CachePadded(AtomicUsize::new(0)),
+            gate: Mutex::new(()),
+            cv: Condvar::new(),
+            waiters: AtomicUsize::new(0),
             chunk_size,
             total_chunks,
             closed: AtomicBool::new(false),
@@ -271,12 +111,9 @@ impl BufferPool {
         self.total_chunks
     }
 
-    /// Number of free-list shards (1 for the legacy baseline).
+    /// Number of free-list shards.
     pub fn shards(&self) -> usize {
-        match &self.imp {
-            PoolImpl::Sharded { shards, .. } => shards.len(),
-            PoolImpl::Legacy { .. } => 1,
-        }
+        self.shards.len()
     }
 
     /// Buffers currently free (occupancy gauge; exact at quiescence).
@@ -288,55 +125,31 @@ impl BufferPool {
     /// read cache checks this before parking a prefetched buffer, so
     /// prefetching cannot starve the write side's back-pressure loop.
     pub fn has_waiters(&self) -> bool {
-        match &self.imp {
-            PoolImpl::Sharded { waiters, .. } => waiters.load(Relaxed) > 0,
-            PoolImpl::Legacy { waiters, .. } => waiters.load(Relaxed) > 0,
-        }
-    }
-
-    /// Pushes into one ring, spinning out the (bounded, transient) case
-    /// where a slot is mid-pop: the ring's capacity is twice the pool's
-    /// buffer count, so it can never be *logically* full — a failed push
-    /// only means a concurrent pop holds a slot between its head-CAS and
-    /// its sequence store.
-    fn push_ring(ring: &Ring, mut buf: Vec<u8>) {
-        loop {
-            match ring.push(buf) {
-                Ok(()) => return,
-                Err(b) => {
-                    buf = b;
-                    std::hint::spin_loop();
-                }
-            }
-        }
+        self.waiters.load(Relaxed) > 0
     }
 
     /// Lock-free scan over all shards, starting at a rotating cursor.
     fn pop_any(&self) -> Option<Vec<u8>> {
-        match &self.imp {
-            PoolImpl::Sharded {
-                shards,
-                shard_mask,
-                acquire_cursor,
-                ..
-            } => {
-                let start = acquire_cursor.0.fetch_add(1, Relaxed);
-                for i in 0..shards.len() {
-                    if let Some(buf) = shards[(start + i) & shard_mask].pop() {
-                        self.free_count.0.fetch_sub(1, Relaxed);
-                        return Some(buf);
-                    }
-                }
-                None
-            }
-            PoolImpl::Legacy { state, .. } => {
-                let buf = state.lock().free.pop();
-                if buf.is_some() {
-                    self.free_count.0.fetch_sub(1, Relaxed);
-                }
-                buf
+        let start = self.acquire_cursor.0.fetch_add(1, Relaxed);
+        for i in 0..self.shards.len() {
+            if let Some(buf) = self.shards[(start + i) & self.shard_mask].pop() {
+                self.free_count.0.fetch_sub(1, Relaxed);
+                return Some(buf);
             }
         }
+        None
+    }
+
+    /// Checks a returning buffer and pushes it onto the next shard.
+    fn push_next(&self, buf: Vec<u8>) {
+        assert_eq!(buf.len(), self.chunk_size, "released buffer has wrong size");
+        let prev = self.free_count.0.fetch_add(1, Relaxed);
+        assert!(
+            prev < self.total_chunks,
+            "pool over-released: more buffers than capacity"
+        );
+        let at = self.release_cursor.0.fetch_add(1, Relaxed) & self.shard_mask;
+        self.shards[at].push_spin(buf);
     }
 
     /// Takes a free buffer, blocking until one is available.
@@ -353,53 +166,22 @@ impl BufferPool {
         if let Some(buf) = self.pop_any() {
             return Some((buf, Duration::ZERO));
         }
-        match &self.imp {
-            PoolImpl::Sharded {
-                gate, cv, waiters, ..
-            } => {
-                let t0 = Instant::now();
-                waiters.fetch_add(1, Relaxed);
-                let mut g = gate.lock();
-                let got = loop {
-                    if self.closed.load(Acquire) {
-                        break None;
-                    }
-                    if let Some(buf) = self.pop_any() {
-                        break Some((buf, t0.elapsed()));
-                    }
-                    // Timed re-arm: self-heals a missed notify.
-                    let _ = cv.wait_for(&mut g, EMPTY_RECHECK);
-                };
-                drop(g);
-                waiters.fetch_sub(1, Relaxed);
-                got
+        let t0 = Instant::now();
+        self.waiters.fetch_add(1, Relaxed);
+        let mut g = self.gate.lock();
+        let got = loop {
+            if self.closed.load(Acquire) {
+                break None;
             }
-            PoolImpl::Legacy { state, cv, waiters } => {
-                let mut st = state.lock();
-                let mut t0 = None;
-                loop {
-                    if self.closed.load(Acquire) {
-                        if t0.is_some() {
-                            waiters.fetch_sub(1, Relaxed);
-                        }
-                        return None;
-                    }
-                    if let Some(buf) = st.free.pop() {
-                        self.free_count.0.fetch_sub(1, Relaxed);
-                        if t0.is_some() {
-                            waiters.fetch_sub(1, Relaxed);
-                        }
-                        let waited = t0.map_or(Duration::ZERO, |t: Instant| t.elapsed());
-                        return Some((buf, waited));
-                    }
-                    if t0.is_none() {
-                        t0 = Some(Instant::now());
-                        waiters.fetch_add(1, Relaxed);
-                    }
-                    cv.wait(&mut st);
-                }
+            if let Some(buf) = self.pop_any() {
+                break Some((buf, t0.elapsed()));
             }
-        }
+            // Timed re-arm: self-heals a missed notify.
+            let _ = self.cv.wait_for(&mut g, EMPTY_RECHECK);
+        };
+        drop(g);
+        self.waiters.fetch_sub(1, Relaxed);
+        got
     }
 
     /// Non-blocking acquire. Returns `None` when the pool is empty *or*
@@ -420,34 +202,11 @@ impl BufferPool {
     /// Panics if the buffer does not have the pool's chunk size (a foreign
     /// or corrupted buffer) or if the pool would exceed its capacity.
     pub fn release(&self, buf: Vec<u8>) {
-        assert_eq!(buf.len(), self.chunk_size, "released buffer has wrong size");
-        let prev = self.free_count.0.fetch_add(1, Relaxed);
-        assert!(
-            prev < self.total_chunks,
-            "pool over-released: more buffers than capacity"
-        );
-        match &self.imp {
-            PoolImpl::Sharded {
-                shards,
-                shard_mask,
-                release_cursor,
-                gate,
-                cv,
-                waiters,
-                ..
-            } => {
-                let at = release_cursor.0.fetch_add(1, Relaxed) & shard_mask;
-                Self::push_ring(&shards[at], buf);
-                if waiters.load(Relaxed) > 0 {
-                    // Serialize with a parked waiter's final recheck.
-                    drop(gate.lock());
-                    cv.notify_one();
-                }
-            }
-            PoolImpl::Legacy { state, cv, .. } => {
-                state.lock().free.push(buf);
-                cv.notify_one();
-            }
+        self.push_next(buf);
+        if self.waiters.load(Relaxed) > 0 {
+            // Serialize with a parked waiter's final recheck.
+            drop(self.gate.lock());
+            self.cv.notify_one();
         }
     }
 
@@ -455,54 +214,22 @@ impl BufferPool {
     /// the IO workers' counterpart to batched submission. Semantically
     /// `release` per buffer; the wake (if any) happens once.
     pub fn release_many(&self, bufs: impl IntoIterator<Item = Vec<u8>>) {
-        match &self.imp {
-            PoolImpl::Sharded {
-                shards,
-                shard_mask,
-                release_cursor,
-                gate,
-                cv,
-                waiters,
-                ..
-            } => {
-                let mut released = 0usize;
-                for buf in bufs {
-                    assert_eq!(buf.len(), self.chunk_size, "released buffer has wrong size");
-                    let prev = self.free_count.0.fetch_add(1, Relaxed);
-                    assert!(
-                        prev < self.total_chunks,
-                        "pool over-released: more buffers than capacity"
-                    );
-                    let at = release_cursor.0.fetch_add(1, Relaxed) & shard_mask;
-                    Self::push_ring(&shards[at], buf);
-                    released += 1;
-                }
-                if released > 0 && waiters.load(Relaxed) > 0 {
-                    drop(gate.lock());
-                    cv.notify_all();
-                }
-            }
-            PoolImpl::Legacy { .. } => {
-                for buf in bufs {
-                    self.release(buf);
-                }
-            }
+        let mut released = 0usize;
+        for buf in bufs {
+            self.push_next(buf);
+            released += 1;
+        }
+        if released > 0 && self.waiters.load(Relaxed) > 0 {
+            drop(self.gate.lock());
+            self.cv.notify_all();
         }
     }
 
     /// Closes the pool: blocked and future `acquire`s return `None`.
     pub fn close(&self) {
         self.closed.store(true, Release);
-        match &self.imp {
-            PoolImpl::Sharded { gate, cv, .. } => {
-                drop(gate.lock());
-                cv.notify_all();
-            }
-            PoolImpl::Legacy { state, cv, .. } => {
-                drop(state.lock());
-                cv.notify_all();
-            }
-        }
+        drop(self.gate.lock());
+        self.cv.notify_all();
     }
 }
 
@@ -524,86 +251,71 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
-    fn both_pools(chunk: usize, total: usize) -> [BufferPool; 2] {
-        [
-            BufferPool::new(chunk, total),
-            BufferPool::legacy(chunk, total),
-        ]
-    }
-
     #[test]
     fn acquire_release_roundtrip() {
-        for pool in both_pools(1024, 2) {
-            assert_eq!(pool.free_chunks(), 2);
-            let (a, w) = pool.acquire().unwrap();
-            assert_eq!(a.len(), 1024);
-            assert_eq!(w, Duration::ZERO);
-            let (_b, _) = pool.acquire().unwrap();
-            assert_eq!(pool.free_chunks(), 0);
-            assert!(pool.try_acquire().is_none());
-            pool.release(a);
-            assert_eq!(pool.free_chunks(), 1);
-        }
+        let pool = BufferPool::new(1024, 2);
+        assert_eq!(pool.free_chunks(), 2);
+        let (a, w) = pool.acquire().unwrap();
+        assert_eq!(a.len(), 1024);
+        assert_eq!(w, Duration::ZERO);
+        let (_b, _) = pool.acquire().unwrap();
+        assert_eq!(pool.free_chunks(), 0);
+        assert!(pool.try_acquire().is_none());
+        pool.release(a);
+        assert_eq!(pool.free_chunks(), 1);
     }
 
     #[test]
     fn exhausted_pool_blocks_until_release() {
-        for pool in both_pools(64, 1) {
-            let pool = Arc::new(pool);
-            let (buf, _) = pool.acquire().unwrap();
-            let p2 = Arc::clone(&pool);
-            let h = thread::spawn(move || {
-                let (b, waited) = p2.acquire().unwrap();
-                (b.len(), waited)
-            });
-            thread::sleep(Duration::from_millis(30));
-            pool.release(buf);
-            let (len, waited) = h.join().unwrap();
-            assert_eq!(len, 64);
-            assert!(waited >= Duration::from_millis(15), "waited {waited:?}");
-        }
+        let pool = Arc::new(BufferPool::new(64, 1));
+        let (buf, _) = pool.acquire().unwrap();
+        let p2 = Arc::clone(&pool);
+        let h = thread::spawn(move || {
+            let (b, waited) = p2.acquire().unwrap();
+            (b.len(), waited)
+        });
+        thread::sleep(Duration::from_millis(30));
+        pool.release(buf);
+        let (len, waited) = h.join().unwrap();
+        assert_eq!(len, 64);
+        assert!(waited >= Duration::from_millis(15), "waited {waited:?}");
     }
 
     #[test]
     fn close_unblocks_waiters() {
-        for pool in both_pools(64, 1) {
-            let pool = Arc::new(pool);
-            let (_held, _) = pool.acquire().unwrap();
-            let p2 = Arc::clone(&pool);
-            let h = thread::spawn(move || p2.acquire());
-            thread::sleep(Duration::from_millis(20));
-            pool.close();
-            assert!(h.join().unwrap().is_none());
-        }
+        let pool = Arc::new(BufferPool::new(64, 1));
+        let (_held, _) = pool.acquire().unwrap();
+        let p2 = Arc::clone(&pool);
+        let h = thread::spawn(move || p2.acquire());
+        thread::sleep(Duration::from_millis(20));
+        pool.close();
+        assert!(h.join().unwrap().is_none());
     }
 
     /// Regression (hot-path overhaul): the pre-overhaul fast path handed
     /// out buffers from a non-empty free list *after* `close()`, letting
-    /// writes racing unmount sneak past the shutdown gate. Both pool
-    /// flavors must refuse.
+    /// writes racing unmount sneak past the shutdown gate.
     #[test]
     fn closed_pool_refuses_even_with_free_buffers() {
-        for pool in both_pools(64, 4) {
-            assert_eq!(pool.free_chunks(), 4, "free list is non-empty");
-            pool.close();
-            assert!(pool.acquire().is_none(), "acquire must observe close");
-            assert!(
-                pool.try_acquire().is_none(),
-                "try_acquire must observe close"
-            );
-            assert_eq!(pool.free_chunks(), 4, "no buffer escaped");
-        }
+        let pool = BufferPool::new(64, 4);
+        assert_eq!(pool.free_chunks(), 4, "free list is non-empty");
+        pool.close();
+        assert!(pool.acquire().is_none(), "acquire must observe close");
+        assert!(
+            pool.try_acquire().is_none(),
+            "try_acquire must observe close"
+        );
+        assert_eq!(pool.free_chunks(), 4, "no buffer escaped");
     }
 
     #[test]
     fn release_after_close_is_accepted() {
-        for pool in both_pools(64, 2) {
-            let (buf, _) = pool.acquire().unwrap();
-            pool.close();
-            pool.release(buf); // unmount drain returns in-flight buffers
-            assert_eq!(pool.free_chunks(), 2);
-            assert!(pool.acquire().is_none());
-        }
+        let pool = BufferPool::new(64, 2);
+        let (buf, _) = pool.acquire().unwrap();
+        pool.close();
+        pool.release(buf); // unmount drain returns in-flight buffers
+        assert_eq!(pool.free_chunks(), 2);
+        assert!(pool.acquire().is_none());
     }
 
     #[test]
@@ -667,6 +379,5 @@ mod tests {
         assert_eq!(BufferPool::with_shards(64, 4, 0).shards(), 1);
         assert_eq!(BufferPool::with_shards(64, 4, 3).shards(), 4);
         assert_eq!(BufferPool::with_shards(64, 2, 64).shards(), 2);
-        assert_eq!(BufferPool::legacy(64, 8).shards(), 1);
     }
 }

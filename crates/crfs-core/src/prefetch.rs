@@ -12,7 +12,7 @@
 //!   `CrfsConfig::read_cache_slots`).
 //! - When the access pattern is sequential, the next
 //!   `read_ahead_chunks` chunks are fetched ahead of the reader through
-//!   the mount's [`IoEngine`](crate::engine::IoEngine) — the same worker
+//!   the mount's [`RingEngine`](crate::engine::RingEngine) — the same worker
 //!   pool and batched submission path the write side uses — so backend
 //!   read latency overlaps with the application's consumption.
 //! - An **atomic issue/complete ledger** mirrors the write path's

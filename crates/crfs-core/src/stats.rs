@@ -32,13 +32,9 @@ pub struct CrfsStats {
     pub discontinuity_seals: AtomicU64,
     /// Chunks fully written to the backend by IO workers.
     pub chunks_completed: AtomicU64,
-    /// Backend `write_at` operations issued by the IO engine. Equals
-    /// `chunks_completed` for the threaded/inline engines; smaller under
-    /// the coalescing engine.
+    /// Backend write operations issued by the IO engine, one per sealed
+    /// chunk; equals `chunks_completed` at quiescence.
     pub backend_writes: AtomicU64,
-    /// Sealed chunks absorbed into an already-queued backend write by the
-    /// coalescing engine (each one is a backend op saved).
-    pub chunks_coalesced: AtomicU64,
     /// Sealed chunks the engine refused (submit racing shutdown); they
     /// complete with an error and never reach the backend.
     pub chunks_refused: AtomicU64,
@@ -122,16 +118,16 @@ pub struct CrfsStats {
     /// check at unmount.
     pub ops_inflight: AtomicU64,
     /// High-water mark of `ops_inflight` — the in-flight depth the
-    /// engine actually reached. Bounded by `io_threads` + queue on the
-    /// threaded engines; by `ring_depth` on the ring engine.
+    /// engine actually reached. Bounded by `ring_depth` (and by the
+    /// pool's chunk count: an op in flight holds a buffer).
     pub inflight_hwm: AtomicU64,
-    /// Completion-retirement passes (batched or single). Every engine
+    /// Completion-retirement passes (batched or single). The engine
     /// counts one reap per retirement batch, so
     /// [`StatsSnapshot::avg_reap_len`] measures completion batching the
     /// way `avg_batch_len` measures submission batching.
     pub completion_reaps: AtomicU64,
     /// Write chunks retired across all reaps; equals `chunks_completed`
-    /// at quiescence on every engine (refused chunks never reap).
+    /// at quiescence (refused chunks never reap).
     pub completion_reaped: AtomicU64,
     /// Chunks newly written to the content-addressed snapshot store
     /// (chunks whose bytes were already there cost nothing and are not
@@ -210,7 +206,6 @@ impl CrfsStats {
             discontinuity_seals: self.discontinuity_seals.load(Relaxed),
             chunks_completed: self.chunks_completed.load(Relaxed),
             backend_writes: self.backend_writes.load(Relaxed),
-            chunks_coalesced: self.chunks_coalesced.load(Relaxed),
             chunks_refused: self.chunks_refused.load(Relaxed),
             bytes_out: self.bytes_out.load(Relaxed),
             pool_wait: Duration::from_nanos(self.pool_wait_ns.load(Relaxed)),
@@ -271,8 +266,6 @@ pub struct StatsSnapshot {
     pub chunks_completed: u64,
     /// Backend `write_at` operations issued.
     pub backend_writes: u64,
-    /// Chunks absorbed into a queued write by the coalescing engine.
-    pub chunks_coalesced: u64,
     /// Chunks refused by the engine (submit racing shutdown).
     pub chunks_refused: u64,
     /// Bytes written to the backend.
@@ -391,14 +384,8 @@ impl StatsSnapshot {
         }
     }
 
-    /// Backend operations the IO engine avoided by coalescing — completed
-    /// chunks that did not need their own `write_at`.
-    pub fn backend_ops_saved(&self) -> u64 {
-        self.chunks_completed.saturating_sub(self.backend_writes)
-    }
-
-    /// Mean bytes per backend `write_at` — the transfer size the backend
-    /// actually sees (≥ the chunk fill under the coalescing engine).
+    /// Mean bytes per backend write — the transfer size the backend
+    /// actually sees.
     pub fn mean_backend_write(&self) -> f64 {
         if self.backend_writes == 0 {
             0.0
@@ -474,7 +461,6 @@ impl StatsSnapshot {
             ("discontinuity_seals", self.discontinuity_seals),
             ("chunks_completed", self.chunks_completed),
             ("backend_writes", self.backend_writes),
-            ("chunks_coalesced", self.chunks_coalesced),
             ("chunks_refused", self.chunks_refused),
             ("bytes_out", self.bytes_out),
             ("pool_wait_ns", self.pool_wait.as_nanos() as u64),
@@ -539,7 +525,6 @@ impl StatsSnapshot {
                 "mean_write_size": self.mean_write_size(),
                 "mean_chunk_fill": self.mean_chunk_fill(),
                 "aggregation_ratio": self.aggregation_ratio(),
-                "backend_ops_saved": self.backend_ops_saved(),
                 "mean_backend_write": self.mean_backend_write(),
                 "avg_batch_len": self.avg_batch_len(),
                 "avg_reap_len": self.avg_reap_len(),
@@ -583,11 +568,10 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "backend ops: {:>9}  (mean {:.0} B, {} coalesced chunks, {} ops saved{})",
+            "backend ops: {:>9}  ({} chunks completed, mean {:.0} B{})",
             self.backend_writes,
+            self.chunks_completed,
             self.mean_backend_write(),
-            self.chunks_coalesced,
-            self.backend_ops_saved(),
             if self.chunks_refused > 0 {
                 format!(", {} refused", self.chunks_refused)
             } else {
@@ -726,7 +710,6 @@ mod tests {
         assert_eq!(snap.avg_reap_len(), 0.0);
         assert_eq!(snap.compress_ratio(), 0.0);
         assert_eq!(snap.read_hit_rate(), 0.0);
-        assert_eq!(snap.backend_ops_saved(), 0);
         assert_eq!(snap.damage_total(), 0);
     }
 

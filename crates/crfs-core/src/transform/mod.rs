@@ -6,7 +6,7 @@
 //! install):
 //!
 //! ```text
-//!  write() ─▶ aggregate ─▶ seal ─▶ TRANSFORM ─▶ IoEngine ─▶ backend
+//!  write() ─▶ aggregate ─▶ seal ─▶ TRANSFORM ─▶ IO engine ─▶ backend
 //!                                  │ compress (Codec, store-raw escape)
 //!                                  │ dedup    (DedupIndex → REF frames)
 //!                                  │ checksum (ChunkFrame header)
@@ -24,10 +24,9 @@
 //! so a fresh mount (restart) needs no side index.
 //!
 //! Where the transform runs: compression is CPU work, so it executes in
-//! the IO engine's *worker* context for the threaded and coalescing
-//! engines — sealed chunks of different workers compress in parallel,
-//! overlapped with backend writes — and inline on the submitting thread
-//! for the inline engine. See [`crate::engine`] for the call sites.
+//! the IO engine's *worker* context — sealed chunks of different workers
+//! compress in parallel, overlapped with backend writes. See
+//! [`crate::engine`] for the call site.
 //!
 //! Integrity: every frame carries an FNV-1a-64 checksum of its logical
 //! payload, verified after decode on **every** read — direct reads,

@@ -135,8 +135,8 @@ fn display_witness(name: &str) -> &'static str {
     match name {
         "writes" | "bytes_in" => "writes in",
         "chunks_sealed" | "bytes_out" | "partial_seals" | "discontinuity_seals" => "chunks out",
-        "backend_writes" | "chunks_coalesced" | "chunks_refused" => "backend ops",
-        "chunks_completed" => "ops saved",
+        "backend_writes" | "chunks_refused" => "backend ops",
+        "chunks_completed" => "chunks completed",
         "pool_waits" | "pool_wait_ns" => "pool waits",
         "backend_write_ns" => "backend write time",
         "barrier_wait_ns" => "barrier wait",

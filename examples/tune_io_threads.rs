@@ -10,25 +10,20 @@
 //!
 //! ```sh
 //! cargo run --release --example tune_io_threads
-//! CRFS_ENGINE=coalescing cargo run --release --example tune_io_threads
 //! ```
-//!
-//! `CRFS_ENGINE` (`threaded` | `coalescing` | `inline`) selects the IO
-//! engine the sweep runs under; coalescing shifts the sweet spot toward
-//! fewer threads because merged writes keep the device sequential.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crfs::core::backend::{MemBackend, ThrottleParams, ThrottledBackend};
-use crfs::core::{Crfs, CrfsConfig, EngineKind};
+use crfs::core::{Crfs, CrfsConfig};
 use crfs::trace::render::bar_chart;
 
 const WRITERS: usize = 8;
 const PER_WRITER: usize = 24 << 20; // 24 MiB each
 const WRITE_SIZE: usize = 8 << 10;
 
-fn run(io_threads: usize, engine: EngineKind) -> f64 {
+fn run(io_threads: usize) -> f64 {
     // A fast-ish device where interleaving different files costs seeks:
     // exactly the regime where thread-count throttling matters.
     let params = ThrottleParams {
@@ -41,8 +36,7 @@ fn run(io_threads: usize, engine: EngineKind) -> f64 {
         backend,
         CrfsConfig::default()
             .with_io_threads(io_threads)
-            .with_pool_size(32 << 20)
-            .with_engine(engine),
+            .with_pool_size(32 << 20),
     )
     .expect("mount");
 
@@ -68,17 +62,13 @@ fn run(io_threads: usize, engine: EngineKind) -> f64 {
 }
 
 fn main() {
-    let engine = std::env::var("CRFS_ENGINE")
-        .ok()
-        .map(|v| EngineKind::parse(&v).unwrap_or_else(|| panic!("unknown CRFS_ENGINE {v:?}")))
-        .unwrap_or_default();
     println!(
-        "sweeping IO threads: {WRITERS} writers x {} MiB, 8 KiB writes, seek-sensitive backend, {engine:?} engine\n",
+        "sweeping IO threads: {WRITERS} writers x {} MiB, 8 KiB writes, seek-sensitive backend\n",
         PER_WRITER >> 20
     );
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4, 8, 16] {
-        let secs = run(threads, engine);
+        let secs = run(threads);
         let bw = (WRITERS * PER_WRITER) as f64 / secs / (1 << 20) as f64;
         println!("  io_threads={threads:<2}  {secs:>6.2} s   {bw:>7.1} MiB/s");
         rows.push((format!("{threads} threads"), bw));

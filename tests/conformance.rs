@@ -18,27 +18,6 @@ use crfs::storage::params::{
 };
 use crfs::storage::LocalFs;
 
-/// Base config honoring the CI matrix: `CRFS_TEST_LEGACY=1` runs the
-/// whole suite on the pre-overhaul locking baseline (single-`Mutex`
-/// pool, one-shard table, per-chunk submission), and `CRFS_TEST_ENGINE`
-/// selects the IO engine (threaded/coalescing/inline/ring) — chunking
-/// decisions must be identical on every one of them, both in the real
-/// library and in the simulator's mirrored engine model.
-fn base_config() -> CrfsConfig {
-    let mut config = CrfsConfig::default().with_legacy_locking(
-        std::env::var("CRFS_TEST_LEGACY")
-            .map(|v| v == "1")
-            .unwrap_or(false),
-    );
-    if let Some(engine) = std::env::var("CRFS_TEST_ENGINE")
-        .ok()
-        .and_then(|v| crfs::core::EngineKind::parse(&v))
-    {
-        config = config.with_engine(engine);
-    }
-    config
-}
-
 /// Replays a stream through the pure planner, counting sealed chunks and
 /// final fill — the reference behaviour.
 fn reference_chunks(stream: &[u64], chunk_size: usize, max_write: u64) -> (u64, u64) {
@@ -117,7 +96,7 @@ fn run_sim(stream: Vec<u64>, config: CrfsConfig) -> (u64, u64) {
 
 #[test]
 fn real_and_sim_agree_on_blcr_streams() {
-    let config = base_config()
+    let config = CrfsConfig::default()
         .with_chunk_size(1 << 20)
         .with_pool_size(4 << 20);
     for seed in [1u64, 2, 3] {
@@ -138,7 +117,7 @@ fn real_and_sim_agree_on_blcr_streams() {
 #[test]
 fn real_and_sim_agree_across_submit_batch_sizes() {
     for submit_batch in [1usize, 4, 64] {
-        let config = base_config()
+        let config = CrfsConfig::default()
             .with_chunk_size(256 << 10)
             .with_pool_size(2 << 20)
             .with_submit_batch(submit_batch);
@@ -162,7 +141,7 @@ fn real_and_sim_agree_across_submit_batch_sizes() {
 fn real_and_sim_agree_on_adversarial_sizes() {
     // Sizes straddling every boundary: sub-page, page, max_write,
     // chunk_size, multi-chunk.
-    let config = base_config()
+    let config = CrfsConfig::default()
         .with_chunk_size(256 << 10)
         .with_pool_size(1 << 20);
     let stream: Vec<u64> = vec![

@@ -37,18 +37,12 @@ fn async_error_is_sticky_across_barriers() {
 
 /// Completion-time failures (the backend acks the submission, the error
 /// arrives through the completion sink) must surface at the same
-/// barriers as write-time failures, on the engine that actually drives
-/// the async path. `FailCompletionsAfter` delivers the completion
-/// inline, so this also pins the ring engine's completed-early
+/// barriers as write-time failures. `FailCompletionsAfter` delivers the
+/// completion inline, so this also pins the engine's completed-early
 /// handshake under a real mount.
 #[test]
 fn completion_time_error_is_sticky_across_barriers_on_ring() {
-    use crfs::core::EngineKind;
-    let fs = Crfs::mount(
-        faulty(FailureMode::FailCompletionsAfter(0)),
-        small_config().with_engine(EngineKind::Ring),
-    )
-    .unwrap();
+    let fs = Crfs::mount(faulty(FailureMode::FailCompletionsAfter(0)), small_config()).unwrap();
     let f = fs.create("/bad").unwrap();
     f.write(&vec![1u8; 4096]).unwrap(); // completions fail in the background
 
@@ -64,20 +58,15 @@ fn completion_time_error_is_sticky_across_barriers_on_ring() {
 }
 
 /// The same concurrency hammer as the write-time version, but with the
-/// failures injected at completion time on the ring engine: every close
+/// failures injected at completion time: every close
 /// returns, sealed == completed, and no buffer is lost.
 #[test]
 fn pool_buffers_survive_completion_failures_under_concurrency() {
-    use crfs::core::EngineKind;
     let be = Arc::new(FaultyBackend::new(
         MemBackend::new(),
         FailureMode::FailCompletionsAfter(5),
     ));
-    let fs = Crfs::mount(
-        be.clone() as Arc<dyn Backend>,
-        small_config().with_engine(EngineKind::Ring),
-    )
-    .unwrap();
+    let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, small_config()).unwrap();
     let mut handles = Vec::new();
     for w in 0..8 {
         let fs = Arc::clone(&fs);
@@ -469,11 +458,9 @@ use std::time::{Duration, Instant};
 /// `set_mode` applies to subsequently *issued* ops only: flipping the
 /// backend to a failing mode while acks sit in the RPC store's deadline
 /// heap must not retroactively fail them — the in-flight window drains
-/// clean, and only ops issued after the flip fail. Ring engine, so the
-/// issue/ack gap is real.
+/// clean, and only ops issued after the flip fail.
 #[test]
 fn set_mode_mid_flight_spares_in_flight_acks() {
-    use crfs::core::EngineKind;
     let store = Arc::new(RpcStore::new(
         FaultyBackend::new(MemBackend::new(), FailureMode::None),
         RpcStoreParams {
@@ -484,11 +471,7 @@ fn set_mode_mid_flight_spares_in_flight_acks() {
             bandwidth: 4 << 30,
         },
     ));
-    let fs = Crfs::mount(
-        store.clone() as Arc<dyn Backend>,
-        small_config().with_engine(EngineKind::Ring),
-    )
-    .unwrap();
+    let fs = Crfs::mount(store.clone() as Arc<dyn Backend>, small_config()).unwrap();
     let f = fs.create("/inflight").unwrap();
     let data = vec![0xA5u8; 4096];
     f.write(&data).unwrap();

@@ -10,27 +10,8 @@ use std::sync::Arc;
 use crfs::blcr::{CheckpointWriter, ProcessImage, RestartReader};
 use crfs::core::backend::{Backend, MemBackend};
 use crfs::core::chunking::{apply_plan, plan_write, ChunkState, PlanStep};
-use crfs::core::{CodecKind, Crfs, CrfsConfig, EngineKind};
+use crfs::core::{CodecKind, Crfs, CrfsConfig};
 use crfs::simkit::rng::SimRng;
-
-/// Base config honoring the CI matrix: `CRFS_TEST_LEGACY=1` reruns
-/// every property on the pre-overhaul locking baseline, and
-/// `CRFS_TEST_ENGINE` pins the default engine (tests that sweep engines
-/// explicitly override it).
-fn base_config() -> CrfsConfig {
-    let mut config = CrfsConfig::default().with_legacy_locking(
-        std::env::var("CRFS_TEST_LEGACY")
-            .map(|v| v == "1")
-            .unwrap_or(false),
-    );
-    if let Some(engine) = std::env::var("CRFS_TEST_ENGINE")
-        .ok()
-        .and_then(|v| EngineKind::parse(&v))
-    {
-        config = config.with_engine(engine);
-    }
-    config
-}
 
 /// Runs `case` for `cases` deterministic seeds, labelling failures.
 fn for_cases(name: &str, cases: u64, mut case: impl FnMut(&mut SimRng)) {
@@ -160,19 +141,17 @@ fn apply_model(model: &mut Vec<u8>, off: u64, data: &[u8]) {
     model[off as usize..end].copy_from_slice(data);
 }
 
-fn run_ops_through(engine: EngineKind, ops: &[Op]) -> (Vec<u8>, crfs::core::StatsSnapshot) {
+fn run_ops(ops: &[Op]) -> (Vec<u8>, crfs::core::StatsSnapshot) {
     run_ops_with(
-        base_config()
+        CrfsConfig::default()
             .with_chunk_size(4096)
             .with_pool_size(16 << 10)
-            .with_io_threads(2)
-            .with_engine(engine),
+            .with_io_threads(2),
         ops,
     )
 }
 
 fn run_ops_with(config: CrfsConfig, ops: &[Op]) -> (Vec<u8>, crfs::core::StatsSnapshot) {
-    let engine = config.engine;
     let be = Arc::new(MemBackend::new());
     let fs = Crfs::mount(be.clone(), config).expect("mount");
     let f = fs.create("/prop").expect("create");
@@ -196,189 +175,107 @@ fn run_ops_with(config: CrfsConfig, ops: &[Op]) -> (Vec<u8>, crfs::core::StatsSn
     }
     f.close().expect("close");
     let contents = be.contents("/prop").expect("backend");
-    assert_eq!(contents, model, "{engine:?} diverged from the byte model");
+    assert_eq!(contents, model, "diverged from the byte model");
     let stats = fs.stats();
     fs.unmount().expect("unmount");
     (contents, stats)
 }
 
 /// Whatever sequence of writes is applied, the bytes visible in the
-/// backend after close are identical to a plain Vec<u8> model — for
-/// every engine.
+/// backend after close are identical to a plain Vec<u8> model.
 #[test]
 fn crfs_matches_reference_buffer() {
     for_cases("crfs_matches_reference_buffer", 48, |rng| {
         let ops = random_ops(rng);
-        for engine in [
-            EngineKind::Threaded,
-            EngineKind::Coalescing,
-            EngineKind::Inline,
-            EngineKind::Ring,
-        ] {
-            run_ops_through(engine, &ops);
-        }
+        run_ops(&ops);
     });
 }
 
-/// The coalescing engine is an optimization, not a semantic change: for
-/// random write patterns its resulting file bytes are identical to the
-/// threaded engine's, while it never issues *more* backend ops.
+/// Whatever `submit_batch` is in effect, the file lands byte-identical
+/// to the model, every completed chunk is one backend op, and batching
+/// never costs more than one submission per sealed chunk.
 #[test]
-fn coalescing_engine_matches_threaded_output() {
-    for_cases("coalescing_engine_matches_threaded_output", 48, |rng| {
-        let ops = random_ops(rng);
-        let (threaded_bytes, threaded_stats) = run_ops_through(EngineKind::Threaded, &ops);
-        let (coalesced_bytes, coalesced_stats) = run_ops_through(EngineKind::Coalescing, &ops);
-        assert_eq!(threaded_bytes, coalesced_bytes);
-        assert_eq!(threaded_stats.chunks_sealed, coalesced_stats.chunks_sealed);
-        assert_eq!(threaded_stats.bytes_out, coalesced_stats.bytes_out);
-        assert!(
-            coalesced_stats.backend_writes <= threaded_stats.backend_writes,
-            "coalescing issued more ops ({}) than threaded ({})",
-            coalesced_stats.backend_writes,
-            threaded_stats.backend_writes
-        );
-        assert_eq!(
-            coalesced_stats.backend_writes + coalesced_stats.chunks_coalesced,
-            coalesced_stats.chunks_completed,
-            "every completed chunk is either its own op or a coalesced one"
-        );
-    });
-}
-
-/// Engine equivalence under *random batch sizes*: whatever
-/// `submit_batch`/`worker_batch` are in effect, all three engines land
-/// byte-identical files, the coalescing engine never issues more backend
-/// ops than the threaded one, and the submission counter shows batching
-/// never costs more than one queue-lock acquisition per sealed chunk.
-#[test]
-fn engines_agree_for_random_batch_sizes() {
-    for_cases("engines_agree_for_random_batch_sizes", 32, |rng| {
+fn random_batch_sizes_keep_bytes_and_accounting() {
+    for_cases("random_batch_sizes_keep_bytes_and_accounting", 32, |rng| {
         let ops = random_ops(rng);
         let submit_batch = rng.gen_range(1usize..24);
-        let worker_batch = rng.gen_range(1usize..12);
-        let config = |engine: EngineKind| {
-            base_config()
-                .with_chunk_size(4096)
-                .with_pool_size(16 << 10)
-                .with_io_threads(2)
-                .with_submit_batch(submit_batch)
-                .with_worker_batch(worker_batch)
-                .with_engine(engine)
-        };
-        let (threaded_bytes, threaded_stats) = run_ops_with(config(EngineKind::Threaded), &ops);
-        let (coalesced_bytes, coalesced_stats) = run_ops_with(config(EngineKind::Coalescing), &ops);
-        let (inline_bytes, inline_stats) = run_ops_with(config(EngineKind::Inline), &ops);
-        let (ring_bytes, ring_stats) = run_ops_with(config(EngineKind::Ring), &ops);
+        let config = CrfsConfig::default()
+            .with_chunk_size(4096)
+            .with_pool_size(16 << 10)
+            .with_io_threads(2)
+            .with_submit_batch(submit_batch);
+        let (_, stats) = run_ops_with(config, &ops);
         assert_eq!(
-            threaded_bytes, coalesced_bytes,
-            "batch {submit_batch}/{worker_batch}"
-        );
-        assert_eq!(
-            threaded_bytes, inline_bytes,
-            "batch {submit_batch}/{worker_batch}"
-        );
-        assert_eq!(
-            threaded_bytes, ring_bytes,
-            "batch {submit_batch}/{worker_batch}"
+            stats.backend_writes, stats.chunks_completed,
+            "accounting balances at batch {submit_batch}"
         );
         assert!(
-            coalesced_stats.backend_writes <= threaded_stats.backend_writes,
-            "coalescing issued more ops ({}) than threaded ({}) at batch {submit_batch}",
-            coalesced_stats.backend_writes,
-            threaded_stats.backend_writes
+            stats.engine_submits <= stats.chunks_sealed,
+            "batching never costs extra submissions ({} submits for {} chunks)",
+            stats.engine_submits,
+            stats.chunks_sealed
         );
-        for (name, stats) in [
-            ("threaded", &threaded_stats),
-            ("coalescing", &coalesced_stats),
-            ("inline", &inline_stats),
-            ("ring", &ring_stats),
-        ] {
-            assert_eq!(
-                stats.backend_writes + stats.chunks_coalesced,
-                stats.chunks_completed,
-                "{name}: accounting balances at batch {submit_batch}"
-            );
-            assert!(
-                stats.engine_submits <= stats.chunks_sealed,
-                "{name}: batching never costs extra submissions \
-                 ({} submits for {} chunks)",
-                stats.engine_submits,
-                stats.chunks_sealed
-            );
-        }
     });
 }
 
-/// Unmount racing in-flight batched writes, for every engine: whatever
+/// Unmount racing in-flight batched writes: whatever
 /// instant the unmount lands, every sealed chunk is accounted (completed
 /// or refused), the in-flight gauge returns to zero, no pool buffer
 /// leaks, and writers only ever see clean deferred-write errors. The
 /// random jitter makes the race land at a different point each seed —
-/// mid-batch acceptance included (the ring engine's incremental
-/// acceptance path).
+/// mid-batch acceptance included (the engine accepts a batch chunk by
+/// chunk).
 #[test]
 fn unmount_during_batched_writes_is_always_accounted() {
     for_cases(
         "unmount_during_batched_writes_is_always_accounted",
         12,
         |rng| {
-            for engine in [
-                EngineKind::Threaded,
-                EngineKind::Coalescing,
-                EngineKind::Inline,
-                EngineKind::Ring,
-            ] {
-                let config = base_config()
-                    .with_chunk_size(1024)
-                    .with_pool_size(16 << 10)
-                    .with_io_threads(2)
-                    .with_submit_batch(8)
-                    .with_ring_depth(4) // small slab: batches outsize it
-                    .with_engine(engine);
-                let fs = Crfs::mount(Arc::new(MemBackend::new()), config).expect("mount");
-                let jitter = rng.gen_range(0u64..400);
-                let writers = rng.gen_range(1usize..5);
-                std::thread::scope(|s| {
-                    for w in 0..writers {
-                        let fs = &fs;
-                        s.spawn(move || {
-                            let Ok(f) = fs.create(&format!("/race{w}")) else {
-                                return; // unmount won the race with create
-                            };
-                            for _ in 0..40 {
-                                // Multi-chunk writes so submit_batch carries
-                                // real batches when the shutdown lands.
-                                if f.write(&vec![w as u8; 6 * 1024]).is_err() {
-                                    break;
-                                }
+            let config = CrfsConfig::default()
+                .with_chunk_size(1024)
+                .with_pool_size(16 << 10)
+                .with_io_threads(2)
+                .with_submit_batch(8)
+                .with_ring_depth(4); // small slab: batches outsize it
+            let fs = Crfs::mount(Arc::new(MemBackend::new()), config).expect("mount");
+            let jitter = rng.gen_range(0u64..400);
+            let writers = rng.gen_range(1usize..5);
+            std::thread::scope(|s| {
+                for w in 0..writers {
+                    let fs = &fs;
+                    s.spawn(move || {
+                        let Ok(f) = fs.create(&format!("/race{w}")) else {
+                            return; // unmount won the race with create
+                        };
+                        for _ in 0..40 {
+                            // Multi-chunk writes so submit_batch carries
+                            // real batches when the shutdown lands.
+                            if f.write(&vec![w as u8; 6 * 1024]).is_err() {
+                                break;
                             }
-                            // Close may surface a deferred error: fine.
-                            let _ = f.close();
-                        });
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(jitter));
-                    fs.unmount().expect("unmount");
-                });
-                let snap = fs.stats();
-                assert_eq!(
-                    snap.chunks_sealed,
-                    snap.chunks_completed + snap.chunks_refused,
-                    "{engine:?}: every sealed chunk accounted at jitter {jitter}"
-                );
-                assert_eq!(
-                    snap.ops_inflight, 0,
-                    "{engine:?}: gauge quiescent after unmount"
-                );
-                assert_eq!(
-                    snap.completion_reaped, snap.chunks_completed,
-                    "{engine:?}: reap ledger covers completions"
-                );
-                assert_eq!(
-                    snap.pool_free_chunks, snap.pool_total_chunks,
-                    "{engine:?}: no buffer leaked through the race"
-                );
-            }
+                        }
+                        // Close may surface a deferred error: fine.
+                        let _ = f.close();
+                    });
+                }
+                std::thread::sleep(std::time::Duration::from_micros(jitter));
+                fs.unmount().expect("unmount");
+            });
+            let snap = fs.stats();
+            assert_eq!(
+                snap.chunks_sealed,
+                snap.chunks_completed + snap.chunks_refused,
+                "every sealed chunk accounted at jitter {jitter}"
+            );
+            assert_eq!(snap.ops_inflight, 0, "gauge quiescent after unmount");
+            assert_eq!(
+                snap.completion_reaped, snap.chunks_completed,
+                "reap ledger covers completions"
+            );
+            assert_eq!(
+                snap.pool_free_chunks, snap.pool_total_chunks,
+                "no buffer leaked through the race"
+            );
         },
     );
 }
@@ -390,7 +287,9 @@ fn pool_and_byte_conservation() {
     for_cases("pool_and_byte_conservation", 48, |rng| {
         let fs = Crfs::mount(
             Arc::new(MemBackend::new()),
-            base_config().with_chunk_size(8192).with_pool_size(32 << 10),
+            CrfsConfig::default()
+                .with_chunk_size(8192)
+                .with_pool_size(32 << 10),
         )
         .expect("mount");
         let f = fs.create("/conserve").expect("create");
@@ -411,7 +310,7 @@ fn pool_and_byte_conservation() {
 
 // ---------------------------------------------------------------------
 // Transform pipeline round trip: write → compress → dedup → read,
-// across engines, codecs, chunk sizes and lock regimes
+// across codecs and chunk sizes
 // ---------------------------------------------------------------------
 
 /// Compressible checkpoint-like bytes for chunk `idx`: a repeated tile
@@ -432,8 +331,7 @@ fn transform_chunk_payload(chunk: usize, idx: u64, epoch: u64, dup: bool) -> Vec
 }
 
 /// The codec dimension of the CI matrix (`CRFS_TEST_CODEC`), plus the
-/// two real codecs always — every lock regime must round-trip with the
-/// framed layout.
+/// two real codecs always.
 fn test_codecs() -> Vec<CodecKind> {
     let mut codecs = vec![CodecKind::Rle, CodecKind::Lz];
     if let Some(c) = std::env::var("CRFS_TEST_CODEC")
@@ -448,8 +346,8 @@ fn test_codecs() -> Vec<CodecKind> {
 }
 
 /// Byte-exact restore through the full transform pipeline: two epochs
-/// of checkpoint files written through every engine × codec × chunk
-/// size (4K / 64K / 1M), read back both on the writing mount and on a
+/// of checkpoint files written through every codec × chunk size
+/// (4K / 64K / 1M), read back both on the writing mount and on a
 /// fresh mount (the restart path, which rebuilds frame maps by scanning
 /// and resolves cross-epoch dedup references). Stored bytes must never
 /// exceed logical bytes on this compressible workload, and the clean
@@ -458,92 +356,81 @@ fn test_codecs() -> Vec<CodecKind> {
 fn transform_roundtrip_write_compress_dedup_read() {
     let codecs = test_codecs();
     for_cases("transform_roundtrip", 2, |rng| {
-        for engine in [
-            EngineKind::Threaded,
-            EngineKind::Coalescing,
-            EngineKind::Inline,
-            EngineKind::Ring,
-        ] {
-            for &codec in &codecs {
-                for chunk in [4usize << 10, 64 << 10, 1 << 20] {
-                    let be = Arc::new(MemBackend::new());
-                    let config = base_config()
-                        .with_engine(engine)
-                        .with_chunk_size(chunk)
-                        .with_pool_size(4 * chunk)
-                        .with_codec(codec)
-                        .with_dedup(true);
-                    let chunks_per_file = rng.gen_range(2u64..5);
-                    // Tail fraction exercises partial-chunk frames.
-                    let tail = rng.gen_range(0usize..chunk);
-                    let file_len = chunks_per_file * chunk as u64 + tail as u64;
+        for &codec in &codecs {
+            for chunk in [4usize << 10, 64 << 10, 1 << 20] {
+                let be = Arc::new(MemBackend::new());
+                let config = CrfsConfig::default()
+                    .with_chunk_size(chunk)
+                    .with_pool_size(4 * chunk)
+                    .with_codec(codec)
+                    .with_dedup(true);
+                let chunks_per_file = rng.gen_range(2u64..5);
+                // Tail fraction exercises partial-chunk frames.
+                let tail = rng.gen_range(0usize..chunk);
+                let file_len = chunks_per_file * chunk as u64 + tail as u64;
 
-                    let fs =
-                        Crfs::mount(be.clone() as Arc<dyn Backend>, config.clone()).expect("mount");
+                let fs =
+                    Crfs::mount(be.clone() as Arc<dyn Backend>, config.clone()).expect("mount");
+                for epoch in 0..2u64 {
+                    let f = fs.create(&format!("/e{epoch}.img")).expect("create");
+                    for idx in 0..=chunks_per_file {
+                        let len = if idx == chunks_per_file { tail } else { chunk };
+                        if len == 0 {
+                            continue;
+                        }
+                        let dup = idx % 2 == 0; // half the chunks recur
+                        let mut payload = transform_chunk_payload(chunk, idx, epoch, dup);
+                        payload.truncate(len);
+                        f.write(&payload).expect("write");
+                    }
+                    f.close().expect("close");
+                    fs.advance_epoch().unwrap();
+                }
+                let verify = |fs: &Arc<Crfs>, label: &str| {
                     for epoch in 0..2u64 {
-                        let f = fs.create(&format!("/e{epoch}.img")).expect("create");
+                        let f = fs.open(&format!("/e{epoch}.img")).expect("open");
+                        assert_eq!(f.len().expect("len"), file_len, "{label}");
+                        let mut got = vec![0u8; chunk];
                         for idx in 0..=chunks_per_file {
                             let len = if idx == chunks_per_file { tail } else { chunk };
                             if len == 0 {
                                 continue;
                             }
-                            let dup = idx % 2 == 0; // half the chunks recur
-                            let mut payload = transform_chunk_payload(chunk, idx, epoch, dup);
-                            payload.truncate(len);
-                            f.write(&payload).expect("write");
+                            let n = f
+                                .read_at(idx * chunk as u64, &mut got[..len])
+                                .expect("read");
+                            let dup = idx % 2 == 0;
+                            let mut want = transform_chunk_payload(chunk, idx, epoch, dup);
+                            want.truncate(len);
+                            assert_eq!(n, len, "{label}");
+                            assert_eq!(got[..len], want[..], "{label}");
                         }
                         f.close().expect("close");
-                        fs.advance_epoch().unwrap();
                     }
-                    let verify = |fs: &Arc<Crfs>, label: &str| {
-                        for epoch in 0..2u64 {
-                            let f = fs.open(&format!("/e{epoch}.img")).expect("open");
-                            assert_eq!(f.len().expect("len"), file_len, "{label}");
-                            let mut got = vec![0u8; chunk];
-                            for idx in 0..=chunks_per_file {
-                                let len = if idx == chunks_per_file { tail } else { chunk };
-                                if len == 0 {
-                                    continue;
-                                }
-                                let n = f
-                                    .read_at(idx * chunk as u64, &mut got[..len])
-                                    .expect("read");
-                                let dup = idx % 2 == 0;
-                                let mut want = transform_chunk_payload(chunk, idx, epoch, dup);
-                                want.truncate(len);
-                                assert_eq!(n, len, "{label}");
-                                assert_eq!(got[..len], want[..], "{label}");
-                            }
-                            f.close().expect("close");
-                        }
-                    };
-                    verify(&fs, "same mount");
-                    let snap = fs.stats();
-                    assert_eq!(snap.chunks_sealed, snap.chunks_completed);
-                    assert_eq!(
-                        snap.integrity_failures, 0,
-                        "{engine:?}/{codec:?}/{chunk}: clean path"
-                    );
-                    assert!(
-                        snap.bytes_stored <= snap.bytes_logical,
-                        "{engine:?}/{codec:?}/{chunk}: stored {} > logical {}",
-                        snap.bytes_stored,
-                        snap.bytes_logical
-                    );
-                    assert!(
-                        snap.dedup_hits > 0,
-                        "{engine:?}/{codec:?}/{chunk}: duplicate epoch must dedup"
-                    );
-                    assert_eq!(snap.bytes_out, snap.bytes_stored);
-                    fs.unmount().expect("unmount");
+                };
+                verify(&fs, "same mount");
+                let snap = fs.stats();
+                assert_eq!(snap.chunks_sealed, snap.chunks_completed);
+                assert_eq!(snap.integrity_failures, 0, "{codec:?}/{chunk}: clean path");
+                assert!(
+                    snap.bytes_stored <= snap.bytes_logical,
+                    "{codec:?}/{chunk}: stored {} > logical {}",
+                    snap.bytes_stored,
+                    snap.bytes_logical
+                );
+                assert!(
+                    snap.dedup_hits > 0,
+                    "{codec:?}/{chunk}: duplicate epoch must dedup"
+                );
+                assert_eq!(snap.bytes_out, snap.bytes_stored);
+                fs.unmount().expect("unmount");
 
-                    // Restart on a fresh mount: frame maps rebuilt by
-                    // scanning, dedup references resolved cross-file.
-                    let fs = Crfs::mount(be as Arc<dyn Backend>, config).expect("remount");
-                    verify(&fs, "fresh mount");
-                    assert_eq!(fs.stats().integrity_failures, 0);
-                    fs.unmount().expect("unmount");
-                }
+                // Restart on a fresh mount: frame maps rebuilt by
+                // scanning, dedup references resolved cross-file.
+                let fs = Crfs::mount(be as Arc<dyn Backend>, config).expect("remount");
+                verify(&fs, "fresh mount");
+                assert_eq!(fs.stats().integrity_failures, 0);
+                fs.unmount().expect("unmount");
             }
         }
     });
@@ -572,7 +459,7 @@ fn crash_chunk_payload(chunk: usize, idx: u64) -> Vec<u8> {
 
 /// The crash-recovery contract (DESIGN.md §6), randomized: kill the
 /// backend a random number of bytes into the unacked tail of a
-/// checkpoint write, for every engine × codec × chunk size. On reopen:
+/// checkpoint write, for every codec × chunk size. On reopen:
 /// the flush-acked prefix is byte-exact, the surviving length is
 /// frame-granular and never exceeds what was written, and every
 /// surviving unacked chunk is a hole (all zero), byte-exact, or a
@@ -586,113 +473,103 @@ fn crash_point_recovery_yields_acked_prefix_and_never_wrong_bytes() {
 
     let codecs = test_codecs();
     for_cases("crash_point_recovery", 4, |rng| {
-        for engine in [
-            EngineKind::Threaded,
-            EngineKind::Coalescing,
-            EngineKind::Inline,
-            EngineKind::Ring,
-        ] {
-            for &codec in &codecs {
-                let chunk = [1024usize, 4096][rng.gen_range(0usize..2)];
-                let be = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
-                let config = base_config()
-                    .with_engine(engine)
-                    .with_chunk_size(chunk)
-                    .with_pool_size(8 * chunk)
-                    .with_io_threads(2)
-                    .with_codec(codec);
-                let fs =
-                    Crfs::mount(be.clone() as Arc<dyn Backend>, config.clone()).expect("mount");
-                let f = fs.create("/crash.img").expect("create");
-                let total_chunks = rng.gen_range(4u64..10);
-                let acked_chunks = rng.gen_range(1u64..total_chunks);
-                for idx in 0..acked_chunks {
-                    f.write(&crash_chunk_payload(chunk, idx)).expect("acked");
-                }
-                f.flush().expect("acked flush");
+        for &codec in &codecs {
+            let chunk = [1024usize, 4096][rng.gen_range(0usize..2)];
+            let be = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
+            let config = CrfsConfig::default()
+                .with_chunk_size(chunk)
+                .with_pool_size(8 * chunk)
+                .with_io_threads(2)
+                .with_codec(codec);
+            let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config.clone()).expect("mount");
+            let f = fs.create("/crash.img").expect("create");
+            let total_chunks = rng.gen_range(4u64..10);
+            let acked_chunks = rng.gen_range(1u64..total_chunks);
+            for idx in 0..acked_chunks {
+                f.write(&crash_chunk_payload(chunk, idx)).expect("acked");
+            }
+            f.flush().expect("acked flush");
 
-                // Power cut a random number of bytes into the unacked
-                // tail: mid-first-frame through almost-everything.
-                let tail_budget = (total_chunks - acked_chunks) * chunk as u64 + 64;
-                let budget = rng.gen_range(1u64..tail_budget);
-                be.set_mode(FailureMode::PowerCutAfterBytes(budget));
-                for idx in acked_chunks..total_chunks {
-                    if f.write(&crash_chunk_payload(chunk, idx)).is_err() {
-                        break; // the cut surfaced synchronously
-                    }
+            // Power cut a random number of bytes into the unacked
+            // tail: mid-first-frame through almost-everything.
+            let tail_budget = (total_chunks - acked_chunks) * chunk as u64 + 64;
+            let budget = rng.gen_range(1u64..tail_budget);
+            be.set_mode(FailureMode::PowerCutAfterBytes(budget));
+            for idx in acked_chunks..total_chunks {
+                if f.write(&crash_chunk_payload(chunk, idx)).is_err() {
+                    break; // the cut surfaced synchronously
                 }
-                let _ = f.close(); // may re-surface the deferred crash
-                let _ = fs.unmount();
+            }
+            let _ = f.close(); // may re-surface the deferred crash
+            let _ = fs.unmount();
 
-                // Reboot and remount: the open-scan enforces the
-                // contract on whatever bytes survived.
-                be.revive();
-                let fs =
-                    Crfs::mount(be.clone() as Arc<dyn Backend>, config.clone()).expect("remount");
-                let f = fs.open("/crash.img").expect("reopen");
-                let len = f.len().expect("len");
-                let acked_bytes = acked_chunks * chunk as u64;
-                let label = format!("{engine:?}/{codec:?}/{chunk} budget {budget}");
-                assert!(len >= acked_bytes, "{label}: flush-acked bytes lost");
-                assert!(len <= total_chunks * chunk as u64, "{label}");
-                assert_eq!(len % chunk as u64, 0, "{label}: frame-granular");
-                for idx in 0..acked_chunks {
-                    let mut got = vec![0u8; chunk];
-                    let n = f.read_at(idx * chunk as u64, &mut got).expect("acked read");
-                    assert_eq!(n, chunk, "{label}");
-                    assert_eq!(
-                        got,
-                        crash_chunk_payload(chunk, idx),
-                        "{label}: acked chunk {idx}"
-                    );
-                }
-                for idx in acked_chunks..(len / chunk as u64) {
-                    let mut got = vec![0u8; chunk];
-                    // An Err here is fine: an in-bounds torn payload
-                    // passes the structural scan and is caught by its
-                    // checksum at read time — a detected error, not
-                    // wrong bytes.
-                    if let Ok(n) = f.read_at(idx * chunk as u64, &mut got) {
-                        assert_eq!(n, chunk, "{label}");
-                        // Multi-threaded engines can lose a frame
-                        // *before* one that survived (stored-space
-                        // allocation is not logical order), leaving
-                        // a hole the read path zero-fills.
-                        let hole = got.iter().all(|&b| b == 0);
-                        assert!(
-                            hole || got == crash_chunk_payload(chunk, idx),
-                            "{label}: unacked chunk {idx} served wrong bytes"
-                        );
-                    }
-                }
-                f.close().expect("close");
-                fs.unmount().expect("unmount");
-
-                // fsck --repair heals the structural tail; the rescan
-                // must agree nothing structural is left (mid-chain
-                // payload damage is reported, not repaired).
-                let backend = be as Arc<dyn Backend>;
-                let roots = ["/".to_string()];
-                let repair = FsckOptions {
-                    repair: true,
-                    threads: 1,
-                    ..FsckOptions::default()
-                };
-                let sum = fsck::run(&backend, &roots, &repair);
-                let rescan = fsck::run(&backend, &roots, &FsckOptions::default());
+            // Reboot and remount: the open-scan enforces the
+            // contract on whatever bytes survived.
+            be.revive();
+            let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config.clone()).expect("remount");
+            let f = fs.open("/crash.img").expect("reopen");
+            let len = f.len().expect("len");
+            let acked_bytes = acked_chunks * chunk as u64;
+            let label = format!("{codec:?}/{chunk} budget {budget}");
+            assert!(len >= acked_bytes, "{label}: flush-acked bytes lost");
+            assert!(len <= total_chunks * chunk as u64, "{label}");
+            assert_eq!(len % chunk as u64, 0, "{label}: frame-granular");
+            for idx in 0..acked_chunks {
+                let mut got = vec![0u8; chunk];
+                let n = f.read_at(idx * chunk as u64, &mut got).expect("acked read");
+                assert_eq!(n, chunk, "{label}");
                 assert_eq!(
-                    rescan.damage.torn_tails, 0,
-                    "{label}: torn tail survived repair"
-                );
-                assert_eq!(
-                    rescan.damage.bad_header_crc, 0,
-                    "{label}: bad header survived repair"
-                );
-                assert!(
-                    rescan.damage.bad_payload_checksum <= sum.damage.bad_payload_checksum,
-                    "{label}: repair must never grow payload damage"
+                    got,
+                    crash_chunk_payload(chunk, idx),
+                    "{label}: acked chunk {idx}"
                 );
             }
+            for idx in acked_chunks..(len / chunk as u64) {
+                let mut got = vec![0u8; chunk];
+                // An Err here is fine: an in-bounds torn payload
+                // passes the structural scan and is caught by its
+                // checksum at read time — a detected error, not
+                // wrong bytes.
+                if let Ok(n) = f.read_at(idx * chunk as u64, &mut got) {
+                    assert_eq!(n, chunk, "{label}");
+                    // Concurrent IO workers can lose a frame
+                    // *before* one that survived (stored-space
+                    // allocation is not logical order), leaving
+                    // a hole the read path zero-fills.
+                    let hole = got.iter().all(|&b| b == 0);
+                    assert!(
+                        hole || got == crash_chunk_payload(chunk, idx),
+                        "{label}: unacked chunk {idx} served wrong bytes"
+                    );
+                }
+            }
+            f.close().expect("close");
+            fs.unmount().expect("unmount");
+
+            // fsck --repair heals the structural tail; the rescan
+            // must agree nothing structural is left (mid-chain
+            // payload damage is reported, not repaired).
+            let backend = be as Arc<dyn Backend>;
+            let roots = ["/".to_string()];
+            let repair = FsckOptions {
+                repair: true,
+                threads: 1,
+                ..FsckOptions::default()
+            };
+            let sum = fsck::run(&backend, &roots, &repair);
+            let rescan = fsck::run(&backend, &roots, &FsckOptions::default());
+            assert_eq!(
+                rescan.damage.torn_tails, 0,
+                "{label}: torn tail survived repair"
+            );
+            assert_eq!(
+                rescan.damage.bad_header_crc, 0,
+                "{label}: bad header survived repair"
+            );
+            assert!(
+                rescan.damage.bad_payload_checksum <= sum.damage.bad_payload_checksum,
+                "{label}: repair must never grow payload damage"
+            );
         }
     });
 }
@@ -713,7 +590,7 @@ fn read_write_coherence_across_prefetch_windows() {
 
     for_cases("read_write_coherence_across_prefetch_windows", 6, |rng| {
         for window in [0usize, 1, 4, 8] {
-            let config = base_config()
+            let config = CrfsConfig::default()
                 .with_chunk_size(4096)
                 .with_pool_size(64 << 10)
                 .with_io_threads(2)
@@ -842,7 +719,7 @@ fn blcr_roundtrip_through_crfs() {
         let seed = rng.next_u64();
         let fs = Crfs::mount(
             Arc::new(MemBackend::new()),
-            base_config()
+            CrfsConfig::default()
                 .with_chunk_size(64 << 10)
                 .with_pool_size(256 << 10),
         )
@@ -1065,7 +942,7 @@ fn mem_backend_file_isolation() {
 /// epochs (mid-retention, so it must reclaim only retired chunks),
 /// then a byte-exact `open_restart` of every retained epoch — first on
 /// the writing mount, then on a fresh mount that reloads manifests
-/// from the store. Runs across every engine × codec. The model is the
+/// from the store. Runs across every codec. The model is the
 /// literal expected bytes per epoch, so any chunk the GC wrongly
 /// freed, any refcount miscount, and any manifest/dedup divergence
 /// shows up as a byte mismatch.
@@ -1073,105 +950,93 @@ fn mem_backend_file_isolation() {
 fn snapshot_restart_is_byte_exact_from_every_retained_epoch() {
     let codecs = test_codecs();
     for_cases("snapshot_restart", 2, |rng| {
-        for engine in [
-            EngineKind::Threaded,
-            EngineKind::Coalescing,
-            EngineKind::Inline,
-            EngineKind::Ring,
-        ] {
-            for &codec in &codecs {
-                let chunk = 4096usize;
-                let keep = rng.gen_range(1usize..4);
-                let epochs = keep + rng.gen_range(1usize..4);
-                let chunks_per_file = rng.gen_range(3u64..7);
-                let be = Arc::new(MemBackend::new());
-                let config = base_config()
-                    .with_engine(engine)
-                    .with_chunk_size(chunk)
-                    .with_pool_size(4 * chunk)
-                    .with_codec(codec)
-                    .with_dedup(true)
-                    .with_snapshots(true)
-                    .with_snapshot_keep_epochs(keep);
+        for &codec in &codecs {
+            let chunk = 4096usize;
+            let keep = rng.gen_range(1usize..4);
+            let epochs = keep + rng.gen_range(1usize..4);
+            let chunks_per_file = rng.gen_range(3u64..7);
+            let be = Arc::new(MemBackend::new());
+            let config = CrfsConfig::default()
+                .with_chunk_size(chunk)
+                .with_pool_size(4 * chunk)
+                .with_codec(codec)
+                .with_dedup(true)
+                .with_snapshots(true)
+                .with_snapshot_keep_epochs(keep);
 
-                let fs =
-                    Crfs::mount(be.clone() as Arc<dyn Backend>, config.clone()).expect("mount");
-                // The model: current per-chunk payloads, and a full
-                // copy of the image at every sealed epoch.
-                let mut current: Vec<Vec<u8>> = (0..chunks_per_file)
-                    .map(|idx| {
-                        // Compressible structured content, distinct per chunk.
+            let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config.clone()).expect("mount");
+            // The model: current per-chunk payloads, and a full
+            // copy of the image at every sealed epoch.
+            let mut current: Vec<Vec<u8>> = (0..chunks_per_file)
+                .map(|idx| {
+                    // Compressible structured content, distinct per chunk.
+                    let seed = rng.gen_range(1u64..255) as u8;
+                    (0..chunk)
+                        .map(|j| seed.wrapping_add((j % 23 + idx as usize) as u8))
+                        .collect()
+                })
+                .collect();
+            let mut sealed: Vec<Vec<Vec<u8>>> = Vec::new();
+            for _epoch in 0..epochs {
+                let dirty = rng.gen_range(0.0..1.0f64);
+                for payload in &mut current {
+                    if rng.chance(dirty) {
                         let seed = rng.gen_range(1u64..255) as u8;
-                        (0..chunk)
-                            .map(|j| seed.wrapping_add((j % 23 + idx as usize) as u8))
-                            .collect()
-                    })
-                    .collect();
-                let mut sealed: Vec<Vec<Vec<u8>>> = Vec::new();
-                for _epoch in 0..epochs {
-                    let dirty = rng.gen_range(0.0..1.0f64);
-                    for payload in &mut current {
-                        if rng.chance(dirty) {
-                            let seed = rng.gen_range(1u64..255) as u8;
-                            for (j, b) in payload.iter_mut().enumerate() {
-                                *b = seed.wrapping_add((j % 29) as u8);
-                            }
+                        for (j, b) in payload.iter_mut().enumerate() {
+                            *b = seed.wrapping_add((j % 29) as u8);
                         }
                     }
-                    let f = fs.create("/rank.img").expect("create");
-                    for payload in &current {
-                        f.write(payload).expect("write");
-                    }
-                    f.close().expect("close");
-                    fs.advance_epoch().expect("advance_epoch");
-                    sealed.push(current.clone());
-                    // GC between epochs: with live staging done and the
-                    // epoch sealed, only retired-epoch chunks may go.
-                    fs.snapshot_gc().expect("gc");
                 }
-
-                let verify = |fs: &Arc<Crfs>, label: &str| {
-                    let retained = fs.snapshot_epochs();
-                    assert_eq!(
-                        retained.len(),
-                        keep.min(epochs),
-                        "{label}: retention window"
-                    );
-                    for &epoch in &retained {
-                        let view = fs
-                            .open_restart("/rank.img", epoch)
-                            .unwrap_or_else(|e| panic!("{label}: open epoch {epoch}: {e}"));
-                        let want = &sealed[epoch as usize];
-                        let mut got = vec![0u8; chunk];
-                        for (idx, chunk_want) in want.iter().enumerate() {
-                            let n = view
-                                .read_at(idx as u64 * chunk as u64, &mut got)
-                                .unwrap_or_else(|e| {
-                                    panic!("{label}: read epoch {epoch} chunk {idx}: {e}")
-                                });
-                            assert_eq!(n, chunk, "{label}: epoch {epoch} chunk {idx}");
-                            assert_eq!(
-                                &got, chunk_want,
-                                "{label}: epoch {epoch} chunk {idx} bytes"
-                            );
-                        }
-                        view.close().expect("close view");
-                    }
-                };
-                verify(&fs, "writing mount");
-                assert_eq!(fs.stats().integrity_failures, 0);
-                fs.unmount().expect("unmount");
-
-                // Fresh mount: manifests reload from the store; every
-                // retained epoch must still restart byte-exactly, and a
-                // final GC pass must find nothing left to reclaim.
-                let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config).expect("remount");
-                verify(&fs, "fresh mount");
-                let report = fs.snapshot_gc().expect("final gc");
-                assert_eq!(report.reclaimed_chunks, 0, "reclaim already complete");
-                assert_eq!(fs.stats().integrity_failures, 0);
-                fs.unmount().expect("unmount");
+                let f = fs.create("/rank.img").expect("create");
+                for payload in &current {
+                    f.write(payload).expect("write");
+                }
+                f.close().expect("close");
+                fs.advance_epoch().expect("advance_epoch");
+                sealed.push(current.clone());
+                // GC between epochs: with live staging done and the
+                // epoch sealed, only retired-epoch chunks may go.
+                fs.snapshot_gc().expect("gc");
             }
+
+            let verify = |fs: &Arc<Crfs>, label: &str| {
+                let retained = fs.snapshot_epochs();
+                assert_eq!(
+                    retained.len(),
+                    keep.min(epochs),
+                    "{label}: retention window"
+                );
+                for &epoch in &retained {
+                    let view = fs
+                        .open_restart("/rank.img", epoch)
+                        .unwrap_or_else(|e| panic!("{label}: open epoch {epoch}: {e}"));
+                    let want = &sealed[epoch as usize];
+                    let mut got = vec![0u8; chunk];
+                    for (idx, chunk_want) in want.iter().enumerate() {
+                        let n = view
+                            .read_at(idx as u64 * chunk as u64, &mut got)
+                            .unwrap_or_else(|e| {
+                                panic!("{label}: read epoch {epoch} chunk {idx}: {e}")
+                            });
+                        assert_eq!(n, chunk, "{label}: epoch {epoch} chunk {idx}");
+                        assert_eq!(&got, chunk_want, "{label}: epoch {epoch} chunk {idx} bytes");
+                    }
+                    view.close().expect("close view");
+                }
+            };
+            verify(&fs, "writing mount");
+            assert_eq!(fs.stats().integrity_failures, 0);
+            fs.unmount().expect("unmount");
+
+            // Fresh mount: manifests reload from the store; every
+            // retained epoch must still restart byte-exactly, and a
+            // final GC pass must find nothing left to reclaim.
+            let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config).expect("remount");
+            verify(&fs, "fresh mount");
+            let report = fs.snapshot_gc().expect("final gc");
+            assert_eq!(report.reclaimed_chunks, 0, "reclaim already complete");
+            assert_eq!(fs.stats().integrity_failures, 0);
+            fs.unmount().expect("unmount");
         }
     });
 }

@@ -216,8 +216,8 @@ fn pvfs_speedup_positive_but_modest() {
 }
 
 // ---------------------------------------------------------------------
-// Hot-path stats invariants (real library): the counters added by the
-// contention overhaul must balance after any workload.
+// Hot-path stats invariants (real library): the hot-path counters must
+// balance after any workload.
 // ---------------------------------------------------------------------
 
 /// Runs a concurrent multi-file workload on the real library and asserts
@@ -226,217 +226,190 @@ fn pvfs_speedup_positive_but_modest() {
 #[test]
 fn hot_path_stats_invariants_hold() {
     use crfs::core::backend::MemBackend;
-    use crfs::core::{Crfs, CrfsConfig, EngineKind};
+    use crfs::core::{Crfs, CrfsConfig};
     use std::sync::Arc;
 
-    for engine in [
-        EngineKind::Threaded,
-        EngineKind::Coalescing,
-        EngineKind::Inline,
-        EngineKind::Ring,
-    ] {
-        // Pool sized above peak demand (8 writers x up to 5 buffers
-        // each), so batches are never split by early flushes on pool
-        // exhaustion and the avg_batch_len assertion below is
-        // scheduling-independent.
-        let config = CrfsConfig::default()
-            .with_chunk_size(1024)
-            .with_pool_size(64 << 10)
-            .with_io_threads(4)
-            .with_submit_batch(8)
-            .with_engine(engine);
-        let fs = Crfs::mount(Arc::new(MemBackend::new()), config.clone()).expect("mount");
-        std::thread::scope(|s| {
-            for w in 0..8 {
-                let fs = &fs;
-                s.spawn(move || {
-                    let f = fs.create(&format!("/inv{w}")).expect("create");
-                    for _ in 0..20 {
-                        // 4-chunk writes: submission is genuinely batched.
-                        f.write(&vec![w as u8; 4 * 1024]).expect("write");
-                    }
-                    f.close().expect("close");
-                });
-            }
-        });
-        let snap = fs.stats();
+    // Pool sized above peak demand (8 writers x up to 5 buffers
+    // each), so batches are never split by early flushes on pool
+    // exhaustion and the avg_batch_len assertion below is
+    // scheduling-independent.
+    let config = CrfsConfig::default()
+        .with_chunk_size(1024)
+        .with_pool_size(64 << 10)
+        .with_io_threads(4)
+        .with_submit_batch(8);
+    let fs = Crfs::mount(Arc::new(MemBackend::new()), config.clone()).expect("mount");
+    std::thread::scope(|s| {
+        for w in 0..8 {
+            let fs = &fs;
+            s.spawn(move || {
+                let f = fs.create(&format!("/inv{w}")).expect("create");
+                for _ in 0..20 {
+                    // 4-chunk writes: submission is genuinely batched.
+                    f.write(&vec![w as u8; 4 * 1024]).expect("write");
+                }
+                f.close().expect("close");
+            });
+        }
+    });
+    let snap = fs.stats();
 
-        // Chunk ledger balances.
-        assert_eq!(snap.chunks_sealed, snap.chunks_completed, "{engine:?}");
-        assert_eq!(
-            snap.backend_writes + snap.chunks_coalesced,
-            snap.chunks_completed,
-            "{engine:?}: ops + merges account for every chunk"
-        );
-        assert_eq!(
-            snap.chunks_sealed,
-            snap.chunks_completed + snap.chunks_refused,
-            "{engine:?}: seal ledger covers completions and refusals"
-        );
+    // Chunk ledger balances.
+    assert_eq!(snap.chunks_sealed, snap.chunks_completed);
+    assert_eq!(
+        snap.backend_writes, snap.chunks_completed,
+        "one backend op per completed chunk"
+    );
+    assert_eq!(
+        snap.chunks_sealed,
+        snap.chunks_completed + snap.chunks_refused,
+        "seal ledger covers completions and refusals"
+    );
 
-        // In-flight gauge and completion-reap ledger: quiescent at the
-        // barrier, every completed chunk retired through a reap, and
-        // the workload genuinely had ops in flight at some point.
-        assert_eq!(
-            snap.ops_inflight, 0,
-            "{engine:?}: submitted == completed + inflight at unmount"
-        );
-        assert_eq!(
-            snap.completion_reaped, snap.chunks_completed,
-            "{engine:?}: every completion passed through a reap"
-        );
-        assert!(
-            snap.inflight_hwm >= 1,
-            "{engine:?}: high-water mark never moved"
-        );
-        assert!(
-            snap.avg_reap_len() >= 1.0,
-            "{engine:?}: avg reap {:.2}",
-            snap.avg_reap_len()
-        );
+    // In-flight gauge and completion-reap ledger: quiescent at the
+    // barrier, every completed chunk retired through a reap, and
+    // the workload genuinely had ops in flight at some point.
+    assert_eq!(
+        snap.ops_inflight, 0,
+        "submitted == completed + inflight at unmount"
+    );
+    assert_eq!(
+        snap.completion_reaped, snap.chunks_completed,
+        "every completion passed through a reap"
+    );
+    assert!(snap.inflight_hwm >= 1, "high-water mark never moved");
+    assert!(
+        snap.avg_reap_len() >= 1.0,
+        "avg reap {:.2}",
+        snap.avg_reap_len()
+    );
 
-        // Submission batching: at least one call per write-with-seals is
-        // unavoidable, but never more than one call per sealed chunk —
-        // and with 4-chunk writes batching must actually engage.
-        assert!(snap.engine_submits > 0, "{engine:?}");
-        assert!(
-            snap.engine_submits <= snap.chunks_sealed,
-            "{engine:?}: {} submits for {} chunks",
-            snap.engine_submits,
-            snap.chunks_sealed
-        );
-        assert!(
-            snap.avg_batch_len() >= 1.0,
-            "{engine:?}: avg batch {:.2}",
-            snap.avg_batch_len()
-        );
-        assert!(
-            snap.avg_batch_len() > 1.5,
-            "{engine:?}: 4-chunk writes should batch well above 1 \
-             (got {:.2})",
-            snap.avg_batch_len()
-        );
+    // Submission batching: at least one call per write-with-seals is
+    // unavoidable, but never more than one call per sealed chunk —
+    // and with 4-chunk writes batching must actually engage.
+    assert!(snap.engine_submits > 0);
+    assert!(
+        snap.engine_submits <= snap.chunks_sealed,
+        "{} submits for {} chunks",
+        snap.engine_submits,
+        snap.chunks_sealed
+    );
+    assert!(
+        snap.avg_batch_len() >= 1.0,
+        "avg batch {:.2}",
+        snap.avg_batch_len()
+    );
+    assert!(
+        snap.avg_batch_len() > 1.5,
+        "4-chunk writes should batch well above 1 \
+         (got {:.2})",
+        snap.avg_batch_len()
+    );
 
-        // Pool occupancy gauge: quiescent after the barrier, everything
-        // free, totals as configured.
-        assert_eq!(snap.pool_total_chunks as usize, config.pool_chunks());
-        assert_eq!(
-            snap.pool_free_chunks, snap.pool_total_chunks,
-            "{engine:?}: all buffers back after close barriers"
-        );
+    // Pool occupancy gauge: quiescent after the barrier, everything
+    // free, totals as configured.
+    assert_eq!(snap.pool_total_chunks as usize, config.pool_chunks());
+    assert_eq!(
+        snap.pool_free_chunks, snap.pool_total_chunks,
+        "all buffers back after close barriers"
+    );
 
-        // Shard-contention counter is sane: it can only count lock
-        // acquisitions that actually happened (open/close/lookup paths).
-        let lock_touches = 2 * (snap.opens + snap.closes);
-        assert!(
-            snap.shard_lock_waits <= lock_touches,
-            "{engine:?}: {} waits for {} table touches",
-            snap.shard_lock_waits,
-            lock_touches
-        );
-        fs.unmount().expect("unmount");
-    }
+    // Shard-contention counter is sane: it can only count lock
+    // acquisitions that actually happened (open/close/lookup paths).
+    let lock_touches = 2 * (snap.opens + snap.closes);
+    assert!(
+        snap.shard_lock_waits <= lock_touches,
+        "{} waits for {} table touches",
+        snap.shard_lock_waits,
+        lock_touches
+    );
+    fs.unmount().expect("unmount");
 }
 
 /// The read-side twin of the invariants above: after a checkpoint +
 /// restart workload, the prefetch ledger must balance, hit/miss
 /// accounting must cover the bytes served, and no buffer may linger in
-/// the cache — for every engine and for both prefetch-on and -off.
+/// the cache — for both prefetch-on and -off.
 #[test]
 fn restart_read_stats_invariants_hold() {
     use crfs::core::backend::MemBackend;
-    use crfs::core::{Crfs, CrfsConfig, EngineKind};
+    use crfs::core::{Crfs, CrfsConfig};
     use std::sync::Arc;
 
-    for engine in [
-        EngineKind::Threaded,
-        EngineKind::Coalescing,
-        EngineKind::Inline,
-        EngineKind::Ring,
-    ] {
-        for window in [0usize, 4] {
-            let config = CrfsConfig::default()
-                .with_chunk_size(2048)
-                .with_pool_size(64 << 10)
-                .with_io_threads(4)
-                .with_engine(engine)
-                .with_read_ahead(window);
-            let fs = Crfs::mount(Arc::new(MemBackend::new()), config).expect("mount");
-            // Checkpoint...
-            let total: usize = 48 << 10;
-            let f = fs.create("/ckpt").expect("create");
-            f.write(&vec![9u8; total]).expect("write");
-            f.close().expect("close");
-            // ...and restart, with concurrent readers.
-            std::thread::scope(|s| {
-                for _ in 0..3 {
-                    let fs = &fs;
-                    s.spawn(move || {
-                        let g = fs.open("/ckpt").expect("open");
-                        let mut buf = [0u8; 900];
-                        let mut seen = 0usize;
-                        loop {
-                            let n = g.read(&mut buf).expect("read");
-                            if n == 0 {
-                                break;
-                            }
-                            assert!(buf[..n].iter().all(|&b| b == 9));
-                            seen += n;
+    for window in [0usize, 4] {
+        let config = CrfsConfig::default()
+            .with_chunk_size(2048)
+            .with_pool_size(64 << 10)
+            .with_io_threads(4)
+            .with_read_ahead(window);
+        let fs = Crfs::mount(Arc::new(MemBackend::new()), config).expect("mount");
+        // Checkpoint...
+        let total: usize = 48 << 10;
+        let f = fs.create("/ckpt").expect("create");
+        f.write(&vec![9u8; total]).expect("write");
+        f.close().expect("close");
+        // ...and restart, with concurrent readers.
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                let fs = &fs;
+                s.spawn(move || {
+                    let g = fs.open("/ckpt").expect("open");
+                    let mut buf = [0u8; 900];
+                    let mut seen = 0usize;
+                    loop {
+                        let n = g.read(&mut buf).expect("read");
+                        if n == 0 {
+                            break;
                         }
-                        assert_eq!(seen, total);
-                        g.close().expect("close");
-                    });
-                }
-            });
-            let snap = fs.stats();
-
-            // The read ledger balances and nothing leaks.
-            assert_eq!(
-                snap.prefetch_issued, snap.prefetch_completed,
-                "{engine:?}/w{window}: every issued prefetch retired"
-            );
-            assert!(
-                snap.prefetch_wasted <= snap.prefetch_issued,
-                "{engine:?}/w{window}"
-            );
-            assert_eq!(
-                snap.pool_free_chunks, snap.pool_total_chunks,
-                "{engine:?}/w{window}: cached buffers all returned"
-            );
-
-            // Serving accounting: every byte came from a hit, a miss, or
-            // the pass-through path; with the window off there is no
-            // cache traffic at all, with it on the segment counts must
-            // cover the reads.
-            assert_eq!(snap.bytes_read, 3 * total as u64, "{engine:?}/w{window}");
-            assert!(snap.reads > 0, "{engine:?}/w{window}");
-            if window == 0 {
-                assert_eq!(snap.read_hits + snap.read_misses, 0, "{engine:?}");
-                assert_eq!(snap.prefetch_issued, 0, "{engine:?}");
-            } else {
-                assert!(
-                    snap.read_hits + snap.read_misses >= snap.reads,
-                    "{engine:?}: chunk segments at least cover read calls \
-                     ({} + {} vs {})",
-                    snap.read_hits,
-                    snap.read_misses,
-                    snap.reads
-                );
-                assert!(snap.prefetch_issued > 0, "{engine:?}: window never engaged");
+                        assert!(buf[..n].iter().all(|&b| b == 9));
+                        seen += n;
+                    }
+                    assert_eq!(seen, total);
+                    g.close().expect("close");
+                });
             }
-            // The write-side invariants still hold with reads in the mix.
-            assert_eq!(snap.chunks_sealed, snap.chunks_completed, "{engine:?}");
-            assert_eq!(
-                snap.backend_writes + snap.chunks_coalesced,
-                snap.chunks_completed,
-                "{engine:?}"
+        });
+        let snap = fs.stats();
+
+        // The read ledger balances and nothing leaks.
+        assert_eq!(
+            snap.prefetch_issued, snap.prefetch_completed,
+            "w{window}: every issued prefetch retired"
+        );
+        assert!(snap.prefetch_wasted <= snap.prefetch_issued, "w{window}");
+        assert_eq!(
+            snap.pool_free_chunks, snap.pool_total_chunks,
+            "w{window}: cached buffers all returned"
+        );
+
+        // Serving accounting: every byte came from a hit, a miss, or
+        // the pass-through path; with the window off there is no
+        // cache traffic at all, with it on the segment counts must
+        // cover the reads.
+        assert_eq!(snap.bytes_read, 3 * total as u64, "w{window}");
+        assert!(snap.reads > 0, "w{window}");
+        if window == 0 {
+            assert_eq!(snap.read_hits + snap.read_misses, 0);
+            assert_eq!(snap.prefetch_issued, 0);
+        } else {
+            assert!(
+                snap.read_hits + snap.read_misses >= snap.reads,
+                "chunk segments at least cover read calls \
+                 ({} + {} vs {})",
+                snap.read_hits,
+                snap.read_misses,
+                snap.reads
             );
-            fs.unmount().expect("unmount");
+            assert!(snap.prefetch_issued > 0, "window never engaged");
         }
+        // The write-side invariants still hold with reads in the mix.
+        assert_eq!(snap.chunks_sealed, snap.chunks_completed);
+        assert_eq!(snap.backend_writes, snap.chunks_completed);
+        fs.unmount().expect("unmount");
     }
 }
 
-/// Transform-stage invariants, for every engine: the byte ledger
+/// Transform-stage invariants: the byte ledger
 /// (`bytes_out == bytes_stored ≤ bytes_logical` on compressible data),
 /// dedup accounting, a clean path with zero integrity failures, and —
 /// with injected read corruption — the shape tying `integrity_failures`
@@ -445,7 +418,7 @@ fn restart_read_stats_invariants_hold() {
 #[test]
 fn transform_stats_invariants_hold() {
     use crfs::core::backend::{Backend, FailureMode, FaultyBackend, MemBackend};
-    use crfs::core::{CodecKind, Crfs, CrfsConfig, CrfsError, EngineKind};
+    use crfs::core::{CodecKind, Crfs, CrfsConfig, CrfsError};
     use std::sync::Arc;
 
     let payload = |len: usize, idx: u64| -> Vec<u8> {
@@ -460,112 +433,93 @@ fn transform_stats_invariants_hold() {
             .collect()
     };
 
-    for engine in [
-        EngineKind::Threaded,
-        EngineKind::Coalescing,
-        EngineKind::Inline,
-        EngineKind::Ring,
-    ] {
-        let be = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
-        let config = CrfsConfig::default()
-            .with_chunk_size(2048)
-            .with_pool_size(64 << 10)
-            .with_io_threads(4)
-            .with_engine(engine)
-            .with_codec(CodecKind::Lz)
-            .with_dedup(true);
-        let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config).expect("mount");
-        // Two epochs, half the chunks identical across them.
-        for epoch in 0..2u64 {
-            let f = fs.create(&format!("/e{epoch}")).expect("create");
-            for idx in 0..16u64 {
-                let p = if idx % 2 == 0 {
-                    payload(2048, idx) // epoch-independent: dedups
-                } else {
-                    payload(2048, idx * 100 + epoch + 1)
-                };
-                f.write(&p).expect("write");
-            }
-            f.close().expect("close");
-            fs.advance_epoch().unwrap();
+    let be = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
+    let config = CrfsConfig::default()
+        .with_chunk_size(2048)
+        .with_pool_size(64 << 10)
+        .with_io_threads(4)
+        .with_codec(CodecKind::Lz)
+        .with_dedup(true);
+    let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config).expect("mount");
+    // Two epochs, half the chunks identical across them.
+    for epoch in 0..2u64 {
+        let f = fs.create(&format!("/e{epoch}")).expect("create");
+        for idx in 0..16u64 {
+            let p = if idx % 2 == 0 {
+                payload(2048, idx) // epoch-independent: dedups
+            } else {
+                payload(2048, idx * 100 + epoch + 1)
+            };
+            f.write(&p).expect("write");
         }
-        let clean = fs.stats();
-        assert_eq!(clean.chunks_sealed, clean.chunks_completed, "{engine:?}");
-        assert_eq!(
-            clean.backend_writes + clean.chunks_coalesced,
-            clean.chunks_completed,
-            "{engine:?}"
-        );
-        assert_eq!(clean.bytes_logical, 2 * 16 * 2048, "{engine:?}");
-        assert_eq!(clean.bytes_out, clean.bytes_stored, "{engine:?}");
-        assert!(
-            clean.bytes_stored <= clean.bytes_logical,
-            "{engine:?}: compressible data must not inflate ({} > {})",
-            clean.bytes_stored,
-            clean.bytes_logical
-        );
-        assert!(
-            clean.dedup_hits >= 8,
-            "{engine:?}: {} hits",
-            clean.dedup_hits
-        );
-        assert_eq!(clean.integrity_failures, 0, "{engine:?}: clean path");
-        assert_eq!(
-            clean.pool_free_chunks, clean.pool_total_chunks,
-            "{engine:?}: all buffers back"
-        );
-
-        // Corruption shape: flip bits on every backend read. The
-        // guarantee is "never wrong bytes": each read either fails
-        // with IntegrityError or returns the exact original data (a
-        // flipped bit can be semantically null — e.g. an LZ match
-        // distance shifting within a byte run — and then the checksum
-        // legitimately passes). The prefetch ledger must still
-        // balance, and every integrity-failed fill counts as wasted.
-        // (Open first: the frame-map scan itself detects corrupt
-        // headers.)
-        let f = fs.open("/e0").expect("open");
-        be.set_mode(FailureMode::CorruptReads(1));
-        let mut buf = vec![0u8; 2048];
-        let mut saw_error = false;
-        for idx in 0..8u64 {
-            match f.read_at(idx * 2048, &mut buf) {
-                Ok(n) => {
-                    let want = if idx % 2 == 0 {
-                        payload(2048, idx)
-                    } else {
-                        payload(2048, idx * 100 + 1)
-                    };
-                    assert_eq!(n, 2048, "{engine:?}");
-                    assert_eq!(buf, want, "{engine:?}: silent corruption at {idx}");
-                }
-                Err(err) => {
-                    assert!(
-                        matches!(err, CrfsError::IntegrityError { .. }),
-                        "{engine:?}: {err:?}"
-                    );
-                    saw_error = true;
-                }
-            }
-        }
-        assert!(saw_error, "{engine:?}: bit flips on every read must trip");
         f.close().expect("close");
-        let snap = fs.stats();
-        assert!(snap.integrity_failures > 0, "{engine:?}");
-        assert_eq!(
-            snap.prefetch_issued, snap.prefetch_completed,
-            "{engine:?}: corrupt fills still retire on the ledger"
-        );
-        assert!(
-            snap.prefetch_wasted >= snap.prefetch_issued.min(1),
-            "{engine:?}: integrity-failed fills count as wasted"
-        );
-        assert_eq!(
-            snap.pool_free_chunks, snap.pool_total_chunks,
-            "{engine:?}: error path leaks no buffers"
-        );
-        fs.unmount().expect("unmount");
+        fs.advance_epoch().unwrap();
     }
+    let clean = fs.stats();
+    assert_eq!(clean.chunks_sealed, clean.chunks_completed);
+    assert_eq!(clean.backend_writes, clean.chunks_completed);
+    assert_eq!(clean.bytes_logical, 2 * 16 * 2048);
+    assert_eq!(clean.bytes_out, clean.bytes_stored);
+    assert!(
+        clean.bytes_stored <= clean.bytes_logical,
+        "compressible data must not inflate ({} > {})",
+        clean.bytes_stored,
+        clean.bytes_logical
+    );
+    assert!(clean.dedup_hits >= 8, "{} hits", clean.dedup_hits);
+    assert_eq!(clean.integrity_failures, 0, "clean path");
+    assert_eq!(
+        clean.pool_free_chunks, clean.pool_total_chunks,
+        "all buffers back"
+    );
+
+    // Corruption shape: flip bits on every backend read. The
+    // guarantee is "never wrong bytes": each read either fails
+    // with IntegrityError or returns the exact original data (a
+    // flipped bit can be semantically null — e.g. an LZ match
+    // distance shifting within a byte run — and then the checksum
+    // legitimately passes). The prefetch ledger must still
+    // balance, and every integrity-failed fill counts as wasted.
+    // (Open first: the frame-map scan itself detects corrupt
+    // headers.)
+    let f = fs.open("/e0").expect("open");
+    be.set_mode(FailureMode::CorruptReads(1));
+    let mut buf = vec![0u8; 2048];
+    let mut saw_error = false;
+    for idx in 0..8u64 {
+        match f.read_at(idx * 2048, &mut buf) {
+            Ok(n) => {
+                let want = if idx % 2 == 0 {
+                    payload(2048, idx)
+                } else {
+                    payload(2048, idx * 100 + 1)
+                };
+                assert_eq!(n, 2048);
+                assert_eq!(buf, want, "silent corruption at {idx}");
+            }
+            Err(err) => {
+                assert!(matches!(err, CrfsError::IntegrityError { .. }), "{err:?}");
+                saw_error = true;
+            }
+        }
+    }
+    assert!(saw_error, "bit flips on every read must trip");
+    f.close().expect("close");
+    let snap = fs.stats();
+    assert!(snap.integrity_failures > 0);
+    assert_eq!(
+        snap.prefetch_issued, snap.prefetch_completed,
+        "corrupt fills still retire on the ledger"
+    );
+    assert!(
+        snap.prefetch_wasted >= snap.prefetch_issued.min(1),
+        "integrity-failed fills count as wasted"
+    );
+    assert_eq!(
+        snap.pool_free_chunks, snap.pool_total_chunks,
+        "error path leaks no buffers"
+    );
+    fs.unmount().expect("unmount");
 }
 
 // ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ FILE is a bench artifact (e.g. BENCH_compress.json) whose top-level
 "headline" object holds the numbers the experiment is gated on. Each
 CHECK is `key OP value` written without spaces, e.g.:
 
-    bench_gate.py BENCH_engine.json 'scaling>1.0' 'verify_ok==true'
+    bench_gate.py BENCH_engine.json 'scaling>=1.5' 'verify_ok==true'
 
 Supported OPs: ==  !=  <=  >=  <  >. Values are parsed as JSON, so
 booleans (`true`), integers, and floats all work. Keys may be dotted
