@@ -1653,19 +1653,29 @@ fn tiered(quick: bool) -> ExpOutput {
         .all(|c| c.restart_tiered_ok && c.restart_durable_ok);
     let wrong_byte_restarts = sweep.crash.iter().filter(|p| p.wrong_bytes).count();
     let lossy_cuts = sweep.crash.iter().filter(|p| p.cut != u64::MAX).count();
+    // Share of the seeking device's bandwidth the whole stack sustains
+    // to durability, worst `disk` cell (ROADMAP item 2b).
+    let drain_efficiency_disk = sweep
+        .cells
+        .iter()
+        .filter(|c| c.drain_profile == "disk")
+        .map(|c| c.total_mibs / c.drain_bw_mibs as f64)
+        .fold(f64::INFINITY, f64::min);
 
     let stages = &sweep.stats.stages;
     let text = format!(
         "Tiered checkpointing sweep (DESIGN.md §9): writes ack from the \
-         fast tier while a background pump drains sealed frames to the \
-         durable tier.\n\n\
+         fast tier while drain workers copy sealed frames to the \
+         durable tier in device order.\n\n\
          Ack latency ({} x 64 KiB write_at, 2 ms-RTT RPC store as the \
          durable tier): direct p50 {:.0} us, tiered p50 {:.0} us — \
          {:.1}x faster ack (gate: >= 2x).\n\n\
          Throughput vs dirty volume x drain bandwidth (4 writers, \
          256 KiB chunks, mem fast tier, throttled durable tier, tight \
          2/8 MiB watermarks; every cell restarts byte-exact through a \
-         fresh tiered stack AND from the durable tier alone):\n\n{t}\n\
+         fresh tiered stack AND from the durable tier alone); the \
+         worst disk cell sustains {:.2} of the device's bandwidth to \
+         durability (gate: >= 0.6):\n\n{t}\n\
          Crash during drain (power cut on the durable tier mid-drain, \
          reboot, `crfs-fsck --fast --repair` re-drains from the \
          authoritative fast copy, restart from the durable tier alone): \
@@ -1677,6 +1687,7 @@ fn tiered(quick: bool) -> ExpOutput {
         sweep.ack_p50_direct_us,
         sweep.ack_p50_tiered_us,
         sweep.ack_speedup,
+        drain_efficiency_disk,
         lossy_cuts,
         wrong_byte_restarts,
         stages.drain_copy.p50 as f64 / 1_000.0,
@@ -1725,6 +1736,7 @@ fn tiered(quick: bool) -> ExpOutput {
             "ack_p50_direct_us": sweep.ack_p50_direct_us,
             "ack_p50_tiered_us": sweep.ack_p50_tiered_us,
             "ack_speedup": sweep.ack_speedup,
+            "drain_efficiency_disk": drain_efficiency_disk,
             "restart_ok": restart_ok,
             "crash_points": lossy_cuts,
             "wrong_byte_restarts": wrong_byte_restarts,

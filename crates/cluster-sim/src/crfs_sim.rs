@@ -20,7 +20,7 @@ use std::time::Duration;
 use crfs_core::chunking::{flush_plan, plan_write, ChunkState, FlushStep, PlanStep};
 use crfs_core::engine::account::ChunkAccounting;
 use crfs_core::CrfsConfig;
-use simkit::sync::{unbounded, Semaphore, Sender, WaitGroup};
+use simkit::sync::{unbounded, Notify, Semaphore, Sender, WaitGroup};
 use simkit::time::{now, sleep, SimTime};
 use storage_model::params::{CrfsCostParams, FuseParams, ReadCostParams};
 
@@ -181,9 +181,11 @@ struct SimDrainOp {
 /// them to the durable tier in the background — so drain bandwidth is
 /// the durable backend's own model, serialized through one stream.
 /// Watermarks mirror the real backpressure: at `watermark_hi` resident
-/// (un-drained) bytes the mount degrades to write-through — both tiers
-/// charged synchronously — and re-arms fast acks once the pump drains
-/// back under `watermark_lo`. Crash injection moves with the durable
+/// (un-drained) bytes the mount degrades to write-through pace — a
+/// write still queues to the pump but acks only once the pump is back
+/// under `watermark_hi`, so writers advance one chunk per pumped copy
+/// — and re-arms fast acks once the pump drains back under
+/// `watermark_lo`. Crash injection moves with the durable
 /// write: in tiered mode the power-cut budget is charged by the pump,
 /// so a cut mid-drain loses *copies* (surfaced by
 /// [`CrfsSim::drain_barrier`]), never the application's ack.
@@ -196,8 +198,10 @@ struct SimTierState {
     watermark_hi: u64,
     /// Fast-tier bytes acked but not yet drained.
     resident: Cell<u64>,
-    /// Degraded mode: writes charge both tiers synchronously.
+    /// Degraded mode: writes ack only once the pump has made room.
     write_through: Cell<bool>,
+    /// Wakes degraded writes after every pumped copy.
+    room: Notify,
     /// Barrier ledger: one `add` per queued drain, one `done` per
     /// pumped copy.
     outstanding: WaitGroup,
@@ -230,6 +234,20 @@ impl SimTierState {
             })
             .await;
         assert!(sent.is_ok(), "tier drain pump alive");
+    }
+
+    /// Holds a degraded write until the pump is back under the high
+    /// watermark; fails it once a drain copy has been lost.
+    async fn wait_for_room(&self) -> io::Result<()> {
+        loop {
+            if self.failed_since_barrier.get() > 0 {
+                return Err(io::Error::other("injected power cut: drain copies lost"));
+            }
+            if self.resident.get() < self.watermark_hi {
+                return Ok(());
+            }
+            self.room.notified().await;
+        }
     }
 }
 
@@ -500,52 +518,52 @@ impl CrfsSim {
                             // acks never consume it.
                             let routed = tier.borrow().clone();
                             let res = match routed {
-                                Some(t) if !t.write_through.get() => {
-                                    // Fast-tier ack: charge only the fast
-                                    // tier's bandwidth; the durable copy
-                                    // (and `bytes_out`) is the pump's.
+                                Some(t) => {
+                                    // Charge only the fast tier's
+                                    // bandwidth; the durable copy (and
+                                    // `bytes_out`) is the pump's.
                                     let t0 = now();
+                                    let degraded = t.write_through.get();
                                     sleep(t.fast_cost(len)).await;
-                                    stats.stages.write_sync.record_dur(now().since(t0));
                                     t.enqueue(backend_fid, offset, len).await;
-                                    Ok(())
-                                }
-                                routed => {
-                                    let res = match crash.plan(len) {
-                                        SimWritePlan::Full => {
-                                            let t0 = now();
-                                            target.write(backend_fid, offset, len).await;
-                                            stats.stages.write_sync.record_dur(now().since(t0));
-                                            stats.bytes_out.set(stats.bytes_out.get() + len);
-                                            Ok(())
-                                        }
-                                        SimWritePlan::Torn { keep } => {
-                                            if keep > 0 {
-                                                target.write(backend_fid, offset, keep).await;
-                                                stats.bytes_out.set(stats.bytes_out.get() + keep);
-                                            }
-                                            stats.torn_bytes.set(stats.torn_bytes.get() + keep);
-                                            stats.failed_chunks.set(stats.failed_chunks.get() + 1);
-                                            Err(io::Error::other("injected power cut: write torn"))
-                                        }
-                                        SimWritePlan::Fail => {
-                                            stats.failed_chunks.set(stats.failed_chunks.get() + 1);
-                                            Err(io::Error::other(
-                                                "injected power cut: backend is dead",
-                                            ))
-                                        }
-                                    };
-                                    if let Some(t) = routed {
-                                        // Write-through: the fast mirror
-                                        // still takes the bytes so reads
-                                        // keep serving from it.
-                                        sleep(t.fast_cost(len)).await;
+                                    let res = if degraded {
+                                        // Degraded: the op queues like
+                                        // any other, and the ack waits
+                                        // for the pump to make room.
                                         stats
                                             .write_through_chunks
                                             .set(stats.write_through_chunks.get() + 1);
-                                    }
+                                        t.wait_for_room().await.inspect_err(|_| {
+                                            stats.failed_chunks.set(stats.failed_chunks.get() + 1);
+                                        })
+                                    } else {
+                                        Ok(())
+                                    };
+                                    stats.stages.write_sync.record_dur(now().since(t0));
                                     res
                                 }
+                                None => match crash.plan(len) {
+                                    SimWritePlan::Full => {
+                                        let t0 = now();
+                                        target.write(backend_fid, offset, len).await;
+                                        stats.stages.write_sync.record_dur(now().since(t0));
+                                        stats.bytes_out.set(stats.bytes_out.get() + len);
+                                        Ok(())
+                                    }
+                                    SimWritePlan::Torn { keep } => {
+                                        if keep > 0 {
+                                            target.write(backend_fid, offset, keep).await;
+                                            stats.bytes_out.set(stats.bytes_out.get() + keep);
+                                        }
+                                        stats.torn_bytes.set(stats.torn_bytes.get() + keep);
+                                        stats.failed_chunks.set(stats.failed_chunks.get() + 1);
+                                        Err(io::Error::other("injected power cut: write torn"))
+                                    }
+                                    SimWritePlan::Fail => {
+                                        stats.failed_chunks.set(stats.failed_chunks.get() + 1);
+                                        Err(io::Error::other("injected power cut: backend is dead"))
+                                    }
+                                },
                             };
                             stats.chunks_completed.set(stats.chunks_completed.get() + 1);
                             acct.borrow_mut().note_completed(res);
@@ -648,6 +666,7 @@ impl CrfsSim {
             watermark_hi,
             resident: Cell::new(0),
             write_through: Cell::new(false),
+            room: Notify::new(),
             outstanding: WaitGroup::new(),
             failed_since_barrier: Cell::new(0),
             tx,
@@ -694,6 +713,7 @@ impl CrfsSim {
                 if resident <= pump.watermark_lo {
                     pump.write_through.set(false);
                 }
+                pump.room.notify_all();
                 pump.outstanding.done();
             }
         });

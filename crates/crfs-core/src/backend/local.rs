@@ -216,6 +216,10 @@ struct LocalFile {
 impl LocalFile {
     /// Extends the physical file to cover `end`, rounded up to the next
     /// extent boundary, so chunk writes land on preallocated blocks.
+    /// Grows only: another handle may have extended the file past this
+    /// handle's target, and a `set_len` down to it would cut that
+    /// handle's bytes off. The `fstat` runs once per extent, not per
+    /// write.
     fn ensure_allocated(&self, end: u64) -> io::Result<()> {
         if self.extent == 0 {
             return Ok(());
@@ -225,8 +229,23 @@ impl LocalFile {
             return Ok(());
         }
         let target = end.div_ceil(self.extent) * self.extent;
-        self.buffered.set_len(target)?;
+        if self.buffered.metadata()?.len() < target {
+            self.buffered.set_len(target)?;
+        }
         grow.allocated = target;
+        Ok(())
+    }
+
+    /// Cuts this handle's preallocated slack off, so the on-disk length
+    /// equals the logical length — but only while the physical length
+    /// is still the one this handle set: a file some other handle has
+    /// resized since is that handle's to trim.
+    fn trim_slack(&self, grow: &mut Grow) -> io::Result<()> {
+        let logical = self.logical.load(Ordering::SeqCst);
+        if grow.allocated != logical && self.buffered.metadata()?.len() == grow.allocated {
+            self.buffered.set_len(logical)?;
+        }
+        grow.allocated = logical;
         Ok(())
     }
 
@@ -302,16 +321,7 @@ impl BackendFile for LocalFile {
     }
 
     fn sync(&self) -> io::Result<()> {
-        // Trim preallocated slack so the on-disk length equals the
-        // logical length, then flush.
-        let logical = self.logical.load(Ordering::SeqCst);
-        {
-            let mut grow = self.grow.lock().unwrap();
-            if grow.allocated != logical {
-                self.buffered.set_len(logical)?;
-                grow.allocated = logical;
-            }
-        }
+        self.trim_slack(&mut self.grow.lock().unwrap())?;
         self.buffered.sync_data()
     }
 
@@ -335,11 +345,8 @@ impl Drop for LocalFile {
     fn drop(&mut self) {
         // Best-effort: never leave preallocated slack behind a closed
         // file (the restart path reads via plain metadata lengths).
-        let logical = self.logical.load(Ordering::SeqCst);
-        if let Ok(grow) = self.grow.lock() {
-            if grow.allocated != logical {
-                let _ = self.buffered.set_len(logical);
-            }
+        if let Ok(mut grow) = self.grow.lock() {
+            let _ = self.trim_slack(&mut grow);
         }
     }
 }
@@ -397,6 +404,33 @@ mod tests {
         drop(f);
         // After sync+close the on-disk size equals the logical size.
         assert_eq!(be.file_len("/p").unwrap(), 4096);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two write handles on one file: neither the late handle's extent
+    /// preallocation nor its slack trim may shrink what the other wrote.
+    #[test]
+    fn second_handle_never_shrinks_what_the_first_wrote() {
+        let dir = scratch_dir("twohandles");
+        let be = LocalFileBackend::new(&dir).unwrap();
+        let a = be.open("/f", OpenOptions::create_truncate()).unwrap();
+        let b = be.open("/f", OpenOptions::read_write()).unwrap();
+        let far = 64u64 << 20;
+        b.write_at(far, &[0xb7; 8192]).unwrap();
+        // A still believes the file is empty: its first extent target
+        // (4 MiB) lies far below what B allocated.
+        a.write_at(0, &[0xa1; 4096]).unwrap();
+        drop(a);
+        let mut buf = vec![0u8; 8192];
+        assert_eq!(b.read_at(far, &mut buf).unwrap(), 8192);
+        assert!(buf.iter().all(|&v| v == 0xb7), "B's bytes survive A");
+        b.sync().unwrap();
+        drop(b);
+        assert_eq!(be.file_len("/f").unwrap(), far + 8192, "B's logical length");
+        let r = be.open("/f", OpenOptions::read_only()).unwrap();
+        let mut head = [0u8; 4096];
+        assert_eq!(r.read_at(0, &mut head).unwrap(), 4096);
+        assert!(head.iter().all(|&v| v == 0xa1), "A's bytes landed too");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,29 +8,39 @@
 //! [`TieredBackend`] composes any two [`Backend`]s into that shape:
 //!
 //! - **Writes** land in the fast tier and ack as soon as it does. Each
-//!   acknowledged range becomes a *drain op* in a FIFO queue.
-//! - **The drain pump** copies queued ranges to the durable tier. It is
-//!   not a thread pool: the pump runs on whatever thread is already
-//!   making progress — the writer that enqueued the op, the durable
-//!   tier's own completion thread (an async-capable durable tier like
-//!   `RpcStore` re-enters the pump from its ack timer), or a caller
-//!   blocked in [`drain_barrier`](Backend::drain_barrier). A CAS guard
-//!   keeps exactly one pumper active; `drain_window` bounds the copies
-//!   in flight. An op re-reads the fast tier at issue time, so
-//!   re-written ranges always drain the newest bytes, and two ops with
-//!   overlapping ranges on one file are never in flight together (the
-//!   only order that could leave the durable tier stale).
+//!   acknowledged range becomes a *drain op* in a queue.
+//! - **The drain workers** (see below) copy queued ranges to the durable
+//!   tier in *device order*: the next op is the one that continues where
+//!   the device last wrote — same file, next offset — for up to
+//!   [`RUN_BYTES`] at a stretch, and the oldest queued op otherwise, so
+//!   a seeking device sees few, long sequential runs however the
+//!   writers interleaved their chunks. An op re-reads the fast tier when
+//!   it is issued, so re-written ranges always drain the newest bytes,
+//!   and two ops with overlapping ranges on one file are never in flight
+//!   together (the only order that could leave the durable tier stale).
+//!   `drain_window` bounds the copies in flight on a durable tier that
+//!   completes asynchronously (`RpcStore`).
+//! - **One durable handle per file.** Every durable write, `set_len` and
+//!   barrier `sync` of a path goes through one cached handle; unlink,
+//!   rename and a truncating open close it first. No durable file ever
+//!   has two live write handles, which `LocalFileBackend` requires of
+//!   concurrent writers (its handles preallocate and trim on their own)
+//!   and which keeps a device's sequentiality detection meaningful.
 //! - **Watermark backpressure**: when undrained resident bytes reach
-//!   `watermark_hi` the backend degrades to write-through — writes go
-//!   to both tiers synchronously and ack at durable-tier speed — until
-//!   the drain catches back down to `watermark_lo`. Full fast tiers
-//!   slow down; they never block indefinitely. A write-through write
-//!   waits out in-flight drain copies overlapping its range before its
-//!   direct durable write, so a backed-up copy of older bytes can
-//!   never land after it.
+//!   `watermark_hi` the backend degrades to write-through pace — a
+//!   write lands in the fast tier, queues its drain op and *waits until
+//!   the drain is back under `watermark_hi`*, so every retired copy
+//!   admits one more write: writers advance at durable-tier speed, in
+//!   step with the device rather than with the fast tier, and resident
+//!   bytes stop growing — until the drain catches back down to
+//!   `watermark_lo`. Full fast tiers slow down; they never block
+//!   indefinitely. The queue stays in device order (a degraded write
+//!   does not jump it), and a degraded write returns an error once a
+//!   drain copy has failed since the last barrier.
 //! - **Durability contract**: acknowledgement means *fast-tier* placement
-//!   only. Data is durable once a [`drain_barrier`](Backend::drain_barrier)
-//!   after it returns `Ok`: the barrier drains the queue, syncs every
+//!   only, in either mode. Data is durable
+//!   once a [`drain_barrier`](Backend::drain_barrier) after it returns
+//!   `Ok`: the barrier waits for the queue to empty, syncs every
 //!   durable file written since the previous barrier, and fails if any
 //!   drain copy failed — which is how a crash mid-drain surfaces. After
 //!   such a crash the fast tier holds the acknowledged prefix; the
@@ -42,21 +52,62 @@
 //!   closed files is dropped at the barrier; a later read miss promotes
 //!   the file back from the durable tier (`tier_promote`).
 //!
+//! # Drain worker
+//!
+//! [`TieredBackend::new`] spawns [`DRAIN_WORKERS`] threads named
+//! `crfs-drain<N>`; dropping the backend lets them land everything
+//! still queued and joins them. The workers are symmetric. Each takes
+//! the next op in device order under the queue lock (with a ticket
+//! numbering the picks), re-reads its bytes from the fast tier with the
+//! lock released, waits for its ticket's turn, issues the durable write,
+//! and passes the turn on. Durable writes therefore reach the device
+//! strictly in pick order, while one worker's fast-tier re-read overlaps
+//! the device time of the other's write.
+//!
+//! Nothing polls; every wait is an untimed condvar wait under the queue
+//! lock, re-checking its condition on wakeup:
+//!
+//! - `work` parks the workers — idle, blocked by the window or by an
+//!   overlapping copy in flight, or waiting for their turn. Woken by
+//!   every enqueue, every retired op, every passed turn, and shutdown.
+//! - `retired` parks everyone waiting for copies to finish: the
+//!   barrier, a degraded writer waiting for room under the watermark, and
+//!   unlink / rename / truncate / `set_len` waiting out copies in
+//!   flight on their path. Woken whenever an op leaves the queue or
+//!   the in-flight set — completed, failed, or purged.
+//!
 //! Observability rides the mount's stats block, attached by
-//! `Crfs::mount` through [`Backend::attach_stats`]: `drain_copy`,
-//! `drain_wait` and `tier_promote` stage histograms, plus `drain_copy` /
-//! `tier_promote` / `write_failed` flight-recorder events.
+//! `Crfs::mount` through [`Backend::attach_stats`]: `drain_copy` (pick
+//! to completion), `drain_wait` and `tier_promote` stage histograms,
+//! plus `drain_copy` / `tier_promote` / `write_failed` flight-recorder
+//! events.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use super::{normalize_path, Backend, BackendFile, CompletionSink, OpenOptions};
 use crate::obs::EventKind;
 use crate::stats::CrfsStats;
+
+/// Drain threads per backend. Two, so that the fast-tier re-read of the
+/// next op (a real disk read when the fast tier is written `O_DIRECT`)
+/// overlaps the device time of the current one; the turn order keeps
+/// the device stream single and sequential regardless.
+const DRAIN_WORKERS: usize = 2;
+
+/// Longest contiguous run the drain follows on one file before it goes
+/// back to the oldest queued op, so a second file waits at most one run
+/// while a disk-class seek stays a few percent of a run's device time.
+const RUN_BYTES: u64 = 16 << 20;
+
+/// Durable handles kept open between barriers before idle ones are
+/// closed, bounding descriptors on stacks that drain many small files.
+const MAX_DURABLE_HANDLES: usize = 64;
 
 /// Tuning knobs for [`TieredBackend`]. See
 /// [`CrfsConfig`](crate::CrfsConfig) for the mount-level builders that
@@ -64,7 +115,7 @@ use crate::stats::CrfsStats;
 #[derive(Debug, Clone, Copy)]
 pub struct TieredParams {
     /// Undrained resident bytes at which writes degrade to synchronous
-    /// write-through (both tiers, durable-speed acks).
+    /// write-through (durable-speed acks).
     pub watermark_hi: u64,
     /// Resident bytes the drain must fall back to before fast-tier
     /// acknowledgement resumes.
@@ -107,7 +158,8 @@ pub struct TierCounters {
     /// Drain ops dropped because their fast-tier source vanished first
     /// (unlink/truncate raced the drain) — not an error.
     pub drain_dropped: u64,
-    /// Writes that took the degraded synchronous write-through path.
+    /// Writes that took the degraded write-through path (acked only
+    /// once the drain was back under the high watermark).
     pub write_through_ops: u64,
     /// Whole-file promotions from the durable tier into the fast tier.
     pub tier_promotes: u64,
@@ -149,8 +201,8 @@ impl TierCounters {
 }
 
 /// One queued fast→durable copy. The payload is *not* captured here:
-/// the pump re-reads the fast tier at issue time, so the newest bytes
-/// for the range always win.
+/// the worker re-reads the fast tier when it issues the op, so the
+/// newest bytes for the range always win.
 struct DrainOp {
     path: String,
     offset: u64,
@@ -180,44 +232,93 @@ pub(crate) fn is_promote_tmp(name: &str) -> bool {
 
 #[derive(Default)]
 struct Queue {
+    /// Oldest first.
     ops: VecDeque<DrainOp>,
     /// Ranges currently copying to the durable tier, per path. An op
     /// overlapping an in-flight range on its own file is never issued —
     /// the one ordering that could complete a stale copy last.
     inflight: HashMap<String, Vec<(u64, u64)>>,
     inflight_total: usize,
+    /// Where the device stands: the file and end offset of the op
+    /// picked last, and the bytes picked since the drain last jumped.
+    head: Option<(String, u64)>,
+    run: u64,
+    /// Tickets number the picks; `turn` is the ticket whose durable
+    /// write may be issued next.
+    next_ticket: u64,
+    turn: u64,
+    /// The backend is being dropped: nothing new is accepted, and the
+    /// workers exit once the queue is empty.
+    closed: bool,
+    /// Test hook: no op is picked while set.
+    #[cfg(test)]
+    held: bool,
 }
 
 impl Queue {
-    fn issuable(&mut self, window: usize) -> Option<DrainOp> {
+    fn issuable(&self, op: &DrainOp) -> bool {
+        self.inflight
+            .get(&op.path)
+            .is_none_or(|rs| !rs.iter().any(|&(o, l)| overlaps(o, l, op.offset, op.len)))
+    }
+
+    /// Takes the next op in device order — the one continuing the
+    /// current run if it is queued and the run is short of
+    /// [`RUN_BYTES`], else the oldest issuable one — and its ticket.
+    fn pick(&mut self, window: usize) -> Option<(DrainOp, u64)> {
+        #[cfg(test)]
+        if self.held {
+            return None;
+        }
         if self.inflight_total >= window {
             return None;
         }
-        let idx = (0..self.ops.len()).find(|&i| {
-            let op = &self.ops[i];
-            self.inflight
-                .get(&op.path)
-                .is_none_or(|rs| !rs.iter().any(|&(o, l)| overlaps(o, l, op.offset, op.len)))
-        })?;
+        let continues = self
+            .head
+            .as_ref()
+            .filter(|_| self.run < RUN_BYTES)
+            .and_then(|(path, end)| {
+                self.ops
+                    .iter()
+                    .position(|op| op.offset == *end && op.path == *path && self.issuable(op))
+            });
+        let idx = match continues {
+            Some(i) => i,
+            None => {
+                self.run = 0;
+                self.ops.iter().position(|op| self.issuable(op))?
+            }
+        };
         let op = self.ops.remove(idx).expect("index in range");
+        self.run += op.len;
+        match &mut self.head {
+            Some((path, end)) if *path == op.path => *end = op.offset + op.len,
+            head => *head = Some((op.path.clone(), op.offset + op.len)),
+        }
         self.inflight
             .entry(op.path.clone())
             .or_default()
             .push((op.offset, op.len));
         self.inflight_total += 1;
-        Some(op)
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        Some((op, ticket))
     }
 
-    fn retire(&mut self, path: &str, offset: u64, len: u64) {
-        if let Some(rs) = self.inflight.get_mut(path) {
-            if let Some(i) = rs.iter().position(|&r| r == (offset, len)) {
+    fn retire(&mut self, op: &DrainOp) {
+        if let Some(rs) = self.inflight.get_mut(&op.path) {
+            if let Some(i) = rs.iter().position(|&r| r == (op.offset, op.len)) {
                 rs.swap_remove(i);
             }
             if rs.is_empty() {
-                self.inflight.remove(path);
+                self.inflight.remove(&op.path);
             }
         }
         self.inflight_total -= 1;
+    }
+
+    fn drained(&self) -> bool {
+        self.ops.is_empty() && self.inflight_total == 0
     }
 
     fn path_in_flight(&self, path: &str) -> bool {
@@ -253,16 +354,20 @@ struct Shared {
     durable: Arc<dyn Backend>,
     params: TieredParams,
     queue: Mutex<Queue>,
-    cv: Condvar,
+    /// Parks the drain workers; see the module docs for who wakes whom.
+    work: Condvar,
+    /// Parks everyone waiting for copies to finish.
+    retired: Condvar,
     /// Bytes acknowledged fast but not yet copied to the durable tier.
     resident: AtomicU64,
     /// Degraded mode: the fast tier is over `watermark_hi`.
     write_through: AtomicBool,
-    /// Single-pumper CAS guard.
-    pumping: AtomicBool,
     /// Drain copies that failed since the last barrier; a non-zero
     /// count fails the barrier instead of claiming durability.
     failed_since_barrier: AtomicU64,
+    /// The one live write handle of each durable file touched lately.
+    /// Taken after the queue lock where both are held, never before.
+    durable_files: Mutex<HashMap<String, Arc<dyn BackendFile>>>,
     /// Durable paths written since the last barrier's sync sweep.
     dirty: Mutex<BTreeSet<String>>,
     /// Open write handles per path — eviction skips files still open.
@@ -281,45 +386,50 @@ impl Shared {
         self.stats().and_then(|s| s.stages.timer())
     }
 
-    fn enqueue(self: &Arc<Self>, path: &str, offset: u64, len: usize) {
+    /// Queues the copy of an acknowledged range. Fails only once the
+    /// backend is shut down: the bytes reached the fast tier, but no
+    /// worker is left to carry them further.
+    fn enqueue(&self, path: &str, offset: u64, len: usize) -> io::Result<()> {
+        let mut q = self.queue.lock();
+        if q.closed {
+            return Err(io::Error::other(
+                "tiered backend is shut down: the write reached the fast tier only",
+            ));
+        }
         let now = self.resident.fetch_add(len as u64, Relaxed) + len as u64;
         if now >= self.params.watermark_hi {
             self.write_through.store(true, Relaxed);
         }
-        self.queue.lock().ops.push_back(DrainOp {
+        q.ops.push_back(DrainOp {
             path: path.to_string(),
             offset,
             len: len as u64,
         });
-        self.pump();
+        self.work.notify_all();
+        Ok(())
     }
 
-    /// Issues queued drain ops until the window is full or the queue is
-    /// empty. Exactly one thread pumps at a time; everyone else returns
-    /// immediately, and the post-release re-check closes the window
-    /// where an op is enqueued between "queue empty" and the flag store.
-    fn pump(self: &Arc<Self>) {
+    /// Takes `bytes` off the resident count (drained, or no longer
+    /// owed) and re-arms fast acks at `watermark_lo`.
+    fn release(&self, bytes: u64) {
+        let now = self.resident.fetch_sub(bytes, Relaxed) - bytes;
+        if now <= self.params.watermark_lo && self.write_through.load(Relaxed) {
+            self.write_through.store(false, Relaxed);
+        }
+    }
+
+    /// Body of a `crfs-drain<N>` thread.
+    fn drain_loop(self: &Arc<Self>) {
+        let mut q = self.queue.lock();
         loop {
-            if self.pumping.swap(true, Relaxed) {
+            if let Some((op, ticket)) = q.pick(self.params.drain_window) {
+                drop(q);
+                self.copy(op, ticket);
+                q = self.queue.lock();
+            } else if q.closed && q.ops.is_empty() {
                 return;
-            }
-            loop {
-                let op = {
-                    let mut q = self.queue.lock();
-                    match q.issuable(self.params.drain_window) {
-                        Some(op) => op,
-                        None => break,
-                    }
-                };
-                self.issue(op);
-            }
-            self.pumping.store(false, Relaxed);
-            let again = {
-                let q = self.queue.lock();
-                q.inflight_total < self.params.drain_window && !q.ops.is_empty()
-            };
-            if !again {
-                return;
+            } else {
+                self.work.wait(&mut q);
             }
         }
     }
@@ -349,95 +459,104 @@ impl Shared {
         Ok(Some(buf))
     }
 
-    fn open_durable(&self, path: &str) -> io::Result<Box<dyn BackendFile>> {
-        self.durable.open(
-            path,
-            OpenOptions {
-                read: true,
-                write: true,
-                create: true,
-                truncate: false,
-            },
-        )
+    /// The one write handle of durable `path`, opened (and with
+    /// `create`, created) on first use.
+    fn durable_file(&self, path: &str, create: bool) -> io::Result<Arc<dyn BackendFile>> {
+        let mut files = self.durable_files.lock();
+        if let Some(f) = files.get(path) {
+            return Ok(Arc::clone(f));
+        }
+        if files.len() >= MAX_DURABLE_HANDLES {
+            close_idle(&mut files);
+        }
+        let opts = OpenOptions {
+            create,
+            ..OpenOptions::read_write()
+        };
+        let f: Arc<dyn BackendFile> = Arc::from(self.durable.open(path, opts)?);
+        files.insert(path.to_string(), Arc::clone(&f));
+        Ok(f)
     }
 
-    fn issue(self: &Arc<Self>, op: DrainOp) {
+    /// Closes the cached handle of durable `path` ahead of an unlink,
+    /// rename or truncating open. The caller has waited out the copies
+    /// in flight on the path, so nothing else holds the handle.
+    fn forget_durable(&self, path: &str) {
+        self.durable_files.lock().remove(path);
+    }
+
+    /// One drain copy, on a worker thread: re-read (overlapping the
+    /// device time of the previous pick), then — in ticket order — the
+    /// durable write.
+    fn copy(self: &Arc<Self>, op: DrainOp, ticket: u64) {
         let t0 = self.stage_timer();
-        let data = match self.read_fast(&op) {
-            Ok(Some(data)) => data,
-            Ok(None) => {
-                self.complete_op(&op.path, op.offset, op.len, t0, Outcome::Dropped);
-                return;
+        let op = Arc::new(op);
+        let source = self.read_fast(&op).and_then(|data| match data {
+            Some(data) => Ok(Some((data, self.durable_file(&op.path, true)?))),
+            None => Ok(None),
+        });
+        // Writes enter the durable tier in ticket order. The turn moves
+        // on as soon as this one is about to be issued, not when it
+        // returns: a blocking durable tier then always has the next
+        // write queued behind the current one, and an asynchronous one
+        // takes submissions back to back.
+        {
+            let mut q = self.queue.lock();
+            while q.turn != ticket {
+                self.work.wait(&mut q);
             }
-            Err(_) => {
-                self.complete_op(&op.path, op.offset, op.len, t0, Outcome::Failed);
-                return;
-            }
+            q.turn += 1;
+            self.work.notify_all();
+        }
+        // `None`: the durable tier took the write asynchronously and
+        // its completion retires the op.
+        let ended = match source {
+            Ok(Some((data, file))) => self.write_durable(&op, t0, &data, file),
+            Ok(None) => Some(Outcome::Dropped),
+            Err(_) => Some(Outcome::Failed),
         };
-        let dfile = match self.open_durable(&op.path) {
-            Ok(f) => f,
-            Err(_) => {
-                self.complete_op(&op.path, op.offset, op.len, t0, Outcome::Failed);
-                return;
-            }
-        };
+        if let Some(outcome) = ended {
+            self.complete_op(&op, t0, outcome);
+        }
+    }
+
+    /// Issues the durable write of one op; `None` when a [`DrainSink`]
+    /// completes it later.
+    fn write_durable(
+        self: &Arc<Self>,
+        op: &Arc<DrainOp>,
+        t0: Option<Instant>,
+        data: &[u8],
+        file: Arc<dyn BackendFile>,
+    ) -> Option<Outcome> {
         self.dirty.lock().insert(op.path.clone());
         let token = self.next_token.fetch_add(1, Relaxed);
-        let sink = Arc::new(DrainSink {
+        let sink: Arc<dyn CompletionSink> = Arc::new(DrainSink {
             shared: Arc::clone(self),
-            path: op.path.clone(),
-            offset: op.offset,
-            len: op.len,
+            op: Arc::clone(op),
             t0,
-            file: Mutex::new(None),
+            _file: Arc::clone(&file),
         });
-        let dyn_sink: Arc<dyn CompletionSink> = Arc::clone(&sink) as Arc<dyn CompletionSink>;
-        match dfile.begin_write_at(token, op.offset, &data, &dyn_sink) {
-            Ok(true) => {
-                // Keep the durable handle alive until the completion has
-                // fired; the sink (and with it the handle) is released
-                // when the durable tier drops its reference.
-                *sink.file.lock() = Some(dfile);
-            }
-            Ok(false) => {
-                let res = dfile.write_at(op.offset, &data);
-                let outcome = if res.is_ok() {
-                    Outcome::Copied
-                } else {
-                    Outcome::Failed
-                };
-                self.complete_op(&op.path, op.offset, op.len, t0, outcome);
-            }
-            Err(_) => self.complete_op(&op.path, op.offset, op.len, t0, Outcome::Failed),
+        match file.begin_write_at(token, op.offset, data, &sink) {
+            Ok(true) => None,
+            Ok(false) if file.write_at(op.offset, data).is_ok() => Some(Outcome::Copied),
+            Ok(false) | Err(_) => Some(Outcome::Failed),
         }
     }
 
-    /// Retires one drain op (any outcome), updates watermark state, and
-    /// keeps the pump moving — on an async durable tier this runs on
-    /// its completion thread, which is what makes the drain
-    /// self-sustaining without a private thread pool.
-    fn complete_op(
-        self: &Arc<Self>,
-        path: &str,
-        offset: u64,
-        len: u64,
-        t0: Option<Instant>,
-        outcome: Outcome,
-    ) {
-        let now = self.resident.fetch_sub(len, Relaxed) - len;
-        if now <= self.params.watermark_lo && self.write_through.load(Relaxed) {
-            self.write_through.store(false, Relaxed);
-        }
+    /// Retires one drain op (any outcome) and updates watermark state.
+    /// On an async durable tier this runs on its completion thread.
+    fn complete_op(&self, op: &DrainOp, t0: Option<Instant>, outcome: Outcome) {
         match outcome {
             Outcome::Copied => {
                 self.c.drain_ops.fetch_add(1, Relaxed);
-                self.c.drain_bytes.fetch_add(len, Relaxed);
+                self.c.drain_bytes.fetch_add(op.len, Relaxed);
                 if let Some(s) = self.stats() {
                     if let Some(t0) = t0 {
                         s.stages.drain_copy.record_dur(t0.elapsed());
                     }
                     s.flight
-                        .record(EventKind::DrainCopy, Some(path), offset, len);
+                        .record(EventKind::DrainCopy, Some(&op.path), op.offset, op.len);
                 }
             }
             Outcome::Dropped => {
@@ -448,44 +567,55 @@ impl Shared {
                 self.failed_since_barrier.fetch_add(1, Relaxed);
                 if let Some(s) = self.stats() {
                     s.flight
-                        .record(EventKind::WriteFailed, Some(path), offset, len);
+                        .record(EventKind::WriteFailed, Some(&op.path), op.offset, op.len);
                 }
             }
         }
-        {
-            let mut q = self.queue.lock();
-            q.retire(path, offset, len);
-            self.cv.notify_all();
-        }
-        self.pump();
+        let mut q = self.queue.lock();
+        q.retire(op);
+        self.release(op.len);
+        self.retired.notify_all();
+        self.work.notify_all();
     }
 
-    /// Drains the queue to empty, syncs every durable file written
+    /// Blocks a degraded writer until the drain is back under the high
+    /// watermark — every retired copy admits one more write, so writers
+    /// advance at the device's pace — and fails it once a copy has been
+    /// lost: nothing it waits for can make its checkpoint durable.
+    fn wait_for_room(&self) -> io::Result<()> {
+        let mut q = self.queue.lock();
+        loop {
+            if self.failed_since_barrier.load(Relaxed) > 0 {
+                return Err(io::Error::other(
+                    "tiered write-through: drain copies are failing to reach the durable tier",
+                ));
+            }
+            if self.resident.load(Relaxed) < self.params.watermark_hi {
+                return Ok(());
+            }
+            self.retired.wait(&mut q);
+        }
+    }
+
+    /// Waits for the queue to empty, syncs every durable file written
     /// since the last barrier, and reports any drain failure instead of
-    /// claiming durability. The wait is timeout-looped: a pending async
-    /// ack always lands, so the barrier always terminates.
-    fn barrier(self: &Arc<Self>) -> io::Result<()> {
+    /// claiming durability.
+    fn barrier(&self) -> io::Result<()> {
         self.c.barrier_waits.fetch_add(1, Relaxed);
         let t0 = self.stage_timer();
-        loop {
-            self.pump();
+        {
             let mut q = self.queue.lock();
-            if q.ops.is_empty() && q.inflight_total == 0 {
-                break;
+            while !q.drained() {
+                self.retired.wait(&mut q);
             }
-            self.cv.wait_for(&mut q, Duration::from_millis(20));
         }
         let dirty: Vec<String> = std::mem::take(&mut *self.dirty.lock())
             .into_iter()
             .collect();
         let mut first_err: Option<io::Error> = None;
         for path in &dirty {
-            match self.durable.open(path, OpenOptions::read_write()) {
-                Ok(f) => {
-                    if let Err(e) = f.sync() {
-                        first_err.get_or_insert(e);
-                    }
-                }
+            match self.durable_file(path, false).and_then(|f| f.sync()) {
+                Ok(()) => {}
                 // Unlinked or renamed since it was drained: nothing left
                 // to make durable under this name.
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -494,6 +624,9 @@ impl Shared {
                 }
             }
         }
+        // Everything synced: a handle nobody is writing through has
+        // done its job.
+        close_idle(&mut self.durable_files.lock());
         // A lost drain copy is the root-cause diagnosis; sync errors on
         // a dead durable tier are its symptoms, so check it first.
         let lost = self.failed_since_barrier.swap(0, Relaxed);
@@ -536,66 +669,19 @@ impl Shared {
         }
     }
 
-    /// Removes every queued op for `path` and waits out its in-flight
-    /// copies — called before unlink/truncate/rename so a late copy
-    /// cannot resurrect or corrupt the durable file.
-    fn flush_path(self: &Arc<Self>, path: &str) {
-        let mut purged = 0u64;
-        let mut purged_ops = 0u64;
-        let mut q = self.queue.lock();
-        q.ops.retain(|op| {
-            if op.path == path {
-                purged += op.len;
-                purged_ops += 1;
-                false
-            } else {
-                true
-            }
-        });
-        while q.path_in_flight(path) {
-            self.cv.wait_for(&mut q, Duration::from_millis(20));
-        }
-        drop(q);
-        if purged > 0 {
-            let now = self.resident.fetch_sub(purged, Relaxed) - purged;
-            self.c.drain_dropped.fetch_add(purged_ops, Relaxed);
-            if now <= self.params.watermark_lo && self.write_through.load(Relaxed) {
-                self.write_through.store(false, Relaxed);
-            }
-            self.cv.notify_all();
+    /// Waits until no copy is in flight on any of `paths`.
+    fn wait_out(&self, q: &mut MutexGuard<'_, Queue>, paths: &[&str]) {
+        while paths.iter().any(|p| q.path_in_flight(p)) {
+            self.retired.wait(q);
         }
     }
 
-    /// Waits out in-flight drain copies overlapping `[offset,
-    /// offset+len)` on `path`. The write-through path calls this after
-    /// its fast write and before its direct durable write: an in-flight
-    /// copy read its bytes *before* this write and could otherwise land
-    /// on the durable tier after the newer direct write, leaving it
-    /// stale past a successful barrier. Queued-but-unissued ops are
-    /// safe — they re-read the fast tier (which already holds the new
-    /// bytes) at issue time.
-    fn wait_range(self: &Arc<Self>, path: &str, offset: u64, len: u64) {
-        let mut q = self.queue.lock();
-        while q
-            .inflight
-            .get(path)
-            .is_some_and(|rs| rs.iter().any(|&(o, l)| overlaps(o, l, offset, len)))
-        {
-            self.cv.wait_for(&mut q, Duration::from_millis(20));
-        }
-    }
-
-    /// Prepares the drain queue for a resize of `path` to `new_len`:
-    /// waits out in-flight copies (a late completion could extend the
-    /// durable file past the new length), then *clamps* queued ops to
-    /// `[0, new_len)` instead of purging them — acknowledged bytes that
-    /// survive the resize still have to reach the durable tier, or the
-    /// next barrier would claim durability for data it dropped.
-    fn truncate_path(self: &Arc<Self>, path: &str, new_len: u64) {
-        let mut q = self.queue.lock();
-        while q.path_in_flight(path) {
-            self.cv.wait_for(&mut q, Duration::from_millis(20));
-        }
+    /// Drops from the queue the part of `path`'s ops at or past
+    /// `new_len` (all of them for `new_len == 0`), clamping an op that
+    /// straddles it: acknowledged bytes below `new_len` still have to
+    /// reach the durable tier, or the next barrier would claim
+    /// durability for data it dropped.
+    fn cut_queued(&self, q: &mut Queue, path: &str, new_len: u64) {
         let mut cut = 0u64;
         let mut dropped_ops = 0u64;
         q.ops.retain_mut(|op| {
@@ -613,15 +699,30 @@ impl Shared {
             }
             true
         });
-        drop(q);
         if cut > 0 {
-            let now = self.resident.fetch_sub(cut, Relaxed) - cut;
             self.c.drain_dropped.fetch_add(dropped_ops, Relaxed);
-            if now <= self.params.watermark_lo && self.write_through.load(Relaxed) {
-                self.write_through.store(false, Relaxed);
-            }
-            self.cv.notify_all();
+            self.release(cut);
+            self.retired.notify_all();
         }
+    }
+
+    /// Removes every queued op for `path` and waits out its in-flight
+    /// copies — called before unlink and a truncating open so a late
+    /// copy cannot resurrect or corrupt the durable file.
+    fn flush_path(&self, path: &str) {
+        let mut q = self.queue.lock();
+        self.cut_queued(&mut q, path, 0);
+        self.wait_out(&mut q, &[path]);
+    }
+
+    /// Prepares the drain queue for a resize of `path` to `new_len`:
+    /// waits out in-flight copies (a late completion could extend the
+    /// durable file past the new length), then cuts the queued ops
+    /// down to `[0, new_len)`.
+    fn truncate_path(&self, path: &str, new_len: u64) {
+        let mut q = self.queue.lock();
+        self.wait_out(&mut q, &[path]);
+        self.cut_queued(&mut q, path, new_len);
     }
 
     fn register_writer(&self, path: &str) {
@@ -639,16 +740,20 @@ impl Shared {
     }
 }
 
+/// Closes every cached durable handle no copy is using right now.
+fn close_idle(files: &mut HashMap<String, Arc<dyn BackendFile>>) {
+    files.retain(|_, f| Arc::strong_count(f) > 1);
+}
+
 /// Internal completion sink for one drain copy issued on the durable
 /// tier's asynchronous path.
 struct DrainSink {
     shared: Arc<Shared>,
-    path: String,
-    offset: u64,
-    len: u64,
+    op: Arc<DrainOp>,
     t0: Option<Instant>,
-    /// Keeps the durable file handle alive until the ack fires.
-    file: Mutex<Option<Box<dyn BackendFile>>>,
+    /// Keeps the durable handle in use (see [`close_idle`]) and alive
+    /// until the ack fires.
+    _file: Arc<dyn BackendFile>,
 }
 
 impl CompletionSink for DrainSink {
@@ -658,8 +763,7 @@ impl CompletionSink for DrainSink {
         } else {
             Outcome::Failed
         };
-        self.shared
-            .complete_op(&self.path, self.offset, self.len, self.t0, outcome);
+        self.shared.complete_op(&self.op, self.t0, outcome);
     }
 }
 
@@ -676,9 +780,7 @@ struct TierWriteSink {
 
 impl CompletionSink for TierWriteSink {
     fn complete(&self, token: u64, result: io::Result<()>) {
-        if result.is_ok() {
-            self.shared.enqueue(&self.path, self.offset, self.len);
-        }
+        let result = result.and_then(|()| self.shared.enqueue(&self.path, self.offset, self.len));
         self.inner.complete(token, result);
     }
 }
@@ -687,10 +789,12 @@ impl CompletionSink for TierWriteSink {
 /// durable tier. See the module docs for the contract.
 pub struct TieredBackend {
     shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl TieredBackend {
-    /// Stacks `fast` over `durable` with the given knobs.
+    /// Stacks `fast` over `durable` with the given knobs and starts the
+    /// drain workers.
     pub fn new(
         fast: Arc<dyn Backend>,
         durable: Arc<dyn Backend>,
@@ -701,24 +805,33 @@ impl TieredBackend {
             "watermark_lo must not exceed watermark_hi"
         );
         assert!(params.drain_window >= 1, "drain_window must be >= 1");
-        TieredBackend {
-            shared: Arc::new(Shared {
-                fast,
-                durable,
-                params,
-                queue: Mutex::new(Queue::default()),
-                cv: Condvar::new(),
-                resident: AtomicU64::new(0),
-                write_through: AtomicBool::new(false),
-                pumping: AtomicBool::new(false),
-                failed_since_barrier: AtomicU64::new(0),
-                dirty: Mutex::new(BTreeSet::new()),
-                writers: Mutex::new(HashMap::new()),
-                next_token: AtomicU64::new(1),
-                stats: Mutex::new(None),
-                c: Counters::default(),
-            }),
-        }
+        let shared = Arc::new(Shared {
+            fast,
+            durable,
+            params,
+            queue: Mutex::new(Queue::default()),
+            work: Condvar::new(),
+            retired: Condvar::new(),
+            resident: AtomicU64::new(0),
+            write_through: AtomicBool::new(false),
+            failed_since_barrier: AtomicU64::new(0),
+            durable_files: Mutex::new(HashMap::new()),
+            dirty: Mutex::new(BTreeSet::new()),
+            writers: Mutex::new(HashMap::new()),
+            next_token: AtomicU64::new(1),
+            stats: Mutex::new(None),
+            c: Counters::default(),
+        });
+        let workers = (0..DRAIN_WORKERS)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("crfs-drain{i}"))
+                    .spawn(move || shared.drain_loop())
+                    .expect("the OS refused a drain worker thread")
+            })
+            .collect();
+        TieredBackend { shared, workers }
     }
 
     /// Stacks `fast` over `durable` with the mount config's tier knobs
@@ -835,18 +948,21 @@ impl Backend for TieredBackend {
     fn open(&self, path: &str, opts: OpenOptions) -> io::Result<Box<dyn BackendFile>> {
         let path = normalize_path(path)?;
         if opts.write {
-            if opts.truncate && self.shared.durable.exists(&path) {
-                // Truncation must not race in-flight drains of the old
-                // bytes, and the stale durable copy must shrink with the
-                // fast one — a durable-only restart may not see bytes
-                // the fast tier no longer has.
+            if opts.truncate {
+                // Truncation must not race queued or in-flight drains
+                // of the old bytes, and the stale durable copy must
+                // shrink with the fast one — a durable-only restart may
+                // not see bytes the fast tier no longer has.
                 self.shared.flush_path(&path);
-                let f = self
-                    .shared
-                    .durable
-                    .open(&path, OpenOptions::create_truncate())?;
-                drop(f);
-                self.shared.dirty.lock().insert(path.clone());
+                if self.shared.durable.exists(&path) {
+                    self.shared.forget_durable(&path);
+                    drop(
+                        self.shared
+                            .durable
+                            .open(&path, OpenOptions::create_truncate())?,
+                    );
+                    self.shared.dirty.lock().insert(path.clone());
+                }
             } else if !self.shared.fast.exists(&path) && self.shared.durable.exists(&path) {
                 // The fast copy was evicted (or lost) but the file
                 // exists durable: a non-truncating write open must see
@@ -857,45 +973,21 @@ impl Backend for TieredBackend {
             }
             let fast = self.shared.fast.open(&path, opts)?;
             self.shared.register_writer(&path);
-            return Ok(Box::new(TieredFile {
-                path,
-                shared: Arc::clone(&self.shared),
-                fast: Some(fast),
-                durable: Mutex::new(None),
-                writer: true,
-            }));
+            return Ok(self.file(path, fast, true, true));
         }
         // Read-only: serve the fast tier when it has the file (it is a
         // superset of the durable tier for any file it holds), fall back
         // to the durable tier — optionally promoting the file back into
         // fast first.
         match self.shared.fast.open(&path, opts) {
-            Ok(fast) => Ok(Box::new(TieredFile {
-                path,
-                shared: Arc::clone(&self.shared),
-                fast: Some(fast),
-                durable: Mutex::new(None),
-                writer: false,
-            })),
+            Ok(fast) => Ok(self.file(path, fast, true, false)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 if self.shared.params.promote_reads && self.promote(&path).is_ok() {
                     let fast = self.shared.fast.open(&path, opts)?;
-                    return Ok(Box::new(TieredFile {
-                        path,
-                        shared: Arc::clone(&self.shared),
-                        fast: Some(fast),
-                        durable: Mutex::new(None),
-                        writer: false,
-                    }));
+                    return Ok(self.file(path, fast, true, false));
                 }
                 let durable = self.shared.durable.open(&path, opts)?;
-                Ok(Box::new(TieredFile {
-                    path,
-                    shared: Arc::clone(&self.shared),
-                    fast: None,
-                    durable: Mutex::new(Some(durable)),
-                    writer: false,
-                }))
+                Ok(self.file(path, durable, false, false))
             }
             Err(e) => Err(e),
         }
@@ -923,6 +1015,7 @@ impl Backend for TieredBackend {
     fn unlink(&self, path: &str) -> io::Result<()> {
         let path = normalize_path(path)?;
         self.shared.flush_path(&path);
+        self.shared.forget_durable(&path);
         self.shared.dirty.lock().remove(&path);
         let fast = self.shared.fast.unlink(&path);
         let durable = self.shared.durable.unlink(&path);
@@ -940,24 +1033,19 @@ impl Backend for TieredBackend {
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
         let from = normalize_path(from)?;
         let to = normalize_path(to)?;
-        {
-            // Redirect queued drains to the new name and wait out
-            // in-flight copies, so a late completion cannot land under
-            // the old one. Re-run the redirect each wakeup: an op could
-            // be requeued while we waited.
-            let mut q = self.queue_guard();
-            loop {
-                for op in q.ops.iter_mut() {
-                    if op.path == from {
-                        op.path = to.clone();
-                    }
-                }
-                if !q.path_in_flight(&from) {
-                    break;
-                }
-                self.shared.cv.wait_for(&mut q, Duration::from_millis(20));
+        // Wait out copies in flight under either name, redirect queued
+        // drains to the new one, and rename both tiers before any op
+        // can be picked again: the queue lock is held throughout, so no
+        // copy lands under a name that is about to move or be replaced.
+        let mut q = self.shared.queue.lock();
+        self.shared.wait_out(&mut q, &[&from, &to]);
+        for op in q.ops.iter_mut() {
+            if op.path == from {
+                op.path = to.clone();
             }
         }
+        self.shared.forget_durable(&from);
+        self.shared.forget_durable(&to);
         {
             let mut d = self.shared.dirty.lock();
             if d.remove(&from) {
@@ -971,6 +1059,14 @@ impl Backend for TieredBackend {
         let durable_had = self.shared.durable.exists(&from);
         if durable_had {
             self.shared.durable.rename(&from, &to)?;
+        } else if fast_had {
+            // Nothing of `from` has drained yet, so its redirected ops
+            // will build the durable `to` from nothing; an older
+            // durable `to` must not keep a tail past the new length.
+            match self.shared.durable.unlink(&to) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
         }
         if !fast_had && !durable_had {
             return Err(io::Error::new(
@@ -1028,65 +1124,83 @@ impl Backend for TieredBackend {
 }
 
 impl TieredBackend {
-    fn queue_guard(&self) -> parking_lot::MutexGuard<'_, Queue> {
-        self.shared.queue.lock()
+    fn file(
+        &self,
+        path: String,
+        file: Box<dyn BackendFile>,
+        on_fast: bool,
+        writer: bool,
+    ) -> Box<dyn BackendFile> {
+        Box::new(TieredFile {
+            path,
+            shared: Arc::clone(&self.shared),
+            file,
+            on_fast,
+            writer,
+        })
     }
 }
 
-/// An open file on the tiered stack. Write handles always carry a fast
-/// handle; read handles carry whichever tier served the open.
+impl Drop for TieredBackend {
+    /// Lands every queued op, then retires the drain workers. Files
+    /// that outlive the backend fail their writes instead of queueing
+    /// for a drain that no longer runs.
+    fn drop(&mut self) {
+        {
+            let mut q = self.shared.queue.lock();
+            q.closed = true;
+            self.shared.work.notify_all();
+        }
+        for worker in self.workers.drain(..) {
+            // A worker that panicked has already reported itself.
+            let _ = worker.join();
+        }
+        let mut q = self.shared.queue.lock();
+        while q.inflight_total > 0 {
+            self.shared.retired.wait(&mut q);
+        }
+    }
+}
+
+/// An open file on the tiered stack: the fast-tier handle (every write
+/// handle is one), or the durable-tier handle of a read-only open the
+/// fast tier could not serve.
 struct TieredFile {
     path: String,
     shared: Arc<Shared>,
-    fast: Option<Box<dyn BackendFile>>,
-    /// Lazily-opened durable handle for the write-through path.
-    durable: Mutex<Option<Box<dyn BackendFile>>>,
+    file: Box<dyn BackendFile>,
+    on_fast: bool,
     writer: bool,
 }
 
 impl TieredFile {
     fn fast_handle(&self) -> io::Result<&dyn BackendFile> {
-        self.fast.as_deref().ok_or_else(|| {
-            io::Error::new(
+        if self.on_fast {
+            Ok(&*self.file)
+        } else {
+            Err(io::Error::new(
                 io::ErrorKind::PermissionDenied,
                 "tiered file handle is durable-tier read-only",
-            )
-        })
-    }
-
-    fn with_durable<R>(&self, f: impl FnOnce(&dyn BackendFile) -> io::Result<R>) -> io::Result<R> {
-        let mut guard = self.durable.lock();
-        if guard.is_none() {
-            *guard = Some(self.shared.open_durable(&self.path)?);
+            ))
         }
-        f(guard.as_deref().expect("just opened"))
     }
 }
 
 impl BackendFile for TieredFile {
     fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
         let fast = self.fast_handle()?;
-        if self.shared.write_through.load(Relaxed) {
-            // Degraded: the drain is behind the high watermark. Write
-            // both tiers synchronously — the fast mirror stays complete
-            // for readers, and the ack waits for durable placement, so
-            // resident bytes stop growing. Drains are by definition
-            // backed up here, so an earlier op overlapping this range
-            // may be mid-copy with older bytes: wait it out after the
-            // fast write, or it could land on the durable tier *after*
-            // the direct write below and leave it stale.
-            self.shared.c.write_through_ops.fetch_add(1, Relaxed);
-            fast.write_at(offset, data)?;
-            self.shared
-                .wait_range(&self.path, offset, data.len() as u64);
-            self.with_durable(|d| d.write_at(offset, data))?;
-            self.shared.dirty.lock().insert(self.path.clone());
-            Ok(())
-        } else {
-            fast.write_at(offset, data)?;
-            self.shared.enqueue(&self.path, offset, data.len());
-            Ok(())
+        let degraded = self.shared.write_through.load(Relaxed);
+        fast.write_at(offset, data)?;
+        self.shared.enqueue(&self.path, offset, data.len())?;
+        if !degraded {
+            return Ok(());
         }
+        // Degraded: the drain is behind the high watermark. The fast
+        // mirror took the bytes (readers serve from it, and the drain
+        // re-reads them), but the ack waits until the drain has made
+        // room for them, so resident bytes stop growing.
+        self.shared.c.write_through_ops.fetch_add(1, Relaxed);
+        self.shared.wait_for_room()
     }
 
     fn begin_write_at(
@@ -1103,7 +1217,7 @@ impl BackendFile for TieredFile {
         let fast = self.fast_handle()?;
         // Forward the fast tier's async capability; the drain op is
         // enqueued only once the fast tier confirms the bytes landed
-        // (the pump re-reads them).
+        // (the drain re-reads them).
         let wrap: Arc<dyn CompletionSink> = Arc::new(TierWriteSink {
             shared: Arc::clone(&self.shared),
             path: self.path.clone(),
@@ -1115,29 +1229,17 @@ impl BackendFile for TieredFile {
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        match &self.fast {
-            Some(f) => f.read_at(offset, buf),
-            None => self.with_durable(|d| d.read_at(offset, buf)),
-        }
+        self.file.read_at(offset, buf)
     }
 
     fn sync(&self) -> io::Result<()> {
-        // Syncs the tiers this handle touched. Durable-tier durability
-        // for drained writes is the barrier's job, not per-file sync.
-        if let Some(f) = &self.fast {
-            f.sync()?;
-        }
-        if let Some(d) = self.durable.lock().as_deref() {
-            d.sync()?;
-        }
-        Ok(())
+        // Syncs the tier this handle is on. Durable-tier durability for
+        // drained writes is the barrier's job, not per-file sync.
+        self.file.sync()
     }
 
     fn len(&self) -> io::Result<u64> {
-        match &self.fast {
-            Some(f) => f.len(),
-            None => self.with_durable(|d| d.len()),
-        }
+        self.file.len()
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
@@ -1152,7 +1254,7 @@ impl BackendFile for TieredFile {
         // if no drain has reached it yet): a grown file's zero tail is
         // never written, so only set_len can make the durable length
         // match what a durable-only restart expects.
-        self.with_durable(|d| d.set_len(len))?;
+        self.shared.durable_file(&self.path, true)?.set_len(len)?;
         self.shared.dirty.lock().insert(self.path.clone());
         Ok(())
     }
@@ -1183,6 +1285,20 @@ mod tests {
             params,
         );
         (be, fast, durable)
+    }
+
+    /// Stops (or restarts) the drain: while held, enqueued ops stay
+    /// queued. Release before dropping the backend.
+    fn hold(be: &TieredBackend, held: bool) {
+        be.shared.queue.lock().held = held;
+        be.shared.work.notify_all();
+    }
+
+    /// Spins until `n` ops sit in the queue.
+    fn await_queued(shared: &Shared, n: usize) {
+        while shared.queue.lock().ops.len() < n {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -1221,32 +1337,46 @@ mod tests {
 
     #[test]
     fn watermark_degrades_to_write_through_and_recovers() {
-        // A durable tier slow enough that the queue backs up is not
-        // needed: with watermark_hi = 1 byte every enqueue trips the
-        // degradation check before the (immediate) drain clears it.
-        let (be, _fast, durable) = tiered(TieredParams {
-            watermark_hi: 1,
-            watermark_lo: 0,
+        let (be, fast, durable) = tiered(TieredParams {
+            watermark_hi: 8,
+            watermark_lo: 2,
             ..TieredParams::default()
         });
         let f = be.open("/w", OpenOptions::create_truncate()).unwrap();
-        f.write_at(0, b"first").unwrap(); // enqueued, trips the watermark, drains
+        hold(&be, true);
+        f.write_at(0, b"first").unwrap();
+        assert!(!be.write_through_active(), "5 resident bytes < hi");
+        f.write_at(5, b"second").unwrap(); // 11 resident bytes: trips hi
+        assert!(be.write_through_active());
+        assert!(!durable.exists("/w"), "both acked from the fast tier");
+        std::thread::scope(|s| {
+            let degraded = s.spawn(|| {
+                f.write_at(11, b"third").unwrap();
+                // The ack of a degraded write means the drain is back
+                // under the high watermark.
+                assert!(be.resident_bytes() < 8);
+            });
+            // Nothing drains while the queue is held, so the fast tier
+            // stays over the watermark and the write cannot have acked.
+            await_queued(&be.shared, 3);
+            assert!(!degraded.is_finished());
+            assert_eq!(fast.contents("/w").unwrap(), b"firstsecondthird");
+            hold(&be, false);
+        });
+        be.drain_barrier().unwrap();
+        assert_eq!(durable.contents("/w").unwrap(), b"firstsecondthird");
+        let c = be.tier_counters();
+        assert_eq!(c.write_through_ops, 1);
+        assert_eq!(c.drain_ops, 3, "a degraded write is one more drain op");
+        assert_eq!(c.resident_bytes, 0);
         assert!(
             !be.write_through_active(),
-            "mem durable drains instantly, clearing the degradation"
+            "draining to watermark_lo re-arms fast acks"
         );
-        // Force the degraded path directly to verify its semantics.
-        be.shared.write_through.store(true, Relaxed);
-        f.write_at(5, b"second").unwrap();
-        assert_eq!(
-            durable.contents("/w").unwrap(),
-            b"firstsecond",
-            "write-through lands in the durable tier synchronously"
-        );
-        assert!(be.tier_counters().write_through_ops >= 1);
-        be.shared.write_through.store(false, Relaxed);
+        f.write_at(16, b"!").unwrap();
         be.drain_barrier().unwrap();
-        assert_eq!(durable.contents("/w").unwrap(), b"firstsecond");
+        assert_eq!(durable.contents("/w").unwrap(), b"firstsecondthird!");
+        assert_eq!(be.tier_counters().write_through_ops, 1);
     }
 
     #[test]
@@ -1442,11 +1572,11 @@ mod tests {
     fn set_len_preserves_queued_drains_of_surviving_bytes() {
         let (be, fast, durable) = tiered(TieredParams::default());
         let f = be.open("/sl", OpenOptions::create_truncate()).unwrap();
-        // Stall the pump so the write is still queued when set_len runs.
-        be.shared.pumping.store(true, Relaxed);
+        // Stall the drain so the write is still queued when set_len runs.
+        hold(&be, true);
         f.write_at(0, b"0123456789").unwrap();
         f.set_len(4).unwrap();
-        be.shared.pumping.store(false, Relaxed);
+        hold(&be, false);
         drop(f);
         be.drain_barrier().unwrap();
         // The acked prefix below the new length still reached durable.
@@ -1456,10 +1586,10 @@ mod tests {
         // Growing: the queued drain survives whole, and the durable
         // length matches even though the zero tail is never written.
         let f = be.open("/gr", OpenOptions::create_truncate()).unwrap();
-        be.shared.pumping.store(true, Relaxed);
+        hold(&be, true);
         f.write_at(0, b"abcdef").unwrap();
         f.set_len(9).unwrap();
-        be.shared.pumping.store(false, Relaxed);
+        hold(&be, false);
         drop(f);
         be.drain_barrier().unwrap();
         assert_eq!(fast.contents("/gr").unwrap(), b"abcdef\0\0\0");
@@ -1473,8 +1603,13 @@ mod tests {
         f.write_at(0, b"stale").unwrap();
         be.drain_barrier().unwrap();
         // Hand-install an in-flight drain op that has already read the
-        // "stale" bytes — the state the pump is in when the queue backs
+        // "stale" bytes — the state a worker is in when the queue backs
         // up and write-through engages.
+        let stale = DrainOp {
+            path: "/wt".to_string(),
+            offset: 0,
+            len: 5,
+        };
         be.shared.resident.fetch_add(5, Relaxed);
         {
             let mut q = be.shared.queue.lock();
@@ -1487,25 +1622,24 @@ mod tests {
         be.shared.write_through.store(true, Relaxed);
         let shared = Arc::clone(&be.shared);
         let late = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(60));
-            // The stale copy lands on the durable tier only now...
-            let d = shared.open_durable("/wt").unwrap();
+            // Only once the newer write is in the fast tier and its op
+            // queued does the stale copy land on the durable tier...
+            await_queued(&shared, 1);
+            let d = shared.durable_file("/wt", true).unwrap();
             d.write_at(0, b"stale").unwrap();
-            // ...and then the op retires, releasing the writer.
-            shared.complete_op("/wt", 0, 5, None, Outcome::Copied);
+            // ...and then the op retires, letting the newer one issue.
+            shared.complete_op(&stale, None, Outcome::Copied);
         });
-        // Must block until the stale in-flight copy fully completed,
-        // then land the newer bytes strictly after it.
+        // Its op cannot issue while the stale copy is in flight: the
+        // overlap rule orders it strictly after.
         f.write_at(0, b"newer").unwrap();
         late.join().unwrap();
+        be.drain_barrier().unwrap();
         assert_eq!(
             durable.contents("/wt").unwrap(),
             b"newer",
             "write-through bytes must not be overwritten by an older in-flight drain"
         );
-        be.shared.write_through.store(false, Relaxed);
-        be.drain_barrier().unwrap();
-        assert_eq!(durable.contents("/wt").unwrap(), b"newer");
     }
 
     #[test]
@@ -1521,12 +1655,12 @@ mod tests {
             TieredParams::default(),
         );
         let f = be.open("/r", OpenOptions::create_truncate()).unwrap();
-        // Stall the pump so the drain re-read happens only after the
-        // fast tier starts failing.
-        be.shared.pumping.store(true, Relaxed);
+        // Stall the drain so its re-read happens only after the fast
+        // tier starts failing.
+        hold(&be, true);
         f.write_at(0, b"acked").unwrap();
         faulty_fast.set_mode(FailureMode::FailOpen);
-        be.shared.pumping.store(false, Relaxed);
+        hold(&be, false);
         let err = be
             .drain_barrier()
             .expect_err("a failed fast-tier re-read is a lost copy, not a vanished source");
@@ -1599,5 +1733,219 @@ mod tests {
         tmp.write_at(0, b"junk").unwrap();
         drop(tmp);
         assert_eq!(be.list_dir("/").unwrap(), vec!["data"]);
+    }
+
+    /// Durable tier that logs every write in arrival order and counts
+    /// write-mode opens.
+    struct Recording {
+        inner: MemBackend,
+        write_opens: AtomicU64,
+        log: Arc<Mutex<Vec<(String, u64, u64)>>>,
+    }
+
+    struct RecordingFile {
+        inner: Box<dyn BackendFile>,
+        path: String,
+        log: Arc<Mutex<Vec<(String, u64, u64)>>>,
+    }
+
+    impl Backend for Recording {
+        fn name(&self) -> &str {
+            "recording"
+        }
+
+        fn open(&self, path: &str, opts: OpenOptions) -> io::Result<Box<dyn BackendFile>> {
+            let inner = self.inner.open(path, opts)?;
+            if opts.write {
+                self.write_opens.fetch_add(1, Relaxed);
+            }
+            Ok(Box::new(RecordingFile {
+                inner,
+                path: path.to_string(),
+                log: Arc::clone(&self.log),
+            }))
+        }
+
+        crate::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists,
+            file_len, list_dir);
+    }
+
+    impl BackendFile for RecordingFile {
+        fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
+            self.log
+                .lock()
+                .push((self.path.clone(), offset, data.len() as u64));
+            self.inner.write_at(offset, data)
+        }
+
+        crate::forward_file_ops!(inner: read_at, sync, len, set_len, is_empty);
+    }
+
+    #[test]
+    fn drain_follows_device_order_through_one_handle_per_path() {
+        const CHUNK: usize = 1 << 20;
+        // More than one run bound per file, so the bound shows.
+        let chunks = (RUN_BYTES as usize / CHUNK) + 4;
+        // With one copy in flight the arrival order at the durable tier
+        // is exactly the pick order; with the default window the two
+        // workers overlap and only what they wrote through is exact.
+        for drain_window in [1, TieredParams::default().drain_window] {
+            let fast = Arc::new(MemBackend::new());
+            let durable = Arc::new(Recording {
+                inner: MemBackend::new(),
+                write_opens: AtomicU64::new(0),
+                log: Arc::default(),
+            });
+            let be = TieredBackend::new(
+                Arc::clone(&fast) as Arc<dyn Backend>,
+                Arc::clone(&durable) as Arc<dyn Backend>,
+                TieredParams {
+                    watermark_hi: u64::MAX / 2,
+                    watermark_lo: u64::MAX / 4,
+                    drain_window,
+                    ..TieredParams::default()
+                },
+            );
+            let a = be.open("/a", OpenOptions::create_truncate()).unwrap();
+            let b = be.open("/b", OpenOptions::create_truncate()).unwrap();
+            hold(&be, true);
+            // Two writers' chunks arrive strictly alternating.
+            for i in 0..chunks {
+                a.write_at((i * CHUNK) as u64, &vec![b'a'; CHUNK]).unwrap();
+                b.write_at((i * CHUNK) as u64, &vec![b'b'; CHUNK]).unwrap();
+            }
+            hold(&be, false);
+            be.drain_barrier().unwrap();
+
+            let log = durable.log.lock().clone();
+            assert_eq!(log.len(), 2 * chunks, "one durable write per acked chunk");
+            assert_eq!(
+                durable.write_opens.load(Relaxed),
+                2,
+                "drain writes and the barrier's syncs share one handle per path"
+            );
+            let whole = |byte| vec![byte; chunks * CHUNK];
+            assert_eq!(durable.inner.contents("/a").unwrap(), whole(b'a'));
+            assert_eq!(durable.inner.contents("/b").unwrap(), whole(b'b'));
+            if drain_window > 1 {
+                continue;
+            }
+            // Cut the arrival order into runs: same file, next offset.
+            let mut runs: Vec<(&str, u64)> = Vec::new();
+            let mut head: Option<(&str, u64)> = None;
+            for (path, offset, len) in &log {
+                match runs.last_mut() {
+                    Some((_, bytes)) if head == Some((path, *offset)) => *bytes += len,
+                    _ => runs.push((path, *len)),
+                }
+                head = Some((path, offset + len));
+            }
+            let tail = (chunks * CHUNK) as u64 - RUN_BYTES;
+            assert_eq!(
+                runs,
+                [
+                    ("/a", RUN_BYTES),
+                    ("/b", RUN_BYTES),
+                    ("/a", tail),
+                    ("/b", tail)
+                ],
+                "full runs per file, oldest file first"
+            );
+        }
+    }
+
+    #[test]
+    fn degraded_write_fails_once_a_drain_copy_failed() {
+        let (fast, durable_mem) = mems();
+        let faulty = Arc::new(FaultyBackend::new(
+            Arc::clone(&durable_mem) as Arc<dyn Backend>,
+            FailureMode::None,
+        ));
+        let be = TieredBackend::new(
+            Arc::clone(&fast) as Arc<dyn Backend>,
+            Arc::clone(&faulty) as Arc<dyn Backend>,
+            TieredParams {
+                watermark_hi: 4,
+                watermark_lo: 0,
+                ..TieredParams::default()
+            },
+        );
+        let f = be.open("/d", OpenOptions::create_truncate()).unwrap();
+        hold(&be, true);
+        f.write_at(0, b"acked").unwrap(); // trips the watermark
+        assert!(be.write_through_active());
+        faulty.set_mode(FailureMode::PowerCutAfterBytes(0));
+        std::thread::scope(|s| {
+            let degraded = s.spawn(|| f.write_at(5, b"+lost"));
+            await_queued(&be.shared, 2);
+            hold(&be, false);
+            let err = degraded
+                .join()
+                .unwrap()
+                .expect_err("a degraded write waits on a drain that is losing copies");
+            assert!(err.to_string().contains("durable tier"), "{err}");
+        });
+        // The fast tier took the bytes all the same.
+        assert_eq!(fast.contents("/d").unwrap(), b"acked+lost");
+        let err = be
+            .drain_barrier()
+            .expect_err("the lost copies fail the next barrier too");
+        assert!(err.to_string().contains("re-drain"), "{err}");
+        let c = be.tier_counters();
+        assert_eq!(c.write_through_ops, 1);
+        assert_eq!(c.drain_failed, 2);
+        assert_eq!(c.resident_bytes, 0);
+    }
+
+    #[test]
+    fn drop_lands_queued_ops_and_orphaned_files_fail_fast() {
+        let (be, fast, durable) = tiered(TieredParams::default());
+        let f = be.open("/q", OpenOptions::create_truncate()).unwrap();
+        hold(&be, true);
+        for i in 0..4u64 {
+            f.write_at(i * 3, b"abc").unwrap();
+        }
+        assert_eq!(be.resident_bytes(), 12);
+        assert!(!durable.exists("/q"));
+        let shared = Arc::clone(&be.shared);
+        hold(&be, false);
+        drop(be);
+        assert_eq!(
+            durable.contents("/q").unwrap(),
+            b"abcabcabcabc",
+            "drop returns only once everything queued has landed"
+        );
+        assert_eq!(shared.resident.load(Relaxed), 0);
+        // The handle outlived its backend: no worker is left to drain
+        // for it, so neither a fast-acked nor a degraded write may
+        // queue (the latter would park forever).
+        for degraded in [false, true] {
+            shared.write_through.store(degraded, Relaxed);
+            let err = f.write_at(12, b"late").expect_err("backend is gone");
+            assert!(err.to_string().contains("shut down"), "{err}");
+        }
+        assert_eq!(fast.contents("/q").unwrap(), b"abcabcabcabclate");
+    }
+
+    #[test]
+    fn rename_over_a_longer_durable_file_leaves_no_stale_tail() {
+        let (be, _fast, durable) = tiered(TieredParams::default());
+        let f = be
+            .open("/MANIFEST", OpenOptions::create_truncate())
+            .unwrap();
+        f.write_at(0, b"a-long-previous-generation").unwrap();
+        drop(f);
+        be.drain_barrier().unwrap();
+        // The next generation is renamed into place before any of it
+        // has drained.
+        hold(&be, true);
+        let f = be.open("/tmp", OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, b"short").unwrap();
+        drop(f);
+        be.rename("/tmp", "/MANIFEST").unwrap();
+        hold(&be, false);
+        be.drain_barrier().unwrap();
+        assert_eq!(durable.contents("/MANIFEST").unwrap(), b"short");
+        assert!(!durable.exists("/tmp"));
     }
 }

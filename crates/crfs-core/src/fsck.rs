@@ -490,7 +490,7 @@ fn tier_bytes_equal(
 }
 
 /// Re-drains one fast-tier file over its durable copy: parent dirs,
-/// whole-file copy, sync — the offline analogue of the drain pump.
+/// whole-file copy, sync — the offline analogue of the tier drain.
 fn redrain(fast: &Arc<dyn Backend>, durable: &Arc<dyn Backend>, path: &str) -> io::Result<()> {
     // Ensure the durable parent chain exists (a crash can strand a file
     // whose directory never drained either).

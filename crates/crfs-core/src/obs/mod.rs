@@ -89,7 +89,7 @@ stages! {
     (barrier_wait, "Time callers blocked in a close/fsync completion barrier (only waits that blocked; matches `barrier_wait_ns`)."),
     (snapshot_seal, "Time to seal one epoch manifest (merge, compact, write, sync, refcount)."),
     (gc_pause, "Snapshot GC stop-the-writers pause per collection (matches `GcReport::pause`)."),
-    (drain_copy, "Tiered backend: one fast-to-durable drain copy, issue to completion (includes the durable tier's ack latency)."),
+    (drain_copy, "Tiered backend: one fast-to-durable drain copy, from a drain worker picking it to completion (fast-tier re-read, the wait for its turn at the device, the durable write and its ack)."),
     (drain_wait, "Tiered backend: time a caller blocked in `drain_barrier` waiting for the drain queue to empty and durable syncs to land."),
     (tier_promote, "Tiered backend: durable-to-fast whole-file promotion on a fast-tier read miss."),
 }
