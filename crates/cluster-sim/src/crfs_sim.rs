@@ -93,11 +93,16 @@ struct FileState {
 
 /// Virtual-time model of the chunk transform stage (the real library's
 /// `crfs_core::transform`): per-chunk compression ratio, dedup hit
-/// rate, and codec throughput. Chunks are charged `logical /
-/// compress_bandwidth` of CPU time *in IO-worker context* (compression
-/// parallelizes across workers, exactly like the real engine), and the
-/// backend write shrinks to the stored size — a dedup hit stores only a
-/// reference record.
+/// rate, and digest and codec throughput. CPU time is charged *in
+/// IO-worker context* (it parallelizes across workers, exactly like the
+/// real engine) and a hit and a miss are priced differently, as they
+/// cost differently: every written chunk pays the payload digest
+/// (`logical / digest_bandwidth`), which is all a dedup hit costs —
+/// it is known by its key before the codec runs and stores only a
+/// reference record; a miss pays the codec on top (`logical /
+/// compress_bandwidth`) and its backend write shrinks to the stored
+/// size. Every chunk read back pays decode plus the digest that
+/// verifies it.
 #[derive(Debug, Clone, Copy)]
 pub struct SimTransform {
     /// Stored/logical reduction for data chunks (≥ 1.0; 1.0 = identity).
@@ -106,24 +111,56 @@ pub struct SimTransform {
     /// Applied deterministically (every `1/rate`-th chunk), so runs are
     /// reproducible.
     pub dedup_hit_rate: f64,
-    /// Codec throughput in bytes of logical data per second of worker
-    /// CPU time.
+    /// Payload-digest throughput in bytes per second of worker CPU
+    /// time; charged to every chunk, written or read.
+    pub digest_bandwidth: u64,
+    /// Codec encode throughput in bytes of logical data per second of
+    /// worker CPU time; charged to dedup misses only.
     pub compress_bandwidth: u64,
+    /// Codec decode throughput in bytes of logical data per second;
+    /// charged to every chunk read back.
+    pub decompress_bandwidth: u64,
     /// Frame header + record overhead bytes per stored chunk.
     pub frame_overhead: u64,
 }
 
 impl SimTransform {
-    /// A profile matching the `exp compress` LZ measurement on
-    /// checkpoint-like data: ~2.5x codec ratio, 64-byte frames,
-    /// ~1 GiB/s codec throughput.
+    /// The LZ codec behind the payload digest, calibrated from the
+    /// single-thread probes of the traced `full_cycle` benchmark run
+    /// (seed 7, this sandbox, MiB/s): `transform.hash_mibs` 4,300,
+    /// `transform.lz_encode_mibs` 307, `transform.lz_decode_mibs`
+    /// 1,400; ~2.5x codec ratio and 64-byte frames as `exp compress`
+    /// measures on checkpoint-like data.
     pub fn lz_like(dedup_hit_rate: f64) -> SimTransform {
         SimTransform {
             compress_ratio: 2.5,
             dedup_hit_rate,
-            compress_bandwidth: 1 << 30,
+            digest_bandwidth: 4300 << 20,
+            compress_bandwidth: 307 << 20,
+            decompress_bandwidth: 1400 << 20,
             frame_overhead: 64,
         }
+    }
+
+    /// Worker CPU time to fingerprint — and on a miss, encode — one
+    /// sealed chunk of `logical` bytes.
+    fn encode_cost(&self, logical: u64, hit: bool) -> Duration {
+        let digest = logical as f64 / self.digest_bandwidth.max(1) as f64;
+        let codec = if hit {
+            0.0
+        } else {
+            logical as f64 / self.compress_bandwidth.max(1) as f64
+        };
+        Duration::from_secs_f64(digest + codec)
+    }
+
+    /// Worker (or reader) CPU time to decode and verify one chunk of
+    /// `logical` bytes read back.
+    fn decode_cost(&self, logical: u64) -> Duration {
+        Duration::from_secs_f64(
+            logical as f64 / self.decompress_bandwidth.max(1) as f64
+                + logical as f64 / self.digest_bandwidth.max(1) as f64,
+        )
     }
 }
 
@@ -309,6 +346,9 @@ enum WorkItem {
     /// ready in its file's window.
     Read {
         len: u64,
+        /// Worker CPU time to decode and verify the chunk once read
+        /// (zero without a transform model).
+        decode: Duration,
         /// Virtual issue instant — `stages.prefetch_fill` records the
         /// issue→ready span, queue wait included, like the real cache's
         /// `ReadChunk::issued_at`.
@@ -572,6 +612,7 @@ impl CrfsSim {
                         }
                         WorkItem::Read {
                             len,
+                            decode,
                             issued_at,
                             fetch,
                         } => {
@@ -580,6 +621,10 @@ impl CrfsSim {
                             // drains the window) — mirroring the real
                             // cache's buffer accounting.
                             charge_read(read_costs.get(), len).await;
+                            if !decode.is_zero() {
+                                sleep(decode).await;
+                                stats.stages.transform_decode.record_dur(decode);
+                            }
                             stats
                                 .stages
                                 .prefetch_fill
@@ -647,6 +692,14 @@ impl CrfsSim {
     /// enqueued from this point on.
     pub fn set_transform(&self, model: Option<SimTransform>) {
         self.transform.set(model);
+    }
+
+    /// CPU time to decode and verify one chunk read back; zero without
+    /// a transform model.
+    fn decode_cost(&self, logical: u64) -> Duration {
+        self.transform
+            .get()
+            .map_or(Duration::ZERO, |m| m.decode_cost(logical))
     }
 
     /// Enables the tiered-backend mirror (DESIGN.md §9): from here on
@@ -1117,9 +1170,7 @@ impl CrfsSim {
                 self.stats
                     .bytes_stored
                     .set(self.stats.bytes_stored.get() + stored);
-                let compress =
-                    Duration::from_secs_f64(logical as f64 / m.compress_bandwidth.max(1) as f64);
-                (stored, compress)
+                (stored, m.encode_cost(logical, hit))
             }
         };
         self.note_snapshot_chunk(hit, stored);
@@ -1195,6 +1246,13 @@ impl CrfsSim {
                 None => {
                     self.stats.read_misses.set(self.stats.read_misses.get() + 1);
                     charge_read(self.read_costs.get(), seg_end - pos).await;
+                    // A miss decodes and verifies its whole frame to
+                    // serve the segment.
+                    let decode = self.decode_cost((extent - idx * cs).min(cs));
+                    if !decode.is_zero() {
+                        sleep(decode).await;
+                        self.stats.stages.transform_decode.record_dur(decode);
+                    }
                     self.stats.stages.read_miss.record_dur(now().since(seg_t0));
                 }
             }
@@ -1232,6 +1290,7 @@ impl CrfsSim {
                 .tx
                 .send(WorkItem::Read {
                     len: (extent - idx * cs).min(cs),
+                    decode: self.decode_cost((extent - idx * cs).min(cs)),
                     issued_at: now(),
                     fetch,
                 })
@@ -1643,7 +1702,7 @@ mod tests {
             compress_ratio: 2.0,
             dedup_hit_rate: 0.5,
             compress_bandwidth: 2 << 30,
-            frame_overhead: 64,
+            ..SimTransform::lz_like(0.5)
         };
         let (t, out, stored, hits) = run(Some(model));
         assert_eq!(hits, 4);
@@ -1652,6 +1711,101 @@ mod tests {
         assert!(
             t < base_t,
             "compression must beat the disk-bound baseline: {t:.3}s vs {base_t:.3}s"
+        );
+    }
+
+    /// The benchmark's `full_cycle` write shape on virtual time — two
+    /// ranks of 128 MiB in 128 KiB writes, 1 MiB chunks, a 16 MiB pool,
+    /// three chunks in four dedup hits, no FUSE crossing (the harness
+    /// calls `Vfs` in process) — priced before and after the payload
+    /// digest. Two IO workers stand for the sandbox's two cores: stage
+    /// CPU is charged as worker wall time, so the worker count is the
+    /// CPU the model has. Prints the predicted `ckpt_ack_mibs` pair
+    /// (CHANGES.md sets it beside the measured one).
+    #[test]
+    fn full_cycle_shape_prices_a_hit_and_a_miss_apart() {
+        fn ack_mibs(model: SimTransform) -> (f64, Duration, Duration) {
+            let mut sim = Sim::new(7);
+            sim.run(async move {
+                let fs = LocalFs::new(
+                    VfsCostParams::ext3_node(),
+                    AllocParams::ext3(),
+                    CacheParams::compute_node(),
+                    DiskParams::node_sata(),
+                    SimRng::new(7),
+                );
+                let config = CrfsConfig::default()
+                    .with_chunk_size(MB as usize)
+                    .with_pool_size(16 * MB as usize)
+                    .with_io_threads(2);
+                let in_process = FuseParams {
+                    crossing: Duration::ZERO,
+                    copy_bandwidth: u64::MAX,
+                    ..FuseParams::paper()
+                };
+                let crfs = CrfsSim::new(
+                    Target::Ext3(Rc::clone(&fs)),
+                    config,
+                    CrfsCostParams::paper(),
+                    in_process,
+                );
+                crfs.set_transform(Some(model));
+                let t0 = now();
+                let ranks: Vec<_> = (0..2)
+                    .map(|_| {
+                        let crfs = Rc::clone(&crfs);
+                        simkit::spawn(async move {
+                            let fh = crfs.open().await;
+                            for i in 0..1024 {
+                                crfs.app_write(fh, i * 128 * KB, 128 * KB).await;
+                            }
+                            crfs.close(fh).await;
+                        })
+                    })
+                    .collect();
+                for rank in ranks {
+                    rank.await;
+                }
+                let dt = now().since(t0).as_secs_f64();
+                let encode = crfs.stats().stages.transform_encode.snapshot();
+                fs.stop();
+                // Cheapest and dearest chunk: a hit and a miss.
+                let hit = encode.buckets.first().expect("chunks were encoded").0;
+                (
+                    256.0 / dt,
+                    Duration::from_nanos(hit),
+                    Duration::from_nanos(encode.max),
+                )
+            })
+        }
+        // Before the digest a written chunk was walked by FNV-1a-64
+        // twice and by a word-mix lane once: `transform.checksum_mibs`
+        // 749 and `transform.hash_mibs` 623 MiB/s at the parent commit,
+        // 1 / (1/749 + 1/623) = 340 MiB/s for the pair.
+        let fnv = SimTransform {
+            digest_bandwidth: 340 << 20,
+            ..SimTransform::lz_like(0.75)
+        };
+        let (before, hit_before, miss_before) = ack_mibs(fnv);
+        let (after, hit_after, miss_after) = ack_mibs(SimTransform::lz_like(0.75));
+        println!(
+            "sim full_cycle ckpt_ack_mibs: {before:.0} (fnv: hit {hit_before:?}, miss \
+             {miss_before:?}) -> {after:.0} (digest: hit {hit_after:?}, miss {miss_after:?})"
+        );
+        // A hit costs the digest alone, a miss the codec on top.
+        assert!(hit_after < Duration::from_micros(300), "{hit_after:?}");
+        assert!(
+            miss_after > 10 * hit_after,
+            "{miss_after:?} vs {hit_after:?}"
+        );
+        assert!(
+            hit_before > 10 * hit_after,
+            "{hit_before:?} vs {hit_after:?}"
+        );
+        // Measured on the benchmark: 430 -> 1,300 MiB/s.
+        assert!(
+            (1.8..4.5).contains(&(after / before)),
+            "predicted {before:.0} -> {after:.0} MiB/s"
         );
     }
 

@@ -305,7 +305,7 @@ impl ContainerReader {
     fn fsck_frames(&self, payload_at: u64, payload_len: u32) -> io::Result<Option<FrameScan>> {
         use crate::transform::codec::decode_payload;
         use crate::transform::frame::{
-            fnv1a64, FrameHeader, FLAG_REF, FLAG_TRUNC, FRAME_HEADER_LEN,
+            payload_digest, FrameHeader, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
         };
 
         let flen = u64::from(payload_len);
@@ -325,6 +325,7 @@ impl ContainerReader {
         let mut payload = vec![0u8; payload_len as usize];
         read_exact_at(&*self.file, payload_at, &mut payload)?;
         let mut scan = FrameScan::default();
+        let mut out = Vec::new(); // decoded payload, reused per frame
         let mut at = 0usize;
         while at < payload.len() {
             if at + FRAME_HEADER_LEN as usize > payload.len() {
@@ -348,15 +349,18 @@ impl ContainerReader {
             // frames are header-validated (their targets live in other
             // records/files).
             if h.flags & (FLAG_REF | FLAG_TRUNC) == 0 {
-                let mut out = Vec::with_capacity(h.logical_len as usize);
-                let ok = decode_payload(
-                    h.codec,
-                    &payload[body..end],
-                    h.logical_len as usize,
-                    &mut out,
-                )
-                .is_ok()
-                    && fnv1a64(&out) == h.payload_check;
+                out.clear();
+                // A check of another format (0: FNV-1a, before the
+                // payload digest) cannot be recomputed, so it fails.
+                let ok = h.format == FRAME_FORMAT
+                    && decode_payload(
+                        h.codec,
+                        &payload[body..end],
+                        h.logical_len as usize,
+                        &mut out,
+                    )
+                    .is_ok()
+                    && payload_digest(&out).check == h.payload_check;
                 if !ok {
                     scan.bad_payload_checksum += 1;
                 }

@@ -923,7 +923,7 @@ impl Crfs {
                     // it IS the prefetch win (the fetch started up to a
                     // window ago). Aborted fetches empty the slot, so
                     // this loop always terminates in a hit or a miss.
-                    Consume::Pending => rs.park_pending(),
+                    Consume::Pending => rs.wait_pending(idx),
                     Consume::Miss => {
                         stats.read_misses.fetch_add(1, Relaxed);
                         let n = entry

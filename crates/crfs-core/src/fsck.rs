@@ -9,10 +9,10 @@
 //! and verifies what each kind promises:
 //!
 //! - **Frame logs** get a full chain walk: header magic + CRC, payload
-//!   bounds, DATA-frame decode + checksum, and dedup-reference origin
-//!   resolution. Damage is classified per the recovery contract
-//!   (DESIGN.md §6): torn tail, bad header CRC, bad payload checksum,
-//!   orphaned dedup reference.
+//!   bounds, frame format, DATA-frame decode + digest check, and
+//!   dedup-reference origin resolution. Damage is classified per the
+//!   recovery contract (DESIGN.md §6): torn tail, bad header CRC, bad
+//!   payload checksum, orphaned dedup reference.
 //! - **Containers** run [`ContainerReader::fsck`]: record-chain walk,
 //!   extent/index cross-check, and the same frame validation inside
 //!   framed records. A container whose trailer or index no longer
@@ -55,7 +55,8 @@ use crate::snapshot::manifest::{ChunkRecord, Manifest, Record, MANIFEST_MAGIC};
 use crate::snapshot::{parse_cas_name, parse_manifest_name, CAS_DIR, SNAP_DIR};
 use crate::transform::codec::decode_payload;
 use crate::transform::frame::{
-    fnv1a64, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_HEADER_LEN, FRAME_MAGIC,
+    payload_digest, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
+    FRAME_MAGIC,
 };
 use crate::transform::REF_META_LEN;
 
@@ -104,7 +105,10 @@ pub struct DamageCounts {
     pub torn_tails: u64,
     /// Chains ended by a header failing magic/CRC validation.
     pub bad_header_crc: u64,
-    /// DATA frames whose payload failed decode or checksum.
+    /// DATA frames whose payload failed decode or checksum, plus DATA
+    /// and REF frames (and manifest chunk records) whose format byte
+    /// names a check this build cannot recompute — a store written
+    /// before the payload digest, which no mount will serve.
     pub bad_payload_checksum: u64,
     /// REF frames whose dedup origin is missing or too short to hold
     /// the referenced bytes.
@@ -802,6 +806,10 @@ fn check_frame_log(
     let mut clean_end = 0u64; // end of the last structurally valid frame
     let mut off = 0u64;
     let mut hdr = [0u8; FRAME_HEADER_LEN as usize];
+    // One stored and one decoded buffer for the whole log, not a pair
+    // per frame.
+    let mut payload = Vec::new();
+    let mut out = Vec::new();
     while off < stored_len {
         if off + FRAME_HEADER_LEN > stored_len {
             damage.torn_tails += 1;
@@ -825,10 +833,18 @@ fn check_frame_log(
             break;
         }
         if h.flags & (FLAG_PAD | FLAG_TRUNC) == 0 {
-            let mut payload = vec![0u8; h.stored_len as usize];
+            payload.resize(h.stored_len as usize, 0);
             if read_exact_at(file, body, &mut payload).is_err() {
                 damage.torn_tails += 1;
                 break;
+            }
+            if h.format != FRAME_FORMAT {
+                // Structurally sound, but its check was computed by a
+                // function this build does not have (format 0: a store
+                // written before the payload digest): no mount will
+                // serve it. The header says so, whether or not payloads
+                // are verified.
+                damage.bad_payload_checksum += 1;
             }
             if h.flags & FLAG_REF != 0 {
                 if !ref_resolves(backend, path, stored_len, &payload) {
@@ -841,11 +857,11 @@ fn check_frame_log(
                         }
                     }
                 }
-            } else if opts.verify_payloads {
-                let mut out = Vec::with_capacity(h.logical_len as usize);
+            } else if opts.verify_payloads && h.format == FRAME_FORMAT {
+                out.clear();
                 let ok = decode_payload(h.codec, &payload, h.logical_len as usize, &mut out)
                     .is_ok()
-                    && fnv1a64(&out) == h.payload_check;
+                    && payload_digest(&out).check == h.payload_check;
                 if !ok {
                     damage.bad_payload_checksum += 1;
                 }
@@ -944,6 +960,9 @@ fn check_manifest(
                     frames += 1;
                     if !manifest_ref_resolves(backend, c) {
                         damage.dangling_manifest_refs += 1;
+                    }
+                    if c.format != FRAME_FORMAT {
+                        damage.bad_payload_checksum += 1;
                     }
                 }
             }

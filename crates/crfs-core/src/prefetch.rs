@@ -31,21 +31,33 @@
 //! only, and installs are skipped while writers are blocked on an empty
 //! pool, so prefetching can never deadlock the write side's
 //! back-pressure loop.
+//!
+//! ## Parking
+//!
+//! Two positions block: a reader on a chunk whose fetch is in flight
+//! (`ReadState::wait_pending`) and the close-time `ReadState::drain`
+//! on the ledger. Both follow the ring engine's rule
+//! (`engine/ring.rs`, "Parking"): the waiter takes `gate`, re-checks its condition *under the gate* (the slot's state, or
+//! `quiescent()`) and only then waits, untimed; every transition out of
+//! `Pending` and every retirement changes the state first and then
+//! takes and drops `gate` before it notifies. Either the waiter's check
+//! runs after the change and sees it, or the waiter already holds the
+//! gate, the waker's lock blocks until the wait releases it, and the
+//! notify finds the waiter parked. The gate pass is unconditional —
+//! there is no waiter count to skip it by: a count would have to be
+//! read `SeqCst` against the ledger's atomics to close the same
+//! store-buffer race the gate already closes, and one uncontended lock
+//! per retired chunk is not worth a second protocol. No wait is timed:
+//! a reader parked behind a stalled backend makes no wakeups.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{
     AtomicU64, AtomicUsize,
     Ordering::{Acquire, Relaxed, Release},
 };
-use std::time::Duration;
 
 use crate::pool::BufferPool;
 use crate::stats::CrfsStats;
-
-/// Park-and-recheck period for readers waiting on an in-flight prefetch
-/// and for the close-time drain — the same belt-and-braces guard the
-/// write barrier uses against a missed notify.
-const READ_RECHECK: Duration = Duration::from_millis(1);
 
 /// What a cache lookup produced.
 pub(crate) enum Consume {
@@ -113,8 +125,8 @@ pub struct ReadState {
     /// Prefetch chunks retired by the engine (the read-side
     /// "completed"): installed, discarded, failed, or refused.
     completed: AtomicU64,
-    /// Readers parked on a pending slot plus drain waiters.
-    waiters: AtomicUsize,
+    /// Waiters re-check under it, wakers pass through it (see the
+    /// module docs, "Parking").
     gate: Mutex<()>,
     cv: Condvar,
     /// Next expected sequential read offset (0 at open, so a cold
@@ -146,7 +158,6 @@ impl ReadState {
             active: AtomicUsize::new(0),
             issued: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            waiters: AtomicUsize::new(0),
             gate: Mutex::new(()),
             cv: Condvar::new(),
             next_seq: AtomicU64::new(0),
@@ -226,23 +237,23 @@ impl ReadState {
         }
     }
 
-    /// Parks the caller briefly until an install/invalidate transition
-    /// (or the recheck timeout) — the retry loop around
-    /// [`try_consume`](Self::try_consume) for `Pending` slots.
-    pub(crate) fn park_pending(&self) {
-        self.waiters.fetch_add(1, Relaxed);
+    /// Parks the caller while chunk `idx`'s fetch is in flight — the
+    /// wait inside the retry loop around
+    /// [`try_consume`](Self::try_consume). Returns once the slot has
+    /// left `Pending` for `idx` (installed, aborted, invalidated).
+    pub(crate) fn wait_pending(&self, idx: u64) {
         let mut g = self.gate.lock();
-        let _ = self.cv.wait_for(&mut g, READ_RECHECK);
-        drop(g);
-        self.waiters.fetch_sub(1, Relaxed);
+        while matches!(self.slot(idx).lock().state, SlotState::Pending { idx: i, .. } if i == idx) {
+            self.cv.wait(&mut g);
+        }
     }
 
+    /// Wakes every waiter after a state change. Call with no slot lock
+    /// held (waiters lock a slot under the gate).
     fn notify(&self) {
-        if self.waiters.load(Relaxed) > 0 {
-            // Serialize with a parked waiter's final recheck.
-            drop(self.gate.lock());
-            self.cv.notify_all();
-        }
+        // Serialize with a waiter between its check and its wait.
+        drop(self.gate.lock());
+        self.cv.notify_all();
     }
 
     /// Claims chunk `idx`'s slot for a prefetch, returning the
@@ -273,6 +284,14 @@ impl ReadState {
     /// Rolls back a [`begin`](Self::begin) whose fetch was never issued
     /// (no pool buffer available). Not a ledger event.
     pub(crate) fn cancel(&self, idx: u64, gen: u64) {
+        self.clear_claim(idx, gen);
+        // Another reader of the file may have parked on the claim.
+        self.notify();
+    }
+
+    /// Empties chunk `idx`'s slot if generation `gen`'s claim still
+    /// holds it.
+    fn clear_claim(&self, idx: u64, gen: u64) {
         let mut slot = self.slot(idx).lock();
         if matches!(slot.state, SlotState::Pending { idx: i, gen: g } if i == idx && g == gen) {
             slot.take(&self.active);
@@ -337,7 +356,7 @@ impl ReadState {
         pool: &BufferPool,
         stats: &CrfsStats,
     ) {
-        self.cancel(idx, gen);
+        self.clear_claim(idx, gen);
         stats.prefetch_wasted.fetch_add(1, Relaxed);
         pool.release(buf);
         self.retire(stats);
@@ -389,14 +408,10 @@ impl ReadState {
         if self.quiescent() {
             return;
         }
-        self.waiters.fetch_add(1, Relaxed);
         let mut g = self.gate.lock();
         while !self.quiescent() {
-            // Timed re-arm: self-heals a missed notify.
-            let _ = self.cv.wait_for(&mut g, READ_RECHECK);
+            self.cv.wait(&mut g);
         }
-        drop(g);
-        self.waiters.fetch_sub(1, Relaxed);
     }
 
     /// Close/unmount epilogue: invalidate everything, then wait until
@@ -418,7 +433,6 @@ impl ReadState {
                 Self::dispose(state, pool, stats);
             }
         }
-        self.notify();
     }
 
     /// Whether a read starting at `offset` would continue the sequential
@@ -469,6 +483,7 @@ impl std::fmt::Debug for ReadState {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn fixture() -> (Arc<BufferPool>, Arc<CrfsStats>, ReadState) {
         (
@@ -580,6 +595,39 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_millis(10), "drain early");
         h.join().unwrap();
         assert_eq!(stats.prefetch_completed.load(Relaxed), 1);
+    }
+
+    #[test]
+    fn every_exit_from_pending_releases_a_parked_reader() {
+        type Exit = fn(&ReadState, u64, u64, &BufferPool, &CrfsStats);
+        let exits: [Exit; 4] = [
+            |rs, idx, gen, pool, stats| {
+                let buf = pool.try_acquire().unwrap();
+                rs.install(idx, gen, buf, 64, pool, stats)
+            },
+            |rs, idx, gen, pool, stats| {
+                let buf = pool.try_acquire().unwrap();
+                rs.abort(idx, gen, buf, pool, stats)
+            },
+            |rs, idx, gen, _, _| rs.cancel(idx, gen),
+            |rs, idx, _, pool, stats| rs.invalidate_range(idx * 64, idx * 64 + 1, pool, stats),
+        ];
+        for exit in exits {
+            let (pool, stats, rs) = fixture();
+            let gen = rs.begin(1, &pool, &stats).unwrap();
+            rs.note_issued(1);
+            std::thread::scope(|s| {
+                // The wait is untimed: a transition that forgot to pass
+                // the gate would leave this thread parked for good.
+                let reader = s.spawn(|| rs.wait_pending(1));
+                exit(&rs, 1, gen, &pool, &stats);
+                reader.join().unwrap();
+            });
+            assert!(!matches!(
+                rs.try_consume(1, 0, &mut [0u8; 8], &pool, &stats),
+                Consume::Pending
+            ));
+        }
     }
 
     #[test]

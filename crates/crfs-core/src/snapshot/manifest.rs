@@ -17,10 +17,18 @@
 //!     per record: tag u8
 //!       0 (chunk): logical_offset u64 | logical_len u32 | check u64 |
 //!                  hash u128 | origin_off u64 | stored_len u32 |
-//!                  codec u8 | origin_path_len u16 | origin_path
+//!                  codec u8 | format u8 (version 2 only) |
+//!                  origin_path_len u16 | origin_path
 //!       1 (trunc): new_len u64
 //! crc32 of everything above, u32
 //! ```
+//!
+//! Version 2 added the per-chunk `format` byte: the frame format
+//! ([`FRAME_FORMAT`](crate::transform::frame::FRAME_FORMAT)) that
+//! `check` and `hash` were computed under. A version-1 manifest still
+//! decodes — its epoch exists, its structure can be checked — with
+//! every chunk at format 0 (FNV-1a check), which the read path refuses
+//! to serve: this build cannot verify those payloads.
 //!
 //! The trailing CRC makes torn manifests (a crash mid-seal) detectable:
 //! mount-time recovery and `crfs-fsck` alike skip a manifest that fails
@@ -33,20 +41,23 @@ use crate::aggregator::format::crc32;
 
 /// Magic word opening every manifest ("CRSM" — CRfs Snapshot Manifest).
 pub const MANIFEST_MAGIC: [u8; 4] = *b"CRSM";
-/// Current manifest format version.
-pub const MANIFEST_VERSION: u16 = 1;
+/// The manifest version this build writes.
+pub const MANIFEST_VERSION: u16 = 2;
 
 /// One chunk of a snapshotted file: where its logical bytes sit and
 /// where the stored (encoded) bytes live.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkRecord {
-    /// 128-bit content hash of the logical payload (the CAS key).
+    /// 128-bit content key of the logical payload (the CAS key): the
+    /// key half of [`payload_digest`](crate::transform::frame::payload_digest).
     pub hash: u128,
     /// Byte offset of the chunk within the logical file.
     pub logical_offset: u64,
     /// Decoded payload length in bytes.
     pub logical_len: u32,
-    /// FNV-1a-64 of the logical payload, verified on every read.
+    /// Frame format `check` was computed under (see the module docs).
+    pub format: u8,
+    /// Check half of the payload digest, verified on every read.
     pub check: u64,
     /// Backend path holding the stored bytes (a CAS chunk file, or a
     /// user frame log for chunks stored inline as a fallback).
@@ -112,6 +123,7 @@ impl Manifest {
                         out.extend_from_slice(&c.origin_off.to_le_bytes());
                         out.extend_from_slice(&c.stored_len.to_le_bytes());
                         out.push(c.codec);
+                        out.push(c.format);
                         out.extend_from_slice(&(c.origin_path.len() as u16).to_le_bytes());
                         out.extend_from_slice(c.origin_path.as_bytes());
                     }
@@ -143,7 +155,8 @@ impl Manifest {
         if r.bytes(4)? != MANIFEST_MAGIC {
             return Err(corrupt("bad manifest magic"));
         }
-        if r.u16()? != MANIFEST_VERSION {
+        let version = r.u16()?;
+        if !(1..=MANIFEST_VERSION).contains(&version) {
             return Err(corrupt("unsupported manifest version"));
         }
         r.u16()?; // reserved
@@ -166,6 +179,7 @@ impl Manifest {
                         let origin_off = r.u64()?;
                         let stored_len = r.u32()?;
                         let codec = r.u8()?;
+                        let format = if version >= 2 { r.u8()? } else { 0 };
                         let origin_path_len = r.u16()? as usize;
                         let origin_path = String::from_utf8(r.bytes(origin_path_len)?.to_vec())
                             .map_err(|_| corrupt("manifest origin path is not UTF-8"))?;
@@ -173,6 +187,7 @@ impl Manifest {
                             hash,
                             logical_offset,
                             logical_len,
+                            format,
                             check,
                             origin_path,
                             origin_off,
@@ -307,6 +322,7 @@ mod tests {
             hash: (seed as u128) << 64 | off as u128,
             logical_offset: off,
             logical_len: len,
+            format: crate::transform::frame::FRAME_FORMAT,
             check: seed as u64,
             origin_path: format!("/.crfs-snap/cas/{seed:02x}"),
             origin_off: 0,
@@ -329,6 +345,35 @@ mod tests {
         };
         let bytes = m.encode();
         assert_eq!(Manifest::decode(&bytes).unwrap(), m);
+    }
+
+    #[test]
+    fn version_1_manifest_decodes_with_pre_digest_records() {
+        // What a build before the payload digest sealed: version 1, no
+        // format byte in the chunk record. The epoch must still exist
+        // (its structure can be listed and checked); its records carry
+        // format 0, which the read path refuses to serve.
+        let Record::Chunk(rec) = chunk(0, 100, 3) else {
+            unreachable!()
+        };
+        let m = Manifest {
+            epoch: 7,
+            files: vec![("/f".to_string(), vec![Record::Chunk(rec.clone())])],
+        };
+        let mut v1 = m.encode();
+        v1.truncate(v1.len() - 4); // CRC
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        // The one chunk record ends the body: format byte, then the
+        // origin path with its u16 length.
+        v1.remove(v1.len() - rec.origin_path.len() - 2 - 1);
+        let crc = crc32(&v1);
+        v1.extend_from_slice(&crc.to_le_bytes());
+
+        let old = Manifest::decode(&v1).unwrap();
+        let expect = Record::Chunk(ChunkRecord { format: 0, ..rec });
+        assert_eq!(old.files, vec![("/f".to_string(), vec![expect])]);
+        // Re-encoding writes the current version and keeps the format.
+        assert_eq!(Manifest::decode(&old.encode()).unwrap(), old);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::backend::{read_exact_at, Backend, BackendFile, OpenOptions};
 use crate::stats::CrfsStats;
 use crate::transform::codec::STORED_RAW;
 use crate::transform::dedup::DedupIndex;
-use crate::transform::frame::{FrameHeader, FLAG_REF, FLAG_TRUNC, FRAME_HEADER_LEN};
+use crate::transform::frame::{FrameHeader, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN};
 use crate::transform::REF_META_LEN;
 use manifest::{compact, ChunkRecord, Manifest, Record};
 
@@ -235,15 +235,18 @@ impl SnapshotStore {
         let inner = self.inner.lock();
         for records in inner.carried.values() {
             for r in records {
-                if let Record::Chunk(c) = r {
-                    index.insert(
+                match r {
+                    // A pre-digest record is keyed by another hash and
+                    // cannot be served: nothing may dedup against it.
+                    Record::Chunk(c) if c.format == FRAME_FORMAT => index.insert(
                         c.hash,
                         c.logical_len,
                         c.origin_path.as_str().into(),
                         c.origin_off,
                         c.stored_len,
                         c.codec,
-                    );
+                    ),
+                    _ => {}
                 }
             }
         }
@@ -261,9 +264,11 @@ impl SnapshotStore {
     }
 
     /// Stores one encoded chunk (`frame` = standalone 40-byte header +
-    /// stored payload, `check` = the logical payload's FNV) in the CAS,
+    /// stored payload, `check` = the logical payload's digest check,
+    /// as the caller computed it for the frame) in the CAS,
     /// deduplicating against a chunk already on disk: an existing file
-    /// whose frame validates and matches `check` is reused as-is — even
+    /// whose frame validates, is of this build's format and matches
+    /// `check` is reused as-is — even
     /// if an earlier mount encoded it with a different codec, since
     /// reference records carry the origin's codec. A file that exists
     /// but does not validate (a torn CAS write of a crashed mount no GC
@@ -288,6 +293,7 @@ impl SnapshotStore {
             read_exact_at(&*file, 0, &mut hdr)?;
             if let Ok(h) = FrameHeader::decode(&hdr) {
                 if h.flags == 0
+                    && h.format == FRAME_FORMAT
                     && h.payload_check == check
                     && h.logical_len == key.1
                     && FRAME_HEADER_LEN + u64::from(h.stored_len) == len
@@ -655,6 +661,9 @@ pub fn synthesize_log(records: &[Record]) -> Vec<u8> {
                 let header = FrameHeader {
                     codec: STORED_RAW,
                     flags: FLAG_REF,
+                    // The record's own format, so a view of a pre-digest
+                    // epoch reads as unverifiable, not as a mismatch.
+                    format: c.format,
                     logical_offset: c.logical_offset,
                     logical_len: c.logical_len,
                     stored_len: payload.len() as u32,
@@ -667,6 +676,7 @@ pub fn synthesize_log(records: &[Record]) -> Vec<u8> {
                 let header = FrameHeader {
                     codec: STORED_RAW,
                     flags: FLAG_TRUNC,
+                    format: FRAME_FORMAT,
                     logical_offset: *new_len,
                     logical_len: 0,
                     stored_len: 0,
@@ -732,7 +742,7 @@ fn read_only() -> io::Error {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::transform::frame::{content_hash128, fnv1a64};
+    use crate::transform::frame::payload_digest;
 
     fn store(backend: &Arc<dyn Backend>, keep: usize) -> Arc<SnapshotStore> {
         SnapshotStore::open(Arc::clone(backend), Arc::new(CrfsStats::new()), keep).unwrap()
@@ -745,11 +755,13 @@ mod tests {
     /// Stores `payload` (identity-coded) in the CAS and returns the
     /// staged-ready chunk record placing it at `logical_offset`.
     fn put_chunk(s: &Arc<SnapshotStore>, logical_offset: u64, payload: &[u8]) -> ChunkRecord {
-        let key = (content_hash128(payload), payload.len() as u32);
-        let check = fnv1a64(payload);
+        let digest = payload_digest(payload);
+        let key = (digest.key, payload.len() as u32);
+        let check = digest.check;
         let header = FrameHeader {
             codec: STORED_RAW,
             flags: 0,
+            format: FRAME_FORMAT,
             logical_offset: 0,
             logical_len: payload.len() as u32,
             stored_len: payload.len() as u32,
@@ -764,6 +776,7 @@ mod tests {
             hash: key.0,
             logical_offset,
             logical_len: payload.len() as u32,
+            format: FRAME_FORMAT,
             check,
             origin_path: cas_path(key),
             origin_off: 0,
@@ -904,19 +917,21 @@ mod tests {
         s.stage_chunk("/f", 0, staged.clone());
         // In-flight: registered, stored, not yet committed/staged.
         let payload = b"in flight right now";
-        let key = (content_hash128(payload), payload.len() as u32);
+        let digest = payload_digest(payload);
+        let key = (digest.key, payload.len() as u32);
         let guard = s.begin_chunk(key);
         let header = FrameHeader {
             codec: STORED_RAW,
             flags: 0,
+            format: FRAME_FORMAT,
             logical_offset: 0,
             logical_len: payload.len() as u32,
             stored_len: payload.len() as u32,
-            payload_check: fnv1a64(payload),
+            payload_check: digest.check,
         };
         let mut frame = header.encode().to_vec();
         frame.extend_from_slice(payload);
-        s.store_chunk(key, &frame, fnv1a64(payload)).unwrap();
+        s.store_chunk(key, &frame, digest.check).unwrap();
 
         assert_eq!(s.gc(None).unwrap().reclaimed_chunks, 0);
         assert!(be.exists(&staged.origin_path));
@@ -952,7 +967,7 @@ mod tests {
         assert_eq!(dest.len(), 1, "rename carried the history");
         let wiped = s.manifest_records(1, "/wiped").unwrap().expect("reset");
         match &wiped[..] {
-            [Record::Chunk(c)] => assert_eq!(c.check, fnv1a64(b"rewritten")),
+            [Record::Chunk(c)] => assert_eq!(c.check, payload_digest(b"rewritten").check),
             other => panic!("reset file must hold only the new record: {other:?}"),
         }
     }
@@ -975,7 +990,7 @@ mod tests {
         assert_eq!(s2.epochs(), vec![0], "torn epoch never existed");
         let records = s2.manifest_records(0, "/f").unwrap().expect("file");
         match &records[..] {
-            [Record::Chunk(c)] => assert_eq!(c.check, fnv1a64(b"epoch zero")),
+            [Record::Chunk(c)] => assert_eq!(c.check, payload_digest(b"epoch zero").check),
             other => panic!("epoch 0's state must survive: {other:?}"),
         }
         // The next seal continues after the highest epoch seen on disk
@@ -990,6 +1005,7 @@ mod tests {
                 hash: 42,
                 logical_offset: 4096,
                 logical_len: 512,
+                format: FRAME_FORMAT,
                 check: 7,
                 origin_path: cas_path((42, 512)),
                 origin_off: 0,
@@ -1008,6 +1024,7 @@ mod tests {
         assert_eq!(h.logical_offset, 4096);
         assert_eq!(h.logical_len, 512);
         assert_eq!(h.payload_check, 7);
+        assert_eq!(h.format, FRAME_FORMAT, "the record's format, verbatim");
         let mut payload = vec![0u8; h.stored_len as usize];
         read_exact_at(&file, FRAME_HEADER_LEN, &mut payload).unwrap();
         assert_eq!(u64::from_le_bytes(payload[..8].try_into().unwrap()), 0);

@@ -7,9 +7,9 @@
 //!
 //! ```text
 //!  write() ─▶ aggregate ─▶ seal ─▶ TRANSFORM ─▶ IO engine ─▶ backend
-//!                                  │ compress (Codec, store-raw escape)
+//!                                  │ digest   (dedup key + frame check, one pass)
 //!                                  │ dedup    (DedupIndex → REF frames)
-//!                                  │ checksum (ChunkFrame header)
+//!                                  │ compress (Codec, store-raw escape; misses only)
 //!  read()  ◀─ cache ◀─ verify+decode ◀─────────── backend
 //! ```
 //!
@@ -28,12 +28,20 @@
 //! compress in parallel, overlapped with backend writes. See
 //! [`crate::engine`] for the call site.
 //!
-//! Integrity: every frame carries an FNV-1a-64 checksum of its logical
-//! payload, verified after decode on **every** read — direct reads,
-//! prefetch fills, and dedup reference resolution alike. A mismatch (or
-//! a malformed frame/stored stream) surfaces as
+//! Fingerprinting: [`frame::payload_digest`] walks each sealed payload
+//! **once** and yields the 128-bit dedup/CAS key and the 64-bit frame
+//! check together, so a dedup hit costs one word-wide pass and a
+//! ~60-byte reference frame; the codec only ever sees a miss.
+//!
+//! Integrity: every frame carries that check of its logical payload,
+//! verified after decode on **every** read — direct reads, prefetch
+//! fills, and dedup reference resolution alike. A mismatch (or a
+//! malformed frame/stored stream, or a frame whose format byte says its
+//! check was computed by a function this build does not have — a store
+//! written before the digest) surfaces as
 //! [`CrfsError::IntegrityError`](crate::CrfsError::IntegrityError)
-//! instead of handing corrupt bytes to a restarting process.
+//! instead of handing corrupt or unverifiable bytes to a restarting
+//! process.
 //!
 //! Crash recovery (the acked-prefix contract, DESIGN.md §6): the open
 //! scan keeps the longest prefix of structurally valid frames and
@@ -81,7 +89,7 @@ use crate::snapshot::{cas_path, manifest::ChunkRecord, ChunkKey, InflightGuard, 
 use crate::stats::CrfsStats;
 use codec::{decode_payload, encode_payload, STORED_RAW};
 use frame::{
-    content_hash128, fnv1a64, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_HEADER_LEN,
+    payload_digest, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
     FRAME_MAGIC,
 };
 
@@ -253,7 +261,9 @@ struct FrameEntry {
     codec: u8,
     /// `FLAG_REF` when the payload is a dedup reference record.
     flags: u8,
-    /// FNV-1a-64 of the logical payload.
+    /// The header's format byte: which function produced `check`.
+    format: u8,
+    /// Check half of the payload digest over the logical payload.
     check: u64,
 }
 
@@ -342,6 +352,7 @@ impl FrameMap {
             vis_len: h.logical_len,
             codec: h.codec,
             flags: h.flags,
+            format: h.format,
             check: h.payload_check,
         });
     }
@@ -456,6 +467,7 @@ fn store_cas(
     let header = FrameHeader {
         codec: cas_codec,
         flags: 0,
+        format: FRAME_FORMAT,
         logical_offset: 0,
         logical_len: key.1,
         stored_len,
@@ -463,6 +475,21 @@ fn store_cas(
     };
     cas[..FRAME_HEADER_LEN as usize].copy_from_slice(&header.encode());
     snap.store_chunk(key, &cas, check)
+}
+
+/// The buffers one frame fetch needs, kept between fetches so that a
+/// restart does not allocate (and page-fault in) a fresh chunk-sized
+/// `Vec` or two per frame. Capacity grows to the file's largest frame
+/// and is dropped with the [`FileTransform`].
+#[derive(Default)]
+struct Scratch {
+    /// The frame's own stored payload: chunk bytes, or a reference
+    /// record.
+    frame: Vec<u8>,
+    /// A reference's origin stored bytes.
+    origin: Vec<u8>,
+    /// The decoded logical payload.
+    out: Vec<u8>,
 }
 
 /// Per-open-file transform state: the frame map and the stored-space
@@ -500,6 +527,10 @@ pub struct FileTransform {
     /// cost N backend opens. Bounded FIFO; dropped with the entry at
     /// close.
     origins: Mutex<Vec<(String, Arc<dyn BackendFile>)>>,
+    /// Idle fetch scratch: a read pops one (or starts an empty one) and
+    /// pushes it back, so the list holds as many as reads ever ran at
+    /// once on this file.
+    scratch: Mutex<Vec<Scratch>>,
 }
 
 impl FileTransform {
@@ -513,6 +544,7 @@ impl FileTransform {
             needs_trim: AtomicBool::new(false),
             scan_raw: 0,
             origins: Mutex::new(Vec::new()),
+            scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -570,6 +602,7 @@ impl FileTransform {
             needs_trim: AtomicBool::new(outcome.damage.is_some()),
             scan_raw: outcome.stored_len,
             origins: Mutex::new(Vec::new()),
+            scratch: Mutex::new(Vec::new()),
         }))
     }
 
@@ -614,7 +647,11 @@ impl FileTransform {
         let stats = &self.ctx.stats;
         let t0 = Instant::now();
         stats.bytes_logical.fetch_add(payload.len() as u64, Relaxed);
-        let check = fnv1a64(payload);
+        // The one walk over the payload before the codec sees it: the
+        // dedup key and the frame check come out of the same pass, and
+        // `store_cas`, the manifest record and `commit` take the check
+        // they are handed.
+        let frame::PayloadDigest { key: hash, check } = payload_digest(payload);
 
         let mut frame = vec![0u8; FRAME_HEADER_LEN as usize];
         let mut dedup_key = None;
@@ -622,7 +659,6 @@ impl FileTransform {
         let mut inflight = None;
         let (codec, flags) = match self.ctx.dedup.as_ref() {
             Some(index) => {
-                let hash = content_hash128(payload);
                 let len = payload.len() as u32;
                 // Snapshot mounts register the key as in-flight *before*
                 // the lookup: GC marks in-flight keys under the same
@@ -645,6 +681,7 @@ impl FileTransform {
                                 hash,
                                 logical_offset,
                                 logical_len: len,
+                                format: FRAME_FORMAT,
                                 check,
                                 origin_path: hit.path.to_string(),
                                 origin_off: hit.stored_off,
@@ -680,6 +717,7 @@ impl FileTransform {
                                         hash,
                                         logical_offset,
                                         logical_len: len,
+                                        format: FRAME_FORMAT,
                                         check,
                                         origin_path: origin,
                                         origin_off: 0,
@@ -712,6 +750,7 @@ impl FileTransform {
         let header = FrameHeader {
             codec,
             flags,
+            format: FRAME_FORMAT,
             logical_offset,
             logical_len: payload.len() as u32,
             stored_len,
@@ -735,6 +774,7 @@ impl FileTransform {
                 vis_len: payload.len() as u32,
                 codec,
                 flags,
+                format: FRAME_FORMAT,
                 check,
             },
             dedup_key,
@@ -803,6 +843,7 @@ impl FileTransform {
                     hash,
                     logical_offset: e.logical_offset,
                     logical_len: e.logical_len,
+                    format: e.format,
                     check: e.check,
                     origin_path: path.to_string(),
                     origin_off: stored_off,
@@ -841,6 +882,7 @@ impl FileTransform {
         let header = FrameHeader {
             codec: STORED_RAW,
             flags: FLAG_TRUNC,
+            format: FRAME_FORMAT,
             logical_offset: len,
             logical_len: 0,
             stored_len: 0,
@@ -876,6 +918,7 @@ impl FileTransform {
         let header = FrameHeader {
             codec: STORED_RAW,
             flags: FLAG_PAD,
+            format: FRAME_FORMAT,
             logical_offset: 0,
             logical_len: 0,
             stored_len: (total_len - FRAME_HEADER_LEN) as u32,
@@ -896,11 +939,17 @@ impl FileTransform {
         offset: u64,
         buf: &mut [u8],
     ) -> io::Result<usize> {
-        let (pieces, total) = self.map.lock().plan(offset, buf.len());
-        // A frame's coverage can split into several pieces — and
-        // overwrites can interleave pieces of *different* frames — so
-        // cache every frame decoded this call, not just the last one.
-        let mut decoded: Vec<(u64, Vec<u8>)> = Vec::new();
+        let (mut pieces, total) = self.map.lock().plan(offset, buf.len());
+        // A frame's coverage can split into several pieces with pieces
+        // of other frames between them (an overwrite in the middle).
+        // The destinations are disjoint, so serve the pieces grouped by
+        // frame: each frame is fetched once, into the one scratch.
+        pieces.sort_by_key(|p| match p {
+            PlanPiece::Data { frame, .. } => frame.stored_off,
+            PlanPiece::Hole { .. } => u64::MAX,
+        });
+        let mut scratch = self.scratch.lock().pop().unwrap_or_default();
+        let mut held = None; // stored_off of the frame decoded in `scratch.out`
         for piece in pieces {
             match piece {
                 PlanPiece::Hole { dst, len } => buf[dst..dst + len].fill(0),
@@ -910,46 +959,57 @@ impl FileTransform {
                     within,
                     len,
                 } => {
-                    let at = match decoded.iter().position(|(off, _)| *off == frame.stored_off) {
-                        Some(i) => i,
-                        None => {
-                            decoded.push((frame.stored_off, self.fetch_frame(file, path, &frame)?));
-                            decoded.len() - 1
-                        }
-                    };
-                    let payload = &decoded[at].1;
-                    buf[dst..dst + len].copy_from_slice(&payload[within..within + len]);
+                    if held != Some(frame.stored_off) {
+                        self.fetch_frame(file, path, &frame, &mut scratch)?;
+                        held = Some(frame.stored_off);
+                    }
+                    buf[dst..dst + len].copy_from_slice(&scratch.out[within..within + len]);
                 }
             }
         }
+        self.scratch.lock().push(scratch);
         Ok(total)
     }
 
-    /// Reads, decodes and verifies one frame's logical payload.
+    /// Reads, decodes and verifies one frame's logical payload into
+    /// `s.out`. Only a verified payload is left there for the caller.
     fn fetch_frame(
         &self,
         file: &dyn BackendFile,
         path: &str,
         f: &FrameEntry,
-    ) -> io::Result<Vec<u8>> {
+        s: &mut Scratch,
+    ) -> io::Result<()> {
         let stats = &self.ctx.stats;
-        let mut stored = vec![0u8; f.stored_len as usize];
-        read_exact_at(file, f.stored_off + FRAME_HEADER_LEN, &mut stored)?;
+        if f.format != FRAME_FORMAT {
+            // One verification function: a check this build cannot
+            // recompute is a payload it cannot vouch for.
+            stats.bad_payload_checksum.fetch_add(1, Relaxed);
+            return Err(integrity(
+                stats,
+                format!(
+                    "chunk at {} of {path:?} has frame format {} (0: written before the \
+                     payload digest, FNV-1a check); only format {FRAME_FORMAT} can be verified",
+                    f.logical_offset, f.format
+                ),
+            ));
+        }
+        s.frame.resize(f.stored_len as usize, 0);
+        read_exact_at(file, f.stored_off + FRAME_HEADER_LEN, &mut s.frame)?;
         let t0 = Instant::now();
-        let payload = if f.flags & FLAG_REF != 0 {
-            self.resolve_ref(file, path, f, &stored)?
+        s.out.clear();
+        if f.flags & FLAG_REF != 0 {
+            self.resolve_ref(file, path, f, s)?;
         } else {
-            let mut out = Vec::with_capacity(f.logical_len as usize);
-            decode_payload(f.codec, &stored, f.logical_len as usize, &mut out).map_err(|e| {
+            decode_payload(f.codec, &s.frame, f.logical_len as usize, &mut s.out).map_err(|e| {
                 stats.bad_payload_checksum.fetch_add(1, Relaxed);
                 integrity(
                     stats,
                     format!("chunk at {} of {path:?} undecodable: {e}", f.logical_offset),
                 )
             })?;
-            out
-        };
-        if fnv1a64(&payload) != f.check {
+        }
+        if payload_digest(&s.out).check != f.check {
             stats.bad_payload_checksum.fetch_add(1, Relaxed);
             return Err(integrity(
                 stats,
@@ -966,21 +1026,23 @@ impl FileTransform {
         if stats.stages.enabled() {
             stats.stages.transform_decode.record_dur(spent);
         }
-        Ok(payload)
+        Ok(())
     }
 
-    /// Resolves a dedup reference record to the origin frame's decoded
-    /// payload. The caller verifies the result against the reference's
-    /// own checksum, so a stale or mismatched origin is detected.
+    /// Resolves the dedup reference record in `s.frame` to the origin
+    /// frame's decoded payload, left in `s.out`. The caller verifies
+    /// the result against the reference's own check, so a stale or
+    /// mismatched origin is detected.
     fn resolve_ref(
         &self,
         file: &dyn BackendFile,
         path: &str,
         f: &FrameEntry,
-        payload: &[u8],
-    ) -> io::Result<Vec<u8>> {
+        s: &mut Scratch,
+    ) -> io::Result<()> {
         let stats = &self.ctx.stats;
-        if payload.len() < REF_META_LEN {
+        let record = &s.frame;
+        if record.len() < REF_META_LEN {
             return Err(integrity(
                 stats,
                 format!(
@@ -989,10 +1051,10 @@ impl FileTransform {
                 ),
             ));
         }
-        let origin_off = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        let origin_len = u32::from_le_bytes(payload[8..12].try_into().unwrap());
-        let origin_codec = payload[12];
-        let origin_path = std::str::from_utf8(&payload[REF_META_LEN..]).map_err(|_| {
+        let origin_off = u64::from_le_bytes(record[..8].try_into().unwrap());
+        let origin_len = u32::from_le_bytes(record[8..12].try_into().unwrap());
+        let origin_codec = record[12];
+        let origin_path = std::str::from_utf8(&record[REF_META_LEN..]).map_err(|_| {
             integrity(
                 stats,
                 format!(
@@ -1001,9 +1063,22 @@ impl FileTransform {
                 ),
             )
         })?;
-        let mut stored = vec![0u8; origin_len as usize];
+        // The record's bytes carry no check of their own, and this
+        // length sizes a buffer: no encoder stores more than the payload
+        // it was given (the store-raw escape).
+        if origin_len > f.logical_len {
+            return Err(integrity(
+                stats,
+                format!(
+                    "reference record at {} of {path:?} names {origin_len} stored bytes \
+                     for a {}-byte chunk",
+                    f.logical_offset, f.logical_len
+                ),
+            ));
+        }
+        s.origin.resize(origin_len as usize, 0);
         if origin_path == path {
-            read_exact_at(file, origin_off + FRAME_HEADER_LEN, &mut stored)?;
+            read_exact_at(file, origin_off + FRAME_HEADER_LEN, &mut s.origin)?;
         } else {
             let origin = self.origin_handle(origin_path).map_err(|e| {
                 integrity(
@@ -1011,16 +1086,14 @@ impl FileTransform {
                     format!("dedup origin {origin_path:?} unavailable: {e}"),
                 )
             })?;
-            read_exact_at(&*origin, origin_off + FRAME_HEADER_LEN, &mut stored)?;
+            read_exact_at(&*origin, origin_off + FRAME_HEADER_LEN, &mut s.origin)?;
         }
-        let mut out = Vec::with_capacity(f.logical_len as usize);
-        decode_payload(origin_codec, &stored, f.logical_len as usize, &mut out).map_err(|e| {
+        decode_payload(origin_codec, &s.origin, f.logical_len as usize, &mut s.out).map_err(|e| {
             integrity(
                 stats,
                 format!("dedup origin {origin_path:?}@{origin_off} undecodable: {e}"),
             )
-        })?;
-        Ok(out)
+        })
     }
 
     /// An open handle on a dedup-origin file, served from the bounded
@@ -1449,6 +1522,29 @@ mod tests {
         assert_eq!(ft2.read_logical(&*f2, &p2, 0, &mut buf).unwrap(), 4096);
         assert_eq!(buf, data);
         assert_eq!(stats.integrity_failures.load(Relaxed), 0);
+    }
+
+    #[test]
+    fn reference_record_cannot_size_its_own_buffer() {
+        let (ctx, _stats) = ctx(CodecKind::Lz, true);
+        let be: Arc<dyn Backend> = Arc::clone(&ctx.backend);
+        let file = be.open("/f", OpenOptions::create_truncate()).unwrap();
+        let ft = FileTransform::fresh(Arc::clone(&ctx));
+        let path: Arc<str> = "/f".into();
+        let data = compressible(4096, 9);
+        write_all(&ft, &*file, &path, 0, &data);
+        let reference = file.len().unwrap();
+        write_all(&ft, &*file, &path, 4096, &data); // same content: REF
+                                                    // Rot in the record's origin length (bytes 8..12 of the REF
+                                                    // payload, which no checksum covers): an error, not a 4 GiB
+                                                    // buffer and a short read.
+        file.write_at(reference + FRAME_HEADER_LEN + 8, &[0xFF; 4])
+            .unwrap();
+        let mut buf = vec![0u8; 4096];
+        let err = ft.read_logical(&*file, &path, 4096, &mut buf).unwrap_err();
+        assert!(is_integrity_error(&err), "got: {err}");
+        assert_eq!(ft.read_logical(&*file, &path, 0, &mut buf).unwrap(), 4096);
+        assert_eq!(buf, data, "the origin itself still reads");
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! An idle mount is idle: its engine threads — and a tiered backend's
 //! drain workers — park untimed and make no wakeups while nothing is
-//! submitted. Alone in this test binary so no other test's `crfs-*`
-//! threads run in the process being measured.
+//! submitted, and a restart reader waiting for a prefetch that a stalled
+//! backend has not delivered waits without waking either. Alone in this
+//! test binary so no other test's `crfs-*` threads run in the process
+//! being measured.
 #![cfg(target_os = "linux")]
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::io;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-use crfs_core::backend::{MemBackend, TieredBackend};
-use crfs_core::{Backend, Crfs, CrfsConfig};
+use crfs_core::backend::{BackendFile, MemBackend, OpenOptions, TieredBackend};
+use crfs_core::{Backend, CodecKind, Crfs, CrfsConfig};
 
 /// (threads named `crfs-*`, their summed voluntary context switches).
 fn crfs_thread_switches() -> (usize, u64) {
@@ -68,6 +71,124 @@ fn assert_idle(backend: Arc<dyn Backend>, drain_workers: usize) {
     fs.unmount().unwrap();
 }
 
+/// `(closed, reads blocked so far)` and the condvar both change under.
+type Gate = Arc<(Mutex<(bool, usize)>, Condvar)>;
+
+/// A `MemBackend` whose reads block while the gate is closed.
+struct GatedBackend {
+    inner: MemBackend,
+    gate: Gate,
+}
+
+struct GatedFile {
+    inner: Box<dyn BackendFile>,
+    gate: Gate,
+}
+
+impl Backend for GatedBackend {
+    fn name(&self) -> &str {
+        "gated"
+    }
+
+    fn open(&self, path: &str, opts: OpenOptions) -> io::Result<Box<dyn BackendFile>> {
+        Ok(Box::new(GatedFile {
+            inner: self.inner.open(path, opts)?,
+            gate: Arc::clone(&self.gate),
+        }))
+    }
+
+    crfs_core::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists,
+        file_len, list_dir, drain_barrier, attach_stats);
+}
+
+impl BackendFile for GatedFile {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        let (state, changed) = &*self.gate;
+        let mut st = state.lock().unwrap();
+        if st.0 {
+            st.1 += 1;
+            changed.notify_all();
+            while st.0 {
+                st = changed.wait(st).unwrap();
+            }
+        }
+        drop(st);
+        self.inner.read_at(offset, buf)
+    }
+
+    crfs_core::forward_file_ops!(inner: write_at, begin_write_at, sync, len, set_len, is_empty);
+}
+
+/// A restart view is open and its reader waits for a prefetched chunk
+/// the backend has not delivered: the reader (named `crfs-reader` so
+/// the census counts it), the issue workers inside the backend and the
+/// reaper all sleep through an idle second, and the reader returns as
+/// soon as the backend does.
+fn assert_parked_reader_is_idle() {
+    const CHUNK: usize = 64 << 10;
+    let gate: Gate = Arc::default();
+    let backend = Arc::new(GatedBackend {
+        inner: MemBackend::new(),
+        gate: Arc::clone(&gate),
+    });
+    let config = CrfsConfig::default()
+        .with_chunk_size(CHUNK)
+        .with_codec(CodecKind::Lz)
+        .with_dedup(true)
+        .with_snapshots(true);
+    let fs = Crfs::mount(backend, config).unwrap();
+    let image: Vec<u8> = (0..8 * CHUNK).map(|i| (i / 7 + i / CHUNK) as u8).collect();
+    let f = fs.create("/ckpt").unwrap();
+    f.write(&image).unwrap();
+    f.close().unwrap();
+    fs.advance_epoch().unwrap();
+    let epoch = *fs.snapshot_epochs().last().unwrap();
+    let view = fs.open_restart("/ckpt", epoch).unwrap();
+
+    let (state, changed) = &*gate;
+    state.lock().unwrap().0 = true;
+    let reader = std::thread::Builder::new()
+        .name("crfs-reader".into())
+        .spawn(move || {
+            let mut buf = vec![0u8; CHUNK];
+            let n = view.read_at(0, &mut buf).unwrap();
+            view.close().unwrap();
+            (n, buf)
+        })
+        .unwrap();
+    // Every issue worker is inside the backend with a prefetch fill:
+    // the reader has submitted its window and finds chunk 0 pending.
+    let workers = fs.config().io_threads.min(image.len() / CHUNK);
+    let mut st = state.lock().unwrap();
+    while st.1 < workers {
+        st = changed.wait(st).unwrap();
+    }
+    drop(st);
+    std::thread::sleep(Duration::from_millis(50)); // let the reader park
+
+    let (_, before) = crfs_thread_switches();
+    std::thread::sleep(Duration::from_secs(1));
+    let (_, after) = crfs_thread_switches();
+    // The 1 ms recheck this wait used to make scores about 1,000.
+    assert!(
+        after - before < 50,
+        "a reader parked on a pending chunk woke {} times in 1 s",
+        after - before
+    );
+
+    let opened = Instant::now();
+    state.lock().unwrap().0 = false;
+    changed.notify_all();
+    let (n, buf) = reader.join().unwrap();
+    assert!(
+        opened.elapsed() < Duration::from_millis(500),
+        "the reader took {:?} to notice its chunk",
+        opened.elapsed()
+    );
+    assert_eq!((n, &buf[..]), (CHUNK, &image[..CHUNK]));
+    fs.unmount().unwrap();
+}
+
 // One test function: two mounts measured at once would count each
 // other's threads.
 #[test]
@@ -76,4 +197,5 @@ fn idle_mount_makes_no_wakeups() {
     // Tiered: the same engine plus the two `crfs-drain*` workers.
     let tiered = TieredBackend::from_config(mem(), mem(), &CrfsConfig::default());
     assert_idle(Arc::new(tiered), 2);
+    assert_parked_reader_is_idle();
 }

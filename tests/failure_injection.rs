@@ -295,6 +295,118 @@ fn corrupted_chunks_are_detected_not_returned() {
     }
 }
 
+/// A store written before the payload digest — frame format 0, whose
+/// `payload_check` is an FNV-1a-64 — is a *detected* error: its frames
+/// still scan (lengths, listings and fsck walks work), but no payload
+/// of it is served, re-verified with FNV, or mistaken for a checksum
+/// mismatch. Built by hand here: a frame log with a DATA frame, a
+/// content-store chunk file, and a log whose REF frame points at it.
+#[test]
+fn pre_digest_store_reads_as_integrity_error_never_as_bytes() {
+    use crfs::core::fsck::{self, FsckOptions};
+    use crfs::core::snapshot::CAS_DIR;
+    use crfs::core::transform::codec::STORED_RAW;
+    use crfs::core::transform::frame::{fnv1a64, FrameHeader, FLAG_REF, FRAME_FORMAT};
+
+    let payload = transform_payload(1024);
+    let frame = |flags: u8, format: u8, body: &[u8]| {
+        let header = FrameHeader {
+            codec: STORED_RAW,
+            flags,
+            format,
+            logical_offset: 0,
+            logical_len: payload.len() as u32,
+            stored_len: body.len() as u32,
+            payload_check: fnv1a64(&payload),
+        };
+        let mut bytes = header.encode().to_vec();
+        bytes.extend_from_slice(body);
+        bytes
+    };
+    let cas = format!("{CAS_DIR}/{:032x}-{:x}", 0xfeed_u128, payload.len());
+    let mut reference = Vec::new();
+    reference.extend_from_slice(&0u64.to_le_bytes()); // origin frame offset
+    reference.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    reference.extend_from_slice(&[STORED_RAW, 0, 0, 0]);
+    reference.extend_from_slice(cas.as_bytes());
+
+    let be: Arc<dyn Backend> = Arc::new(MemBackend::new());
+    be.mkdir("/.crfs-snap").unwrap();
+    be.mkdir(CAS_DIR).unwrap();
+    let put = |path: &str, bytes: &[u8]| {
+        let f = be.open(path, OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, bytes).unwrap();
+    };
+    put("/old.log", &frame(0, 0, &payload));
+    put(&cas, &frame(0, 0, &payload));
+    put("/old-ref.log", &frame(FLAG_REF, 0, &reference));
+    // The same bytes under this build's format byte: the FNV value is
+    // then simply a wrong check. There is no FNV fallback to pass it.
+    put("/relabelled.log", &frame(0, FRAME_FORMAT, &payload));
+
+    for window in [0usize, 4] {
+        let fs = Crfs::mount(
+            Arc::clone(&be),
+            small_config()
+                .with_codec(CodecKind::Lz)
+                .with_dedup(true)
+                .with_read_ahead(window),
+        )
+        .unwrap();
+        for path in ["/old.log", "/old-ref.log", "/relabelled.log"] {
+            assert_eq!(
+                fs.file_len(path).unwrap(),
+                payload.len() as u64,
+                "{path}: the frame chain still scans"
+            );
+            let f = fs.open(path).unwrap();
+            let mut buf = vec![0xAAu8; payload.len()];
+            let err = f.read_at(0, &mut buf).unwrap_err();
+            assert!(
+                matches!(err, CrfsError::IntegrityError { .. }),
+                "{path}, window {window}: got {err:?}"
+            );
+            if path != "/relabelled.log" {
+                assert!(
+                    err.to_string().contains("frame format 0"),
+                    "{path}: the error says why: {err}"
+                );
+            }
+            assert!(
+                buf.iter().all(|&b| b == 0xAA),
+                "{path}, window {window}: bytes were returned"
+            );
+            f.close().unwrap();
+        }
+        let s = fs.stats();
+        assert!(s.bad_payload_checksum >= 3, "window {window}: counted");
+        assert_eq!(s.pool_free_chunks, s.pool_total_chunks, "window {window}");
+        fs.unmount().unwrap();
+    }
+
+    // fsck names all four files, with or without payload verification:
+    // the format is in the header.
+    for verify_payloads in [true, false] {
+        let sum = fsck::run(
+            &be,
+            &["/".to_string()],
+            &FsckOptions {
+                verify_payloads,
+                ..FsckOptions::default()
+            },
+        );
+        let pre_digest = 3; // old.log, old-ref.log, the CAS file
+        let relabelled = u64::from(verify_payloads);
+        assert_eq!(
+            sum.damage.bad_payload_checksum,
+            pre_digest + relabelled,
+            "verify_payloads={verify_payloads}: {:?}",
+            sum.reports
+        );
+        assert_eq!(sum.damage.torn_tails + sum.damage.bad_header_crc, 0);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Aggregator under failure
 // ---------------------------------------------------------------------
