@@ -933,33 +933,71 @@ fn sim_compress_rows() -> Vec<(String, f64, f64)> {
     ]
 }
 
-/// Single-thread MiB/s of `payload_digest` and of `fnv1a64` (the frame
-/// check before it) over one resident 1 MiB chunk, best of three
-/// rounds each. Their quotient is the `digest_over_fnv` headline: a
-/// ratio of two loops on the same core, so it carries between machines
-/// where either rate alone does not.
-fn digest_and_fnv_mibs() -> (f64, f64) {
+/// Single-thread MiB/s of the transform stage's payload kernels, each a
+/// same-core loop over one resident 1 MiB chunk, best of three rounds.
+struct KernelMibs {
+    /// `payload_digest` over an incompressible chunk.
+    digest: f64,
+    /// `fnv1a64` (the frame check before the digest) over the same.
+    fnv: f64,
+    /// `encode_payload(Lz)` of a checkpoint-like chunk.
+    lz_encode: f64,
+    /// `decode_into` of what that produced.
+    lz_decode: f64,
+}
+
+/// The rates themselves move with the machine; their quotients over
+/// `fnv` — the `digest_over_fnv`, `lz_encode_over_fnv` and
+/// `lz_decode_over_fnv` headlines — are ratios of two loops on the same
+/// core and carry between machines.
+fn kernel_mibs() -> KernelMibs {
+    use crfs_core::transform::codec::{decode_into, encode_payload};
     use crfs_core::transform::frame::{fnv1a64, payload_digest};
+    use crfs_core::CodecKind;
     use std::hint::black_box;
     use std::time::Instant;
 
-    let mut chunk = vec![0u8; 1 << 20];
-    simkit::rng::SimRng::new(16).fill_bytes(&mut chunk);
-    let best_mibs = |passes: u32, f: &dyn Fn(&[u8]) -> u64| {
+    fn best_mibs(passes: u32, mut f: impl FnMut()) -> f64 {
         (0..3)
             .map(|_| {
                 let t0 = Instant::now();
                 for _ in 0..passes {
-                    black_box(f(black_box(&chunk)));
+                    f();
                 }
                 f64::from(passes) / t0.elapsed().as_secs_f64().max(1e-9)
             })
             .fold(0.0, f64::max)
+    }
+
+    let mut noise = vec![0u8; 1 << 20];
+    simkit::rng::SimRng::new(16).fill_bytes(&mut noise);
+    let chunk = real::epoch_chunk_payload(1 << 20, 0, 0, 0, 0.0);
+    let mut stored = Vec::with_capacity(chunk.len());
+    let codec = encode_payload(CodecKind::Lz, &chunk, &mut stored);
+    let mut scratch = Vec::with_capacity(chunk.len());
+    let mut decoded = vec![0u8; chunk.len()];
+    let mibs = KernelMibs {
+        digest: best_mibs(64, || {
+            black_box(payload_digest(black_box(&noise)).check);
+        }),
+        fnv: best_mibs(16, || {
+            black_box(fnv1a64(black_box(&noise)));
+        }),
+        lz_encode: best_mibs(16, || {
+            scratch.clear();
+            black_box(encode_payload(
+                CodecKind::Lz,
+                black_box(&chunk),
+                &mut scratch,
+            ));
+        }),
+        lz_decode: best_mibs(32, || {
+            decode_into(codec, black_box(&stored), &mut decoded).expect("decodes what encoded");
+            black_box(&decoded);
+        }),
     };
-    (
-        best_mibs(64, &|d| payload_digest(d).check),
-        best_mibs(16, &fnv1a64),
-    )
+    assert!(decoded == chunk, "codec round trip changed the bytes");
+    mibs
 }
 
 fn compress(quick: bool) -> ExpOutput {
@@ -1052,8 +1090,12 @@ fn compress(quick: bool) -> ExpOutput {
         .find(|p| p.codec == CodecKind::Lz && p.backend == "rpc" && p.dup_fraction == 0.0)
         .expect("compressible cell present");
 
-    let (digest_mibs, fnv_mibs) = digest_and_fnv_mibs();
+    let k = kernel_mibs();
+    let (digest_mibs, fnv_mibs) = (k.digest, k.fnv);
     let digest_over_fnv = digest_mibs / fnv_mibs;
+    let (lz_encode_mibs, lz_decode_mibs) = (k.lz_encode, k.lz_decode);
+    let lz_encode_over_fnv = lz_encode_mibs / fnv_mibs;
+    let lz_decode_over_fnv = lz_decode_mibs / fnv_mibs;
 
     let sim_rows = sim_compress_rows();
     let mut st = Table::new(&["Mode (virtual ext3 node)", "Checkpoint (s)", "Stored MiB"]);
@@ -1074,7 +1116,11 @@ fn compress(quick: bool) -> ExpOutput {
          payload digest (dedup key + frame check, one pass): \
          {digest_mibs:.0} MiB/s single-thread on a resident 1 MiB chunk vs \
          {fnv_mibs:.0} MiB/s for the FNV-1a-64 it replaced — \
-         {digest_over_fnv:.1}x.\n\n\
+         {digest_over_fnv:.1}x.\n\
+         lz kernels on a resident checkpoint-like 1 MiB chunk, \
+         single-thread: encode {lz_encode_mibs:.0} MiB/s \
+         ({lz_encode_over_fnv:.1}x that FNV loop), decode \
+         {lz_decode_mibs:.0} MiB/s ({lz_decode_over_fnv:.1}x).\n\n\
          Virtual-time model (CrfsSim over the calibrated ext3 node):\n\n{st}\n\
          The simulator charges digest CPU per chunk and codec CPU per \
          dedup miss in worker context and shrinks \
@@ -1105,6 +1151,10 @@ fn compress(quick: bool) -> ExpOutput {
             "digest_mibs": digest_mibs,
             "fnv_mibs": fnv_mibs,
             "digest_over_fnv": digest_over_fnv,
+            "lz_encode_mibs": lz_encode_mibs,
+            "lz_decode_mibs": lz_decode_mibs,
+            "lz_encode_over_fnv": lz_encode_over_fnv,
+            "lz_decode_over_fnv": lz_decode_over_fnv,
         },
         // The headline cell's full snapshot (stage histograms
         // included), where `crfs-stat BENCH_compress.json` finds it.

@@ -128,16 +128,17 @@ impl SimTransform {
     /// The LZ codec behind the payload digest, calibrated from the
     /// single-thread probes of the traced `full_cycle` benchmark run
     /// (seed 7, this sandbox, MiB/s): `transform.hash_mibs` 4,300,
-    /// `transform.lz_encode_mibs` 307, `transform.lz_decode_mibs`
-    /// 1,400; ~2.5x codec ratio and 64-byte frames as `exp compress`
-    /// measures on checkpoint-like data.
+    /// `transform.lz_encode_mibs` 1,020, `transform.lz_decode_mibs`
+    /// 3,540 (307 and 1,400 with the byte-wide kernels they replaced);
+    /// ~2.5x codec ratio and 64-byte frames as `exp compress` measures
+    /// on checkpoint-like data.
     pub fn lz_like(dedup_hit_rate: f64) -> SimTransform {
         SimTransform {
             compress_ratio: 2.5,
             dedup_hit_rate,
             digest_bandwidth: 4300 << 20,
-            compress_bandwidth: 307 << 20,
-            decompress_bandwidth: 1400 << 20,
+            compress_bandwidth: 1020 << 20,
+            decompress_bandwidth: 3540 << 20,
             frame_overhead: 64,
         }
     }
@@ -1398,7 +1399,7 @@ mod tests {
     use simkit::rng::SimRng;
     use simkit::time::now;
     use simkit::Sim;
-    use storage_model::params::{AllocParams, CacheParams, DiskParams, VfsCostParams, KB, MB};
+    use storage_model::params::{AllocParams, CacheParams, DiskParams, VfsCostParams, GB, KB, MB};
     use storage_model::LocalFs;
 
     fn mount(seed: u64) -> (Rc<LocalFs>, Rc<CrfsSim>) {
@@ -1714,6 +1715,16 @@ mod tests {
         );
     }
 
+    /// [`SimTransform::lz_like`] at the byte-at-a-time LZ kernels' probe
+    /// rates — the "before" of the sim-vs-real comparisons below.
+    fn lz_bytewise(dedup_hit_rate: f64) -> SimTransform {
+        SimTransform {
+            compress_bandwidth: 307 << 20,
+            decompress_bandwidth: 1400 << 20,
+            ..SimTransform::lz_like(dedup_hit_rate)
+        }
+    }
+
     /// The benchmark's `full_cycle` write shape on virtual time — two
     /// ranks of 128 MiB in 128 KiB writes, 1 MiB chunks, a 16 MiB pool,
     /// three chunks in four dedup hits, no FUSE crossing (the harness
@@ -1784,13 +1795,15 @@ mod tests {
         // 1 / (1/749 + 1/623) = 340 MiB/s for the pair.
         let fnv = SimTransform {
             digest_bandwidth: 340 << 20,
-            ..SimTransform::lz_like(0.75)
+            ..lz_bytewise(0.75)
         };
         let (before, hit_before, miss_before) = ack_mibs(fnv);
-        let (after, hit_after, miss_after) = ack_mibs(SimTransform::lz_like(0.75));
+        let (after, hit_after, miss_after) = ack_mibs(lz_bytewise(0.75));
+        let (now, _, miss_now) = ack_mibs(SimTransform::lz_like(0.75));
         println!(
             "sim full_cycle ckpt_ack_mibs: {before:.0} (fnv: hit {hit_before:?}, miss \
-             {miss_before:?}) -> {after:.0} (digest: hit {hit_after:?}, miss {miss_after:?})"
+             {miss_before:?}) -> {after:.0} (digest: hit {hit_after:?}, miss {miss_after:?}) \
+             -> {now:.0} (word-wide lz: miss {miss_now:?})"
         );
         // A hit costs the digest alone, a miss the codec on top.
         assert!(hit_after < Duration::from_micros(300), "{hit_after:?}");
@@ -1805,6 +1818,98 @@ mod tests {
         // Measured on the benchmark: 430 -> 1,300 MiB/s.
         assert!(
             (1.8..4.5).contains(&(after / before)),
+            "predicted {before:.0} -> {after:.0} MiB/s"
+        );
+        // The match finder: a miss is ~3x cheaper, and it is a quarter
+        // of the chunks. Measured: 1,061 -> 1,544 MiB/s.
+        assert!(miss_now * 2 < miss_after, "{miss_now:?} vs {miss_after:?}");
+        assert!(
+            (1.1..3.0).contains(&(now / after)),
+            "predicted {after:.0} -> {now:.0} MiB/s"
+        );
+    }
+
+    /// The restart twin of the test above: two readers of 128 MiB each
+    /// in 128 KiB reads, 1 MiB chunks, read-ahead on two IO workers,
+    /// and — a snapshot mount resolves every chunk to an LZ-encoded CAS
+    /// file — every chunk pays decode plus the digest that verifies it.
+    /// The backend is the page cache: a chunk's stored third at memcpy
+    /// speed, i.e. ~10 GiB/s of logical bytes and a syscall. Prints the
+    /// predicted `restart_mibs` pair (CHANGES.md sets it beside the
+    /// measured one).
+    #[test]
+    fn full_cycle_restart_shape_prices_decode_and_digest_per_chunk() {
+        fn restart_mibs(model: SimTransform) -> (f64, Duration) {
+            let mut sim = Sim::new(7);
+            sim.run(async move {
+                let fs = LocalFs::new(
+                    VfsCostParams::ext3_node(),
+                    AllocParams::ext3(),
+                    CacheParams::compute_node(),
+                    DiskParams::node_sata(),
+                    SimRng::new(7),
+                );
+                let config = CrfsConfig::default()
+                    .with_chunk_size(MB as usize)
+                    .with_pool_size(16 * MB as usize)
+                    .with_io_threads(2);
+                let in_process = FuseParams {
+                    crossing: Duration::ZERO,
+                    copy_bandwidth: u64::MAX,
+                    ..FuseParams::paper()
+                };
+                let crfs = CrfsSim::new(
+                    Target::Ext3(Rc::clone(&fs)),
+                    config,
+                    CrfsCostParams::paper(),
+                    in_process,
+                );
+                crfs.set_transform(Some(model));
+                crfs.set_read_costs(ReadCostParams {
+                    per_op: Duration::from_micros(10),
+                    bandwidth: 10 * GB,
+                });
+                let t0 = now();
+                let readers: Vec<_> = (0..2)
+                    .map(|_| {
+                        let crfs = Rc::clone(&crfs);
+                        simkit::spawn(async move {
+                            let fh = crfs.open_restart(128 * MB).await;
+                            for i in 0..1024 {
+                                crfs.app_read(fh, i * 128 * KB, 128 * KB).await;
+                            }
+                            crfs.close(fh).await;
+                        })
+                    })
+                    .collect();
+                for reader in readers {
+                    reader.await;
+                }
+                let dt = now().since(t0).as_secs_f64();
+                let decode = crfs.stats().stages.transform_decode.snapshot();
+                assert_eq!(
+                    decode.count, 256,
+                    "every chunk is decoded and verified once"
+                );
+                fs.stop();
+                (256.0 / dt, Duration::from_nanos(decode.max))
+            })
+        }
+        let (before, chunk_before) = restart_mibs(lz_bytewise(0.75));
+        let (after, chunk_after) = restart_mibs(SimTransform::lz_like(0.75));
+        println!(
+            "sim full_cycle restart_mibs: {before:.0} (decode+verify {chunk_before:?} a chunk) \
+             -> {after:.0} ({chunk_after:?})"
+        );
+        // 1 MiB at 1,400 then 3,540 MiB/s, plus 1 MiB at 4,300 to verify.
+        assert!(
+            chunk_before > Duration::from_micros(900),
+            "{chunk_before:?}"
+        );
+        assert!(chunk_after < Duration::from_micros(560), "{chunk_after:?}");
+        // Measured on the benchmark: 1,700 -> 3,900 MiB/s.
+        assert!(
+            (1.4..3.0).contains(&(after / before)),
             "predicted {before:.0} -> {after:.0} MiB/s"
         );
     }

@@ -303,7 +303,7 @@ impl ContainerReader {
     /// is trustworthy); a failed payload decode/checksum is counted
     /// and the walk continues — the frame boundaries are still sound.
     fn fsck_frames(&self, payload_at: u64, payload_len: u32) -> io::Result<Option<FrameScan>> {
-        use crate::transform::codec::decode_payload;
+        use crate::transform::codec::decode_to_vec;
         use crate::transform::frame::{
             payload_digest, FrameHeader, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
         };
@@ -349,11 +349,10 @@ impl ContainerReader {
             // frames are header-validated (their targets live in other
             // records/files).
             if h.flags & (FLAG_REF | FLAG_TRUNC) == 0 {
-                out.clear();
                 // A check of another format (0: FNV-1a, before the
                 // payload digest) cannot be recomputed, so it fails.
                 let ok = h.format == FRAME_FORMAT
-                    && decode_payload(
+                    && decode_to_vec(
                         h.codec,
                         &payload[body..end],
                         h.logical_len as usize,

@@ -153,7 +153,7 @@ fn dispatch_chunk(stats: &CrfsStats, chunk: &SealedChunk) -> (io::Result<()>, u6
 /// cache: a successful, non-empty read is parked in the chunk's slot
 /// (unless invalidated meanwhile or writers are starved for buffers);
 /// anything else recycles the buffer as a wasted fetch. The read goes
-/// through [`FileEntry::read_backend`], so on transformed entries every
+/// through [`FileEntry::fill_backend`], so on transformed entries every
 /// prefetch fill decodes and **verifies** its frames; a chunk failing
 /// verification is retired as a wasted prefetch (buffer back to the
 /// pool, ledger balanced) and the reader's own direct read surfaces the
@@ -166,7 +166,7 @@ fn read_and_install(stats: &CrfsStats, pool: &BufferPool, mut chunk: ReadChunk) 
         .expect("prefetch read on a file without read state");
     let res = chunk
         .entry
-        .read_backend(chunk.offset, &mut chunk.buf[..chunk.len]);
+        .fill_backend(chunk.offset, &mut chunk.buf[..chunk.len]);
     stats.note_retired(1);
     match res {
         Ok(n) => {

@@ -142,6 +142,18 @@ impl FileEntry {
         }
     }
 
+    /// [`read_backend`](Self::read_backend) into a buffer the caller owns
+    /// and discards on error — a prefetch fill's cache slot — which lets
+    /// a transformed entry decode whole frames in place (see
+    /// [`FileTransform::fill_logical`](crate::transform::FileTransform::fill_logical)).
+    /// Verification is the same.
+    pub fn fill_backend(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        match &self.transform {
+            Some(t) => t.fill_logical(&*self.file, &self.path, offset, buf),
+            None => self.file.read_at(offset, buf),
+        }
+    }
+
     /// Registers a chunk as enqueued (bumps the write chunk count).
     pub fn note_sealed(&self) {
         self.ledger.sealed.fetch_add(1, Relaxed);

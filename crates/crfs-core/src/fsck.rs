@@ -53,7 +53,7 @@ use crate::backend::{read_exact_at, Backend, BackendFile, OpenOptions};
 use crate::obs::Histogram;
 use crate::snapshot::manifest::{ChunkRecord, Manifest, Record, MANIFEST_MAGIC};
 use crate::snapshot::{parse_cas_name, parse_manifest_name, CAS_DIR, SNAP_DIR};
-use crate::transform::codec::decode_payload;
+use crate::transform::codec::decode_to_vec;
 use crate::transform::frame::{
     payload_digest, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
     FRAME_MAGIC,
@@ -858,9 +858,7 @@ fn check_frame_log(
                     }
                 }
             } else if opts.verify_payloads && h.format == FRAME_FORMAT {
-                out.clear();
-                let ok = decode_payload(h.codec, &payload, h.logical_len as usize, &mut out)
-                    .is_ok()
+                let ok = decode_to_vec(h.codec, &payload, h.logical_len as usize, &mut out).is_ok()
                     && payload_digest(&out).check == h.payload_check;
                 if !ok {
                     damage.bad_payload_checksum += 1;
@@ -1574,6 +1572,79 @@ mod tests {
         assert!(sum.is_clean(), "{sum}");
         assert_eq!(sum.manifests, 1);
         assert!(sum.frame_logs >= 2, "live log + CAS chunks: {sum}");
+    }
+
+    #[test]
+    fn undecodable_cas_chunk_is_payload_damage_to_restart_and_fsck_alike() {
+        use crate::transform::codec::STORED_LZ;
+        let backend = be();
+        populate_snap(&backend);
+        // One content-store chunk whose LZ stream stops decoding: its
+        // first token turned from a literal run into a match with no
+        // output behind it.
+        let victim = backend
+            .list_dir(CAS_DIR)
+            .unwrap()
+            .into_iter()
+            .map(|name| format!("{CAS_DIR}/{name}"))
+            .find(|path| backend.file_len(path).unwrap() > FRAME_HEADER_LEN + 8)
+            .expect("a stored chunk");
+        let f = backend.open(&victim, OpenOptions::read_write()).unwrap();
+        let mut hdr = [0u8; FRAME_HEADER_LEN as usize];
+        f.read_at(0, &mut hdr).unwrap();
+        assert_eq!(FrameHeader::decode(&hdr).unwrap().codec, STORED_LZ);
+        let mut b = [0u8; 1];
+        f.read_at(FRAME_HEADER_LEN, &mut b).unwrap();
+        assert!(b[0] < 128, "an LZ stream opens with literals");
+        f.write_at(FRAME_HEADER_LEN, &[b[0] ^ 0x80]).unwrap();
+        drop(f);
+
+        // Restart: every chunk but the damaged one reads; that one is an
+        // integrity error, counted as payload damage, and hands out no
+        // byte.
+        let fs = Crfs::mount(
+            Arc::clone(&backend),
+            CrfsConfig::default()
+                .with_chunk_size(4096)
+                .with_pool_size(64 * 1024)
+                .with_codec(CodecKind::Lz)
+                .with_dedup(true)
+                .with_snapshots(true)
+                .with_read_ahead(0),
+        )
+        .unwrap();
+        let file = fs.open("/ckpt/rank0.img").unwrap();
+        let mut failed = 0;
+        for chunk in 0..5u64 {
+            let mut buf = [0xAAu8; 4096];
+            match file.read_at(chunk * 4096, &mut buf) {
+                Ok(n) => assert!(buf[..n]
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &b)| b == ((chunk as usize * 4096 + i) / 64) as u8)),
+                Err(e) => {
+                    assert!(
+                        matches!(e, crate::CrfsError::IntegrityError { .. }),
+                        "{e:?}"
+                    );
+                    assert!(
+                        buf.iter().all(|&b| b == 0 || b == 0xAA),
+                        "bytes of an unverified chunk reached the caller"
+                    );
+                    failed += 1;
+                }
+            }
+        }
+        assert_eq!(failed, 1);
+        assert_eq!(fs.stats().bad_payload_checksum, 1);
+        file.close().unwrap();
+        fs.unmount().unwrap();
+
+        // fsck names the same file for the same reason.
+        let sum = run(&backend, &["/".to_string()], &opts(1));
+        assert_eq!(sum.damage.bad_payload_checksum, 1, "{sum}");
+        assert_eq!(sum.reports.len(), 1, "{sum}");
+        assert_eq!(sum.reports[0].path, victim);
     }
 
     #[test]

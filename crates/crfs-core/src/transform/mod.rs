@@ -41,7 +41,10 @@
 //! written before the digest) surfaces as
 //! [`CrfsError::IntegrityError`](crate::CrfsError::IntegrityError)
 //! instead of handing corrupt or unverifiable bytes to a restarting
-//! process.
+//! process. A reader's buffer receives verified bytes only; a prefetch
+//! fill, which owns its cache slot and drops it on error, has whole
+//! frames decoded and verified in the slot itself
+//! ([`FileTransform::fill_logical`]) and the slot zeroed on failure.
 //!
 //! Crash recovery (the acked-prefix contract, DESIGN.md §6): the open
 //! scan keeps the longest prefix of structurally valid frames and
@@ -87,7 +90,7 @@ use crate::backend::{read_exact_at, Backend, BackendFile, OpenOptions};
 use crate::config::CrfsConfig;
 use crate::snapshot::{cas_path, manifest::ChunkRecord, ChunkKey, InflightGuard, SnapshotStore};
 use crate::stats::CrfsStats;
-use codec::{decode_payload, encode_payload, STORED_RAW};
+use codec::{check_expansion, decode_into, encode_payload, max_stored_len, STORED_RAW};
 use frame::{
     payload_digest, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
     FRAME_MAGIC,
@@ -448,6 +451,35 @@ impl EncodedChunk {
     }
 }
 
+/// A frame buffer allocated once: the header's 40 bytes (zeroed,
+/// stamped when the stored length is known) and room for `payload_cap`
+/// stored bytes behind them.
+fn new_frame(payload_cap: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN as usize + payload_cap);
+    frame.resize(FRAME_HEADER_LEN as usize, 0);
+    frame
+}
+
+/// A DATA frame of `payload` under `codec` (header still blank) and the
+/// stored codec id the encode settled on.
+fn data_frame(codec: CodecKind, payload: &[u8]) -> (Vec<u8>, u8) {
+    let mut frame = new_frame(max_stored_len(codec, payload.len()));
+    let stored_codec = encode_payload(codec, payload, &mut frame);
+    (frame, stored_codec)
+}
+
+/// A REF frame (header still blank) whose record names `stored_len`
+/// bytes of `codec` at `stored_off` of `origin`.
+fn ref_frame(origin: &str, stored_off: u64, stored_len: u32, codec: u8) -> Vec<u8> {
+    let mut frame = new_frame(REF_META_LEN + origin.len());
+    frame.extend_from_slice(&stored_off.to_le_bytes());
+    frame.extend_from_slice(&stored_len.to_le_bytes());
+    frame.push(codec);
+    frame.extend_from_slice(&[0u8; 3]);
+    frame.extend_from_slice(origin.as_bytes());
+    frame
+}
+
 /// Encodes `payload` into a standalone single-frame file in the
 /// content-addressed store (header `logical_offset` 0 — the chunk's
 /// placement lives in the referencing frames, not the CAS file).
@@ -461,8 +493,7 @@ fn store_cas(
     payload: &[u8],
     check: u64,
 ) -> io::Result<(u8, u32)> {
-    let mut cas = vec![0u8; FRAME_HEADER_LEN as usize];
-    let cas_codec = encode_payload(codec, payload, &mut cas);
+    let (mut cas, cas_codec) = data_frame(codec, payload);
     let stored_len = (cas.len() - FRAME_HEADER_LEN as usize) as u32;
     let header = FrameHeader {
         codec: cas_codec,
@@ -490,6 +521,13 @@ struct Scratch {
     origin: Vec<u8>,
     /// The decoded logical payload.
     out: Vec<u8>,
+}
+
+/// Where a reference record says its chunk's stored bytes live.
+struct OriginRef<'r> {
+    path: &'r str,
+    off: u64,
+    codec: u8,
 }
 
 /// Per-open-file transform state: the frame map and the stored-space
@@ -653,11 +691,14 @@ impl FileTransform {
         // they are handed.
         let frame::PayloadDigest { key: hash, check } = payload_digest(payload);
 
-        let mut frame = vec![0u8; FRAME_HEADER_LEN as usize];
         let mut dedup_key = None;
         let mut snap_rec = None;
         let mut inflight = None;
-        let (codec, flags) = match self.ctx.dedup.as_ref() {
+        let inline = || {
+            let (frame, stored_codec) = data_frame(self.ctx.codec, payload);
+            (frame, stored_codec, 0)
+        };
+        let (mut frame, codec, flags) = match self.ctx.dedup.as_ref() {
             Some(index) => {
                 let len = payload.len() as u32;
                 // Snapshot mounts register the key as in-flight *before*
@@ -670,11 +711,6 @@ impl FileTransform {
                 match index.lookup(hash, len) {
                     Some(hit) => {
                         // Reference record: origin location + path.
-                        frame.extend_from_slice(&hit.stored_off.to_le_bytes());
-                        frame.extend_from_slice(&hit.stored_len.to_le_bytes());
-                        frame.push(hit.codec);
-                        frame.extend_from_slice(&[0u8; 3]);
-                        frame.extend_from_slice(hit.path.as_bytes());
                         stats.dedup_hits.fetch_add(1, Relaxed);
                         if self.ctx.snap.is_some() {
                             snap_rec = Some(ChunkRecord {
@@ -689,7 +725,8 @@ impl FileTransform {
                                 codec: hit.codec,
                             });
                         }
-                        (STORED_RAW, FLAG_REF)
+                        let frame = ref_frame(&hit.path, hit.stored_off, hit.stored_len, hit.codec);
+                        (frame, STORED_RAW, FLAG_REF)
                     }
                     None => match self.ctx.snap.as_ref() {
                         // Fresh content on a snapshot mount: encode it
@@ -700,11 +737,7 @@ impl FileTransform {
                             match store_cas(self.ctx.codec, snap, (hash, len), payload, check) {
                                 Ok((cas_codec, cas_len)) => {
                                     let origin = cas_path((hash, len));
-                                    frame.extend_from_slice(&0u64.to_le_bytes());
-                                    frame.extend_from_slice(&cas_len.to_le_bytes());
-                                    frame.push(cas_codec);
-                                    frame.extend_from_slice(&[0u8; 3]);
-                                    frame.extend_from_slice(origin.as_bytes());
+                                    let frame = ref_frame(&origin, 0, cas_len, cas_codec);
                                     index.insert(
                                         hash,
                                         len,
@@ -724,7 +757,7 @@ impl FileTransform {
                                         stored_len: cas_len,
                                         codec: cas_codec,
                                     });
-                                    (STORED_RAW, FLAG_REF)
+                                    (frame, STORED_RAW, FLAG_REF)
                                 }
                                 // CAS write failed: degrade to an inline
                                 // DATA frame so the user's bytes still land
@@ -733,18 +766,18 @@ impl FileTransform {
                                 // sealed manifest complete.
                                 Err(_) => {
                                     dedup_key = Some((hash, len));
-                                    (encode_payload(self.ctx.codec, payload, &mut frame), 0)
+                                    inline()
                                 }
                             }
                         }
                         None => {
                             dedup_key = Some((hash, len));
-                            (encode_payload(self.ctx.codec, payload, &mut frame), 0)
+                            inline()
                         }
                     },
                 }
             }
-            None => (encode_payload(self.ctx.codec, payload, &mut frame), 0),
+            None => inline(),
         };
         let stored_len = (frame.len() - FRAME_HEADER_LEN as usize) as u32;
         let header = FrameHeader {
@@ -931,13 +964,43 @@ impl FileTransform {
     /// zero-filled), then decodes and **verifies** each touched frame.
     /// Returns the bytes produced (clamped at logical EOF). Any
     /// checksum mismatch or malformed frame fails the read with an
-    /// integrity-marked error and counts `integrity_failures`.
+    /// integrity-marked error and counts `integrity_failures`; `buf`
+    /// only ever receives verified bytes, so a failed read leaves the
+    /// rest of it as the caller had it.
     pub fn read_logical(
         &self,
         file: &dyn BackendFile,
         path: &str,
         offset: u64,
         buf: &mut [u8],
+    ) -> io::Result<usize> {
+        self.read_pieces(file, path, offset, buf, false)
+    }
+
+    /// [`read_logical`](Self::read_logical) for a caller that owns
+    /// `buf` and throws it away on error (the prefetch fill of a cache
+    /// slot): a piece that covers its whole frame — a fill of one chunk
+    /// is exactly that — is decoded and verified where it is wanted, so
+    /// the chunk-sized copy out of the scratch disappears. If such a
+    /// piece fails, it is zeroed before the error returns: an unverified
+    /// byte never stays in `buf` either way.
+    pub fn fill_logical(
+        &self,
+        file: &dyn BackendFile,
+        path: &str,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> io::Result<usize> {
+        self.read_pieces(file, path, offset, buf, true)
+    }
+
+    fn read_pieces(
+        &self,
+        file: &dyn BackendFile,
+        path: &str,
+        offset: u64,
+        buf: &mut [u8],
+        in_place: bool,
     ) -> io::Result<usize> {
         let (mut pieces, total) = self.map.lock().plan(offset, buf.len());
         // A frame's coverage can split into several pieces with pieces
@@ -959,11 +1022,21 @@ impl FileTransform {
                     within,
                     len,
                 } => {
+                    let piece = &mut buf[dst..dst + len];
+                    if in_place && within == 0 && len == frame.logical_len as usize {
+                        // The piece is the whole frame: decode and
+                        // verify where the bytes are wanted. Until the
+                        // digest agrees they are not the caller's to
+                        // see.
+                        self.fetch_frame(file, path, &frame, &mut scratch, Some(&mut *piece))
+                            .inspect_err(|_| piece.fill(0))?;
+                        continue;
+                    }
                     if held != Some(frame.stored_off) {
-                        self.fetch_frame(file, path, &frame, &mut scratch)?;
+                        self.fetch_frame(file, path, &frame, &mut scratch, None)?;
                         held = Some(frame.stored_off);
                     }
-                    buf[dst..dst + len].copy_from_slice(&scratch.out[within..within + len]);
+                    piece.copy_from_slice(&scratch.out[within..within + len]);
                 }
             }
         }
@@ -971,14 +1044,17 @@ impl FileTransform {
         Ok(total)
     }
 
-    /// Reads, decodes and verifies one frame's logical payload into
-    /// `s.out`. Only a verified payload is left there for the caller.
+    /// Reads, decodes and verifies one frame's logical payload: into
+    /// `direct` (exactly `logical_len` bytes) when given, else into
+    /// `s.out`. Only a verified payload is left in `s.out`; `direct`
+    /// holds unspecified bytes on error, for the caller to clear.
     fn fetch_frame(
         &self,
         file: &dyn BackendFile,
         path: &str,
         f: &FrameEntry,
         s: &mut Scratch,
+        direct: Option<&mut [u8]>,
     ) -> io::Result<()> {
         let stats = &self.ctx.stats;
         if f.format != FRAME_FORMAT {
@@ -994,22 +1070,45 @@ impl FileTransform {
                 ),
             ));
         }
-        s.frame.resize(f.stored_len as usize, 0);
-        read_exact_at(file, f.stored_off + FRAME_HEADER_LEN, &mut s.frame)?;
+        let Scratch { frame, origin, out } = s;
+        frame.resize(f.stored_len as usize, 0);
+        read_exact_at(file, f.stored_off + FRAME_HEADER_LEN, frame)?;
         let t0 = Instant::now();
-        s.out.clear();
-        if f.flags & FLAG_REF != 0 {
-            self.resolve_ref(file, path, f, s)?;
+        // The stored bytes to decode: the frame's own, or those of the
+        // origin its reference record names.
+        let reference = if f.flags & FLAG_REF != 0 {
+            Some(self.read_origin(file, path, f, frame, origin)?)
         } else {
-            decode_payload(f.codec, &s.frame, f.logical_len as usize, &mut s.out).map_err(|e| {
-                stats.bad_payload_checksum.fetch_add(1, Relaxed);
-                integrity(
-                    stats,
-                    format!("chunk at {} of {path:?} undecodable: {e}", f.logical_offset),
-                )
-            })?;
-        }
-        if payload_digest(&s.out).check != f.check {
+            None
+        };
+        let (codec, stored): (u8, &[u8]) = match &reference {
+            Some(r) => (r.codec, origin),
+            None => (f.codec, frame),
+        };
+        // Stored bytes that do not decode are payload damage wherever
+        // they live: inline in this file or in a CAS chunk.
+        let undecodable = |e: io::Error| {
+            stats.bad_payload_checksum.fetch_add(1, Relaxed);
+            let detail = match &reference {
+                Some(r) => format!("dedup origin {:?}@{} undecodable: {e}", r.path, r.off),
+                None => format!("chunk at {} of {path:?} undecodable: {e}", f.logical_offset),
+            };
+            integrity(stats, detail)
+        };
+        let logical_len = f.logical_len as usize;
+        // `logical_len` comes from a header: bound it by what the
+        // stored bytes can expand to before it sizes `out`.
+        check_expansion(codec, stored.len(), logical_len).map_err(undecodable)?;
+        let dst = match direct {
+            Some(dst) => dst,
+            None => {
+                out.resize(logical_len, 0);
+                &mut out[..]
+            }
+        };
+        debug_assert_eq!(dst.len(), logical_len);
+        decode_into(codec, stored, dst).map_err(undecodable)?;
+        if payload_digest(dst).check != f.check {
             stats.bad_payload_checksum.fetch_add(1, Relaxed);
             return Err(integrity(
                 stats,
@@ -1029,19 +1128,19 @@ impl FileTransform {
         Ok(())
     }
 
-    /// Resolves the dedup reference record in `s.frame` to the origin
-    /// frame's decoded payload, left in `s.out`. The caller verifies
-    /// the result against the reference's own check, so a stale or
-    /// mismatched origin is detected.
-    fn resolve_ref(
+    /// Parses the dedup reference `record` of frame `f` and reads the
+    /// origin's stored bytes into `origin`. The caller decodes them and
+    /// verifies the result against the reference's own check, so a
+    /// stale or mismatched origin is detected.
+    fn read_origin<'r>(
         &self,
         file: &dyn BackendFile,
         path: &str,
         f: &FrameEntry,
-        s: &mut Scratch,
-    ) -> io::Result<()> {
+        record: &'r [u8],
+        origin: &mut Vec<u8>,
+    ) -> io::Result<OriginRef<'r>> {
         let stats = &self.ctx.stats;
-        let record = &s.frame;
         if record.len() < REF_META_LEN {
             return Err(integrity(
                 stats,
@@ -1076,23 +1175,22 @@ impl FileTransform {
                 ),
             ));
         }
-        s.origin.resize(origin_len as usize, 0);
+        origin.resize(origin_len as usize, 0);
         if origin_path == path {
-            read_exact_at(file, origin_off + FRAME_HEADER_LEN, &mut s.origin)?;
+            read_exact_at(file, origin_off + FRAME_HEADER_LEN, origin)?;
         } else {
-            let origin = self.origin_handle(origin_path).map_err(|e| {
+            let handle = self.origin_handle(origin_path).map_err(|e| {
                 integrity(
                     stats,
                     format!("dedup origin {origin_path:?} unavailable: {e}"),
                 )
             })?;
-            read_exact_at(&*origin, origin_off + FRAME_HEADER_LEN, &mut s.origin)?;
+            read_exact_at(&*handle, origin_off + FRAME_HEADER_LEN, origin)?;
         }
-        decode_payload(origin_codec, &s.origin, f.logical_len as usize, &mut s.out).map_err(|e| {
-            integrity(
-                stats,
-                format!("dedup origin {origin_path:?}@{origin_off} undecodable: {e}"),
-            )
+        Ok(OriginRef {
+            path: origin_path,
+            off: origin_off,
+            codec: origin_codec,
         })
     }
 
@@ -1563,6 +1661,72 @@ mod tests {
         let err = ft.read_logical(&*file, &path, 0, &mut buf).unwrap_err();
         assert!(is_integrity_error(&err), "got: {err}");
         assert!(stats.integrity_failures.load(Relaxed) >= 1);
+    }
+
+    #[test]
+    fn whole_frame_reads_decode_in_place_and_partial_ones_through_scratch() {
+        let (ctx, _stats) = ctx(CodecKind::Lz, false);
+        let be = MemBackend::new();
+        let file = be.open("/f", OpenOptions::create_truncate()).unwrap();
+        let ft = FileTransform::fresh(ctx);
+        let path: Arc<str> = "/f".into();
+        let (a, b) = (compressible(4096, 1), compressible(4096, 2));
+        write_all(&ft, &*file, &path, 0, &a);
+        write_all(&ft, &*file, &path, 4096, &b);
+        let decoded_in_scratch = |ft: &FileTransform| {
+            let idle = ft.scratch.lock();
+            idle.iter().map(|s| s.out.len()).sum::<usize>()
+        };
+        // Two pieces, each a whole frame: straight into `buf`.
+        let mut buf = vec![0xAAu8; 8192];
+        assert_eq!(ft.fill_logical(&*file, &path, 0, &mut buf).unwrap(), 8192);
+        assert_eq!((&buf[..4096], &buf[4096..]), (&a[..], &b[..]));
+        assert_eq!(decoded_in_scratch(&ft), 0, "no scratch decode, no copy");
+        // A read that covers a frame only partly decodes all of it
+        // aside, verifies, and copies the part.
+        let mut part = vec![0xAAu8; 1000];
+        assert_eq!(
+            ft.fill_logical(&*file, &path, 4000, &mut part).unwrap(),
+            1000
+        );
+        assert_eq!((&part[..96], &part[96..]), (&a[4000..], &b[..904]));
+        assert_eq!(decoded_in_scratch(&ft), 4096);
+    }
+
+    #[test]
+    fn a_failed_in_place_decode_leaves_the_callers_piece_zeroed() {
+        // Identity: the flipped byte decodes, so only the digest can
+        // object — after the bytes are already in the caller's buffer.
+        for (codec, flip_at) in [(CodecKind::Identity, 100), (CodecKind::Lz, 30)] {
+            let (ctx, stats) = ctx(codec, false);
+            let be = MemBackend::new();
+            let file = be.open("/f", OpenOptions::create_truncate()).unwrap();
+            let ft = FileTransform::fresh(ctx);
+            let path: Arc<str> = "/f".into();
+            let good = compressible(2048, 3);
+            write_all(&ft, &*file, &path, 0, &good);
+            let second = file.len().unwrap();
+            write_all(&ft, &*file, &path, 2048, &compressible(2048, 4));
+            let at = second + FRAME_HEADER_LEN + flip_at;
+            let mut b = [0u8; 1];
+            file.read_at(at, &mut b).unwrap();
+            file.write_at(at, &[b[0] ^ 0x04]).unwrap();
+
+            let mut buf = vec![0xAAu8; 4096];
+            let err = ft.fill_logical(&*file, &path, 0, &mut buf).unwrap_err();
+            assert!(is_integrity_error(&err), "{codec:?}: {err}");
+            assert_eq!(stats.bad_payload_checksum.load(Relaxed), 1, "{codec:?}");
+            assert_eq!(&buf[..2048], &good[..], "the verified frame was served");
+            assert!(
+                buf[2048..].iter().all(|&b| b == 0),
+                "{codec:?}: unverified bytes stayed in the filled buffer"
+            );
+            // A reader's own buffer is never a decode destination.
+            let mut buf = vec![0xAAu8; 4096];
+            let err = ft.read_logical(&*file, &path, 0, &mut buf).unwrap_err();
+            assert!(is_integrity_error(&err), "{codec:?}: {err}");
+            assert!(buf[2048..].iter().all(|&b| b == 0xAA), "{codec:?}");
+        }
     }
 
     #[test]
