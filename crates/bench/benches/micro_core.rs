@@ -80,57 +80,5 @@ fn bench_write_path(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_aggregator(c: &mut Criterion) {
-    use crfs_core::aggregator::AggregatingBackend;
-    use crfs_core::backend::{Backend, MemBackend, OpenOptions};
-
-    let mut g = c.benchmark_group("aggregator");
-    for size in [64usize << 10, 4 << 20] {
-        g.throughput(Throughput::Bytes(size as u64));
-        g.bench_with_input(
-            BenchmarkId::new("container_append", size),
-            &size,
-            |b, &size| {
-                let inner: Arc<dyn Backend> = Arc::new(MemBackend::new());
-                let agg = AggregatingBackend::create(&inner, "/c.agg").expect("create");
-                let f = agg
-                    .open("/f", OpenOptions::create_truncate())
-                    .expect("open");
-                let buf = vec![0x5au8; size];
-                let mut off = 0u64;
-                b.iter(|| {
-                    f.write_at(off, &buf).expect("append");
-                    off += size as u64;
-                });
-            },
-        );
-    }
-    // Read remap cost through a deep extent list (1024 extents).
-    g.bench_function("index_remap_read_4k", |b| {
-        let inner: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        let agg = AggregatingBackend::create(&inner, "/c.agg").expect("create");
-        let f = agg
-            .open("/f", OpenOptions::create_truncate())
-            .expect("open");
-        let piece = vec![7u8; 4096];
-        for i in 0..1024u64 {
-            f.write_at(i * 4096, &piece).expect("append");
-        }
-        let mut buf = vec![0u8; 4096];
-        let mut off = 0u64;
-        b.iter(|| {
-            f.read_at(off % (1024 * 4096), &mut buf).expect("read");
-            off += 4096;
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_plan_write,
-    bench_pool,
-    bench_write_path,
-    bench_aggregator
-);
+criterion_group!(benches, bench_plan_write, bench_pool, bench_write_path);
 criterion_main!(benches);

@@ -29,9 +29,8 @@ pub const ALL_IDS: [&str; 10] = [
 
 /// Extension experiments beyond the paper's figures: ablations of design
 /// choices the paper fixes by fiat, the §V-F restart measurement it
-/// reports only qualitatively, the §VII future-work container mode, the
-/// PVFS2 backend it mentions but never measures, the
-/// chunk transform sweep (compression × dedup × integrity; emits
+/// reports only qualitatively, the PVFS2 backend it mentions but never
+/// measures, the chunk transform sweep (compression × dedup × integrity; emits
 /// `BENCH_compress.json`), the ring-engine depth sweep (in-flight
 /// ops vs throughput at fixed `io_threads`; emits `BENCH_engine.json`),
 /// the crash-recovery fsck sweep (parallel checker scaling + a
@@ -46,11 +45,10 @@ pub const ALL_IDS: [&str; 10] = [
 /// ack latency vs direct durable writes, throughput vs dirty volume ×
 /// drain bandwidth, and crash-during-drain recovery gating zero
 /// wrong-byte restarts; emits `BENCH_tiered.json`).
-pub const EXTENSION_IDS: [&str; 11] = [
+pub const EXTENSION_IDS: [&str; 10] = [
     "iothreads",
     "chunksweep",
     "restart",
-    "container",
     "pvfs",
     "compress",
     "engine",
@@ -76,7 +74,6 @@ pub fn run_one(id: &str, quick: bool) -> Option<ExpOutput> {
         "fig11" => fig11(quick),
         "iothreads" => iothreads(quick),
         "chunksweep" => chunksweep(quick),
-        "container" => container(quick),
         "pvfs" => pvfs(quick),
         "restart" => restart(quick),
         "compress" => compress(quick),
@@ -550,93 +547,6 @@ fn iothreads(quick: bool) -> ExpOutput {
         title: "§V-B ablation: IO-thread throttling level".into(),
         text,
         json: json!({ "rows": rows_json }),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Container-aggregation ablation (paper §VII future work, implemented:
-// crfs_core::aggregator / CrfsSim container mode)
-// ---------------------------------------------------------------------
-
-fn container(quick: bool) -> ExpOutput {
-    let mut text = String::new();
-    let mut sections = Vec::new();
-    let _ = writeln!(
-        text,
-        "Node-container aggregation ablation, LU.C.64 -> ext3 (§VII future \
-         work, implemented)\n"
-    );
-    // At the paper's 4 MiB chunks per-file CRFS already writes almost
-    // perfectly sequentially; the inter-file interleave the container
-    // removes only re-emerges at small chunk sizes. Run both regimes.
-    for chunk in [4usize << 20, 256 << 10] {
-        let mut t = Table::new(&[
-            "Mode",
-            "Mean time (s)",
-            "Spread max-min (s)",
-            "Disk seeks",
-            "Sequential fraction",
-        ]);
-        let mut rows_json = Vec::new();
-        for (label, use_crfs, container) in [
-            ("native ext3", false, false),
-            ("CRFS", true, false),
-            ("CRFS + node container", true, true),
-        ] {
-            // Image sizes stay at paper scale so the checkpoint overruns
-            // the node's background-writeback threshold and actually
-            // reaches the disk (no disk traffic ⇒ no seeks to compare);
-            // --quick shrinks the cluster instead.
-            let mut s = profiling_spec(false, use_crfs);
-            if quick {
-                s.nodes = 2;
-            }
-            s.container = container;
-            s.crfs_config = s.crfs_config.with_chunk_size(chunk);
-            s.record_curves = false;
-            s.record_profile = false;
-            let r = run_checkpoint(&s);
-            let trace = r.node0_trace.as_ref().expect("trace recorded");
-            let sum = trace.summary();
-            t.row(&[
-                label.to_string(),
-                format!("{:.2}", r.mean_time),
-                format!("{:.2}", r.spread.spread()),
-                sum.seeks.to_string(),
-                format!("{:.2}", sum.sequential_fraction),
-            ]);
-            rows_json.push(json!({
-                "chunk": chunk, "mode": label, "mean_s": r.mean_time,
-                "spread_s": r.spread.spread(),
-                "seeks": sum.seeks,
-                "sequential_fraction": sum.sequential_fraction,
-            }));
-        }
-        let _ = writeln!(
-            text,
-            "chunk size = {}:\n\n{t}",
-            if chunk >= 1 << 20 {
-                format!("{} MiB", chunk >> 20)
-            } else {
-                format!("{} KiB", chunk >> 10)
-            }
-        );
-        sections.extend(rows_json);
-    }
-    let _ = writeln!(
-        text,
-        "At 4 MiB chunks per-file CRFS already removes nearly every seek, \
-         so the container mainly narrows the completion spread and cuts \
-         backend opens to one per node. At small chunks the inter-file \
-         interleave returns for per-file CRFS — and the container erases \
-         it again by appending every chunk to one stream. Restart uses the \
-         container index or materialize() (see crfs_core::aggregator)."
-    );
-    ExpOutput {
-        id: "container",
-        title: "§VII ablation: node-level container aggregation".into(),
-        text,
-        json: json!({ "rows": sections }),
     }
 }
 

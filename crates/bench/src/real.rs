@@ -924,20 +924,18 @@ pub fn fsck_thread_sweep(quick: bool) -> Vec<FsckSweepPoint> {
 
 /// Stored end offset of every frame in a clean log, in chain order.
 fn frame_ends(backend: &Arc<dyn Backend>, path: &str) -> Vec<u64> {
-    use crfs_core::transform::frame::{FrameHeader, FRAME_HEADER_LEN};
+    use crfs_core::transform::frame::FRAME_HEADER_LEN;
+    use crfs_core::transform::{walk_frames, FileHead};
     let file = backend.open(path, OpenOptions::read_only()).expect("open");
-    let len = file.len().expect("len");
+    let head = FileHead::read(&*file).expect("head");
     let mut ends = Vec::new();
-    let mut off = 0u64;
-    let mut hdr = [0u8; FRAME_HEADER_LEN as usize];
-    while off + FRAME_HEADER_LEN <= len {
-        let n = file.read_at(off, &mut hdr).expect("read header");
-        assert_eq!(n as u64, FRAME_HEADER_LEN);
-        let h = FrameHeader::decode(&hdr).expect("clean chain");
-        off += FRAME_HEADER_LEN + u64::from(h.stored_len);
-        ends.push(off);
-    }
-    assert_eq!(off, len, "clean chain covers the file");
+    let outcome = walk_frames(&*file, &head, |off, h| {
+        ends.push(off + FRAME_HEADER_LEN + u64::from(h.stored_len));
+        Ok(())
+    })
+    .expect("walk")
+    .expect("framed");
+    assert!(outcome.damage.is_none(), "clean chain covers the file");
     ends
 }
 

@@ -448,12 +448,6 @@ pub struct CrfsSim {
     /// [`set_read_costs`](Self::set_read_costs) takes effect
     /// immediately.
     read_costs: Rc<Cell<ReadCostParams>>,
-    /// Container (node-aggregation) mode: all sealed chunks append to one
-    /// shared backend file at a monotonic tail — the simulated counterpart
-    /// of `crfs_core::aggregator::AggregatingBackend`.
-    container: bool,
-    container_fid: Cell<Option<u64>>,
-    container_tail: Cell<u64>,
     /// Transform-stage model; `None` ships chunks at their logical size.
     transform: Cell<Option<SimTransform>>,
     /// Deterministic dedup accumulator (error-diffusion of the rate).
@@ -487,22 +481,6 @@ impl CrfsSim {
         config: CrfsConfig,
         costs: CrfsCostParams,
         fuse: FuseParams,
-    ) -> Rc<CrfsSim> {
-        Self::with_mode(target, config, costs, fuse, false)
-    }
-
-    /// Like [`new`](Self::new), with node-level container aggregation
-    /// enabled when `container` is true: per-process checkpoint files
-    /// multiplex into one sequential backend stream (the §VII future-work
-    /// mode; see `crfs_core::aggregator`). Per-file `close` still drains
-    /// that file's outstanding chunks, but the shared container is closed
-    /// by [`finalize_container`](Self::finalize_container).
-    pub fn with_mode(
-        target: Target,
-        config: CrfsConfig,
-        costs: CrfsCostParams,
-        fuse: FuseParams,
-        container: bool,
     ) -> Rc<CrfsSim> {
         config.validate().expect("invalid CRFS config");
         let (tx, rx) = unbounded::<WorkItem>();
@@ -648,9 +626,6 @@ impl CrfsSim {
             next_fh: Cell::new(1),
             stats,
             read_costs,
-            container,
-            container_fid: Cell::new(None),
-            container_tail: Cell::new(0),
             transform: Cell::new(None),
             dedup_acc: Cell::new(0.0),
             crash,
@@ -991,22 +966,9 @@ impl CrfsSim {
     }
 
     /// open(): FUSE crossing + backend open + table entry (paper §IV-A).
-    /// In container mode only the first open creates a backend file — the
-    /// shared container; later opens are metadata-only (index entries).
     pub async fn open(&self) -> u64 {
         self.fuse.crossing(0).await;
-        let backend_fid = if self.container {
-            match self.container_fid.get() {
-                Some(fid) => fid,
-                None => {
-                    let fid = self.target.open().await;
-                    self.container_fid.set(Some(fid));
-                    fid
-                }
-            }
-        } else {
-            self.target.open().await
-        };
+        let backend_fid = self.target.open().await;
         let fh = self.next_fh.get();
         self.next_fh.set(fh + 1);
         self.files.borrow_mut().insert(
@@ -1175,21 +1137,11 @@ impl CrfsSim {
             }
         };
         self.note_snapshot_chunk(hit, stored);
-        // Container mode: the chunk is appended at the container tail
-        // (allocated here, under the single-threaded executor, so appends
-        // never overlap) instead of the chunk's logical file offset.
-        let offset = if self.container {
-            let at = self.container_tail.get();
-            self.container_tail.set(at + stored);
-            at
-        } else {
-            c.file_offset
-        };
         let sent = self
             .tx
             .send(WorkItem::Write {
                 backend_fid,
-                offset,
+                offset: c.file_offset,
                 len: stored,
                 compress,
                 sealed_at: now(),
@@ -1340,24 +1292,8 @@ impl CrfsSim {
             }
             self.pool.add_permits(1);
         }
-        if !self.container {
-            self.target.close(backend_fid).await;
-        }
+        self.target.close(backend_fid).await;
         self.files.borrow_mut().remove(&fh);
-    }
-
-    /// Container mode epilogue: closes the shared container file on the
-    /// backend (commits on NFS). No-op when container mode is off or
-    /// nothing was ever opened.
-    pub async fn finalize_container(&self) {
-        if let Some(fid) = self.container_fid.take() {
-            self.target.close(fid).await;
-        }
-    }
-
-    /// Bytes appended to the container so far (container mode only).
-    pub fn container_bytes(&self) -> u64 {
-        self.container_tail.get()
     }
 
     /// fsync(): flush the current chunk, wait out in-flight chunks, then
@@ -1951,99 +1887,6 @@ mod tests {
             assert_eq!(crfs.gc().await, (0, 0), "second sweep finds nothing");
             fs.stop();
         });
-    }
-
-    #[test]
-    fn container_mode_appends_one_sequential_stream() {
-        let mut sim = Sim::new(0);
-        sim.run(async {
-            let fs = LocalFs::new(
-                VfsCostParams::ext3_node(),
-                AllocParams::ext3(),
-                CacheParams::compute_node(),
-                DiskParams::node_sata(),
-                SimRng::new(0),
-            );
-            let crfs = CrfsSim::with_mode(
-                Target::Ext3(Rc::clone(&fs)),
-                CrfsConfig::default(),
-                CrfsCostParams::paper(),
-                FuseParams::paper(),
-                true,
-            );
-            // 4 files × 6 MiB interleaved through one container.
-            let mut fhs = Vec::new();
-            for _ in 0..4 {
-                fhs.push(crfs.open().await);
-            }
-            for round in 0..6 {
-                for &fh in &fhs {
-                    crfs.app_write(fh, round * MB, MB).await;
-                }
-            }
-            for fh in fhs {
-                crfs.close(fh).await;
-            }
-            crfs.finalize_container().await;
-            assert_eq!(crfs.container_bytes(), 24 * MB);
-            assert_eq!(crfs.stats().bytes_out.get(), 24 * MB);
-            // Exactly one backend file was ever opened.
-            assert_eq!(fs.open_count(), 1);
-            fs.stop();
-        });
-    }
-
-    #[test]
-    fn container_mode_helps_under_multi_writer_interleave() {
-        // 8 writers of medium writes on one ext3 node: the container's
-        // single-stream allocation must not be slower than per-file CRFS
-        // (it removes the remaining inter-file interleave).
-        fn run(container: bool, seed: u64) -> f64 {
-            let mut sim = Sim::new(seed);
-            sim.run(async move {
-                let fs = LocalFs::new(
-                    VfsCostParams::ext3_node(),
-                    AllocParams::ext3(),
-                    CacheParams::compute_node(),
-                    DiskParams::node_sata(),
-                    SimRng::new(seed),
-                );
-                let crfs = CrfsSim::with_mode(
-                    Target::Ext3(Rc::clone(&fs)),
-                    CrfsConfig::default(),
-                    CrfsCostParams::paper(),
-                    FuseParams::paper(),
-                    container,
-                );
-                let t0 = now();
-                let mut handles = Vec::new();
-                for _ in 0..8 {
-                    let crfs = Rc::clone(&crfs);
-                    handles.push(simkit::spawn(async move {
-                        let fh = crfs.open().await;
-                        let mut off = 0;
-                        for _ in 0..512 {
-                            crfs.app_write(fh, off, 8 * KB).await;
-                            off += 8 * KB;
-                        }
-                        crfs.close(fh).await;
-                    }));
-                }
-                for h in handles {
-                    h.await;
-                }
-                crfs.finalize_container().await;
-                let dt = now().since(t0).as_secs_f64();
-                fs.stop();
-                dt
-            })
-        }
-        let per_file = run(false, 11);
-        let containered = run(true, 11);
-        assert!(
-            containered <= per_file * 1.05,
-            "container {containered:.3}s should not lose to per-file {per_file:.3}s"
-        );
     }
 
     #[test]

@@ -77,10 +77,6 @@ pub struct CheckpointSpec {
     pub backend: BackendKind,
     /// Checkpoint through CRFS (`true`) or natively (`false`).
     pub use_crfs: bool,
-    /// Node-level container aggregation on top of CRFS (the §VII
-    /// future-work mode; requires `use_crfs`). All of a node's chunks
-    /// append to one sequential backend file.
-    pub container: bool,
     /// CRFS mount configuration (chunk/pool/io-threads).
     pub crfs_config: CrfsConfig,
     /// Simulation seed.
@@ -111,7 +107,6 @@ impl CheckpointSpec {
             procs_per_node: 8,
             backend,
             use_crfs,
-            container: false,
             crfs_config: CrfsConfig::default(),
             seed: 42,
             record_curves: false,
@@ -139,11 +134,7 @@ impl CheckpointSpec {
             self.nprocs(),
             self.stack.name(),
             self.backend.name(),
-            match (self.use_crfs, self.container) {
-                (false, _) => "native",
-                (true, false) => "crfs",
-                (true, true) => "crfs+agg",
-            }
+            if self.use_crfs { "crfs" } else { "native" }
         )
     }
 }
@@ -197,7 +188,6 @@ async fn run_inner(spec: CheckpointSpec) -> CheckpointResult {
     let mut node0_fs: Option<Rc<LocalFs>> = None;
     let mut handles = Vec::with_capacity(np);
     let mut node_fses: Vec<Rc<LocalFs>> = Vec::new();
-    let mut node_mounts: Vec<Rc<CrfsSim>> = Vec::new();
 
     for node in 0..spec.nodes {
         let target = match spec.backend {
@@ -239,17 +229,13 @@ async fn run_inner(spec: CheckpointSpec) -> CheckpointResult {
             )),
         };
         let crfs = spec.use_crfs.then(|| {
-            CrfsSim::with_mode(
+            CrfsSim::new(
                 target.clone(),
                 spec.crfs_config.clone(),
                 CrfsCostParams::paper(),
                 FuseParams::paper(),
-                spec.container,
             )
         });
-        if let Some(c) = &crfs {
-            node_mounts.push(Rc::clone(c));
-        }
 
         for local_rank in 0..spec.procs_per_node {
             let rank = node * spec.procs_per_node + local_rank;
@@ -280,13 +266,6 @@ async fn run_inner(spec: CheckpointSpec) -> CheckpointResult {
     let mut per_process = Vec::with_capacity(np);
     for h in handles {
         per_process.push(h.await);
-    }
-
-    // Container-mode epilogue: commit each node's container (a node-level
-    // close, not charged to any individual process — the paper's metric
-    // is per-process write+close time).
-    for m in &node_mounts {
-        m.finalize_container().await;
     }
 
     // Clean shutdown of background tasks (write-back etc.).
@@ -461,19 +440,5 @@ mod tests {
             pvfs < lustre,
             "PVFS2 speedup {pvfs:.2}x should stay below Lustre's {lustre:.2}x"
         );
-    }
-
-    #[test]
-    fn container_mode_runs_and_is_not_slower() {
-        let mut s = CheckpointSpec::new(MpiStack::Mvapich2, LuClass::C, BackendKind::Ext3, true);
-        s.nodes = 2;
-        s.procs_per_node = 4;
-        s.scale = 0.3;
-        s.seed = 7;
-        let per_file = run_checkpoint(&s);
-        s.container = true;
-        let containered = run_checkpoint(&s);
-        assert!(containered.label.contains("crfs+agg"));
-        assert!(containered.mean_time <= per_file.mean_time * 1.1);
     }
 }

@@ -5,11 +5,11 @@
 //! local disk partition; at chunk sizes (hundreds of KiB) the page cache
 //! costs a copy and doubles memory pressure without helping a
 //! write-once stream. This backend keeps [`PassthroughBackend`]'s
-//! directory layout but adds three disk-oriented behaviors:
+//! directory layout but adds two disk-oriented behaviors:
 //!
 //! 1. **Direct writes.** Each file also holds an `O_DIRECT` handle.
-//!    A write whose offset *and* length are both multiples of the
-//!    configured alignment is copied into a 4096-aligned bounce buffer
+//!    A write whose offset *and* length are both multiples of
+//!    [`DEFAULT_ALIGN`] is copied into an equally aligned bounce buffer
 //!    and issued on that handle, bypassing the page cache. Chunk-sized
 //!    writes from the engine hot path are exactly this shape; ragged
 //!    tails and metadata writes fall through to the buffered handle.
@@ -24,8 +24,6 @@
 //!    extend the inode. The *logical* length — max byte ever written —
 //!    is tracked separately; `sync`, `len` and drop all report/restore
 //!    it, so readers and the restart path never see preallocated slack.
-//! 3. **Alignment guarantee for the pool.** `align()` is exported so
-//!    the mount layer can size chunk buffers compatibly.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::fs;
@@ -37,7 +35,7 @@ use std::sync::Mutex;
 use super::layer::{aligned_shape, HostDir};
 use super::{Backend, BackendFile, OpenOptions};
 
-/// Default write alignment: one page / typical logical block.
+/// Direct-write alignment: one page / typical logical block.
 pub const DEFAULT_ALIGN: usize = 4096;
 /// Default preallocation extent: 4 MiB.
 pub const DEFAULT_EXTENT: u64 = 4 << 20;
@@ -88,32 +86,20 @@ impl Drop for AlignedBuf {
 /// preallocation. See the module docs.
 pub struct LocalFileBackend {
     dir: HostDir,
-    align: usize,
     extent: u64,
     direct: bool,
 }
 
 impl LocalFileBackend {
     /// Creates a backend rooted at `root` (created if needed) with the
-    /// default alignment (4096), extent (4 MiB) and `O_DIRECT` enabled
-    /// where the filesystem supports it.
+    /// default extent (4 MiB) and `O_DIRECT` enabled where the
+    /// filesystem supports it.
     pub fn new(root: impl Into<PathBuf>) -> io::Result<LocalFileBackend> {
         Ok(LocalFileBackend {
             dir: HostDir::new(root.into())?,
-            align: DEFAULT_ALIGN,
             extent: DEFAULT_EXTENT,
             direct: true,
         })
-    }
-
-    /// Sets the direct-write alignment (must be a power of two ≥ 512).
-    pub fn with_align(mut self, align: usize) -> LocalFileBackend {
-        assert!(
-            align.is_power_of_two() && align >= 512,
-            "align must be a power of two >= 512"
-        );
-        self.align = align;
-        self
     }
 
     /// Sets the preallocation extent in bytes (0 disables).
@@ -127,11 +113,6 @@ impl LocalFileBackend {
     pub fn buffered_only(mut self) -> LocalFileBackend {
         self.direct = false;
         self
-    }
-
-    /// The direct-write alignment in effect.
-    pub fn align(&self) -> usize {
-        self.align
     }
 
     /// The host directory backing this filesystem.
@@ -165,7 +146,7 @@ impl Backend for LocalFileBackend {
         Ok(Box::new(LocalFile {
             buffered: file,
             direct: Mutex::new(direct),
-            align: self.align,
+            align: DEFAULT_ALIGN,
             extent: self.extent,
             logical: AtomicU64::new(logical),
             grow: Mutex::new(Grow { allocated: logical }),

@@ -277,8 +277,8 @@ impl io::Read for ReadCursor {
 }
 
 /// Reads exactly `buf.len()` bytes at `offset` or fails with
-/// `UnexpectedEof` — the strict read used by format readers (container
-/// index, chunk frames) where a short read means a truncated file.
+/// `UnexpectedEof` — the strict read used by format readers (chunk
+/// frames, manifests) where a short read means a truncated file.
 pub(crate) fn read_exact_at(file: &dyn BackendFile, offset: u64, buf: &mut [u8]) -> io::Result<()> {
     let got = file.read_at(offset, buf)?;
     if got != buf.len() {

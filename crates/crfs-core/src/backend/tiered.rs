@@ -834,9 +834,8 @@ impl TieredBackend {
         TieredBackend { shared, workers }
     }
 
-    /// Stacks `fast` over `durable` with the mount config's tier knobs
-    /// (`tier_watermark_lo/hi`, `tier_drain_window`,
-    /// `tier_promote_reads`, `tier_evict`).
+    /// Stacks `fast` over `durable` with the mount config's watermarks
+    /// (`tier_watermark_lo/hi`) over [`TieredParams::default`].
     pub fn from_config(
         fast: Arc<dyn Backend>,
         durable: Arc<dyn Backend>,

@@ -1,9 +1,9 @@
 //! `crfs-fsck` — offline check and repair for CRFS stored layouts.
 //!
 //! Walks a checkpoint directory on the local filesystem, verifies every
-//! frame log, aggregation container, and snapshot epoch manifest in
-//! parallel, classifies damage (torn tail, bad header CRC, bad payload
-//! checksum, orphaned dedup reference, orphaned content-store chunk,
+//! frame log and snapshot epoch manifest in parallel, classifies damage
+//! (torn tail, bad header CRC, bad payload checksum, orphaned dedup
+//! reference, orphaned content-store chunk,
 //! dangling manifest reference), and — with `--repair` — truncates torn
 //! frame-log tails back to the last valid frame, unlinks undecodable
 //! (torn-seal) manifests, and unlinks content-store chunks nothing
@@ -45,7 +45,7 @@ fn usage() -> ExitCode {
         "usage: crfs-fsck [--repair | --dry-run] [--threads N] [--no-payloads] \
          [--fast <dir>] [--quiet | --json] <dir>\n\
          \n\
-         Checks every CRFS frame log and container under <dir>.\n\
+         Checks every CRFS frame log and snapshot manifest under <dir>.\n\
          \n\
            --repair       truncate torn frame-log tails to the last valid frame\n\
            --dry-run      report only, never mutate (the default)\n\

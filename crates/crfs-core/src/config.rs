@@ -2,7 +2,6 @@
 
 use crate::error::{CrfsError, Result};
 use crate::transform::CodecKind;
-use std::time::Duration;
 
 /// The IO engine of a mount. There is one ([`crate::engine::RingEngine`]).
 ///
@@ -37,26 +36,6 @@ pub struct CrfsConfig {
     /// ([`Vfs`](crate::Vfs)). Linux FUSE with `big_writes` caps requests at
     /// 128 KiB; larger application writes arrive as multiple requests.
     pub max_write: usize,
-    /// Optional artificial per-request crossing latency in the
-    /// [`Vfs`](crate::Vfs) layer, modelling the user↔kernel FUSE round
-    /// trip. `None` (default) adds nothing — the real dispatch cost of this
-    /// library stands in for it.
-    pub crossing_delay: Option<Duration>,
-    /// If `true` (default), reads first flush the file's pending chunks so
-    /// read-after-write within one mount is always coherent. `false`
-    /// reproduces the paper's raw pass-through reads (safe for
-    /// checkpoint/restart usage, where reads only happen after `close`).
-    pub read_flushes: bool,
-    /// Number of hash shards for the open-file table. `0` (default)
-    /// auto-sizes to `next_pow2(io_threads * 4)`; any other value is
-    /// rounded up to a power of two. Concurrent open/write/close on
-    /// different files only contend when their paths hash to the same
-    /// shard.
-    pub table_shards: usize,
-    /// Number of free-list shards for the buffer pool. `0` (default)
-    /// auto-sizes to `next_pow2(io_threads * 2)`, capped at the pool's
-    /// chunk count; any other value is rounded up to a power of two.
-    pub pool_shards: usize,
     /// Maximum sealed chunks a single `write()` collects before handing
     /// them to the engine as one `submit_batch`. `1` disables batching.
     pub submit_batch: usize,
@@ -66,11 +45,6 @@ pub struct CrfsConfig {
     /// cache. `0` disables the read subsystem entirely — reads pass
     /// straight through to the backend, the paper's §IV-D1 behavior.
     pub read_ahead_chunks: usize,
-    /// Read-cache slots per open file (each slot can park one
-    /// chunk-sized pool buffer). `0` (default) auto-sizes to
-    /// `next_pow2(read_ahead_chunks * 2)`; any other value is rounded up
-    /// to a power of two. Irrelevant when `read_ahead_chunks` is 0.
-    pub read_cache_slots: usize,
     /// Chunk transform codec (see [`crate::transform`]). The default,
     /// [`CodecKind::None`], disables the transform stage entirely —
     /// chunks land raw at their logical offsets, the paper's layout.
@@ -82,9 +56,6 @@ pub struct CrfsConfig {
     /// layout): chunks whose bytes were already stored this mount emit
     /// a tiny reference record instead of their payload.
     pub dedup: bool,
-    /// How many idle checkpoint epochs a dedup-index entry survives
-    /// before eviction (see [`crate::Crfs::advance_epoch`]).
-    pub dedup_keep_epochs: usize,
     /// Versioned snapshot store (requires dedup): chunk payloads land
     /// once in a content-addressed store, every `advance_epoch` seals a
     /// durable manifest restartable via
@@ -102,21 +73,12 @@ pub struct CrfsConfig {
     /// effective bound is `min(ring_depth, pool_chunks)` — a chunk in
     /// flight holds a pool buffer.
     pub ring_depth: usize,
-    /// Alignment [`crate::backend::LocalFileBackend`] uses for its
-    /// O_DIRECT-style write path (offset and length must be multiples of
-    /// this to take the direct path). Must be a power of two; 4096
-    /// matches the Linux page/sector constraint.
-    pub write_align: usize,
     /// Observability layer (DESIGN.md §8): per-stage latency histograms
     /// and the flight-recorder event trace. On by default — recording is
     /// wait-free and the `exp obs` sweep gates its overhead at ≤ 5%.
     /// `false` reduces every instrumentation site to a relaxed load and
     /// branch (the overhead-gate baseline).
     pub obs: bool,
-    /// Flight-recorder ring capacity in events (rounded up to a power of
-    /// two, minimum 64). The ring overwrites oldest-first, so this is
-    /// the size of the retained most-recent window.
-    pub flight_capacity: usize,
     /// Where the flight recorder dumps its JSONL trace when the mount
     /// hits an `IntegrityError` or unmounts with damage recorded.
     /// `None` (default) disables automatic dumps; `crfs-stat` and
@@ -132,15 +94,6 @@ pub struct CrfsConfig {
     /// Low watermark in bytes: the drain must fall back to this before
     /// fast-tier acknowledgement resumes after a write-through episode.
     pub tier_watermark_lo: u64,
-    /// Maximum fast→durable drain copies in flight.
-    pub tier_drain_window: usize,
-    /// Promote whole files back into the fast tier on a fast-tier read
-    /// miss (after eviction or fast-tier loss).
-    pub tier_promote_reads: bool,
-    /// Evict fully-drained, closed files from the fast tier at each
-    /// successful drain barrier (minimal fast-tier retention; default
-    /// keeps a full mirror).
-    pub tier_evict: bool,
 }
 
 impl Default for CrfsConfig {
@@ -150,28 +103,17 @@ impl Default for CrfsConfig {
             pool_size: 16 << 20,
             io_threads: 4,
             max_write: 128 << 10,
-            crossing_delay: None,
-            read_flushes: true,
-            table_shards: 0,
-            pool_shards: 0,
             submit_batch: 16,
             read_ahead_chunks: 4,
-            read_cache_slots: 0,
             codec: CodecKind::None,
             dedup: false,
-            dedup_keep_epochs: 2,
             snapshots: false,
             snapshot_keep_epochs: 4,
             ring_depth: 64,
-            write_align: 4096,
             obs: true,
-            flight_capacity: crate::obs::DEFAULT_FLIGHT_CAPACITY,
             flight_dump: None,
             tier_watermark_hi: 256 << 20,
             tier_watermark_lo: 64 << 20,
-            tier_drain_window: 8,
-            tier_promote_reads: true,
-            tier_evict: false,
         }
     }
 }
@@ -201,19 +143,6 @@ impl CrfsConfig {
         self
     }
 
-    /// Convenience builder: sets the open-file-table shard count
-    /// (`0` = auto).
-    pub fn with_table_shards(mut self, n: usize) -> Self {
-        self.table_shards = n;
-        self
-    }
-
-    /// Convenience builder: sets the buffer-pool shard count (`0` = auto).
-    pub fn with_pool_shards(mut self, n: usize) -> Self {
-        self.pool_shards = n;
-        self
-    }
-
     /// Convenience builder: sets the submission batch limit.
     pub fn with_submit_batch(mut self, n: usize) -> Self {
         self.submit_batch = n;
@@ -227,13 +156,6 @@ impl CrfsConfig {
         self
     }
 
-    /// Convenience builder: sets the per-file read-cache slot count
-    /// (`0` = auto).
-    pub fn with_read_cache_slots(mut self, n: usize) -> Self {
-        self.read_cache_slots = n;
-        self
-    }
-
     /// Convenience builder: selects the chunk transform codec
     /// ([`CodecKind::None`] disables the transform stage).
     pub fn with_codec(mut self, codec: CodecKind) -> Self {
@@ -244,12 +166,6 @@ impl CrfsConfig {
     /// Convenience builder: toggles content-addressed chunk dedup.
     pub fn with_dedup(mut self, on: bool) -> Self {
         self.dedup = on;
-        self
-    }
-
-    /// Convenience builder: sets the dedup-index epoch retention.
-    pub fn with_dedup_keep_epochs(mut self, epochs: usize) -> Self {
-        self.dedup_keep_epochs = epochs;
         self
     }
 
@@ -272,22 +188,10 @@ impl CrfsConfig {
         self
     }
 
-    /// Convenience builder: sets the direct-write alignment.
-    pub fn with_write_align(mut self, align: usize) -> Self {
-        self.write_align = align;
-        self
-    }
-
     /// Convenience builder: toggles the observability layer (stage
     /// histograms + flight recorder).
     pub fn with_obs(mut self, on: bool) -> Self {
         self.obs = on;
-        self
-    }
-
-    /// Convenience builder: sets the flight-recorder ring capacity.
-    pub fn with_flight_capacity(mut self, events: usize) -> Self {
-        self.flight_capacity = events;
         self
     }
 
@@ -304,37 +208,15 @@ impl CrfsConfig {
         self
     }
 
-    /// Convenience builder: sets the tiered drain window (max copies in
-    /// flight).
-    pub fn with_tier_drain_window(mut self, n: usize) -> Self {
-        self.tier_drain_window = n;
-        self
-    }
-
-    /// Convenience builder: toggles read-miss promotion into the fast
-    /// tier.
-    pub fn with_tier_promote_reads(mut self, on: bool) -> Self {
-        self.tier_promote_reads = on;
-        self
-    }
-
-    /// Convenience builder: toggles fast-tier eviction at drain
-    /// barriers.
-    pub fn with_tier_evict(mut self, on: bool) -> Self {
-        self.tier_evict = on;
-        self
-    }
-
     /// The [`TieredParams`](crate::backend::TieredParams) a
     /// [`TieredBackend`](crate::backend::TieredBackend) stack built for
-    /// this mount should use.
+    /// this mount should use: this mount's watermarks over the tier's
+    /// own defaults.
     pub fn tiered_params(&self) -> crate::backend::TieredParams {
         crate::backend::TieredParams {
             watermark_hi: self.tier_watermark_hi,
             watermark_lo: self.tier_watermark_lo,
-            drain_window: self.tier_drain_window,
-            promote_reads: self.tier_promote_reads,
-            evict_on_barrier: self.tier_evict,
+            ..Default::default()
         }
     }
 
@@ -343,45 +225,29 @@ impl CrfsConfig {
         self.pool_size / self.chunk_size.max(1)
     }
 
-    /// The open-file-table shard count a mount will actually use: the
-    /// configured value (or `io_threads * 4` when auto) rounded up to a
-    /// power of two.
+    /// Hash shards of the open-file table: `io_threads * 4` rounded up
+    /// to a power of two. Concurrent open/write/close on different files
+    /// only contend when their paths hash to the same shard.
     pub fn resolved_table_shards(&self) -> usize {
-        let n = if self.table_shards == 0 {
-            self.io_threads.max(1) * 4
-        } else {
-            self.table_shards
-        };
-        n.max(1).next_power_of_two()
+        (self.io_threads.max(1) * 4).next_power_of_two()
     }
 
-    /// The buffer-pool shard count a mount will actually use: the
-    /// configured value (or `io_threads * 2` when auto) rounded up to a
-    /// power of two and capped at the pool's chunk count.
+    /// Free-list shards of the buffer pool: `io_threads * 2` rounded up
+    /// to a power of two and capped at the pool's chunk count.
     pub fn resolved_pool_shards(&self) -> usize {
-        let n = if self.pool_shards == 0 {
-            self.io_threads.max(1) * 2
-        } else {
-            self.pool_shards
-        };
-        n.max(1)
+        (self.io_threads.max(1) * 2)
             .next_power_of_two()
             .min(self.pool_chunks().max(1).next_power_of_two())
     }
 
-    /// The per-file read-cache slot count a mount will actually use: the
-    /// configured value (or `read_ahead_chunks * 2` when auto) rounded up
-    /// to a power of two. Zero when prefetching is disabled.
+    /// Read-cache slots per open file (each can park one chunk-sized
+    /// pool buffer): `read_ahead_chunks * 2` rounded up to a power of
+    /// two. Zero when prefetching is disabled.
     pub fn resolved_read_cache_slots(&self) -> usize {
-        if self.read_ahead_chunks == 0 {
-            return 0;
+        match self.read_ahead_chunks {
+            0 => 0,
+            n => (n * 2).next_power_of_two(),
         }
-        let n = if self.read_cache_slots == 0 {
-            self.read_ahead_chunks * 2
-        } else {
-            self.read_cache_slots
-        };
-        n.max(1).next_power_of_two()
     }
 
     /// Validates the configuration, returning a descriptive error for any
@@ -419,11 +285,6 @@ impl CrfsConfig {
                 "dedup requires the framed layout: set codec to identity, rle or lz".into(),
             ));
         }
-        if self.dedup && self.dedup_keep_epochs == 0 {
-            return Err(CrfsError::Config(
-                "dedup_keep_epochs must be at least 1".into(),
-            ));
-        }
         if self.snapshots && !self.dedup {
             return Err(CrfsError::Config(
                 "snapshots require dedup (the content-addressed store is keyed by \
@@ -441,22 +302,11 @@ impl CrfsConfig {
                 "ring_depth must be at least 2 to pipeline".into(),
             ));
         }
-        if !self.write_align.is_power_of_two() {
-            return Err(CrfsError::Config(format!(
-                "write_align must be a power of two (got {})",
-                self.write_align
-            )));
-        }
         if self.tier_watermark_lo > self.tier_watermark_hi {
             return Err(CrfsError::Config(format!(
                 "tier_watermark_lo ({}) must not exceed tier_watermark_hi ({})",
                 self.tier_watermark_lo, self.tier_watermark_hi
             )));
-        }
-        if self.tier_drain_window == 0 {
-            return Err(CrfsError::Config(
-                "tier_drain_window must be at least 1".into(),
-            ));
         }
         Ok(())
     }
@@ -481,11 +331,32 @@ mod tests {
     fn ring_knobs_default_and_validate() {
         let c = CrfsConfig::default();
         assert_eq!(c.ring_depth, 64);
-        assert_eq!(c.write_align, 4096);
-        let c = c.with_ring_depth(16).with_write_align(512);
+        let c = c.with_ring_depth(16);
         c.validate().unwrap();
-        assert!(c.clone().with_ring_depth(1).validate().is_err());
-        assert!(c.with_write_align(3000).validate().is_err());
+        assert!(c.with_ring_depth(1).validate().is_err());
+    }
+
+    /// The knob budget: 15 fields. A new field fails to compile here
+    /// until this statement of the budget is edited with it.
+    #[test]
+    fn config_has_exactly_fifteen_knobs() {
+        let CrfsConfig {
+            chunk_size: _,
+            pool_size: _,
+            io_threads: _,
+            max_write: _,
+            submit_batch: _,
+            read_ahead_chunks: _,
+            codec: _,
+            dedup: _,
+            snapshots: _,
+            snapshot_keep_epochs: _,
+            ring_depth: _,
+            obs: _,
+            flight_dump: _,
+            tier_watermark_hi: _,
+            tier_watermark_lo: _,
+        } = CrfsConfig::default();
     }
 
     #[test]
@@ -524,13 +395,11 @@ mod tests {
 
     #[test]
     fn read_cache_slots_resolve() {
-        let c = CrfsConfig::default(); // read_ahead 4, slots auto
-        assert_eq!(c.resolved_read_cache_slots(), 8);
-        let c = c.with_read_cache_slots(5);
+        let c = CrfsConfig::default(); // read_ahead 4
         assert_eq!(c.resolved_read_cache_slots(), 8);
         let c = c.with_read_ahead(0);
         assert_eq!(c.resolved_read_cache_slots(), 0, "disabled read path");
-        let c = c.with_read_ahead(3).with_read_cache_slots(0);
+        let c = c.with_read_ahead(3);
         assert_eq!(c.resolved_read_cache_slots(), 8); // next_pow2(3 * 2)
         c.validate().unwrap();
     }
@@ -540,9 +409,6 @@ mod tests {
         let c = CrfsConfig::default().with_io_threads(3);
         assert_eq!(c.resolved_table_shards(), 16); // next_pow2(3 * 4)
         assert_eq!(c.resolved_pool_shards(), 4); // next_pow2(3 * 2) capped at 4 chunks
-        let c = c.with_table_shards(5).with_pool_shards(3);
-        assert_eq!(c.resolved_table_shards(), 8);
-        assert_eq!(c.resolved_pool_shards(), 4);
         c.validate().unwrap();
     }
 
@@ -555,7 +421,6 @@ mod tests {
         c.validate().unwrap();
         // Dedup without the framed layout is rejected.
         assert!(CrfsConfig::default().with_dedup(true).validate().is_err());
-        assert!(c.clone().with_dedup_keep_epochs(0).validate().is_err());
         assert_eq!(CodecKind::parse("lz"), Some(CodecKind::Lz));
     }
 
@@ -586,14 +451,9 @@ mod tests {
     fn obs_knobs_default_on_and_compose() {
         let c = CrfsConfig::default();
         assert!(c.obs, "observability is on by default");
-        assert_eq!(c.flight_capacity, crate::obs::DEFAULT_FLIGHT_CAPACITY);
         assert_eq!(c.flight_dump, None);
-        let c = c
-            .with_obs(false)
-            .with_flight_capacity(256)
-            .with_flight_dump("/tmp/flight.jsonl");
+        let c = c.with_obs(false).with_flight_dump("/tmp/flight.jsonl");
         assert!(!c.obs);
-        assert_eq!(c.flight_capacity, 256);
         assert_eq!(c.flight_dump.as_deref(), Some("/tmp/flight.jsonl"));
         c.validate().unwrap();
     }
@@ -603,27 +463,18 @@ mod tests {
         let c = CrfsConfig::default();
         assert_eq!(c.tier_watermark_hi, 256 << 20);
         assert_eq!(c.tier_watermark_lo, 64 << 20);
-        assert_eq!(c.tier_drain_window, 8);
-        assert!(c.tier_promote_reads);
-        assert!(!c.tier_evict);
-        let c = c
-            .with_tier_watermarks(1 << 20, 8 << 20)
-            .with_tier_drain_window(4)
-            .with_tier_promote_reads(false)
-            .with_tier_evict(true);
+        let c = c.with_tier_watermarks(1 << 20, 8 << 20);
         c.validate().unwrap();
         let p = c.tiered_params();
         assert_eq!(p.watermark_lo, 1 << 20);
         assert_eq!(p.watermark_hi, 8 << 20);
-        assert_eq!(p.drain_window, 4);
-        assert!(!p.promote_reads);
-        assert!(p.evict_on_barrier);
-        // Inverted watermarks and a zero window are rejected.
-        assert!(c
-            .clone()
-            .with_tier_watermarks(8 << 20, 1 << 20)
-            .validate()
-            .is_err());
-        assert!(c.with_tier_drain_window(0).validate().is_err());
+        // Everything else is the tier's own default.
+        let d = crate::backend::TieredParams::default();
+        assert_eq!(
+            (p.drain_window, p.promote_reads, p.evict_on_barrier),
+            (d.drain_window, d.promote_reads, d.evict_on_barrier)
+        );
+        // Inverted watermarks are rejected.
+        assert!(c.with_tier_watermarks(8 << 20, 1 << 20).validate().is_err());
     }
 }

@@ -6,11 +6,25 @@
 //! "complete chunk count" (chunks the IO threads finished). `close()` and
 //! `fsync()` block until the counters match.
 //!
-//! The ledger is lock-free on the per-chunk path: seal and complete are
-//! atomic increments; a `Mutex` + `Condvar` pair is touched only by
-//! parked barrier waiters and on the rare async-error path. The
-//! simulator runs the same two-counter rule as the pure
-//! [`ChunkAccounting`](crate::engine::account::ChunkAccounting) value.
+//! The ledger counts without a lock: seal and complete are atomic
+//! increments, and the sticky error takes a `Mutex` only on the rare
+//! async-error path. The simulator runs the same two-counter rule as the
+//! pure [`ChunkAccounting`](crate::engine::account::ChunkAccounting)
+//! value.
+//!
+//! ## Parking
+//!
+//! A barrier waiter parks under the engine's protocol
+//! (`engine/ring.rs`, "Parking"). A completer bumps `completed` first,
+//! then takes and drops the gate and notifies, **unconditionally**; a
+//! waiter re-checks quiescence *under the gate* and only then waits.
+//! Either the completer's pass through the gate comes first, so its
+//! increment happens-before the check, which sees it; or the waiter
+//! holds the gate, the completer's lock blocks until the wait releases
+//! it, and the notify finds the waiter parked. No wait is timed, and no
+//! waiter count gates the notify: read outside the gate it would reopen
+//! the race (each side could miss the other's store). The cost is one
+//! uncontended lock and one notify per completed chunk.
 
 use parking_lot::{Condvar, Mutex};
 use std::io;
@@ -18,28 +32,21 @@ use std::sync::atomic::{
     AtomicU64, AtomicUsize,
     Ordering::{Acquire, Relaxed, Release},
 };
-use std::time::{Duration, Instant};
-
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::backend::BackendFile;
 use crate::chunking::ChunkState;
 use crate::engine::account::StoredError;
 
-/// Park-and-recheck period for barrier waiters; a belt-and-braces guard
-/// against the store-buffer race between a completer's waiter check and
-/// a waiter's final recheck.
-const BARRIER_RECHECK: Duration = Duration::from_millis(1);
-
 /// Per-file seal/complete ledger with a blocking barrier on top:
-/// lock-free counting; lock only to park/wake barrier waiters and to
-/// record the sticky first error.
+/// lock-free counting, a gate to park/wake barrier waiters (see the
+/// module docs, "Parking") and a lock to record the sticky first error.
 #[derive(Default)]
 struct Ledger {
     sealed: AtomicU64,
     completed: AtomicU64,
     error: Mutex<Option<StoredError>>,
-    waiters: AtomicUsize,
     gate: Mutex<()>,
     cv: Condvar,
 }
@@ -72,9 +79,9 @@ pub struct FileEntry {
     /// Lowest byte offset written through this entry since it was opened
     /// (`u64::MAX` while untouched). Reads below this point can skip the
     /// read-after-write flush barrier entirely — the overlap check the
-    /// `read_flushes` path uses instead of flushing the whole file on
-    /// every read. Monotone non-increasing (never reset mid-session, so
-    /// it can only be pessimistic, never stale).
+    /// read path uses instead of flushing the whole file on every read.
+    /// Monotone non-increasing (never reset mid-session, so it can only
+    /// be pessimistic, never stale).
     pub dirty_low: AtomicU64,
     /// Read cache + prefetch ledger; present when the mount's
     /// `read_ahead_chunks` is non-zero.
@@ -170,11 +177,10 @@ impl FileEntry {
             }
         }
         l.completed.fetch_add(1, Release);
-        if l.waiters.load(Relaxed) > 0 {
-            // Serialize with a parked waiter's final recheck.
-            drop(l.gate.lock());
-            l.cv.notify_all();
-        }
+        // Pass the gate so a waiter's check is either after the
+        // increment or already parked.
+        drop(l.gate.lock());
+        l.cv.notify_all();
     }
 
     /// Whether every sealed chunk has completed.
@@ -194,14 +200,11 @@ impl FileEntry {
         }
         let l = &self.ledger;
         let t0 = Instant::now();
-        l.waiters.fetch_add(1, Relaxed);
         let mut g = l.gate.lock();
         while !self.quiescent() {
-            // Timed re-arm: self-heals a missed notify.
-            let _ = l.cv.wait_for(&mut g, BARRIER_RECHECK);
+            l.cv.wait(&mut g);
         }
         drop(g);
-        l.waiters.fetch_sub(1, Relaxed);
         (t0.elapsed(), self.async_error())
     }
 

@@ -28,8 +28,8 @@ type TableShard = Mutex<HashMap<Arc<str>, Arc<FileEntry>>>;
 /// The open-file table (paper §IV-A), hash-sharded by path so concurrent
 /// open/write/close on different files never touch the same lock.
 ///
-/// Shard count is fixed at mount (`CrfsConfig::resolved_table_shards`,
-/// default `next_pow2(io_threads * 4)`). Entries intern their path as an
+/// Shard count is fixed at mount (`CrfsConfig::resolved_table_shards`:
+/// `next_pow2(io_threads * 4)`). Entries intern their path as an
 /// `Arc<str>` once at open; the table keys by that same `Arc`, so lookups
 /// and removals never copy the string. Contended shard locks are counted
 /// in `CrfsStats::shard_lock_waits`.
@@ -141,7 +141,8 @@ impl Crfs {
             config.pool_chunks(),
             config.resolved_pool_shards(),
         ));
-        let stats = Arc::new(CrfsStats::for_config(config.obs, config.flight_capacity));
+        let stats = Arc::new(CrfsStats::new());
+        stats.configure_obs(config.obs);
         if let Some(path) = &config.flight_dump {
             stats.flight.set_dump_path(Some(path.clone()));
         }
@@ -863,9 +864,7 @@ impl Crfs {
     fn read_entry(&self, entry: &Arc<FileEntry>, offset: u64, buf: &mut [u8]) -> Result<usize> {
         self.check_mounted()?;
         self.shared.stats.reads.fetch_add(1, Relaxed);
-        if self.shared.config.read_flushes
-            && offset + buf.len() as u64 > entry.dirty_low.load(Relaxed)
-        {
+        if offset + buf.len() as u64 > entry.dirty_low.load(Relaxed) {
             self.flush_entry(entry)?;
         }
         let n = match entry.read_state.as_ref() {
@@ -1003,7 +1002,7 @@ impl Crfs {
         if batch.is_empty() {
             return Ok(());
         }
-        if self.shared.config.read_flushes && end * cs > entry.dirty_low.load(Relaxed) {
+        if end * cs > entry.dirty_low.load(Relaxed) {
             // Same coherence barrier a direct read of the window would
             // take. On failure, unwind the claims and surface the error
             // like the direct path would.
@@ -1262,9 +1261,12 @@ impl Crfs {
         // Refuses new chunks, drains accepted ones, joins the workers.
         self.shared.engine.shutdown();
         self.shared.pool.close();
-        // The mount is quiet: persist the flight record if a dump path
-        // is configured (best-effort; diagnostics never fail unmount).
-        self.shared.stats.flight.dump_to_configured_path();
+        // The mount is quiet: if it recorded damage, persist the flight
+        // record to the configured dump path (best-effort; diagnostics
+        // never fail unmount). A clean mount leaves nothing behind.
+        if self.shared.stats.snapshot().damage_total() > 0 {
+            self.shared.stats.flight.dump_to_configured_path();
+        }
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),

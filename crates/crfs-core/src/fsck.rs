@@ -4,28 +4,25 @@
 //! A checkpoint volume holds three kinds of files: raw pass-through
 //! files (the paper's layout, no metadata to check), frame logs (the
 //! chunk-transform layout: a chain of [`ChunkFrame`]s, see
-//! `transform::frame`), and finalized aggregation containers
-//! (`aggregator`). fsck walks a directory tree, classifies every file,
-//! and verifies what each kind promises:
+//! `transform::frame`; a content-store chunk is a one-frame log), and
+//! sealed snapshot manifests. fsck walks a directory tree, classifies
+//! every file, and verifies what each kind promises:
 //!
-//! - **Frame logs** get a full chain walk: header magic + CRC, payload
-//!   bounds, frame format, DATA-frame decode + digest check, and
+//! - **Frame logs** get a full chain walk by the mount's own walker
+//!   ([`walk_frames`]: header magic + CRC, payload bounds — the one
+//!   place that decides where a log's clean prefix ends), plus, per
+//!   frame, frame format, DATA-frame decode + digest check, and
 //!   dedup-reference origin resolution. Damage is classified per the
 //!   recovery contract (DESIGN.md §6): torn tail, bad header CRC, bad
 //!   payload checksum, orphaned dedup reference.
-//! - **Containers** run [`ContainerReader::fsck`]: record-chain walk,
-//!   extent/index cross-check, and the same frame validation inside
-//!   framed records. A container whose trailer or index no longer
-//!   validates (a crash before finalize completed) is reported as torn;
-//!   its index — the only map from file ids to paths — cannot be
-//!   rebuilt from the records alone, so it is never "repaired" into
-//!   something that would serve wrong bytes.
+//! - **Manifests** are decoded and every chunk record resolved.
 //! - **Raw files** are counted and skipped.
 //!
 //! **Repair** (`FsckOptions::repair`) applies the torn-tail discard
 //! rule persistently: a frame log whose chain walk stopped early is
 //! truncated to the end of its last structurally valid frame, exactly
-//! the prefix a mount-time open scan would serve. In-bounds damage (a
+//! the prefix a mount-time open scan serves ([`ScanOutcome::clean_len`]
+//! from the same walk). In-bounds damage (a
 //! DATA frame that fails its checksum mid-chain) is *reported, not
 //! repaired* — truncating would discard good frames past it, and the
 //! read path already surfaces it as an `IntegrityError` instead of
@@ -36,7 +33,7 @@
 //! the roots; directory expansion pushes discovered children onto the
 //! worker's own queue (depth-first, cache-warm) and idle workers steal
 //! from the fronts of other queues — so one huge directory or one
-//! slow container does not serialize the sweep.
+//! long log does not serialize the sweep.
 //!
 //! [`ChunkFrame`]: crate::transform::frame::FrameHeader
 
@@ -48,17 +45,15 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::aggregator::ContainerReader;
 use crate::backend::{read_exact_at, Backend, BackendFile, OpenOptions};
 use crate::obs::Histogram;
 use crate::snapshot::manifest::{ChunkRecord, Manifest, Record, MANIFEST_MAGIC};
 use crate::snapshot::{parse_cas_name, parse_manifest_name, CAS_DIR, SNAP_DIR};
 use crate::transform::codec::decode_to_vec;
 use crate::transform::frame::{
-    payload_digest, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
-    FRAME_MAGIC,
+    payload_digest, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
 };
-use crate::transform::REF_META_LEN;
+use crate::transform::{walk_frames, FileHead, ScanOutcome, TailDamage, REF_META_LEN};
 
 /// How a check/repair sweep should run.
 #[derive(Debug, Clone)]
@@ -90,15 +85,13 @@ pub enum FileKind {
     Raw,
     /// A chunk-transform frame chain.
     FrameLog,
-    /// A finalized aggregation container.
-    Container,
     /// A sealed snapshot epoch manifest (see [`crate::snapshot`]).
     Manifest,
 }
 
-/// Per-class damage tally (the same classes the recovery contract and
-/// [`ContainerReader::fsck`] use, plus dedup-reference orphans that
-/// only an offline cross-file sweep can find).
+/// Per-class damage tally (the classes of the recovery contract, plus
+/// dedup-reference orphans that only an offline cross-file sweep can
+/// find).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DamageCounts {
     /// Chains ending in a header or payload cut short by EOF.
@@ -169,7 +162,7 @@ pub struct FileReport {
     pub path: String,
     /// Classified layout.
     pub kind: FileKind,
-    /// Frames walked (frame logs) or validated (containers).
+    /// Frames walked (frame logs) or chunk records resolved (manifests).
     pub frames: u64,
     /// Per-class damage found.
     pub damage: DamageCounts,
@@ -179,7 +172,7 @@ pub struct FileReport {
     /// Whether repair ran and the file now scans clean.
     pub repaired: bool,
     /// A structural problem that prevented checking or repairing
-    /// (unopenable file, unfinalized container).
+    /// (unopenable or unreadable file).
     pub error: Option<String>,
 }
 
@@ -192,8 +185,6 @@ pub struct FsckSummary {
     pub raw_files: u64,
     /// Frame-log files seen.
     pub frame_logs: u64,
-    /// Finalized containers seen.
-    pub containers: u64,
     /// Snapshot epoch manifests seen.
     pub manifests: u64,
     /// Frames walked across all files.
@@ -210,9 +201,9 @@ pub struct FsckSummary {
     /// the fsck analogue of the mount's stage histograms.
     pub check_times: Histogram,
     /// Total check time (ns) by classified kind, indexed raw /
-    /// frame-log / container / manifest — per-checker attribution of
-    /// where the sweep's CPU went.
-    pub checker_ns: [u64; 4],
+    /// frame-log / manifest — per-checker attribution of where the
+    /// sweep's CPU went.
+    pub checker_ns: [u64; 3],
     /// Content-store paths referenced by REF frames in swept logs.
     /// Chunks staged in a not-yet-sealed epoch appear in no manifest,
     /// so the orphan pass must honor live references too.
@@ -225,7 +216,6 @@ impl FileKind {
         match self {
             FileKind::Raw => "raw",
             FileKind::FrameLog => "frame_log",
-            FileKind::Container => "container",
             FileKind::Manifest => "manifest",
         }
     }
@@ -280,7 +270,6 @@ impl FsckSummary {
             "files": self.files,
             "raw_files": self.raw_files,
             "frame_logs": self.frame_logs,
-            "containers": self.containers,
             "manifests": self.manifests,
             "frames": self.frames,
             "damage": self.damage.to_value(),
@@ -291,7 +280,6 @@ impl FsckSummary {
             "checker_ns": serde_json::json!({
                 "raw": self.checker_ns[FileKind::Raw as usize],
                 "frame_log": self.checker_ns[FileKind::FrameLog as usize],
-                "container": self.checker_ns[FileKind::Container as usize],
                 "manifest": self.checker_ns[FileKind::Manifest as usize],
             }),
             "check_times": self.check_times.snapshot().to_value(),
@@ -531,7 +519,6 @@ fn merge(into: &mut FsckSummary, from: FsckSummary) {
     into.files += from.files;
     into.raw_files += from.raw_files;
     into.frame_logs += from.frame_logs;
-    into.containers += from.containers;
     into.manifests += from.manifests;
     into.frames += from.frames;
     into.damage.add(&from.damage);
@@ -641,6 +628,19 @@ fn check_file(backend: &Arc<dyn Backend>, path: &str, opts: &FsckOptions, local:
     local.checker_ns[kind as usize] += spent.as_nanos() as u64;
 }
 
+/// The report of a file that could not be checked at all.
+fn unchecked(path: &str, kind: FileKind, error: String) -> FileReport {
+    FileReport {
+        path: path.to_string(),
+        kind,
+        frames: 0,
+        damage: DamageCounts::default(),
+        torn_bytes: 0,
+        repaired: false,
+        error: Some(error),
+    }
+}
+
 /// The untimed body of [`check_file`]; returns the classified kind so
 /// the caller can attribute the check time per checker.
 fn check_file_inner(
@@ -649,240 +649,140 @@ fn check_file_inner(
     opts: &FsckOptions,
     local: &mut FsckSummary,
 ) -> FileKind {
-    let file = match backend.open(path, OpenOptions::read_only()) {
-        Ok(f) => f,
-        Err(e) => {
-            local.reports.push(FileReport {
-                path: path.to_string(),
-                kind: FileKind::Raw,
-                frames: 0,
-                damage: DamageCounts::default(),
-                torn_bytes: 0,
-                repaired: false,
-                error: Some(format!("unopenable: {e}")),
-            });
+    // One read serves the classification and, for a frame log, the
+    // walker's first header.
+    let opened = backend
+        .open(path, OpenOptions::read_only())
+        .map_err(|e| format!("unopenable: {e}"))
+        .and_then(|file| match FileHead::read(&*file) {
+            Ok(head) => Ok((file, head)),
+            Err(e) => Err(format!("unreadable: {e}")),
+        });
+    let (file, head) = match opened {
+        Ok(opened) => opened,
+        Err(error) => {
+            local.reports.push(unchecked(path, FileKind::Raw, error));
             return FileKind::Raw;
         }
     };
-    match classify(&*file) {
-        Ok(FileKind::Raw) => {
-            local.raw_files += 1;
-            FileKind::Raw
-        }
-        Ok(FileKind::Container) => {
-            local.containers += 1;
-            drop(file); // ContainerReader opens its own handle
-            check_container(backend, path, local);
-            FileKind::Container
-        }
-        Ok(FileKind::FrameLog) => {
+    let kind = classify(&head);
+    match kind {
+        FileKind::Raw => local.raw_files += 1,
+        FileKind::FrameLog => {
             local.frame_logs += 1;
-            check_frame_log(backend, path, &*file, opts, local);
-            FileKind::FrameLog
+            check_frame_log(backend, path, &*file, &head, opts, local);
         }
-        Ok(FileKind::Manifest) => {
+        FileKind::Manifest => {
             local.manifests += 1;
             check_manifest(backend, path, &*file, opts, local);
-            FileKind::Manifest
-        }
-        Err(e) => {
-            local.reports.push(FileReport {
-                path: path.to_string(),
-                kind: FileKind::Raw,
-                frames: 0,
-                damage: DamageCounts::default(),
-                torn_bytes: 0,
-                repaired: false,
-                error: Some(format!("unreadable: {e}")),
-            });
-            FileKind::Raw
         }
     }
+    kind
 }
 
-/// Sniffs the leading magic. Mirrors the open-scan's classification
-/// rule: a short file whose bytes match a prefix of the frame magic is
-/// a torn frame log (the crash case), not raw.
-fn classify(file: &dyn BackendFile) -> io::Result<FileKind> {
-    let len = file.len()?;
-    if len == 0 {
-        return Ok(FileKind::Raw);
-    }
-    let take = len.min(8) as usize;
-    let mut head = [0u8; 8];
-    read_exact_at(file, 0, &mut head[..take])?;
-    if head[..take] == crate::aggregator::format::HEADER_MAGIC[..take] {
-        return Ok(FileKind::Container);
-    }
+/// Sniffs the leading magic. Framed-vs-raw is the open scan's own rule
+/// ([`FileHead::is_framed`]): a short file whose bytes match a prefix
+/// of the frame magic is a torn frame log (the crash case), not raw.
+fn classify(head: &FileHead) -> FileKind {
     // Manifests require the full 4-byte magic: "CRSM" and the frame
     // magic share the "CR" prefix, and a sub-4-byte torn tail should
     // keep classifying as a torn frame log (the common crash shape).
-    if take >= 4 && head[..4] == MANIFEST_MAGIC {
-        return Ok(FileKind::Manifest);
-    }
-    let frame_magic = FRAME_MAGIC.to_le_bytes();
-    if head[..take.min(4)] == frame_magic[..take.min(4)] {
-        return Ok(FileKind::FrameLog);
-    }
-    Ok(FileKind::Raw)
-}
-
-fn check_container(backend: &Arc<dyn Backend>, path: &str, local: &mut FsckSummary) {
-    match ContainerReader::open(backend, path).and_then(|r| r.fsck()) {
-        Ok(report) => {
-            local.frames += report.frames;
-            let damage = DamageCounts {
-                torn_tails: report.torn_tails,
-                bad_header_crc: report.bad_header_crc,
-                bad_payload_checksum: report.bad_payload_checksum,
-                // REF frames inside container records point into the
-                // pre-aggregation CRFS namespace, unresolvable offline;
-                // the read path's per-reference checksum covers them.
-                ..DamageCounts::default()
-            };
-            if !damage.is_clean() {
-                local.damage.add(&damage);
-                local.reports.push(FileReport {
-                    path: path.to_string(),
-                    kind: FileKind::Container,
-                    frames: report.frames,
-                    damage,
-                    torn_bytes: 0,
-                    repaired: false,
-                    error: None,
-                });
-            }
-        }
-        Err(e) => {
-            // A container that no longer opens lost its trailer or
-            // index — the crash-during-finalize case. The index is the
-            // only file-id → path map, so there is nothing safe to
-            // rebuild; report it torn.
-            let damage = DamageCounts {
-                torn_tails: 1,
-                ..DamageCounts::default()
-            };
-            local.damage.add(&damage);
-            local.reports.push(FileReport {
-                path: path.to_string(),
-                kind: FileKind::Container,
-                frames: 0,
-                damage,
-                torn_bytes: 0,
-                repaired: false,
-                error: Some(format!("container does not validate: {e}")),
-            });
-        }
+    if head.bytes().starts_with(&MANIFEST_MAGIC) {
+        FileKind::Manifest
+    } else if head.is_framed() {
+        FileKind::FrameLog
+    } else {
+        FileKind::Raw
     }
 }
 
-/// Walks a frame log end to end: structural validation, optional
-/// payload decode + checksum, dedup-reference origin resolution, and —
-/// under `repair` — truncation of a torn tail to the last valid frame.
+/// Walks a frame log end to end with [`walk_frames`] — the structural
+/// validation every open performs — adding per frame the optional
+/// payload decode + checksum and the dedup-reference origin
+/// resolution, and — under `repair` — truncating a torn tail to the
+/// walk's clean prefix.
 fn check_frame_log(
     backend: &Arc<dyn Backend>,
     path: &str,
     file: &dyn BackendFile,
+    head: &FileHead,
     opts: &FsckOptions,
     local: &mut FsckSummary,
 ) {
-    let stored_len = match file.len() {
-        Ok(n) => n,
-        Err(e) => {
-            local.reports.push(FileReport {
-                path: path.to_string(),
-                kind: FileKind::FrameLog,
-                frames: 0,
-                damage: DamageCounts::default(),
-                torn_bytes: 0,
-                repaired: false,
-                error: Some(format!("unreadable: {e}")),
-            });
-            return;
-        }
-    };
+    let stored_len = head.stored_len;
     let mut damage = DamageCounts::default();
     let mut frames = 0u64;
-    let mut clean_end = 0u64; // end of the last structurally valid frame
-    let mut off = 0u64;
-    let mut hdr = [0u8; FRAME_HEADER_LEN as usize];
     // One stored and one decoded buffer for the whole log, not a pair
     // per frame.
     let mut payload = Vec::new();
     let mut out = Vec::new();
-    while off < stored_len {
-        if off + FRAME_HEADER_LEN > stored_len {
-            damage.torn_tails += 1;
-            break;
+    let walked = walk_frames(file, head, |off, h| {
+        frames += 1;
+        if h.flags & (FLAG_PAD | FLAG_TRUNC) != 0 {
+            return Ok(());
         }
-        if read_exact_at(file, off, &mut hdr).is_err() {
-            damage.torn_tails += 1;
-            break;
+        payload.resize(h.stored_len as usize, 0);
+        read_exact_at(file, off + FRAME_HEADER_LEN, &mut payload)?;
+        if h.format != FRAME_FORMAT {
+            // Structurally sound, but its check was computed by a
+            // function this build does not have (format 0: a store
+            // written before the payload digest): no mount will
+            // serve it. The header says so, whether or not payloads
+            // are verified.
+            damage.bad_payload_checksum += 1;
         }
-        let h = match FrameHeader::decode(&hdr) {
-            Ok(h) => h,
-            Err(_) => {
-                damage.bad_header_crc += 1;
-                break;
+        if h.flags & FLAG_REF != 0 {
+            if !ref_resolves(backend, path, stored_len, &payload) {
+                damage.orphaned_refs += 1;
             }
-        };
-        let body = off + FRAME_HEADER_LEN;
-        let end = body + u64::from(h.stored_len);
-        if end > stored_len {
-            damage.torn_tails += 1;
-            break;
-        }
-        if h.flags & (FLAG_PAD | FLAG_TRUNC) == 0 {
-            payload.resize(h.stored_len as usize, 0);
-            if read_exact_at(file, body, &mut payload).is_err() {
-                damage.torn_tails += 1;
-                break;
-            }
-            if h.format != FRAME_FORMAT {
-                // Structurally sound, but its check was computed by a
-                // function this build does not have (format 0: a store
-                // written before the payload digest): no mount will
-                // serve it. The header says so, whether or not payloads
-                // are verified.
-                damage.bad_payload_checksum += 1;
-            }
-            if h.flags & FLAG_REF != 0 {
-                if !ref_resolves(backend, path, stored_len, &payload) {
-                    damage.orphaned_refs += 1;
-                }
-                if let Some(meta) = payload.get(REF_META_LEN..) {
-                    if let Ok(origin) = std::str::from_utf8(meta) {
-                        if origin.starts_with(CAS_DIR) {
-                            local.cas_refs.insert(origin.to_string());
-                        }
+            if let Some(meta) = payload.get(REF_META_LEN..) {
+                if let Ok(origin) = std::str::from_utf8(meta) {
+                    if origin.starts_with(CAS_DIR) {
+                        local.cas_refs.insert(origin.to_string());
                     }
                 }
-            } else if opts.verify_payloads && h.format == FRAME_FORMAT {
-                let ok = decode_to_vec(h.codec, &payload, h.logical_len as usize, &mut out).is_ok()
-                    && payload_digest(&out).check == h.payload_check;
-                if !ok {
-                    damage.bad_payload_checksum += 1;
-                }
+            }
+        } else if opts.verify_payloads && h.format == FRAME_FORMAT {
+            let ok = decode_to_vec(h.codec, &payload, h.logical_len as usize, &mut out).is_ok()
+                && payload_digest(&out).check == h.payload_check;
+            if !ok {
+                damage.bad_payload_checksum += 1;
             }
         }
-        frames += 1;
-        clean_end = end;
-        off = end;
-    }
+        Ok(())
+    });
     local.frames += frames;
+    let outcome: ScanOutcome = match walked {
+        Ok(outcome) => outcome.expect("classified framed from the same head"),
+        Err(e) => {
+            // A backend read failed mid-walk. That is not a torn tail:
+            // nothing is known about the bytes past it, so nothing is
+            // cut.
+            local.damage.add(&damage);
+            local.reports.push(FileReport {
+                frames,
+                damage,
+                ..unchecked(path, FileKind::FrameLog, format!("unreadable: {e}"))
+            });
+            return;
+        }
+    };
+    match outcome.damage {
+        Some(TailDamage::TruncatedHeader | TailDamage::TruncatedPayload) => damage.torn_tails += 1,
+        Some(TailDamage::BadHeaderCrc) => damage.bad_header_crc += 1,
+        None => {}
+    }
+    local.damage.add(&damage);
     if damage.is_clean() {
         return;
     }
-    local.damage.add(&damage);
-    let torn_bytes = stored_len - clean_end;
-    let tail_torn = damage.torn_tails > 0 || damage.bad_header_crc > 0;
     let mut repaired = false;
     let mut error = None;
-    if opts.repair && tail_torn {
-        // Persist the discard rule: cut back to the last valid frame.
-        // In-bounds damage (checksum/orphan) stays — truncating there
-        // would throw away good frames past it.
-        match repair_truncate(backend, path, clean_end) {
+    if opts.repair && outcome.damage.is_some() {
+        // Persist the discard rule: cut back to the prefix every open
+        // already serves. In-bounds damage (checksum/orphan) stays —
+        // truncating there would throw away good frames past it.
+        match repair_truncate(backend, path, outcome.clean_len) {
             Ok(()) => {
                 repaired = damage.bad_payload_checksum == 0 && damage.orphaned_refs == 0;
             }
@@ -897,7 +797,7 @@ fn check_frame_log(
         kind: FileKind::FrameLog,
         frames,
         damage,
-        torn_bytes,
+        torn_bytes: stored_len - outcome.clean_len,
         repaired,
         error,
     });
@@ -925,9 +825,9 @@ fn ref_resolves(backend: &Arc<dyn Backend>, path: &str, own_len: u64, payload: &
     origin_off + FRAME_HEADER_LEN + u64::from(origin_len) <= origin_total
 }
 
-fn repair_truncate(backend: &Arc<dyn Backend>, path: &str, clean_end: u64) -> io::Result<()> {
+fn repair_truncate(backend: &Arc<dyn Backend>, path: &str, clean_len: u64) -> io::Result<()> {
     let rw = backend.open(path, OpenOptions::read_write())?;
-    rw.set_len(clean_end)?;
+    rw.set_len(clean_len)?;
     rw.sync()
 }
 
@@ -1095,15 +995,9 @@ impl std::fmt::Display for FsckSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "checked {} files in {:?}: {} frame logs, {} containers, {} manifests, \
+            "checked {} files in {:?}: {} frame logs, {} manifests, \
              {} raw ({} frames walked)",
-            self.files,
-            self.elapsed,
-            self.frame_logs,
-            self.containers,
-            self.manifests,
-            self.raw_files,
-            self.frames
+            self.files, self.elapsed, self.frame_logs, self.manifests, self.raw_files, self.frames
         )?;
         if self.damage.is_clean() {
             return write!(f, "clean: no damage in any class");
@@ -1158,6 +1052,7 @@ impl std::fmt::Display for FsckSummary {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::transform::frame::FrameHeader;
     use crate::transform::CodecKind;
     use crate::{Crfs, CrfsConfig};
 
@@ -1307,59 +1202,6 @@ mod tests {
     }
 
     #[test]
-    fn unfinalized_container_reports_torn_not_repaired() {
-        use crate::aggregator::AggregatingBackend;
-        let backend = be();
-        let agg = AggregatingBackend::create(&backend, "/node.agg").unwrap();
-        let f = agg.open("/f", OpenOptions::create_truncate()).unwrap();
-        f.write_at(0, &[7u8; 4000]).unwrap();
-        drop(f);
-        // No finalize: the crash-during-finalize case.
-        drop(agg);
-        let sum = run(&backend, &["/node.agg".to_string()], &opts(1));
-        assert_eq!(sum.containers, 1);
-        assert_eq!(sum.damage.torn_tails, 1);
-        assert_eq!(sum.repaired_files, 0);
-        assert!(sum.reports[0].error.is_some());
-    }
-
-    #[test]
-    fn finalized_container_with_frame_damage_is_classified() {
-        use crate::aggregator::format::{HEADER_LEN, RECORD_HEADER_LEN};
-        use crate::aggregator::AggregatingBackend;
-        let backend = be();
-        let agg: Arc<AggregatingBackend> =
-            Arc::new(AggregatingBackend::create(&backend, "/node.agg").unwrap());
-        let fs = Crfs::mount(
-            Arc::clone(&agg) as Arc<dyn Backend>,
-            CrfsConfig::default()
-                .with_chunk_size(1024)
-                .with_pool_size(8192)
-                .with_codec(CodecKind::Lz),
-        )
-        .unwrap();
-        let f = fs.create("/rank0.img").unwrap();
-        f.write(&vec![42u8; 5000]).unwrap();
-        f.close().unwrap();
-        fs.unmount().unwrap();
-        agg.finalize().unwrap();
-
-        // Corrupt a stored byte inside the first frame payload.
-        let c = backend
-            .open("/node.agg", OpenOptions::read_write())
-            .unwrap();
-        let at = HEADER_LEN + RECORD_HEADER_LEN + FRAME_HEADER_LEN + 2;
-        let mut b = [0u8; 1];
-        c.read_at(at, &mut b).unwrap();
-        c.write_at(at, &[b[0] ^ 0xFF]).unwrap();
-        drop(c);
-
-        let sum = run(&backend, &["/".to_string()], &opts(2));
-        assert_eq!(sum.containers, 1);
-        assert_eq!(sum.damage.bad_payload_checksum, 1);
-    }
-
-    #[test]
     fn parallel_sweep_matches_serial_results() {
         let backend = be();
         populate(&backend, 8, 30_000);
@@ -1376,6 +1218,127 @@ mod tests {
         assert_eq!(serial.damage, parallel.damage);
         assert_eq!(serial.reports.len(), parallel.reports.len());
         assert_eq!(serial.damage.torn_tails, 2);
+    }
+
+    // -- one walker ---------------------------------------------------
+
+    /// Stores `bytes` as `/f` on a fresh backend and checks that the
+    /// walker, a fresh attach, the metadata scan and `--repair` all name
+    /// the same surviving prefix, and that the repaired store scans
+    /// clean.
+    fn assert_agreement(config: &CrfsConfig, bytes: &[u8], what: &str) {
+        use crate::transform::{scan_logical_len, scan_outcome, FileTransform, TransformCtx};
+        let backend = be();
+        let f = backend.open("/f", OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, bytes).unwrap();
+        let walked = scan_outcome(&*f).unwrap();
+        let served = scan_logical_len(&*f).unwrap();
+        let stats = Arc::new(crate::stats::CrfsStats::new());
+        let ctx = TransformCtx::from_config(config, Arc::clone(&backend), stats)
+            .unwrap()
+            .expect("a codec is configured");
+        let attached = FileTransform::attach(ctx, &*f).unwrap();
+        drop(f);
+
+        let roots = ["/".to_string()];
+        let repair = FsckOptions {
+            repair: true,
+            ..opts(1)
+        };
+        let fixed = run(&backend, &roots, &repair);
+        assert!(fixed.is_clean(), "{what}: {fixed}");
+        let after = backend.file_len("/f").unwrap();
+        match walked {
+            // Raw to the walker (empty, or the magic itself is gone):
+            // raw to the mount and to fsck, which leaves it alone.
+            None => {
+                assert!(bytes.is_empty() || attached.is_none(), "{what}");
+                assert_eq!((fixed.frame_logs, after), (0, bytes.len() as u64), "{what}");
+            }
+            Some(outcome) => {
+                let attached = attached.expect("framed to the walker is framed to attach");
+                assert_eq!(attached.stored_len(), outcome.clean_len, "{what}: attach");
+                assert_eq!(after, outcome.clean_len, "{what}: repair");
+                assert_eq!(Some(attached.logical_len()), served, "{what}: file_len");
+            }
+        }
+        let rescan = run(&backend, &roots, &opts(1));
+        assert!(
+            rescan.damage.is_clean() && rescan.reports.is_empty(),
+            "{what}: {rescan}"
+        );
+    }
+
+    #[test]
+    fn every_cut_and_header_flip_leaves_walker_attach_and_repair_one_answer() {
+        // A DATA frame, a REF frame to it and a TRUNC marker: every
+        // frame shape a log holds.
+        let config = CrfsConfig::default()
+            .with_chunk_size(4096)
+            .with_pool_size(64 * 1024)
+            .with_codec(CodecKind::Lz)
+            .with_dedup(true);
+        let backend = be();
+        let fs = Crfs::mount(Arc::clone(&backend), config.clone()).unwrap();
+        let chunk: Vec<u8> = (0..4096).map(|i| (i / 32) as u8).collect();
+        let f = fs.create("/f").unwrap();
+        for _ in 0..2 {
+            f.write(&chunk).unwrap();
+            f.fsync().unwrap(); // index the first copy before encoding the second
+        }
+        f.set_len(4096 + 100).unwrap();
+        f.close().unwrap();
+        fs.unmount().unwrap();
+
+        let file = backend.open("/f", OpenOptions::read_only()).unwrap();
+        let head = FileHead::read(&*file).unwrap();
+        let mut frames = Vec::new();
+        walk_frames(&*file, &head, |off, h| {
+            frames.push((off, h.flags));
+            Ok(())
+        })
+        .unwrap();
+        let (headers, flags): (Vec<u64>, Vec<u8>) = frames.into_iter().unzip();
+        assert_eq!(flags, [0, FLAG_REF, FLAG_TRUNC]);
+        let mut log = vec![0u8; head.stored_len as usize];
+        read_exact_at(&*file, 0, &mut log).unwrap();
+
+        for cut in 0..=log.len() {
+            assert_agreement(&config, &log[..cut], &format!("cut at {cut}"));
+        }
+        for at in headers {
+            for byte in 0..FRAME_HEADER_LEN {
+                let mut bad = log.clone();
+                bad[(at + byte) as usize] ^= 0xFF;
+                assert_agreement(
+                    &config,
+                    &bad,
+                    &format!("header at {at}: byte {byte} flipped"),
+                );
+            }
+        }
+    }
+
+    /// `cold_restart` pays a round trip per backend read and its
+    /// recovery time is fsck's read count: a one-frame content-store
+    /// chunk costs its head (the classification sniff *is* the walker's
+    /// first header) and its payload, and must never cost more than
+    /// three reads.
+    #[test]
+    fn a_one_frame_chunk_costs_fsck_at_most_three_reads() {
+        use crate::backend::{FailureMode, FaultyBackend};
+        let counting = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
+        let backend: Arc<dyn Backend> = Arc::clone(&counting) as Arc<dyn Backend>;
+        populate_snap(&backend);
+        let chunks = backend.list_dir(CAS_DIR).unwrap().len() as u64;
+        let before = counting.reads_seen();
+        let sum = run(&backend, &[CAS_DIR.to_string()], &opts(1));
+        assert!(sum.is_clean(), "{sum}");
+        assert_eq!(sum.frame_logs, chunks);
+        // The orphan pass reads the one sealed manifest, once.
+        let reads = counting.reads_seen() - before - 1;
+        println!("fsck: {reads} reads for {chunks} one-frame chunks");
+        assert!(reads <= 3 * chunks, "{reads} reads for {chunks} chunks");
     }
 
     // -- tier consistency ---------------------------------------------

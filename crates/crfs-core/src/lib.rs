@@ -74,7 +74,6 @@
 //! fs.unmount().unwrap();
 //! ```
 
-pub mod aggregator;
 pub mod backend;
 pub mod chunking;
 pub mod config;

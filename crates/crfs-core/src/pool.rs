@@ -14,10 +14,23 @@
 //! a lock, so writer threads and IO workers do not convoy on a free-list
 //! `Mutex`. A `Mutex` + `Condvar` pair exists purely as the **empty slow
 //! path**: a writer that finds every shard empty parks on it until a
-//! release (or `close`) wakes it. The wait re-arms on a short timeout as
-//! a belt-and-braces guard against the theoretical store-buffer race
-//! between a releaser's waiter-count check and a waiter's final ring
-//! scan.
+//! release (or `close`) wakes it.
+//!
+//! ## Parking
+//!
+//! The protocol is the engine's (`engine/ring.rs`, "Parking"). A waker
+//! changes the condition first — pushes the buffer, or stores `closed`
+//! — then takes and drops `gate` and notifies, **unconditionally**; a
+//! waiter re-checks the condition (`closed`, then every shard) *under
+//! the gate* and only then waits. Either the waker's pass through the
+//! gate comes first, so its change happens-before the check, which sees
+//! it; or the waiter holds the gate, the waker's lock blocks until the
+//! wait releases it, and the notify finds the waiter parked. No wait is
+//! timed. A notify conditional on a waiter count read *outside* the
+//! gate would reopen the race the gate closes (each side could miss the
+//! other's store); `waiters` is only the hint
+//! [`BufferPool::has_waiters`] gives the read cache. The cost is one
+//! uncontended lock and one notify per released chunk.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{
@@ -27,11 +40,6 @@ use std::sync::atomic::{
 use std::time::{Duration, Instant};
 
 use crate::ring::{CachePadded, Ring};
-
-/// Park-and-recheck period for the empty slow path; bounds the cost of a
-/// (theoretical) missed wakeup without measurable polling overhead —
-/// pool-exhaustion waits are milliseconds-scale by design.
-const EMPTY_RECHECK: Duration = Duration::from_millis(1);
 
 /// Fixed-size pool of reusable chunk buffers.
 pub struct BufferPool {
@@ -44,9 +52,12 @@ pub struct BufferPool {
     /// don't bounce a shared line on every operation.
     acquire_cursor: CachePadded<AtomicUsize>,
     release_cursor: CachePadded<AtomicUsize>,
-    /// Empty-slow-path parking. Not touched by the lock-free fast path.
+    /// Empty-slow-path parking (see the module docs, "Parking"). An
+    /// acquire that finds a buffer never touches it.
     gate: Mutex<()>,
     cv: Condvar,
+    /// Writers parked on the empty pool — a hint for
+    /// [`has_waiters`](Self::has_waiters) only; no wakeup depends on it.
     waiters: AtomicUsize,
     chunk_size: usize,
     total_chunks: usize,
@@ -176,8 +187,7 @@ impl BufferPool {
             if let Some(buf) = self.pop_any() {
                 break Some((buf, t0.elapsed()));
             }
-            // Timed re-arm: self-heals a missed notify.
-            let _ = self.cv.wait_for(&mut g, EMPTY_RECHECK);
+            self.cv.wait(&mut g);
         };
         drop(g);
         self.waiters.fetch_sub(1, Relaxed);
@@ -203,23 +213,22 @@ impl BufferPool {
     /// or corrupted buffer) or if the pool would exceed its capacity.
     pub fn release(&self, buf: Vec<u8>) {
         self.push_next(buf);
-        if self.waiters.load(Relaxed) > 0 {
-            // Serialize with a parked waiter's final recheck.
-            drop(self.gate.lock());
-            self.cv.notify_one();
-        }
+        // Pass the gate so a waiter's check is either after the push or
+        // already parked.
+        drop(self.gate.lock());
+        self.cv.notify_one();
     }
 
-    /// Returns a whole batch of buffers under one waiter-wake check —
-    /// the IO workers' counterpart to batched submission. Semantically
-    /// `release` per buffer; the wake (if any) happens once.
+    /// Returns a whole batch of buffers under one pass through the gate
+    /// — the IO workers' counterpart to batched submission.
+    /// Semantically `release` per buffer; the wake happens once.
     pub fn release_many(&self, bufs: impl IntoIterator<Item = Vec<u8>>) {
         let mut released = 0usize;
         for buf in bufs {
             self.push_next(buf);
             released += 1;
         }
-        if released > 0 && self.waiters.load(Relaxed) > 0 {
+        if released > 0 {
             drop(self.gate.lock());
             self.cv.notify_all();
         }

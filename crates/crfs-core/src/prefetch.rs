@@ -9,7 +9,7 @@
 //!
 //! - Reads are served **chunk-granularly** from a small direct-mapped
 //!   cache of pool buffers (one [`ReadState`] per open file, sized by
-//!   `CrfsConfig::read_cache_slots`).
+//!   `CrfsConfig::resolved_read_cache_slots`).
 //! - When the access pattern is sequential, the next
 //!   `read_ahead_chunks` chunks are fetched ahead of the reader through
 //!   the mount's [`RingEngine`](crate::engine::RingEngine) — the same worker
@@ -25,12 +25,11 @@
 //! Coherence with the write path has two guards (see
 //! [`Crfs`](crate::Crfs) for the orchestration): writes **invalidate**
 //! overlapping cache slots (a per-slot generation counter kills
-//! in-flight installs), and — when `read_flushes` is on — read-ahead
-//! covering a dirty range is preceded by the same flush barrier a direct
-//! read would take. Buffers come from the shared pool via `try_acquire`
-//! only, and installs are skipped while writers are blocked on an empty
-//! pool, so prefetching can never deadlock the write side's
-//! back-pressure loop.
+//! in-flight installs), and read-ahead covering a dirty range is
+//! preceded by the same flush barrier a direct read would take. Buffers
+//! come from the shared pool via `try_acquire` only, and installs are
+//! skipped while writers are blocked on an empty pool, so prefetching
+//! can never deadlock the write side's back-pressure loop.
 //!
 //! ## Parking
 //!

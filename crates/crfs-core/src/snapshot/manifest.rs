@@ -37,7 +37,7 @@
 
 use std::io;
 
-use crate::aggregator::format::crc32;
+use crate::transform::frame::crc32;
 
 /// Magic word opening every manifest ("CRSM" — CRfs Snapshot Manifest).
 pub const MANIFEST_MAGIC: [u8; 4] = *b"CRSM";

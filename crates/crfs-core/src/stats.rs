@@ -164,17 +164,6 @@ impl CrfsStats {
         Self::default()
     }
 
-    /// Creates counters with the observability layer sized and armed
-    /// per the mount's configuration.
-    pub fn for_config(obs: bool, flight_capacity: usize) -> Self {
-        let stats = CrfsStats {
-            flight: FlightRecorder::with_capacity(flight_capacity),
-            ..Default::default()
-        };
-        stats.configure_obs(obs);
-        stats
-    }
-
     /// Arms (or disarms) both observability pillars.
     pub fn configure_obs(&self, on: bool) {
         self.stages.set_enabled(on);

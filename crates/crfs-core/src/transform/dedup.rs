@@ -64,6 +64,11 @@ struct DedupEntry {
     last_epoch: u64,
 }
 
+/// Idle checkpoint epochs a mount's dedup-index entry survives before
+/// eviction (see [`crate::Crfs::advance_epoch`]): the previous round's
+/// chunks must still be there when the next round writes them again.
+pub const DEDUP_KEEP_EPOCHS: u64 = 2;
+
 /// Content hash → stored location, with epoch-aware eviction.
 pub struct DedupIndex {
     /// Keyed by (content hash, exact length): a length mismatch can

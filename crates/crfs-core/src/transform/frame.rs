@@ -58,8 +58,6 @@
 
 use std::io;
 
-use crate::aggregator::format::crc32;
-
 /// Magic word opening every frame header ("CRFK").
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"CRFK");
 /// Byte size of a frame header.
@@ -144,6 +142,30 @@ impl FrameHeader {
             payload_check: u64::from_le_bytes(buf[24..32].try_into().unwrap()),
         })
     }
+}
+
+/// CRC-32 (IEEE 802.3, reflected) over `data` — the check on a frame
+/// header and on the snapshot manifest blob. Implemented locally to
+/// keep `crfs-core` dependency-free.
+pub fn crc32(data: &[u8]) -> u32 {
+    const POLY: u32 = 0xEDB8_8320;
+    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut t = [0u32; 256];
+        for (i, e) in t.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            }
+            *e = c;
+        }
+        t
+    });
+    let mut crc = !0u32;
+    for &b in data {
+        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
 }
 
 /// FNV-1a 64-bit, for short strings (the flight recorder's path tags).
@@ -314,6 +336,14 @@ mod tests {
             );
         }
         assert!(FrameHeader::decode(&enc[..20]).is_err(), "short buffer");
+    }
+
+    #[test]
+    fn crc32_known_vectors() {
+        // Standard check value for "123456789".
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 
     /// A fixed byte pattern without zero bytes (so that zero-extending

@@ -15,10 +15,9 @@
 //!
 //! A transformed file is an append-only log of self-describing
 //! [`ChunkFrame`s](frame::FrameHeader): the *stored* layout decouples
-//! from the *logical* layout exactly the way the node container's
-//! extent index decouples logical files from the container — here the
-//! indirection additionally buys compression (stored ≠ logical bytes)
-//! and dedup (a frame may be a reference to bytes stored elsewhere).
+//! from the *logical* layout, and the indirection buys compression
+//! (stored ≠ logical bytes) and dedup (a frame may be a reference to
+//! bytes stored elsewhere).
 //! The per-file [`FileTransform`] keeps the frame map in memory while
 //! the file is open and rebuilds it with a single header scan at open,
 //! so a fresh mount (restart) needs no side index.
@@ -49,7 +48,7 @@
 //! Crash recovery (the acked-prefix contract, DESIGN.md §6): the open
 //! scan keeps the longest prefix of structurally valid frames and
 //! **discards** any torn tail — truncated header, bad header magic/CRC,
-//! payload cut short by EOF (see `walk_frames` / `ScanOutcome`).
+//! payload cut short by EOF (see [`walk_frames`] / [`ScanOutcome`]).
 //! Frames are append-only, so crash damage is confined to the
 //! unsynchronized tail; discarded frames were never acknowledged
 //! through a passed barrier. A torn payload that stayed *in bounds*
@@ -171,7 +170,7 @@ impl TransformCtx {
         }
         let dedup = config
             .dedup
-            .then(|| DedupIndex::new(config.dedup_keep_epochs as u64));
+            .then(|| DedupIndex::new(dedup::DEDUP_KEEP_EPOCHS));
         let snap = if config.snapshots {
             let store = SnapshotStore::open(
                 Arc::clone(&backend),
@@ -291,8 +290,7 @@ enum PlanPiece {
 }
 
 /// The in-memory frame map: frames in allocation (= stored) order,
-/// newest-wins for overlapping logical ranges — the same authority rule
-/// the container's extent index uses, at frame granularity.
+/// newest-wins for overlapping logical ranges.
 #[derive(Default)]
 struct FrameMap {
     /// Sorted ascending by `stored_off` (allocation order).
@@ -605,12 +603,16 @@ impl FileTransform {
         ctx: Arc<TransformCtx>,
         file: &dyn BackendFile,
     ) -> io::Result<Option<FileTransform>> {
-        let stored_len = file.len()?;
-        if stored_len == 0 {
+        let head = FileHead::read(file)?;
+        if head.stored_len == 0 {
             return Ok(Some(FileTransform::fresh(ctx)));
         }
         let mut map = FrameMap::default();
-        let Some(outcome) = walk_frames(file, |off, h| map.apply(off, h))? else {
+        let walked = walk_frames(file, &head, |off, h| {
+            map.apply(off, h);
+            Ok(())
+        })?;
+        let Some(outcome) = walked else {
             return Ok(None); // raw pass-through file
         };
         if let Some(damage) = outcome.damage {
@@ -1261,10 +1263,51 @@ pub struct ScanOutcome {
     pub damage: Option<TailDamage>,
 }
 
+/// The leading bytes of a stored file, read **once**: they decide
+/// framed-vs-raw and hold the first frame header, so a scan — and fsck,
+/// which also sniffs them for the manifest magic — pays one backend
+/// read for both (a one-frame CAS chunk is a head plus a payload).
+#[derive(Debug, Clone, Copy)]
+pub struct FileHead {
+    /// Stored length of the backing file when the head was read.
+    pub stored_len: u64,
+    buf: [u8; FRAME_HEADER_LEN as usize],
+}
+
+impl FileHead {
+    /// Reads the first `min(len, FRAME_HEADER_LEN)` bytes of `file`.
+    pub fn read(file: &dyn BackendFile) -> io::Result<FileHead> {
+        let stored_len = file.len()?;
+        let mut head = FileHead {
+            stored_len,
+            buf: [0; FRAME_HEADER_LEN as usize],
+        };
+        let have = head.bytes().len();
+        read_exact_at(file, 0, &mut head.buf[..have])?;
+        Ok(head)
+    }
+
+    /// The bytes read: all of a file shorter than a frame header.
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf[..self.stored_len.min(FRAME_HEADER_LEN) as usize]
+    }
+
+    /// Framed-vs-raw is decided by the magic prefix: a file shorter
+    /// than the magic itself whose bytes match the magic's own prefix
+    /// is a first frame torn almost immediately — framed (empty clean
+    /// prefix) rather than a fragment to serve as raw bytes.
+    pub fn is_framed(&self) -> bool {
+        let magic = FRAME_MAGIC.to_le_bytes();
+        let probe = self.bytes().len().min(magic.len());
+        probe > 0 && self.buf[..probe] == magic[..probe]
+    }
+}
+
 /// Walks a stored file's frame chain, calling `visit(stored_off,
 /// header)` for every frame of the **clean prefix** in file order.
 /// Returns `Ok(None)` when the file is raw (no frame magic at offset
-/// 0) and `Ok(Some(outcome))` for a framed file.
+/// 0) and `Ok(Some(outcome))` for a framed file. An error from `visit`
+/// (fsck's visitor reads payloads) ends the walk and is returned.
 ///
 /// This is the enforcement point of the crash-recovery contract
 /// (DESIGN.md §6): frames are append-only and a mid-write crash can
@@ -1276,89 +1319,68 @@ pub struct ScanOutcome {
 /// never produce wrong bytes; a torn payload that stayed *in bounds*
 /// passes this structural scan and is caught by the per-frame payload
 /// checksum at read time instead. The single walker behind
-/// [`FileTransform::attach`] and [`scan_logical_len`], so the open
-/// path and the metadata path can never disagree on what survives.
-fn walk_frames(
+/// [`FileTransform::attach`], [`scan_logical_len`], [`scan_outcome`]
+/// and `crfs-fsck` — the only loop that decodes frame headers off a
+/// stored file — so the open path, the metadata path and the repair
+/// path cannot disagree on what survives.
+pub fn walk_frames(
     file: &dyn BackendFile,
-    mut visit: impl FnMut(u64, &FrameHeader),
+    head: &FileHead,
+    mut visit: impl FnMut(u64, &FrameHeader) -> io::Result<()>,
 ) -> io::Result<Option<ScanOutcome>> {
-    let stored_len = file.len()?;
-    if stored_len == 0 {
+    if !head.is_framed() {
         return Ok(None);
     }
-    // Framed-vs-raw is decided by the magic prefix: a file shorter than
-    // the magic itself whose bytes match the magic's own prefix is a
-    // first frame torn almost immediately — classify framed (empty
-    // clean prefix) rather than serving the fragment as raw bytes.
-    let magic = FRAME_MAGIC.to_le_bytes();
-    let probe_len = stored_len.min(4) as usize;
-    let mut probe = [0u8; 4];
-    read_exact_at(file, 0, &mut probe[..probe_len])?;
-    if probe[..probe_len] != magic[..probe_len] {
-        return Ok(None);
-    }
-    if stored_len < FRAME_HEADER_LEN {
-        return Ok(Some(ScanOutcome {
+    let stored_len = head.stored_len;
+    let stopped = |clean_len, damage| {
+        Ok(Some(ScanOutcome {
             stored_len,
-            clean_len: 0,
-            damage: Some(TailDamage::TruncatedHeader),
-        }));
-    }
-    let mut hdr = [0u8; FRAME_HEADER_LEN as usize];
+            clean_len,
+            damage,
+        }))
+    };
+    let mut hdr = head.buf;
     let mut off = 0u64;
     while off < stored_len {
         if off + FRAME_HEADER_LEN > stored_len {
-            return Ok(Some(ScanOutcome {
-                stored_len,
-                clean_len: off,
-                damage: Some(TailDamage::TruncatedHeader),
-            }));
+            return stopped(off, Some(TailDamage::TruncatedHeader));
         }
-        read_exact_at(file, off, &mut hdr)?;
+        if off > 0 {
+            read_exact_at(file, off, &mut hdr)?;
+        }
         let Ok(h) = FrameHeader::decode(&hdr) else {
-            return Ok(Some(ScanOutcome {
-                stored_len,
-                clean_len: off,
-                damage: Some(TailDamage::BadHeaderCrc),
-            }));
+            return stopped(off, Some(TailDamage::BadHeaderCrc));
         };
         let next = off + FRAME_HEADER_LEN + u64::from(h.stored_len);
         if next > stored_len {
-            return Ok(Some(ScanOutcome {
-                stored_len,
-                clean_len: off,
-                damage: Some(TailDamage::TruncatedPayload),
-            }));
+            return stopped(off, Some(TailDamage::TruncatedPayload));
         }
-        visit(off, &h);
+        visit(off, &h)?;
         off = next;
     }
-    Ok(Some(ScanOutcome {
-        stored_len,
-        clean_len: stored_len,
-        damage: None,
-    }))
+    stopped(stored_len, None)
 }
 
 /// Scans a backend file's frame headers under the recovery contract to
 /// report its logical length; `None` when the file is raw (unframed).
 /// A torn tail is discarded exactly as [`FileTransform::attach`]
-/// discards it — the two share `walk_frames` and `FrameMap::apply`
+/// discards it — the two share [`walk_frames`] and `FrameMap::apply`
 /// — so `file_len` always reports the same length a subsequent `open`
 /// will serve.
 pub fn scan_logical_len(file: &dyn BackendFile) -> io::Result<Option<u64>> {
     let mut map = FrameMap::default();
-    match walk_frames(file, |off, h| map.apply(off, h))? {
-        None => Ok(None),
-        Some(_) => Ok(Some(map.logical_len)),
-    }
+    let outcome = walk_frames(file, &FileHead::read(file)?, |off, h| {
+        map.apply(off, h);
+        Ok(())
+    })?;
+    Ok(outcome.map(|_| map.logical_len))
 }
 
 /// Scans a framed file and reports the clean-prefix outcome without
 /// building a frame map — the structural half of what `crfs-fsck`
 /// checks. Returns `None` for raw files.
 pub fn scan_outcome(file: &dyn BackendFile) -> io::Result<Option<ScanOutcome>> {
-    walk_frames(file, |_, _| {})
+    walk_frames(file, &FileHead::read(file)?, |_, _| Ok(()))
 }
 
 #[cfg(test)]

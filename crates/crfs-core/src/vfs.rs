@@ -8,9 +8,8 @@
 //!    bytes (128 KiB with the paper's `big_writes` option). An
 //!    application's 1 MiB `write()` reaches CRFS as eight 128 KiB requests.
 //! 2. **Per-request crossing cost** — each request pays a user↔kernel
-//!    round trip. `CrfsConfig::crossing_delay` can charge an explicit
-//!    cost per request for experiments; by default the real dispatch cost
-//!    of this layer stands in.
+//!    round trip; the real dispatch cost of this layer stands in for it
+//!    (the simulator charges its own `FuseParams::crossing`).
 //!
 //! [`Vfs`] also provides the file-descriptor table and mount-point routing
 //! that the kernel would provide, so applications can be written against
@@ -151,16 +150,11 @@ impl Vfs {
     }
 
     /// Sequential write through the FUSE-like layer: the buffer is split
-    /// into `max_write`-sized requests, each optionally paying the
-    /// configured crossing delay. Returns the number of bytes written
-    /// (always `data.len()` on success).
+    /// into `max_write`-sized requests. Returns the number of bytes
+    /// written (always `data.len()` on success).
     pub fn write(&self, fd: Fd, data: &[u8]) -> Result<usize> {
         self.with_fd(fd, |file| {
-            let cfg = file_config(file);
-            for req in data.chunks(cfg.0) {
-                if let Some(d) = cfg.1 {
-                    std::thread::sleep(d);
-                }
+            for req in data.chunks(file.mount_config().max_write) {
                 file.write(req)?;
             }
             Ok(data.len())
@@ -170,12 +164,8 @@ impl Vfs {
     /// Positioned write, split at `max_write` like [`write`](Vfs::write).
     pub fn pwrite(&self, fd: Fd, offset: u64, data: &[u8]) -> Result<usize> {
         self.with_fd(fd, |file| {
-            let cfg = file_config(file);
             let mut off = offset;
-            for req in data.chunks(cfg.0) {
-                if let Some(d) = cfg.1 {
-                    std::thread::sleep(d);
-                }
+            for req in data.chunks(file.mount_config().max_write) {
                 file.write_at(off, req)?;
                 off += req.len() as u64;
             }
@@ -185,25 +175,14 @@ impl Vfs {
 
     /// Sequential read (reads are passed through whole; FUSE read sizes
     /// are governed by the kernel readahead, which CRFS's own
-    /// chunk-granular read-ahead stands in for). Each request pays the
-    /// configured user↔kernel crossing cost, same as writes.
+    /// chunk-granular read-ahead stands in for).
     pub fn read(&self, fd: Fd, buf: &mut [u8]) -> Result<usize> {
-        self.with_fd(fd, |file| {
-            if let Some(d) = file_config(file).1 {
-                std::thread::sleep(d);
-            }
-            file.read(buf)
-        })
+        self.with_fd(fd, |file| file.read(buf))
     }
 
     /// Positioned read.
     pub fn pread(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.with_fd(fd, |file| {
-            if let Some(d) = file_config(file).1 {
-                std::thread::sleep(d);
-            }
-            file.read_at(offset, buf)
-        })
+        self.with_fd(fd, |file| file.read_at(offset, buf))
     }
 
     /// fsync(2).
@@ -284,12 +263,6 @@ impl Vfs {
     pub fn open_fds(&self) -> usize {
         self.fds.iter().map(|s| s.lock().len()).sum()
     }
-}
-
-/// (max_write, crossing_delay) for the mount owning `file`.
-fn file_config(file: &CrfsFile) -> (usize, Option<std::time::Duration>) {
-    let cfg = file.mount_config();
-    (cfg.max_write, cfg.crossing_delay)
 }
 
 impl CrfsFile {

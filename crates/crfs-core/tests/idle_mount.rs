@@ -1,9 +1,10 @@
 //! An idle mount is idle: its engine threads — and a tiered backend's
 //! drain workers — park untimed and make no wakeups while nothing is
 //! submitted, and a restart reader waiting for a prefetch that a stalled
-//! backend has not delivered waits without waking either. Alone in this
-//! test binary so no other test's `crfs-*` threads run in the process
-//! being measured.
+//! backend has not delivered waits without waking either — nor do a
+//! writer parked on an exhausted pool and a `close()` parked on its
+//! file's outstanding chunks. Alone in this test binary so no other
+//! test's `crfs-*` threads run in the process being measured.
 #![cfg(target_os = "linux")]
 
 use std::io;
@@ -71,10 +72,11 @@ fn assert_idle(backend: Arc<dyn Backend>, drain_workers: usize) {
     fs.unmount().unwrap();
 }
 
-/// `(closed, reads blocked so far)` and the condvar both change under.
+/// `(closed, reads and writes blocked so far)` and the condvar both
+/// change under.
 type Gate = Arc<(Mutex<(bool, usize)>, Condvar)>;
 
-/// A `MemBackend` whose reads block while the gate is closed.
+/// A `MemBackend` whose reads and writes block while the gate is closed.
 struct GatedBackend {
     inner: MemBackend,
     gate: Gate,
@@ -101,8 +103,10 @@ impl Backend for GatedBackend {
         file_len, list_dir, drain_barrier, attach_stats);
 }
 
-impl BackendFile for GatedFile {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+impl GatedFile {
+    /// Returns once the gate is open, counting itself blocked if it had
+    /// to wait.
+    fn pass_gate(&self) {
         let (state, changed) = &*self.gate;
         let mut st = state.lock().unwrap();
         if st.0 {
@@ -112,11 +116,21 @@ impl BackendFile for GatedFile {
                 st = changed.wait(st).unwrap();
             }
         }
-        drop(st);
+    }
+}
+
+impl BackendFile for GatedFile {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        self.pass_gate();
         self.inner.read_at(offset, buf)
     }
 
-    crfs_core::forward_file_ops!(inner: write_at, begin_write_at, sync, len, set_len, is_empty);
+    fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
+        self.pass_gate();
+        self.inner.write_at(offset, data)
+    }
+
+    crfs_core::forward_file_ops!(inner: sync, len, set_len, is_empty);
 }
 
 /// A restart view is open and its reader waits for a prefetched chunk
@@ -189,6 +203,82 @@ fn assert_parked_reader_is_idle() {
     fs.unmount().unwrap();
 }
 
+/// The backend stalls every write. A writer (`crfs-writer`) has filled
+/// the pool with chunks the issue workers cannot land and waits for a
+/// buffer; a `close()` (`crfs-closer`) waits for its file's one chunk.
+/// Neither wakes — nor do the workers inside the backend or the reaper —
+/// until the backend moves, and then both finish and the files read
+/// back exactly.
+fn assert_blocked_writer_and_closer_are_idle() {
+    const CHUNK: usize = 64 << 10;
+    const POOL_CHUNKS: usize = 4;
+    let gate: Gate = Arc::default();
+    let backend = Arc::new(GatedBackend {
+        inner: MemBackend::new(),
+        gate: Arc::clone(&gate),
+    });
+    let config = CrfsConfig::default()
+        .with_chunk_size(CHUNK)
+        .with_pool_size(POOL_CHUNKS * CHUNK)
+        .with_io_threads(POOL_CHUNKS); // one stalled write per worker
+    let fs = Crfs::mount(backend, config).unwrap();
+
+    // The closer's file holds one pool buffer as its partial chunk.
+    let small = vec![7u8; 100];
+    let b = fs.create("/b").unwrap();
+    b.write(&small).unwrap();
+    let (state, changed) = &*gate;
+    state.lock().unwrap().0 = true;
+    let closer = std::thread::Builder::new()
+        .name("crfs-closer".into())
+        .spawn(move || b.close().unwrap())
+        .unwrap();
+    // The writer's first three chunks take the rest of the pool; its
+    // fourth write finds the pool empty.
+    let image: Vec<u8> = (0..5 * CHUNK).map(|i| (i / 5) as u8).collect();
+    let (a, to_write) = (fs.create("/a").unwrap(), image.clone());
+    let writer = std::thread::Builder::new()
+        .name("crfs-writer".into())
+        .spawn(move || {
+            for chunk in to_write.chunks(CHUNK) {
+                a.write(chunk).unwrap();
+            }
+            a.close().unwrap();
+        })
+        .unwrap();
+    let mut st = state.lock().unwrap();
+    while st.1 < POOL_CHUNKS {
+        st = changed.wait(st).unwrap();
+    }
+    drop(st);
+    std::thread::sleep(Duration::from_millis(50)); // let both park
+
+    let (_, before) = crfs_thread_switches();
+    std::thread::sleep(Duration::from_secs(1));
+    let (_, after) = crfs_thread_switches();
+    // The 1 ms rechecks these two waits used to make score about 2,000.
+    assert!(
+        after - before < 50,
+        "a writer parked on the pool and a closer parked on its chunks \
+         woke {} times in 1 s",
+        after - before
+    );
+    assert!(!writer.is_finished() && !closer.is_finished());
+
+    state.lock().unwrap().0 = false;
+    changed.notify_all();
+    writer.join().unwrap();
+    closer.join().unwrap();
+    for (path, want) in [("/a", &image), ("/b", &small)] {
+        let f = fs.open(path).unwrap();
+        let mut got = vec![0u8; want.len() + 1];
+        assert_eq!(f.read_at(0, &mut got).unwrap(), want.len(), "{path}");
+        assert_eq!(&got[..want.len()], &want[..], "{path}");
+        f.close().unwrap();
+    }
+    fs.unmount().unwrap();
+}
+
 // One test function: two mounts measured at once would count each
 // other's threads.
 #[test]
@@ -198,4 +288,5 @@ fn idle_mount_makes_no_wakeups() {
     let tiered = TieredBackend::from_config(mem(), mem(), &CrfsConfig::default());
     assert_idle(Arc::new(tiered), 2);
     assert_parked_reader_is_idle();
+    assert_blocked_writer_and_closer_are_idle();
 }

@@ -5,7 +5,6 @@
 
 use std::sync::Arc;
 
-use crfs::core::aggregator::{AggregatingBackend, ContainerReader};
 use crfs::core::backend::{Backend, FailureMode, FaultyBackend, MemBackend, OpenOptions};
 use crfs::core::{Crfs, CrfsConfig, CrfsError, Vfs};
 
@@ -405,61 +404,6 @@ fn pre_digest_store_reads_as_integrity_error_never_as_bytes() {
         );
         assert_eq!(sum.damage.torn_tails + sum.damage.bad_header_crc, 0);
     }
-}
-
-// ---------------------------------------------------------------------
-// Aggregator under failure
-// ---------------------------------------------------------------------
-
-#[test]
-fn aggregator_propagates_append_failures_to_crfs_close() {
-    let inner: Arc<dyn Backend> = Arc::new(FaultyBackend::new(
-        MemBackend::new(),
-        // Header write succeeds (container creation), all appends fail.
-        FailureMode::FailWritesAfter(1),
-    ));
-    let agg: Arc<dyn Backend> = Arc::new(AggregatingBackend::create(&inner, "/node.agg").unwrap());
-    let fs = Crfs::mount(agg, small_config()).unwrap();
-    let f = fs.create("/rank0").unwrap();
-    f.write(&vec![5u8; 4096]).unwrap();
-    let err = f.close().unwrap_err();
-    assert!(matches!(err, CrfsError::DeferredWrite { .. }), "{err:?}");
-    let s = fs.stats();
-    assert_eq!(s.chunks_sealed, s.chunks_completed);
-}
-
-#[test]
-fn aggregator_finalize_failure_is_retryable() {
-    let inner: Arc<dyn Backend> =
-        Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::FailSync));
-    let agg = AggregatingBackend::create(&inner, "/node.agg").unwrap();
-    let f = agg.open("/rank0", OpenOptions::create_truncate()).unwrap();
-    f.write_at(0, b"data").unwrap();
-    // finalize fsyncs the container; the sync failure must surface and
-    // leave the container unfinalized (writes still accepted).
-    assert!(agg.finalize().is_err());
-    assert!(!agg.is_finalized());
-    f.write_at(4, b"more").unwrap();
-}
-
-#[test]
-fn truncated_container_is_rejected_with_clear_error() {
-    let inner: Arc<dyn Backend> = Arc::new(MemBackend::new());
-    let agg = AggregatingBackend::create(&inner, "/node.agg").unwrap();
-    let f = agg.open("/rank0", OpenOptions::create_truncate()).unwrap();
-    f.write_at(0, &vec![1u8; 10_000]).unwrap();
-    agg.finalize().unwrap();
-
-    // Chop the tail off the container (lost trailer).
-    let len = inner.file_len("/node.agg").unwrap();
-    let c = inner.open("/node.agg", OpenOptions::read_write()).unwrap();
-    c.set_len(len - 16).unwrap();
-
-    let err = ContainerReader::open(&inner, "/node.agg").unwrap_err();
-    assert!(
-        err.to_string().contains("finalized") || err.to_string().contains("trailer"),
-        "unhelpful error: {err}"
-    );
 }
 
 // ---------------------------------------------------------------------

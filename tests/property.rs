@@ -739,119 +739,6 @@ fn blcr_roundtrip_through_crfs() {
 }
 
 // ---------------------------------------------------------------------
-// Aggregation container equals a plain per-file backend (oracle)
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum AggOp {
-    /// Positioned write of `len` bytes of `fill` into file `idx`.
-    WriteAt(usize, u64, usize, u8),
-    /// Truncate/extend file `idx` to `len`.
-    SetLen(usize, u64),
-}
-
-/// For any op sequence, logical files seen through the container —
-/// live, reopened via `ContainerReader`, and materialized back out —
-/// are byte-identical to the same ops applied to a plain backend.
-#[test]
-#[allow(clippy::needless_range_loop)] // i indexes two parallel vecs + paths
-fn aggregator_matches_plain_backend() {
-    use crfs::core::aggregator::{AggregatingBackend, ContainerReader};
-    use crfs::core::backend::OpenOptions;
-
-    for_cases("aggregator_matches_plain_backend", 32, |rng| {
-        let ops: Vec<AggOp> = (0..rng.gen_range(1usize..24))
-            .map(|_| {
-                if rng.weighted_index(&[6.0, 1.0]) == 0 {
-                    AggOp::WriteAt(
-                        rng.gen_range(0usize..3),
-                        rng.gen_range(0u64..5_000),
-                        rng.gen_range(1usize..3_000),
-                        rng.next_u32() as u8,
-                    )
-                } else {
-                    AggOp::SetLen(rng.gen_range(0usize..3), rng.gen_range(0u64..8_000))
-                }
-            })
-            .collect();
-
-        let disk: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        let agg = AggregatingBackend::create(&disk, "/c.agg").expect("create");
-        let plain = MemBackend::new();
-
-        let agg_files: Vec<_> = (0..3)
-            .map(|i| {
-                agg.open(&format!("/f{i}"), OpenOptions::create_truncate())
-                    .expect("agg open")
-            })
-            .collect();
-        let plain_files: Vec<_> = (0..3)
-            .map(|i| {
-                plain
-                    .open(&format!("/f{i}"), OpenOptions::create_truncate())
-                    .expect("plain open")
-            })
-            .collect();
-
-        for op in &ops {
-            match *op {
-                AggOp::WriteAt(i, off, n, b) => {
-                    let data = vec![b; n];
-                    agg_files[i].write_at(off, &data).expect("agg write");
-                    plain_files[i].write_at(off, &data).expect("plain write");
-                }
-                AggOp::SetLen(i, l) => {
-                    agg_files[i].set_len(l).expect("agg set_len");
-                    plain_files[i].set_len(l).expect("plain set_len");
-                }
-            }
-        }
-
-        // 1. Live reads through the aggregating backend.
-        for i in 0..3 {
-            let expect = plain.contents(&format!("/f{i}")).expect("model");
-            let len = agg_files[i].len().expect("len") as usize;
-            assert_eq!(len, expect.len());
-            let mut got = vec![0u8; len];
-            if len > 0 {
-                assert_eq!(agg_files[i].read_at(0, &mut got).expect("read"), len);
-            }
-            assert_eq!(&got, &expect, "live read of /f{i}");
-        }
-
-        // 2. Reopened via the finalized container.
-        agg.finalize().expect("finalize");
-        let reader = ContainerReader::open(&disk, "/c.agg").expect("reader");
-        reader.fsck().expect("fsck");
-        for i in 0..3 {
-            let expect = plain.contents(&format!("/f{i}")).expect("model");
-            assert_eq!(
-                reader.read_file(&format!("/f{i}")).expect("read_file"),
-                expect,
-                "container read of /f{i}"
-            );
-        }
-
-        // 3. Materialized back onto a fresh backend.
-        let out: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        reader.materialize(&out).expect("materialize");
-        for i in 0..3 {
-            let expect = plain.contents(&format!("/f{i}")).expect("model");
-            let f = out
-                .open(&format!("/f{i}"), OpenOptions::read_only())
-                .expect("open");
-            let len = f.len().expect("len") as usize;
-            assert_eq!(len, expect.len());
-            let mut got = vec![0u8; len];
-            if len > 0 {
-                assert_eq!(f.read_at(0, &mut got).expect("read"), len);
-            }
-            assert_eq!(&got, &expect, "materialized /f{i}");
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
 // Write-trace text format round-trips
 // ---------------------------------------------------------------------
 

@@ -169,35 +169,6 @@ fn simulation_is_deterministic() {
     assert_eq!(a.per_process, b.per_process);
 }
 
-/// Container ablation shape (§VII future work, `exp container`): with
-/// small chunks, per-file CRFS re-fragments the disk stream while the
-/// node container keeps it sequential — and is at least as fast.
-#[test]
-fn container_restores_sequentiality_at_small_chunks() {
-    let mut per_file = spec(LuClass::C, BackendKind::Ext3, true, 2, 8, 1.0);
-    per_file.trace_disk = true;
-    per_file.crfs_config = per_file.crfs_config.with_chunk_size(256 << 10);
-    let mut containered = per_file.clone();
-    containered.container = true;
-
-    let pf = run_checkpoint(&per_file);
-    let ct = run_checkpoint(&containered);
-    let pf_sum = pf.node0_trace.expect("trace").summary();
-    let ct_sum = ct.node0_trace.expect("trace").summary();
-    assert!(
-        ct_sum.sequential_fraction > pf_sum.sequential_fraction + 0.3,
-        "container sequentiality {:.2} must beat per-file {:.2}",
-        ct_sum.sequential_fraction,
-        pf_sum.sequential_fraction
-    );
-    assert!(
-        ct.mean_time <= pf.mean_time * 1.05,
-        "container {:.2}s must not lose to per-file {:.2}s",
-        ct.mean_time,
-        pf.mean_time
-    );
-}
-
 /// PVFS2 extension shape (`exp pvfs`): CRFS helps, but less than on
 /// Lustre — PVFS2's native path already pays a FUSE-like upcall per
 /// request, so the win is bounded by the crossing-cost ratio.
