@@ -1,5 +1,5 @@
-//! Local backend: O_DIRECT-style aligned writes with extent
-//! preallocation.
+//! Local backend: `O_DIRECT` writes straight from the caller's buffer,
+//! with extent preallocation.
 //!
 //! The paper's node-local configuration writes checkpoint chunks to a
 //! local disk partition; at chunk sizes (hundreds of KiB) the page cache
@@ -7,16 +7,22 @@
 //! write-once stream. This backend keeps [`PassthroughBackend`]'s
 //! directory layout but adds two disk-oriented behaviors:
 //!
-//! 1. **Direct writes.** Each file also holds an `O_DIRECT` handle.
-//!    A write whose offset *and* length are both multiples of
-//!    [`DEFAULT_ALIGN`] is copied into an equally aligned bounce buffer
-//!    and issued on that handle, bypassing the page cache. Chunk-sized
-//!    writes from the engine hot path are exactly this shape; ragged
-//!    tails and metadata writes fall through to the buffered handle.
-//!    No padding is ever written, so out-of-order chunk completion
-//!    cannot clobber a neighbor. If `O_DIRECT` is unavailable (tmpfs,
-//!    overlayfs, non-Linux) the handle is absent and every write is
-//!    buffered — behavior identical to passthrough, never an error.
+//! 1. **Direct writes, in place.** Each file also holds an `O_DIRECT`
+//!    handle, and one rule decides: a write whose buffer address, offset
+//!    *and* length are all multiples of [`DEFAULT_ALIGN`] goes out on
+//!    that handle **from the caller's buffer** — no copy, no lock across
+//!    the `pwrite`, so several IO threads write one file at once;
+//!    anything else is buffered. Pool chunks and the copy buffers of the
+//!    tiered drain, tier promotion and fsck's re-drain
+//!    ([`ChunkBuf`](crate::pool::ChunkBuf)) have that alignment; ragged
+//!    tails, framed (transformed) writes, metadata and anything in a
+//!    plain `Vec` do not. No padding is ever written, so
+//!    out-of-order chunk completion cannot clobber a neighbor. Where
+//!    `O_DIRECT` is unavailable (tmpfs, overlayfs, non-Linux) the handle
+//!    is absent; where the filesystem took the flag at open but rejects
+//!    a write, that write and every later one of the file go buffered
+//!    (sticky). Neither is ever an error.
+//!    [`LocalFileBackend::write_counts`] says which handle writes took.
 //! 2. **Extent preallocation.** Before a write past the allocated
 //!    watermark the file grows to the next `extent` boundary
 //!    (`set_len`, a cheap sparse extension standing in for
@@ -25,61 +31,27 @@
 //!    is tracked separately; `sync`, `len` and drop all report/restore
 //!    it, so readers and the restart path never see preallocated slack.
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use parking_lot::Mutex;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use super::layer::{aligned_shape, HostDir};
 use super::{Backend, BackendFile, OpenOptions};
 
-/// Direct-write alignment: one page / typical logical block.
-pub const DEFAULT_ALIGN: usize = 4096;
+/// Direct-write alignment: one page / typical logical block, and the
+/// alignment of every pool chunk.
+pub const DEFAULT_ALIGN: usize = crate::pool::CHUNK_ALIGN;
 /// Default preallocation extent: 4 MiB.
 pub const DEFAULT_EXTENT: u64 = 4 << 20;
 
-/// A heap allocation whose base address and size are multiples of
-/// `align` — the bounce buffer `O_DIRECT` requires.
-struct AlignedBuf {
-    ptr: *mut u8,
-    layout: Layout,
-}
-
-unsafe impl Send for AlignedBuf {}
-
-impl AlignedBuf {
-    fn new(len: usize, align: usize) -> io::Result<AlignedBuf> {
-        let layout = Layout::from_size_align(len, align)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        // SAFETY: layout has non-zero size (callers pass len > 0).
-        let ptr = unsafe { alloc_zeroed(layout) };
-        if ptr.is_null() {
-            return Err(io::Error::new(
-                io::ErrorKind::OutOfMemory,
-                "aligned buffer allocation failed",
-            ));
-        }
-        Ok(AlignedBuf { ptr, layout })
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [u8] {
-        // SAFETY: ptr is a live allocation of layout.size() bytes.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.layout.size()) }
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        // SAFETY: as above.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.layout.size()) }
-    }
-}
-
-impl Drop for AlignedBuf {
-    fn drop(&mut self) {
-        // SAFETY: allocated in new() with this exact layout.
-        unsafe { dealloc(self.ptr, self.layout) }
-    }
+/// Writes issued per handle, over every file of one backend.
+#[derive(Default)]
+struct WriteCounts {
+    direct: AtomicU64,
+    buffered: AtomicU64,
 }
 
 /// Directory-rooted backend issuing aligned direct writes with extent
@@ -87,7 +59,7 @@ impl Drop for AlignedBuf {
 pub struct LocalFileBackend {
     dir: HostDir,
     extent: u64,
-    direct: bool,
+    counts: Arc<WriteCounts>,
 }
 
 impl LocalFileBackend {
@@ -98,7 +70,7 @@ impl LocalFileBackend {
         Ok(LocalFileBackend {
             dir: HostDir::new(root.into())?,
             extent: DEFAULT_EXTENT,
-            direct: true,
+            counts: Arc::default(),
         })
     }
 
@@ -108,11 +80,13 @@ impl LocalFileBackend {
         self
     }
 
-    /// Disables `O_DIRECT` entirely (buffered writes only) — for
-    /// benchmarking the preallocation effect in isolation.
-    pub fn buffered_only(mut self) -> LocalFileBackend {
-        self.direct = false;
-        self
+    /// `(direct, buffered)`: writes issued on each handle, over every
+    /// file this backend has opened.
+    pub fn write_counts(&self) -> (u64, u64) {
+        (
+            self.counts.direct.load(Ordering::Relaxed),
+            self.counts.buffered.load(Ordering::Relaxed),
+        )
     }
 
     /// The host directory backing this filesystem.
@@ -137,19 +111,16 @@ impl Backend for LocalFileBackend {
         // A second O_DIRECT handle for aligned writes. Open failure
         // (tmpfs and most overlay filesystems reject the flag) simply
         // means every write stays buffered.
-        let direct = if self.direct && opts.write {
-            open_direct(&host).ok()
-        } else {
-            None
-        };
+        let direct = opts.write.then(|| open_direct(&host).ok()).flatten();
         let logical = file.metadata()?.len();
         Ok(Box::new(LocalFile {
             buffered: file,
-            direct: Mutex::new(direct),
-            align: DEFAULT_ALIGN,
+            direct,
+            direct_failed: AtomicBool::new(false),
+            counts: Arc::clone(&self.counts),
             extent: self.extent,
             logical: AtomicU64::new(logical),
-            grow: Mutex::new(Grow { allocated: logical }),
+            allocated: Mutex::new(logical),
         }))
     }
 
@@ -177,21 +148,21 @@ fn open_direct(_host: &Path) -> io::Result<fs::File> {
     Err(io::Error::other("O_DIRECT unavailable on this platform"))
 }
 
-struct Grow {
-    /// Physical size watermark the file has been extended to.
-    allocated: u64,
-}
-
 struct LocalFile {
     buffered: fs::File,
-    /// `O_DIRECT` handle; `None` when unsupported, cleared permanently
-    /// on the first direct-write failure.
-    direct: Mutex<Option<fs::File>>,
-    align: usize,
+    /// `O_DIRECT` handle; `None` when unsupported. Never locked:
+    /// `pwrite` on one descriptor from several threads is safe.
+    direct: Option<fs::File>,
+    /// Set by the first direct write the filesystem rejects; from then
+    /// on every write of this file is buffered. Relaxed: it publishes
+    /// nothing — a racing writer that misses it meets the same rejection.
+    direct_failed: AtomicBool,
+    counts: Arc<WriteCounts>,
     extent: u64,
     /// Max byte ever written: the length readers should see.
     logical: AtomicU64,
-    grow: Mutex<Grow>,
+    /// Physical size watermark the file has been extended to.
+    allocated: Mutex<u64>,
 }
 
 impl LocalFile {
@@ -205,15 +176,15 @@ impl LocalFile {
         if self.extent == 0 {
             return Ok(());
         }
-        let mut grow = self.grow.lock().unwrap();
-        if end <= grow.allocated {
+        let mut allocated = self.allocated.lock();
+        if end <= *allocated {
             return Ok(());
         }
         let target = end.div_ceil(self.extent) * self.extent;
         if self.buffered.metadata()?.len() < target {
             self.buffered.set_len(target)?;
         }
-        grow.allocated = target;
+        *allocated = target;
         Ok(())
     }
 
@@ -221,12 +192,12 @@ impl LocalFile {
     /// equals the logical length — but only while the physical length
     /// is still the one this handle set: a file some other handle has
     /// resized since is that handle's to trim.
-    fn trim_slack(&self, grow: &mut Grow) -> io::Result<()> {
+    fn trim_slack(&self, allocated: &mut u64) -> io::Result<()> {
         let logical = self.logical.load(Ordering::SeqCst);
-        if grow.allocated != logical && self.buffered.metadata()?.len() == grow.allocated {
+        if *allocated != logical && self.buffered.metadata()?.len() == *allocated {
             self.buffered.set_len(logical)?;
         }
-        grow.allocated = logical;
+        *allocated = logical;
         Ok(())
     }
 
@@ -234,29 +205,27 @@ impl LocalFile {
         self.logical.fetch_max(end, Ordering::SeqCst);
     }
 
-    /// Attempts the direct path; `Ok(false)` means "take the buffered
-    /// path" (wrong shape or no direct handle).
-    fn try_direct(&self, offset: u64, data: &[u8]) -> io::Result<bool> {
-        if !aligned_shape(offset, data.len(), self.align) {
-            return Ok(false);
-        }
-        let mut guard = self.direct.lock().unwrap();
-        let Some(file) = guard.as_ref() else {
-            return Ok(false);
-        };
-        let mut bounce = AlignedBuf::new(data.len(), self.align)?;
-        bounce.as_mut_slice().copy_from_slice(data);
+    /// The direct path: `data` itself goes out on the `O_DIRECT` handle
+    /// when its address, `offset` and length are all aligned. `false`
+    /// means "take the buffered path" — wrong shape, no direct handle, or
+    /// a direct write the filesystem rejected, now or earlier (e.g. its
+    /// alignment is stricter than ours): sticky for the file's life.
+    fn try_direct(&self, offset: u64, data: &[u8]) -> bool {
         use std::os::unix::fs::FileExt;
-        match file.write_all_at(bounce.as_slice(), offset) {
-            Ok(()) => Ok(true),
-            Err(_) => {
-                // The filesystem accepted O_DIRECT at open but rejected
-                // the write (e.g. alignment stricter than ours). Fall
-                // back to buffered for the rest of this file's life.
-                *guard = None;
-                Ok(false)
-            }
+        let Some(file) = &self.direct else {
+            return false;
+        };
+        if !aligned_shape(offset, data.len(), DEFAULT_ALIGN)
+            || !(data.as_ptr() as usize).is_multiple_of(DEFAULT_ALIGN)
+            || self.direct_failed.load(Ordering::Relaxed)
+        {
+            return false;
         }
+        let ok = file.write_all_at(data, offset).is_ok();
+        if !ok {
+            self.direct_failed.store(true, Ordering::Relaxed);
+        }
+        ok
     }
 }
 
@@ -266,8 +235,11 @@ impl BackendFile for LocalFile {
         use std::os::unix::fs::FileExt;
         let end = offset + data.len() as u64;
         self.ensure_allocated(end)?;
-        if !self.try_direct(offset, data)? {
+        if self.try_direct(offset, data) {
+            self.counts.direct.fetch_add(1, Ordering::Relaxed);
+        } else {
             self.buffered.write_all_at(data, offset)?;
+            self.counts.buffered.fetch_add(1, Ordering::Relaxed);
         }
         self.note_written(end);
         Ok(())
@@ -289,9 +261,7 @@ impl BackendFile for LocalFile {
                 .buffered
                 .read_at(&mut buf[got..want], offset + got as u64)?;
             if n == 0 {
-                // Sparse tail inside the logical range reads as zeros;
-                // the buffer arrived zero-filled from the caller? No —
-                // guarantee it ourselves.
+                // Sparse tail inside the logical range reads as zeros.
                 buf[got..want].fill(0);
                 got = want;
                 break;
@@ -302,7 +272,7 @@ impl BackendFile for LocalFile {
     }
 
     fn sync(&self) -> io::Result<()> {
-        self.trim_slack(&mut self.grow.lock().unwrap())?;
+        self.trim_slack(&mut self.allocated.lock())?;
         self.buffered.sync_data()
     }
 
@@ -311,9 +281,9 @@ impl BackendFile for LocalFile {
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
-        let mut grow = self.grow.lock().unwrap();
+        let mut allocated = self.allocated.lock();
         self.buffered.set_len(len)?;
-        grow.allocated = len;
+        *allocated = len;
         self.logical.store(len, Ordering::SeqCst);
         Ok(())
     }
@@ -326,16 +296,23 @@ impl Drop for LocalFile {
     fn drop(&mut self) {
         // Best-effort: never leave preallocated slack behind a closed
         // file (the restart path reads via plain metadata lengths).
-        if let Ok(mut grow) = self.grow.lock() {
-            let _ = self.trim_slack(&mut grow);
-        }
+        let _ = self.trim_slack(&mut self.allocated.lock());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::pool::ChunkBuf;
+
+    /// An aligned buffer of `len` position-derived bytes.
+    fn patterned(len: usize, seed: usize) -> ChunkBuf {
+        let mut buf = ChunkBuf::new(len);
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = ((i + seed) % 251) as u8;
+        }
+        buf
+    }
 
     fn scratch_dir(tag: &str) -> PathBuf {
         static UNIQ: AtomicU64 = AtomicU64::new(0);
@@ -487,29 +464,36 @@ mod tests {
         let poisoned = fs::OpenOptions::new().read(true).open(&host).unwrap();
         let f = LocalFile {
             buffered,
-            direct: Mutex::new(Some(poisoned)),
-            align: DEFAULT_ALIGN,
+            direct: Some(poisoned),
+            direct_failed: AtomicBool::new(false),
+            counts: Arc::default(),
             extent: 1 << 20,
             logical: AtomicU64::new(0),
-            grow: Mutex::new(Grow { allocated: 0 }),
+            allocated: Mutex::new(0),
         };
 
-        // Perfectly aligned (the direct-path shape), position-derived
-        // bytes so a short or misplaced landing cannot go unnoticed.
-        let chunk: Vec<u8> = (0..2 * DEFAULT_ALIGN).map(|i| (i % 251) as u8).collect();
+        // Perfectly aligned — address, offset and length: the only shape
+        // that reaches the direct handle — with position-derived bytes so
+        // a short or misplaced landing cannot go unnoticed.
+        let chunk = patterned(2 * DEFAULT_ALIGN, 0);
         f.write_at(0, &chunk).expect("fallback hides the failure");
         assert!(
-            f.direct.lock().unwrap().is_none(),
-            "first direct failure must clear the handle for good"
+            f.direct_failed.load(Ordering::Relaxed),
+            "first direct failure must retire the handle for good"
         );
 
         // Sticky across sync: the trim/flush path must not resurrect it.
         f.sync().unwrap();
-        assert!(f.direct.lock().unwrap().is_none(), "sync kept the fallback");
+        assert!(
+            f.direct_failed.load(Ordering::Relaxed),
+            "sync kept the fallback"
+        );
 
         // A second aligned write goes straight to the buffered handle.
         f.write_at(chunk.len() as u64, &chunk).unwrap();
-        assert!(f.direct.lock().unwrap().is_none());
+        assert!(f.direct_failed.load(Ordering::Relaxed));
+        assert_eq!(f.counts.direct.load(Ordering::Relaxed), 0);
+        assert_eq!(f.counts.buffered.load(Ordering::Relaxed), 2);
 
         // Byte-exact through the handle...
         let mut got = vec![0u8; 2 * chunk.len()];
@@ -524,6 +508,103 @@ mod tests {
         assert_eq!(ondisk.len(), 2 * chunk.len());
         assert_eq!(&ondisk[..chunk.len()], &chunk[..]);
         assert_eq!(&ondisk[chunk.len()..], &chunk[..]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The direct handle takes no lock: four threads write disjoint
+    /// aligned blocks of one file from aligned buffers while a fifth
+    /// interleaves every shape that must stay buffered. Nothing may be
+    /// lost, misplaced, or left as slack.
+    #[test]
+    fn concurrent_direct_and_ragged_writers_land_byte_exact() {
+        const BLOCK: usize = 64 << 10;
+        const ROUNDS: usize = 32;
+        const DIRECT: usize = 4;
+        let dir = scratch_dir("concurrent");
+        let be = LocalFileBackend::new(&dir).unwrap();
+        let f = be.open("/c", OpenOptions::create_truncate()).unwrap();
+        // Round r: slots 5r..5r+3 go to the direct threads, slot 5r+4 to
+        // the ragged one — slots are block-aligned, so no page is shared
+        // between a direct and a buffered write.
+        let slot = |r: usize, t: usize| (r * (DIRECT + 1) + t) * BLOCK;
+        let ragged = patterned(5000, 7);
+        // (offset within the slot, bytes): ragged offset, ragged length,
+        // and an aligned shape read from an unaligned address.
+        let ragged_writes = [
+            (13, &ragged[..4096]),
+            (2 * 4096, &ragged[..5000]),
+            (4 * 4096, &ragged[1..4097]),
+        ];
+        std::thread::scope(|s| {
+            for t in 0..DIRECT {
+                let f = &f;
+                s.spawn(move || {
+                    for r in 0..ROUNDS {
+                        let block = patterned(BLOCK, slot(r, t));
+                        f.write_at(slot(r, t) as u64, &block).unwrap();
+                    }
+                });
+            }
+            s.spawn(|| {
+                for r in 0..ROUNDS {
+                    for (at, bytes) in ragged_writes {
+                        f.write_at((slot(r, DIRECT) + at) as u64, bytes).unwrap();
+                    }
+                }
+            });
+        });
+        let logical = slot(ROUNDS - 1, DIRECT) + 4 * 4096 + 4096;
+        let mut want = vec![0u8; logical];
+        for r in 0..ROUNDS {
+            for t in 0..DIRECT {
+                let at = slot(r, t);
+                want[at..at + BLOCK].copy_from_slice(&patterned(BLOCK, at));
+            }
+            for (at, bytes) in ragged_writes {
+                let at = slot(r, DIRECT) + at;
+                want[at..at + bytes.len()].copy_from_slice(bytes);
+            }
+        }
+        f.sync().unwrap();
+        assert_eq!(f.len().unwrap(), logical as u64);
+        drop(f);
+        assert_eq!(be.file_len("/c").unwrap(), logical as u64, "no slack");
+        assert!(fs::read(dir.join("c")).unwrap() == want, "byte-exact");
+        let (direct, buffered) = be.write_counts();
+        assert_eq!(direct + buffered, (ROUNDS * (DIRECT + 3)) as u64);
+        assert!(
+            direct == 0 || direct == (ROUNDS * DIRECT) as u64,
+            "{direct}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The path taken is observable: a raw mount's full chunks leave on
+    /// the direct handle straight from their pool buffers, the ragged
+    /// tail on the buffered one.
+    #[test]
+    fn raw_mount_writes_full_chunks_direct_and_the_tail_buffered() {
+        let dir = scratch_dir("counts");
+        let be = Arc::new(LocalFileBackend::new(&dir).unwrap());
+        fs::write(dir.join("probe"), b"").unwrap();
+        if open_direct(&dir.join("probe")).is_err() {
+            println!("skipped: no O_DIRECT here");
+            fs::remove_dir_all(&dir).unwrap();
+            return;
+        }
+        let config = crate::CrfsConfig::default()
+            .with_chunk_size(64 << 10)
+            .with_pool_size(1 << 20);
+        let mount = crate::Crfs::mount(Arc::clone(&be) as Arc<dyn Backend>, config).unwrap();
+        let vfs = crate::Vfs::new();
+        vfs.mount("/m", Arc::clone(&mount)).unwrap();
+        let data: Vec<u8> = (0..(1 << 20) + 100).map(|i| (i % 251) as u8).collect();
+        let fd = vfs.create("/m/ckpt").unwrap();
+        vfs.write(fd, &data).unwrap();
+        vfs.close(fd).unwrap();
+        assert_eq!(be.write_counts(), (16, 1));
+        mount.unmount().unwrap();
+        assert!(fs::read(dir.join("ckpt")).unwrap() == data);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -92,6 +92,7 @@ use std::time::Instant;
 
 use super::{normalize_path, Backend, BackendFile, CompletionSink, OpenOptions};
 use crate::obs::EventKind;
+use crate::pool::ChunkBuf;
 use crate::stats::CrfsStats;
 
 /// Drain threads per backend. Two, so that the fast-tier re-read of the
@@ -420,11 +421,14 @@ impl Shared {
 
     /// Body of a `crfs-drain<N>` thread.
     fn drain_loop(self: &Arc<Self>) {
+        // This worker's copy buffer: grown to its largest op, never
+        // shrunk, aligned so a direct-capable durable tier takes it in place.
+        let mut scratch = ChunkBuf::new(0);
         let mut q = self.queue.lock();
         loop {
             if let Some((op, ticket)) = q.pick(self.params.drain_window) {
                 drop(q);
-                self.copy(op, ticket);
+                self.copy(op, ticket, &mut scratch);
                 q = self.queue.lock();
             } else if q.closed && q.ops.is_empty() {
                 return;
@@ -434,19 +438,29 @@ impl Shared {
         }
     }
 
-    /// Reads the op's current fast-tier bytes. `Ok(None)` means the
+    /// Reads the op's current fast-tier bytes into the front of the
+    /// worker's `scratch`, grown first if need be; the returned slice is
+    /// exactly the op, fully overwritten. `Ok(None)` means the
     /// source genuinely vanished (unlinked, or truncated below the
     /// range, since the ack) and the op should be dropped. Any other
     /// IO error is *not* a vanished source: it propagates as `Err` so
     /// the copy counts as failed and the next barrier reports the loss
     /// instead of silently claiming durability.
-    fn read_fast(&self, op: &DrainOp) -> io::Result<Option<Vec<u8>>> {
+    fn read_fast<'a>(
+        &self,
+        op: &DrainOp,
+        scratch: &'a mut ChunkBuf,
+    ) -> io::Result<Option<&'a [u8]>> {
         let f = match self.fast.open(&op.path, OpenOptions::read_only()) {
             Ok(f) => f,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        let mut buf = vec![0u8; op.len as usize];
+        let len = op.len as usize;
+        if scratch.len() < len {
+            *scratch = ChunkBuf::new(len);
+        }
+        let buf = &mut scratch[..len];
         let mut got = 0usize;
         while got < buf.len() {
             match f.read_at(op.offset + got as u64, &mut buf[got..]) {
@@ -488,10 +502,10 @@ impl Shared {
     /// One drain copy, on a worker thread: re-read (overlapping the
     /// device time of the previous pick), then — in ticket order — the
     /// durable write.
-    fn copy(self: &Arc<Self>, op: DrainOp, ticket: u64) {
+    fn copy(self: &Arc<Self>, op: DrainOp, ticket: u64, scratch: &mut ChunkBuf) {
         let t0 = self.stage_timer();
         let op = Arc::new(op);
-        let source = self.read_fast(&op).and_then(|data| match data {
+        let source = self.read_fast(&op, scratch).and_then(|data| match data {
             Some(data) => Ok(Some((data, self.durable_file(&op.path, true)?))),
             None => Ok(None),
         });
@@ -511,7 +525,7 @@ impl Shared {
         // `None`: the durable tier took the write asynchronously and
         // its completion retires the op.
         let ended = match source {
-            Ok(Some((data, file))) => self.write_durable(&op, t0, &data, file),
+            Ok(Some((data, file))) => self.write_durable(&op, t0, data, file),
             Ok(None) => Some(Outcome::Dropped),
             Err(_) => Some(Outcome::Failed),
         };
@@ -906,7 +920,8 @@ impl TieredBackend {
                 .shared
                 .fast
                 .open(&tmp, OpenOptions::create_truncate())?;
-            let mut buf = vec![0u8; 1 << 20];
+            // Aligned, so full steps reach a direct-capable tier in place.
+            let mut buf = ChunkBuf::new(1 << 20);
             let mut off = 0u64;
             while off < total {
                 let want = buf.len().min((total - off) as usize);
@@ -1332,6 +1347,40 @@ mod tests {
         drop(f);
         be.drain_barrier().unwrap();
         assert_eq!(durable.contents("/f").unwrap(), vec![15u8; 64]);
+    }
+
+    /// Each worker drains every op through one reused buffer: a short op
+    /// after a long one must carry only its own bytes, and a range
+    /// rewritten while queued its newest.
+    #[test]
+    fn reused_drain_buffer_never_leaks_a_previous_op() {
+        let (be, fast, durable) = tiered(TieredParams::default());
+        let files = ["/a", "/b"].map(|p| be.open(p, OpenOptions::create_truncate()).unwrap());
+        let bytes = |len: usize, seed: usize| -> Vec<u8> {
+            (0..len).map(|i| ((i + seed * 31) % 251) as u8).collect()
+        };
+        hold(&be, true);
+        let mut ends = [0u64; 2];
+        for i in 0..32 {
+            let len = [1 << 20, 4096, (1 << 20) + 7][i % 3];
+            files[i % 2].write_at(ends[i % 2], &bytes(len, i)).unwrap();
+            ends[i % 2] += len as u64;
+        }
+        // The head of /a (a 1 MiB op, still queued) gets new bytes.
+        files[0].write_at(0, &bytes(1 << 20, 99)).unwrap();
+        await_queued(&be.shared, 33);
+        hold(&be, false);
+        drop(files);
+        be.drain_barrier().unwrap();
+        for path in ["/a", "/b"] {
+            assert!(
+                durable.contents(path).unwrap() == fast.contents(path).unwrap(),
+                "{path}: tiers differ after the barrier"
+            );
+        }
+        assert!(durable.contents("/a").unwrap()[..1 << 20] == bytes(1 << 20, 99));
+        let c = be.tier_counters();
+        assert_eq!((c.drain_ops, c.drain_failed), (33, 0));
     }
 
     #[test]

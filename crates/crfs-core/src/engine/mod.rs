@@ -26,7 +26,7 @@ use std::time::Instant;
 use crate::error::CrfsError;
 use crate::file::FileEntry;
 use crate::obs::EventKind;
-use crate::pool::BufferPool;
+use crate::pool::{BufferPool, ChunkBuf};
 use crate::stats::CrfsStats;
 
 /// A sealed chunk travelling from the write path to the IO engine.
@@ -39,7 +39,7 @@ pub struct SealedChunk {
     pub entry: Arc<FileEntry>,
     /// Buffer borrowed from the mount's [`BufferPool`]; the engine
     /// returns it after the write.
-    pub buf: Vec<u8>,
+    pub buf: ChunkBuf,
     /// Valid bytes at the front of `buf`.
     pub len: usize,
     /// File offset the chunk starts at.
@@ -59,7 +59,7 @@ pub struct ReadChunk {
     /// The open file; its `read_state` receives the result.
     pub entry: Arc<FileEntry>,
     /// Pool buffer the backend read fills.
-    pub buf: Vec<u8>,
+    pub buf: ChunkBuf,
     /// Bytes to read (≤ the chunk size; short at the file tail).
     pub len: usize,
     /// File offset the chunk starts at.

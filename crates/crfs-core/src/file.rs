@@ -54,7 +54,7 @@ struct Ledger {
 /// A file's current aggregation chunk: a pool buffer plus its placement.
 pub struct CurrentChunk {
     /// Buffer borrowed from the [`BufferPool`](crate::pool::BufferPool).
-    pub buf: Vec<u8>,
+    pub buf: crate::pool::ChunkBuf,
     /// Placement and fill level.
     pub state: ChunkState,
 }

@@ -188,14 +188,6 @@ impl Crfs {
         snap
     }
 
-    /// The live mount-wide counters + observability layer. Most callers
-    /// want [`stats`](Self::stats); this is for instrumentation-aware
-    /// tools (`crfs-stat`, the experiment drivers) that need the flight
-    /// recorder itself.
-    pub fn raw_stats(&self) -> &Arc<CrfsStats> {
-        &self.shared.stats
-    }
-
     /// The flight recorder's retained event window as JSONL — the
     /// on-demand dump (DESIGN.md §8). Empty when `config.obs` is off or
     /// nothing has happened yet.
@@ -740,6 +732,11 @@ impl Crfs {
         self.shared
             .stats
             .bytes_in
+            .fetch_add(data.len() as u64, Relaxed);
+        // The `Append` steps above copied every byte of `data`, once.
+        self.shared
+            .stats
+            .bytes_copied
             .fetch_add(data.len() as u64, Relaxed);
         entry
             .max_extent

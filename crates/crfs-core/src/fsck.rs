@@ -504,7 +504,8 @@ fn redrain(fast: &Arc<dyn Backend>, durable: &Arc<dyn Backend>, path: &str) -> i
     let src = fast.open(path, OpenOptions::read_only())?;
     let dst = durable.open(path, OpenOptions::create_truncate())?;
     let len = src.len()?;
-    let mut buf = vec![0u8; 1 << 20];
+    // Aligned, so full steps reach a direct-capable tier in place.
+    let mut buf = crate::pool::ChunkBuf::new(1 << 20);
     let mut off = 0u64;
     while off < len {
         let want = buf.len().min((len - off) as usize);

@@ -230,35 +230,6 @@ impl HistogramSnapshot {
                 .collect::<Vec<_>>(),
         })
     }
-
-    /// Rebuilds a snapshot from the JSON produced by
-    /// [`to_value`](Self::to_value) — how `crfs-stat` decodes persisted
-    /// snapshots. Returns `None` on shape mismatch.
-    pub fn from_value(v: &serde_json::Value) -> Option<Self> {
-        let get = |k: &str| v.get(k)?.as_u64();
-        let buckets = match v.get("buckets") {
-            Some(serde_json::Value::Array(items)) => items
-                .iter()
-                .map(|pair| match pair {
-                    serde_json::Value::Array(lc) if lc.len() == 2 => {
-                        Some((lc[0].as_u64()?, lc[1].as_u64()?))
-                    }
-                    _ => None,
-                })
-                .collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
-        Some(HistogramSnapshot {
-            count: get("count")?,
-            sum: get("sum")?,
-            max: get("max")?,
-            p50: get("p50")?,
-            p90: get("p90")?,
-            p99: get("p99")?,
-            p999: get("p999")?,
-            buckets,
-        })
-    }
 }
 
 #[cfg(test)]

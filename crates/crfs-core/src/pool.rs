@@ -31,6 +31,20 @@
 //! other's store); `waiters` is only the hint
 //! [`BufferPool::has_waiters`] gives the read cache. The cost is one
 //! uncontended lock and one notify per released chunk.
+//!
+//! ## Alignment
+//!
+//! Every buffer is a [`ChunkBuf`]: `chunk_size` bytes starting on a
+//! [`CHUNK_ALIGN`] boundary, so a sealed chunk *is* an `O_DIRECT`-capable
+//! IO buffer and the local backend writes it in place — the paper's one
+//! copy, user bytes → pool chunk. It is a plain `vec![0u8; len + 4095]`
+//! plus the offset of the first aligned byte: 4 KiB of slack per chunk
+//! buys alignment with no hand-written allocation, and the `Vec` frees
+//! itself with the layout it was allocated with. `vec![0u8; n]` is
+//! `calloc`: chunk-sized requests map fresh zero pages and touch none, so
+//! **mount does not fault the pool in** — a page becomes resident when a
+//! writer first fills it (an over-aligned `alloc_zeroed` memsets the
+//! whole pool at mount; `raw_aggregate` `recover_s` showed it).
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{
@@ -41,11 +55,48 @@ use std::time::{Duration, Instant};
 
 use crate::ring::{CachePadded, Ring};
 
+/// Alignment of every [`ChunkBuf`]: one page / logical block, the
+/// strictest thing `O_DIRECT` asks of a buffer address here.
+pub const CHUNK_ALIGN: usize = 4096;
+
+/// An owned, zeroed byte buffer whose first byte sits on a
+/// [`CHUNK_ALIGN`] boundary; derefs to exactly the `len` bytes asked for.
+/// See the module docs, "Alignment".
+pub struct ChunkBuf {
+    /// `len + CHUNK_ALIGN - 1` zero-initialised bytes.
+    raw: Vec<u8>,
+    /// Offset of the first aligned byte of `raw`.
+    start: usize,
+    len: usize,
+}
+
+impl ChunkBuf {
+    /// A zeroed, aligned buffer of `len` bytes.
+    pub fn new(len: usize) -> ChunkBuf {
+        let raw = vec![0u8; len + CHUNK_ALIGN - 1];
+        let start = (raw.as_ptr() as usize).wrapping_neg() % CHUNK_ALIGN;
+        ChunkBuf { raw, start, len }
+    }
+}
+
+impl std::ops::Deref for ChunkBuf {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.raw[self.start..self.start + self.len]
+    }
+}
+
+impl std::ops::DerefMut for ChunkBuf {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.raw[self.start..self.start + self.len]
+    }
+}
+
 /// Fixed-size pool of reusable chunk buffers.
 pub struct BufferPool {
     /// Free-list shards. Each ring's capacity is twice the pool's buffer
     /// count, so a release fits wherever round-robin points it.
-    shards: Box<[Ring<Vec<u8>>]>,
+    shards: Box<[Ring<ChunkBuf>]>,
     shard_mask: usize,
     /// Round-robin start points spreading acquires and releases across
     /// shards, each on its own cache line so producers and consumers
@@ -72,8 +123,8 @@ pub struct BufferPool {
 impl BufferPool {
     /// Creates a pool of `total_chunks` buffers of `chunk_size` bytes
     /// each with an automatically sized shard count. All buffers are
-    /// allocated (and zero-initialized) up front, like the paper's
-    /// mount-time pool.
+    /// allocated up front, like the paper's mount-time pool — zeroed and
+    /// [`CHUNK_ALIGN`]-aligned, their pages untouched until first use.
     pub fn new(chunk_size: usize, total_chunks: usize) -> BufferPool {
         let auto = (total_chunks / 4).max(1).next_power_of_two().min(16);
         BufferPool::with_shards(chunk_size, total_chunks, auto)
@@ -91,9 +142,9 @@ impl BufferPool {
         // (wherever round-robin points a release), with headroom for
         // slots transiently unavailable while a concurrent pop is
         // between its head-CAS and its sequence store.
-        let rings: Box<[Ring<Vec<u8>>]> = (0..n).map(|_| Ring::new(total_chunks * 2)).collect();
+        let rings: Box<[Ring<ChunkBuf>]> = (0..n).map(|_| Ring::new(total_chunks * 2)).collect();
         for i in 0..total_chunks {
-            if rings[i & (n - 1)].push(vec![0u8; chunk_size]).is_err() {
+            if rings[i & (n - 1)].push(ChunkBuf::new(chunk_size)).is_err() {
                 unreachable!("fresh ring has room");
             }
         }
@@ -140,7 +191,7 @@ impl BufferPool {
     }
 
     /// Lock-free scan over all shards, starting at a rotating cursor.
-    fn pop_any(&self) -> Option<Vec<u8>> {
+    fn pop_any(&self) -> Option<ChunkBuf> {
         let start = self.acquire_cursor.0.fetch_add(1, Relaxed);
         for i in 0..self.shards.len() {
             if let Some(buf) = self.shards[(start + i) & self.shard_mask].pop() {
@@ -152,7 +203,7 @@ impl BufferPool {
     }
 
     /// Checks a returning buffer and pushes it onto the next shard.
-    fn push_next(&self, buf: Vec<u8>) {
+    fn push_next(&self, buf: ChunkBuf) {
         assert_eq!(buf.len(), self.chunk_size, "released buffer has wrong size");
         let prev = self.free_count.0.fetch_add(1, Relaxed);
         assert!(
@@ -169,7 +220,7 @@ impl BufferPool {
     /// was immediately available). Returns `None` once the pool is
     /// closed (unmount) — including when free buffers remain; a closed
     /// pool hands out nothing.
-    pub fn acquire(&self) -> Option<(Vec<u8>, Duration)> {
+    pub fn acquire(&self) -> Option<(ChunkBuf, Duration)> {
         // Closed gate first: the fast path must not outrun `close()`.
         if self.closed.load(Acquire) {
             return None;
@@ -196,7 +247,7 @@ impl BufferPool {
 
     /// Non-blocking acquire. Returns `None` when the pool is empty *or*
     /// closed.
-    pub fn try_acquire(&self) -> Option<Vec<u8>> {
+    pub fn try_acquire(&self) -> Option<ChunkBuf> {
         if self.closed.load(Acquire) {
             return None;
         }
@@ -211,7 +262,7 @@ impl BufferPool {
     /// # Panics
     /// Panics if the buffer does not have the pool's chunk size (a foreign
     /// or corrupted buffer) or if the pool would exceed its capacity.
-    pub fn release(&self, buf: Vec<u8>) {
+    pub fn release(&self, buf: ChunkBuf) {
         self.push_next(buf);
         // Pass the gate so a waiter's check is either after the push or
         // already parked.
@@ -222,7 +273,7 @@ impl BufferPool {
     /// Returns a whole batch of buffers under one pass through the gate
     /// — the IO workers' counterpart to batched submission.
     /// Semantically `release` per buffer; the wake happens once.
-    pub fn release_many(&self, bufs: impl IntoIterator<Item = Vec<u8>>) {
+    pub fn release_many(&self, bufs: impl IntoIterator<Item = ChunkBuf>) {
         let mut released = 0usize;
         for buf in bufs {
             self.push_next(buf);
@@ -331,14 +382,59 @@ mod tests {
     #[should_panic(expected = "wrong size")]
     fn release_rejects_foreign_buffer() {
         let pool = BufferPool::new(64, 1);
-        pool.release(vec![0; 65]);
+        pool.release(ChunkBuf::new(65));
     }
 
     #[test]
     #[should_panic(expected = "over-released")]
     fn release_rejects_over_capacity() {
         let pool = BufferPool::new(64, 1);
-        pool.release(vec![0; 64]);
+        pool.release(ChunkBuf::new(64));
+    }
+
+    /// Every buffer the pool hands out — fresh, recycled one at a time or
+    /// in a batch, or back from a trip through the read cache — starts
+    /// on a `CHUNK_ALIGN` boundary and is exactly one chunk long.
+    #[test]
+    fn every_buffer_is_aligned_and_chunk_sized() {
+        use crate::prefetch::{Consume, ReadState};
+        use crate::stats::CrfsStats;
+        for chunk_size in [64, 5_000, 64 << 10, 1 << 20, 4 << 20] {
+            let pool = BufferPool::new(chunk_size, 4);
+            let take_all = |blocking: bool| -> Vec<ChunkBuf> {
+                let bufs: Vec<ChunkBuf> = (0..4)
+                    .map(|i| {
+                        if blocking && i % 2 == 0 {
+                            pool.acquire().unwrap().0
+                        } else {
+                            pool.try_acquire().unwrap()
+                        }
+                    })
+                    .collect();
+                for b in &bufs {
+                    assert_eq!(b.as_ptr() as usize % CHUNK_ALIGN, 0, "{chunk_size}");
+                    assert_eq!(b.len(), chunk_size);
+                }
+                assert!(pool.try_acquire().is_none());
+                bufs
+            };
+            // Fresh, then back one by one, then back as a batch.
+            take_all(true).into_iter().for_each(|b| pool.release(b));
+            pool.release_many(take_all(false));
+            // Through the read cache: install, hit, evict.
+            let (stats, rs) = (CrfsStats::new(), ReadState::new(chunk_size, 2, 4));
+            for (idx, buf) in take_all(true).into_iter().enumerate() {
+                let gen = rs.begin(idx as u64, &pool, &stats).unwrap();
+                rs.note_issued(1);
+                rs.install(idx as u64, gen, buf, chunk_size, &pool, &stats);
+                let hit = rs.try_consume(idx as u64, 0, &mut [0u8; 8], &pool, &stats);
+                assert!(matches!(hit, Consume::Hit(8)));
+            }
+            assert_eq!(pool.free_chunks(), 0, "the cache holds all four");
+            rs.evict_ready(&pool, &stats);
+            take_all(false).into_iter().for_each(|b| pool.release(b));
+            assert_eq!(pool.free_chunks(), 4);
+        }
     }
 
     #[test]

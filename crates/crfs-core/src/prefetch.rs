@@ -55,7 +55,7 @@ use std::sync::atomic::{
     Ordering::{Acquire, Relaxed, Release},
 };
 
-use crate::pool::BufferPool;
+use crate::pool::{BufferPool, ChunkBuf};
 use crate::stats::CrfsStats;
 
 /// What a cache lookup produced.
@@ -81,7 +81,7 @@ enum SlotState {
     /// whether it ever served a reader (for the wasted-prefetch count).
     Ready {
         idx: u64,
-        buf: Vec<u8>,
+        buf: ChunkBuf,
         len: usize,
         hit: bool,
     },
@@ -313,7 +313,7 @@ impl ReadState {
         &self,
         idx: u64,
         gen: u64,
-        buf: Vec<u8>,
+        buf: ChunkBuf,
         len: usize,
         pool: &BufferPool,
         stats: &CrfsStats,
@@ -351,7 +351,7 @@ impl ReadState {
         &self,
         idx: u64,
         gen: u64,
-        buf: Vec<u8>,
+        buf: ChunkBuf,
         pool: &BufferPool,
         stats: &CrfsStats,
     ) {

@@ -1,7 +1,7 @@
 //! A bounded lock-free MPMC ring (Vyukov's sequence-tagged queue).
 //!
 //! The one ring the hot path rests on: the buffer pool's free-list
-//! shards carry `Vec<u8>` buffers through it, the IO engine's free /
+//! shards carry `ChunkBuf` buffers through it, the IO engine's free /
 //! submission / completion rings carry descriptor indices. (The flight
 //! recorder's ring overwrites oldest-first and is a different structure;
 //! see `obs/flight.rs`.)

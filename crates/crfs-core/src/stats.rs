@@ -24,6 +24,10 @@ pub struct CrfsStats {
     pub writes: AtomicU64,
     /// Bytes accepted from writers.
     pub bytes_in: AtomicU64,
+    /// Bytes crfs-core itself memcpys on the checkpoint path: user bytes
+    /// into a pool chunk, plus the codec's output on transformed mounts
+    /// (see [`StatsSnapshot::copies_per_byte`]).
+    pub bytes_copied: AtomicU64,
     /// Chunks sealed (enqueued to the work queue).
     pub chunks_sealed: AtomicU64,
     /// Chunks sealed while only partially full (close/fsync/discontinuity).
@@ -190,6 +194,7 @@ impl CrfsStats {
         StatsSnapshot {
             writes: self.writes.load(Relaxed),
             bytes_in: self.bytes_in.load(Relaxed),
+            bytes_copied: self.bytes_copied.load(Relaxed),
             chunks_sealed: self.chunks_sealed.load(Relaxed),
             partial_seals: self.partial_seals.load(Relaxed),
             discontinuity_seals: self.discontinuity_seals.load(Relaxed),
@@ -245,6 +250,8 @@ pub struct StatsSnapshot {
     pub writes: u64,
     /// Bytes accepted from writers.
     pub bytes_in: u64,
+    /// Bytes crfs-core memcpyd on the checkpoint path.
+    pub bytes_copied: u64,
     /// Chunks sealed (enqueued).
     pub chunks_sealed: u64,
     /// Seals of partially-full chunks.
@@ -342,67 +349,58 @@ pub struct StatsSnapshot {
     pub flight_events: u64,
 }
 
+/// `n / d`, or 0.0 while the denominator is still zero.
+fn ratio(n: u64, d: u64) -> f64 {
+    if d == 0 {
+        0.0
+    } else {
+        n as f64 / d as f64
+    }
+}
+
 impl StatsSnapshot {
     /// Mean bytes per sealed chunk — the aggregation factor actually
     /// achieved (ideal: the configured chunk size).
     pub fn mean_chunk_fill(&self) -> f64 {
-        if self.chunks_sealed == 0 {
-            0.0
-        } else {
-            self.bytes_out as f64 / self.chunks_sealed as f64
-        }
+        ratio(self.bytes_out, self.chunks_sealed)
     }
 
     /// Mean size of an incoming write.
     pub fn mean_write_size(&self) -> f64 {
-        if self.writes == 0 {
-            0.0
-        } else {
-            self.bytes_in as f64 / self.writes as f64
-        }
+        ratio(self.bytes_in, self.writes)
+    }
+
+    /// Copies per logical byte, `bytes_copied / bytes_in`. Exactly 1.0
+    /// is the paper's data path: the pool chunk is the IO buffer.
+    pub fn copies_per_byte(&self) -> f64 {
+        ratio(self.bytes_copied, self.bytes_in)
     }
 
     /// Ratio of backend writes to application writes — how much CRFS
     /// reduced the backend request count (e.g. 7800 application writes to
     /// 6 chunk writes for the paper's LU.C node profile).
     pub fn aggregation_ratio(&self) -> f64 {
-        if self.chunks_sealed == 0 {
-            0.0
-        } else {
-            self.writes as f64 / self.chunks_sealed as f64
-        }
+        ratio(self.writes, self.chunks_sealed)
     }
 
     /// Mean bytes per backend write — the transfer size the backend
     /// actually sees.
     pub fn mean_backend_write(&self) -> f64 {
-        if self.backend_writes == 0 {
-            0.0
-        } else {
-            self.bytes_out as f64 / self.backend_writes as f64
-        }
+        ratio(self.bytes_out, self.backend_writes)
     }
 
     /// Mean sealed chunks handed to the engine per submission call —
     /// ≥ 1 whenever anything was sealed; > 1 means batching collapsed
     /// producer-side queue-lock acquisitions.
     pub fn avg_batch_len(&self) -> f64 {
-        if self.engine_submits == 0 {
-            0.0
-        } else {
-            self.chunks_sealed as f64 / self.engine_submits as f64
-        }
+        ratio(self.chunks_sealed, self.engine_submits)
     }
 
     /// Mean write chunks retired per completion-reap pass — the
     /// completion-side twin of [`avg_batch_len`](Self::avg_batch_len).
     /// 1.0 on the per-chunk engines; > 1 whenever retirement batches.
     pub fn avg_reap_len(&self) -> f64 {
-        if self.completion_reaps == 0 {
-            0.0
-        } else {
-            self.completion_reaped as f64 / self.completion_reaps as f64
-        }
+        ratio(self.completion_reaped, self.completion_reaps)
     }
 
     /// Stored-byte reduction achieved by the transform stage:
@@ -410,11 +408,7 @@ impl StatsSnapshot {
     /// the transform stage never ran. Above 1.0, compression + dedup
     /// are shrinking the checkpoint volume.
     pub fn compress_ratio(&self) -> f64 {
-        if self.bytes_stored == 0 {
-            0.0
-        } else {
-            self.bytes_logical as f64 / self.bytes_stored as f64
-        }
+        ratio(self.bytes_logical, self.bytes_stored)
     }
 
     /// Total damage events across all classes seen by the open scan and
@@ -427,12 +421,7 @@ impl StatsSnapshot {
     /// Fraction of chunk-granular read segments served from the prefetch
     /// cache (0.0 when nothing was read).
     pub fn read_hit_rate(&self) -> f64 {
-        let total = self.read_hits + self.read_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.read_hits as f64 / total as f64
-        }
+        ratio(self.read_hits, self.read_hits + self.read_misses)
     }
 
     /// Every monotonic counter of the snapshot, by the name of the
@@ -445,6 +434,7 @@ impl StatsSnapshot {
         vec![
             ("writes", self.writes),
             ("bytes_in", self.bytes_in),
+            ("bytes_copied", self.bytes_copied),
             ("chunks_sealed", self.chunks_sealed),
             ("partial_seals", self.partial_seals),
             ("discontinuity_seals", self.discontinuity_seals),
@@ -512,6 +502,7 @@ impl StatsSnapshot {
             },
             "derived": {
                 "mean_write_size": self.mean_write_size(),
+                "copies_per_byte": self.copies_per_byte(),
                 "mean_chunk_fill": self.mean_chunk_fill(),
                 "aggregation_ratio": self.aggregation_ratio(),
                 "mean_backend_write": self.mean_backend_write(),
@@ -536,10 +527,11 @@ impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "writes in : {:>10}  ({} bytes, mean {:.0} B)",
+            "writes in : {:>10}  ({} bytes, mean {:.0} B, {:.2} copies/byte)",
             self.writes,
             self.bytes_in,
-            self.mean_write_size()
+            self.mean_write_size(),
+            self.copies_per_byte()
         )?;
         writeln!(
             f,
@@ -693,6 +685,7 @@ mod tests {
         let snap = StatsSnapshot::default();
         assert_eq!(snap.mean_chunk_fill(), 0.0);
         assert_eq!(snap.mean_write_size(), 0.0);
+        assert_eq!(snap.copies_per_byte(), 0.0);
         assert_eq!(snap.aggregation_ratio(), 0.0);
         assert_eq!(snap.avg_batch_len(), 0.0);
         assert_eq!(snap.mean_backend_write(), 0.0);

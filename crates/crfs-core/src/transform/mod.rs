@@ -442,11 +442,6 @@ impl EncodedChunk {
     pub fn bytes(&self) -> &[u8] {
         &self.frame
     }
-
-    /// Whether this frame is a dedup reference record.
-    pub fn is_ref(&self) -> bool {
-        self.entry.flags & FLAG_REF != 0
-    }
 }
 
 /// A frame buffer allocated once: the header's 40 bytes (zeroed,
@@ -459,10 +454,12 @@ fn new_frame(payload_cap: usize) -> Vec<u8> {
 }
 
 /// A DATA frame of `payload` under `codec` (header still blank) and the
-/// stored codec id the encode settled on.
-fn data_frame(codec: CodecKind, payload: &[u8]) -> (Vec<u8>, u8) {
+/// stored codec id the encode settled on. Counts `bytes_copied`.
+fn data_frame(stats: &CrfsStats, codec: CodecKind, payload: &[u8]) -> (Vec<u8>, u8) {
     let mut frame = new_frame(max_stored_len(codec, payload.len()));
     let stored_codec = encode_payload(codec, payload, &mut frame);
+    let stored = frame.len() - FRAME_HEADER_LEN as usize;
+    stats.bytes_copied.fetch_add(stored as u64, Relaxed);
     (frame, stored_codec)
 }
 
@@ -485,13 +482,14 @@ fn ref_frame(origin: &str, stored_off: u64, stored_len: u32, codec: u8) -> Vec<u
 /// disk*, which may differ from this encode when an earlier mount
 /// already stored the same content under another codec.
 fn store_cas(
+    stats: &CrfsStats,
     codec: CodecKind,
     snap: &Arc<SnapshotStore>,
     key: ChunkKey,
     payload: &[u8],
     check: u64,
 ) -> io::Result<(u8, u32)> {
-    let (mut cas, cas_codec) = data_frame(codec, payload);
+    let (mut cas, cas_codec) = data_frame(stats, codec, payload);
     let stored_len = (cas.len() - FRAME_HEADER_LEN as usize) as u32;
     let header = FrameHeader {
         codec: cas_codec,
@@ -697,7 +695,7 @@ impl FileTransform {
         let mut snap_rec = None;
         let mut inflight = None;
         let inline = || {
-            let (frame, stored_codec) = data_frame(self.ctx.codec, payload);
+            let (frame, stored_codec) = data_frame(stats, self.ctx.codec, payload);
             (frame, stored_codec, 0)
         };
         let (mut frame, codec, flags) = match self.ctx.dedup.as_ref() {
@@ -736,7 +734,14 @@ impl FileTransform {
                         // it for dedup, and emit only a reference frame
                         // into this file's log.
                         Some(snap) => {
-                            match store_cas(self.ctx.codec, snap, (hash, len), payload, check) {
+                            match store_cas(
+                                stats,
+                                self.ctx.codec,
+                                snap,
+                                (hash, len),
+                                payload,
+                                check,
+                            ) {
                                 Ok((cas_codec, cas_len)) => {
                                     let origin = cas_path((hash, len));
                                     let frame = ref_frame(&origin, 0, cas_len, cas_codec);

@@ -17,6 +17,9 @@ fn flight_record_is_dumped_on_damage_and_only_then() {
     let config = CrfsConfig::default()
         .with_chunk_size(CHUNK)
         .with_pool_size(16 * CHUNK)
+        // One IO worker: frames land in the log in logical order, so the
+        // frame at stored offset 0 is the chunk the read below asks for.
+        .with_io_threads(1)
         .with_codec(CodecKind::Lz)
         .with_flight_dump(dump.to_str().unwrap());
     let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());

@@ -7,8 +7,11 @@
 //! threading it through the whole reporting surface fails this test
 //! rather than silently dropping the stat.
 
+use crfs_core::backend::{Backend, LocalFileBackend, MemBackend};
 use crfs_core::stats::{CrfsStats, StatsSnapshot};
+use crfs_core::{Crfs, CrfsConfig};
 use serde_json::Value;
+use std::sync::Arc;
 
 fn stats_source() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/stats.rs");
@@ -134,6 +137,7 @@ fn json_serializer_emits_every_counter_and_stage() {
 fn display_witness(name: &str) -> &'static str {
     match name {
         "writes" | "bytes_in" => "writes in",
+        "bytes_copied" => "copies/byte",
         "chunks_sealed" | "bytes_out" | "partial_seals" | "discontinuity_seals" => "chunks out",
         "backend_writes" | "chunks_refused" => "backend ops",
         "chunks_completed" => "chunks completed",
@@ -200,4 +204,34 @@ fn human_render_elides_idle_sections() {
     );
     assert!(!text.contains("torn tails"), "damage line on idle mount");
     assert!(!text.contains("stage latency"), "stage table on idle mount");
+}
+
+/// The paper's data path copies each byte once — user buffer → pool
+/// chunk — and the chunk is the IO buffer. On a raw mount `bytes_copied`
+/// says so exactly, whatever the write sizes and whichever backend.
+#[test]
+fn raw_mount_copies_each_logical_byte_exactly_once() {
+    let dir = std::env::temp_dir().join(format!("crfs-copies-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let backends: [Arc<dyn Backend>; 2] = [
+        Arc::new(LocalFileBackend::new(&dir).unwrap()),
+        Arc::new(MemBackend::new()),
+    ];
+    for backend in backends {
+        let config = CrfsConfig::default()
+            .with_chunk_size(64 << 10)
+            .with_pool_size(1 << 20);
+        let fs = Crfs::mount(backend, config).unwrap();
+        let f = fs.create("/ckpt").unwrap();
+        for len in [1usize, 4096, 100_000, (64 << 10) + 1, 300_000] {
+            f.write(&vec![len as u8; len]).unwrap();
+        }
+        f.close().unwrap();
+        let snap = fs.stats();
+        assert_eq!(snap.bytes_copied, snap.bytes_in);
+        assert_eq!(snap.copies_per_byte(), 1.0);
+        assert_eq!(snap.bytes_out, snap.bytes_in);
+        fs.unmount().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

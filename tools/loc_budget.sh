@@ -6,9 +6,18 @@
 # The paper's claim is that the mechanism is lightweight (ROADMAP item
 # 3): code that grows the count past the ceiling either replaces
 # something, or raises the ceiling in the same change and says why.
+# (43,000 -> 43,300 with issue 23: +259 lines, all of them tests — the
+# alignment, lazy-mount, concurrent-writer, path-count, drain-reuse and
+# copies-per-byte checks; product lines of crfs-core did not grow.)
+#
+# Also counts `unsafe` blocks, impls and fns in the same tree minus
+# crates/shims/ (stand-ins for crates.io, not the product). The budget
+# is what `crfs-core/src/ring.rs` needs; a new site anywhere else
+# either replaces one of those or argues for a higher number here.
 set -eu
 
-CEILING=43000
+CEILING=43300
+UNSAFE_CEILING=4
 
 cd "$(dirname "$0")/.."
 lines=$(find . -name '*.rs' -not -path '*/target/*' -not -path './benchmark/*' -print0 |
@@ -16,5 +25,14 @@ lines=$(find . -name '*.rs' -not -path '*/target/*' -not -path './benchmark/*' -
 echo "Rust lines outside target/ and benchmark/: $lines (ceiling $CEILING)"
 if [ "$lines" -gt "$CEILING" ]; then
     echo "over budget by $((lines - CEILING)) lines" >&2
+    exit 1
+fi
+
+sites=$(find . -name '*.rs' -not -path '*/target/*' -not -path './benchmark/*' \
+    -not -path './crates/shims/*' -print0 |
+    xargs -0 grep -hoE 'unsafe[[:space:]]+(\{|impl|fn|trait)' | wc -l)
+echo "unsafe sites outside target/, benchmark/ and crates/shims/: $sites (ceiling $UNSAFE_CEILING)"
+if [ "$sites" -gt "$UNSAFE_CEILING" ]; then
+    echo "over the unsafe budget by $((sites - UNSAFE_CEILING))" >&2
     exit 1
 fi
