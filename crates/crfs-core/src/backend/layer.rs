@@ -21,17 +21,12 @@
 //!   starting point for new decorators and as the conformance witness
 //!   that the forwarding set is complete (a `LayeredBackend<MemBackend>`
 //!   must be indistinguishable from a bare `MemBackend`).
-//! - `HostDir`: the host-directory path mapping and metadata
-//!   operations shared by `PassthroughBackend` and `LocalFileBackend`,
-//!   which previously each carried their own copy.
 //! - [`aligned_shape`]: the offset/length alignment test direct-IO
 //!   paths gate on.
 
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
 
-use super::{normalize_path, Backend, BackendFile, OpenOptions};
+use super::{Backend, BackendFile, OpenOptions};
 
 /// Forwards the listed [`Backend`] operations to a field of `self`.
 ///
@@ -50,7 +45,7 @@ use super::{normalize_path, Backend, BackendFile, OpenOptions};
 ///
 /// The field (`inner` above) only needs inherent or trait methods with
 /// the same signatures, so it can be a `Backend`, an `Arc<dyn Backend>`,
-/// or a plain helper like `HostDir`.
+/// or a plain helper with inherent methods.
 #[macro_export]
 macro_rules! forward_backend_ops {
     ($inner:ident: $($op:ident),* $(,)?) => {
@@ -218,65 +213,6 @@ impl<B: Backend> Backend for LayeredBackend<B> {
 
     crate::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists,
         file_len, list_dir, drain_barrier, attach_stats);
-}
-
-/// Host-directory plumbing shared by `PassthroughBackend` and
-/// `LocalFileBackend`: maps normalized backend paths under a root
-/// directory and implements the metadata operations with `std::fs`.
-pub(crate) struct HostDir {
-    root: PathBuf,
-}
-
-impl HostDir {
-    /// Roots the mapping at `root`, creating the directory if needed.
-    pub(crate) fn new(root: PathBuf) -> io::Result<HostDir> {
-        fs::create_dir_all(&root)?;
-        Ok(HostDir { root })
-    }
-
-    /// The host directory backing this filesystem.
-    pub(crate) fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Maps a backend path to its host path, rejecting root escapes.
-    pub(crate) fn host_path(&self, path: &str) -> io::Result<PathBuf> {
-        let norm = normalize_path(path)?;
-        Ok(self.root.join(norm.trim_start_matches('/')))
-    }
-
-    pub(crate) fn mkdir(&self, path: &str) -> io::Result<()> {
-        fs::create_dir(self.host_path(path)?)
-    }
-
-    pub(crate) fn rmdir(&self, path: &str) -> io::Result<()> {
-        fs::remove_dir(self.host_path(path)?)
-    }
-
-    pub(crate) fn unlink(&self, path: &str) -> io::Result<()> {
-        fs::remove_file(self.host_path(path)?)
-    }
-
-    pub(crate) fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        fs::rename(self.host_path(from)?, self.host_path(to)?)
-    }
-
-    pub(crate) fn exists(&self, path: &str) -> bool {
-        self.host_path(path).map(|p| p.exists()).unwrap_or(false)
-    }
-
-    pub(crate) fn file_len(&self, path: &str) -> io::Result<u64> {
-        Ok(fs::metadata(self.host_path(path)?)?.len())
-    }
-
-    pub(crate) fn list_dir(&self, path: &str) -> io::Result<Vec<String>> {
-        let mut names = Vec::new();
-        for entry in fs::read_dir(self.host_path(path)?)? {
-            names.push(entry?.file_name().to_string_lossy().into_owned());
-        }
-        names.sort();
-        Ok(names)
-    }
 }
 
 #[cfg(test)]

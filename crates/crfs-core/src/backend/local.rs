@@ -1,11 +1,11 @@
 //! Local backend: `O_DIRECT` writes straight from the caller's buffer,
-//! with extent preallocation.
+//! extent preallocation, and rewrite-in-place of a re-created file.
 //!
 //! The paper's node-local configuration writes checkpoint chunks to a
 //! local disk partition; at chunk sizes (hundreds of KiB) the page cache
 //! costs a copy and doubles memory pressure without helping a
-//! write-once stream. This backend keeps [`PassthroughBackend`]'s
-//! directory layout but adds two disk-oriented behaviors:
+//! write-once stream. This backend maps paths onto a host directory
+//! and adds three disk-oriented behaviors:
 //!
 //! 1. **Direct writes, in place.** Each file also holds an `O_DIRECT`
 //!    handle, and one rule decides: a write whose buffer address, offset
@@ -24,60 +24,74 @@
 //!    (sticky). Neither is ever an error.
 //!    [`LocalFileBackend::write_counts`] says which handle writes took.
 //! 2. **Extent preallocation.** Before a write past the allocated
-//!    watermark the file grows to the next `extent` boundary
+//!    watermark the file grows to the next [`DEFAULT_EXTENT`] boundary
 //!    (`set_len`, a cheap sparse extension standing in for
 //!    `fallocate`), so concurrent out-of-order chunk writes don't each
-//!    extend the inode. The *logical* length — max byte ever written —
-//!    is tracked separately; `sync`, `len` and drop all report/restore
-//!    it, so readers and the restart path never see preallocated slack.
+//!    extend the inode. The *logical* length — the end of the furthest
+//!    write begun — is tracked separately; `sync`, `len` and drop all
+//!    report/restore it, so readers and the restart path never see
+//!    preallocated slack.
+//! 3. **Rewrite in place.** A truncating open with
+//!    [`OpenOptions::keep_blocks`] over a non-empty file passes no
+//!    `O_TRUNC`: the file is *logically* empty at once and keeps its
+//!    blocks, so an image replacing its predecessor overwrites written
+//!    extents instead of freeing them and allocating them again one
+//!    direct write at a time. A write *claims* its range before it is
+//!    issued (a short lock, never held across a data write); a read
+//!    zeroes whatever below the old length no write has claimed, as
+//!    after a real truncate. `sync` and drop *settle*: zero-fill the
+//!    unclaimed gaps below the logical length — under the lock, so no
+//!    zero lands on a later claim — and trim the old tail like any
+//!    slack; an image the size of its predecessor settles with no
+//!    syscall. The handle must be the file's only writer until then. A
+//!    crash before the settle leaves the predecessor's bytes, at its
+//!    length, where the eager cut leaves zero slack — neither
+//!    detectable on a raw file; a file recovered by scanning is opened
+//!    without the bit. See [`LocalFileBackend::rewrite_counts`].
 
 use parking_lot::Mutex;
 use std::fs;
 use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use super::layer::{aligned_shape, HostDir};
-use super::{Backend, BackendFile, OpenOptions};
+use super::layer::aligned_shape;
+use super::{normalize_path, Backend, BackendFile, OpenOptions};
 
 /// Direct-write alignment: one page / typical logical block, and the
 /// alignment of every pool chunk.
 pub const DEFAULT_ALIGN: usize = crate::pool::CHUNK_ALIGN;
-/// Default preallocation extent: 4 MiB.
+/// Preallocation extent: 4 MiB.
 pub const DEFAULT_EXTENT: u64 = 4 << 20;
 
-/// Writes issued per handle, over every file of one backend.
+/// Path counters, over every file of one backend.
 #[derive(Default)]
-struct WriteCounts {
+struct Counts {
     direct: AtomicU64,
     buffered: AtomicU64,
+    rewrites: AtomicU64,
+    zero_filled: AtomicU64,
 }
 
 /// Directory-rooted backend issuing aligned direct writes with extent
 /// preallocation. See the module docs.
 pub struct LocalFileBackend {
-    dir: HostDir,
-    extent: u64,
-    counts: Arc<WriteCounts>,
+    root: PathBuf,
+    counts: Arc<Counts>,
 }
 
 impl LocalFileBackend {
-    /// Creates a backend rooted at `root` (created if needed) with the
-    /// default extent (4 MiB) and `O_DIRECT` enabled where the
-    /// filesystem supports it.
+    /// Creates a backend rooted at `root` (created if needed), with
+    /// `O_DIRECT` enabled where the filesystem supports it.
     pub fn new(root: impl Into<PathBuf>) -> io::Result<LocalFileBackend> {
+        let root = root.into();
+        fs::create_dir_all(&root)?;
         Ok(LocalFileBackend {
-            dir: HostDir::new(root.into())?,
-            extent: DEFAULT_EXTENT,
+            root,
             counts: Arc::default(),
         })
-    }
-
-    /// Sets the preallocation extent in bytes (0 disables).
-    pub fn with_extent(mut self, extent: u64) -> LocalFileBackend {
-        self.extent = extent;
-        self
     }
 
     /// `(direct, buffered)`: writes issued on each handle, over every
@@ -89,9 +103,24 @@ impl LocalFileBackend {
         )
     }
 
+    /// `(rewrites, zero_filled_bytes)`: opens that kept a file's blocks,
+    /// and the unclaimed bytes their settles zeroed (0 for whole images).
+    pub fn rewrite_counts(&self) -> (u64, u64) {
+        (
+            self.counts.rewrites.load(Ordering::Relaxed),
+            self.counts.zero_filled.load(Ordering::Relaxed),
+        )
+    }
+
     /// The host directory backing this filesystem.
     pub fn root(&self) -> &Path {
-        self.dir.root()
+        &self.root
+    }
+
+    /// Maps a backend path to its host path, rejecting root escapes.
+    fn host_path(&self, path: &str) -> io::Result<PathBuf> {
+        let norm = normalize_path(path)?;
+        Ok(self.root.join(norm.trim_start_matches('/')))
     }
 }
 
@@ -101,34 +130,73 @@ impl Backend for LocalFileBackend {
     }
 
     fn open(&self, path: &str, opts: OpenOptions) -> io::Result<Box<dyn BackendFile>> {
-        let host = self.dir.host_path(path)?;
+        let host = self.host_path(path)?;
+        let rewrite = opts.truncate && opts.keep_blocks;
         let file = fs::OpenOptions::new()
             .read(opts.read)
             .write(opts.write)
             .create(opts.create)
-            .truncate(opts.truncate)
+            .truncate(opts.truncate && !rewrite)
             .open(&host)?;
         // A second O_DIRECT handle for aligned writes. Open failure
         // (tmpfs and most overlay filesystems reject the flag) simply
         // means every write stays buffered.
         let direct = opts.write.then(|| open_direct(&host).ok()).flatten();
-        let logical = file.metadata()?.len();
+        let physical = file.metadata()?.len();
+        // An empty or new file has nothing to keep: the plain path.
+        let rewrite = rewrite && physical > 0;
+        if rewrite {
+            self.counts.rewrites.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(Box::new(LocalFile {
             buffered: file,
             direct,
             direct_failed: AtomicBool::new(false),
             counts: Arc::clone(&self.counts),
-            extent: self.extent,
-            logical: AtomicU64::new(logical),
-            allocated: Mutex::new(logical),
+            logical: AtomicU64::new(if rewrite { 0 } else { physical }),
+            sizes: Mutex::new(Sizes {
+                allocated: physical,
+                old_len: if rewrite { physical } else { 0 },
+                written: Vec::new(),
+            }),
         }))
     }
 
-    // NOTE: while a file is open for writing `file_len` may include
-    // preallocated slack; the open handle's `len()` reports the logical
-    // length, and `sync`/drop trim the file back.
-    crate::forward_backend_ops!(dir: mkdir, rmdir, unlink, rename, exists,
-        file_len, list_dir);
+    fn mkdir(&self, path: &str) -> io::Result<()> {
+        fs::create_dir(self.host_path(path)?)
+    }
+
+    fn rmdir(&self, path: &str) -> io::Result<()> {
+        fs::remove_dir(self.host_path(path)?)
+    }
+
+    fn unlink(&self, path: &str) -> io::Result<()> {
+        fs::remove_file(self.host_path(path)?)
+    }
+
+    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+        fs::rename(self.host_path(from)?, self.host_path(to)?)
+    }
+
+    fn exists(&self, path: &str) -> bool {
+        self.host_path(path).map(|p| p.exists()).unwrap_or(false)
+    }
+
+    // While a file is open for writing this may include slack
+    // (preallocation, a rewrite's old tail); the open handle's `len()`
+    // reports the logical length, and `sync`/drop trim the file.
+    fn file_len(&self, path: &str) -> io::Result<u64> {
+        Ok(fs::metadata(self.host_path(path)?)?.len())
+    }
+
+    fn list_dir(&self, path: &str) -> io::Result<Vec<String>> {
+        let mut names = Vec::new();
+        for entry in fs::read_dir(self.host_path(path)?)? {
+            names.push(entry?.file_name().to_string_lossy().into_owned());
+        }
+        names.sort();
+        Ok(names)
+    }
 }
 
 #[cfg(target_os = "linux")]
@@ -157,52 +225,102 @@ struct LocalFile {
     /// on every write of this file is buffered. Relaxed: it publishes
     /// nothing — a racing writer that misses it meets the same rejection.
     direct_failed: AtomicBool,
-    counts: Arc<WriteCounts>,
-    extent: u64,
-    /// Max byte ever written: the length readers should see.
+    counts: Arc<Counts>,
+    /// End of the furthest write begun: the length readers should see.
     logical: AtomicU64,
+    /// Held to reserve a write's range and to settle, never across a
+    /// data write.
+    sizes: Mutex<Sizes>,
+}
+
+struct Sizes {
     /// Physical size watermark the file has been extended to.
-    allocated: Mutex<u64>,
+    allocated: u64,
+    /// A rewrite's old bytes lie below this, the physical length at
+    /// open; 0 when there are none (left).
+    old_len: u64,
+    /// Ranges below `old_len` a write has claimed; sorted, disjoint.
+    written: Vec<(u64, u64)>,
+}
+
+impl Sizes {
+    fn claim(&mut self, start: u64, end: u64) {
+        let end = end.min(self.old_len);
+        if start < end {
+            // Replace every range touching the new one by their union.
+            let lo = self.written.partition_point(|r| r.1 < start);
+            let hi = self.written.partition_point(|r| r.0 <= end);
+            let union = self.written[lo..hi]
+                .iter()
+                .fold((start, end), |u, r| (u.0.min(r.0), u.1.max(r.1)));
+            self.written.splice(lo..hi, [union]);
+        }
+    }
+
+    /// The unclaimed parts of `[start, end)` below `old_len`.
+    fn gaps(&self, start: u64, end: u64) -> Vec<(u64, u64)> {
+        let end = end.min(self.old_len);
+        let mut gaps = Vec::new();
+        let mut at = start;
+        for &(s, e) in self.written.iter().take_while(|r| r.0 < end) {
+            if s > at {
+                gaps.push((at, s));
+            }
+            at = at.max(e);
+        }
+        if at < end {
+            gaps.push((at, end));
+        }
+        gaps
+    }
 }
 
 impl LocalFile {
-    /// Extends the physical file to cover `end`, rounded up to the next
-    /// extent boundary, so chunk writes land on preallocated blocks.
-    /// Grows only: another handle may have extended the file past this
-    /// handle's target, and a `set_len` down to it would cut that
-    /// handle's bytes off. The `fstat` runs once per extent, not per
-    /// write.
-    fn ensure_allocated(&self, end: u64) -> io::Result<()> {
-        if self.extent == 0 {
-            return Ok(());
+    /// Before a write of `[offset, end)` is issued: claims it from a
+    /// rewrite's old bytes, extends the physical file to the extent
+    /// boundary past `end` so chunk writes land on preallocated blocks,
+    /// and raises the logical length so no concurrent settle cuts under
+    /// the write. Grows only: a `set_len` down to this handle's target
+    /// would cut off what another handle wrote past it. The `fstat`
+    /// runs once per extent, never below a rewritten file's old length.
+    fn reserve(&self, offset: u64, end: u64) -> io::Result<()> {
+        let mut sizes = self.sizes.lock();
+        sizes.claim(offset, end);
+        if end > sizes.allocated {
+            let target = end.div_ceil(DEFAULT_EXTENT) * DEFAULT_EXTENT;
+            if self.buffered.metadata()?.len() < target {
+                self.buffered.set_len(target)?;
+            }
+            sizes.allocated = target;
         }
-        let mut allocated = self.allocated.lock();
-        if end <= *allocated {
-            return Ok(());
-        }
-        let target = end.div_ceil(self.extent) * self.extent;
-        if self.buffered.metadata()?.len() < target {
-            self.buffered.set_len(target)?;
-        }
-        *allocated = target;
+        self.logical.fetch_max(end, Ordering::SeqCst);
         Ok(())
     }
 
-    /// Cuts this handle's preallocated slack off, so the on-disk length
-    /// equals the logical length — but only while the physical length
-    /// is still the one this handle set: a file some other handle has
-    /// resized since is that handle's to trim.
-    fn trim_slack(&self, allocated: &mut u64) -> io::Result<()> {
+    /// Makes the host file what the handle reports: zeroes a rewrite's
+    /// unclaimed old bytes below the logical length, then cuts this
+    /// handle's slack (preallocation, or a rewrite's old tail) off — but
+    /// only while the physical length is still the one this handle set:
+    /// a file another handle has resized since is that handle's to trim.
+    fn settle(&self) -> io::Result<()> {
+        static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
+        let mut sizes = self.sizes.lock();
         let logical = self.logical.load(Ordering::SeqCst);
-        if *allocated != logical && self.buffered.metadata()?.len() == *allocated {
+        for (start, end) in sizes.gaps(0, logical) {
+            for at in (start..end).step_by(ZEROS.len()) {
+                let n = ZEROS.len().min((end - at) as usize);
+                self.buffered.write_all_at(&ZEROS[..n], at)?;
+            }
+            self.counts
+                .zero_filled
+                .fetch_add(end - start, Ordering::Relaxed);
+        }
+        (sizes.old_len, sizes.written) = (0, Vec::new());
+        if sizes.allocated != logical && self.buffered.metadata()?.len() == sizes.allocated {
             self.buffered.set_len(logical)?;
         }
-        *allocated = logical;
+        sizes.allocated = logical;
         Ok(())
-    }
-
-    fn note_written(&self, end: u64) {
-        self.logical.fetch_max(end, Ordering::SeqCst);
     }
 
     /// The direct path: `data` itself goes out on the `O_DIRECT` handle
@@ -211,7 +329,6 @@ impl LocalFile {
     /// a direct write the filesystem rejected, now or earlier (e.g. its
     /// alignment is stricter than ours): sticky for the file's life.
     fn try_direct(&self, offset: u64, data: &[u8]) -> bool {
-        use std::os::unix::fs::FileExt;
         let Some(file) = &self.direct else {
             return false;
         };
@@ -229,24 +346,19 @@ impl LocalFile {
     }
 }
 
-#[cfg(unix)]
 impl BackendFile for LocalFile {
     fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
-        use std::os::unix::fs::FileExt;
-        let end = offset + data.len() as u64;
-        self.ensure_allocated(end)?;
+        self.reserve(offset, offset + data.len() as u64)?;
         if self.try_direct(offset, data) {
             self.counts.direct.fetch_add(1, Ordering::Relaxed);
         } else {
             self.buffered.write_all_at(data, offset)?;
             self.counts.buffered.fetch_add(1, Ordering::Relaxed);
         }
-        self.note_written(end);
         Ok(())
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        use std::os::unix::fs::FileExt;
         // Cap at the logical length so preallocated slack is invisible;
         // loop-fill because a direct write followed by a buffered read
         // may return short at block boundaries.
@@ -255,6 +367,7 @@ impl BackendFile for LocalFile {
             return Ok(0);
         }
         let want = buf.len().min((logical - offset) as usize);
+        let old = self.sizes.lock().gaps(offset, offset + want as u64);
         let mut got = 0;
         while got < want {
             let n = self
@@ -263,16 +376,19 @@ impl BackendFile for LocalFile {
             if n == 0 {
                 // Sparse tail inside the logical range reads as zeros.
                 buf[got..want].fill(0);
-                got = want;
                 break;
             }
             got += n;
         }
-        Ok(got)
+        // So does whatever a rewrite has not written yet.
+        for (s, e) in old {
+            buf[(s - offset) as usize..(e - offset) as usize].fill(0);
+        }
+        Ok(want)
     }
 
     fn sync(&self) -> io::Result<()> {
-        self.trim_slack(&mut self.allocated.lock())?;
+        self.settle()?;
         self.buffered.sync_data()
     }
 
@@ -281,9 +397,15 @@ impl BackendFile for LocalFile {
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
-        let mut allocated = self.allocated.lock();
+        let mut sizes = self.sizes.lock();
         self.buffered.set_len(len)?;
-        *allocated = len;
+        sizes.allocated = len;
+        // Physical, so a rewrite's old bytes past `len` are gone for good.
+        sizes.old_len = sizes.old_len.min(len);
+        sizes.written.retain_mut(|r| {
+            r.1 = r.1.min(len);
+            r.0 < r.1
+        });
         self.logical.store(len, Ordering::SeqCst);
         Ok(())
     }
@@ -294,9 +416,9 @@ compile_error!("LocalFileBackend currently requires a Unix platform (positioned 
 
 impl Drop for LocalFile {
     fn drop(&mut self) {
-        // Best-effort: never leave preallocated slack behind a closed
+        // Best-effort: never leave slack or old bytes behind a closed
         // file (the restart path reads via plain metadata lengths).
-        let _ = self.trim_slack(&mut self.allocated.lock());
+        let _ = self.settle();
     }
 }
 
@@ -349,10 +471,10 @@ mod tests {
     #[test]
     fn preallocation_is_invisible_to_readers_and_trimmed_on_sync() {
         let dir = scratch_dir("prealloc");
-        let be = LocalFileBackend::new(&dir).unwrap().with_extent(1 << 20);
+        let be = LocalFileBackend::new(&dir).unwrap();
         let f = be.open("/p", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, &[7u8; 4096]).unwrap();
-        // Logical length is what was written, not the 1 MiB extent.
+        // Logical length is what was written, not the 4 MiB extent.
         assert_eq!(f.len().unwrap(), 4096);
         // Reads past the logical end see EOF even though the physical
         // file is larger.
@@ -467,9 +589,12 @@ mod tests {
             direct: Some(poisoned),
             direct_failed: AtomicBool::new(false),
             counts: Arc::default(),
-            extent: 1 << 20,
             logical: AtomicU64::new(0),
-            allocated: Mutex::new(0),
+            sizes: Mutex::new(Sizes {
+                allocated: 0,
+                old_len: 0,
+                written: Vec::new(),
+            }),
         };
 
         // Perfectly aligned — address, offset and length: the only shape
@@ -603,8 +728,244 @@ mod tests {
         vfs.write(fd, &data).unwrap();
         vfs.close(fd).unwrap();
         assert_eq!(be.write_counts(), (16, 1));
+        assert_eq!(be.rewrite_counts(), (0, 0), "a new file: the plain path");
+        // The next checkpoint of the same file takes the same writes,
+        // keeps the blocks, and has nothing to zero or to trim.
+        let next: Vec<u8> = data.iter().map(|b| b ^ 0x5a).collect();
+        let fd = vfs.create("/m/ckpt").unwrap();
+        vfs.write(fd, &next).unwrap();
+        vfs.close(fd).unwrap();
+        assert_eq!(be.write_counts(), (32, 2));
+        assert_eq!(be.rewrite_counts(), (1, 0));
         mount.unmount().unwrap();
-        assert!(fs::read(dir.join("ckpt")).unwrap() == data);
+        assert!(fs::read(dir.join("ckpt")).unwrap() == next);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file of `len` bytes of `0xAA` under `dir`, re-created for rewrite.
+    fn rewrite_over_aa(be: &LocalFileBackend, len: usize) -> Box<dyn BackendFile> {
+        fs::write(be.root().join("f"), vec![0xaa; len]).unwrap();
+        be.open("/f", OpenOptions::create_rewrite()).unwrap()
+    }
+
+    fn read_all(f: &dyn BackendFile) -> Vec<u8> {
+        let mut buf = vec![0x77; f.len().unwrap() as usize + 9];
+        let n = f.read_at(0, &mut buf).unwrap();
+        buf.truncate(n);
+        buf
+    }
+
+    /// A hole in a rewritten file reads zeros at once, is zeros on the
+    /// host after `sync` and after drop without `sync`, and the settle
+    /// counts exactly the gap.
+    #[test]
+    fn rewrite_hole_reads_zeros_at_once_and_lands_as_zeros() {
+        const AT: usize = 700_000;
+        let dir = scratch_dir("hole");
+        let be = LocalFileBackend::new(&dir).unwrap();
+        let mut want = vec![0u8; AT];
+        want.extend_from_slice(b"island");
+        for synced in [true, false] {
+            let f = rewrite_over_aa(&be, 1 << 20);
+            assert_eq!(f.len().unwrap(), 0, "empty at once");
+            assert_eq!(read_all(&*f), b"");
+            f.write_at(AT as u64, b"island").unwrap();
+            assert_eq!(f.len().unwrap(), want.len() as u64);
+            assert!(read_all(&*f) == want, "zeros before any sync");
+            let mut mid = [1u8; 8];
+            assert_eq!(f.read_at(AT as u64 - 4, &mut mid).unwrap(), 8);
+            assert_eq!(&mid, b"\0\0\0\0isla");
+            if synced {
+                f.sync().unwrap();
+                assert!(fs::read(dir.join("f")).unwrap() == want, "host after sync");
+                assert!(read_all(&*f) == want);
+            }
+            drop(f);
+            assert!(fs::read(dir.join("f")).unwrap() == want, "host after drop");
+        }
+        assert_eq!(be.rewrite_counts(), (2, 2 * AT as u64));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Four threads rewrite the 16 blocks of a file in shuffled order
+    /// while a fifth keeps settling: no zero-fill and no trim may land
+    /// on a block a writer has claimed.
+    #[test]
+    fn shuffled_rewriters_and_a_syncer_land_byte_exact() {
+        const BLOCK: usize = 64 << 10;
+        let dir = scratch_dir("shuffled");
+        let be = LocalFileBackend::new(&dir).unwrap();
+        for round in 0..8usize {
+            let f = rewrite_over_aa(&be, 16 * BLOCK);
+            let done = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                let writers: Vec<_> = (0..4usize)
+                    .map(|t| {
+                        let f = &f;
+                        s.spawn(move || {
+                            for i in 0..4 {
+                                // A different permutation of 0..16 per round.
+                                let block = ((4 * i + t) * (2 * round + 3) + round) % 16;
+                                let at = block * BLOCK;
+                                f.write_at(at as u64, &patterned(BLOCK, at + round))
+                                    .unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                s.spawn(|| {
+                    while !done.load(Ordering::Relaxed) {
+                        f.sync().unwrap();
+                    }
+                });
+                for w in writers {
+                    w.join().unwrap();
+                }
+                done.store(true, Ordering::Relaxed);
+            });
+            assert_eq!(f.len().unwrap(), 16 * BLOCK as u64);
+            drop(f);
+            let host = fs::read(dir.join("f")).unwrap();
+            assert_eq!(host.len(), 16 * BLOCK);
+            for at in (0..16 * BLOCK).step_by(BLOCK) {
+                assert!(
+                    host[at..at + BLOCK] == patterned(BLOCK, at + round)[..],
+                    "round {round} block {}",
+                    at / BLOCK
+                );
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn set_len_up_down_and_to_zero_mid_rewrite() {
+        let dir = scratch_dir("setlen");
+        let be = LocalFileBackend::new(&dir).unwrap();
+        let f = rewrite_over_aa(&be, 1 << 20);
+        f.write_at(0, &[0x11; 65536]).unwrap();
+        // Down, inside the old file: the cut is physical, the rest reads zeros.
+        f.set_len(512 << 10).unwrap();
+        let mut want = vec![0x11; 65536];
+        want.resize(512 << 10, 0);
+        assert!(read_all(&*f) == want);
+        assert_eq!(fs::metadata(dir.join("f")).unwrap().len(), 512 << 10);
+        // Up, past the old file.
+        f.set_len(2 << 20).unwrap();
+        want.resize(2 << 20, 0);
+        assert!(read_all(&*f) == want);
+        f.sync().unwrap();
+        assert!(fs::read(dir.join("f")).unwrap() == want, "no 0xAA survives");
+        // To zero, then a write past a fresh hole.
+        let f = rewrite_over_aa(&be, 1 << 20);
+        f.write_at(4096, &[0x22; 4096]).unwrap();
+        f.set_len(0).unwrap();
+        assert_eq!(f.len().unwrap(), 0);
+        f.write_at(8192, &[0x33; 100]).unwrap();
+        let mut want = vec![0u8; 8192];
+        want.extend_from_slice(&[0x33; 100]);
+        assert!(read_all(&*f) == want);
+        drop(f);
+        assert!(fs::read(dir.join("f")).unwrap() == want);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rewrite_of_an_empty_or_missing_file_takes_the_plain_path() {
+        let dir = scratch_dir("plain");
+        let be = LocalFileBackend::new(&dir).unwrap();
+        for _ in 0..2 {
+            // First pass: missing. Second: present and empty.
+            let f = be.open("/e", OpenOptions::create_rewrite()).unwrap();
+            assert_eq!(f.len().unwrap(), 0);
+            drop(f);
+        }
+        assert_eq!(be.rewrite_counts(), (0, 0));
+        // And without the bit a non-empty file is cut at open, as ever.
+        fs::write(dir.join("e"), b"old").unwrap();
+        let f = be.open("/e", OpenOptions::create_truncate()).unwrap();
+        assert_eq!(fs::metadata(dir.join("e")).unwrap().len(), 0);
+        drop(f);
+        assert_eq!(be.rewrite_counts(), (0, 0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Seeded differential: the same random create / write / read /
+    /// `set_len` / `sync` / reopen sequence on this backend and on
+    /// [`MemBackend`](crate::backend::MemBackend), which cuts eagerly —
+    /// identical reads and lengths at every step, identical contents at
+    /// every reopen and at the end.
+    #[test]
+    fn rewrite_differential_against_the_eager_mem_backend() {
+        const SPAN: u64 = 300 << 10;
+        let dir = scratch_dir("diff");
+        let be = LocalFileBackend::new(&dir).unwrap();
+        let mem = crate::backend::MemBackend::new();
+        // splitmix64
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let open = |opts| (be.open("/d", opts).unwrap(), mem.open("/d", opts).unwrap());
+        let (mut l, mut m) = open(OpenOptions::create_rewrite());
+        for round in 0..200 {
+            for _ in 0..12 {
+                match next() % 10 {
+                    0..=4 => {
+                        // Half the writes have the direct shape.
+                        let aligned = next() % 2 == 0;
+                        let (at, len) = if aligned {
+                            (
+                                (next() % (SPAN >> 12)) << 12,
+                                ((1 + next() % 8) << 12) as usize,
+                            )
+                        } else {
+                            (next() % SPAN, 1 + (next() % 40_000) as usize)
+                        };
+                        let data = patterned(len, next() as usize % 251);
+                        l.write_at(at, &data).unwrap();
+                        m.write_at(at, &data).unwrap();
+                    }
+                    5..=7 => {
+                        let (at, len) = (next() % SPAN, (next() % 70_000) as usize);
+                        let (mut a, mut b) = (vec![1u8; len], vec![2u8; len]);
+                        let (na, nb) = (
+                            l.read_at(at, &mut a).unwrap(),
+                            m.read_at(at, &mut b).unwrap(),
+                        );
+                        assert_eq!(na, nb, "round {round}: read length at {at}+{len}");
+                        assert!(a[..na] == b[..nb], "round {round}: read at {at}+{len}");
+                    }
+                    8 => {
+                        let len = next() % SPAN;
+                        l.set_len(len).unwrap();
+                        m.set_len(len).unwrap();
+                    }
+                    _ => {
+                        l.sync().unwrap();
+                        m.sync().unwrap();
+                    }
+                }
+                assert_eq!(l.len().unwrap(), m.len().unwrap(), "round {round}");
+            }
+            // Close (with no sync of its own) and look at the host file.
+            drop((l, m));
+            assert!(
+                fs::read(dir.join("d")).unwrap() == mem.contents("/d").unwrap(),
+                "round {round}: contents after close"
+            );
+            (l, m) = open(if next() % 3 == 0 {
+                OpenOptions::read_write()
+            } else {
+                OpenOptions::create_rewrite()
+            });
+            assert_eq!(l.len().unwrap(), m.len().unwrap(), "round {round}: reopen");
+        }
+        assert!(be.rewrite_counts().0 > 50 && be.rewrite_counts().1 > 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 

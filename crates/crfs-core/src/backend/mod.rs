@@ -4,9 +4,9 @@
 //! §IV). [`Backend`] is that lower layer: a thread-safe, offset-addressed
 //! file store. Shipped implementations:
 //!
-//! - [`PassthroughBackend`]: a directory on the host filesystem (the
+//! - [`LocalFileBackend`]: a directory on the host filesystem (the
 //!   production backend — the analogue of mounting CRFS over ext3/NFS/
-//!   Lustre).
+//!   Lustre), written `O_DIRECT`, re-created files rewritten in place.
 //! - [`MemBackend`]: an in-memory tree, used by tests and examples.
 //! - [`DiscardBackend`]: a null sink that acknowledges writes instantly —
 //!   the paper uses exactly this trick to measure the raw aggregation
@@ -22,7 +22,6 @@ mod faulty;
 pub mod layer;
 mod local;
 mod mem;
-mod passthrough;
 mod throttled;
 mod tiered;
 
@@ -31,7 +30,6 @@ pub use faulty::{FailureMode, FaultyBackend};
 pub use layer::{aligned_shape, LayeredBackend};
 pub use local::LocalFileBackend;
 pub use mem::MemBackend;
-pub use passthrough::PassthroughBackend;
 pub use throttled::{ThrottleParams, ThrottledBackend};
 pub(crate) use tiered::is_promote_tmp;
 pub use tiered::{TierCounters, TieredBackend, TieredParams};
@@ -50,6 +48,13 @@ pub struct OpenOptions {
     pub create: bool,
     /// Truncate existing contents to zero length.
     pub truncate: bool,
+    /// With `truncate` only: the opener rewrites the file from the start
+    /// and nothing scans bytes it has not rewritten, so a backend *may*
+    /// keep the blocks — empty the file logically at once, cut it
+    /// physically at the first `sync` / close ([`LocalFileBackend`] does).
+    /// The handle behaves as after an eager cut; a crash before that
+    /// `sync` leaves old bytes. Ignoring the bit is always correct.
+    pub keep_blocks: bool,
 }
 
 impl OpenOptions {
@@ -60,6 +65,7 @@ impl OpenOptions {
             write: false,
             create: false,
             truncate: false,
+            keep_blocks: false,
         }
     }
 
@@ -70,6 +76,7 @@ impl OpenOptions {
             write: true,
             create: false,
             truncate: false,
+            keep_blocks: false,
         }
     }
 
@@ -80,6 +87,18 @@ impl OpenOptions {
             write: true,
             create: true,
             truncate: true,
+            keep_blocks: false,
+        }
+    }
+
+    /// [`create_truncate`](Self::create_truncate) with `keep_blocks`: a
+    /// raw checkpoint image replacing its predecessor. Not for a file
+    /// recovered by scanning (a frame log): a crash would leave the
+    /// predecessor's valid records behind the new prefix.
+    pub fn create_rewrite() -> Self {
+        OpenOptions {
+            keep_blocks: true,
+            ..Self::create_truncate()
         }
     }
 }
@@ -117,7 +136,7 @@ pub trait BackendFile: Send + Sync {
     /// written and no completion will be delivered.
     ///
     /// The default shim keeps every existing backend (Discard / Mem /
-    /// Throttled / Faulty / Passthrough) working unchanged.
+    /// Throttled / Faulty / Local) working unchanged.
     fn begin_write_at(
         &self,
         token: u64,
@@ -365,6 +384,16 @@ mod tests {
         assert!(c.create && c.truncate && c.write && c.read);
         let r = OpenOptions::read_only();
         assert!(r.read && !r.write && !r.create);
+        // Only `create_rewrite` sets the hint, and it is a truncating open.
+        assert!(!c.keep_blocks && !r.keep_blocks && !OpenOptions::read_write().keep_blocks);
+        let w = OpenOptions::create_rewrite();
+        assert_eq!(
+            w,
+            OpenOptions {
+                keep_blocks: true,
+                ..c
+            }
+        );
     }
 
     #[test]

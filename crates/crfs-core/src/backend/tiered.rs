@@ -1747,10 +1747,8 @@ mod tests {
             .open(
                 "/w",
                 OpenOptions {
-                    read: true,
-                    write: true,
                     create: true,
-                    truncate: false,
+                    ..OpenOptions::read_write()
                 },
             )
             .unwrap();

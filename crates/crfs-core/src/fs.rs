@@ -286,9 +286,15 @@ impl Crfs {
     }
 
     /// Creates (or truncates) a file for writing — the checkpoint-file
-    /// open mode.
+    /// open mode. A raw mount lets the backend keep a re-created file's
+    /// blocks; a frame log is cut eagerly, because recovery scans it and
+    /// frame headers carry no generation to tell epochs apart.
     pub fn create(self: &Arc<Self>, path: &str) -> Result<CrfsFile> {
-        self.open_with(path, OpenOptions::create_truncate())
+        let opts = match self.shared.transform {
+            None => OpenOptions::create_rewrite(),
+            Some(_) => OpenOptions::create_truncate(),
+        };
+        self.open_with(path, opts)
     }
 
     /// Opens a file with explicit options.

@@ -281,10 +281,8 @@ impl SnapshotStore {
         let file = self.backend.open(
             &path,
             OpenOptions {
-                read: true,
-                write: true,
                 create: true,
-                truncate: false,
+                ..OpenOptions::read_write()
             },
         )?;
         let len = file.len()?;

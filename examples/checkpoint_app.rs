@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crfs::blcr::{CallbackRegistry, CheckpointWriter, Phase, ProcessImage, RestartReader};
-use crfs::core::backend::PassthroughBackend;
+use crfs::core::backend::LocalFileBackend;
 use crfs::core::{Crfs, CrfsConfig};
 
 const RANKS: usize = 8;
@@ -22,7 +22,7 @@ const IMAGE_MB: u64 = 16;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let root = std::env::temp_dir().join(format!("crfs-ckpt-app-{}", std::process::id()));
-    let backend = Arc::new(PassthroughBackend::new(&root)?);
+    let backend = Arc::new(LocalFileBackend::new(&root)?);
     let fs = Crfs::mount(backend, CrfsConfig::default())?;
     fs.mkdir_all("/job42")?;
 

@@ -8,14 +8,14 @@
 
 use std::sync::Arc;
 
-use crfs::core::backend::PassthroughBackend;
+use crfs::core::backend::LocalFileBackend;
 use crfs::core::{Crfs, CrfsConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Back CRFS with a scratch directory on the host filesystem — the
     // equivalent of mounting CRFS over ext3 in the paper.
     let root = std::env::temp_dir().join(format!("crfs-quickstart-{}", std::process::id()));
-    let backend = Arc::new(PassthroughBackend::new(&root)?);
+    let backend = Arc::new(LocalFileBackend::new(&root)?);
 
     // Paper defaults: 4 MiB chunks, 16 MiB pool, 4 IO threads.
     let fs = Crfs::mount(backend, CrfsConfig::default())?;

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crfs::blcr::{CallbackRegistry, CheckpointWriter, Phase, ProcessImage, RestartReader};
-use crfs::core::backend::{Backend, OpenOptions, PassthroughBackend, ReadCursor};
+use crfs::core::backend::{Backend, LocalFileBackend, OpenOptions, ReadCursor};
 use crfs::core::{Crfs, CrfsConfig};
 
 /// A toy iterative solver whose whole state lives in one buffer.
@@ -64,7 +64,7 @@ impl Solver {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let root = std::env::temp_dir().join(format!("crfs-restart-{}", std::process::id()));
-    let backend: Arc<dyn Backend> = Arc::new(PassthroughBackend::new(&root)?);
+    let backend: Arc<dyn Backend> = Arc::new(LocalFileBackend::new(&root)?);
 
     // ------------------------------------------------------------------
     // Run + checkpoint through CRFS.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use crfs::blcr::{CheckpointWriter, ProcessImage, RestartReader};
 use crfs::core::backend::{
-    DiscardBackend, FailureMode, FaultyBackend, MemBackend, PassthroughBackend,
+    DiscardBackend, FailureMode, FaultyBackend, LocalFileBackend, MemBackend,
 };
 use crfs::core::{Crfs, CrfsConfig, CrfsError, Vfs};
 
@@ -20,7 +20,7 @@ fn small_config() -> CrfsConfig {
 fn concurrent_checkpointers_over_real_filesystem() {
     let root = std::env::temp_dir().join(format!("crfs-it-conc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let backend = Arc::new(PassthroughBackend::new(&root).expect("backend"));
+    let backend = Arc::new(LocalFileBackend::new(&root).expect("backend"));
     let fs = Crfs::mount(backend, small_config()).expect("mount");
     fs.mkdir_all("/ckpt").expect("mkdir");
 
@@ -69,7 +69,7 @@ fn restart_works_directly_from_backend_without_crfs() {
     // back-end filesystem, without the need to mount CRFS."
     let root = std::env::temp_dir().join(format!("crfs-it-direct-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let backend = Arc::new(PassthroughBackend::new(&root).expect("backend"));
+    let backend = Arc::new(LocalFileBackend::new(&root).expect("backend"));
     let fs = Crfs::mount(backend, small_config()).expect("mount");
 
     let image = ProcessImage::synthetic(77, 1 << 20, 123);

@@ -8,7 +8,12 @@
 # something, or raises the ceiling in the same change and says why.
 # (43,000 -> 43,300 with issue 23: +259 lines, all of them tests — the
 # alignment, lazy-mount, concurrent-writer, path-count, drain-reuse and
-# copies-per-byte checks; product lines of crfs-core did not grow.)
+# copies-per-byte checks; product lines of crfs-core did not grow.
+# 43,300 -> 43,800 with issue 24: +503 lines, all of them tests — the
+# rewrite state machine, the differential against MemBackend and the
+# raw / framed crash-cut sweeps; non-test lines of crfs-core/src went
+# 14,440 -> 14,438, paid for by the second host-directory backend,
+# its shared `HostDir` helper and `with_extent`.)
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -16,7 +21,7 @@
 # either replaces one of those or argues for a higher number here.
 set -eu
 
-CEILING=43300
+CEILING=43800
 UNSAFE_CEILING=4
 
 cd "$(dirname "$0")/.."
