@@ -49,7 +49,8 @@ fn usage() -> ExitCode {
          \n\
            --repair       truncate torn frame-log tails to the last valid frame\n\
            --dry-run      report only, never mutate (the default)\n\
-           --threads N    checker threads (default: one per core)\n\
+           --threads N    exactly N checker threads (default: one per core,\n\
+                          growing to 16 while queued files outnumber them)\n\
            --no-payloads  skip payload decode + checksum (structural walk only)\n\
            --fast <dir>   treat <dir> as the durable tier of a tiered stack\n\
                           with this fast tier: adds the tier-consistency pass\n\

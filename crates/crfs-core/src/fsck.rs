@@ -28,32 +28,55 @@
 //! read path already surfaces it as an `IntegrityError` instead of
 //! wrong bytes.
 //!
-//! Checking parallelizes pFSCK-style: a work-stealing pool of
-//! per-file checkers. Each worker owns a deque seeded round-robin with
-//! the roots; directory expansion pushes discovered children onto the
-//! worker's own queue (depth-first, cache-warm) and idle workers steal
-//! from the fronts of other queues — so one huge directory or one
-//! long log does not serialize the sweep.
+//! **Reads.** A checker reads each file through a read-only window (a
+//! 4 MiB + header buffer it reuses from file to file) handed to the
+//! unchanged [`FileHead::read`] / [`walk_frames`] as their
+//! `BackendFile`. A file that fits is fetched by one read that serves
+//! the classification, every header and payload, and the manifest
+//! decode; a bigger one reads its 40-byte head (a raw image stops
+//! there), then window-sized reads from the first byte the previous
+//! window did not hold. Over a store with a round trip per read, that
+//! count is the recovery time.
+//!
+//! **Checkers.** Checking parallelizes pFSCK-style: a work-stealing
+//! pool of per-file checkers. Each checker owns a deque seeded
+//! round-robin with the roots; directory expansion pushes discovered
+//! children onto the checker's own queue (depth-first, cache-warm) and
+//! idle checkers steal from the fronts of other queues, or park — so
+//! one huge directory or one long log does not serialize the sweep. A
+//! default sweep starts one checker per core and adds one, up to 16,
+//! each time a checker finishes a job while the outstanding jobs
+//! outnumber the live checkers: a read in flight costs no CPU, and a
+//! two-file store never grows the pool. [`run_tiered`]'s
+//! tier-consistency pass runs on the same pool after the sweep.
 //!
 //! [`ChunkFrame`]: crate::transform::frame::FrameHeader
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::backend::{read_exact_at, Backend, BackendFile, OpenOptions};
 use crate::obs::Histogram;
 use crate::snapshot::manifest::{ChunkRecord, Manifest, Record, MANIFEST_MAGIC};
-use crate::snapshot::{parse_cas_name, parse_manifest_name, CAS_DIR, SNAP_DIR};
+use crate::snapshot::{parse_cas_name, parse_manifest_name, ChunkKey, CAS_DIR, SNAP_DIR};
 use crate::transform::codec::decode_to_vec;
 use crate::transform::frame::{
     payload_digest, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
 };
 use crate::transform::{walk_frames, FileHead, ScanOutcome, TailDamage, REF_META_LEN};
+
+/// Bytes a checker reads at once: a one-frame content-store chunk of
+/// the default 4 MiB `chunk_size`, header included, fits.
+const WINDOW: usize = (4 << 20) + FRAME_HEADER_LEN as usize;
+
+/// Most checkers a default (`threads: 0`) sweep grows to.
+const CHECKER_DEPTH: usize = 16;
 
 /// How a check/repair sweep should run.
 #[derive(Debug, Clone)]
@@ -61,7 +84,8 @@ pub struct FsckOptions {
     /// Truncate torn frame-log tails to the last valid frame (and sync)
     /// instead of only reporting them.
     pub repair: bool,
-    /// Checker threads. 0 = one per available core.
+    /// Checker threads. 0 = one per core, growing to 16 while queued
+    /// work outnumbers the checkers (see the module docs); N = exactly N.
     pub threads: usize,
     /// Decode + checksum every DATA frame payload (the expensive part;
     /// disabling leaves a structural header walk).
@@ -208,6 +232,9 @@ pub struct FsckSummary {
     /// Chunks staged in a not-yet-sealed epoch appear in no manifest,
     /// so the orphan pass must honor live references too.
     cas_refs: std::collections::HashSet<String>,
+    /// Chunk keys of each manifest the sweep checked (none if it does
+    /// not decode): the orphan pass reads only the ones it did not.
+    manifest_keys: HashMap<String, Vec<ChunkKey>>,
 }
 
 impl FileKind {
@@ -296,35 +323,12 @@ impl FsckSummary {
 /// Checks (and optionally repairs) every file reachable from `roots` —
 /// paths of files or directories on `backend`. Directories expand
 /// recursively; the per-file work spreads over a work-stealing pool of
-/// `opts.threads` checkers.
+/// checkers sized by `opts.threads` (see [`FsckOptions::threads`]).
 pub fn run(backend: &Arc<dyn Backend>, roots: &[String], opts: &FsckOptions) -> FsckSummary {
     let t0 = Instant::now();
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        opts.threads
-    };
-    let pool = StealPool::new(threads);
-    for (i, root) in roots.iter().enumerate() {
-        pool.push_to(i % threads, root.clone());
-    }
-    let collector = Mutex::new(FsckSummary::default());
-    std::thread::scope(|s| {
-        for worker in 0..threads {
-            let pool = &pool;
-            let collector = &collector;
-            s.spawn(move || {
-                let mut local = FsckSummary::default();
-                while let Some(path) = pool.next_job(worker) {
-                    process(backend, &path, opts, pool, worker, &mut local);
-                    pool.job_done();
-                }
-                let mut shared = collector.lock();
-                merge(&mut shared, local);
-            });
-        }
+    let mut summary = sweep(&**backend, roots, opts.threads, |path, checker| {
+        check_file(backend, path, opts, checker)
     });
-    let mut summary = collector.into_inner();
     check_snapshot_orphans(backend, opts, &mut summary);
     summary.reports.sort_by(|a, b| a.path.cmp(&b.path));
     summary.elapsed = t0.elapsed();
@@ -365,49 +369,24 @@ pub fn run_tiered(
         // drain queue before comparing tiers.
         let _ = union.drain_barrier();
     }
-    check_tier_consistency(fast, durable, roots, opts, &mut summary);
+    // The tier-consistency pass, on the same pool: every fast-tier file
+    // under `roots` compared byte-for-byte against the durable tier.
+    let tiers = sweep(&**fast, roots, opts.threads, |path, checker| {
+        // A crash mid-promotion strands its staging file in the fast
+        // tier. It is backend-internal partial junk, not user data:
+        // never compare (or re-drain) it, and sweep it under `--repair`.
+        if crate::backend::is_promote_tmp(path) {
+            if opts.repair {
+                let _ = fast.unlink(path);
+            }
+            return;
+        }
+        compare_tier_file(fast, durable, path, opts, &mut checker.summary);
+    });
+    merge(&mut summary, tiers);
     summary.reports.sort_by(|a, b| a.path.cmp(&b.path));
     summary.elapsed = t0.elapsed();
     summary
-}
-
-/// The tier-consistency pass of [`run_tiered`]: walks every fast-tier
-/// file under `roots` and compares it byte-for-byte against the durable
-/// tier.
-fn check_tier_consistency(
-    fast: &Arc<dyn Backend>,
-    durable: &Arc<dyn Backend>,
-    roots: &[String],
-    opts: &FsckOptions,
-    summary: &mut FsckSummary,
-) {
-    let mut stack: Vec<String> = roots.to_vec();
-    while let Some(path) = stack.pop() {
-        match fast.list_dir(&path) {
-            Ok(names) => {
-                for name in names {
-                    stack.push(if path == "/" {
-                        format!("/{name}")
-                    } else {
-                        format!("{path}/{name}")
-                    });
-                }
-            }
-            Err(_) => {
-                // A crash mid-promotion strands its staging file in the
-                // fast tier. It is backend-internal partial junk, not
-                // user data: never compare (or re-drain) it, and sweep
-                // it under `--repair`.
-                if crate::backend::is_promote_tmp(&path) {
-                    if opts.repair {
-                        let _ = fast.unlink(&path);
-                    }
-                    continue;
-                }
-                compare_tier_file(fast, durable, &path, opts, summary);
-            }
-        }
-    }
 }
 
 fn compare_tier_file(
@@ -526,6 +505,7 @@ fn merge(into: &mut FsckSummary, from: FsckSummary) {
     into.repaired_files += from.repaired_files;
     into.reports.extend(from.reports);
     into.cas_refs.extend(from.cas_refs);
+    into.manifest_keys.extend(from.manifest_keys);
     into.check_times.merge(&from.check_times);
     for (mine, theirs) in into.checker_ns.iter_mut().zip(from.checker_ns) {
         *mine += theirs;
@@ -536,95 +516,188 @@ fn merge(into: &mut FsckSummary, from: FsckSummary) {
 // Work-stealing pool
 // ---------------------------------------------------------------------
 
-/// Per-worker deques with front-stealing. Jobs are backend paths; the
-/// `outstanding` count covers queued *and* in-flight jobs, so a worker
-/// only exits when the whole sweep is drained (an idle worker may be
-/// about to receive work from a directory another worker is still
-/// expanding).
-struct StealPool {
+/// Per-checker deques with front-stealing. Jobs are backend paths: what
+/// `lister` lists expands, anything else goes to `visit`. `outstanding`
+/// covers queued *and* in-flight jobs, so a checker only exits when the
+/// whole sweep is drained. Every checker the pool may grow to has a
+/// queue; `live` of them have a checker. Idle checkers park with the
+/// engine's protocol (`engine/ring.rs`, "Parking"): a waker changes the
+/// state (pushes jobs, or drops `outstanding` to zero), then takes and
+/// drops `gate` and notifies; a waiter re-checks under `gate` and waits
+/// untimed. The counters are `Relaxed`: jobs travel under the queue
+/// locks, parking orders through `gate`, and each counter publishes
+/// nothing but itself.
+struct StealPool<'a, F> {
+    lister: &'a dyn Backend,
+    visit: F,
     queues: Vec<Mutex<VecDeque<String>>>,
     outstanding: AtomicU64,
+    live: AtomicUsize,
+    gate: Mutex<()>,
+    idle: Condvar,
+    found: Mutex<FsckSummary>,
 }
 
-impl StealPool {
-    fn new(threads: usize) -> StealPool {
-        StealPool {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            outstanding: AtomicU64::new(0),
+/// One checker's findings, and the window buffer it reads files through.
+#[derive(Default)]
+struct Checker {
+    summary: FsckSummary,
+    window: Vec<u8>,
+}
+
+/// Runs `visit` on every file reachable from `roots` on `lister` over a
+/// pool sized by `threads` (see [`FsckOptions::threads`]).
+fn sweep<F>(lister: &dyn Backend, roots: &[String], threads: usize, visit: F) -> FsckSummary
+where
+    F: Fn(&str, &mut Checker) + Sync,
+{
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (first, most) = match threads {
+        0 => (cores, cores.max(CHECKER_DEPTH)),
+        n => (n, n),
+    };
+    let pool = StealPool {
+        lister,
+        visit,
+        queues: (0..most).map(|_| Mutex::new(VecDeque::new())).collect(),
+        outstanding: AtomicU64::new(0),
+        live: AtomicUsize::new(first),
+        gate: Mutex::new(()),
+        idle: Condvar::new(),
+        found: Mutex::new(FsckSummary::default()),
+    };
+    for (i, root) in roots.iter().enumerate() {
+        pool.push(i % first, vec![root.clone()]);
+    }
+    std::thread::scope(|s| {
+        for worker in 0..first {
+            let pool = &pool;
+            s.spawn(move || pool.checker(s, worker));
         }
-    }
+    });
+    pool.found.into_inner()
+}
 
-    /// Enqueues a job on `worker`'s own queue (tail — depth-first for
-    /// the owner, while thieves take the front, breadth-first).
-    fn push_to(&self, worker: usize, path: String) {
-        self.outstanding.fetch_add(1, Relaxed);
-        self.queues[worker].lock().push_back(path);
-    }
-
-    /// Next job for `worker`: own queue first (LIFO), then steal the
-    /// front of the other queues, round-robin from the right neighbor.
-    /// Returns `None` only when the sweep is fully drained.
-    fn next_job(&self, worker: usize) -> Option<String> {
-        loop {
-            if let Some(job) = self.queues[worker].lock().pop_back() {
-                return Some(job);
-            }
-            let n = self.queues.len();
-            for k in 1..n {
-                if let Some(job) = self.queues[(worker + k) % n].lock().pop_front() {
-                    return Some(job);
+impl<F: Fn(&str, &mut Checker) + Sync> StealPool<'_, F> {
+    /// One checker: jobs until the sweep drains.
+    fn checker<'s>(&'s self, s: &'s Scope<'s, '_>, worker: usize) {
+        let mut checker = Checker::default();
+        while let Some(path) = self.next_job(worker) {
+            // A listable path is a directory: expand onto our own queue
+            // and let idle checkers steal the siblings.
+            match self.lister.list_dir(&path) {
+                Ok(names) => {
+                    let dir = path.trim_end_matches('/');
+                    self.push(worker, names.iter().map(|n| format!("{dir}/{n}")).collect());
                 }
+                Err(_) => (self.visit)(&path, &mut checker),
+            }
+            // Done (its children carry their own count); the last job
+            // releases every parked checker.
+            if self.outstanding.fetch_sub(1, Relaxed) == 1 {
+                self.wake();
+            }
+            // Grow while the outstanding jobs outnumber the checkers.
+            let grown = self.live.fetch_update(Relaxed, Relaxed, |live| {
+                let behind = self.outstanding.load(Relaxed) > live as u64;
+                (behind && live < self.queues.len()).then_some(live + 1)
+            });
+            if let Ok(next) = grown {
+                s.spawn(move || self.checker(s, next));
+            }
+        }
+        merge(&mut self.found.lock(), checker.summary);
+    }
+
+    /// Enqueues jobs on `worker`'s own queue (tail — depth-first for
+    /// the owner, while thieves take the front, breadth-first).
+    fn push(&self, worker: usize, jobs: Vec<String>) {
+        self.outstanding.fetch_add(jobs.len() as u64, Relaxed);
+        self.queues[worker].lock().extend(jobs);
+        self.wake();
+    }
+
+    /// Next job for `worker`: own queue first (LIFO), then the front of
+    /// the other queues, round-robin from the right neighbor; parked
+    /// while other checkers still hold jobs. `None` once the sweep is
+    /// fully drained.
+    fn next_job(&self, worker: usize) -> Option<String> {
+        let n = self.queues.len();
+        let take = || {
+            let own = self.queues[worker].lock().pop_back();
+            own.or_else(|| (1..n).find_map(|k| self.queues[(worker + k) % n].lock().pop_front()))
+        };
+        if let Some(job) = take() {
+            return Some(job);
+        }
+        let mut gate = self.gate.lock();
+        loop {
+            if let Some(job) = take() {
+                return Some(job);
             }
             if self.outstanding.load(Relaxed) == 0 {
                 return None;
             }
-            // Another worker still holds jobs (or is mid-expansion of a
-            // directory): give it the core and re-poll.
-            std::thread::yield_now();
+            self.idle.wait(&mut gate);
         }
     }
 
-    /// Marks one `next_job` result fully processed (including any
-    /// children it pushed — those carry their own count).
-    fn job_done(&self) {
-        self.outstanding.fetch_sub(1, Relaxed);
+    fn wake(&self) {
+        drop(self.gate.lock());
+        self.idle.notify_all();
     }
 }
 
 // ---------------------------------------------------------------------
-// Per-path processing
+// Per-file checks
 // ---------------------------------------------------------------------
 
-fn process(
-    backend: &Arc<dyn Backend>,
-    path: &str,
-    opts: &FsckOptions,
-    pool: &StealPool,
-    worker: usize,
-    local: &mut FsckSummary,
-) {
-    // A listable path is a directory: expand onto our own queue and let
-    // idle workers steal the siblings.
-    match backend.list_dir(path) {
-        Ok(names) => {
-            for name in names {
-                let child = if path == "/" {
-                    format!("/{name}")
-                } else {
-                    format!("{path}/{name}")
-                };
-                pool.push_to(worker, child);
+/// A checker's read-through view of one file, handed to the unchanged
+/// [`FileHead::read`] / [`walk_frames`] as their `BackendFile` (module
+/// docs, "Reads"). `view` is the checker's buffer, whose first `held`
+/// bytes are the file's from `start`: `(start, held, buf)`. A read past
+/// the end fails, as `read_exact_at` would.
+struct Window<'a> {
+    file: &'a dyn BackendFile,
+    view: Mutex<(u64, usize, &'a mut Vec<u8>)>,
+}
+
+impl BackendFile for Window<'_> {
+    fn read_at(&self, offset: u64, out: &mut [u8]) -> io::Result<usize> {
+        if out.is_empty() {
+            return Ok(0);
+        }
+        let mut view = self.view.lock();
+        let (start, held, buf) = &mut *view;
+        if offset < *start || offset + out.len() as u64 > *start + *held as u64 {
+            // A big file's first read is its head, all a raw image is
+            // ever read for; any other miss reads a window from here.
+            let len = self.file.len()?;
+            let next = match len > WINDOW as u64 && *held == 0 {
+                true => out.len(),
+                false => (len.saturating_sub(offset).min(WINDOW as u64) as usize).max(out.len()),
+            };
+            if buf.len() < next {
+                buf.resize(next, 0);
             }
+            *held = 0;
+            read_exact_at(self.file, offset, &mut buf[..next])?;
+            (*start, *held) = (offset, next);
         }
-        Err(_) => check_file(backend, path, opts, local),
+        let at = (offset - *start) as usize;
+        out.copy_from_slice(&buf[at..at + out.len()]);
+        Ok(out.len())
     }
+
+    crate::forward_file_ops!(file: write_at, sync, len, set_len);
 }
 
-fn check_file(backend: &Arc<dyn Backend>, path: &str, opts: &FsckOptions, local: &mut FsckSummary) {
-    local.files += 1;
+fn check_file(backend: &Arc<dyn Backend>, path: &str, opts: &FsckOptions, checker: &mut Checker) {
+    checker.summary.files += 1;
     let t0 = Instant::now();
-    let kind = check_file_inner(backend, path, opts, local);
+    let kind = check_file_inner(backend, path, opts, checker);
     let spent = t0.elapsed();
+    let local = &mut checker.summary;
     local.check_times.record_dur(spent);
     local.checker_ns[kind as usize] += spent.as_nanos() as u64;
 }
@@ -648,18 +721,27 @@ fn check_file_inner(
     backend: &Arc<dyn Backend>,
     path: &str,
     opts: &FsckOptions,
-    local: &mut FsckSummary,
+    checker: &mut Checker,
 ) -> FileKind {
-    // One read serves the classification and, for a frame log, the
-    // walker's first header.
-    let opened = backend
-        .open(path, OpenOptions::read_only())
-        .map_err(|e| format!("unopenable: {e}"))
-        .and_then(|file| match FileHead::read(&*file) {
-            Ok(head) => Ok((file, head)),
-            Err(e) => Err(format!("unreadable: {e}")),
-        });
-    let (file, head) = match opened {
+    let local = &mut checker.summary;
+    let file = backend.open(path, OpenOptions::read_only());
+    // The window's first read serves the classification and, for a
+    // file that fits, everything after it.
+    let opened = match &file {
+        Err(e) => Err(format!("unopenable: {e}")),
+        Ok(file) => {
+            let view = Mutex::new((0, 0, &mut checker.window));
+            let window = Window {
+                file: &**file,
+                view,
+            };
+            match FileHead::read(&window) {
+                Ok(head) => Ok((head, window)),
+                Err(e) => Err(format!("unreadable: {e}")),
+            }
+        }
+    };
+    let (head, window) = match opened {
         Ok(opened) => opened,
         Err(error) => {
             local.reports.push(unchecked(path, FileKind::Raw, error));
@@ -671,11 +753,11 @@ fn check_file_inner(
         FileKind::Raw => local.raw_files += 1,
         FileKind::FrameLog => {
             local.frame_logs += 1;
-            check_frame_log(backend, path, &*file, &head, opts, local);
+            check_frame_log(backend, path, &window, &head, opts, local);
         }
         FileKind::Manifest => {
             local.manifests += 1;
-            check_manifest(backend, path, &*file, opts, local);
+            check_manifest(backend, path, &window, opts, local);
         }
     }
     kind
@@ -851,12 +933,14 @@ fn check_manifest(
     let mut frames = 0u64;
     let mut repaired = false;
     let mut error = None;
+    let keys = local.manifest_keys.entry(path.to_string()).or_default();
     match read_manifest(file) {
         Ok(m) => {
             for (_, records) in &m.files {
                 for rec in records {
                     let Record::Chunk(c) = rec else { continue };
                     frames += 1;
+                    keys.push((c.hash, c.logical_len));
                     if !manifest_ref_resolves(backend, c) {
                         damage.dangling_manifest_refs += 1;
                     }
@@ -935,6 +1019,12 @@ fn check_snapshot_orphans(
             continue;
         }
         let path = format!("{SNAP_DIR}/{name}");
+        // The sweep recorded the keys of every manifest it checked; only
+        // one it did not visit (roots that miss `SNAP_DIR`) is read here.
+        if let Some(keys) = summary.manifest_keys.get(&path) {
+            referenced.extend(keys);
+            continue;
+        }
         let Ok(file) = backend.open(&path, OpenOptions::read_only()) else {
             continue;
         };
@@ -1320,26 +1410,295 @@ mod tests {
         }
     }
 
+    // -- reads and checkers ---------------------------------------------
+
+    /// Every backend read a [`Probe`] saw: path, offset, length.
+    type ReadLog = Arc<Mutex<Vec<(String, u64, usize)>>>;
+
+    /// A test decorator: logs every `read_at`, sleeps `delay` in each,
+    /// and `hold` more in each read of `slow`.
+    struct Probe {
+        inner: Arc<dyn Backend>,
+        delay: Duration,
+        slow: Option<(String, Duration)>,
+        reads: ReadLog,
+    }
+
+    struct ProbeFile {
+        inner: Box<dyn BackendFile>,
+        path: String,
+        sleep: Duration,
+        reads: ReadLog,
+    }
+
+    impl Backend for Probe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+        fn open(&self, path: &str, opts: OpenOptions) -> io::Result<Box<dyn BackendFile>> {
+            let held = match &self.slow {
+                Some((slow, hold)) if slow == path => *hold,
+                _ => Duration::ZERO,
+            };
+            Ok(Box::new(ProbeFile {
+                inner: self.inner.open(path, opts)?,
+                path: path.to_string(),
+                sleep: self.delay + held,
+                reads: Arc::clone(&self.reads),
+            }))
+        }
+        crate::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists, file_len, list_dir);
+    }
+
+    impl BackendFile for ProbeFile {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads
+                .lock()
+                .push((self.path.clone(), offset, buf.len()));
+            if !self.sleep.is_zero() {
+                std::thread::sleep(self.sleep);
+            }
+            self.inner.read_at(offset, buf)
+        }
+        crate::forward_file_ops!(inner: write_at, sync, len, set_len);
+    }
+
+    fn probe(inner: &Arc<dyn Backend>, delay: Duration) -> (Arc<dyn Backend>, ReadLog) {
+        let reads = ReadLog::default();
+        let probe = Probe {
+            inner: Arc::clone(inner),
+            delay,
+            slow: None,
+            reads: Arc::clone(&reads),
+        };
+        (Arc::new(probe), reads)
+    }
+
     /// `cold_restart` pays a round trip per backend read and its
     /// recovery time is fsck's read count: a one-frame content-store
-    /// chunk costs its head (the classification sniff *is* the walker's
-    /// first header) and its payload, and must never cost more than
-    /// three reads.
+    /// chunk is fetched whole by one read, and the orphan pass reads
+    /// only a manifest the sweep did not visit.
     #[test]
-    fn a_one_frame_chunk_costs_fsck_at_most_three_reads() {
-        use crate::backend::{FailureMode, FaultyBackend};
-        let counting = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
-        let backend: Arc<dyn Backend> = Arc::clone(&counting) as Arc<dyn Backend>;
-        populate_snap(&backend);
-        let chunks = backend.list_dir(CAS_DIR).unwrap().len() as u64;
-        let before = counting.reads_seen();
+    fn a_one_frame_chunk_costs_fsck_exactly_one_read() {
+        let store = be();
+        populate_snap(&store);
+        let (backend, reads) = probe(&store, Duration::ZERO);
+        let chunks = backend.list_dir(CAS_DIR).unwrap().len();
         let sum = run(&backend, &[CAS_DIR.to_string()], &opts(1));
         assert!(sum.is_clean(), "{sum}");
-        assert_eq!(sum.frame_logs, chunks);
-        // The orphan pass reads the one sealed manifest, once.
-        let reads = counting.reads_seen() - before - 1;
-        println!("fsck: {reads} reads for {chunks} one-frame chunks");
-        assert!(reads <= 3 * chunks, "{reads} reads for {chunks} chunks");
+        assert_eq!(sum.frame_logs, chunks as u64);
+        let seen = reads.lock().len();
+        println!("fsck: {seen} reads for {chunks} one-frame chunks and the manifest");
+        // One per chunk, plus the orphan pass's read of the manifest the
+        // sweep never visited.
+        assert_eq!(seen, chunks + 1);
+
+        reads.lock().clear();
+        let sum = run(&backend, &["/".to_string()], &opts(1));
+        assert!(sum.is_clean(), "{sum}");
+        assert_eq!((sum.manifests, sum.frame_logs), (1, chunks as u64 + 1));
+        // Every file once (chunks, the live log, the manifest); the
+        // orphan pass reuses the sweep's decode of the manifest.
+        assert_eq!(reads.lock().len() as u64, sum.files);
+    }
+
+    #[test]
+    fn a_ref_only_live_log_costs_one_read() {
+        let store = be();
+        populate_snap(&store);
+        let log = "/ckpt/rank0.img";
+        let file = store.open(log, OpenOptions::read_only()).unwrap();
+        let mut flags = Vec::new();
+        walk_frames(&*file, &FileHead::read(&*file).unwrap(), |_, h| {
+            flags.push(h.flags);
+            Ok(())
+        })
+        .unwrap();
+        assert!(flags.len() >= 5 && flags.iter().all(|f| f & FLAG_REF != 0));
+
+        let (backend, reads) = probe(&store, Duration::ZERO);
+        let sum = run(&backend, &[log.to_string()], &opts(1));
+        assert!(sum.is_clean(), "{sum}");
+        assert_eq!(sum.frames, flags.len() as u64);
+        // The orphan pass then reads the manifest this sweep never saw.
+        let reads = reads.lock().clone();
+        assert_eq!(reads.iter().filter(|r| r.0 == log).count(), 1, "{reads:?}");
+    }
+
+    #[test]
+    fn a_frame_log_bigger_than_the_window_costs_a_read_per_window() {
+        // Odd-sized verbatim frames, so window edges fall inside frames.
+        let chunk = 700 << 10;
+        let store = be();
+        let fs = Crfs::mount(
+            Arc::clone(&store),
+            CrfsConfig::default()
+                .with_chunk_size(chunk)
+                .with_pool_size(4 * chunk)
+                .with_codec(CodecKind::Identity),
+        )
+        .unwrap();
+        let f = fs.create("/big.img").unwrap();
+        let data: Vec<u8> = (0..12 << 20).map(|b: usize| (b / 4093) as u8).collect();
+        f.write(&data).unwrap();
+        f.close().unwrap();
+        fs.unmount().unwrap();
+        let stored = store.file_len("/big.img").unwrap();
+        assert!(stored > 2 * WINDOW as u64);
+        let file = store.open("/big.img", OpenOptions::read_only()).unwrap();
+        let mut extents = Vec::new();
+        walk_frames(&*file, &FileHead::read(&*file).unwrap(), |off, h| {
+            extents.push((off, off + FRAME_HEADER_LEN + u64::from(h.stored_len)));
+            Ok(())
+        })
+        .unwrap();
+
+        let (backend, reads) = probe(&store, Duration::ZERO);
+        let sum = run(&backend, &["/big.img".to_string()], &opts(1));
+        assert!(sum.is_clean(), "{sum}");
+        assert_eq!(sum.frames, extents.len() as u64);
+        let reads = reads.lock().clone();
+        let edges: Vec<u64> = reads
+            .iter()
+            .map(|&(_, off, len)| off + len as u64)
+            .collect();
+        let crossing = extents
+            .iter()
+            .filter(|&&(start, end)| edges.iter().any(|&e| start < e && e < end))
+            .count();
+        let bound = stored.div_ceil(WINDOW as u64) as usize + crossing;
+        println!(
+            "fsck: {} reads for {stored} stored bytes in {} frames ({crossing} crossing a window edge)",
+            reads.len(),
+            extents.len()
+        );
+        assert!(reads.len() <= bound, "{} reads > {bound}", reads.len());
+        assert!(reads.iter().all(|&(_, _, len)| len <= WINDOW));
+    }
+
+    #[test]
+    fn a_big_raw_file_costs_one_read_of_its_head() {
+        let dir = std::env::temp_dir().join(format!("crfs-fsck-raw-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Sparse: 300 MiB of zeros that occupy no blocks.
+        let img = std::fs::File::create(dir.join("rank0.img")).unwrap();
+        img.set_len(300 << 20).unwrap();
+        drop(img);
+        let local: Arc<dyn Backend> =
+            Arc::new(crate::backend::LocalFileBackend::new(&dir).unwrap());
+        let (backend, reads) = probe(&local, Duration::ZERO);
+        let sum = run(&backend, &["/".to_string()], &FsckOptions::default());
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(sum.is_clean(), "{sum}");
+        assert_eq!(sum.raw_files, 1);
+        let reads = reads.lock().clone();
+        assert_eq!(
+            reads,
+            [("/rank0.img".to_string(), 0, FRAME_HEADER_LEN as usize)]
+        );
+    }
+
+    /// Writes one checkpoint of `chunks` distinct 4 KiB chunks on a
+    /// snapshot mount and seals it: `chunks` content-store files.
+    fn populate_cas(backend: &Arc<dyn Backend>, chunks: usize) {
+        let data: Vec<u8> = (0..chunks * 4096)
+            .map(|b| ((b % 4096) / 64) as u8 ^ ((b / 4096) as u8).wrapping_mul(37))
+            .collect();
+        populate_snap_with(backend, &data);
+    }
+
+    #[test]
+    fn the_default_pool_keeps_a_slow_stores_reads_in_flight() {
+        let store = be();
+        populate_cas(&store, 160);
+        let (slow, reads) = probe(&store, Duration::from_millis(2));
+        let serial = run(&slow, &["/".to_string()], &opts(1));
+        let serial_reads = std::mem::take(&mut *reads.lock()).len();
+        let t0 = Instant::now();
+        let sum = run(&slow, &["/".to_string()], &FsckOptions::default());
+        let wall = t0.elapsed();
+        assert!(sum.is_clean(), "{sum}");
+        assert_eq!((sum.files, sum.frames), (serial.files, serial.frames));
+        let seen = reads.lock().len();
+        assert!(seen >= 64, "{seen} reads");
+        assert_eq!(seen, serial_reads, "the pool changes overlap, not reads");
+        let bound = Duration::from_millis(2) * seen as u32 / 6;
+        println!("fsck: {seen} reads of 2 ms in {wall:?} (bound {bound:?})");
+        assert!(wall < bound, "{wall:?} for {seen} reads of 2 ms");
+    }
+
+    /// `(files, frames, damage, report paths)` of a sweep.
+    fn findings(sum: &FsckSummary) -> (u64, u64, DamageCounts, Vec<String>) {
+        let paths = sum.reports.iter().map(|r| r.path.clone()).collect();
+        (sum.files, sum.frames, sum.damage, paths)
+    }
+
+    #[test]
+    fn sweeps_of_late_found_directories_end_with_the_serial_answer() {
+        let backend = be();
+        let fs = Crfs::mount(
+            Arc::clone(&backend),
+            CrfsConfig::default()
+                .with_chunk_size(4096)
+                .with_pool_size(64 * 1024)
+                .with_codec(CodecKind::Lz),
+        )
+        .unwrap();
+        // Four levels, each holding logs next to the next directory: the
+        // deepest work is discovered last.
+        let mut dir = String::new();
+        for depth in 0..4 {
+            dir = format!("{dir}/d{depth}");
+            fs.mkdir(&dir).unwrap();
+            for i in 0..3 {
+                let f = fs.create(&format!("{dir}/rank{i}.img")).unwrap();
+                f.write(&vec![(depth * 3 + i) as u8; 9000]).unwrap();
+                f.close().unwrap();
+            }
+        }
+        fs.unmount().unwrap();
+        let victim = format!("{dir}/rank1.img");
+        let len = backend.file_len(&victim).unwrap();
+        let f = backend.open(&victim, OpenOptions::read_write()).unwrap();
+        f.set_len(len - 7).unwrap();
+        drop(f);
+
+        let roots = ["/".to_string()];
+        let serial = findings(&run(&backend, &roots, &opts(1)));
+        assert_eq!((serial.0, serial.2.torn_tails), (12, 1));
+        for threads in [1, 2, 16, 0] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let backend = Arc::clone(&backend);
+            let roots = roots.clone();
+            std::thread::spawn(move || {
+                let _ = tx.send(findings(&run(&backend, &roots, &opts(threads))));
+            });
+            let got = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{threads} checkers: the sweep hung"));
+            assert_eq!(got, serial, "{threads} checkers");
+        }
+    }
+
+    #[test]
+    fn one_held_read_with_idle_checkers_still_totals_right() {
+        let store = be();
+        populate(&store, 6, 20_000);
+        let reads = ReadLog::default();
+        let held: Arc<dyn Backend> = Arc::new(Probe {
+            inner: Arc::clone(&store),
+            delay: Duration::ZERO,
+            slow: Some(("/ckpt/rank3.img".to_string(), Duration::from_millis(200))),
+            reads: Arc::clone(&reads),
+        });
+        let t0 = Instant::now();
+        let sum = run(&held, &["/".to_string()], &FsckOptions::default());
+        assert!(t0.elapsed() >= Duration::from_millis(200));
+        assert!(sum.is_clean(), "{sum}");
+        assert_eq!((sum.files, sum.frame_logs), (6, 6));
+        assert!(sum.frames >= 6 * 5, "{sum}");
+        assert_eq!(reads.lock().len(), 6);
     }
 
     // -- tier consistency ---------------------------------------------
@@ -1509,6 +1868,12 @@ mod tests {
     /// Writes one checkpoint file and seals one snapshot epoch, leaving
     /// a manifest plus content-store chunks behind.
     fn populate_snap(backend: &Arc<dyn Backend>) {
+        let data: Vec<u8> = (0..20_000).map(|b| (b / 64) as u8).collect();
+        populate_snap_with(backend, &data);
+    }
+
+    /// [`populate_snap`] with `data` as the checkpoint file.
+    fn populate_snap_with(backend: &Arc<dyn Backend>, data: &[u8]) {
         let fs = Crfs::mount(
             Arc::clone(backend),
             CrfsConfig::default()
@@ -1521,8 +1886,7 @@ mod tests {
         .unwrap();
         fs.mkdir("/ckpt").unwrap();
         let f = fs.create("/ckpt/rank0.img").unwrap();
-        let data: Vec<u8> = (0..20_000).map(|b| (b / 64) as u8).collect();
-        f.write(&data).unwrap();
+        f.write(data).unwrap();
         f.close().unwrap();
         fs.advance_epoch().unwrap();
         fs.unmount().unwrap();

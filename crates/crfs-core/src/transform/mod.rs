@@ -1270,8 +1270,9 @@ pub struct ScanOutcome {
 
 /// The leading bytes of a stored file, read **once**: they decide
 /// framed-vs-raw and hold the first frame header, so a scan — and fsck,
-/// which also sniffs them for the manifest magic — pays one backend
-/// read for both (a one-frame CAS chunk is a head plus a payload).
+/// which also sniffs them for the manifest magic — pays one read for
+/// both. fsck reads through a window that fetched a small file whole,
+/// so there a one-frame CAS chunk costs one backend read in all.
 #[derive(Debug, Clone, Copy)]
 pub struct FileHead {
     /// Stored length of the backing file when the head was read.

@@ -13,7 +13,13 @@
 # rewrite state machine, the differential against MemBackend and the
 # raw / framed crash-cut sweeps; non-test lines of crfs-core/src went
 # 14,440 -> 14,438, paid for by the second host-directory backend,
-# its shared `HostDir` helper and `with_extent`.)
+# its shared `HostDir` helper and `with_extent`.
+# 43,800 -> 44,200 with issue 25: +366 lines, 274 of them tests — the
+# read-count, window, big-raw-file, slow-store overlap, late-found
+# directory and held-read checks with their test-local read probe;
+# non-test lines of crfs-core/src went +92, the read window, the
+# growing pool and its parking, net of the spin loop, the per-path
+# `process` and the serial tier walk they replace.)
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -21,7 +27,7 @@
 # either replaces one of those or argues for a higher number here.
 set -eu
 
-CEILING=43800
+CEILING=44200
 UNSAFE_CEILING=4
 
 cd "$(dirname "$0")/.."
