@@ -776,73 +776,6 @@ fn pvfs(quick: bool) -> ExpOutput {
 // Chunk transform sweep (extension; emits BENCH_compress.json)
 // ---------------------------------------------------------------------
 
-/// Virtual-time check of the transform model: one disk-bound node
-/// writing a checkpoint with and without the LZ-like transform (50%
-/// duplicate chunks), on the calibrated ext3 model. Returns
-/// `(label, virtual seconds, stored MiB)` rows.
-fn sim_compress_rows() -> Vec<(String, f64, f64)> {
-    use cluster_sim::{CrfsSim, SimTransform, Target};
-    use simkit::rng::SimRng;
-    use simkit::Sim;
-    use std::rc::Rc;
-    use storage_model::params::{
-        AllocParams, CacheParams, CrfsCostParams, DiskParams, FuseParams, VfsCostParams, MB,
-    };
-    use storage_model::LocalFs;
-
-    fn run(model: Option<SimTransform>) -> (f64, f64) {
-        let mut sim = Sim::new(13);
-        sim.run(async move {
-            let fs = LocalFs::new(
-                VfsCostParams::ext3_node(),
-                AllocParams::ext3(),
-                CacheParams::compute_node(),
-                DiskParams::node_sata(),
-                SimRng::new(13),
-            );
-            let crfs = CrfsSim::new(
-                Target::Ext3(Rc::clone(&fs)),
-                crfs_core_default_config(),
-                CrfsCostParams::paper(),
-                FuseParams::paper(),
-            );
-            crfs.set_transform(model);
-            let t0 = simkit::time::now();
-            let mut handles = Vec::new();
-            for _ in 0..4 {
-                let crfs = Rc::clone(&crfs);
-                handles.push(simkit::spawn(async move {
-                    let fh = crfs.open().await;
-                    crfs.app_write(fh, 0, 48 * MB).await;
-                    crfs.close(fh).await;
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            let dt = simkit::time::now().since(t0).as_secs_f64();
-            let stored = if crfs.stats().bytes_stored.get() > 0 {
-                crfs.stats().bytes_stored.get()
-            } else {
-                crfs.stats().bytes_out.get()
-            };
-            fs.stop();
-            (dt, stored as f64 / (1 << 20) as f64)
-        })
-    }
-
-    fn crfs_core_default_config() -> crfs_core::CrfsConfig {
-        crfs_core::CrfsConfig::default()
-    }
-
-    let (base_t, base_mb) = run(None);
-    let (lz_t, lz_mb) = run(Some(SimTransform::lz_like(0.5)));
-    vec![
-        ("raw (no transform)".to_string(), base_t, base_mb),
-        ("lz-like + 50% dedup".to_string(), lz_t, lz_mb),
-    ]
-}
-
 /// Single-thread MiB/s of the transform stage's payload kernels, each a
 /// same-core loop over one resident 1 MiB chunk, best of three rounds.
 struct KernelMibs {
@@ -1007,12 +940,6 @@ fn compress(quick: bool) -> ExpOutput {
     let lz_encode_over_fnv = lz_encode_mibs / fnv_mibs;
     let lz_decode_over_fnv = lz_decode_mibs / fnv_mibs;
 
-    let sim_rows = sim_compress_rows();
-    let mut st = Table::new(&["Mode (virtual ext3 node)", "Checkpoint (s)", "Stored MiB"]);
-    for (label, secs, mb) in &sim_rows {
-        st.row(&[label.clone(), format!("{secs:.2}"), format!("{mb:.0}")]);
-    }
-
     let text = format!(
         "Chunk transform sweep: two checkpoint epochs through the full \
          write pipeline, codec × chunk size × duplicate-epoch fraction, \
@@ -1030,13 +957,7 @@ fn compress(quick: bool) -> ExpOutput {
          lz kernels on a resident checkpoint-like 1 MiB chunk, \
          single-thread: encode {lz_encode_mibs:.0} MiB/s \
          ({lz_encode_over_fnv:.1}x that FNV loop), decode \
-         {lz_decode_mibs:.0} MiB/s ({lz_decode_over_fnv:.1}x).\n\n\
-         Virtual-time model (CrfsSim over the calibrated ext3 node):\n\n{st}\n\
-         The simulator charges digest CPU per chunk and codec CPU per \
-         dedup miss in worker context and shrinks \
-         backend writes to stored bytes — on a disk-bound node the \
-         reduced volume buys checkpoint time, matching the real sweep's \
-         direction.\n",
+         {lz_decode_mibs:.0} MiB/s ({lz_decode_over_fnv:.1}x).\n",
         lz.bytes_stored, identity.bytes_stored, lz.dedup_hits, integrity_total,
     );
 
@@ -1047,9 +968,6 @@ fn compress(quick: bool) -> ExpOutput {
             "quick": quick,
         },
         "sweep": rows_json,
-        "sim": sim_rows.iter().map(|(label, secs, mb)| json!({
-            "mode": label, "secs": *secs, "stored_mib": *mb,
-        })).collect::<Vec<_>>(),
         "headline": {
             "identity_stored": identity.bytes_stored,
             "lz_dedup_stored": lz.bytes_stored,

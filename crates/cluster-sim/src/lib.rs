@@ -12,8 +12,8 @@
 //!   checkpoint protocol (§II-C).
 //! - [`fuse`]: the FUSE dispatch cost model (request splitting at
 //!   `max_write`, crossing + copy cost).
-//! - [`crfs_sim`]: **CRFS re-instantiated on virtual time** — the same
-//!   chunking policy as `crfs-core` (literally the same
+//! - [`crfs_sim`]: **CRFS's write path re-instantiated on virtual time**
+//!   — the same chunking policy as `crfs-core` (literally the same
 //!   [`crfs_core::chunking`] planner), with a buffer-pool semaphore, a
 //!   work queue, and IO worker tasks.
 //! - [`target`]: the backend dispatch enum (ext3 / Lustre / NFS clients).
@@ -28,7 +28,7 @@ pub mod mpi;
 pub mod target;
 
 pub use blcr::blcr_write_stream;
-pub use crfs_sim::{CrfsSim, SimTransform};
+pub use crfs_sim::CrfsSim;
 pub use experiment::{run_checkpoint, BackendKind, CheckpointResult, CheckpointSpec};
 pub use mpi::{LuClass, MpiStack};
 pub use target::Target;

@@ -29,8 +29,8 @@
 //! - [`executor`]: the [`Sim`] event loop, [`Handle`](executor::Handle), task spawning.
 //! - [`time`]: [`time::SimTime`], [`time::sleep`], timeouts.
 //! - [`sync`]: fair async [`Semaphore`](sync::Semaphore),
-//!   [`Notify`](sync::Notify), [`Barrier`](sync::Barrier),
-//!   [`WaitGroup`](sync::WaitGroup) and MPMC [`channel`](sync::channel).
+//!   [`Notify`](sync::Notify), [`WaitGroup`](sync::WaitGroup) and MPMC
+//!   [`channel`](sync::channel).
 //! - [`rng`]: seeded, stream-splittable random numbers ([`rng::SimRng`]).
 //! - [`stats`]: counters and log-bucketed histograms for measurements.
 

@@ -9,7 +9,6 @@
 //! - [`Semaphore`]: counting semaphore with RAII [`Permit`]s. Models bounded
 //!   resources (buffer pools, disk queue slots, server worker threads).
 //! - [`Notify`]: condition-variable-style wakeups.
-//! - [`Barrier`]: reusable N-party barrier (MPI-style coordination).
 //! - [`WaitGroup`]: dynamic completion counting (outstanding chunk writes).
 //! - [`channel`]: FIFO MPMC channel (the CRFS work queue in the simulator).
 
@@ -365,68 +364,6 @@ impl Drop for Notified {
                     .borrow_mut()
                     .retain(|x| !Rc::ptr_eq(x, w));
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------------
-
-struct BarrierInner {
-    parties: usize,
-    arrived: usize,
-    generation: u64,
-    notify: Notify,
-}
-
-/// A reusable N-party barrier, as used for MPI-style phase coordination.
-///
-/// The `n`-th arrival releases everyone and resets the barrier for the next
-/// generation.
-#[derive(Clone)]
-pub struct Barrier {
-    inner: Rc<RefCell<BarrierInner>>,
-}
-
-impl Barrier {
-    /// Creates a barrier for `parties` tasks.
-    ///
-    /// # Panics
-    /// Panics if `parties == 0`.
-    pub fn new(parties: usize) -> Barrier {
-        assert!(parties > 0, "Barrier requires at least one party");
-        Barrier {
-            inner: Rc::new(RefCell::new(BarrierInner {
-                parties,
-                arrived: 0,
-                generation: 0,
-                notify: Notify::new(),
-            })),
-        }
-    }
-
-    /// Waits until all parties have arrived. Returns `true` for the single
-    /// "leader" task whose arrival released the barrier.
-    pub async fn wait(&self) -> bool {
-        let my_gen;
-        {
-            let mut inner = self.inner.borrow_mut();
-            my_gen = inner.generation;
-            inner.arrived += 1;
-            if inner.arrived == inner.parties {
-                inner.arrived = 0;
-                inner.generation += 1;
-                inner.notify.notify_all();
-                return true;
-            }
-        }
-        loop {
-            let notified = { self.inner.borrow().notify.notified() };
-            if self.inner.borrow().generation != my_gen {
-                return false;
-            }
-            notified.await;
         }
     }
 }
@@ -949,32 +886,6 @@ mod tests {
             n.notify_all();
             let t = h.await;
             assert_eq!(t.as_nanos(), 7_000_000);
-        });
-    }
-
-    #[test]
-    fn barrier_releases_all_parties_and_reuses() {
-        let mut sim = Sim::new(0);
-        sim.run(async {
-            let b = Barrier::new(3);
-            let done = Rc::new(Cell::new(0));
-            let mut handles = Vec::new();
-            for i in 0..3u64 {
-                let b = b.clone();
-                let done = done.clone();
-                handles.push(spawn(async move {
-                    sleep(Duration::from_millis(i)).await;
-                    b.wait().await;
-                    done.set(done.get() + 1);
-                    // Second generation.
-                    b.wait().await;
-                    done.set(done.get() + 1);
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            assert_eq!(done.get(), 6);
         });
     }
 

@@ -532,31 +532,6 @@ impl CrfsCostParams {
     }
 }
 
-/// Restart read-path costs for the simulated CRFS (`cluster-sim`'s
-/// `CrfsSim::app_read`): the per-RPC service profile of reading a
-/// checkpoint back from a shared filesystem. Reads bypass the node's
-/// page cache (a restart is cold by definition), so every miss pays a
-/// full round trip; prefetched reads pay the same cost on IO-worker
-/// tasks, overlapping with the application's consumption.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadCostParams {
-    /// Round trip per read request (client → server → client).
-    pub per_op: Duration,
-    /// Transfer bandwidth in bytes/second.
-    pub bandwidth: u64,
-}
-
-impl ReadCostParams {
-    /// A shared-filesystem restart source in the paper's testbed class:
-    /// ~1 ms round trip, ~1 GiB/s streams (IPoIB-ish NFS/Lustre read).
-    pub fn shared_fs() -> ReadCostParams {
-        ReadCostParams {
-            per_op: Duration::from_micros(1000),
-            bandwidth: GB,
-        }
-    }
-}
-
 /// Bytes in a KiB.
 pub const KB: u64 = 1 << 10;
 /// Bytes in a MiB.

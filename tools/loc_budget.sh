@@ -19,7 +19,11 @@
 # directory and held-read checks with their test-local read probe;
 # non-test lines of crfs-core/src went +92, the read window, the
 # growing pool and its parking, net of the spin loop, the per-path
-# `process` and the serial tier walk they replace.)
+# `process` and the serial tier walk they replace.
+# 44,200 -> 42,400 when CrfsSim was cut to the write path: the
+# restart read window, transform/dedup, snapshot, power-cut and tiered
+# drain mirrors went with their tests, `ReadCostParams`, `exp compress`'s
+# virtual-time table and `simkit::sync::Barrier`.)
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -27,7 +31,7 @@
 # either replaces one of those or argues for a higher number here.
 set -eu
 
-CEILING=44200
+CEILING=42400
 UNSAFE_CEILING=4
 
 cd "$(dirname "$0")/.."
