@@ -27,36 +27,20 @@ pub const ALL_IDS: [&str; 10] = [
     "table1", "fig3", "fig5", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
 ];
 
-/// Extension experiments beyond the paper's figures: ablations of design
-/// choices the paper fixes by fiat, the §V-F restart measurement it
-/// reports only qualitatively, the PVFS2 backend it mentions but never
-/// measures, the chunk transform sweep (compression × dedup × integrity; emits
-/// `BENCH_compress.json`), the ring-engine depth sweep (in-flight
-/// ops vs throughput at fixed `io_threads`; emits `BENCH_engine.json`),
-/// the crash-recovery fsck sweep (parallel checker scaling + a
-/// crash-point sweep gating zero wrong-byte restarts; emits
-/// `BENCH_fsck.json`), the versioned-snapshot sweep (incremental
-/// epoch cost vs dirty fraction, chunk GC reclamation, byte-exact
-/// restart from every retained epoch; emits `BENCH_snapshot.json`),
-/// and the observability-overhead sweep (obs-on vs obs-off write
-/// throughput interleaved on the §V-B raw-aggregation workload, gated
-/// at ≤5%, plus the ring leg's issue→completion percentiles; emits
-/// `BENCH_obs.json`), and the tiered-checkpointing sweep (fast-tier
-/// ack latency vs direct durable writes, throughput vs dirty volume ×
-/// drain bandwidth, and crash-during-drain recovery gating zero
-/// wrong-byte restarts; emits `BENCH_tiered.json`).
-pub const EXTENSION_IDS: [&str; 10] = [
-    "iothreads",
-    "chunksweep",
-    "restart",
-    "pvfs",
-    "compress",
-    "engine",
-    "fsck",
-    "snapshot",
-    "obs",
-    "tiered",
-];
+/// Extension experiments beyond the paper's figures, kept for what the
+/// repository benchmark's end-to-end workloads (`benchmark/`) cannot
+/// measure: the IO-thread ablation the paper elides, the PVFS2 backend
+/// it mentions but never measures, the chunk transform matrix (codec ×
+/// dedup, plus the payload kernel gates; emits `BENCH_compress.json`),
+/// the ring-engine depth sweep (in-flight ops vs throughput at fixed
+/// `io_threads`; emits `BENCH_engine.json`), parallel fsck checker
+/// scaling (emits `BENCH_fsck.json`) and the observability-overhead
+/// sweep (obs-on vs obs-off write throughput, gated at ≤5%, plus the
+/// ring leg's issue→completion percentiles; emits `BENCH_obs.json`).
+/// Restart, snapshot and tiered-drain throughput are the benchmark's
+/// `cold_restart`, `full_cycle` and `slow_durable` workloads; crash
+/// recovery at every write cut is `tests/crash_cuts.rs`.
+pub const EXTENSION_IDS: [&str; 6] = ["iothreads", "pvfs", "compress", "engine", "fsck", "obs"];
 
 /// Runs one experiment by id. `quick` scales data sizes down for smoke
 /// runs. Returns `None` for unknown ids.
@@ -73,15 +57,11 @@ pub fn run_one(id: &str, quick: bool) -> Option<ExpOutput> {
         "fig10" => fig10(quick),
         "fig11" => fig11(quick),
         "iothreads" => iothreads(quick),
-        "chunksweep" => chunksweep(quick),
         "pvfs" => pvfs(quick),
-        "restart" => restart(quick),
         "compress" => compress(quick),
         "engine" => engine(quick),
         "fsck" => fsck(quick),
-        "snapshot" => snapshot(quick),
         "obs" => obs(quick),
-        "tiered" => tiered(quick),
         _ => return None,
     })
 }
@@ -551,168 +531,6 @@ fn iothreads(quick: bool) -> ExpOutput {
 }
 
 // ---------------------------------------------------------------------
-// Chunk-size ablation (paper §V-B fixes 4 MiB by reasoning; sweep it)
-// ---------------------------------------------------------------------
-
-fn chunksweep(quick: bool) -> ExpOutput {
-    let per_writer = if quick { 4 << 20 } else { 16 << 20 };
-    let chunks: &[usize] = &[64 << 10, 256 << 10, 1 << 20, 4 << 20];
-    let points = real::chunk_sweep(chunks, 4, per_writer);
-    let mut t = Table::new(&["Chunk size", "Time (s)", "Backend writes"]);
-    let mut rows_json = Vec::new();
-    for p in &points {
-        t.row(&[
-            if p.chunk >= 1 << 20 {
-                format!("{} MiB", p.chunk >> 20)
-            } else {
-                format!("{} KiB", p.chunk >> 10)
-            },
-            format!("{:.2}", p.secs),
-            p.backend_writes.to_string(),
-        ]);
-        rows_json.push(json!({
-            "chunk": p.chunk, "secs": p.secs, "backend_writes": p.backend_writes,
-        }));
-    }
-    let text = format!(
-        "Chunk-size sweep on the REAL library: 4 writers x {} MiB of 8 KiB \
-         appends over a seek-penalized SATA device model (§V-B ablation)\n\n{t}\n\
-         Larger chunks mean fewer, larger, more sequential device writes; \
-         the curve flattens around the paper's chosen 4 MiB.\n",
-        per_writer >> 20
-    );
-    ExpOutput {
-        id: "chunksweep",
-        title: "§V-B ablation: chunk size on a seeky device (real library)".into(),
-        text,
-        json: json!({ "rows": rows_json }),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Restart (paper §V-F — reported qualitatively there, measured here)
-// ---------------------------------------------------------------------
-
-fn restart(quick: bool) -> ExpOutput {
-    let (images, bytes) = if quick {
-        (2, 4u64 << 20)
-    } else {
-        (4, 16 << 20)
-    };
-
-    // Part 1 (paper §V-F, kept from the original experiment): reads
-    // pass through unchanged, so a job can restart without CRFS at all.
-    let cmp = real::restart_comparison(images, bytes);
-
-    // Part 2 (the restart read engine): cold sequential restore from a
-    // latency-bound RPC store across read-ahead windows. Window 0 is
-    // the paper's pass-through baseline.
-    let windows: &[usize] = &[0, 1, 2, 4, 8];
-    let sweep = real::restart_prefetch_sweep(windows, images, bytes);
-
-    let mut t = Table::new(&[
-        "Read-ahead (chunks)",
-        "Time (s)",
-        "MiB/s",
-        "Hit rate",
-        "Prefetch issued",
-        "Wasted",
-    ]);
-    let mut sweep_json = Vec::new();
-    for p in &sweep {
-        t.row(&[
-            if p.window == 0 {
-                "0 (pass-through)".to_string()
-            } else {
-                p.window.to_string()
-            },
-            format!("{:.3}", p.secs),
-            format!("{:.0}", p.mibs),
-            format!("{:.0}%", p.hit_rate * 100.0),
-            p.prefetch_issued.to_string(),
-            p.prefetch_wasted.to_string(),
-        ]);
-        sweep_json.push(json!({
-            "window": p.window, "secs": p.secs, "mibs": p.mibs,
-            "read_hits": p.read_hits, "read_misses": p.read_misses,
-            "prefetch_issued": p.prefetch_issued,
-            "prefetch_wasted": p.prefetch_wasted,
-            "hit_rate": p.hit_rate,
-        }));
-    }
-    let baseline = sweep.first().expect("window-0 cell");
-    let best = sweep
-        .iter()
-        .max_by(|a, b| a.mibs.total_cmp(&b.mibs))
-        .expect("non-empty sweep");
-    let speedup = best.mibs / baseline.mibs.max(1e-9);
-
-    let mb = cmp.bytes as f64 / (1 << 20) as f64;
-    let mut ct = Table::new(&["Restart path", "Time (s)", "MB/s"]);
-    ct.row(&[
-        "through CRFS mount".to_string(),
-        format!("{:.3}", cmp.via_crfs_s),
-        format!("{:.0}", mb / cmp.via_crfs_s.max(1e-9)),
-    ]);
-    ct.row(&[
-        "directly from backend".to_string(),
-        format!("{:.3}", cmp.direct_s),
-        format!("{:.0}", mb / cmp.direct_s.max(1e-9)),
-    ]);
-
-    let text = format!(
-        "Restart read path: {} BLCR-style images ({} MiB total) restored \
-         cold from a latency-bound RPC store (1 ms read round trip), swept \
-         across prefetch windows\n\n{t}\n\
-         headline: {:.0} MiB/s at window {} vs {:.0} MiB/s pass-through \
-         ({speedup:.2}x) — chunk-granular read-ahead through the shared IO \
-         worker pool overlaps restart latency the same way write \
-         aggregation overlaps checkpoint latency.\n\n\
-         §V-F pass-through check (restores byte-verified, seek-free SSD \
-         model):\n\n{ct}\n\
-         CRFS never changes the file layout, so restart works without CRFS \
-         mounted at all — the paper reports this qualitatively.\n",
-        cmp.images,
-        (images as u64 * bytes) >> 20,
-        best.mibs,
-        best.window,
-        baseline.mibs,
-    );
-
-    let read_rtt = storage_model::RpcStoreParams::restart_store().read_rtt;
-    let json = json!({
-        "workload": {
-            "images": images,
-            "image_bytes": bytes,
-            "chunk_size": real::RESTART_SWEEP_CHUNK,
-            "read_rtt_us": read_rtt.as_micros() as u64,
-            "quick": quick,
-        },
-        "sweep": sweep_json,
-        "via_crfs_vs_direct": {
-            "via_crfs_s": cmp.via_crfs_s, "direct_s": cmp.direct_s,
-        },
-        "headline": {
-            "baseline_mibs": baseline.mibs,
-            "prefetch_mibs": best.mibs,
-            "best_window": best.window,
-            "speedup": speedup,
-            "hit_rate": best.hit_rate,
-        },
-    });
-    // The acceptance artifact: written at
-    // the invocation directory for CI to upload and gate on.
-    let pretty = serde_json::to_string_pretty(&json).unwrap_or_default();
-    let _ = std::fs::write("BENCH_restart.json", pretty);
-    ExpOutput {
-        id: "restart",
-        title: "Restart: prefetching read engine vs pass-through reads".into(),
-        text,
-        json,
-    }
-}
-
-// ---------------------------------------------------------------------
 // PVFS2 extension backend (paper §I lists PVFS2 as mountable; never
 // evaluated in the paper's figures)
 // ---------------------------------------------------------------------
@@ -988,8 +806,8 @@ fn compress(quick: bool) -> ExpOutput {
         // included), where `crfs-stat BENCH_compress.json` finds it.
         "stats": lz.stats.to_value(),
     });
-    // The acceptance artifact, like BENCH_restart.json: written at the invocation directory for CI to
-    // upload and gate on.
+    // The acceptance artifact: written at the invocation directory for
+    // CI to upload and gate on.
     let pretty = serde_json::to_string_pretty(&json).unwrap_or_default();
     let _ = std::fs::write("BENCH_compress.json", pretty);
     ExpOutput {
@@ -1108,12 +926,11 @@ fn engine(quick: bool) -> ExpOutput {
 }
 
 // ---------------------------------------------------------------------
-// Crash-recovery fsck sweep (extension; emits BENCH_fsck.json)
+// Parallel fsck scaling sweep (extension; emits BENCH_fsck.json)
 // ---------------------------------------------------------------------
 
 fn fsck(quick: bool) -> ExpOutput {
     let sweep = real::fsck_thread_sweep(quick);
-    let crashes = real::fsck_crash_sweep(quick);
 
     let mut t = Table::new(&[
         "Profile",
@@ -1154,33 +971,7 @@ fn fsck(quick: bool) -> ExpOutput {
         }));
     }
 
-    let mut ct = Table::new(&[
-        "Cut (stored B)",
-        "Surviving chunks",
-        "Torn",
-        "Repaired",
-        "Wrong bytes",
-    ]);
-    let mut crash_json = Vec::new();
-    for c in &crashes {
-        ct.row(&[
-            c.cut.to_string(),
-            c.surviving_chunks.to_string(),
-            if c.torn { "yes" } else { "no" }.to_string(),
-            if c.repaired { "yes" } else { "NO" }.to_string(),
-            if c.wrong_bytes { "WRONG" } else { "none" }.to_string(),
-        ]);
-        crash_json.push(json!({
-            "cut": c.cut,
-            "surviving_chunks": c.surviving_chunks,
-            "torn": c.torn,
-            "repaired": c.repaired,
-            "wrong_byte_restart": c.wrong_bytes,
-        }));
-    }
-
-    // Headline: parallel checker scaling on the biggest profile, and
-    // the crash sweep's wrong-byte count (the recovery-contract gate).
+    // Headline: parallel checker scaling on the biggest profile.
     let headline_profile = sweep.last().expect("non-empty sweep").profile;
     let serial = sweep
         .iter()
@@ -1191,27 +982,17 @@ fn fsck(quick: bool) -> ExpOutput {
         .find(|p| p.profile == headline_profile && p.threads == 4)
         .expect("4-thread cell");
     let speedup_4t = serial.secs / par4.secs.max(1e-9);
-    let wrong_byte_restarts = crashes.iter().filter(|c| c.wrong_bytes).count();
-    let unrepaired = crashes.iter().filter(|c| !c.repaired).count();
 
     let text = format!(
         "Crash-recovery fsck sweep: work-stealing per-file checkers over \
          a latency-bound checkpoint store (250 µs read RTT), scan time \
-         vs checker threads on small/large volume profiles, plus a \
-         crash-point sweep (one checkpoint file killed at {} evenly \
-         spaced stored-byte offsets, repaired, restarted)\n\n\
+         vs checker threads on small/large volume profiles\n\n\
          {t}\n\
-         crash-point sweep:\n\n{ct}\n\
          headline: {headline_profile} profile scans in {:.1} ms at 4 \
-         threads vs {:.1} ms serial ({speedup_4t:.2}x); {} of {} crash \
-         restarts served wrong bytes, {} left unrepaired — recovery \
-         serves exactly the acked frame prefix at every crash point.\n",
-        crashes.len(),
+         threads vs {:.1} ms serial ({speedup_4t:.2}x). Repair \
+         correctness at every write cut is tests/crash_cuts.rs.\n",
         par4.secs * 1e3,
         serial.secs * 1e3,
-        wrong_byte_restarts,
-        crashes.len(),
-        unrepaired,
     );
     let json = json!({
         "workload": {
@@ -1221,15 +1002,11 @@ fn fsck(quick: bool) -> ExpOutput {
             "quick": quick,
         },
         "thread_sweep": rows_json,
-        "crash_sweep": crash_json,
         "headline": {
             "profile": headline_profile,
             "serial_secs": serial.secs,
             "par4_secs": par4.secs,
             "speedup_4t": speedup_4t,
-            "crash_points": crashes.len(),
-            "wrong_byte_restarts": wrong_byte_restarts,
-            "unrepaired": unrepaired,
         },
     });
     // The acceptance artifact, like the other BENCH_*.json files:
@@ -1238,134 +1015,7 @@ fn fsck(quick: bool) -> ExpOutput {
     let _ = std::fs::write("BENCH_fsck.json", pretty);
     ExpOutput {
         id: "fsck",
-        title: "Crash recovery: parallel fsck scaling and wrong-byte-free restarts".into(),
-        text,
-        json,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Versioned-snapshot sweep (extension; emits BENCH_snapshot.json)
-// ---------------------------------------------------------------------
-
-fn snapshot(quick: bool) -> ExpOutput {
-    let sweep = real::snapshot_sweep(quick);
-
-    let mut t = Table::new(&[
-        "Dirty",
-        "Epochs",
-        "Keep",
-        "Epoch0 KiB",
-        "Delta KiB",
-        "Delta ratio",
-        "GC chunks",
-        "GC KiB",
-        "GC pause ms",
-        "Retained",
-        "Restart",
-    ]);
-    let mut rows_json = Vec::new();
-    for p in &sweep {
-        let mean_delta = if p.epoch_bytes.len() > 1 {
-            p.epoch_bytes[1..].iter().sum::<u64>() / (p.epoch_bytes.len() - 1) as u64
-        } else {
-            0
-        };
-        let restart = if p.restart_ok && p.gc_lost_chunks == 0 {
-            "exact".to_string()
-        } else {
-            format!("LOST {}", p.gc_lost_chunks)
-        };
-        t.row(&[
-            format!("{:.0}%", p.dirty * 100.0),
-            p.epochs.to_string(),
-            p.keep.to_string(),
-            (p.epoch_bytes.first().copied().unwrap_or(0) >> 10).to_string(),
-            (mean_delta >> 10).to_string(),
-            format!("{:.3}", p.delta_ratio),
-            format!("{}/{}", p.gc_reclaimed_chunks, p.gc_scanned),
-            (p.gc_reclaimed_bytes >> 10).to_string(),
-            format!("{:.2}", p.gc_pause_ms),
-            p.retained.len().to_string(),
-            restart,
-        ]);
-        rows_json.push(json!({
-            "dirty": p.dirty,
-            "epochs": p.epochs,
-            "keep_epochs": p.keep,
-            "images": p.images,
-            "image_bytes": p.image_bytes,
-            "chunk_size": p.chunk,
-            "epoch_bytes": p.epoch_bytes.clone(),
-            "delta_ratio": p.delta_ratio,
-            "gc_scanned_chunks": p.gc_scanned,
-            "gc_reclaimed_chunks": p.gc_reclaimed_chunks,
-            "gc_reclaimed_bytes": p.gc_reclaimed_bytes,
-            "gc_pause_ms": p.gc_pause_ms,
-            "retained_epochs": p.retained.clone(),
-            "restart_bytes": p.restart_bytes,
-            "restart_ok": p.restart_ok,
-            "gc_lost_chunks": p.gc_lost_chunks,
-            "reclaim_complete": p.reclaim_complete,
-            "secs": p.secs,
-            "mibs": p.mibs,
-        }));
-    }
-
-    // Headline: the 10%-dirty cell carries the incremental-checkpoint
-    // claim — a dirty epoch must cost at most 25% of the full image —
-    // and every cell must restart byte-exactly with zero chunks lost
-    // to GC and a fully drained reclaim pass.
-    let inc = sweep
-        .iter()
-        .find(|p| (p.dirty - 0.1).abs() < 1e-9)
-        .expect("10%-dirty cell");
-    let gc_lost: u64 = sweep.iter().map(|p| p.gc_lost_chunks).sum();
-    let restart_ok = sweep.iter().all(|p| p.restart_ok);
-    let reclaim_complete = sweep.iter().all(|p| p.reclaim_complete);
-    let gc_reclaimed: usize = sweep.iter().map(|p| p.gc_reclaimed_chunks).sum();
-
-    let text = format!(
-        "Versioned-snapshot sweep: each epoch a full rewrite of the \
-         checkpoint images with a varying dirty fraction, sealed into a \
-         per-epoch manifest over a shared content store (unchanged \
-         chunks dedup into references, only dirty chunks store new \
-         bytes), then mark-and-sweep GC, a remount, and a byte-exact \
-         restart from every retained epoch\n\n\
-         {t}\n\
-         headline: a 10%-dirty epoch stores {:.1}% of the full-image \
-         epoch's bytes (gate: <= 25%); GC reclaimed {gc_reclaimed} \
-         retired chunks with {gc_lost} reachable chunks lost (gate: 0); \
-         restart from every retained epoch was {} and a second GC pass \
-         found {} to reclaim.\n",
-        inc.delta_ratio * 100.0,
-        if restart_ok { "byte-exact" } else { "WRONG" },
-        if reclaim_complete { "nothing" } else { "MORE" },
-    );
-    let json = json!({
-        "workload": {
-            "chunk_size": sweep.first().map_or(0, |p| p.chunk),
-            "codec": "lz",
-            "dedup": true,
-            "quick": quick,
-        },
-        "sweep": rows_json,
-        "headline": {
-            "incremental_dirty": inc.dirty,
-            "delta_ratio": inc.delta_ratio,
-            "delta_ratio_gate": 0.25,
-            "gc_lost_chunks": gc_lost,
-            "gc_reclaimed_chunks": gc_reclaimed,
-            "restart_ok": restart_ok,
-            "reclaim_complete": reclaim_complete,
-        },
-    });
-    let pretty = serde_json::to_string_pretty(&json).unwrap_or_default();
-    let _ = std::fs::write("BENCH_snapshot.json", pretty);
-    ExpOutput {
-        id: "snapshot",
-        title: "Versioned snapshots: incremental epoch cost, chunk GC, restart-from-any-epoch"
-            .into(),
+        title: "Crash recovery: parallel fsck checker scaling".into(),
         text,
         json,
     }
@@ -1504,193 +1154,23 @@ fn obs(quick: bool) -> ExpOutput {
     }
 }
 
-// ---------------------------------------------------------------------
-// Tiered checkpointing sweep (extension; emits BENCH_tiered.json)
-// ---------------------------------------------------------------------
-
-fn tiered(quick: bool) -> ExpOutput {
-    let sweep = real::tiered_sweep(quick);
-
-    let mut t = Table::new(&[
-        "Dirty MiB",
-        "Drain",
-        "BW MiB/s",
-        "Ack s",
-        "Ack MiB/s",
-        "Total s",
-        "Total MiB/s",
-        "WT ops",
-        "Drains",
-        "Restart",
-    ]);
-    for c in &sweep.cells {
-        t.row(&[
-            c.dirty_mb.to_string(),
-            c.drain_profile.to_string(),
-            c.drain_bw_mibs.to_string(),
-            format!("{:.3}", c.ack_secs),
-            format!("{:.0}", c.ack_mibs),
-            format!("{:.3}", c.total_secs),
-            format!("{:.0}", c.total_mibs),
-            c.write_through_ops.to_string(),
-            c.drain_ops.to_string(),
-            if c.restart_tiered_ok && c.restart_durable_ok {
-                "ok".to_string()
-            } else {
-                "WRONG".to_string()
-            },
-        ]);
-    }
-
-    let mut ct = Table::new(&[
-        "Cut bytes",
-        "Barrier",
-        "Stranded",
-        "Diverged",
-        "Repaired",
-        "Restart",
-    ]);
-    for p in &sweep.crash {
-        ct.row(&[
-            if p.cut == u64::MAX {
-                "(none)".to_string()
-            } else {
-                p.cut.to_string()
-            },
-            if p.barrier_failed { "refused" } else { "ok" }.to_string(),
-            p.stranded.to_string(),
-            p.diverged.to_string(),
-            if p.repaired { "yes" } else { "NO" }.to_string(),
-            if p.wrong_bytes { "WRONG" } else { "exact" }.to_string(),
-        ]);
-    }
-
-    let restart_ok = sweep
-        .cells
-        .iter()
-        .all(|c| c.restart_tiered_ok && c.restart_durable_ok);
-    let wrong_byte_restarts = sweep.crash.iter().filter(|p| p.wrong_bytes).count();
-    let lossy_cuts = sweep.crash.iter().filter(|p| p.cut != u64::MAX).count();
-    // Share of the seeking device's bandwidth the whole stack sustains
-    // to durability, worst `disk` cell (ROADMAP item 2b).
-    let drain_efficiency_disk = sweep
-        .cells
-        .iter()
-        .filter(|c| c.drain_profile == "disk")
-        .map(|c| c.total_mibs / c.drain_bw_mibs as f64)
-        .fold(f64::INFINITY, f64::min);
-
-    let stages = &sweep.stats.stages;
-    let text = format!(
-        "Tiered checkpointing sweep (DESIGN.md §9): writes ack from the \
-         fast tier while drain workers copy sealed frames to the \
-         durable tier in device order.\n\n\
-         Ack latency ({} x 64 KiB write_at, 2 ms-RTT RPC store as the \
-         durable tier): direct p50 {:.0} us, tiered p50 {:.0} us — \
-         {:.1}x faster ack (gate: >= 2x).\n\n\
-         Throughput vs dirty volume x drain bandwidth (4 writers, \
-         256 KiB chunks, mem fast tier, throttled durable tier, tight \
-         2/8 MiB watermarks; every cell restarts byte-exact through a \
-         fresh tiered stack AND from the durable tier alone); the \
-         worst disk cell sustains {:.2} of the device's bandwidth to \
-         durability (gate: >= 0.6):\n\n{t}\n\
-         Crash during drain (power cut on the durable tier mid-drain, \
-         reboot, `crfs-fsck --fast --repair` re-drains from the \
-         authoritative fast copy, restart from the durable tier alone): \
-         {} cuts, {} wrong-byte restarts (gate: 0).\n\n{ct}\n\
-         Headline-cell drain stages: drain_copy p50 {:.1} us (n={}), \
-         drain_wait p50 {:.1} us (n={}), tier counters: {} drains \
-         ({} MiB), {} write-through ops, {} barrier waits.\n",
-        sweep.ack_writes,
-        sweep.ack_p50_direct_us,
-        sweep.ack_p50_tiered_us,
-        sweep.ack_speedup,
-        drain_efficiency_disk,
-        lossy_cuts,
-        wrong_byte_restarts,
-        stages.drain_copy.p50 as f64 / 1_000.0,
-        stages.drain_copy.count,
-        stages.drain_wait.p50 as f64 / 1_000.0,
-        stages.drain_wait.count,
-        sweep.counters.drain_ops,
-        sweep.counters.drain_bytes >> 20,
-        sweep.counters.write_through_ops,
-        sweep.counters.barrier_waits,
-    );
-
-    let json = json!({
-        "workload": {
-            "ack_writes": sweep.ack_writes,
-            "ack_chunk_size": 64 << 10,
-            "durable_store": "rpc(1ms read rtt / 2ms write rtt) for ack arm; throttled disk/ssd for throughput grid",
-            "writers": 4,
-            "chunk_size": 256 << 10,
-            "quick": quick,
-        },
-        "cells": sweep.cells.iter().map(|c| json!({
-            "dirty_mb": c.dirty_mb,
-            "drain_profile": c.drain_profile,
-            "drain_bw_mibs": c.drain_bw_mibs,
-            "ack_secs": c.ack_secs,
-            "ack_mibs": c.ack_mibs,
-            "total_secs": c.total_secs,
-            "total_mibs": c.total_mibs,
-            "write_through_ops": c.write_through_ops,
-            "drain_ops": c.drain_ops,
-            "resident_after_barrier": c.resident_after_barrier,
-            "restart_tiered_ok": c.restart_tiered_ok,
-            "restart_durable_ok": c.restart_durable_ok,
-            "verified_bytes": c.verified_bytes,
-        })).collect::<Vec<_>>(),
-        "crash": sweep.crash.iter().map(|p| json!({
-            "cut": if p.cut == u64::MAX { Value::Null } else { json!(p.cut) },
-            "barrier_failed": p.barrier_failed,
-            "stranded": p.stranded,
-            "diverged": p.diverged,
-            "repaired": p.repaired,
-            "wrong_bytes": p.wrong_bytes,
-        })).collect::<Vec<_>>(),
-        "headline": {
-            "ack_p50_direct_us": sweep.ack_p50_direct_us,
-            "ack_p50_tiered_us": sweep.ack_p50_tiered_us,
-            "ack_speedup": sweep.ack_speedup,
-            "drain_efficiency_disk": drain_efficiency_disk,
-            "restart_ok": restart_ok,
-            "crash_points": lossy_cuts,
-            "wrong_byte_restarts": wrong_byte_restarts,
-            // Nested drain-stage percentiles (ns) for dotted
-            // bench_gate checks like `drain_copy.p50<=...`.
-            "drain_copy": stage_headline(&stages.drain_copy),
-            "drain_wait": stage_headline(&stages.drain_wait),
-            "tier_promote": stage_headline(&stages.tier_promote),
-        },
-        // Headline cell's full snapshot + tier counters, where
-        // `crfs-stat BENCH_tiered.json` finds them.
-        "stats": sweep.stats.to_value(),
-        "tier": sweep.counters.to_value(),
-    });
-    let pretty = serde_json::to_string_pretty(&json).unwrap_or_default();
-    let _ = std::fs::write("BENCH_tiered.json", pretty);
-    ExpOutput {
-        id: "tiered",
-        title: "Tiered checkpointing: fast-tier acks, async drain, crash-during-drain recovery"
-            .into(),
-        text,
-        json,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn ids_are_unique_and_unknown_ids_rejected() {
-        let mut ids = ALL_IDS.to_vec();
+        let mut ids: Vec<&str> = ALL_IDS.iter().chain(&EXTENSION_IDS).copied().collect();
+        let n = ids.len();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), ALL_IDS.len(), "duplicate experiment ids");
+        assert_eq!(ids.len(), n, "duplicate experiment ids");
         assert!(run_one("nope", true).is_none());
+        // Retired sweeps: the benchmark workloads and tests/crash_cuts.rs
+        // answer them now.
+        for id in ["restart", "chunksweep", "snapshot", "tiered"] {
+            assert!(run_one(id, true).is_none(), "{id} is retired");
+        }
     }
 
     #[test]

@@ -1,20 +1,23 @@
-//! Real (wall-clock) measurements of `crfs-core` — Figure 5 and the
-//! IO-thread ablation on live hardware.
+//! Real (wall-clock) measurements of `crfs-core`: the sweeps the
+//! repository benchmark's end-to-end workloads cannot answer.
 //!
-//! The paper measures raw aggregation throughput by running 8 writer
-//! processes against CRFS with the chunks *discarded* by the IO threads
-//! ("Once a filled chunk is picked up by an IO thread it is discarded
-//! without being written to a back-end filesystem", §V-B). We reproduce
-//! that exactly: 8 writer threads → `Vfs` (FUSE-style 128 KiB request
-//! splitting) → `Crfs` → [`DiscardBackend`].
+//! - Fig. 5 ([`fig5_grid`]): the paper measures raw aggregation
+//!   throughput by running 8 writer processes against CRFS with the
+//!   chunks *discarded* by the IO threads ("Once a filled chunk is
+//!   picked up by an IO thread it is discarded without being written to
+//!   a back-end filesystem", §V-B). We reproduce that exactly: 8 writer
+//!   threads → `Vfs` (FUSE-style 128 KiB request splitting) → `Crfs` →
+//!   [`DiscardBackend`].
+//! - `exp compress` ([`compress_sweep`]): the codec × dedup matrix.
+//! - `exp engine` ([`engine_depth_sweep`]): ring depth at fixed
+//!   `io_threads`.
+//! - `exp fsck` ([`fsck_thread_sweep`]): checker-thread scaling.
+//! - `exp obs` ([`obs_sweep`]): instrumentation overhead.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use crfs_blcr::{CheckpointWriter, ProcessImage, RestartReader};
-use crfs_core::backend::{
-    Backend, DiscardBackend, MemBackend, OpenOptions, ReadCursor, ThrottleParams, ThrottledBackend,
-};
+use crfs_core::backend::{Backend, DiscardBackend, MemBackend, OpenOptions};
 use crfs_core::{CodecKind, Crfs, CrfsConfig, Vfs};
 use storage_model::{RpcStore, RpcStoreParams};
 
@@ -99,267 +102,6 @@ pub fn fig5_grid(quick: bool) -> Vec<RawBandwidthPoint> {
             }
             out.push(raw_bandwidth(pool, chunk, 8, per_writer));
         }
-    }
-    out
-}
-
-/// Result of the §V-F restart comparison on the real library.
-#[derive(Debug, Clone, Copy)]
-pub struct RestartComparison {
-    /// Number of process images restarted.
-    pub images: usize,
-    /// Total checkpoint bytes read back.
-    pub bytes: u64,
-    /// Wall-clock seconds reading every image *through a CRFS mount*.
-    pub via_crfs_s: f64,
-    /// Wall-clock seconds reading every image *directly from the
-    /// backend* (no CRFS mounted).
-    pub direct_s: f64,
-}
-
-/// The paper's §V-F experiment on the real library: checkpoint `images`
-/// BLCR-style process images of `image_bytes` each through CRFS onto a
-/// throttled (device-modelled) backend, then restart twice — once
-/// reading through a CRFS mount (pass-through reads) and once straight
-/// from the backend — verifying both restores byte-for-byte and timing
-/// each path.
-///
-/// CRFS does not change the file layout during checkpointing, so the
-/// direct path must see identical files; and CRFS forwards reads
-/// untouched, so neither path should be meaningfully faster.
-pub fn restart_comparison(images: usize, image_bytes: u64) -> RestartComparison {
-    let backend: Arc<dyn Backend> = Arc::new(ThrottledBackend::new(
-        MemBackend::new(),
-        ThrottleParams::ssd(),
-    ));
-
-    // Checkpoint phase: one writer thread per "process", real BLCR-style
-    // write stream through the CRFS pipeline.
-    let originals: Vec<ProcessImage> = (0..images)
-        .map(|pid| ProcessImage::synthetic(pid as u32 + 1, image_bytes, 0xC0FFEE + pid as u64))
-        .collect();
-    let fs = Crfs::mount(Arc::clone(&backend), CrfsConfig::default()).unwrap();
-    fs.mkdir_all("/ckpt").unwrap();
-    std::thread::scope(|s| {
-        for (pid, img) in originals.iter().enumerate() {
-            let fs = &fs;
-            s.spawn(move || {
-                let mut f = fs.create(&format!("/ckpt/rank{pid}.img")).unwrap();
-                CheckpointWriter::new().write_image(&mut f, img).unwrap();
-                f.close().unwrap();
-            });
-        }
-    });
-    fs.unmount().unwrap();
-
-    let verify = |img: &ProcessImage, pid: usize| {
-        let orig = &originals[pid];
-        assert_eq!(img.total_bytes(), orig.total_bytes(), "rank{pid} size");
-        assert_eq!(img.vmas.len(), orig.vmas.len(), "rank{pid} VMA count");
-    };
-
-    // Restart (a): through a fresh CRFS mount (reads pass through).
-    let fs = Crfs::mount(Arc::clone(&backend), CrfsConfig::default()).unwrap();
-    let t0 = Instant::now();
-    for pid in 0..images {
-        let mut f = fs.open(&format!("/ckpt/rank{pid}.img")).unwrap();
-        let img = RestartReader::new().read_image(&mut f).unwrap();
-        verify(&img, pid);
-        f.close().unwrap();
-    }
-    let via_crfs_s = t0.elapsed().as_secs_f64();
-    fs.unmount().unwrap();
-
-    // Restart (b): directly from the backend, CRFS not mounted at all.
-    let t1 = Instant::now();
-    for pid in 0..images {
-        let file = backend
-            .open(&format!("/ckpt/rank{pid}.img"), OpenOptions::read_only())
-            .unwrap();
-        let mut cur = ReadCursor::new(file);
-        let img = RestartReader::new().read_image(&mut cur).unwrap();
-        verify(&img, pid);
-    }
-    let direct_s = t1.elapsed().as_secs_f64();
-
-    RestartComparison {
-        images,
-        bytes: originals.iter().map(|i| i.total_bytes()).sum(),
-        via_crfs_s,
-        direct_s,
-    }
-}
-
-/// One cell of the restart prefetch sweep: a cold sequential read of
-/// every checkpoint file through a mount with the given read-ahead
-/// window (`0` = the pass-through baseline).
-#[derive(Debug, Clone, Copy)]
-pub struct RestartPoint {
-    /// Read-ahead window in chunks (0 disables the read subsystem).
-    pub window: usize,
-    /// Wall-clock seconds for the whole restart.
-    pub secs: f64,
-    /// Aggregate restart read throughput, MiB/s.
-    pub mibs: f64,
-    /// Chunk-granular segments served from the prefetch cache.
-    pub read_hits: u64,
-    /// Segments read from the backend directly.
-    pub read_misses: u64,
-    /// Prefetch chunks issued to the IO engine.
-    pub prefetch_issued: u64,
-    /// Prefetched chunks that never served a hit.
-    pub prefetch_wasted: u64,
-    /// `read_hits / (read_hits + read_misses)`.
-    pub hit_rate: f64,
-}
-
-/// Chunk size the restart sweep mounts with (also reported in
-/// `BENCH_restart.json`'s workload metadata).
-pub const RESTART_SWEEP_CHUNK: usize = 256 << 10;
-
-/// The `exp restart` sweep: checkpoint `images` files of `image_bytes`
-/// each through CRFS onto a latency-bound RPC store (per-read round
-/// trip, concurrent service — `storage_model::RpcStore`), then restart
-/// cold across read-ahead windows, one full sequential replay per
-/// window. The window-0 cell is the paper's pass-through read path; the
-/// others show how far the prefetching read engine hides the store's
-/// latency.
-pub fn restart_prefetch_sweep(
-    windows: &[usize],
-    images: usize,
-    image_bytes: u64,
-) -> Vec<RestartPoint> {
-    let chunk = RESTART_SWEEP_CHUNK;
-    let backend: Arc<dyn Backend> = Arc::new(RpcStore::new(
-        MemBackend::new(),
-        RpcStoreParams::restart_store(),
-    ));
-
-    // Checkpoint phase (once): the files every window restarts from.
-    let originals: Vec<ProcessImage> = (0..images)
-        .map(|pid| ProcessImage::synthetic(pid as u32 + 1, image_bytes, 0xBEEF + pid as u64))
-        .collect();
-    let fs = Crfs::mount(
-        Arc::clone(&backend),
-        CrfsConfig::default()
-            .with_chunk_size(chunk)
-            .with_pool_size(16 * chunk),
-    )
-    .unwrap();
-    fs.mkdir_all("/ckpt").unwrap();
-    std::thread::scope(|s| {
-        for (pid, img) in originals.iter().enumerate() {
-            let fs = &fs;
-            s.spawn(move || {
-                let mut f = fs.create(&format!("/ckpt/rank{pid}.img")).unwrap();
-                CheckpointWriter::new().write_image(&mut f, img).unwrap();
-                f.close().unwrap();
-            });
-        }
-    });
-    fs.unmount().unwrap();
-
-    // Restart phase: one cold sequential replay per window.
-    let mut out = Vec::new();
-    for &window in windows {
-        let fs = Crfs::mount(
-            Arc::clone(&backend),
-            CrfsConfig::default()
-                .with_chunk_size(chunk)
-                .with_pool_size(16 * chunk)
-                .with_read_ahead(window),
-        )
-        .unwrap();
-        let t0 = Instant::now();
-        let mut bytes = 0u64;
-        for (pid, orig) in originals.iter().enumerate() {
-            let mut f = fs.open(&format!("/ckpt/rank{pid}.img")).unwrap();
-            let img = RestartReader::new().read_image(&mut f).unwrap();
-            assert_eq!(
-                img.total_bytes(),
-                orig.total_bytes(),
-                "rank{pid} restored size"
-            );
-            bytes += img.total_bytes();
-            f.close().unwrap();
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        let snap = fs.stats();
-        fs.unmount().unwrap();
-        out.push(RestartPoint {
-            window,
-            secs,
-            mibs: bytes as f64 / secs.max(1e-9) / (1 << 20) as f64,
-            read_hits: snap.read_hits,
-            read_misses: snap.read_misses,
-            prefetch_issued: snap.prefetch_issued,
-            prefetch_wasted: snap.prefetch_wasted,
-            hit_rate: snap.read_hit_rate(),
-        });
-    }
-    out
-}
-
-/// One cell of the chunk-size ablation.
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkSweepPoint {
-    /// CRFS chunk size in bytes.
-    pub chunk: usize,
-    /// Wall-clock seconds for the whole workload.
-    pub secs: f64,
-    /// Backend chunk writes issued.
-    pub backend_writes: u64,
-}
-
-/// Chunk-size ablation on the real library over a seek-penalized device:
-/// `writers` concurrent BLCR-ish streams of `bytes_per_writer`, swept
-/// across chunk sizes. Bigger chunks mean fewer, larger, more sequential
-/// device writes — the paper fixes 4 MiB after the same reasoning
-/// (§V-B: "larger chunk size is generally more favorable").
-pub fn chunk_sweep(
-    chunks: &[usize],
-    writers: usize,
-    bytes_per_writer: usize,
-) -> Vec<ChunkSweepPoint> {
-    let mut out = Vec::new();
-    for &chunk in chunks {
-        let backend: Arc<dyn Backend> = Arc::new(ThrottledBackend::new(
-            MemBackend::new(),
-            ThrottleParams::sata_disk(),
-        ));
-        let fs = Crfs::mount(
-            Arc::clone(&backend),
-            CrfsConfig::default()
-                .with_chunk_size(chunk)
-                .with_pool_size(4 * chunk),
-        )
-        .expect("mount");
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for w in 0..writers {
-                let fs = &fs;
-                s.spawn(move || {
-                    let f = fs.create(&format!("/sweep{w}")).expect("create");
-                    // 8 KiB medium writes — the paper's dominant band.
-                    let buf = vec![0xA5u8; 8 << 10];
-                    let mut remaining = bytes_per_writer;
-                    while remaining > 0 {
-                        let n = remaining.min(buf.len());
-                        f.write(&buf[..n]).expect("write");
-                        remaining -= n;
-                    }
-                    f.close().expect("close");
-                });
-            }
-        });
-        let secs = t0.elapsed().as_secs_f64();
-        let snap = fs.stats();
-        fs.unmount().expect("unmount");
-        out.push(ChunkSweepPoint {
-            chunk,
-            secs,
-            backend_writes: snap.chunks_sealed,
-        });
     }
     out
 }
@@ -795,23 +537,6 @@ pub struct FsckSweepPoint {
     pub torn_found: u64,
 }
 
-/// One restart of the crash-point sweep: the volume was cut at `cut`
-/// stored bytes, repaired, and remounted.
-#[derive(Debug, Clone, Copy)]
-pub struct CrashPoint {
-    /// Stored-byte offset the crash truncated the log to.
-    pub cut: u64,
-    /// Whole frames surviving the cut (the acked prefix).
-    pub surviving_chunks: u64,
-    /// Whether the cut tore a frame (vs landing on a frame boundary).
-    pub torn: bool,
-    /// Whether `crfs-fsck --repair` left the volume scanning clean.
-    pub repaired: bool,
-    /// Whether the restart served any byte differing from the
-    /// original data, or a length not matching the surviving prefix.
-    pub wrong_bytes: bool,
-}
-
 /// The fsck store profile: a remote checkpoint volume where each read
 /// RPC costs a round trip — recovery scans are dominated by per-frame
 /// metadata reads, which is exactly the regime pFSCK parallelizes.
@@ -822,14 +547,6 @@ fn fsck_store_params() -> RpcStoreParams {
         write_rtt: std::time::Duration::ZERO,
         bandwidth: 4 << 30,
     }
-}
-
-fn fsck_config(chunk: usize, io_threads: usize) -> CrfsConfig {
-    CrfsConfig::default()
-        .with_chunk_size(chunk)
-        .with_pool_size(32 * chunk)
-        .with_io_threads(io_threads)
-        .with_codec(CodecKind::Lz)
 }
 
 /// Builds a checkpoint volume of `files` frame logs on the latency
@@ -843,7 +560,12 @@ pub fn fsck_volume(
     tear_every: usize,
 ) -> (Arc<dyn Backend>, u64) {
     let backend: Arc<dyn Backend> = Arc::new(RpcStore::new(MemBackend::new(), fsck_store_params()));
-    let fs = Crfs::mount(Arc::clone(&backend), fsck_config(chunk, 2)).expect("mount");
+    let config = CrfsConfig::default()
+        .with_chunk_size(chunk)
+        .with_pool_size(32 * chunk)
+        .with_io_threads(2)
+        .with_codec(CodecKind::Lz);
+    let fs = Crfs::mount(Arc::clone(&backend), config).expect("mount");
     fs.mkdir_all("/ckpt").expect("mkdir");
     for file in 0..files {
         let f = fs.create(&format!("/ckpt/rank{file}.img")).expect("create");
@@ -920,301 +642,6 @@ pub fn fsck_thread_sweep(quick: bool) -> Vec<FsckSweepPoint> {
         }
     }
     out
-}
-
-/// Stored end offset of every frame in a clean log, in chain order.
-fn frame_ends(backend: &Arc<dyn Backend>, path: &str) -> Vec<u64> {
-    use crfs_core::transform::frame::FRAME_HEADER_LEN;
-    use crfs_core::transform::{walk_frames, FileHead};
-    let file = backend.open(path, OpenOptions::read_only()).expect("open");
-    let head = FileHead::read(&*file).expect("head");
-    let mut ends = Vec::new();
-    let outcome = walk_frames(&*file, &head, |off, h| {
-        ends.push(off + FRAME_HEADER_LEN + u64::from(h.stored_len));
-        Ok(())
-    })
-    .expect("walk")
-    .expect("framed");
-    assert!(outcome.damage.is_none(), "clean chain covers the file");
-    ends
-}
-
-/// The crash-point sweep: write one checkpoint file, kill the volume at
-/// `cuts` evenly spaced stored-byte offsets, run the fsck repair, and
-/// restart. Every restart must serve exactly the surviving acked
-/// prefix, byte for byte — `wrong_bytes` must be false at every point.
-pub fn fsck_crash_sweep(quick: bool) -> Vec<CrashPoint> {
-    const CHUNK: usize = 4 << 10;
-    const CHUNKS: u64 = 8;
-    let cuts = if quick { 6 } else { 24 };
-
-    let mut out = Vec::new();
-    for k in 0..cuts {
-        // Fresh volume per crash point; io_threads = 1 keeps frame-log
-        // order equal to logical order, so the surviving prefix is a
-        // data prefix and the expected bytes are deterministic.
-        let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        let fs = Crfs::mount(Arc::clone(&backend), fsck_config(CHUNK, 1)).expect("mount");
-        let f = fs.create("/rank.img").expect("create");
-        for idx in 0..CHUNKS {
-            f.write(&epoch_chunk_payload(CHUNK, 0, idx, 0, 0.0))
-                .expect("write");
-        }
-        f.close().expect("close");
-        fs.unmount().expect("unmount");
-
-        let ends = frame_ends(&backend, "/rank.img");
-        let len = *ends.last().expect("frames written");
-        let cut = len * (k + 1) / (cuts + 1);
-        let f = backend
-            .open("/rank.img", OpenOptions::read_write())
-            .expect("reopen");
-        f.set_len(cut).expect("crash cut");
-        drop(f);
-
-        let torn = !ends.contains(&cut) && cut != 0;
-        let sum = crfs_core::fsck::run(
-            &backend,
-            &["/rank.img".to_string()],
-            &crfs_core::fsck::FsckOptions {
-                repair: true,
-                threads: 2,
-                verify_payloads: true,
-            },
-        );
-        // Repaired = the volume scans clean afterwards (trivially true
-        // when the cut landed exactly on a frame boundary).
-        let rescan = crfs_core::fsck::run(
-            &backend,
-            &["/rank.img".to_string()],
-            &crfs_core::fsck::FsckOptions {
-                repair: false,
-                threads: 1,
-                verify_payloads: true,
-            },
-        );
-        let repaired = sum.is_clean() && rescan.damage.is_clean();
-
-        let surviving = ends.iter().filter(|&&e| e <= cut).count() as u64;
-        let fs = Crfs::mount(Arc::clone(&backend), fsck_config(CHUNK, 1)).expect("remount");
-        let f = fs.open("/rank.img").expect("open");
-        let logical = f.len().expect("logical len");
-        let mut wrong = logical != surviving * CHUNK as u64;
-        let mut got = vec![0u8; CHUNK];
-        for idx in 0..surviving {
-            let n = f.read_at(idx * CHUNK as u64, &mut got).unwrap_or(0);
-            wrong |= n != CHUNK || got != epoch_chunk_payload(CHUNK, 0, idx, 0, 0.0);
-        }
-        f.close().expect("close");
-        fs.unmount().expect("unmount");
-        out.push(CrashPoint {
-            cut,
-            surviving_chunks: surviving,
-            torn,
-            repaired,
-            wrong_bytes: wrong,
-        });
-    }
-    out
-}
-
-/// One cell of the incremental-snapshot sweep: a dirty fraction run
-/// through several checkpoint epochs, GC'd, remounted, and restarted
-/// from every retained epoch.
-pub struct SnapshotPoint {
-    /// Fraction of each image's chunks whose content changes per epoch.
-    pub dirty: f64,
-    /// Checkpoint epochs written (full rewrites of every image).
-    pub epochs: usize,
-    /// Snapshot retention window (`keep_epochs`).
-    pub keep: usize,
-    /// Checkpoint files written per epoch.
-    pub images: usize,
-    /// Logical bytes per image.
-    pub image_bytes: u64,
-    /// Chunk size in bytes.
-    pub chunk: usize,
-    /// New content-store bytes each epoch added (index = epoch).
-    pub epoch_bytes: Vec<u64>,
-    /// `mean(epoch_bytes[1..]) / epoch_bytes[0]` — the incremental
-    /// cost of a dirty epoch relative to the first full image.
-    pub delta_ratio: f64,
-    /// CAS chunk files the GC pass examined.
-    pub gc_scanned: usize,
-    /// Unreachable chunk files the GC pass unlinked.
-    pub gc_reclaimed_chunks: usize,
-    /// Stored bytes those files held.
-    pub gc_reclaimed_bytes: u64,
-    /// Milliseconds the sweep held the store lock (writer-visible pause).
-    pub gc_pause_ms: f64,
-    /// Epochs still restartable after retention + GC, oldest first.
-    pub retained: Vec<u64>,
-    /// Logical bytes read back through `open_restart` views.
-    pub restart_bytes: u64,
-    /// Every restart byte matched the epoch's expected content.
-    pub restart_ok: bool,
-    /// Restart chunks lost or corrupted after GC (must be 0).
-    pub gc_lost_chunks: u64,
-    /// A second GC pass after remount reclaimed nothing — the first
-    /// pass freed 100% of the unreferenced chunks.
-    pub reclaim_complete: bool,
-    /// Wall-clock seconds for the checkpoint (write) phase.
-    pub secs: f64,
-    /// Logical checkpoint throughput, MiB/s.
-    pub mibs: f64,
-}
-
-fn snapshot_config(chunk: usize, keep: usize) -> CrfsConfig {
-    CrfsConfig::default()
-        .with_chunk_size(chunk)
-        .with_pool_size(8 * chunk)
-        .with_codec(CodecKind::Lz)
-        .with_dedup(true)
-        .with_snapshots(true)
-        .with_snapshot_keep_epochs(keep)
-}
-
-/// Measures one snapshot cell: `epochs` full rewrites of `images`
-/// checkpoint files in which a `dirty` fraction of chunks changes each
-/// epoch, sealing a manifest per epoch, then one GC pass, a remount,
-/// and a byte-exact [`Crfs::open_restart`] of every retained epoch.
-pub fn snapshot_cell(
-    dirty: f64,
-    epochs: usize,
-    keep: usize,
-    images: usize,
-    image_bytes: u64,
-    chunk: usize,
-) -> SnapshotPoint {
-    // The content store must be readable for restart — Mem, not Discard.
-    let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
-    let config = snapshot_config(chunk, keep);
-    let chunks_per_file = image_bytes / chunk as u64;
-    // Chunks outside the dirty fraction are epoch-independent, so the
-    // rewrite dedups them into references and only dirty chunks reach
-    // the content store.
-    let dup_fraction = 1.0 - dirty;
-
-    let fs = Crfs::mount(Arc::clone(&backend), config.clone()).expect("mount");
-    fs.mkdir_all("/ckpt").expect("mkdir");
-    let mut epoch_bytes = Vec::with_capacity(epochs);
-    let mut stored_before = 0u64;
-    let t0 = Instant::now();
-    for epoch in 0..epochs {
-        std::thread::scope(|s| {
-            for file in 0..images {
-                let fs = &fs;
-                s.spawn(move || {
-                    let f = fs.create(&format!("/ckpt/rank{file}.img")).expect("create");
-                    for idx in 0..chunks_per_file {
-                        let payload = epoch_chunk_payload(chunk, file, idx, epoch, dup_fraction);
-                        f.write(&payload).expect("write");
-                    }
-                    f.close().expect("close");
-                });
-            }
-        });
-        fs.advance_epoch().expect("advance_epoch");
-        let stored = fs.stats().snapshot_bytes;
-        epoch_bytes.push(stored - stored_before);
-        stored_before = stored;
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    let logical = epochs as u64 * images as u64 * image_bytes;
-    let mibs = logical as f64 / (1 << 20) as f64 / secs.max(1e-9);
-
-    // One mark-and-sweep pass: epochs past the retention window were
-    // retired at seal time, so their exclusively-owned chunks are
-    // unreferenced now and must all go.
-    let gc = fs.snapshot_gc().expect("gc");
-    let retained = fs.snapshot_epochs();
-    fs.unmount().expect("unmount");
-
-    // Restart verification on a fresh mount: every retained epoch must
-    // reproduce that epoch's exact content through an open_restart
-    // view — anything GC wrongly freed shows up here as a lost chunk.
-    let fs = Crfs::mount(Arc::clone(&backend), config).expect("remount");
-    let mut restart_bytes = 0u64;
-    let mut restart_ok = true;
-    let mut gc_lost_chunks = 0u64;
-    for &epoch in &fs.snapshot_epochs() {
-        for file in 0..images {
-            let view = match fs.open_restart(&format!("/ckpt/rank{file}.img"), epoch) {
-                Ok(v) => v,
-                Err(_) => {
-                    restart_ok = false;
-                    gc_lost_chunks += chunks_per_file;
-                    continue;
-                }
-            };
-            let mut got = vec![0u8; chunk];
-            for idx in 0..chunks_per_file {
-                let want = epoch_chunk_payload(chunk, file, idx, epoch as usize, dup_fraction);
-                let n = view.read_at(idx * chunk as u64, &mut got).unwrap_or(0);
-                if n != chunk || got != want {
-                    restart_ok = false;
-                    gc_lost_chunks += 1;
-                } else {
-                    restart_bytes += chunk as u64;
-                }
-            }
-            view.close().expect("close view");
-        }
-    }
-    // The first pass must have freed everything unreferenced: a second
-    // sweep over the remounted store finds nothing to reclaim.
-    let gc2 = fs.snapshot_gc().expect("second gc");
-    let reclaim_complete = gc2.reclaimed_chunks == 0;
-    fs.unmount().expect("unmount");
-
-    let delta_ratio = if epoch_bytes.len() > 1 && epoch_bytes[0] > 0 {
-        let incr: u64 = epoch_bytes[1..].iter().sum();
-        incr as f64 / (epoch_bytes.len() - 1) as f64 / epoch_bytes[0] as f64
-    } else {
-        1.0
-    };
-    SnapshotPoint {
-        dirty,
-        epochs,
-        keep,
-        images,
-        image_bytes,
-        chunk,
-        epoch_bytes,
-        delta_ratio,
-        gc_scanned: gc.scanned_chunks,
-        gc_reclaimed_chunks: gc.reclaimed_chunks,
-        gc_reclaimed_bytes: gc.reclaimed_bytes,
-        gc_pause_ms: gc.pause.as_secs_f64() * 1e3,
-        retained,
-        restart_bytes,
-        restart_ok,
-        gc_lost_chunks,
-        reclaim_complete,
-        secs,
-        mibs,
-    }
-}
-
-/// The dirty-fraction sweep behind `exp snapshot`: one cell per
-/// fraction, from full-image epochs (dirty = 1.0) down to the 10%-dirty
-/// regime the incremental-checkpoint claim is gated on.
-pub fn snapshot_sweep(quick: bool) -> Vec<SnapshotPoint> {
-    const CHUNK: usize = 64 << 10;
-    let dirties: &[f64] = if quick {
-        &[1.0, 0.1]
-    } else {
-        &[1.0, 0.5, 0.25, 0.1]
-    };
-    let (epochs, keep, images, image_bytes) = if quick {
-        (4, 2, 1, 2u64 << 20)
-    } else {
-        (6, 3, 2, 8u64 << 20)
-    };
-    dirties
-        .iter()
-        .map(|&d| snapshot_cell(d, epochs, keep, images, image_bytes, CHUNK))
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1409,433 +836,6 @@ pub fn obs_sweep(quick: bool) -> ObsSweep {
     }
 }
 
-// ---------------------------------------------------------------------
-// Tiered checkpointing sweep (extension; emits BENCH_tiered.json)
-// ---------------------------------------------------------------------
-
-/// One throughput cell of the tiered sweep: a dirty volume streamed
-/// through a fast-tier/durable-tier stack at a given drain bandwidth,
-/// then restarted byte-exactly from both tiers.
-#[derive(Debug, Clone)]
-pub struct TieredCell {
-    /// Dirty checkpoint volume in MiB (across all writers).
-    pub dirty_mb: u64,
-    /// Durable-tier device profile (`disk` / `ssd`).
-    pub drain_profile: &'static str,
-    /// Sustained durable-tier bandwidth, MiB/s.
-    pub drain_bw_mibs: u64,
-    /// Wall-clock seconds until every writer's close returned (the
-    /// application-visible checkpoint time — fast-tier acks).
-    pub ack_secs: f64,
-    /// Ack throughput, MiB/s.
-    pub ack_mibs: f64,
-    /// Wall-clock seconds until the epoch barrier returned (every
-    /// byte durable).
-    pub total_secs: f64,
-    /// End-to-end throughput including the drain, MiB/s.
-    pub total_mibs: f64,
-    /// Chunk writes degraded to write-through by the high watermark.
-    pub write_through_ops: u64,
-    /// Background drain copies pumped to the durable tier.
-    pub drain_ops: u64,
-    /// Fast-tier bytes still undrained after the barrier (must be 0).
-    pub resident_after_barrier: u64,
-    /// Byte-exact restart through a fresh tiered stack.
-    pub restart_tiered_ok: bool,
-    /// Byte-exact restart from the durable tier alone.
-    pub restart_durable_ok: bool,
-    /// Bytes read back and compared across both restarts.
-    pub verified_bytes: u64,
-}
-
-/// One crash-during-drain point: the durable tier dies `cut` bytes
-/// into the drain, the node "reboots", `fsck --fast` re-drains, and
-/// the restart must serve every acked byte from the durable tier.
-#[derive(Debug, Clone, Copy)]
-pub struct TieredCrashPoint {
-    /// Durable-tier byte budget the power cut allowed.
-    pub cut: u64,
-    /// Files the tier pass found stranded (fast-only).
-    pub stranded: u64,
-    /// Files whose durable copy diverged from the fast tier.
-    pub diverged: u64,
-    /// Whether the epoch barrier correctly refused to report the
-    /// epoch durable (it must fail — copies were lost).
-    pub barrier_failed: bool,
-    /// Whether `fsck --fast --repair` left the stack scanning clean.
-    pub repaired: bool,
-    /// Whether the post-repair durable-only restart served any wrong
-    /// byte (must be false at every point).
-    pub wrong_bytes: bool,
-}
-
-/// The whole `exp tiered` measurement.
-pub struct TieredSweep {
-    /// Backend-level write_at p50 straight at the 2 ms-RTT RPC store,
-    /// microseconds.
-    pub ack_p50_direct_us: f64,
-    /// The same writes acked by the fast tier of a tiered stack over
-    /// that store, microseconds.
-    pub ack_p50_tiered_us: f64,
-    /// `direct / tiered` — the headline ack win.
-    pub ack_speedup: f64,
-    /// Writes per ack-latency arm.
-    pub ack_writes: usize,
-    /// Dirty-volume × drain-bandwidth throughput grid.
-    pub cells: Vec<TieredCell>,
-    /// Crash-during-drain sweep.
-    pub crash: Vec<TieredCrashPoint>,
-    /// Stats snapshot of the headline throughput cell's mount — the
-    /// `drain_copy`/`drain_wait` stage histograms live here.
-    pub stats: crfs_core::stats::StatsSnapshot,
-    /// Tier counters of the headline cell's stack.
-    pub counters: crfs_core::backend::TierCounters,
-}
-
-/// Measures per-write ack latency at the backend level: `writes`
-/// chunk-sized `write_at`s against the 2 ms-RTT RPC store directly,
-/// then through a tiered stack whose fast tier is memory. Returns
-/// `(direct_p50_us, tiered_p50_us)`.
-pub fn tiered_ack_latency(writes: usize, chunk: usize) -> (f64, f64) {
-    use crfs_core::backend::{TieredBackend, TieredParams};
-
-    let p50 = |lat: &mut Vec<std::time::Duration>| {
-        lat.sort_unstable();
-        lat[lat.len() / 2].as_secs_f64() * 1e6
-    };
-    let run = |backend: Arc<dyn Backend>| {
-        let f = backend
-            .open("/ack.img", OpenOptions::create_truncate())
-            .expect("create");
-        let buf = vec![0xA5u8; chunk];
-        let mut lat = Vec::with_capacity(writes);
-        for i in 0..writes {
-            let t0 = Instant::now();
-            f.write_at(i as u64 * chunk as u64, &buf).expect("write");
-            lat.push(t0.elapsed());
-        }
-        lat
-    };
-
-    let direct: Arc<dyn Backend> =
-        Arc::new(RpcStore::new(MemBackend::new(), engine_store_params()));
-    let mut direct_lat = run(Arc::clone(&direct));
-
-    let fast: Arc<dyn Backend> = Arc::new(MemBackend::new());
-    let durable: Arc<dyn Backend> =
-        Arc::new(RpcStore::new(MemBackend::new(), engine_store_params()));
-    let tiered = Arc::new(TieredBackend::new(
-        Arc::clone(&fast),
-        Arc::clone(&durable),
-        // Watermarks far above the working set: pure fast-ack mode.
-        TieredParams {
-            watermark_hi: u64::MAX / 2,
-            watermark_lo: u64::MAX / 4,
-            ..TieredParams::default()
-        },
-    ));
-    let mut tiered_lat = run(Arc::clone(&tiered) as Arc<dyn Backend>);
-    tiered
-        .drain_barrier()
-        .expect("clean drain after ack measurement");
-
-    (p50(&mut direct_lat), p50(&mut tiered_lat))
-}
-
-fn tiered_cell_config(chunk: usize) -> CrfsConfig {
-    CrfsConfig::default()
-        .with_chunk_size(chunk)
-        .with_pool_size(16 * chunk)
-        // Tight watermarks so the slow-drain cells visibly degrade to
-        // write-through instead of buffering without bound.
-        .with_tier_watermarks(2 << 20, 8 << 20)
-}
-
-/// Reads every checkpoint file back through a fresh mount over
-/// `backend` and compares byte-for-byte. Returns (bytes, ok).
-fn tiered_verify(
-    backend: Arc<dyn Backend>,
-    config: &CrfsConfig,
-    files: usize,
-    chunks_per_file: u64,
-    chunk: usize,
-) -> (u64, bool) {
-    let fs = Crfs::mount(backend, config.clone()).expect("verify mount");
-    let mut bytes = 0u64;
-    let mut ok = true;
-    let mut got = vec![0u8; chunk];
-    for file in 0..files {
-        let f = fs.open(&format!("/ckpt/rank{file}.img")).expect("open");
-        for idx in 0..chunks_per_file {
-            let n = f.read_at(idx * chunk as u64, &mut got).unwrap_or(0);
-            let want = epoch_chunk_payload(chunk, file, idx, 0, 0.0);
-            ok &= n == chunk && got == want;
-            bytes += n as u64;
-        }
-        f.close().expect("close");
-    }
-    fs.unmount().expect("unmount");
-    (bytes, ok)
-}
-
-/// Measures one throughput cell: `writers` streams of checkpoint
-/// chunks into a Crfs mount over a tiered stack whose durable tier is
-/// a throttled device, timing the close barrier (acks) and the epoch
-/// barrier (durability) separately, then restarting byte-exactly
-/// through a fresh tiered stack AND from the durable tier alone.
-#[allow(clippy::too_many_arguments)]
-pub fn tiered_cell(
-    profile: &'static str,
-    throttle: ThrottleParams,
-    writers: usize,
-    chunks_per_writer: u64,
-    chunk: usize,
-) -> (
-    TieredCell,
-    crfs_core::stats::StatsSnapshot,
-    crfs_core::backend::TierCounters,
-) {
-    use crfs_core::backend::TieredBackend;
-
-    let fast: Arc<dyn Backend> = Arc::new(MemBackend::new());
-    let durable: Arc<dyn Backend> = Arc::new(ThrottledBackend::new(MemBackend::new(), throttle));
-    let config = tiered_cell_config(chunk);
-    let tiered = Arc::new(TieredBackend::from_config(
-        Arc::clone(&fast),
-        Arc::clone(&durable),
-        &config,
-    ));
-
-    let fs = Crfs::mount(Arc::clone(&tiered) as Arc<dyn Backend>, config.clone()).expect("mount");
-    fs.mkdir_all("/ckpt").expect("mkdir");
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for file in 0..writers {
-            let fs = &fs;
-            s.spawn(move || {
-                let f = fs.create(&format!("/ckpt/rank{file}.img")).expect("create");
-                for idx in 0..chunks_per_writer {
-                    f.write(&epoch_chunk_payload(chunk, file, idx, 0, 0.0))
-                        .expect("write");
-                }
-                f.close().expect("close");
-            });
-        }
-    });
-    let ack_secs = t0.elapsed().as_secs_f64();
-    // The epoch barrier: every acked byte must reach the durable tier
-    // before the epoch may be called durable (DESIGN.md §9).
-    fs.advance_epoch().expect("drain barrier");
-    let total_secs = t0.elapsed().as_secs_f64();
-    let snap = fs.stats();
-    let counters = tiered.tier_counters();
-    fs.unmount().expect("unmount");
-
-    let logical = writers as u64 * chunks_per_writer * chunk as u64;
-    // Restart (a): a fresh tiered stack over the same tiers.
-    let restack = Arc::new(TieredBackend::from_config(
-        Arc::clone(&fast),
-        Arc::clone(&durable),
-        &config,
-    ));
-    let (tiered_bytes, restart_tiered_ok) = tiered_verify(
-        restack as Arc<dyn Backend>,
-        &config,
-        writers,
-        chunks_per_writer,
-        chunk,
-    );
-    // Restart (b): the durable tier alone — the fast tier is gone
-    // (node loss), the barrier guaranteed everything already drained.
-    let (durable_bytes, restart_durable_ok) = tiered_verify(
-        Arc::clone(&durable),
-        &config,
-        writers,
-        chunks_per_writer,
-        chunk,
-    );
-
-    let cell = TieredCell {
-        dirty_mb: logical >> 20,
-        drain_profile: profile,
-        drain_bw_mibs: throttle.bandwidth >> 20,
-        ack_secs,
-        ack_mibs: logical as f64 / ack_secs.max(1e-9) / (1 << 20) as f64,
-        total_secs,
-        total_mibs: logical as f64 / total_secs.max(1e-9) / (1 << 20) as f64,
-        write_through_ops: counters.write_through_ops,
-        drain_ops: counters.drain_ops,
-        resident_after_barrier: counters.resident_bytes,
-        restart_tiered_ok,
-        restart_durable_ok,
-        verified_bytes: tiered_bytes + durable_bytes,
-    };
-    (cell, snap, counters)
-}
-
-/// One crash-during-drain point: the durable tier is a power-cut
-/// injected backend allowed `cut` bytes; after the (failing) barrier
-/// and a "reboot", `fsck::run_tiered --repair` re-drains stranded and
-/// diverged files from the authoritative fast copy, and the restart
-/// from the durable tier alone must be byte-exact.
-pub fn tiered_crash_point(
-    cut: u64,
-    files: usize,
-    chunks_per_file: u64,
-    chunk: usize,
-) -> TieredCrashPoint {
-    use crfs_core::backend::{FailureMode, FaultyBackend, TieredBackend};
-
-    let fast: Arc<dyn Backend> = Arc::new(MemBackend::new());
-    let faulty = Arc::new(FaultyBackend::new(
-        MemBackend::new(),
-        FailureMode::PowerCutAfterBytes(cut),
-    ));
-    let durable: Arc<dyn Backend> = faulty.clone();
-    let config = fsck_config(chunk, 2);
-    let tiered = Arc::new(TieredBackend::from_config(
-        Arc::clone(&fast),
-        Arc::clone(&durable),
-        &config,
-    ));
-
-    let fs = Crfs::mount(Arc::clone(&tiered) as Arc<dyn Backend>, config.clone()).expect("mount");
-    fs.mkdir_all("/ckpt").expect("mkdir");
-    for file in 0..files {
-        let f = fs.create(&format!("/ckpt/rank{file}.img")).expect("create");
-        for idx in 0..chunks_per_file {
-            f.write(&epoch_chunk_payload(chunk, file, idx, 0, 0.0))
-                .expect("write");
-        }
-        f.close().expect("close");
-    }
-    // The barrier must refuse: drain copies were lost mid-flight.
-    let barrier_failed = fs.advance_epoch().is_err();
-    // Unmount may also fail against the dead durable tier — the crash
-    // is the point; the fast tier holds the authoritative bytes.
-    let _ = fs.unmount();
-
-    // "Reboot": the durable device comes back with whatever prefix
-    // the cut allowed.
-    faulty.revive();
-
-    let roots = ["/ckpt".to_string()];
-    let repair = crfs_core::fsck::run_tiered(
-        &fast,
-        &durable,
-        &roots,
-        &crfs_core::fsck::FsckOptions {
-            repair: true,
-            threads: 2,
-            verify_payloads: true,
-        },
-    );
-    let rescan = crfs_core::fsck::run_tiered(
-        &fast,
-        &durable,
-        &roots,
-        &crfs_core::fsck::FsckOptions {
-            repair: false,
-            threads: 2,
-            verify_payloads: true,
-        },
-    );
-    let repaired = repair.is_clean() && rescan.damage.is_clean();
-
-    let (_, durable_ok) =
-        tiered_verify(Arc::clone(&durable), &config, files, chunks_per_file, chunk);
-
-    TieredCrashPoint {
-        cut,
-        stranded: repair.damage.tier_stranded,
-        diverged: repair.damage.tier_diverged,
-        barrier_failed,
-        repaired,
-        wrong_bytes: !durable_ok,
-    }
-}
-
-/// The `exp tiered` sweep: ack-latency microbench on the 2 ms-RTT RPC
-/// store, the dirty-volume × drain-bandwidth throughput grid, and the
-/// crash-during-drain recovery sweep.
-pub fn tiered_sweep(quick: bool) -> TieredSweep {
-    const CHUNK: usize = 256 << 10;
-    const WRITERS: usize = 4;
-
-    let ack_writes = 192;
-    let (ack_p50_direct_us, ack_p50_tiered_us) = tiered_ack_latency(ack_writes, 64 << 10);
-
-    let dirty_chunks: &[u64] = if quick { &[32] } else { &[32, 128] };
-    let profiles: &[(&'static str, ThrottleParams)] = &[
-        ("disk", ThrottleParams::sata_disk()),
-        ("ssd", ThrottleParams::ssd()),
-    ];
-    let mut cells = Vec::new();
-    let mut headline = None;
-    for &chunks_per_writer in dirty_chunks {
-        for &(profile, throttle) in profiles {
-            let (cell, snap, counters) =
-                tiered_cell(profile, throttle, WRITERS, chunks_per_writer, CHUNK);
-            // Headline = the biggest volume on the slowest drain — the
-            // regime where tiering matters most.
-            if profile == "disk" {
-                headline = Some((snap, counters));
-            }
-            cells.push(cell);
-        }
-    }
-    let (stats, counters) = headline.expect("disk cell ran");
-
-    // Crash sweep: cuts spread across the stored volume, from "almost
-    // nothing drained" to "almost everything drained". The clean run
-    // sizes the stored volume (payloads are deterministic).
-    const CRASH_CHUNK: usize = 16 << 10;
-    const CRASH_FILES: usize = 3;
-    const CRASH_CHUNKS: u64 = 6;
-    let clean = tiered_crash_point(u64::MAX, CRASH_FILES, CRASH_CHUNKS, CRASH_CHUNK);
-    assert!(!clean.wrong_bytes, "clean point must restart exactly");
-    let stored: u64 = {
-        // Measure the real durable footprint from a clean stack.
-        let probe: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        let fs = Crfs::mount(Arc::clone(&probe), fsck_config(CRASH_CHUNK, 2)).expect("mount");
-        fs.mkdir_all("/ckpt").expect("mkdir");
-        for file in 0..CRASH_FILES {
-            let f = fs.create(&format!("/ckpt/rank{file}.img")).expect("create");
-            for idx in 0..CRASH_CHUNKS {
-                f.write(&epoch_chunk_payload(CRASH_CHUNK, file, idx, 0, 0.0))
-                    .expect("write");
-            }
-            f.close().expect("close");
-        }
-        fs.unmount().expect("unmount");
-        (0..CRASH_FILES)
-            .map(|f| probe.file_len(&format!("/ckpt/rank{f}.img")).unwrap())
-            .sum()
-    };
-    let cuts = if quick { 4 } else { 12 };
-    let mut crash = vec![clean];
-    for k in 0..cuts {
-        let cut = stored * (k + 1) / (cuts + 1);
-        crash.push(tiered_crash_point(
-            cut,
-            CRASH_FILES,
-            CRASH_CHUNKS,
-            CRASH_CHUNK,
-        ));
-    }
-
-    TieredSweep {
-        ack_p50_direct_us,
-        ack_p50_tiered_us,
-        ack_speedup: ack_p50_direct_us / ack_p50_tiered_us.max(1e-9),
-        ack_writes,
-        cells,
-        crash,
-        stats,
-        counters,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1893,43 +893,6 @@ mod tests {
             "dedup+lz {} vs identity {} stored bytes",
             lz.bytes_stored,
             base.bytes_stored
-        );
-    }
-
-    #[test]
-    fn restart_prefetch_beats_passthrough_on_latency_bound_store() {
-        let points = restart_prefetch_sweep(&[0, 4], 2, 2 << 20);
-        assert_eq!(points.len(), 2);
-        let (base, pf) = (&points[0], &points[1]);
-        assert_eq!(base.read_hits, 0, "pass-through has no cache");
-        assert_eq!(base.prefetch_issued, 0);
-        assert!(pf.hit_rate > 0.0, "prefetch never hit");
-        assert!(pf.prefetch_issued > 0);
-        assert!(pf.prefetch_wasted <= pf.prefetch_issued);
-        // The acceptance bar (with slack for CI noise — the full sweep
-        // shows 3-10x): prefetch must clearly beat pass-through cold.
-        assert!(
-            pf.mibs >= base.mibs * 1.5,
-            "prefetch {:.0} MiB/s vs baseline {:.0} MiB/s",
-            pf.mibs,
-            base.mibs
-        );
-    }
-
-    #[test]
-    fn restart_paths_agree_and_neither_dominates() {
-        let r = restart_comparison(4, 2 << 20);
-        assert_eq!(r.images, 4);
-        assert!(r.bytes >= 4 * (2 << 20) / 2);
-        // §V-F: no noticeable difference. Generous 3x guard band — the
-        // point is that CRFS adds no systematic overhead, and wall-clock
-        // noise in CI can be large for sub-second reads.
-        let ratio = r.via_crfs_s / r.direct_s.max(1e-9);
-        assert!(
-            (0.33..3.0).contains(&ratio),
-            "restart via CRFS {:.3}s vs direct {:.3}s",
-            r.via_crfs_s,
-            r.direct_s
         );
     }
 }

@@ -40,15 +40,6 @@ impl ThrottleParams {
             seek_penalty: Duration::from_micros(8500),
         }
     }
-
-    /// A fast, seek-free device (SSD-like), useful to isolate per-op costs.
-    pub fn ssd() -> ThrottleParams {
-        ThrottleParams {
-            bandwidth: 500 * 1024 * 1024,
-            per_op_latency: Duration::from_micros(30),
-            seek_penalty: Duration::ZERO,
-        }
-    }
 }
 
 struct DeviceTimeline {
@@ -228,7 +219,12 @@ mod tests {
 
     #[test]
     fn data_still_lands_in_inner_backend() {
-        let be = ThrottledBackend::new(MemBackend::new(), ThrottleParams::ssd());
+        let params = ThrottleParams {
+            bandwidth: u64::MAX,
+            per_op_latency: Duration::ZERO,
+            seek_penalty: Duration::ZERO,
+        };
+        let be = ThrottledBackend::new(MemBackend::new(), params);
         let f = be.open("/f", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, b"payload").unwrap();
         assert_eq!(be.inner().contents("/f").unwrap(), b"payload");

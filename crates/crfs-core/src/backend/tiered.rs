@@ -145,8 +145,8 @@ impl Default for TieredParams {
     }
 }
 
-/// Point-in-time copy of the tier counters, embedded in `BENCH_tiered`
-/// artifacts and decoded by `crfs-stat`.
+/// Point-in-time copy of the tier counters (the repository benchmark's
+/// `tiered.*` metrics read them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierCounters {
     /// Drain copies that reached the durable tier.
@@ -170,35 +170,6 @@ pub struct TierCounters {
     pub barrier_waits: u64,
     /// Undrained bytes resident in the fast tier right now.
     pub resident_bytes: u64,
-}
-
-impl TierCounters {
-    /// Every counter by its stable snake_case name — the JSON keys under
-    /// the artifact's `"tier"` object and the `crfs-stat` row labels.
-    pub fn named(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("drain_ops", self.drain_ops),
-            ("drain_bytes", self.drain_bytes),
-            ("drain_failed", self.drain_failed),
-            ("drain_dropped", self.drain_dropped),
-            ("write_through_ops", self.write_through_ops),
-            ("tier_promotes", self.tier_promotes),
-            ("evictions", self.evictions),
-            ("barrier_waits", self.barrier_waits),
-            ("resident_bytes", self.resident_bytes),
-        ]
-    }
-
-    /// The counters as a JSON object (the `"tier"` block of bench
-    /// artifacts).
-    pub fn to_value(&self) -> serde_json::Value {
-        let pairs: Vec<(String, serde_json::Value)> = self
-            .named()
-            .into_iter()
-            .map(|(name, v)| (name.to_string(), serde_json::json!(v)))
-            .collect();
-        serde_json::Value::Object(pairs)
-    }
 }
 
 /// One queued fast→durable copy. The payload is *not* captured here:

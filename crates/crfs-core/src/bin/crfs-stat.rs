@@ -7,11 +7,8 @@
 //!   either standalone or embedded under a `"stats"` key inside a
 //!   BENCH artifact. Pretty-prints the counters, derived ratios and the
 //!   per-stage latency percentile table — including the tiered-backend
-//!   drain stages (`drain_copy`/`drain_wait`/`tier_promote`) — and,
-//!   when the artifact carries a `"tier"` object (`BENCH_tiered.json`),
-//!   the tier counters (drain ops/bytes, write-through ops, promotions,
-//!   evictions, barrier waits). `--json` re-emits the normalized
-//!   snapshot object (with the tier counters attached when present).
+//!   drain stages (`drain_copy`/`drain_wait`/`tier_promote`). `--json`
+//!   re-emits the normalized snapshot object.
 //! * **Flight records** — the JSONL dumped by the per-mount flight
 //!   recorder (on `IntegrityError`, unmount with a configured dump
 //!   path, or `Crfs::flight_record_jsonl`). Decodes each event line and
@@ -162,19 +159,6 @@ fn render_snapshot(snap: &Value) -> String {
     out
 }
 
-/// Renders the tiered-backend counter object BENCH_tiered.json embeds
-/// under `"tier"` (the `TierCounters::to_value` shape).
-fn render_tier(tier: &Value) -> String {
-    let Value::Object(pairs) = tier else {
-        return String::new();
-    };
-    let mut out = String::from("tier counters\n");
-    for (k, v) in pairs {
-        out.push_str(&format!("  {k:<28} {}\n", fmt_u64(v)));
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Flight-record rendering
 // ---------------------------------------------------------------------
@@ -280,25 +264,10 @@ fn render_artifact(content: &str, json: bool) -> Option<String> {
     }
     let v: Value = serde_json::from_str(content).ok()?;
     let snap = find_snapshot(&v)?;
-    // Tiered artifacts carry the stack's counters next to the snapshot.
-    let tier = v.get("tier").filter(|t| matches!(t, Value::Object(_)));
     Some(if json {
-        match tier {
-            Some(t) => {
-                let combined = Value::Object(vec![
-                    ("stats".to_string(), snap.clone()),
-                    ("tier".to_string(), t.clone()),
-                ]);
-                serde_json::to_string_pretty(&combined).expect("infallible")
-            }
-            None => serde_json::to_string_pretty(snap).expect("infallible"),
-        }
+        serde_json::to_string_pretty(snap).expect("infallible")
     } else {
-        let mut out = render_snapshot(snap);
-        if let Some(t) = tier {
-            out.push_str(&render_tier(t));
-        }
-        out
+        render_snapshot(snap)
     })
 }
 

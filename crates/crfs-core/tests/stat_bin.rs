@@ -206,46 +206,6 @@ fn bench_embedded_snapshot_is_found() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// BENCH_tiered.json carries the tiered stack's counters under "tier"
-/// next to the snapshot; crfs-stat renders them as their own section
-/// (and attaches them in --json mode).
-#[test]
-fn tiered_artifact_renders_tier_counters() {
-    let snap = demo_json();
-    let path = temp_file("tiered.json");
-    std::fs::write(
-        &path,
-        format!(
-            "{{\"headline\":{{\"ack_speedup\":44.8}},\"stats\":{snap},\
-             \"tier\":{{\"drain_ops\":60,\"drain_bytes\":33554432,\
-             \"write_through_ops\":7,\"tier_promotes\":2}}}}"
-        ),
-    )
-    .unwrap();
-    let out = stat_bin().arg(path.to_str().unwrap()).output().unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        text.contains("tier counters"),
-        "tier section missed:\n{text}"
-    );
-    assert!(text.contains("drain_ops"), "drain_ops missed:\n{text}");
-    assert!(
-        text.contains("33554432"),
-        "drain_bytes value missed:\n{text}"
-    );
-
-    let out = stat_bin()
-        .args(["--json", path.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let v: Value = serde_json::from_str(&String::from_utf8(out.stdout).unwrap()).unwrap();
-    assert_eq!(v["tier"]["drain_ops"].as_u64(), Some(60));
-    assert!(v["stats"]["counters"].as_object().is_some());
-    let _ = std::fs::remove_file(&path);
-}
-
 #[test]
 fn flight_record_decodes_chronologically() {
     let out = stat_bin().args(["--demo", "--flight"]).output().unwrap();

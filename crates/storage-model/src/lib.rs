@@ -30,7 +30,8 @@
 //! One model is the odd one out: **[`rpc::RpcStore`]** charges *wall
 //! clock* instead of virtual time — it implements the real library's
 //! `Backend` trait so `crfs-core`'s restart read-ahead can be measured
-//! live against a latency-bound store (`exp restart`).
+//! live against a latency-bound store (the benchmark's `cold_restart`
+//! workload).
 //!
 //! Every parameter lives in [`params`] with its provenance documented.
 //! Calibration tests in `cluster-sim` assert the *shapes* of the paper's

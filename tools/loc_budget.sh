@@ -23,7 +23,12 @@
 # 44,200 -> 42,400 when CrfsSim was cut to the write path: the
 # restart read window, transform/dedup, snapshot, power-cut and tiered
 # drain mirrors went with their tests, `ReadCostParams`, `exp compress`'s
-# virtual-time table and `simkit::sync::Barrier`.)
+# virtual-time table and `simkit::sync::Barrier`.
+# 42,400 -> 41,000 when `exp restart`, `chunksweep`, `snapshot` and
+# `tiered` went (the benchmark's workloads answer them), with their
+# `real.rs` cells, renderers and bench tests, `crfs-stat`'s tier section,
+# `TierCounters::named/to_value` and `ThrottleParams::ssd`; the two
+# bench crash sweeps became the tier-1 `tests/crash_cuts.rs`.)
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -31,7 +36,7 @@
 # either replaces one of those or argues for a higher number here.
 set -eu
 
-CEILING=42400
+CEILING=41000
 UNSAFE_CEILING=4
 
 cd "$(dirname "$0")/.."
