@@ -60,6 +60,12 @@ pub enum FailureMode {
     /// (inline-completion handshake, error plumbing from sink to
     /// ledger). Synchronous `write_at` is unaffected.
     FailCompletionsAfter(u64),
+    /// Fail every read after the first `n` (counted across `read_at`
+    /// and `begin_read_at`): `read_at` returns the error, and
+    /// `begin_read_at` accepts the read and delivers its result as an
+    /// *inline* completion — a store that acks the submit and reports
+    /// the failure only at completion time.
+    FailReadsAfter(u64),
     /// Tear the `op`-th write (0-based, counted across `write_at` and
     /// `begin_write_at` alike): only the first `byte` bytes of its
     /// payload reach the wrapped backend, the op itself fails (sync
@@ -163,7 +169,8 @@ impl<B: Backend> FaultyBackend<B> {
         self.shared.writes_seen.load(Relaxed)
     }
 
-    /// Total `read_at` calls observed.
+    /// Total reads observed (`read_at` calls and accepted
+    /// `begin_read_at` calls).
     pub fn reads_seen(&self) -> u64 {
         self.shared.reads_seen.load(Relaxed)
     }
@@ -281,6 +288,29 @@ impl FaultyFile {
         }
     }
 
+    /// Counts a read and fails it when `mode` is `FailReadsAfter` and
+    /// its budget is spent; otherwise returns the read's 1-based number.
+    fn count_read(&self, mode: FailureMode) -> io::Result<u64> {
+        let seen = self.shared.reads_seen.fetch_add(1, Relaxed) + 1;
+        match mode {
+            FailureMode::FailReadsAfter(n) if seen > n => {
+                Err(FaultyBackend::<super::MemBackend>::injected())
+            }
+            _ => Ok(seen),
+        }
+    }
+
+    /// `CorruptReads`: flips one bit in the middle of every `rate`-th
+    /// read's bytes. The read still succeeds.
+    fn corrupt(&self, mode: FailureMode, seen: u64, bytes: &mut [u8]) {
+        if let FailureMode::CorruptReads(rate) = mode {
+            if rate > 0 && seen.is_multiple_of(rate) && !bytes.is_empty() {
+                bytes[bytes.len() / 2] ^= 0x01;
+                self.shared.reads_corrupted.fetch_add(1, Relaxed);
+            }
+        }
+    }
+
     /// Executes a write plan against the wrapped backend.
     fn run_plan(&self, plan: WritePlan, offset: u64, data: &[u8]) -> io::Result<()> {
         match plan {
@@ -368,17 +398,41 @@ impl BackendFile for FaultyFile {
         if self.shared.dead.load(Relaxed) {
             return Err(dead_error());
         }
-        let seen = self.shared.reads_seen.fetch_add(1, Relaxed) + 1;
         let mode = *self.shared.mode.lock();
+        let seen = self.count_read(mode)?;
         let n = self.inner.read_at(offset, buf)?;
-        if let FailureMode::CorruptReads(rate) = mode {
-            if rate > 0 && seen.is_multiple_of(rate) && n > 0 {
-                // Deterministic single-bit flip in the payload middle.
-                buf[n / 2] ^= 0x01;
-                self.shared.reads_corrupted.fetch_add(1, Relaxed);
-            }
-        }
+        self.corrupt(mode, seen, &mut buf[..n]);
         Ok(n)
+    }
+
+    fn begin_read_at(
+        &self,
+        token: u64,
+        offset: u64,
+        buf: &mut [u8],
+        sink: &Arc<dyn super::CompletionSink>,
+    ) -> io::Result<bool> {
+        if self.shared.dead.load(Relaxed) {
+            return Err(dead_error());
+        }
+        let mode = *self.shared.mode.lock();
+        if let FailureMode::FailReadsAfter(_) = mode {
+            let res = self
+                .count_read(mode)
+                .and_then(|_| super::read_exact_at(&*self.inner, offset, buf));
+            sink.complete(token, res);
+            return Ok(true);
+        }
+        // Other modes forward the inner backend's asynchronous path. Its
+        // bytes have landed when it returns, and the completion cannot
+        // be acted on before this call returns (the caller still holds
+        // `buf`), so corruption applies here as on the sync path.
+        if !self.inner.begin_read_at(token, offset, buf, sink)? {
+            return Ok(false);
+        }
+        let seen = self.shared.reads_seen.fetch_add(1, Relaxed) + 1;
+        self.corrupt(mode, seen, buf);
+        Ok(true)
     }
 
     fn sync(&self) -> io::Result<()> {
@@ -600,27 +654,8 @@ mod tests {
                     hook: Arc::clone(&self.hook),
                 }))
             }
-            fn mkdir(&self, path: &str) -> io::Result<()> {
-                self.inner.mkdir(path)
-            }
-            fn rmdir(&self, path: &str) -> io::Result<()> {
-                self.inner.rmdir(path)
-            }
-            fn unlink(&self, path: &str) -> io::Result<()> {
-                self.inner.unlink(path)
-            }
-            fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-                self.inner.rename(from, to)
-            }
-            fn exists(&self, path: &str) -> bool {
-                self.inner.exists(path)
-            }
-            fn file_len(&self, path: &str) -> io::Result<u64> {
-                self.inner.file_len(path)
-            }
-            fn list_dir(&self, path: &str) -> io::Result<Vec<String>> {
-                self.inner.list_dir(path)
-            }
+            crate::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists,
+                file_len, list_dir);
         }
         impl BackendFile for HookFile {
             fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
@@ -629,18 +664,7 @@ mod tests {
                 }
                 self.inner.write_at(offset, data)
             }
-            fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-                self.inner.read_at(offset, buf)
-            }
-            fn sync(&self) -> io::Result<()> {
-                self.inner.sync()
-            }
-            fn len(&self) -> io::Result<u64> {
-                self.inner.len()
-            }
-            fn set_len(&self, len: u64) -> io::Result<()> {
-                self.inner.set_len(len)
-            }
+            crate::forward_file_ops!(inner: read_at, sync, len, set_len);
         }
 
         let hook: Hook = Arc::new(StdMutex::new(None));

@@ -143,6 +143,17 @@ macro_rules! forward_file_op {
             self.$inner.begin_write_at(token, offset, data, sink)
         }
     };
+    ($inner:ident, begin_read_at) => {
+        fn begin_read_at(
+            &self,
+            token: u64,
+            offset: u64,
+            buf: &mut [u8],
+            sink: &::std::sync::Arc<dyn $crate::backend::CompletionSink>,
+        ) -> ::std::io::Result<bool> {
+            self.$inner.begin_read_at(token, offset, buf, sink)
+        }
+    };
     ($inner:ident, read_at) => {
         fn read_at(&self, offset: u64, buf: &mut [u8]) -> ::std::io::Result<usize> {
             self.$inner.read_at(offset, buf)

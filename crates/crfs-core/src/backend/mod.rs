@@ -103,14 +103,15 @@ impl OpenOptions {
     }
 }
 
-/// Receives asynchronous write completions from a backend that accepted
-/// a [`BackendFile::begin_write_at`]. Implemented by engines that keep
-/// per-op state in a descriptor slab (see `engine::RingEngine`) instead
-/// of a blocked worker thread.
+/// Receives asynchronous completions from a backend that accepted a
+/// [`BackendFile::begin_write_at`] or [`BackendFile::begin_read_at`].
+/// Implemented by engines that keep per-op state in a descriptor slab
+/// (see `engine::RingEngine`) instead of a blocked worker thread. Both
+/// directions are exact-length, so a unit result serves both.
 pub trait CompletionSink: Send + Sync {
-    /// Reports the final result of the asynchronous write identified by
-    /// `token`. Called exactly once per accepted `begin_write_at`;
-    /// calling it from inside `begin_write_at` itself (an inline
+    /// Reports the final result of the asynchronous op identified by
+    /// `token`. Called exactly once per accepted `begin_*_at`; calling
+    /// it from inside the `begin_*_at` call itself (an inline
     /// completion) is legal and engines must tolerate it.
     fn complete(&self, token: u64, result: io::Result<()>);
 }
@@ -151,6 +152,31 @@ pub trait BackendFile: Send + Sync {
     /// Reads up to `buf.len()` bytes from `offset`; returns the number of
     /// bytes read (0 at end-of-file).
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize>;
+
+    /// Begins an asynchronous read of exactly `buf.len()` bytes at
+    /// `offset` — the read twin of
+    /// [`begin_write_at`](BackendFile::begin_write_at).
+    ///
+    /// Returns `Ok(true)` if the backend accepted the operation: it has
+    /// filled `buf` before returning (the slice is only valid for the
+    /// duration of this call) and will invoke `sink.complete(token,
+    /// result)` exactly once, possibly before this call returns, when
+    /// the read is done. Until an `Ok` completion the bytes are not the
+    /// caller's to use; after an `Err` one (a short read is
+    /// `UnexpectedEof`) they are unspecified. `Ok(false)` (the default)
+    /// means no asynchronous path: the caller falls back to the
+    /// blocking [`read_at`](BackendFile::read_at) and no completion is
+    /// delivered. `Err` is a submission-time failure with no completion.
+    fn begin_read_at(
+        &self,
+        token: u64,
+        offset: u64,
+        buf: &mut [u8],
+        sink: &Arc<dyn CompletionSink>,
+    ) -> io::Result<bool> {
+        let _ = (token, offset, buf, sink);
+        Ok(false)
+    }
 
     /// Flushes the file's data to stable storage (`fsync`).
     fn sync(&self) -> io::Result<()>;

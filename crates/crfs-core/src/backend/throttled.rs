@@ -48,6 +48,8 @@ struct DeviceTimeline {
     /// (file identity, next expected offset) of the last write, for
     /// sequentiality detection.
     last: Option<(u64, u64)>,
+    /// Writes charged a seek (not sequential with the previous one).
+    seeks: u64,
 }
 
 /// A [`Backend`] decorator charging wall-clock time per write.
@@ -67,6 +69,7 @@ impl<B: Backend> ThrottledBackend<B> {
             timeline: Arc::new(Mutex::new(DeviceTimeline {
                 busy_until: Instant::now(),
                 last: None,
+                seeks: 0,
             })),
             next_file_id: std::sync::atomic::AtomicU64::new(0),
         }
@@ -75,6 +78,11 @@ impl<B: Backend> ThrottledBackend<B> {
     /// The wrapped backend.
     pub fn inner(&self) -> &B {
         &self.inner
+    }
+
+    /// Writes the device timeline has charged a seek so far.
+    pub fn seeks(&self) -> u64 {
+        self.timeline.lock().seeks
     }
 }
 
@@ -121,6 +129,7 @@ impl ThrottledFile {
             let seek = if sequential {
                 Duration::ZERO
             } else {
+                tl.seeks += 1;
                 self.params.seek_penalty
             };
             let now = Instant::now();
@@ -164,7 +173,7 @@ impl BackendFile for ThrottledFile {
         Ok(true)
     }
 
-    crate::forward_file_ops!(inner: read_at, sync, len, set_len, is_empty);
+    crate::forward_file_ops!(inner: read_at, begin_read_at, sync, len, set_len, is_empty);
 }
 
 #[cfg(test)]
@@ -177,29 +186,22 @@ mod tests {
         let params = ThrottleParams {
             bandwidth: u64::MAX,
             per_op_latency: Duration::ZERO,
-            seek_penalty: Duration::from_millis(5),
+            seek_penalty: Duration::from_micros(50),
         };
         let be = ThrottledBackend::new(MemBackend::new(), params);
         let f = be.open("/f", OpenOptions::create_truncate()).unwrap();
 
         // First write seeks; the next two are sequential.
-        let t0 = Instant::now();
         f.write_at(0, &[0; 64]).unwrap();
         f.write_at(64, &[0; 64]).unwrap();
         f.write_at(128, &[0; 64]).unwrap();
-        let seq = t0.elapsed();
+        assert_eq!(be.seeks(), 1);
 
         // Random writes all seek.
-        let t1 = Instant::now();
         f.write_at(1000, &[0; 64]).unwrap();
         f.write_at(0, &[0; 64]).unwrap();
         f.write_at(500, &[0; 64]).unwrap();
-        let rnd = t1.elapsed();
-
-        assert!(
-            rnd > seq + Duration::from_millis(5),
-            "random {rnd:?} should exceed sequential {seq:?}"
-        );
+        assert_eq!(be.seeks(), 4);
     }
 
     #[test]

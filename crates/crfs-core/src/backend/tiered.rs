@@ -1022,8 +1022,15 @@ impl Backend for TieredBackend {
         // drains to the new one, and rename both tiers before any op
         // can be picked again: the queue lock is held throughout, so no
         // copy lands under a name that is about to move or be replaced.
+        // Queued drains and the dirty mark follow the bytes only once the
+        // fast rename succeeded: a failed one leaves them under `from`,
+        // where the bytes still are.
         let mut q = self.shared.queue.lock();
         self.shared.wait_out(&mut q, &[&from, &to]);
+        let fast_had = self.shared.fast.exists(&from);
+        if fast_had {
+            self.shared.fast.rename(&from, &to)?;
+        }
         for op in q.ops.iter_mut() {
             if op.path == from {
                 op.path = to.clone();
@@ -1036,10 +1043,6 @@ impl Backend for TieredBackend {
             if d.remove(&from) {
                 d.insert(to.clone());
             }
-        }
-        let fast_had = self.shared.fast.exists(&from);
-        if fast_had {
-            self.shared.fast.rename(&from, &to)?;
         }
         let durable_had = self.shared.durable.exists(&from);
         if durable_had {
@@ -1213,18 +1216,12 @@ impl BackendFile for TieredFile {
         fast.begin_write_at(token, offset, data, &wrap)
     }
 
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        self.file.read_at(offset, buf)
-    }
+    crate::forward_file_ops!(file: read_at, begin_read_at, len);
 
     fn sync(&self) -> io::Result<()> {
         // Syncs the tier this handle is on. Durable-tier durability for
         // drained writes is the barrier's job, not per-file sync.
         self.file.sync()
-    }
-
-    fn len(&self) -> io::Result<u64> {
-        self.file.len()
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
@@ -1412,6 +1409,22 @@ mod tests {
         be.drain_barrier().unwrap();
         assert_eq!(durable.contents("/MANIFEST").unwrap(), b"epoch-7");
         assert!(!durable.exists("/tmp.manifest"));
+    }
+
+    #[test]
+    fn failed_rename_keeps_queued_drains_under_the_old_name() {
+        let (be, _fast, durable) = tiered(TieredParams::default());
+        hold(&be, true);
+        let f = be.open("/a", OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, b"acked").unwrap();
+        drop(f);
+        let err = be.rename("/a", "/nodir/b").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        hold(&be, false);
+        be.drain_barrier().unwrap();
+        assert_eq!(durable.contents("/a").unwrap(), b"acked");
+        let c = be.tier_counters();
+        assert_eq!((c.drain_ops, c.drain_dropped), (1, 0));
     }
 
     #[test]

@@ -23,11 +23,13 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::backend::CompletionSink;
 use crate::error::CrfsError;
 use crate::file::FileEntry;
 use crate::obs::EventKind;
 use crate::pool::{BufferPool, ChunkBuf};
 use crate::stats::CrfsStats;
+use crate::transform::FrameFill;
 
 /// A sealed chunk travelling from the write path to the IO engine.
 ///
@@ -149,24 +151,74 @@ fn dispatch_chunk(stats: &CrfsStats, chunk: &SealedChunk) -> (io::Result<()>, u6
     }
 }
 
-/// Executes one prefetch read and retires it against the entry's read
-/// cache: a successful, non-empty read is parked in the chunk's slot
-/// (unless invalidated meanwhile or writers are starved for buffers);
-/// anything else recycles the buffer as a wasted fetch. The read goes
-/// through [`FileEntry::fill_backend`], so on transformed entries every
-/// prefetch fill decodes and **verifies** its frames; a chunk failing
-/// verification is retired as a wasted prefetch (buffer back to the
-/// pool, ledger balanced) and the reader's own direct read surfaces the
-/// integrity error.
-fn read_and_install(stats: &CrfsStats, pool: &BufferPool, mut chunk: ReadChunk) {
+/// Starts one prefetch fill. A chunk that is one whole frame of a
+/// transformed file is located (see
+/// [`FileTransform::locate_fill`](crate::transform::FileTransform::locate_fill))
+/// and its stored bytes read through the backend's asynchronous path as
+/// `token`: the fill comes back to be parked until the completion
+/// brings it to [`finish_fill`]. Without that path the bytes are read
+/// here and the fill finished at once. Anything else — a hole, several
+/// frames, a raw file — fills through [`FileEntry::fill_backend`] as it
+/// always did, and is retired here too.
+fn start_fill(
+    stats: &CrfsStats,
+    pool: &BufferPool,
+    mut chunk: ReadChunk,
+    token: u64,
+    sink: &Arc<dyn CompletionSink>,
+) -> Option<(ReadChunk, FrameFill)> {
+    let entry = &chunk.entry;
+    let located = entry
+        .transform
+        .as_ref()
+        .and_then(|t| t.locate_fill(&*entry.file, &entry.path, chunk.offset, chunk.len));
+    let res = match located {
+        None => entry.fill_backend(chunk.offset, &mut chunk.buf[..chunk.len]),
+        Some(Err(e)) => Err(e),
+        Some(Ok(mut fill)) => {
+            let Some(read) = fill.read(&*entry.file, token, sink) else {
+                return Some((chunk, fill)); // in flight
+            };
+            finish_fill(stats, pool, chunk, fill, read);
+            return None;
+        }
+    };
+    retire_fill(stats, pool, chunk, res);
+    None
+}
+
+/// Decodes and verifies a located fill whose read ended in `read` into
+/// the chunk's buffer, then retires the chunk.
+fn finish_fill(
+    stats: &CrfsStats,
+    pool: &BufferPool,
+    mut chunk: ReadChunk,
+    fill: FrameFill,
+    read: io::Result<()>,
+) {
+    let t = chunk
+        .entry
+        .transform
+        .as_ref()
+        .expect("only framed files locate fills");
+    let res = t.finish_fill(&chunk.entry.path, fill, read, &mut chunk.buf[..chunk.len]);
+    retire_fill(stats, pool, chunk, res);
+}
+
+/// Retires a prefetch fill against the entry's read cache: a
+/// successful, non-empty fill is parked in the chunk's slot (unless
+/// invalidated meanwhile or writers are starved for buffers); anything
+/// else recycles the buffer as a wasted fetch. Every fill of a
+/// transformed entry has decoded and **verified** its frames; a chunk
+/// failing verification (or its read) is retired as a wasted prefetch
+/// (buffer back to the pool, ledger balanced) and the reader's own
+/// direct read surfaces the error.
+fn retire_fill(stats: &CrfsStats, pool: &BufferPool, chunk: ReadChunk, res: io::Result<usize>) {
     let rs = chunk
         .entry
         .read_state
         .as_ref()
         .expect("prefetch read on a file without read state");
-    let res = chunk
-        .entry
-        .fill_backend(chunk.offset, &mut chunk.buf[..chunk.len]);
     stats.note_retired(1);
     match res {
         Ok(n) => {

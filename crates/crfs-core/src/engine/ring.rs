@@ -13,20 +13,37 @@
 //! worker blocks in `write_at`, so at most `io_threads` backend writes
 //! are in flight: the paper's §IV-B throttle.
 //!
+//! Prefetch reads take the same two paths. A fill that is one whole
+//! frame is *located* (stored extent, dedup origin) and its stored
+//! bytes begun with
+//! [`begin_read_at`](crate::backend::BackendFile::begin_read_at); the
+//! completion puts the descriptor back on the submission ring, and an
+//! issue worker decodes, verifies and installs it — reads in flight are
+//! bounded by the slab, the pool and the read-ahead window, and decode
+//! CPU never runs on the backend's completion thread. Every other fill,
+//! and every fill on a backend answering `Ok(false)`, blocks its issue
+//! worker as before.
+//!
 //! ## Descriptor lifecycle
 //!
 //! ```text
 //! Free ──submit──▶ Queued ──issue──▶ Issuing ──┬─(sync / refused)──▶ Done
 //!                                              └─(async accepted)─▶ InFlight
 //! InFlight ──sink.complete──▶ Done ──reap──▶ Free
+//!
+//! prefetch reads:
+//! Queued ──issue: locate──▶ Issuing ──┬─(sync fill, install)──▶ Free
+//!                                     └─(async accepted)─▶ Reading
+//! Reading ──sink.complete──▶ Filled ──issue: decode, verify, install──▶ Free
 //! ```
 //!
-//! The issuer calls `begin_write_at` *without* holding the slot lock
-//! (the backend may complete inline, re-entering the slot). Whoever
-//! finishes second — issuer observing `CompletedEarly`, or sink
-//! observing `InFlight` — publishes `Done` and pushes the completion;
-//! the handshake makes inline completions (and `FaultyBackend`'s
-//! completion-time failures) safe without recursion or deadlock.
+//! The issuer calls `begin_write_at` / `begin_read_at` *without*
+//! holding the slot lock (the backend may complete inline, re-entering
+//! the slot). Whoever finishes second — issuer observing
+//! `CompletedEarly`, or sink observing `InFlight` / `Reading` —
+//! publishes the result; the handshake makes inline completions (and
+//! `FaultyBackend`'s completion-time failures) safe without recursion
+//! or deadlock.
 //!
 //! ## Parking
 //!
@@ -65,7 +82,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use super::{
-    dispatch_chunk, read_and_install, refuse, refuse_batch, refuse_reads, IoItem, ReadChunk,
+    dispatch_chunk, finish_fill, refuse, refuse_batch, refuse_reads, start_fill, IoItem, ReadChunk,
     SealedChunk,
 };
 use crate::backend::CompletionSink;
@@ -74,6 +91,7 @@ use crate::obs::EventKind;
 use crate::pool::BufferPool;
 use crate::ring::Ring;
 use crate::stats::CrfsStats;
+use crate::transform::FrameFill;
 
 /// Most descriptors the reaper retires per pass — bounds the latency of
 /// one reap batch while still amortizing the pool wakeup.
@@ -105,6 +123,16 @@ enum DescState {
         chunk: SealedChunk,
         res: io::Result<()>,
         stored: u64,
+    },
+    /// Prefetch fill whose stored bytes the backend is reading
+    /// asynchronously; the sink publishes `Filled`.
+    Reading { chunk: ReadChunk, fill: FrameFill },
+    /// Prefetch fill whose read completed, back on the submission ring
+    /// for an issue worker to decode, verify and install.
+    Filled {
+        chunk: ReadChunk,
+        fill: FrameFill,
+        res: io::Result<()>,
     },
 }
 
@@ -207,7 +235,7 @@ impl RingInner {
     }
 
     /// Frees a descriptor that bypassed the completion ring (prefetch
-    /// reads retire inline at issue).
+    /// fills retire in an issue worker).
     fn release_slot(&self, idx: usize) {
         *self.slots[idx].lock() = DescState::Free;
         self.free.push_spin(idx);
@@ -215,14 +243,21 @@ impl RingInner {
         self.retire_inflight(1);
     }
 
-    /// Issues one queued op. Raw writes try the backend's asynchronous
-    /// path first; transformed writes and the synchronous fallback run
+    /// Issues one queued op, or finishes a prefetch fill whose read
+    /// completed. Raw writes try the backend's asynchronous path first;
+    /// transformed writes and the synchronous fallback run
     /// `dispatch_chunk` in this worker, which blocks for the write.
     fn issue_one(self: &Arc<Self>, idx: usize, sink: &Arc<dyn CompletionSink>) {
         let item = {
             let mut slot = self.slots[idx].lock();
             match std::mem::replace(&mut *slot, DescState::Issuing) {
                 DescState::Queued(item) => item,
+                DescState::Filled { chunk, fill, res } => {
+                    drop(slot);
+                    finish_fill(&self.stats, &self.pool, chunk, fill, res);
+                    self.release_slot(idx);
+                    return;
+                }
                 other => {
                     *slot = other;
                     return;
@@ -231,8 +266,10 @@ impl RingInner {
         };
         match item {
             IoItem::Read(chunk) => {
-                read_and_install(&self.stats, &self.pool, chunk);
-                self.release_slot(idx);
+                match start_fill(&self.stats, &self.pool, chunk, idx as u64, sink) {
+                    Some((chunk, fill)) => self.park_fill(idx, chunk, fill),
+                    None => self.release_slot(idx),
+                }
             }
             IoItem::Write(chunk) => {
                 if let Some(sealed) = chunk.sealed_at {
@@ -333,6 +370,22 @@ impl RingInner {
                 self.finish_issuing(idx, chunk, Err(e), stored);
                 None
             }
+        }
+    }
+
+    /// Parks a fill whose read the backend accepted — unless the
+    /// completion already landed inline, in which case this worker
+    /// finishes it.
+    fn park_fill(&self, idx: usize, chunk: ReadChunk, fill: FrameFill) {
+        let mut slot = self.slots[idx].lock();
+        match std::mem::replace(&mut *slot, DescState::Issuing) {
+            DescState::Issuing => *slot = DescState::Reading { chunk, fill },
+            DescState::CompletedEarly(res) => {
+                drop(slot);
+                finish_fill(&self.stats, &self.pool, chunk, fill, res);
+                self.release_slot(idx);
+            }
+            _ => unreachable!("issuing slot changed to a foreign state"),
         }
     }
 
@@ -458,9 +511,21 @@ impl CompletionSink for RingInner {
                 drop(slot);
                 self.push_completion(idx);
             }
+            DescState::Reading { chunk, fill } => {
+                *slot = DescState::Filled {
+                    chunk,
+                    fill,
+                    res: result,
+                };
+                drop(slot);
+                // Decoding is an issue worker's job, not the backend's
+                // completion thread's.
+                self.subq.push_spin(idx);
+                Self::wake(&self.issue_gate, &self.issue_cv, false);
+            }
             DescState::Issuing => {
                 // Inline completion: the issuer is still between its
-                // begin_write_at call and its re-lock; leave the result
+                // begin_*_at call and its re-lock; leave the result
                 // for it to publish.
                 *slot = DescState::CompletedEarly(result);
             }
@@ -702,18 +767,7 @@ mod tests {
             });
             Ok(true)
         }
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-            self.inner.read_at(offset, buf)
-        }
-        fn sync(&self) -> io::Result<()> {
-            self.inner.sync()
-        }
-        fn len(&self) -> io::Result<u64> {
-            self.inner.len()
-        }
-        fn set_len(&self, len: u64) -> io::Result<()> {
-            self.inner.set_len(len)
-        }
+        crate::forward_file_ops!(inner: read_at, sync, len, set_len);
     }
 
     fn deferred_entry(be: &MemBackend, path: &str) -> Arc<FileEntry> {
@@ -924,6 +978,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     use crate::config::CrfsConfig;
+    use crate::fs::CrfsFile;
     use crate::Crfs;
 
     #[derive(Default)]
@@ -931,7 +986,10 @@ mod tests {
         in_flight: usize,
         hwm: usize,
         open: bool,
-        /// Accepted asynchronous writes awaiting their completion.
+        /// Reads pass the gate too (writes always do). Off while a test
+        /// opens its file: the open scans the frame headers.
+        reads: bool,
+        /// Accepted asynchronous ops awaiting their completion.
         held: Vec<(u64, Arc<dyn CompletionSink>)>,
     }
 
@@ -944,12 +1002,13 @@ mod tests {
 
     type Gate = Arc<(Mutex<GateState>, Condvar)>;
 
-    /// A backend whose writes stay in flight until the test lets them
-    /// go, counting how many are in flight at once. Synchronous
-    /// (`write_at` blocks on the gate) or asynchronous (`begin_write_at`
-    /// accepts and parks the completion).
+    /// A backend whose ops stay in flight until the test lets them go,
+    /// counting how many are in flight at once. Synchronous (`write_at`
+    /// / `read_at` block on the closed gate) or asynchronous
+    /// (`begin_*_at` moves the bytes and parks the completion while the
+    /// gate is closed, completes inline while it is open).
     struct GatedBackend {
-        inner: MemBackend,
+        inner: Arc<MemBackend>,
         gate: Gate,
         asynchronous: bool,
     }
@@ -975,8 +1034,9 @@ mod tests {
             list_dir, drain_barrier, attach_stats);
     }
 
-    impl BackendFile for GatedFile {
-        fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
+    impl GatedFile {
+        /// Runs a synchronous op once the gate is open.
+        fn pass<T>(&self, op: impl FnOnce() -> T) -> T {
             let (state, changed) = &*self.gate;
             let mut st = state.lock();
             st.enter();
@@ -985,9 +1045,30 @@ mod tests {
                 changed.wait(&mut st);
             }
             drop(st);
-            let res = self.inner.write_at(offset, data);
+            let res = op();
             state.lock().in_flight -= 1;
             res
+        }
+
+        /// Completes an accepted asynchronous op: inline while the gate
+        /// is open, else when the test releases it.
+        fn park(&self, token: u64, sink: &Arc<dyn CompletionSink>) {
+            let (state, changed) = &*self.gate;
+            let mut st = state.lock();
+            if st.open {
+                drop(st);
+                sink.complete(token, Ok(()));
+                return;
+            }
+            st.enter();
+            st.held.push((token, Arc::clone(sink)));
+            changed.notify_all();
+        }
+    }
+
+    impl BackendFile for GatedFile {
+        fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
+            self.pass(|| self.inner.write_at(offset, data))
         }
         fn begin_write_at(
             &self,
@@ -1000,14 +1081,30 @@ mod tests {
                 return Ok(false);
             }
             self.inner.write_at(offset, data)?;
-            let (state, changed) = &*self.gate;
-            let mut st = state.lock();
-            st.enter();
-            st.held.push((token, Arc::clone(sink)));
-            changed.notify_all();
+            self.park(token, sink);
             Ok(true)
         }
-        crate::forward_file_ops!(inner: read_at, sync, len, set_len);
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+            if !self.gate.0.lock().reads {
+                return self.inner.read_at(offset, buf);
+            }
+            self.pass(|| self.inner.read_at(offset, buf))
+        }
+        fn begin_read_at(
+            &self,
+            token: u64,
+            offset: u64,
+            buf: &mut [u8],
+            sink: &Arc<dyn CompletionSink>,
+        ) -> io::Result<bool> {
+            if !self.asynchronous || !self.gate.0.lock().reads {
+                return Ok(false);
+            }
+            crate::backend::read_exact_at(&*self.inner, offset, buf)?;
+            self.park(token, sink);
+            Ok(true)
+        }
+        crate::forward_file_ops!(inner: sync, len, set_len);
     }
 
     /// Mounts over a [`GatedBackend`] with `io_threads = 3`, depth 64,
@@ -1019,29 +1116,49 @@ mod tests {
     ) -> (Arc<Crfs>, crate::fs::CrfsFile, Gate) {
         let gate: Gate = Arc::default();
         let be = GatedBackend {
-            inner: MemBackend::new(),
+            inner: Arc::default(),
             gate: Arc::clone(&gate),
             asynchronous,
         };
-        let config = CrfsConfig::default()
+        let fs = Crfs::mount(Arc::new(be), gated_config()).unwrap();
+        let f = fs.create("/t").unwrap();
+        f.write(&[7u8; 12 * 1024]).unwrap(); // seals 12 chunks = 4 x io_threads
+        await_in_flight(&gate, want);
+        (fs, f, gate)
+    }
+
+    /// 1 KiB chunks, a 32-chunk pool, 3 IO threads, depth 64.
+    fn gated_config() -> CrfsConfig {
+        CrfsConfig::default()
             .with_chunk_size(1024)
             .with_pool_size(32 * 1024)
             .with_io_threads(3)
-            .with_ring_depth(64);
-        let fs = Crfs::mount(Arc::new(be), config).unwrap();
-        let f = fs.create("/t").unwrap();
-        f.write(&[7u8; 12 * 1024]).unwrap(); // seals 12 chunks = 4 x io_threads
-        let (state, changed) = &*gate;
+            .with_ring_depth(64)
+    }
+
+    /// Returns once `want` ops are in flight at the gate.
+    fn await_in_flight(gate: &Gate, want: usize) {
+        let (state, changed) = &**gate;
         let mut st = state.lock();
         while st.in_flight < want {
             assert!(
                 !changed.wait_for(&mut st, std::time::Duration::from_secs(10)),
-                "only {} of {want} writes reached the backend",
+                "only {} of {want} ops reached the backend",
                 st.in_flight
             );
         }
-        drop(st);
-        (fs, f, gate)
+    }
+
+    /// Completes every parked asynchronous op.
+    fn release_held(gate: &Gate) {
+        let held = {
+            let mut st = gate.0.lock();
+            st.in_flight = 0;
+            std::mem::take(&mut st.held)
+        };
+        for (token, sink) in held {
+            sink.complete(token, Ok(()));
+        }
     }
 
     #[test]
@@ -1064,18 +1181,162 @@ mod tests {
     #[test]
     fn async_backend_gets_more_than_io_threads_writes_in_flight() {
         let (fs, f, gate) = mount_gated_and_queue(true, 12);
-        let (state, _) = &*gate;
-        let held = {
-            let mut st = state.lock();
-            assert_eq!(st.hwm, 12, "3 issue workers started all 12 writes");
-            st.in_flight = 0;
-            std::mem::take(&mut st.held)
-        };
-        for (token, sink) in held {
-            sink.complete(token, Ok(()));
-        }
+        assert_eq!(
+            gate.0.lock().hwm,
+            12,
+            "3 issue workers started all 12 writes"
+        );
+        release_held(&gate);
         f.close().unwrap();
         assert_eq!(fs.stats().chunks_completed, 12);
         fs.unmount().unwrap();
+    }
+
+    // ------------------------------------------------------------------
+    // The read twins: prefetch fills of a framed file
+    // ------------------------------------------------------------------
+
+    /// Twelve distinct 1 KiB chunks.
+    fn twelve_chunks() -> Vec<u8> {
+        (0..12 * 1024)
+            .map(|i| (i / 1024 * 37 + i % 251) as u8)
+            .collect()
+    }
+
+    /// Writes [`twelve_chunks`] as one framed file, mounts `be` over the
+    /// same store with a 12-chunk read-ahead, opens the file and turns
+    /// read gating on.
+    fn mount_framed<B: Backend>(
+        mem: &Arc<MemBackend>,
+        be: B,
+        gate: &Gate,
+    ) -> (Arc<Crfs>, CrfsFile) {
+        let config = gated_config()
+            .with_read_ahead(12)
+            .with_codec(crate::CodecKind::Identity);
+        let fs = Crfs::mount(Arc::clone(mem) as Arc<dyn Backend>, config.clone()).unwrap();
+        let f = fs.create("/t").unwrap();
+        f.write(&twelve_chunks()).unwrap();
+        f.close().unwrap();
+        fs.unmount().unwrap();
+        let fs = Crfs::mount(Arc::new(be), config).unwrap();
+        let f = fs.open("/t").unwrap();
+        gate.0.lock().reads = true;
+        (fs, f)
+    }
+
+    /// Reads the whole framed file on a second thread while the gate is
+    /// closed, waits for `want` fills in flight, runs `release`, and
+    /// checks the bytes. Returns the most fills ever in flight at once.
+    fn read_through_gate(asynchronous: bool, want: usize, release: fn(&Gate)) -> usize {
+        let (mem, gate) = (Arc::new(MemBackend::new()), Gate::default());
+        let be = GatedBackend {
+            inner: Arc::clone(&mem),
+            gate: Arc::clone(&gate),
+            asynchronous,
+        };
+        let (fs, f) = mount_framed(&mem, be, &gate);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut buf = vec![0u8; 12 * 1024];
+                (f.read_at(0, &mut buf).unwrap(), buf)
+            });
+            await_in_flight(&gate, want);
+            release(&gate);
+            let (n, buf) = reader.join().unwrap();
+            assert_eq!(n, buf.len());
+            assert!(buf == twelve_chunks(), "a fill installed the wrong bytes");
+        });
+        f.close().unwrap();
+        let snap = fs.stats();
+        assert_eq!((snap.prefetch_issued, snap.prefetch_wasted), (12, 0));
+        fs.unmount().unwrap();
+        let hwm = gate.0.lock().hwm;
+        hwm
+    }
+
+    #[test]
+    fn sync_backend_sees_exactly_io_threads_reads_in_flight() {
+        let open_gate: fn(&Gate) = |gate| {
+            gate.0.lock().open = true;
+            gate.1.notify_all();
+        };
+        // All three issue workers block inside `read_at`; 9 more fills
+        // wait behind them.
+        assert_eq!(read_through_gate(false, 3, open_gate), 3);
+    }
+
+    #[test]
+    fn async_backend_gets_more_than_io_threads_reads_in_flight() {
+        // 3 issue workers started all 12 fills; each completion sends
+        // its descriptor back through the submission ring to be decoded.
+        assert_eq!(read_through_gate(true, 12, release_held), 12);
+    }
+
+    /// An open asynchronous gate under a [`FaultyBackend`] in `mode`
+    /// (set after the open's header scan): reads the framed file and
+    /// returns the reader's result, its buffer, the mount's stats and
+    /// the faulty layer.
+    fn read_async_faulty(
+        mode: crate::backend::FailureMode,
+    ) -> (
+        Result<usize>,
+        Vec<u8>,
+        crate::stats::StatsSnapshot,
+        Arc<crate::backend::FaultyBackend<GatedBackend>>,
+    ) {
+        let (mem, gate) = (Arc::new(MemBackend::new()), Gate::default());
+        gate.0.lock().open = true;
+        let be = Arc::new(crate::backend::FaultyBackend::new(
+            GatedBackend {
+                inner: Arc::clone(&mem),
+                gate: Arc::clone(&gate),
+                asynchronous: true,
+            },
+            crate::backend::FailureMode::None,
+        ));
+        let (fs, f) = mount_framed(&mem, Arc::clone(&be), &gate);
+        be.set_mode(mode);
+        let mut buf = vec![0u8; 12 * 1024];
+        let res = f.read_at(0, &mut buf);
+        f.close().unwrap();
+        let snap = fs.stats();
+        assert_eq!(
+            snap.pool_free_chunks, snap.pool_total_chunks,
+            "a failed fill kept its buffer"
+        );
+        assert_eq!(snap.prefetch_completed, snap.prefetch_issued);
+        fs.unmount().unwrap();
+        (res, buf, snap, be)
+    }
+
+    #[test]
+    fn corrupt_async_fills_surface_integrity_errors_never_bytes() {
+        let (res, buf, snap, be) = read_async_faulty(crate::backend::FailureMode::CorruptReads(1));
+        assert!(
+            matches!(res, Err(CrfsError::IntegrityError { .. })),
+            "{res:?}"
+        );
+        assert!(
+            buf.iter().all(|&b| b == 0),
+            "unverified bytes reached the reader"
+        );
+        // Every fill took the async path, was corrupted there, failed
+        // verification and was retired as a wasted prefetch.
+        assert_eq!(snap.prefetch_issued, 12);
+        assert_eq!(snap.prefetch_wasted, 12);
+        assert!(
+            be.reads_corrupted() >= 13,
+            "12 fills + the reader's own read"
+        );
+    }
+
+    #[test]
+    fn a_failed_read_completion_retires_the_fill_and_the_reader_reports_it() {
+        let (res, _, snap, _) = read_async_faulty(crate::backend::FailureMode::FailReadsAfter(0));
+        let err = res.unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        assert!(!matches!(err, CrfsError::IntegrityError { .. }));
+        assert_eq!((snap.prefetch_issued, snap.prefetch_wasted), (12, 12));
     }
 }

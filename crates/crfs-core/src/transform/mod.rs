@@ -519,11 +519,66 @@ struct Scratch {
     out: Vec<u8>,
 }
 
-/// Where a reference record says its chunk's stored bytes live.
-struct OriginRef<'r> {
-    path: &'r str,
+/// Where one frame's stored bytes live: its own payload, or the bytes
+/// of the origin its dedup reference record names.
+struct Extent {
+    /// The origin's open handle; `None` reads the frame's own file.
+    handle: Option<Arc<dyn BackendFile>>,
+    /// Byte offset of the stored bytes in that file.
     off: u64,
+    /// Codec of the stored bytes.
     codec: u8,
+    /// The origin's frame offset, for a REF frame (its path stays in
+    /// the record in the scratch).
+    origin: Option<u64>,
+}
+
+impl Extent {
+    /// The file the stored bytes are read from.
+    fn source<'a>(&'a self, file: &'a dyn BackendFile) -> &'a dyn BackendFile {
+        self.handle.as_deref().unwrap_or(file)
+    }
+
+    /// The scratch buffer the stored bytes land in, sized by
+    /// [`FileTransform::locate`].
+    fn stored<'s>(&self, s: &'s mut Scratch) -> &'s mut [u8] {
+        if self.origin.is_some() {
+            &mut s.origin
+        } else {
+            &mut s.frame
+        }
+    }
+}
+
+/// A prefetch fill of exactly one whole frame, located by
+/// [`FileTransform::locate_fill`]: its stored bytes are read into the
+/// fill's own scratch — by the backend's asynchronous path when it has
+/// one, so no thread waits out the read — and
+/// [`FileTransform::finish_fill`] decodes and verifies them.
+pub(crate) struct FrameFill {
+    frame: FrameEntry,
+    extent: Extent,
+    scratch: Scratch,
+}
+
+impl FrameFill {
+    /// Reads the stored bytes as `token` through the backend's
+    /// asynchronous path (`None`: the completion brings the result), or
+    /// in this thread when it has none. `file` is the frame's own file.
+    pub(crate) fn read(
+        &mut self,
+        file: &dyn BackendFile,
+        token: u64,
+        sink: &Arc<dyn crate::backend::CompletionSink>,
+    ) -> Option<io::Result<()>> {
+        let e = &self.extent;
+        let (src, buf) = (e.source(file), e.stored(&mut self.scratch));
+        match src.begin_read_at(token, e.off, buf, sink) {
+            Ok(true) => None,
+            Ok(false) => Some(read_exact_at(src, e.off, buf)),
+            Err(err) => Some(Err(err)),
+        }
+    }
 }
 
 /// Per-open-file transform state: the frame map and the stored-space
@@ -1001,6 +1056,63 @@ impl FileTransform {
         self.read_pieces(file, path, offset, buf, true)
     }
 
+    /// Locates a prefetch fill of `len` bytes at `offset` when they are
+    /// exactly one whole visible frame — a chunk-aligned fill of a file
+    /// written in chunk-sized frames. `None` for anything else (a hole,
+    /// several frames, part of one), which
+    /// [`fill_logical`](Self::fill_logical) serves.
+    pub(crate) fn locate_fill(
+        &self,
+        file: &dyn BackendFile,
+        path: &str,
+        offset: u64,
+        len: usize,
+    ) -> Option<io::Result<FrameFill>> {
+        let (pieces, _) = self.map.lock().plan(offset, len);
+        let frame = match pieces[..] {
+            [PlanPiece::Data {
+                frame,
+                within: 0,
+                len: l,
+                ..
+            }] if l == len && l == frame.logical_len as usize => frame,
+            _ => return None,
+        };
+        let mut scratch = self.scratch.lock().pop().unwrap_or_default();
+        Some(match self.locate(file, path, &frame, &mut scratch) {
+            Ok(extent) => Ok(FrameFill {
+                frame,
+                extent,
+                scratch,
+            }),
+            Err(e) => {
+                self.scratch.lock().push(scratch);
+                Err(e)
+            }
+        })
+    }
+
+    /// Decodes and verifies a located fill whose read ended in `read`
+    /// into `dst` (the fill's length), returning the bytes produced. On
+    /// any failure `dst` is zeroed: an unverified byte never stays in
+    /// it.
+    pub(crate) fn finish_fill(
+        &self,
+        path: &str,
+        fill: FrameFill,
+        read: io::Result<()>,
+        dst: &mut [u8],
+    ) -> io::Result<usize> {
+        let FrameFill {
+            frame,
+            extent,
+            mut scratch,
+        } = fill;
+        let res = read.and_then(|()| self.finish(path, &frame, &extent, &mut scratch, Some(dst)));
+        self.scratch.lock().push(scratch);
+        res.map(|()| dst.len()).inspect_err(|_| dst.fill(0))
+    }
+
     fn read_pieces(
         &self,
         file: &dyn BackendFile,
@@ -1063,6 +1175,21 @@ impl FileTransform {
         s: &mut Scratch,
         direct: Option<&mut [u8]>,
     ) -> io::Result<()> {
+        let e = self.locate(file, path, f, s)?;
+        read_exact_at(e.source(file), e.off, e.stored(s))?;
+        self.finish(path, f, &e, s, direct)
+    }
+
+    /// Finds where frame `f`'s stored bytes live and sizes the scratch
+    /// buffer they land in. A DATA frame's are its own payload; a REF
+    /// frame's record is read here (it is small) and names the origin.
+    fn locate(
+        &self,
+        file: &dyn BackendFile,
+        path: &str,
+        f: &FrameEntry,
+        s: &mut Scratch,
+    ) -> io::Result<Extent> {
         let stats = &self.ctx.stats;
         if f.format != FRAME_FORMAT {
             // One verification function: a check this build cannot
@@ -1077,77 +1204,18 @@ impl FileTransform {
                 ),
             ));
         }
-        let Scratch { frame, origin, out } = s;
-        frame.resize(f.stored_len as usize, 0);
-        read_exact_at(file, f.stored_off + FRAME_HEADER_LEN, frame)?;
-        let t0 = Instant::now();
-        // The stored bytes to decode: the frame's own, or those of the
-        // origin its reference record names.
-        let reference = if f.flags & FLAG_REF != 0 {
-            Some(self.read_origin(file, path, f, frame, origin)?)
-        } else {
-            None
+        s.frame.resize(f.stored_len as usize, 0);
+        let own = Extent {
+            handle: None,
+            off: f.stored_off + FRAME_HEADER_LEN,
+            codec: f.codec,
+            origin: None,
         };
-        let (codec, stored): (u8, &[u8]) = match &reference {
-            Some(r) => (r.codec, origin),
-            None => (f.codec, frame),
-        };
-        // Stored bytes that do not decode are payload damage wherever
-        // they live: inline in this file or in a CAS chunk.
-        let undecodable = |e: io::Error| {
-            stats.bad_payload_checksum.fetch_add(1, Relaxed);
-            let detail = match &reference {
-                Some(r) => format!("dedup origin {:?}@{} undecodable: {e}", r.path, r.off),
-                None => format!("chunk at {} of {path:?} undecodable: {e}", f.logical_offset),
-            };
-            integrity(stats, detail)
-        };
-        let logical_len = f.logical_len as usize;
-        // `logical_len` comes from a header: bound it by what the
-        // stored bytes can expand to before it sizes `out`.
-        check_expansion(codec, stored.len(), logical_len).map_err(undecodable)?;
-        let dst = match direct {
-            Some(dst) => dst,
-            None => {
-                out.resize(logical_len, 0);
-                &mut out[..]
-            }
-        };
-        debug_assert_eq!(dst.len(), logical_len);
-        decode_into(codec, stored, dst).map_err(undecodable)?;
-        if payload_digest(dst).check != f.check {
-            stats.bad_payload_checksum.fetch_add(1, Relaxed);
-            return Err(integrity(
-                stats,
-                format!(
-                    "chunk at {} of {path:?} failed its checksum",
-                    f.logical_offset
-                ),
-            ));
+        if f.flags & FLAG_REF == 0 {
+            return Ok(own);
         }
-        let spent = t0.elapsed();
-        stats
-            .transform_ns
-            .fetch_add(spent.as_nanos() as u64, Relaxed);
-        if stats.stages.enabled() {
-            stats.stages.transform_decode.record_dur(spent);
-        }
-        Ok(())
-    }
-
-    /// Parses the dedup reference `record` of frame `f` and reads the
-    /// origin's stored bytes into `origin`. The caller decodes them and
-    /// verifies the result against the reference's own check, so a
-    /// stale or mismatched origin is detected.
-    fn read_origin<'r>(
-        &self,
-        file: &dyn BackendFile,
-        path: &str,
-        f: &FrameEntry,
-        record: &'r [u8],
-        origin: &mut Vec<u8>,
-    ) -> io::Result<OriginRef<'r>> {
-        let stats = &self.ctx.stats;
+        read_exact_at(file, own.off, &mut s.frame)?;
+        let record = &s.frame[..];
         if record.len() < REF_META_LEN {
             return Err(integrity(
                 stats,
@@ -1159,7 +1227,6 @@ impl FileTransform {
         }
         let origin_off = u64::from_le_bytes(record[..8].try_into().unwrap());
         let origin_len = u32::from_le_bytes(record[8..12].try_into().unwrap());
-        let origin_codec = record[12];
         let origin_path = std::str::from_utf8(&record[REF_META_LEN..]).map_err(|_| {
             integrity(
                 stats,
@@ -1182,23 +1249,87 @@ impl FileTransform {
                 ),
             ));
         }
-        origin.resize(origin_len as usize, 0);
-        if origin_path == path {
-            read_exact_at(file, origin_off + FRAME_HEADER_LEN, origin)?;
+        let handle = if origin_path == path {
+            None
         } else {
-            let handle = self.origin_handle(origin_path).map_err(|e| {
+            Some(self.origin_handle(origin_path).map_err(|e| {
                 integrity(
                     stats,
                     format!("dedup origin {origin_path:?} unavailable: {e}"),
                 )
-            })?;
-            read_exact_at(&*handle, origin_off + FRAME_HEADER_LEN, origin)?;
-        }
-        Ok(OriginRef {
-            path: origin_path,
-            off: origin_off,
-            codec: origin_codec,
+            })?)
+        };
+        s.origin.resize(origin_len as usize, 0);
+        Ok(Extent {
+            handle,
+            off: origin_off + FRAME_HEADER_LEN,
+            codec: record[12],
+            origin: Some(origin_off),
         })
+    }
+
+    /// Decodes the stored bytes located by `e` and verifies the result
+    /// against frame `f`'s own check — so a stale or mismatched dedup
+    /// origin is detected too.
+    fn finish(
+        &self,
+        path: &str,
+        f: &FrameEntry,
+        e: &Extent,
+        s: &mut Scratch,
+        direct: Option<&mut [u8]>,
+    ) -> io::Result<()> {
+        let stats = &self.ctx.stats;
+        let t0 = Instant::now();
+        let Scratch { frame, origin, out } = s;
+        let stored: &[u8] = if e.origin.is_some() { origin } else { frame };
+        // Stored bytes that do not decode are payload damage wherever
+        // they live: inline in this file or in a CAS chunk.
+        let undecodable = |err: io::Error| {
+            stats.bad_payload_checksum.fetch_add(1, Relaxed);
+            let detail = match e.origin {
+                Some(ooff) => format!(
+                    "dedup origin {:?}@{ooff} undecodable: {err}",
+                    String::from_utf8_lossy(&frame[REF_META_LEN..])
+                ),
+                None => format!(
+                    "chunk at {} of {path:?} undecodable: {err}",
+                    f.logical_offset
+                ),
+            };
+            integrity(stats, detail)
+        };
+        let logical_len = f.logical_len as usize;
+        // `logical_len` comes from a header: bound it by what the
+        // stored bytes can expand to before it sizes `out`.
+        check_expansion(e.codec, stored.len(), logical_len).map_err(undecodable)?;
+        let dst = match direct {
+            Some(dst) => dst,
+            None => {
+                out.resize(logical_len, 0);
+                &mut out[..]
+            }
+        };
+        debug_assert_eq!(dst.len(), logical_len);
+        decode_into(e.codec, stored, dst).map_err(undecodable)?;
+        if payload_digest(dst).check != f.check {
+            stats.bad_payload_checksum.fetch_add(1, Relaxed);
+            return Err(integrity(
+                stats,
+                format!(
+                    "chunk at {} of {path:?} failed its checksum",
+                    f.logical_offset
+                ),
+            ));
+        }
+        let spent = t0.elapsed();
+        stats
+            .transform_ns
+            .fetch_add(spent.as_nanos() as u64, Relaxed);
+        if stats.stages.enabled() {
+            stats.stages.transform_decode.record_dur(spent);
+        }
+        Ok(())
     }
 
     /// An open handle on a dedup-origin file, served from the bounded

@@ -54,4 +54,4 @@ pub use net::NetLink;
 pub use nfs::{NfsClient, NfsModel};
 pub use params::*;
 pub use pvfs::{PvfsClient, PvfsModel, PvfsServer};
-pub use rpc::{mem_rpc_store, RpcStore, RpcStoreParams};
+pub use rpc::{RpcStore, RpcStoreParams};

@@ -11,8 +11,17 @@
 //! requests, so latency hides exactly as far as the caller can keep
 //! requests in flight. That is the regime where restart read-ahead pays:
 //! a synchronous reader eats one round trip per request, while the
-//! prefetching read engine keeps a window of RPCs outstanding. The `exp
-//! restart` sweep measures precisely this.
+//! prefetching read engine keeps a window of RPCs outstanding. The
+//! repository benchmark's `cold_restart` workload restarts through this
+//! store.
+//!
+//! Both directions have an asynchronous path
+//! ([`BackendFile::begin_write_at`], [`BackendFile::begin_read_at`]):
+//! the bytes move at once, and the acknowledgement arrives through the
+//! caller's [`CompletionSink`] from one shared timer thread when the
+//! round trip plus transfer time is up. No thread sleeps per RPC, so
+//! an async-capable engine keeps as many reads or writes in flight as
+//! it has descriptors and buffers for.
 
 use std::collections::BinaryHeap;
 use std::io;
@@ -43,29 +52,13 @@ impl RpcStoreParams {
             bandwidth: 1 << 30,
         }
     }
-
-    /// Scales both round trips (for quick smoke runs).
-    pub fn scaled(self, factor: f64) -> RpcStoreParams {
-        RpcStoreParams {
-            read_rtt: self.read_rtt.mul_f64(factor),
-            write_rtt: self.write_rtt.mul_f64(factor),
-            bandwidth: self.bandwidth,
-        }
-    }
 }
 
 /// A [`Backend`] decorator charging concurrent per-RPC latency on reads
 /// and writes — the latency-simulating restart source.
 ///
-/// Writes are also exposed through the asynchronous
-/// [`BackendFile::begin_write_at`] path: the data lands in the wrapped
-/// backend immediately, and the *acknowledgement* is delivered through
-/// the caller's [`CompletionSink`] once the modeled round trip +
-/// transfer time has elapsed, without a thread blocked per RPC. An
-/// async-capable engine can therefore keep an arbitrary window of write
-/// RPCs in flight — the store behaves like a parallel server farm on
-/// the write side too, which is exactly what the `exp engine` depth
-/// sweep measures.
+/// See the module docs for the asynchronous paths; the `exp engine`
+/// depth sweep measures the write side.
 pub struct RpcStore<B> {
     inner: B,
     params: RpcStoreParams,
@@ -91,7 +84,7 @@ impl<B: Backend> RpcStore<B> {
 impl<B> Drop for RpcStore<B> {
     fn drop(&mut self) {
         // Fire any acks still pending and retire the timer thread.
-        // Files may outlive the store; their late begin_write_at calls
+        // Files may outlive the store; their late `begin_*_at` calls
         // simply spawn a fresh timer through the shared slot.
         self.timer.stop();
     }
@@ -122,7 +115,7 @@ impl TimerSlot {
     }
 }
 
-/// One pending write acknowledgement.
+/// One pending acknowledgement (of a read or a write).
 struct Pending {
     due: Instant,
     /// FIFO tiebreak for equal deadlines.
@@ -207,8 +200,8 @@ impl TimerHandle {
         let mut st = self.state.lock().unwrap();
         loop {
             if st.stop {
-                // Fire everything still queued (the data is already in
-                // the wrapped backend; only the ack was pending).
+                // Fire everything still queued (the bytes have already
+                // moved; only the ack was pending).
                 while let Some(p) = st.queue.pop() {
                     drop(st);
                     p.sink.complete(p.token, Ok(()));
@@ -244,11 +237,15 @@ impl TimerHandle {
     }
 }
 
+/// One RPC's service time: the round trip plus `bytes` at `bandwidth`.
+/// Deliberately no shared timeline: RPCs overlap freely, so the cost
+/// model rewards callers that pipeline.
+fn service(rtt: Duration, bytes: usize, bandwidth: u64) -> Duration {
+    rtt + Duration::from_secs_f64(bytes as f64 / bandwidth.max(1) as f64)
+}
+
 fn charge(rtt: Duration, bytes: usize, bandwidth: u64) {
-    let transfer = Duration::from_secs_f64(bytes as f64 / bandwidth.max(1) as f64);
-    // Deliberately no shared timeline: RPCs overlap freely, so the cost
-    // model rewards callers that pipeline.
-    std::thread::sleep(rtt + transfer);
+    std::thread::sleep(service(rtt, bytes, bandwidth));
 }
 
 impl<B: Backend> Backend for RpcStore<B> {
@@ -265,39 +262,30 @@ impl<B: Backend> Backend for RpcStore<B> {
         }))
     }
 
-    fn mkdir(&self, path: &str) -> io::Result<()> {
-        self.inner.mkdir(path)
-    }
-
-    fn rmdir(&self, path: &str) -> io::Result<()> {
-        self.inner.rmdir(path)
-    }
-
-    fn unlink(&self, path: &str) -> io::Result<()> {
-        self.inner.unlink(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        self.inner.rename(from, to)
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-
-    fn file_len(&self, path: &str) -> io::Result<u64> {
-        self.inner.file_len(path)
-    }
-
-    fn list_dir(&self, path: &str) -> io::Result<Vec<String>> {
-        self.inner.list_dir(path)
-    }
+    crfs_core::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists, file_len,
+        list_dir);
 }
 
 struct RpcFile {
     inner: Box<dyn BackendFile>,
     params: RpcStoreParams,
     timer: Arc<TimerSlot>,
+}
+
+impl RpcFile {
+    /// Accepts an op whose bytes have moved: its ack fires from the
+    /// timer thread once the RPC's service time is up.
+    fn ack_after(
+        &self,
+        rtt: Duration,
+        bytes: usize,
+        token: u64,
+        sink: &Arc<dyn CompletionSink>,
+    ) -> io::Result<bool> {
+        let due = Instant::now() + service(rtt, bytes, self.params.bandwidth);
+        self.timer.get().register(due, token, Arc::clone(sink));
+        Ok(true)
+    }
 }
 
 impl BackendFile for RpcFile {
@@ -318,11 +306,7 @@ impl BackendFile for RpcFile {
         // modeled service time, from the shared timer thread. A failed
         // transfer is a submission-time error: nothing in flight.
         self.inner.write_at(offset, data)?;
-        let transfer =
-            Duration::from_secs_f64(data.len() as f64 / self.params.bandwidth.max(1) as f64);
-        let due = Instant::now() + self.params.write_rtt + transfer;
-        self.timer.get().register(due, token, Arc::clone(sink));
-        Ok(true)
+        self.ack_after(self.params.write_rtt, data.len(), token, sink)
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
@@ -330,23 +314,32 @@ impl BackendFile for RpcFile {
         self.inner.read_at(offset, buf)
     }
 
+    fn begin_read_at(
+        &self,
+        token: u64,
+        offset: u64,
+        buf: &mut [u8],
+        sink: &Arc<dyn CompletionSink>,
+    ) -> io::Result<bool> {
+        // The mirror of `begin_write_at`: the bytes land in `buf` now,
+        // the ack after the read's service time. A failed or short
+        // transfer is a submission-time error.
+        let got = self.inner.read_at(offset, buf)?;
+        if got != buf.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("short read at {offset}: wanted {}, got {got}", buf.len()),
+            ));
+        }
+        self.ack_after(self.params.read_rtt, buf.len(), token, sink)
+    }
+
     fn sync(&self) -> io::Result<()> {
         charge(self.params.write_rtt, 0, self.params.bandwidth);
         self.inner.sync()
     }
 
-    fn len(&self) -> io::Result<u64> {
-        self.inner.len()
-    }
-
-    fn set_len(&self, len: u64) -> io::Result<()> {
-        self.inner.set_len(len)
-    }
-}
-
-/// Convenience: a memory-backed RPC store ready to mount.
-pub fn mem_rpc_store(params: RpcStoreParams) -> Arc<dyn Backend> {
-    Arc::new(RpcStore::new(crfs_core::backend::MemBackend::new(), params))
+    crfs_core::forward_file_ops!(inner: len, set_len);
 }
 
 #[cfg(test)]
@@ -433,6 +426,48 @@ mod tests {
         );
         drop(done);
         assert_eq!(store.inner().contents("/f").unwrap().len(), 32);
+    }
+
+    #[test]
+    fn async_reads_land_at_once_and_ack_after_the_round_trip() {
+        struct Recorder(Mutex<Vec<(u64, Instant)>>);
+        impl CompletionSink for Recorder {
+            fn complete(&self, token: u64, result: io::Result<()>) {
+                result.unwrap();
+                self.0.lock().unwrap().push((token, Instant::now()));
+            }
+        }
+        let store = RpcStore::new(
+            MemBackend::new(),
+            RpcStoreParams {
+                read_rtt: Duration::from_millis(20),
+                write_rtt: Duration::ZERO,
+                bandwidth: u64::MAX,
+            },
+        );
+        let f = store.open("/f", OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, b"abcdefgh").unwrap();
+        let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
+        let sink: Arc<dyn CompletionSink> = Arc::clone(&rec) as Arc<dyn CompletionSink>;
+        let t0 = Instant::now();
+        let mut bufs = [[0u8; 4]; 2];
+        for (i, buf) in bufs.iter_mut().enumerate() {
+            assert!(f.begin_read_at(i as u64, i as u64 * 4, buf, &sink).unwrap());
+        }
+        assert!(
+            t0.elapsed() < Duration::from_millis(15),
+            "submission blocked"
+        );
+        assert_eq!(bufs, [*b"abcd", *b"efgh"], "bytes land within the call");
+        // Exact-length: a read past the end fails at submission.
+        assert!(f.begin_read_at(9, 6, &mut [0u8; 4], &sink).is_err());
+        while rec.0.lock().unwrap().len() < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for &(_, at) in rec.0.lock().unwrap().iter() {
+            let waited = at - t0;
+            assert!(waited >= Duration::from_millis(18), "ack early: {waited:?}");
+        }
     }
 
     #[test]

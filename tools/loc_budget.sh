@@ -28,7 +28,16 @@
 # `tiered` went (the benchmark's workloads answer them), with their
 # `real.rs` cells, renderers and bench tests, `crfs-stat`'s tier section,
 # `TierCounters::named/to_value` and `ThrottleParams::ssd`; the two
-# bench crash sweeps became the tier-1 `tests/crash_cuts.rs`.)
+# bench crash sweeps became the tier-1 `tests/crash_cuts.rs`.
+# 41,000 -> 41,500 with the asynchronous restart read: +555 lines, 214
+# of them tests — the read twins of the engine's write-throttle tests,
+# the FaultyBackend async-read checks, the failed tiered rename and the
+# RpcStore async read; product lines +341: `begin_read_at` with its
+# forwards (trait, macro, Faulty and its `FailReadsAfter`, Tiered,
+# Throttled), RpcStore's async read, the locate / read / finish split
+# of the frame fetch and the fill's two descriptor states, net of
+# hand-written forwarding folded into the macros and the unused
+# `RpcStoreParams::scaled` / `mem_rpc_store`.)
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -36,7 +45,7 @@
 # either replaces one of those or argues for a higher number here.
 set -eu
 
-CEILING=41000
+CEILING=41500
 UNSAFE_CEILING=4
 
 cd "$(dirname "$0")/.."
