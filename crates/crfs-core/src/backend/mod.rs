@@ -32,7 +32,7 @@ pub use local::LocalFileBackend;
 pub use mem::MemBackend;
 pub use throttled::{ThrottleParams, ThrottledBackend};
 pub(crate) use tiered::is_promote_tmp;
-pub use tiered::{TierCounters, TieredBackend, TieredParams};
+pub use tiered::{TierCounters, TieredBackend};
 
 use std::io;
 use std::sync::Arc;

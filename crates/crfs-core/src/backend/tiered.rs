@@ -18,7 +18,7 @@
 //!   it is issued, so re-written ranges always drain the newest bytes,
 //!   and two ops with overlapping ranges on one file are never in flight
 //!   together (the only order that could leave the durable tier stale).
-//!   `drain_window` bounds the copies in flight on a durable tier that
+//!   [`DRAIN_WINDOW`] bounds the copies in flight on a durable tier that
 //!   completes asynchronously (`RpcStore`).
 //! - **One durable handle per file.** Every durable write, `set_len` and
 //!   barrier `sync` of a path goes through one cached handle; unlink,
@@ -27,13 +27,13 @@
 //!   concurrent writers (its handles preallocate and trim on their own)
 //!   and which keeps a device's sequentiality detection meaningful.
 //! - **Watermark backpressure**: when undrained resident bytes reach
-//!   `watermark_hi` the backend degrades to write-through pace — a
+//!   `tier_watermark_hi` the backend degrades to write-through pace — a
 //!   write lands in the fast tier, queues its drain op and *waits until
-//!   the drain is back under `watermark_hi`*, so every retired copy
+//!   the drain is back under the high watermark*, so every retired copy
 //!   admits one more write: writers advance at durable-tier speed, in
 //!   step with the device rather than with the fast tier, and resident
 //!   bytes stop growing — until the drain catches back down to
-//!   `watermark_lo`. Full fast tiers slow down; they never block
+//!   `tier_watermark_lo`. Full fast tiers slow down; they never block
 //!   indefinitely. The queue stays in device order (a degraded write
 //!   does not jump it), and a degraded write returns an error once a
 //!   drain copy has failed since the last barrier.
@@ -42,30 +42,35 @@
 //!   once a [`drain_barrier`](Backend::drain_barrier) after it returns
 //!   `Ok`: the barrier waits for the queue to empty, syncs every
 //!   durable file written since the previous barrier, and fails if any
-//!   drain copy failed — which is how a crash mid-drain surfaces. After
-//!   such a crash the fast tier holds the acknowledged prefix; the
-//!   `crfs-fsck` tier-consistency pass re-drains what the durable tier
-//!   is missing (see `fsck::run_tiered`).
-//! - **Retention**: by default the fast tier retains everything (a full
-//!   mirror, so reads always serve fast bytes). With
-//!   [`TieredParams::evict_on_barrier`] the fast copy of fully-drained,
-//!   closed files is dropped at the barrier; a later read miss promotes
-//!   the file back from the durable tier (`tier_promote`).
+//!   drain copy failed or a rename reached the fast tier only — which
+//!   is how a crash mid-drain surfaces. After such a crash the fast
+//!   tier holds the acknowledged prefix; the `crfs-fsck`
+//!   tier-consistency pass re-drains what the durable tier is missing
+//!   (see `fsck::run_tiered`).
+//! - **Retention**: the fast tier keeps a full mirror, so reads serve
+//!   fast bytes. A file only the durable tier holds (the fast tier was
+//!   lost) is read straight from the durable tier; a non-truncating
+//!   write open first promotes it back into the fast tier
+//!   (`tier_promote`), so the write sees the durable bytes.
 //!
 //! # Drain worker
 //!
-//! [`TieredBackend::new`] spawns [`DRAIN_WORKERS`] threads named
+//! [`TieredBackend::from_config`] spawns [`DRAIN_WORKERS`] threads named
 //! `crfs-drain<N>`; dropping the backend lets them land everything
 //! still queued and joins them. The workers are symmetric. Each takes
-//! the next op in device order under the queue lock (with a ticket
-//! numbering the picks), re-reads its bytes from the fast tier with the
-//! lock released, waits for its ticket's turn, issues the durable write,
-//! and passes the turn on. Durable writes therefore reach the device
-//! strictly in pick order, while one worker's fast-tier re-read overlaps
-//! the device time of the other's write.
+//! the next op in device order (with a ticket numbering the picks),
+//! re-reads its bytes from the fast tier with the lock released, waits
+//! for its ticket's turn, issues the durable write, and passes the turn
+//! on. Durable writes therefore reach the device strictly in pick
+//! order, while one worker's fast-tier re-read overlaps the device time
+//! of the other's write.
 //!
-//! Nothing polls; every wait is an untimed condvar wait under the queue
-//! lock, re-checking its condition on wakeup:
+//! Every drain decision — the pick, the turn, retiring an op, cutting
+//! or redirecting queued ops, the watermark state, what the next
+//! barrier owes — is a method of one plain-data [`Drain`] behind one
+//! mutex; the workers, writers and barrier do the IO and the waiting
+//! around it. Nothing polls; every wait is an untimed condvar wait under
+//! that lock, re-checking its condition on wakeup:
 //!
 //! - `work` parks the workers — idle, blocked by the window or by an
 //!   overlapping copy in flight, or waiting for their turn. Woken by
@@ -85,7 +90,7 @@
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -106,44 +111,14 @@ const DRAIN_WORKERS: usize = 2;
 /// while a disk-class seek stays a few percent of a run's device time.
 const RUN_BYTES: u64 = 16 << 20;
 
+/// Maximum drain copies in flight. Two workers on a synchronous durable
+/// tier never reach it; it bounds the copies a durable tier that
+/// completes asynchronously holds at once.
+const DRAIN_WINDOW: usize = 8;
+
 /// Durable handles kept open between barriers before idle ones are
 /// closed, bounding descriptors on stacks that drain many small files.
 const MAX_DURABLE_HANDLES: usize = 64;
-
-/// Tuning knobs for [`TieredBackend`]. See
-/// [`CrfsConfig`](crate::CrfsConfig) for the mount-level builders that
-/// produce one.
-#[derive(Debug, Clone, Copy)]
-pub struct TieredParams {
-    /// Undrained resident bytes at which writes degrade to synchronous
-    /// write-through (durable-speed acks).
-    pub watermark_hi: u64,
-    /// Resident bytes the drain must fall back to before fast-tier
-    /// acknowledgement resumes.
-    pub watermark_lo: u64,
-    /// Maximum drain copies in flight to the durable tier.
-    pub drain_window: usize,
-    /// Promote whole files from the durable tier back into the fast
-    /// tier when a read-only open misses fast (the re-read path after
-    /// eviction or a fast-tier loss).
-    pub promote_reads: bool,
-    /// Drop the fast-tier copy of fully-drained, closed files at each
-    /// successful `drain_barrier` (minimal fast-tier retention). Off by
-    /// default: the fast tier keeps a full mirror.
-    pub evict_on_barrier: bool,
-}
-
-impl Default for TieredParams {
-    fn default() -> TieredParams {
-        TieredParams {
-            watermark_hi: 256 << 20,
-            watermark_lo: 64 << 20,
-            drain_window: 8,
-            promote_reads: true,
-            evict_on_barrier: false,
-        }
-    }
-}
 
 /// Point-in-time copy of the tier counters (the repository benchmark's
 /// `tiered.*` metrics read them).
@@ -164,8 +139,6 @@ pub struct TierCounters {
     pub write_through_ops: u64,
     /// Whole-file promotions from the durable tier into the fast tier.
     pub tier_promotes: u64,
-    /// Fast-tier copies evicted at a barrier.
-    pub evictions: u64,
     /// `drain_barrier` calls.
     pub barrier_waits: u64,
     /// Undrained bytes resident in the fast tier right now.
@@ -202,8 +175,21 @@ pub(crate) fn is_promote_tmp(name: &str) -> bool {
     })
 }
 
+/// How one drain op ended.
+#[derive(Clone, Copy)]
+enum Outcome {
+    Copied,
+    Dropped,
+    Failed,
+}
+
+/// The drain's whole state, as plain data: what is queued and in
+/// flight, where the device stands, whose turn it is, the watermark
+/// state, what the next barrier owes and the counters. Every decision
+/// is a method here, taken under `Shared::drain`; no method does IO or
+/// waits.
 #[derive(Default)]
-struct Queue {
+struct Drain {
     /// Oldest first.
     ops: VecDeque<DrainOp>,
     /// Ranges currently copying to the durable tier, per path. An op
@@ -222,12 +208,67 @@ struct Queue {
     /// The backend is being dropped: nothing new is accepted, and the
     /// workers exit once the queue is empty.
     closed: bool,
+    /// The watermarks, and the bytes acknowledged fast but not yet
+    /// copied to the durable tier.
+    lo: u64,
+    hi: u64,
+    resident: u64,
+    /// Degraded mode: set when `resident` reaches `hi`, cleared once it
+    /// falls back to `lo`.
+    degraded: bool,
+    /// Copies lost since the last barrier (failed drain copies and
+    /// renames that reached the fast tier only); a non-zero count fails
+    /// the barrier instead of claiming durability.
+    lost: u64,
+    /// Durable paths written since the last barrier's sync sweep.
+    dirty: BTreeSet<String>,
+    /// `resident_bytes` is filled in from `resident` on the way out.
+    c: TierCounters,
     /// Test hook: no op is picked while set.
     #[cfg(test)]
     held: bool,
 }
 
-impl Queue {
+impl Drain {
+    fn new(lo: u64, hi: u64) -> Drain {
+        assert!(
+            lo <= hi,
+            "tier_watermark_lo must not exceed tier_watermark_hi"
+        );
+        Drain {
+            lo,
+            hi,
+            ..Drain::default()
+        }
+    }
+
+    /// Queues the copy of an acknowledged range and returns whether the
+    /// write must wait for [`room`](Self::room): whether the drain was
+    /// degraded before this write added its bytes. Fails only once the
+    /// backend is shut down: the bytes reached the fast tier, but no
+    /// worker is left to carry them further.
+    fn enqueue(&mut self, path: &str, offset: u64, len: u64) -> io::Result<bool> {
+        if self.closed {
+            return Err(io::Error::other(
+                "tiered backend is shut down: the write reached the fast tier only",
+            ));
+        }
+        let degraded = self.degraded;
+        if degraded {
+            self.c.write_through_ops += 1;
+        }
+        self.resident += len;
+        if self.resident >= self.hi {
+            self.degraded = true;
+        }
+        self.ops.push_back(DrainOp {
+            path: path.to_string(),
+            offset,
+            len,
+        });
+        Ok(degraded)
+    }
+
     fn issuable(&self, op: &DrainOp) -> bool {
         self.inflight
             .get(&op.path)
@@ -277,7 +318,30 @@ impl Queue {
         Some((op, ticket))
     }
 
-    fn retire(&mut self, op: &DrainOp) {
+    /// Whether `ticket`'s durable write may be issued now; if so the
+    /// turn passes on to the next ticket.
+    fn take_turn(&mut self, ticket: u64) -> bool {
+        let mine = self.turn == ticket;
+        if mine {
+            self.turn += 1;
+        }
+        mine
+    }
+
+    /// Retires a picked op, however it ended.
+    fn finish(&mut self, op: &DrainOp, outcome: Outcome) {
+        match outcome {
+            Outcome::Copied => {
+                self.c.drain_ops += 1;
+                self.c.drain_bytes += op.len;
+                self.touch(&op.path);
+            }
+            Outcome::Dropped => self.c.drain_dropped += 1,
+            Outcome::Failed => {
+                self.c.drain_failed += 1;
+                self.lost += 1;
+            }
+        }
         if let Some(rs) = self.inflight.get_mut(&op.path) {
             if let Some(i) = rs.iter().position(|&r| r == (op.offset, op.len)) {
                 rs.swap_remove(i);
@@ -287,66 +351,145 @@ impl Queue {
             }
         }
         self.inflight_total -= 1;
+        self.release(op.len);
+    }
+
+    /// Takes `bytes` off the resident count (drained, or no longer
+    /// owed) and re-arms fast acks at the low watermark.
+    fn release(&mut self, bytes: u64) {
+        self.resident -= bytes;
+        if self.resident <= self.lo {
+            self.degraded = false;
+        }
+    }
+
+    /// Drops from the queue the part of `path`'s ops at or past
+    /// `new_len` (all of them for `new_len == 0`), clamping an op that
+    /// straddles it: acknowledged bytes below `new_len` still have to
+    /// reach the durable tier, or the next barrier would claim
+    /// durability for data it dropped. Copies in flight are the
+    /// caller's to wait out.
+    fn cut(&mut self, path: &str, new_len: u64) {
+        let mut cut = 0u64;
+        let mut dropped_ops = 0u64;
+        self.ops.retain_mut(|op| {
+            if op.path != path {
+                return true;
+            }
+            if op.offset >= new_len {
+                cut += op.len;
+                dropped_ops += 1;
+                return false;
+            }
+            if op.offset + op.len > new_len {
+                cut += op.offset + op.len - new_len;
+                op.len = new_len - op.offset;
+            }
+            true
+        });
+        self.c.drain_dropped += dropped_ops;
+        self.release(cut);
+    }
+
+    /// Moves the queued drains and the dirty mark of `from` to `to`, the
+    /// fast tier having moved the bytes. No copy of either name may be
+    /// in flight.
+    fn rename(&mut self, from: &str, to: &str) {
+        for op in self.ops.iter_mut().filter(|op| op.path == from) {
+            op.path = to.to_string();
+        }
+        if self.dirty.remove(from) {
+            self.dirty.insert(to.to_string());
+        }
+    }
+
+    /// Counts a rename the fast tier took and the durable tier did not:
+    /// the tiers disagree until the fsck tier pass re-drains, so the
+    /// next barrier must fail.
+    fn lose(&mut self) {
+        self.lost += 1;
+    }
+
+    /// Marks durable `path` for the next barrier's sync sweep.
+    fn touch(&mut self, path: &str) {
+        if !self.dirty.contains(path) {
+            self.dirty.insert(path.to_string());
+        }
+    }
+
+    /// Unmarks durable `path` (unlinked).
+    fn forget(&mut self, path: &str) {
+        self.dirty.remove(path);
+    }
+
+    /// Whether a copy of `path` is in flight.
+    fn busy(&self, path: &str) -> bool {
+        self.inflight.contains_key(path)
+    }
+
+    /// Whether a degraded write may ack: once the drain is back under
+    /// the high watermark — every retired copy admits one more write,
+    /// so writers advance at the device's pace — and never once a copy
+    /// has been lost: nothing it waits for can make its checkpoint
+    /// durable.
+    fn room(&self) -> io::Result<bool> {
+        if self.lost > 0 {
+            return Err(io::Error::other(
+                "tiered write-through: drain copies are failing to reach the durable tier",
+            ));
+        }
+        Ok(self.resident < self.hi)
     }
 
     fn drained(&self) -> bool {
         self.ops.is_empty() && self.inflight_total == 0
     }
 
-    fn path_in_flight(&self, path: &str) -> bool {
-        self.inflight.contains_key(path)
+    /// Ends a barrier's epoch: the durable paths to sync, and the copies
+    /// lost since the previous seal.
+    fn seal(&mut self) -> (Vec<String>, u64) {
+        self.c.barrier_waits += 1;
+        let dirty = std::mem::take(&mut self.dirty).into_iter().collect();
+        (dirty, std::mem::take(&mut self.lost))
     }
 
-    fn path_queued(&self, path: &str) -> bool {
-        self.ops.iter().any(|op| op.path == path)
+    fn promoted(&mut self) {
+        self.c.tier_promotes += 1;
     }
-}
 
-#[derive(Default)]
-struct Counters {
-    drain_ops: AtomicU64,
-    drain_bytes: AtomicU64,
-    drain_failed: AtomicU64,
-    drain_dropped: AtomicU64,
-    write_through_ops: AtomicU64,
-    tier_promotes: AtomicU64,
-    evictions: AtomicU64,
-    barrier_waits: AtomicU64,
-}
+    fn close(&mut self) {
+        self.closed = true;
+    }
 
-/// How one drain op ended.
-enum Outcome {
-    Copied,
-    Dropped,
-    Failed,
+    /// Whether a worker may exit: shut down with nothing left to pick.
+    fn finished(&self) -> bool {
+        self.closed && self.ops.is_empty()
+    }
+
+    fn degraded(&self) -> bool {
+        self.degraded
+    }
+
+    fn counters(&self) -> TierCounters {
+        TierCounters {
+            resident_bytes: self.resident,
+            ..self.c
+        }
+    }
 }
 
 struct Shared {
     fast: Arc<dyn Backend>,
     durable: Arc<dyn Backend>,
-    params: TieredParams,
-    queue: Mutex<Queue>,
+    drain: Mutex<Drain>,
     /// Parks the drain workers; see the module docs for who wakes whom.
     work: Condvar,
     /// Parks everyone waiting for copies to finish.
     retired: Condvar,
-    /// Bytes acknowledged fast but not yet copied to the durable tier.
-    resident: AtomicU64,
-    /// Degraded mode: the fast tier is over `watermark_hi`.
-    write_through: AtomicBool,
-    /// Drain copies that failed since the last barrier; a non-zero
-    /// count fails the barrier instead of claiming durability.
-    failed_since_barrier: AtomicU64,
     /// The one live write handle of each durable file touched lately.
-    /// Taken after the queue lock where both are held, never before.
+    /// Taken after the drain lock where both are held, never before.
     durable_files: Mutex<HashMap<String, Arc<dyn BackendFile>>>,
-    /// Durable paths written since the last barrier's sync sweep.
-    dirty: Mutex<BTreeSet<String>>,
-    /// Open write handles per path — eviction skips files still open.
-    writers: Mutex<HashMap<String, usize>>,
-    next_token: AtomicU64,
     stats: Mutex<Option<Arc<CrfsStats>>>,
-    c: Counters,
 }
 
 impl Shared {
@@ -358,53 +501,21 @@ impl Shared {
         self.stats().and_then(|s| s.stages.timer())
     }
 
-    /// Queues the copy of an acknowledged range. Fails only once the
-    /// backend is shut down: the bytes reached the fast tier, but no
-    /// worker is left to carry them further.
-    fn enqueue(&self, path: &str, offset: u64, len: usize) -> io::Result<()> {
-        let mut q = self.queue.lock();
-        if q.closed {
-            return Err(io::Error::other(
-                "tiered backend is shut down: the write reached the fast tier only",
-            ));
-        }
-        let now = self.resident.fetch_add(len as u64, Relaxed) + len as u64;
-        if now >= self.params.watermark_hi {
-            self.write_through.store(true, Relaxed);
-        }
-        q.ops.push_back(DrainOp {
-            path: path.to_string(),
-            offset,
-            len: len as u64,
-        });
-        self.work.notify_all();
-        Ok(())
-    }
-
-    /// Takes `bytes` off the resident count (drained, or no longer
-    /// owed) and re-arms fast acks at `watermark_lo`.
-    fn release(&self, bytes: u64) {
-        let now = self.resident.fetch_sub(bytes, Relaxed) - bytes;
-        if now <= self.params.watermark_lo && self.write_through.load(Relaxed) {
-            self.write_through.store(false, Relaxed);
-        }
-    }
-
     /// Body of a `crfs-drain<N>` thread.
     fn drain_loop(self: &Arc<Self>) {
         // This worker's copy buffer: grown to its largest op, never
         // shrunk, aligned so a direct-capable durable tier takes it in place.
         let mut scratch = ChunkBuf::new(0);
-        let mut q = self.queue.lock();
+        let mut d = self.drain.lock();
         loop {
-            if let Some((op, ticket)) = q.pick(self.params.drain_window) {
-                drop(q);
+            if let Some((op, ticket)) = d.pick(DRAIN_WINDOW) {
+                drop(d);
                 self.copy(op, ticket, &mut scratch);
-                q = self.queue.lock();
-            } else if q.closed && q.ops.is_empty() {
+                d = self.drain.lock();
+            } else if d.finished() {
                 return;
             } else {
-                self.work.wait(&mut q);
+                self.work.wait(&mut d);
             }
         }
     }
@@ -486,117 +597,71 @@ impl Shared {
         // write queued behind the current one, and an asynchronous one
         // takes submissions back to back.
         {
-            let mut q = self.queue.lock();
-            while q.turn != ticket {
-                self.work.wait(&mut q);
+            let mut d = self.drain.lock();
+            while !d.take_turn(ticket) {
+                self.work.wait(&mut d);
             }
-            q.turn += 1;
             self.work.notify_all();
         }
-        // `None`: the durable tier took the write asynchronously and
-        // its completion retires the op.
-        let ended = match source {
-            Ok(Some((data, file))) => self.write_durable(&op, t0, data, file),
-            Ok(None) => Some(Outcome::Dropped),
-            Err(_) => Some(Outcome::Failed),
+        let outcome = match source {
+            Ok(Some((data, file))) => {
+                let sink: Arc<dyn CompletionSink> = Arc::new(DrainSink {
+                    shared: Arc::clone(self),
+                    op: Arc::clone(&op),
+                    t0,
+                    _file: Arc::clone(&file),
+                });
+                // The ticket numbers the durable write too. `Ok(true)`:
+                // the durable tier took it asynchronously, and the sink
+                // retires the op.
+                match file.begin_write_at(ticket, op.offset, data, &sink) {
+                    Ok(true) => return,
+                    Ok(false) if file.write_at(op.offset, data).is_ok() => Outcome::Copied,
+                    Ok(false) | Err(_) => Outcome::Failed,
+                }
+            }
+            Ok(None) => Outcome::Dropped,
+            Err(_) => Outcome::Failed,
         };
-        if let Some(outcome) = ended {
-            self.complete_op(&op, t0, outcome);
-        }
+        self.finish(&op, t0, outcome);
     }
 
-    /// Issues the durable write of one op; `None` when a [`DrainSink`]
-    /// completes it later.
-    fn write_durable(
-        self: &Arc<Self>,
-        op: &Arc<DrainOp>,
-        t0: Option<Instant>,
-        data: &[u8],
-        file: Arc<dyn BackendFile>,
-    ) -> Option<Outcome> {
-        self.dirty.lock().insert(op.path.clone());
-        let token = self.next_token.fetch_add(1, Relaxed);
-        let sink: Arc<dyn CompletionSink> = Arc::new(DrainSink {
-            shared: Arc::clone(self),
-            op: Arc::clone(op),
-            t0,
-            _file: Arc::clone(&file),
-        });
-        match file.begin_write_at(token, op.offset, data, &sink) {
-            Ok(true) => None,
-            Ok(false) if file.write_at(op.offset, data).is_ok() => Some(Outcome::Copied),
-            Ok(false) | Err(_) => Some(Outcome::Failed),
-        }
-    }
-
-    /// Retires one drain op (any outcome) and updates watermark state.
-    /// On an async durable tier this runs on its completion thread.
-    fn complete_op(&self, op: &DrainOp, t0: Option<Instant>, outcome: Outcome) {
-        match outcome {
-            Outcome::Copied => {
-                self.c.drain_ops.fetch_add(1, Relaxed);
-                self.c.drain_bytes.fetch_add(op.len, Relaxed);
-                if let Some(s) = self.stats() {
+    /// Retires one drain op (any outcome). On an asynchronous durable
+    /// tier this runs on its completion thread.
+    fn finish(&self, op: &DrainOp, t0: Option<Instant>, outcome: Outcome) {
+        if let Some(s) = self.stats() {
+            match outcome {
+                Outcome::Copied => {
                     if let Some(t0) = t0 {
                         s.stages.drain_copy.record_dur(t0.elapsed());
                     }
                     s.flight
                         .record(EventKind::DrainCopy, Some(&op.path), op.offset, op.len);
                 }
-            }
-            Outcome::Dropped => {
-                self.c.drain_dropped.fetch_add(1, Relaxed);
-            }
-            Outcome::Failed => {
-                self.c.drain_failed.fetch_add(1, Relaxed);
-                self.failed_since_barrier.fetch_add(1, Relaxed);
-                if let Some(s) = self.stats() {
+                Outcome::Dropped => {}
+                Outcome::Failed => {
                     s.flight
                         .record(EventKind::WriteFailed, Some(&op.path), op.offset, op.len);
                 }
             }
         }
-        let mut q = self.queue.lock();
-        q.retire(op);
-        self.release(op.len);
+        self.drain.lock().finish(op, outcome);
         self.retired.notify_all();
         self.work.notify_all();
     }
 
-    /// Blocks a degraded writer until the drain is back under the high
-    /// watermark — every retired copy admits one more write, so writers
-    /// advance at the device's pace — and fails it once a copy has been
-    /// lost: nothing it waits for can make its checkpoint durable.
-    fn wait_for_room(&self) -> io::Result<()> {
-        let mut q = self.queue.lock();
-        loop {
-            if self.failed_since_barrier.load(Relaxed) > 0 {
-                return Err(io::Error::other(
-                    "tiered write-through: drain copies are failing to reach the durable tier",
-                ));
-            }
-            if self.resident.load(Relaxed) < self.params.watermark_hi {
-                return Ok(());
-            }
-            self.retired.wait(&mut q);
-        }
-    }
-
     /// Waits for the queue to empty, syncs every durable file written
-    /// since the last barrier, and reports any drain failure instead of
+    /// since the last barrier, and reports any lost copy instead of
     /// claiming durability.
     fn barrier(&self) -> io::Result<()> {
-        self.c.barrier_waits.fetch_add(1, Relaxed);
         let t0 = self.stage_timer();
-        {
-            let mut q = self.queue.lock();
-            while !q.drained() {
-                self.retired.wait(&mut q);
+        let (dirty, lost) = {
+            let mut d = self.drain.lock();
+            while !d.drained() {
+                self.retired.wait(&mut d);
             }
-        }
-        let dirty: Vec<String> = std::mem::take(&mut *self.dirty.lock())
-            .into_iter()
-            .collect();
+            d.seal()
+        };
         let mut first_err: Option<io::Error> = None;
         for path in &dirty {
             match self.durable_file(path, false).and_then(|f| f.sync()) {
@@ -614,18 +679,14 @@ impl Shared {
         close_idle(&mut self.durable_files.lock());
         // A lost drain copy is the root-cause diagnosis; sync errors on
         // a dead durable tier are its symptoms, so check it first.
-        let lost = self.failed_since_barrier.swap(0, Relaxed);
         if lost > 0 {
             return Err(io::Error::other(format!(
-                "tiered drain: {lost} copies failed to reach the durable tier \
+                "tiered drain: {lost} copies or renames failed to reach the durable tier \
                  (fast-tier data retained; run the fsck tier pass to re-drain)"
             )));
         }
         if let Some(e) = first_err {
             return Err(e);
-        }
-        if self.params.evict_on_barrier {
-            self.evict(&dirty);
         }
         if let (Some(s), Some(t0)) = (self.stats(), t0) {
             s.stages.drain_wait.record_dur(t0.elapsed());
@@ -633,61 +694,10 @@ impl Shared {
         Ok(())
     }
 
-    /// Drops the fast-tier copy of fully-drained files that are closed
-    /// and have nothing queued or in flight — the only state where the
-    /// fast bytes are provably redundant.
-    fn evict(&self, paths: &[String]) {
-        for path in paths {
-            let open_writers = self.writers.lock().get(path).copied().unwrap_or(0);
-            if open_writers > 0 {
-                continue;
-            }
-            {
-                let q = self.queue.lock();
-                if q.path_queued(path) || q.path_in_flight(path) {
-                    continue;
-                }
-            }
-            if self.fast.unlink(path).is_ok() {
-                self.c.evictions.fetch_add(1, Relaxed);
-            }
-        }
-    }
-
     /// Waits until no copy is in flight on any of `paths`.
-    fn wait_out(&self, q: &mut MutexGuard<'_, Queue>, paths: &[&str]) {
-        while paths.iter().any(|p| q.path_in_flight(p)) {
-            self.retired.wait(q);
-        }
-    }
-
-    /// Drops from the queue the part of `path`'s ops at or past
-    /// `new_len` (all of them for `new_len == 0`), clamping an op that
-    /// straddles it: acknowledged bytes below `new_len` still have to
-    /// reach the durable tier, or the next barrier would claim
-    /// durability for data it dropped.
-    fn cut_queued(&self, q: &mut Queue, path: &str, new_len: u64) {
-        let mut cut = 0u64;
-        let mut dropped_ops = 0u64;
-        q.ops.retain_mut(|op| {
-            if op.path != path {
-                return true;
-            }
-            if op.offset >= new_len {
-                cut += op.len;
-                dropped_ops += 1;
-                return false;
-            }
-            if op.offset + op.len > new_len {
-                cut += op.offset + op.len - new_len;
-                op.len = new_len - op.offset;
-            }
-            true
-        });
-        if cut > 0 {
-            self.c.drain_dropped.fetch_add(dropped_ops, Relaxed);
-            self.release(cut);
-            self.retired.notify_all();
+    fn wait_out(&self, d: &mut MutexGuard<'_, Drain>, paths: &[&str]) {
+        while paths.iter().any(|p| d.busy(p)) {
+            self.retired.wait(d);
         }
     }
 
@@ -695,33 +705,21 @@ impl Shared {
     /// copies — called before unlink and a truncating open so a late
     /// copy cannot resurrect or corrupt the durable file.
     fn flush_path(&self, path: &str) {
-        let mut q = self.queue.lock();
-        self.cut_queued(&mut q, path, 0);
-        self.wait_out(&mut q, &[path]);
+        let mut d = self.drain.lock();
+        d.cut(path, 0);
+        self.retired.notify_all();
+        self.wait_out(&mut d, &[path]);
     }
 
-    /// Prepares the drain queue for a resize of `path` to `new_len`:
-    /// waits out in-flight copies (a late completion could extend the
-    /// durable file past the new length), then cuts the queued ops
-    /// down to `[0, new_len)`.
+    /// Prepares the drain for a resize of `path` to `new_len`: waits out
+    /// in-flight copies (a late completion could extend the durable file
+    /// past the new length), then cuts the queued ops down to
+    /// `[0, new_len)`.
     fn truncate_path(&self, path: &str, new_len: u64) {
-        let mut q = self.queue.lock();
-        self.wait_out(&mut q, &[path]);
-        self.cut_queued(&mut q, path, new_len);
-    }
-
-    fn register_writer(&self, path: &str) {
-        *self.writers.lock().entry(path.to_string()).or_insert(0) += 1;
-    }
-
-    fn unregister_writer(&self, path: &str) {
-        let mut w = self.writers.lock();
-        if let Some(n) = w.get_mut(path) {
-            *n -= 1;
-            if *n == 0 {
-                w.remove(path);
-            }
-        }
+        let mut d = self.drain.lock();
+        self.wait_out(&mut d, &[path]);
+        d.cut(path, new_len);
+        self.retired.notify_all();
     }
 }
 
@@ -748,25 +746,7 @@ impl CompletionSink for DrainSink {
         } else {
             Outcome::Failed
         };
-        self.shared.complete_op(&self.op, self.t0, outcome);
-    }
-}
-
-/// Wraps the engine's completion sink on an async-capable *fast* tier:
-/// the drain op must not enqueue until the fast tier has actually
-/// landed the bytes it will re-read.
-struct TierWriteSink {
-    shared: Arc<Shared>,
-    path: String,
-    offset: u64,
-    len: usize,
-    inner: Arc<dyn CompletionSink>,
-}
-
-impl CompletionSink for TierWriteSink {
-    fn complete(&self, token: u64, result: io::Result<()>) {
-        let result = result.and_then(|()| self.shared.enqueue(&self.path, self.offset, self.len));
-        self.inner.complete(token, result);
+        self.shared.finish(&self.op, self.t0, outcome);
     }
 }
 
@@ -778,34 +758,22 @@ pub struct TieredBackend {
 }
 
 impl TieredBackend {
-    /// Stacks `fast` over `durable` with the given knobs and starts the
-    /// drain workers.
-    pub fn new(
+    /// Stacks `fast` over `durable` with the mount config's watermarks
+    /// (`tier_watermark_lo/hi`) and starts the drain workers.
+    pub fn from_config(
         fast: Arc<dyn Backend>,
         durable: Arc<dyn Backend>,
-        params: TieredParams,
+        config: &crate::CrfsConfig,
     ) -> TieredBackend {
-        assert!(
-            params.watermark_lo <= params.watermark_hi,
-            "watermark_lo must not exceed watermark_hi"
-        );
-        assert!(params.drain_window >= 1, "drain_window must be >= 1");
+        let drain = Drain::new(config.tier_watermark_lo, config.tier_watermark_hi);
         let shared = Arc::new(Shared {
             fast,
             durable,
-            params,
-            queue: Mutex::new(Queue::default()),
+            drain: Mutex::new(drain),
             work: Condvar::new(),
             retired: Condvar::new(),
-            resident: AtomicU64::new(0),
-            write_through: AtomicBool::new(false),
-            failed_since_barrier: AtomicU64::new(0),
             durable_files: Mutex::new(HashMap::new()),
-            dirty: Mutex::new(BTreeSet::new()),
-            writers: Mutex::new(HashMap::new()),
-            next_token: AtomicU64::new(1),
             stats: Mutex::new(None),
-            c: Counters::default(),
         });
         let workers = (0..DRAIN_WORKERS)
             .map(|i| {
@@ -819,60 +787,20 @@ impl TieredBackend {
         TieredBackend { shared, workers }
     }
 
-    /// Stacks `fast` over `durable` with the mount config's watermarks
-    /// (`tier_watermark_lo/hi`) over [`TieredParams::default`].
-    pub fn from_config(
-        fast: Arc<dyn Backend>,
-        durable: Arc<dyn Backend>,
-        config: &crate::CrfsConfig,
-    ) -> TieredBackend {
-        TieredBackend::new(fast, durable, config.tiered_params())
-    }
-
-    /// The fast tier.
-    pub fn fast(&self) -> &Arc<dyn Backend> {
-        &self.shared.fast
-    }
-
-    /// The durable tier.
-    pub fn durable(&self) -> &Arc<dyn Backend> {
-        &self.shared.durable
-    }
-
-    /// The knobs this stack was built with.
-    pub fn params(&self) -> &TieredParams {
-        &self.shared.params
-    }
-
-    /// Undrained bytes resident in the fast tier.
-    pub fn resident_bytes(&self) -> u64 {
-        self.shared.resident.load(Relaxed)
-    }
-
     /// Whether writes are currently degraded to write-through.
     pub fn write_through_active(&self) -> bool {
-        self.shared.write_through.load(Relaxed)
+        self.shared.drain.lock().degraded()
     }
 
     /// Snapshot of the tier counters.
     pub fn tier_counters(&self) -> TierCounters {
-        let c = &self.shared.c;
-        TierCounters {
-            drain_ops: c.drain_ops.load(Relaxed),
-            drain_bytes: c.drain_bytes.load(Relaxed),
-            drain_failed: c.drain_failed.load(Relaxed),
-            drain_dropped: c.drain_dropped.load(Relaxed),
-            write_through_ops: c.write_through_ops.load(Relaxed),
-            tier_promotes: c.tier_promotes.load(Relaxed),
-            evictions: c.evictions.load(Relaxed),
-            barrier_waits: c.barrier_waits.load(Relaxed),
-            resident_bytes: self.shared.resident.load(Relaxed),
-        }
+        self.shared.drain.lock().counters()
     }
 
-    /// Copies the whole durable file into the fast tier (read-miss
-    /// promotion). On any failure the partial fast copy is removed so
-    /// the fast tier never holds bytes the drain didn't put there.
+    /// Copies the whole durable file into the fast tier, for a
+    /// non-truncating write open of a file only the durable tier holds.
+    /// On any failure the partial fast copy is removed so the fast tier
+    /// never holds bytes the drain didn't put there.
     fn promote(&self, path: &str) -> io::Result<()> {
         let t0 = self.shared.stage_timer();
         let src = self.shared.durable.open(path, OpenOptions::read_only())?;
@@ -913,7 +841,7 @@ impl TieredBackend {
             let _ = self.shared.fast.unlink(&tmp);
             return Err(e);
         }
-        self.shared.c.tier_promotes.fetch_add(1, Relaxed);
+        self.shared.drain.lock().promoted();
         if let Some(s) = self.shared.stats() {
             if let Some(t0) = t0 {
                 s.stages.tier_promote.record_dur(t0.elapsed());
@@ -922,6 +850,20 @@ impl TieredBackend {
                 .record(EventKind::TierPromote, Some(path), total, 0);
         }
         Ok(())
+    }
+
+    fn file(
+        &self,
+        path: String,
+        file: Box<dyn BackendFile>,
+        on_fast: bool,
+    ) -> Box<dyn BackendFile> {
+        Box::new(TieredFile {
+            path,
+            shared: Arc::clone(&self.shared),
+            file,
+            on_fast,
+        })
     }
 }
 
@@ -946,33 +888,27 @@ impl Backend for TieredBackend {
                             .durable
                             .open(&path, OpenOptions::create_truncate())?,
                     );
-                    self.shared.dirty.lock().insert(path.clone());
+                    self.shared.drain.lock().touch(&path);
                 }
             } else if !self.shared.fast.exists(&path) && self.shared.durable.exists(&path) {
-                // The fast copy was evicted (or lost) but the file
-                // exists durable: a non-truncating write open must see
-                // those contents. Without promotion, create=false would
-                // fail NotFound and create=true would shadow the
-                // durable copy with a fresh empty fast file.
+                // The fast copy was lost but the file exists durable: a
+                // non-truncating write open must see those contents.
+                // Without promotion, create=false would fail NotFound
+                // and create=true would shadow the durable copy with a
+                // fresh empty fast file.
                 self.promote(&path)?;
             }
             let fast = self.shared.fast.open(&path, opts)?;
-            self.shared.register_writer(&path);
-            return Ok(self.file(path, fast, true, true));
+            return Ok(self.file(path, fast, true));
         }
         // Read-only: serve the fast tier when it has the file (it is a
-        // superset of the durable tier for any file it holds), fall back
-        // to the durable tier — optionally promoting the file back into
-        // fast first.
+        // superset of the durable tier for any file it holds), the
+        // durable tier otherwise.
         match self.shared.fast.open(&path, opts) {
-            Ok(fast) => Ok(self.file(path, fast, true, false)),
+            Ok(fast) => Ok(self.file(path, fast, true)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                if self.shared.params.promote_reads && self.promote(&path).is_ok() {
-                    let fast = self.shared.fast.open(&path, opts)?;
-                    return Ok(self.file(path, fast, true, false));
-                }
                 let durable = self.shared.durable.open(&path, opts)?;
-                Ok(self.file(path, durable, false, false))
+                Ok(self.file(path, durable, false))
             }
             Err(e) => Err(e),
         }
@@ -1001,7 +937,7 @@ impl Backend for TieredBackend {
         let path = normalize_path(path)?;
         self.shared.flush_path(&path);
         self.shared.forget_durable(&path);
-        self.shared.dirty.lock().remove(&path);
+        self.shared.drain.lock().forget(&path);
         let fast = self.shared.fast.unlink(&path);
         let durable = self.shared.durable.unlink(&path);
         match (fast, durable) {
@@ -1018,51 +954,42 @@ impl Backend for TieredBackend {
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
         let from = normalize_path(from)?;
         let to = normalize_path(to)?;
-        // Wait out copies in flight under either name, redirect queued
-        // drains to the new one, and rename both tiers before any op
-        // can be picked again: the queue lock is held throughout, so no
-        // copy lands under a name that is about to move or be replaced.
-        // Queued drains and the dirty mark follow the bytes only once the
-        // fast rename succeeded: a failed one leaves them under `from`,
-        // where the bytes still are.
-        let mut q = self.shared.queue.lock();
-        self.shared.wait_out(&mut q, &[&from, &to]);
+        // Wait out copies in flight under either name, then rename both
+        // tiers before any op can be picked again: the drain lock is
+        // held throughout, so no copy lands under a name that is about
+        // to move or be replaced. Queued drains and the dirty mark
+        // follow the bytes only once the fast rename succeeded: a failed
+        // one leaves them under `from`, where the bytes still are.
+        let mut d = self.shared.drain.lock();
+        self.shared.wait_out(&mut d, &[&from, &to]);
         let fast_had = self.shared.fast.exists(&from);
         if fast_had {
             self.shared.fast.rename(&from, &to)?;
         }
-        for op in q.ops.iter_mut() {
-            if op.path == from {
-                op.path = to.clone();
-            }
-        }
+        d.rename(&from, &to);
         self.shared.forget_durable(&from);
         self.shared.forget_durable(&to);
-        {
-            let mut d = self.shared.dirty.lock();
-            if d.remove(&from) {
-                d.insert(to.clone());
-            }
-        }
-        let durable_had = self.shared.durable.exists(&from);
-        if durable_had {
-            self.shared.durable.rename(&from, &to)?;
+        let durable = if self.shared.durable.exists(&from) {
+            self.shared.durable.rename(&from, &to)
         } else if fast_had {
             // Nothing of `from` has drained yet, so its redirected ops
             // will build the durable `to` from nothing; an older
             // durable `to` must not keep a tail past the new length.
             match self.shared.durable.unlink(&to) {
-                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-                _ => {}
+                Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+                _ => Ok(()),
             }
-        }
-        if !fast_had && !durable_had {
-            return Err(io::Error::new(
+        } else {
+            Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("{from:?} not found in either tier"),
-            ));
+            ))
+        };
+        if durable.is_err() && fast_had {
+            // Half done: the fast tier moved, the durable tier did not.
+            d.lose();
         }
-        Ok(())
+        durable
     }
 
     fn exists(&self, path: &str) -> bool {
@@ -1111,41 +1038,20 @@ impl Backend for TieredBackend {
     }
 }
 
-impl TieredBackend {
-    fn file(
-        &self,
-        path: String,
-        file: Box<dyn BackendFile>,
-        on_fast: bool,
-        writer: bool,
-    ) -> Box<dyn BackendFile> {
-        Box::new(TieredFile {
-            path,
-            shared: Arc::clone(&self.shared),
-            file,
-            on_fast,
-            writer,
-        })
-    }
-}
-
 impl Drop for TieredBackend {
     /// Lands every queued op, then retires the drain workers. Files
     /// that outlive the backend fail their writes instead of queueing
     /// for a drain that no longer runs.
     fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock();
-            q.closed = true;
-            self.shared.work.notify_all();
-        }
+        self.shared.drain.lock().close();
+        self.shared.work.notify_all();
         for worker in self.workers.drain(..) {
             // A worker that panicked has already reported itself.
             let _ = worker.join();
         }
-        let mut q = self.shared.queue.lock();
-        while q.inflight_total > 0 {
-            self.shared.retired.wait(&mut q);
+        let mut d = self.shared.drain.lock();
+        while !d.drained() {
+            self.shared.retired.wait(&mut d);
         }
     }
 }
@@ -1158,7 +1064,6 @@ struct TieredFile {
     shared: Arc<Shared>,
     file: Box<dyn BackendFile>,
     on_fast: bool,
-    writer: bool,
 }
 
 impl TieredFile {
@@ -1176,44 +1081,18 @@ impl TieredFile {
 
 impl BackendFile for TieredFile {
     fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let fast = self.fast_handle()?;
-        let degraded = self.shared.write_through.load(Relaxed);
-        fast.write_at(offset, data)?;
-        self.shared.enqueue(&self.path, offset, data.len())?;
-        if !degraded {
-            return Ok(());
-        }
+        self.fast_handle()?.write_at(offset, data)?;
+        let mut d = self.shared.drain.lock();
+        let degraded = d.enqueue(&self.path, offset, data.len() as u64)?;
+        self.shared.work.notify_all();
         // Degraded: the drain is behind the high watermark. The fast
         // mirror took the bytes (readers serve from it, and the drain
         // re-reads them), but the ack waits until the drain has made
         // room for them, so resident bytes stop growing.
-        self.shared.c.write_through_ops.fetch_add(1, Relaxed);
-        self.shared.wait_for_room()
-    }
-
-    fn begin_write_at(
-        &self,
-        token: u64,
-        offset: u64,
-        data: &[u8],
-        sink: &Arc<dyn CompletionSink>,
-    ) -> io::Result<bool> {
-        if self.shared.write_through.load(Relaxed) {
-            // Degraded mode acks at durable speed via the sync path.
-            return Ok(false);
+        while degraded && !d.room()? {
+            self.shared.retired.wait(&mut d);
         }
-        let fast = self.fast_handle()?;
-        // Forward the fast tier's async capability; the drain op is
-        // enqueued only once the fast tier confirms the bytes landed
-        // (the drain re-reads them).
-        let wrap: Arc<dyn CompletionSink> = Arc::new(TierWriteSink {
-            shared: Arc::clone(&self.shared),
-            path: self.path.clone(),
-            offset,
-            len: data.len(),
-            inner: Arc::clone(sink),
-        });
-        fast.begin_write_at(token, offset, data, &wrap)
+        Ok(())
     }
 
     crate::forward_file_ops!(file: read_at, begin_read_at, len);
@@ -1237,16 +1116,8 @@ impl BackendFile for TieredFile {
         // never written, so only set_len can make the durable length
         // match what a durable-only restart expects.
         self.shared.durable_file(&self.path, true)?.set_len(len)?;
-        self.shared.dirty.lock().insert(self.path.clone());
+        self.shared.drain.lock().touch(&self.path);
         Ok(())
-    }
-}
-
-impl Drop for TieredFile {
-    fn drop(&mut self) {
-        if self.writer {
-            self.shared.unregister_writer(&self.path);
-        }
     }
 }
 
@@ -1254,38 +1125,43 @@ impl Drop for TieredFile {
 mod tests {
     use super::*;
     use crate::backend::{FailureMode, FaultyBackend, MemBackend};
+    use crate::CrfsConfig;
 
     fn mems() -> (Arc<MemBackend>, Arc<MemBackend>) {
         (Arc::new(MemBackend::new()), Arc::new(MemBackend::new()))
     }
 
-    fn tiered(params: TieredParams) -> (TieredBackend, Arc<MemBackend>, Arc<MemBackend>) {
+    fn tiered_with(config: CrfsConfig) -> (TieredBackend, Arc<MemBackend>, Arc<MemBackend>) {
         let (fast, durable) = mems();
-        let be = TieredBackend::new(
+        let be = TieredBackend::from_config(
             Arc::clone(&fast) as Arc<dyn Backend>,
             Arc::clone(&durable) as Arc<dyn Backend>,
-            params,
+            &config,
         );
         (be, fast, durable)
+    }
+
+    fn tiered() -> (TieredBackend, Arc<MemBackend>, Arc<MemBackend>) {
+        tiered_with(CrfsConfig::default())
     }
 
     /// Stops (or restarts) the drain: while held, enqueued ops stay
     /// queued. Release before dropping the backend.
     fn hold(be: &TieredBackend, held: bool) {
-        be.shared.queue.lock().held = held;
+        be.shared.drain.lock().held = held;
         be.shared.work.notify_all();
     }
 
     /// Spins until `n` ops sit in the queue.
     fn await_queued(shared: &Shared, n: usize) {
-        while shared.queue.lock().ops.len() < n {
+        while shared.drain.lock().ops.len() < n {
             std::thread::yield_now();
         }
     }
 
     #[test]
     fn writes_ack_fast_and_drain_to_durable() {
-        let (be, fast, durable) = tiered(TieredParams::default());
+        let (be, fast, durable) = tiered();
         be.mkdir("/ckpt").unwrap();
         let f = be.open("/ckpt/r0", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, b"alpha").unwrap();
@@ -1304,10 +1180,7 @@ mod tests {
 
     #[test]
     fn rewritten_ranges_converge_to_newest_bytes() {
-        let (be, _fast, durable) = tiered(TieredParams {
-            drain_window: 1,
-            ..TieredParams::default()
-        });
+        let (be, _fast, durable) = tiered();
         let f = be.open("/f", OpenOptions::create_truncate()).unwrap();
         for round in 0..16u8 {
             f.write_at(0, &[round; 64]).unwrap();
@@ -1322,7 +1195,7 @@ mod tests {
     /// rewritten while queued its newest.
     #[test]
     fn reused_drain_buffer_never_leaks_a_previous_op() {
-        let (be, fast, durable) = tiered(TieredParams::default());
+        let (be, fast, durable) = tiered();
         let files = ["/a", "/b"].map(|p| be.open(p, OpenOptions::create_truncate()).unwrap());
         let bytes = |len: usize, seed: usize| -> Vec<u8> {
             (0..len).map(|i| ((i + seed * 31) % 251) as u8).collect()
@@ -1353,11 +1226,7 @@ mod tests {
 
     #[test]
     fn watermark_degrades_to_write_through_and_recovers() {
-        let (be, fast, durable) = tiered(TieredParams {
-            watermark_hi: 8,
-            watermark_lo: 2,
-            ..TieredParams::default()
-        });
+        let (be, fast, durable) = tiered_with(CrfsConfig::default().with_tier_watermarks(2, 8));
         let f = be.open("/w", OpenOptions::create_truncate()).unwrap();
         hold(&be, true);
         f.write_at(0, b"first").unwrap();
@@ -1370,7 +1239,7 @@ mod tests {
                 f.write_at(11, b"third").unwrap();
                 // The ack of a degraded write means the drain is back
                 // under the high watermark.
-                assert!(be.resident_bytes() < 8);
+                assert!(be.tier_counters().resident_bytes < 8);
             });
             // Nothing drains while the queue is held, so the fast tier
             // stays over the watermark and the write cannot have acked.
@@ -1387,7 +1256,7 @@ mod tests {
         assert_eq!(c.resident_bytes, 0);
         assert!(
             !be.write_through_active(),
-            "draining to watermark_lo re-arms fast acks"
+            "draining to the low watermark re-arms fast acks"
         );
         f.write_at(16, b"!").unwrap();
         be.drain_barrier().unwrap();
@@ -1397,7 +1266,7 @@ mod tests {
 
     #[test]
     fn rename_redirects_queued_drains() {
-        let (be, _fast, durable) = tiered(TieredParams::default());
+        let (be, _fast, durable) = tiered();
         let f = be
             .open("/tmp.manifest", OpenOptions::create_truncate())
             .unwrap();
@@ -1413,7 +1282,7 @@ mod tests {
 
     #[test]
     fn failed_rename_keeps_queued_drains_under_the_old_name() {
-        let (be, _fast, durable) = tiered(TieredParams::default());
+        let (be, _fast, durable) = tiered();
         hold(&be, true);
         let f = be.open("/a", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, b"acked").unwrap();
@@ -1427,9 +1296,33 @@ mod tests {
         assert_eq!((c.drain_ops, c.drain_dropped), (1, 0));
     }
 
+    /// The fast tier takes a rename the durable tier refuses: the tiers
+    /// now disagree on where the acked bytes live, and the next barrier
+    /// must say so rather than claim durability.
+    #[test]
+    fn durable_rename_failure_fails_next_barrier() {
+        let (be, fast, durable) = tiered();
+        fast.mkdir("/d").unwrap(); // the durable tier has no /d
+        let f = be.open("/f", OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, b"acked").unwrap();
+        drop(f);
+        be.drain_barrier().unwrap();
+        let err = be.rename("/f", "/d/g").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert_eq!(fast.contents("/d/g").unwrap(), b"acked");
+        assert_eq!(durable.contents("/f").unwrap(), b"acked");
+        assert!(!durable.exists("/d/g"));
+        let err = be
+            .drain_barrier()
+            .expect_err("a half-done rename fails the next barrier");
+        assert!(err.to_string().contains("fsck tier pass"), "{err}");
+        be.drain_barrier()
+            .expect("the loss is reported once, not at every barrier");
+    }
+
     #[test]
     fn unlink_purges_queue_and_both_tiers() {
-        let (be, fast, durable) = tiered(TieredParams::default());
+        let (be, fast, durable) = tiered();
         let f = be.open("/gone", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, b"data").unwrap();
         drop(f);
@@ -1438,17 +1331,15 @@ mod tests {
         assert!(!durable.exists("/gone"));
         be.drain_barrier().unwrap();
         assert!(!durable.exists("/gone"), "no late drain resurrects it");
-        assert_eq!(be.resident_bytes(), 0);
+        assert_eq!(be.tier_counters().resident_bytes, 0);
         assert!(be.unlink("/gone").is_err(), "second unlink is NotFound");
     }
 
+    /// A file only the durable tier holds (the fast tier was lost) is
+    /// read straight from the durable tier, and stays there.
     #[test]
-    fn read_only_open_falls_back_to_durable_and_promotes() {
-        let (be, fast, durable) = tiered(TieredParams {
-            promote_reads: true,
-            ..TieredParams::default()
-        });
-        // Simulate a post-crash fast tier: the file exists only durable.
+    fn no_promotion_serves_durable_directly() {
+        let (be, fast, durable) = tiered();
         let d = durable
             .open("/old", OpenOptions::create_truncate())
             .unwrap();
@@ -1458,57 +1349,15 @@ mod tests {
         let mut buf = [0u8; 8];
         assert_eq!(f.read_at(0, &mut buf).unwrap(), 8);
         assert_eq!(&buf, b"survivor");
-        assert_eq!(be.tier_counters().tier_promotes, 1);
+        assert_eq!(f.len().unwrap(), 8);
         assert_eq!(
-            fast.contents("/old").unwrap(),
-            b"survivor",
-            "promotion left a fast copy"
+            f.write_at(0, b"x").unwrap_err().kind(),
+            io::ErrorKind::PermissionDenied,
+            "a durable-tier handle is read-only"
         );
-    }
-
-    #[test]
-    fn no_promotion_serves_durable_directly() {
-        let (be, fast, durable) = tiered(TieredParams {
-            promote_reads: false,
-            ..TieredParams::default()
-        });
-        let d = durable.open("/o", OpenOptions::create_truncate()).unwrap();
-        d.write_at(0, b"direct").unwrap();
-        drop(d);
-        let f = be.open("/o", OpenOptions::read_only()).unwrap();
-        let mut buf = [0u8; 6];
-        assert_eq!(f.read_at(0, &mut buf).unwrap(), 6);
-        assert_eq!(&buf, b"direct");
-        assert_eq!(f.len().unwrap(), 6);
-        assert!(!fast.exists("/o"));
-        assert_eq!(be.tier_counters().tier_promotes, 0);
-    }
-
-    #[test]
-    fn evict_on_barrier_drops_closed_drained_fast_copies() {
-        let (be, fast, durable) = tiered(TieredParams {
-            evict_on_barrier: true,
-            ..TieredParams::default()
-        });
-        let f = be.open("/e", OpenOptions::create_truncate()).unwrap();
-        f.write_at(0, b"evictme").unwrap();
         drop(f);
-        be.drain_barrier().unwrap();
-        assert!(!fast.exists("/e"), "closed + drained: evicted");
-        assert_eq!(durable.contents("/e").unwrap(), b"evictme");
-        assert_eq!(be.tier_counters().evictions, 1);
-        // Still readable — served (and re-promoted) from durable.
-        let f = be.open("/e", OpenOptions::read_only()).unwrap();
-        let mut buf = [0u8; 7];
-        assert_eq!(f.read_at(0, &mut buf).unwrap(), 7);
-        assert_eq!(&buf, b"evictme");
-
-        // A file with an open writer is never evicted.
-        let held = be.open("/held", OpenOptions::create_truncate()).unwrap();
-        held.write_at(0, b"busy").unwrap();
-        be.drain_barrier().unwrap();
-        assert!(fast.exists("/held"), "open writer pins the fast copy");
-        drop(held);
+        assert!(!fast.exists("/old"));
+        assert_eq!(be.tier_counters().tier_promotes, 0);
     }
 
     #[test]
@@ -1518,10 +1367,10 @@ mod tests {
             Arc::clone(&durable_mem) as Arc<dyn Backend>,
             FailureMode::None,
         ));
-        let be = TieredBackend::new(
+        let be = TieredBackend::from_config(
             Arc::clone(&fast) as Arc<dyn Backend>,
             Arc::clone(&faulty) as Arc<dyn Backend>,
-            TieredParams::default(),
+            &CrfsConfig::default(),
         );
         let f = be.open("/c", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, b"acked-early").unwrap();
@@ -1550,7 +1399,7 @@ mod tests {
 
     #[test]
     fn metadata_ops_union_both_tiers() {
-        let (be, fast, durable) = tiered(TieredParams::default());
+        let (be, fast, durable) = tiered();
         be.mkdir("/d").unwrap();
         assert!(fast.exists("/d") && durable.exists("/d"));
         let f = be
@@ -1571,7 +1420,7 @@ mod tests {
 
     #[test]
     fn truncate_open_clears_stale_durable_copy() {
-        let (be, _fast, durable) = tiered(TieredParams::default());
+        let (be, _fast, durable) = tiered();
         let f = be.open("/t", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, b"a-long-first-generation").unwrap();
         drop(f);
@@ -1589,7 +1438,7 @@ mod tests {
 
     #[test]
     fn set_len_shrinks_both_tiers() {
-        let (be, fast, durable) = tiered(TieredParams::default());
+        let (be, fast, durable) = tiered();
         let f = be.open("/s", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, b"0123456789").unwrap();
         be.drain_barrier().unwrap();
@@ -1602,7 +1451,7 @@ mod tests {
 
     #[test]
     fn set_len_preserves_queued_drains_of_surviving_bytes() {
-        let (be, fast, durable) = tiered(TieredParams::default());
+        let (be, fast, durable) = tiered();
         let f = be.open("/sl", OpenOptions::create_truncate()).unwrap();
         // Stall the drain so the write is still queued when set_len runs.
         hold(&be, true);
@@ -1630,28 +1479,21 @@ mod tests {
 
     #[test]
     fn write_through_waits_out_inflight_overlapping_drain() {
-        let (be, _fast, durable) = tiered(TieredParams::default());
+        let (be, _fast, durable) = tiered();
         let f = be.open("/wt", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, b"stale").unwrap();
         be.drain_barrier().unwrap();
-        // Hand-install an in-flight drain op that has already read the
-        // "stale" bytes — the state a worker is in when the queue backs
-        // up and write-through engages.
-        let stale = DrainOp {
-            path: "/wt".to_string(),
-            offset: 0,
-            len: 5,
+        // Pick an op that has already read the "stale" bytes and taken
+        // its turn at the device — the state a worker is in when the
+        // queue backs up and write-through engages.
+        let stale = {
+            let mut d = be.shared.drain.lock();
+            d.enqueue("/wt", 0, 5).unwrap();
+            let (op, ticket) = d.pick(DRAIN_WINDOW).unwrap();
+            assert!(d.take_turn(ticket));
+            d.degraded = true;
+            op
         };
-        be.shared.resident.fetch_add(5, Relaxed);
-        {
-            let mut q = be.shared.queue.lock();
-            q.inflight
-                .entry("/wt".to_string())
-                .or_default()
-                .push((0, 5));
-            q.inflight_total += 1;
-        }
-        be.shared.write_through.store(true, Relaxed);
         let shared = Arc::clone(&be.shared);
         let late = std::thread::spawn(move || {
             // Only once the newer write is in the fast tier and its op
@@ -1660,7 +1502,7 @@ mod tests {
             let d = shared.durable_file("/wt", true).unwrap();
             d.write_at(0, b"stale").unwrap();
             // ...and then the op retires, letting the newer one issue.
-            shared.complete_op(&stale, None, Outcome::Copied);
+            shared.finish(&stale, None, Outcome::Copied);
         });
         // Its op cannot issue while the stale copy is in flight: the
         // overlap rule orders it strictly after.
@@ -1681,10 +1523,10 @@ mod tests {
             Arc::clone(&fast_mem) as Arc<dyn Backend>,
             FailureMode::None,
         ));
-        let be = TieredBackend::new(
+        let be = TieredBackend::from_config(
             Arc::clone(&faulty_fast) as Arc<dyn Backend>,
             Arc::clone(&durable) as Arc<dyn Backend>,
-            TieredParams::default(),
+            &CrfsConfig::default(),
         );
         let f = be.open("/r", OpenOptions::create_truncate()).unwrap();
         // Stall the drain so its re-read happens only after the fast
@@ -1705,16 +1547,13 @@ mod tests {
 
     #[test]
     fn write_open_promotes_evicted_durable_copy() {
-        let (be, fast, durable) = tiered(TieredParams {
-            evict_on_barrier: true,
-            ..TieredParams::default()
-        });
+        let (be, fast, durable) = tiered();
         let f = be.open("/w", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, b"payload").unwrap();
         drop(f);
         be.drain_barrier().unwrap();
-        assert!(!fast.exists("/w"), "evicted");
-        // Reopen read_write (create=false): must promote, not NotFound.
+        fast.unlink("/w").unwrap(); // the fast copy is lost
+                                    // Reopen read_write (create=false): must promote, not NotFound.
         let f = be.open("/w", OpenOptions::read_write()).unwrap();
         assert_eq!(f.len().unwrap(), 7);
         let mut buf = [0u8; 7];
@@ -1724,9 +1563,9 @@ mod tests {
         drop(f);
         be.drain_barrier().unwrap();
         assert_eq!(durable.contents("/w").unwrap(), b"payload+more");
-        assert!(!fast.exists("/w"), "evicted again");
-        // Reopen create=true, truncate=false (the snapshot store_chunk
-        // shape): must see the durable bytes, not an empty shadow.
+        fast.unlink("/w").unwrap(); // and lost again
+                                    // Reopen create=true, truncate=false (the snapshot store_chunk
+                                    // shape): must see the durable bytes, not an empty shadow.
         let f = be
             .open(
                 "/w",
@@ -1744,6 +1583,34 @@ mod tests {
         assert_eq!(be.tier_counters().tier_promotes, 2);
     }
 
+    /// A promotion the fast tier cannot take fails the open and leaves
+    /// neither the target nor its staging file behind.
+    #[test]
+    fn failed_write_open_promotion_leaves_nothing_behind() {
+        let (fast_mem, durable) = mems();
+        let d = durable.open("/p", OpenOptions::create_truncate()).unwrap();
+        d.write_at(0, b"durable-only").unwrap();
+        drop(d);
+        let be = TieredBackend::from_config(
+            Arc::new(FaultyBackend::new(
+                Arc::clone(&fast_mem) as Arc<dyn Backend>,
+                FailureMode::FailWritesAfter(0),
+            )),
+            Arc::clone(&durable) as Arc<dyn Backend>,
+            &CrfsConfig::default(),
+        );
+        assert!(be.open("/p", OpenOptions::read_write()).is_err());
+        let left = fast_mem.list_dir("/").unwrap();
+        assert!(
+            !left
+                .iter()
+                .any(|n| n == "p" || n.contains(PROMOTE_TMP_MARKER)),
+            "fast tier after a failed promotion: {left:?}"
+        );
+        assert_eq!(durable.contents("/p").unwrap(), b"durable-only");
+        assert_eq!(be.tier_counters().tier_promotes, 0);
+    }
+
     #[test]
     fn promote_staging_names_are_recognized_and_hidden() {
         assert!(is_promote_tmp("/data.promote-3"));
@@ -1751,7 +1618,7 @@ mod tests {
         assert!(!is_promote_tmp("/data.promote-"));
         assert!(!is_promote_tmp("/data.promote-x"));
         assert!(!is_promote_tmp("/data"));
-        let (be, fast, _durable) = tiered(TieredParams::default());
+        let (be, fast, _durable) = tiered();
         let f = be.open("/data", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, b"real").unwrap();
         drop(f);
@@ -1765,18 +1632,17 @@ mod tests {
         assert_eq!(be.list_dir("/").unwrap(), vec!["data"]);
     }
 
-    /// Durable tier that logs every write in arrival order and counts
-    /// write-mode opens.
+    /// Durable tier that counts write-mode opens and writes.
+    #[derive(Default)]
     struct Recording {
         inner: MemBackend,
         write_opens: AtomicU64,
-        log: Arc<Mutex<Vec<(String, u64, u64)>>>,
+        writes: Arc<AtomicU64>,
     }
 
     struct RecordingFile {
         inner: Box<dyn BackendFile>,
-        path: String,
-        log: Arc<Mutex<Vec<(String, u64, u64)>>>,
+        writes: Arc<AtomicU64>,
     }
 
     impl Backend for Recording {
@@ -1789,11 +1655,8 @@ mod tests {
             if opts.write {
                 self.write_opens.fetch_add(1, Relaxed);
             }
-            Ok(Box::new(RecordingFile {
-                inner,
-                path: path.to_string(),
-                log: Arc::clone(&self.log),
-            }))
+            let writes = Arc::clone(&self.writes);
+            Ok(Box::new(RecordingFile { inner, writes }))
         }
 
         crate::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists,
@@ -1802,86 +1665,51 @@ mod tests {
 
     impl BackendFile for RecordingFile {
         fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
-            self.log
-                .lock()
-                .push((self.path.clone(), offset, data.len() as u64));
+            self.writes.fetch_add(1, Relaxed);
             self.inner.write_at(offset, data)
         }
 
         crate::forward_file_ops!(inner: read_at, sync, len, set_len, is_empty);
     }
 
+    const CHUNK: u64 = 1 << 20;
+
+    /// More than one run bound per file, so the bound shows.
+    const CHUNKS: u64 = RUN_BYTES / CHUNK + 4;
+
+    /// Two workers overlap their durable writes, so only what they wrote
+    /// through is exact here; the order itself is pinned on [`Drain`]
+    /// by `one_copy_in_flight_drains_whole_runs_oldest_file_first`.
     #[test]
     fn drain_follows_device_order_through_one_handle_per_path() {
-        const CHUNK: usize = 1 << 20;
-        // More than one run bound per file, so the bound shows.
-        let chunks = (RUN_BYTES as usize / CHUNK) + 4;
-        // With one copy in flight the arrival order at the durable tier
-        // is exactly the pick order; with the default window the two
-        // workers overlap and only what they wrote through is exact.
-        for drain_window in [1, TieredParams::default().drain_window] {
-            let fast = Arc::new(MemBackend::new());
-            let durable = Arc::new(Recording {
-                inner: MemBackend::new(),
-                write_opens: AtomicU64::new(0),
-                log: Arc::default(),
-            });
-            let be = TieredBackend::new(
-                Arc::clone(&fast) as Arc<dyn Backend>,
-                Arc::clone(&durable) as Arc<dyn Backend>,
-                TieredParams {
-                    watermark_hi: u64::MAX / 2,
-                    watermark_lo: u64::MAX / 4,
-                    drain_window,
-                    ..TieredParams::default()
-                },
-            );
-            let a = be.open("/a", OpenOptions::create_truncate()).unwrap();
-            let b = be.open("/b", OpenOptions::create_truncate()).unwrap();
-            hold(&be, true);
-            // Two writers' chunks arrive strictly alternating.
-            for i in 0..chunks {
-                a.write_at((i * CHUNK) as u64, &vec![b'a'; CHUNK]).unwrap();
-                b.write_at((i * CHUNK) as u64, &vec![b'b'; CHUNK]).unwrap();
-            }
-            hold(&be, false);
-            be.drain_barrier().unwrap();
-
-            let log = durable.log.lock().clone();
-            assert_eq!(log.len(), 2 * chunks, "one durable write per acked chunk");
-            assert_eq!(
-                durable.write_opens.load(Relaxed),
-                2,
-                "drain writes and the barrier's syncs share one handle per path"
-            );
-            let whole = |byte| vec![byte; chunks * CHUNK];
-            assert_eq!(durable.inner.contents("/a").unwrap(), whole(b'a'));
-            assert_eq!(durable.inner.contents("/b").unwrap(), whole(b'b'));
-            if drain_window > 1 {
-                continue;
-            }
-            // Cut the arrival order into runs: same file, next offset.
-            let mut runs: Vec<(&str, u64)> = Vec::new();
-            let mut head: Option<(&str, u64)> = None;
-            for (path, offset, len) in &log {
-                match runs.last_mut() {
-                    Some((_, bytes)) if head == Some((path, *offset)) => *bytes += len,
-                    _ => runs.push((path, *len)),
-                }
-                head = Some((path, offset + len));
-            }
-            let tail = (chunks * CHUNK) as u64 - RUN_BYTES;
-            assert_eq!(
-                runs,
-                [
-                    ("/a", RUN_BYTES),
-                    ("/b", RUN_BYTES),
-                    ("/a", tail),
-                    ("/b", tail)
-                ],
-                "full runs per file, oldest file first"
-            );
+        let fast = Arc::new(MemBackend::new());
+        let durable = Arc::new(Recording::default());
+        let be = TieredBackend::from_config(
+            Arc::clone(&fast) as Arc<dyn Backend>,
+            Arc::clone(&durable) as Arc<dyn Backend>,
+            &CrfsConfig::default().with_tier_watermarks(u64::MAX / 4, u64::MAX / 2),
+        );
+        let a = be.open("/a", OpenOptions::create_truncate()).unwrap();
+        let b = be.open("/b", OpenOptions::create_truncate()).unwrap();
+        hold(&be, true);
+        // Two writers' chunks arrive strictly alternating.
+        for i in 0..CHUNKS {
+            a.write_at(i * CHUNK, &vec![b'a'; CHUNK as usize]).unwrap();
+            b.write_at(i * CHUNK, &vec![b'b'; CHUNK as usize]).unwrap();
         }
+        hold(&be, false);
+        be.drain_barrier().unwrap();
+
+        let writes = durable.writes.load(Relaxed);
+        assert_eq!(writes, 2 * CHUNKS, "one durable write per acked chunk");
+        assert_eq!(
+            durable.write_opens.load(Relaxed),
+            2,
+            "drain writes and the barrier's syncs share one handle per path"
+        );
+        let whole = |byte| vec![byte; (CHUNKS * CHUNK) as usize];
+        assert_eq!(durable.inner.contents("/a").unwrap(), whole(b'a'));
+        assert_eq!(durable.inner.contents("/b").unwrap(), whole(b'b'));
     }
 
     #[test]
@@ -1891,14 +1719,10 @@ mod tests {
             Arc::clone(&durable_mem) as Arc<dyn Backend>,
             FailureMode::None,
         ));
-        let be = TieredBackend::new(
+        let be = TieredBackend::from_config(
             Arc::clone(&fast) as Arc<dyn Backend>,
             Arc::clone(&faulty) as Arc<dyn Backend>,
-            TieredParams {
-                watermark_hi: 4,
-                watermark_lo: 0,
-                ..TieredParams::default()
-            },
+            &CrfsConfig::default().with_tier_watermarks(0, 4),
         );
         let f = be.open("/d", OpenOptions::create_truncate()).unwrap();
         hold(&be, true);
@@ -1929,13 +1753,13 @@ mod tests {
 
     #[test]
     fn drop_lands_queued_ops_and_orphaned_files_fail_fast() {
-        let (be, fast, durable) = tiered(TieredParams::default());
+        let (be, fast, durable) = tiered();
         let f = be.open("/q", OpenOptions::create_truncate()).unwrap();
         hold(&be, true);
         for i in 0..4u64 {
             f.write_at(i * 3, b"abc").unwrap();
         }
-        assert_eq!(be.resident_bytes(), 12);
+        assert_eq!(be.tier_counters().resident_bytes, 12);
         assert!(!durable.exists("/q"));
         let shared = Arc::clone(&be.shared);
         hold(&be, false);
@@ -1945,12 +1769,12 @@ mod tests {
             b"abcabcabcabc",
             "drop returns only once everything queued has landed"
         );
-        assert_eq!(shared.resident.load(Relaxed), 0);
+        assert_eq!(shared.drain.lock().resident, 0);
         // The handle outlived its backend: no worker is left to drain
         // for it, so neither a fast-acked nor a degraded write may
         // queue (the latter would park forever).
         for degraded in [false, true] {
-            shared.write_through.store(degraded, Relaxed);
+            shared.drain.lock().degraded = degraded;
             let err = f.write_at(12, b"late").expect_err("backend is gone");
             assert!(err.to_string().contains("shut down"), "{err}");
         }
@@ -1959,7 +1783,7 @@ mod tests {
 
     #[test]
     fn rename_over_a_longer_durable_file_leaves_no_stale_tail() {
-        let (be, _fast, durable) = tiered(TieredParams::default());
+        let (be, _fast, durable) = tiered();
         let f = be
             .open("/MANIFEST", OpenOptions::create_truncate())
             .unwrap();
@@ -1977,5 +1801,201 @@ mod tests {
         be.drain_barrier().unwrap();
         assert_eq!(durable.contents("/MANIFEST").unwrap(), b"short");
         assert!(!durable.exists("/tmp"));
+    }
+
+    // -- the drain machine alone: no threads, no backend ---------------
+
+    /// With one copy in flight the durable tier sees exactly the pick
+    /// order: two writers' strictly alternating chunks drain as whole
+    /// runs per file, the older file first.
+    #[test]
+    fn one_copy_in_flight_drains_whole_runs_oldest_file_first() {
+        let mut d = Drain::new(u64::MAX / 4, u64::MAX / 2);
+        for i in 0..CHUNKS {
+            for path in ["/a", "/b"] {
+                assert!(!d.enqueue(path, i * CHUNK, CHUNK).unwrap());
+            }
+        }
+        // Cut the pick order into runs: same file, next offset.
+        let mut runs: Vec<(String, u64)> = Vec::new();
+        let mut head: Option<(String, u64)> = None;
+        while let Some((op, ticket)) = d.pick(1) {
+            assert!(d.pick(1).is_none(), "a second copy in a window of one");
+            assert!(d.take_turn(ticket));
+            match runs.last_mut() {
+                Some((_, bytes)) if head == Some((op.path.clone(), op.offset)) => *bytes += op.len,
+                _ => runs.push((op.path.clone(), op.len)),
+            }
+            head = Some((op.path.clone(), op.offset + op.len));
+            d.finish(&op, Outcome::Copied);
+        }
+        assert!(d.drained());
+        let tail = CHUNKS * CHUNK - RUN_BYTES;
+        let runs: Vec<(&str, u64)> = runs.iter().map(|(p, n)| (p.as_str(), *n)).collect();
+        assert_eq!(
+            runs,
+            [
+                ("/a", RUN_BYTES),
+                ("/b", RUN_BYTES),
+                ("/a", tail),
+                ("/b", tail)
+            ],
+            "full runs per file, oldest file first"
+        );
+        let c = d.counters();
+        assert_eq!(
+            (c.drain_ops, c.drain_bytes),
+            (2 * CHUNKS, 2 * CHUNKS * CHUNK)
+        );
+        assert_eq!(d.seal(), (vec!["/a".to_string(), "/b".to_string()], 0));
+    }
+
+    /// Seeded walk over every `Drain` event a worker, writer, barrier,
+    /// unlink, truncate or rename can send, in any order the callers
+    /// allow, checking the machine's invariants after each step.
+    #[test]
+    fn drain_walk_keeps_its_invariants() {
+        const SEEDS: u64 = 24;
+        const STEPS: usize = 2_500;
+        const PATHS: [&str; 3] = ["/a", "/b", "/c"];
+        const LO: u64 = 20_000;
+        const HI: u64 = 60_000;
+        for seed in 0..SEEDS {
+            // splitmix64
+            let mut state = 0x2545_f491_4f6c_dd1du64 ^ seed.wrapping_mul(0x9e37_79b9);
+            let mut next = move || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let mut d = Drain::new(LO, HI);
+            // Picked ops, each with its ticket and whether it took its turn.
+            let mut flying: Vec<(DrainOp, u64, bool)> = Vec::new();
+            let mut next_turn = 0u64;
+            let mut lost = 0u64;
+            let mut was_degraded = false;
+            for step in 0..STEPS {
+                let at = format!("seed {seed} step {step}");
+                let path = PATHS[next() as usize % PATHS.len()];
+                match next() % 16 {
+                    0..=4 => {
+                        let (offset, len) = (next() % 40_000, 1 + next() % 12_000);
+                        let degraded = d.degraded();
+                        assert_eq!(d.enqueue(path, offset, len).unwrap(), degraded, "{at}");
+                    }
+                    5..=7 => {
+                        let window = [1, 2, DRAIN_WINDOW][next() as usize % 3];
+                        let before = d.inflight_total;
+                        match d.pick(window) {
+                            Some((op, ticket)) => {
+                                assert!(before < window, "{at}: pick past the window");
+                                flying.push((op, ticket, false));
+                            }
+                            None => assert!(
+                                before >= window || d.ops.iter().all(|op| !d.issuable(op)),
+                                "{at}: nothing picked with an issuable op queued"
+                            ),
+                        }
+                    }
+                    8..=9 if !flying.is_empty() => {
+                        let i = next() as usize % flying.len();
+                        let ticket = flying[i].1;
+                        let expect = !flying[i].2 && ticket == next_turn;
+                        assert_eq!(d.take_turn(ticket), expect, "{at}: turn {ticket}");
+                        if expect {
+                            flying[i].2 = true;
+                            next_turn += 1;
+                        }
+                    }
+                    10..=11 => {
+                        if let Some(i) = flying.iter().position(|f| f.2) {
+                            let (op, _, _) = flying.swap_remove(i);
+                            let outcome = [Outcome::Copied, Outcome::Dropped, Outcome::Failed]
+                                [next() as usize % 3];
+                            if matches!(outcome, Outcome::Failed) {
+                                lost += 1;
+                            }
+                            d.finish(&op, outcome);
+                        }
+                    }
+                    12 => d.cut(path, next() % 48_000),
+                    13 => {
+                        let to = PATHS[next() as usize % PATHS.len()];
+                        if to != path && !d.busy(path) && !d.busy(to) {
+                            d.rename(path, to);
+                            if next() % 2 == 0 {
+                                // The durable tier refused the rename.
+                                d.lose();
+                                lost += 1;
+                            }
+                        }
+                    }
+                    14 => {
+                        let (dirty, reported) = d.seal();
+                        assert_eq!(reported, lost, "{at}: losses reported once each");
+                        lost = 0;
+                        assert!(dirty.iter().all(|p| PATHS.contains(&p.as_str())), "{at}");
+                        assert_eq!(d.seal().1, 0, "{at}: a second seal reports nothing");
+                    }
+                    _ => match d.room() {
+                        Err(_) => assert!(lost > 0, "{at}: room refused with nothing lost"),
+                        Ok(room) => {
+                            assert_eq!(lost, 0, "{at}: room granted after a loss");
+                            assert_eq!(room, d.resident < HI, "{at}");
+                        }
+                    },
+                }
+
+                let queued: u64 = d.ops.iter().map(|op| op.len).sum();
+                let copying: u64 = flying.iter().map(|f| f.0.len).sum();
+                assert_eq!(d.resident, queued + copying, "{at}: resident bytes");
+                assert_eq!(d.inflight_total, flying.len(), "{at}");
+                for (i, (a, _, _)) in flying.iter().enumerate() {
+                    for (b, _, _) in &flying[i + 1..] {
+                        assert!(
+                            a.path != b.path || !overlaps(a.offset, a.len, b.offset, b.len),
+                            "{at}: overlapping copies of {} in flight",
+                            a.path
+                        );
+                    }
+                }
+                assert_eq!(
+                    d.drained(),
+                    d.ops.is_empty() && flying.is_empty(),
+                    "{at}: drained"
+                );
+                // Hysteresis: set at the high watermark, cleared only at the low.
+                let (degraded, r) = (d.degraded(), d.resident);
+                let flip = degraded == was_degraded || if degraded { r >= HI } else { r <= LO };
+                assert!(
+                    flip && (r < HI || degraded) && (r > LO || !degraded),
+                    "{at}: degraded {degraded} at {r} resident bytes"
+                );
+                was_degraded = degraded;
+            }
+            // Whatever is left drains in turn order.
+            loop {
+                while let Some((op, ticket)) = d.pick(DRAIN_WINDOW) {
+                    flying.push((op, ticket, false));
+                }
+                if flying.is_empty() {
+                    break;
+                }
+                flying.sort_by_key(|f| f.1);
+                for (op, ticket, turned) in flying.drain(..) {
+                    assert!(
+                        turned || d.take_turn(ticket),
+                        "seed {seed}: turn order at the end"
+                    );
+                    d.finish(&op, Outcome::Copied);
+                }
+            }
+            assert!(d.drained(), "seed {seed}");
+            assert_eq!(d.resident, 0, "seed {seed}");
+            assert!(!d.degraded(), "seed {seed}");
+            assert_eq!(d.seal().1, lost, "seed {seed}");
+        }
     }
 }

@@ -87,9 +87,9 @@ pub struct CrfsConfig {
     pub flight_dump: Option<String>,
     /// High watermark in bytes for
     /// [`TieredBackend`](crate::backend::TieredBackend) stacks built via
-    /// [`tiered_params`](Self::tiered_params): undrained fast-tier bytes
-    /// at which writes degrade to synchronous write-through (DESIGN.md
-    /// §9). Ignored by single-tier mounts.
+    /// [`from_config`](crate::backend::TieredBackend::from_config):
+    /// undrained fast-tier bytes at which writes degrade to synchronous
+    /// write-through (DESIGN.md §9). Ignored by single-tier mounts.
     pub tier_watermark_hi: u64,
     /// Low watermark in bytes: the drain must fall back to this before
     /// fast-tier acknowledgement resumes after a write-through episode.
@@ -206,18 +206,6 @@ impl CrfsConfig {
         self.tier_watermark_lo = lo;
         self.tier_watermark_hi = hi;
         self
-    }
-
-    /// The [`TieredParams`](crate::backend::TieredParams) a
-    /// [`TieredBackend`](crate::backend::TieredBackend) stack built for
-    /// this mount should use: this mount's watermarks over the tier's
-    /// own defaults.
-    pub fn tiered_params(&self) -> crate::backend::TieredParams {
-        crate::backend::TieredParams {
-            watermark_hi: self.tier_watermark_hi,
-            watermark_lo: self.tier_watermark_lo,
-            ..Default::default()
-        }
     }
 
     /// Number of chunks the pool will hold.
@@ -460,21 +448,26 @@ mod tests {
 
     #[test]
     fn tier_knobs_default_validate_and_resolve() {
+        use crate::backend::{Backend, MemBackend, TieredBackend};
+        use std::sync::Arc;
         let c = CrfsConfig::default();
         assert_eq!(c.tier_watermark_hi, 256 << 20);
         assert_eq!(c.tier_watermark_lo, 64 << 20);
         let c = c.with_tier_watermarks(1 << 20, 8 << 20);
         c.validate().unwrap();
-        let p = c.tiered_params();
-        assert_eq!(p.watermark_lo, 1 << 20);
-        assert_eq!(p.watermark_hi, 8 << 20);
-        // Everything else is the tier's own default.
-        let d = crate::backend::TieredParams::default();
         assert_eq!(
-            (p.drain_window, p.promote_reads, p.evict_on_barrier),
-            (d.drain_window, d.promote_reads, d.evict_on_barrier)
+            (c.tier_watermark_lo, c.tier_watermark_hi),
+            (1 << 20, 8 << 20)
         );
-        // Inverted watermarks are rejected.
-        assert!(c.with_tier_watermarks(8 << 20, 1 << 20).validate().is_err());
+        let mem = || Arc::new(MemBackend::new()) as Arc<dyn Backend>;
+        let stack = TieredBackend::from_config(mem(), mem(), &c);
+        assert!(!stack.write_through_active());
+        drop(stack);
+        // Inverted watermarks are rejected, and no stack is built on them.
+        let inverted = c.with_tier_watermarks(8 << 20, 1 << 20);
+        assert!(inverted.validate().is_err());
+        let built =
+            std::panic::catch_unwind(|| TieredBackend::from_config(mem(), mem(), &inverted));
+        assert!(built.is_err(), "a stack on inverted watermarks");
     }
 }

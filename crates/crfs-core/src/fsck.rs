@@ -344,8 +344,8 @@ pub fn run(backend: &Arc<dyn Backend>, roots: &[String], opts: &FsckOptions) -> 
 /// fully drained); matching lengths with differing bytes is
 /// **diverged**. Both re-drain under `opts.repair` — the fast tier is
 /// authoritative, since acknowledgement happened there. Files only the
-/// durable tier holds are legitimate (evicted after a full drain) and
-/// are checked structurally but not flagged.
+/// durable tier holds are legitimate (the fast tier was lost after a
+/// full drain) and are checked structurally but not flagged.
 pub fn run_tiered(
     fast: &Arc<dyn Backend>,
     durable: &Arc<dyn Backend>,
@@ -353,14 +353,10 @@ pub fn run_tiered(
     opts: &FsckOptions,
 ) -> FsckSummary {
     let t0 = Instant::now();
-    let union: Arc<dyn Backend> = Arc::new(crate::backend::TieredBackend::new(
+    let union: Arc<dyn Backend> = Arc::new(crate::backend::TieredBackend::from_config(
         Arc::clone(fast),
         Arc::clone(durable),
-        crate::backend::TieredParams {
-            promote_reads: false,
-            evict_on_barrier: false,
-            ..Default::default()
-        },
+        &crate::CrfsConfig::default(),
     ));
     let mut summary = run(&union, roots, opts);
     if opts.repair {
@@ -1703,7 +1699,7 @@ mod tests {
 
     // -- tier consistency ---------------------------------------------
 
-    use crate::backend::{TieredBackend, TieredParams};
+    use crate::backend::TieredBackend;
 
     /// A tiered stack with checkpoints written and drained, then a
     /// stranded suffix: one extra epoch of writes whose drain never
@@ -1712,10 +1708,10 @@ mod tests {
     fn populate_tiered() -> (Arc<dyn Backend>, Arc<dyn Backend>) {
         let fast: Arc<dyn Backend> = Arc::new(MemBackend::new());
         let durable: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        let tiered: Arc<dyn Backend> = Arc::new(TieredBackend::new(
+        let tiered: Arc<dyn Backend> = Arc::new(TieredBackend::from_config(
             Arc::clone(&fast),
             Arc::clone(&durable),
-            TieredParams::default(),
+            &CrfsConfig::default(),
         ));
         let fs = Crfs::mount(
             tiered,

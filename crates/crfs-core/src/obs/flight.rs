@@ -77,8 +77,8 @@ pub enum EventKind {
     /// [`WriteFailed`](EventKind::WriteFailed) instead.
     DrainCopy = 12,
     /// The tiered backend promoted a whole file from the durable tier
-    /// back into the fast tier on a read miss (`a` = bytes copied,
-    /// `b` = 0).
+    /// back into the fast tier for a non-truncating write open
+    /// (`a` = bytes copied, `b` = 0).
     TierPromote = 13,
 }
 

@@ -15,8 +15,8 @@ use std::time::Duration;
 
 use crfs_core::backend::{
     Backend, LocalFileBackend, OpenOptions, ThrottleParams, ThrottledBackend, TieredBackend,
-    TieredParams,
 };
+use crfs_core::CrfsConfig;
 
 const CHUNK: usize = 1 << 20;
 const CHUNKS_PER_FILE: usize = 64;
@@ -65,17 +65,13 @@ fn barrier_leaves_durable_byte_equal_to_fast() {
         per_op_latency: Duration::from_micros(10),
         seek_penalty: Duration::from_micros(850),
     };
-    let be = TieredBackend::new(
+    let be = TieredBackend::from_config(
         Arc::new(LocalFileBackend::new(&fast_dir).unwrap()),
         Arc::new(ThrottledBackend::new(
             LocalFileBackend::new(&durable_dir).unwrap(),
             device,
         )),
-        TieredParams {
-            watermark_hi: 64 << 20,
-            watermark_lo: 16 << 20,
-            ..TieredParams::default()
-        },
+        &CrfsConfig::default().with_tier_watermarks(16 << 20, 64 << 20),
     );
     be.mkdir("/ckpt").unwrap();
     let name = |file: usize| format!("/ckpt/rank{file}.img");
@@ -103,7 +99,11 @@ fn barrier_leaves_durable_byte_equal_to_fast() {
         });
         drop(files);
         be.drain_barrier().unwrap();
-        assert_eq!(be.resident_bytes(), 0, "epoch {epoch}: barrier drained all");
+        assert_eq!(
+            be.tier_counters().resident_bytes,
+            0,
+            "epoch {epoch}: barrier drained all"
+        );
         for f in 0..FILES {
             let rel = format!("ckpt/rank{f}.img");
             let fast = fast_dir.join(&rel);

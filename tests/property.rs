@@ -950,23 +950,18 @@ fn tier_fill_expected(buf: &mut [u8], case_seed: u64, file: usize, base: u64) {
 /// background drain is still copying frames to the durable tier, must
 /// always return the acked bytes — the fast tier is authoritative until
 /// the barrier — and once the barrier has retired every copy, the
-/// durable tier alone must hold the same bytes. Odd cases enable
-/// `evict_on_barrier`, so their readers also race the post-barrier
-/// eviction + read-miss promotion path.
+/// durable tier alone must hold the same bytes.
 #[test]
 fn tiered_restart_reads_race_in_progress_drain() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
-    use crfs::core::backend::{
-        OpenOptions, ThrottleParams, ThrottledBackend, TieredBackend, TieredParams,
-    };
+    use crfs::core::backend::{OpenOptions, ThrottleParams, ThrottledBackend, TieredBackend};
 
     for_cases("tiered_restart_reads_race_in_progress_drain", 6, |rng| {
         let case_seed = rng.next_u64();
         let files = rng.gen_range(1usize..4);
         let file_len = rng.gen_range((64u64 << 10)..(256 << 10));
-        let evict = rng.chance(0.5);
 
         let fast: Arc<dyn Backend> = Arc::new(MemBackend::new());
         // Slow durable tier: at 16 MiB/s the drain of a few hundred KiB
@@ -980,18 +975,13 @@ fn tiered_restart_reads_race_in_progress_drain() {
                 seek_penalty: Duration::ZERO,
             },
         ));
-        let params = TieredParams {
-            // Watermarks far above the working set: never write-through,
-            // every byte travels via the background drain.
-            watermark_hi: 1 << 30,
-            watermark_lo: 1 << 29,
-            evict_on_barrier: evict,
-            ..TieredParams::default()
-        };
-        let stack1 = Arc::new(TieredBackend::new(
+        // Watermarks far above the working set: never write-through,
+        // every byte travels via the background drain.
+        let config = CrfsConfig::default().with_tier_watermarks(1 << 29, 1 << 30);
+        let stack1 = Arc::new(TieredBackend::from_config(
             Arc::clone(&fast),
             Arc::clone(&durable),
-            params,
+            &config,
         ));
 
         // Writer: acked entirely by the fast tier; drains now in flight.
@@ -1015,10 +1005,10 @@ fn tiered_restart_reads_race_in_progress_drain() {
 
         // Restart: a second stack over the same two tiers, racing both
         // the in-progress drain and stack1's barrier.
-        let stack2 = Arc::new(TieredBackend::new(
+        let stack2 = Arc::new(TieredBackend::from_config(
             Arc::clone(&fast),
             Arc::clone(&durable),
-            params,
+            &config,
         ));
         let barrier_done = Arc::new(AtomicBool::new(false));
         let read_plan: Vec<(usize, u64, usize)> = (0..64)
@@ -1066,16 +1056,12 @@ fn tiered_restart_reads_race_in_progress_drain() {
         });
 
         // After the barrier every copy is durable; the durable tier
-        // alone must serve every byte (the fast tier may be gone — on
-        // evicting cases it literally is).
+        // alone must serve every byte (the fast tier may be gone).
         stack1.drain_barrier().expect("idempotent barrier");
         let counters = stack1.tier_counters();
         assert_eq!(counters.resident_bytes, 0, "drain left residue");
         assert_eq!(counters.drain_failed, 0, "drain failures");
         assert_eq!(counters.write_through_ops, 0, "unexpected write-through");
-        if evict {
-            assert!(counters.evictions > 0, "evict_on_barrier inert");
-        }
         for file in 0..files {
             let path = format!("/race/f{file}.img");
             let f = durable

@@ -68,6 +68,9 @@ fn raw_image(epoch: usize, len: usize) -> Vec<u8> {
 /// Every 4 KiB block of `host` is a (possibly empty, possibly whole)
 /// prefix of `b`'s bytes followed by `a`'s bytes or by zeros — a torn
 /// write and `b`'s ragged tail end inside a block — and nothing else.
+/// Past `a`'s end the predecessor is a hole: when a later chunk lands
+/// before the one covering `a`'s last block, that block reads `a`'s
+/// tail and then zeros.
 fn assert_only_b_a_or_zeros(host: &[u8], a: &[u8], b: &[u8], label: &str) {
     for start in (0..host.len()).step_by(BLOCK) {
         let block = &host[start..(start + BLOCK).min(host.len())];
@@ -76,7 +79,7 @@ fn assert_only_b_a_or_zeros(host: &[u8], a: &[u8], b: &[u8], label: &str) {
             .take_while(|&i| from(b, start + i) == Some(block[i]))
             .count();
         let rest = &block[new..];
-        let old = (new..block.len()).all(|i| from(a, start + i) == Some(block[i]));
+        let old = (new..block.len()).all(|i| from(a, start + i).unwrap_or(0) == block[i]);
         assert!(
             old || rest.iter().all(|&v| v == 0),
             "{label}: block at {start} is {new} bytes of B, then neither A nor zeros"
