@@ -50,11 +50,13 @@ fn usage() -> ExitCode {
            --repair       truncate torn frame-log tails to the last valid frame\n\
            --dry-run      report only, never mutate (the default)\n\
            --threads N    exactly N checker threads (default: one per core,\n\
-                          growing to 16 while queued files outnumber them)\n\
+                          growing to 16 while queued files outnumber them\n\
+                          and their reads, not their checks, take the time)\n\
            --no-payloads  skip payload decode + checksum (structural walk only)\n\
            --fast <dir>   treat <dir> as the durable tier of a tiered stack\n\
-                          with this fast tier: adds the tier-consistency pass\n\
-                          (stranded/diverged files; --repair re-drains them)\n\
+                          with this fast tier: the same sweep compares each\n\
+                          fast copy with its durable copy (stranded/diverged\n\
+                          files; --repair re-drains them)\n\
            --quiet        print only the summary line\n\
            --json         emit the machine-readable summary (per-file\n\
                           classification, damage classes, repair actions,\n\

@@ -36,7 +36,13 @@
 //! decode; a bigger one reads its 40-byte head (a raw image stops
 //! there), then window-sized reads from the first byte the previous
 //! window did not hold. Over a store with a round trip per read, that
-//! count is the recovery time.
+//! count is the recovery time. [`run_tiered`] is one sweep too: the
+//! durable copy of a file the fast tier holds is read once, right
+//! after the check, and compared against the fast bytes still in the
+//! window, so every copy of a file that fits is read exactly once. A
+//! checker owns every buffer a file needs — the window, a frame's
+//! stored and decoded bytes, the durable copy, a re-drain's copy — so
+//! no check allocates or zero-fills one of its own.
 //!
 //! **Checkers.** Checking parallelizes pFSCK-style: a work-stealing
 //! pool of per-file checkers. Each checker owns a deque seeded
@@ -45,16 +51,19 @@
 //! idle checkers steal from the fronts of other queues, or park — so
 //! one huge directory or one long log does not serialize the sweep. A
 //! default sweep starts one checker per core and adds one, up to 16,
-//! each time a checker finishes a job while the outstanding jobs
-//! outnumber the live checkers: a read in flight costs no CPU, and a
-//! two-file store never grows the pool. [`run_tiered`]'s
-//! tier-consistency pass runs on the same pool after the sweep.
+//! each time a checker finishes the second job in a row that spent
+//! more wall time waiting on backend IO than checking, while the
+//! outstanding jobs outnumber the live checkers: a checker blocked on a
+//! 1 ms read costs no CPU, so a latency-bound store gets a dozen reads
+//! in flight, while a local store, whose reads are page-cache copies,
+//! keeps one checker per core (a checker preempted mid-read slows one
+//! read, not two in a row) and a two-file store never grows the pool.
 //!
 //! [`ChunkFrame`]: crate::transform::frame::FrameHeader
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::Scope;
 use std::time::{Duration, Instant};
@@ -63,6 +72,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::backend::{read_exact_at, Backend, BackendFile, OpenOptions};
 use crate::obs::Histogram;
+use crate::pool::ChunkBuf;
 use crate::snapshot::manifest::{ChunkRecord, Manifest, Record, MANIFEST_MAGIC};
 use crate::snapshot::{parse_cas_name, parse_manifest_name, ChunkKey, CAS_DIR, SNAP_DIR};
 use crate::transform::codec::decode_to_vec;
@@ -85,7 +95,8 @@ pub struct FsckOptions {
     /// instead of only reporting them.
     pub repair: bool,
     /// Checker threads. 0 = one per core, growing to 16 while queued
-    /// work outnumbers the checkers (see the module docs); N = exactly N.
+    /// work outnumbers the checkers and backend reads, not checks, take
+    /// their time (see the module docs); N = exactly N.
     pub threads: usize,
     /// Decode + checksum every DATA frame payload (the expensive part;
     /// disabling leaves a structural header walk).
@@ -235,6 +246,12 @@ pub struct FsckSummary {
     /// Chunk keys of each manifest the sweep checked (none if it does
     /// not decode): the orphan pass reads only the ones it did not.
     manifest_keys: HashMap<String, Vec<ChunkKey>>,
+    /// [`run_tiered`]: what each file's tier comparison found, settled
+    /// after the orphan pass — `None` for a file the sweep repaired,
+    /// compared only once the repair has drained.
+    tier_findings: Vec<(String, Option<DamageCounts>)>,
+    /// Directories the sweep expanded.
+    dirs: Vec<String>,
 }
 
 impl FileKind {
@@ -335,17 +352,20 @@ pub fn run(backend: &Arc<dyn Backend>, roots: &[String], opts: &FsckOptions) -> 
     summary
 }
 
-/// Checks a two-tier stack (see [`crate::backend::TieredBackend`]):
-/// the structural sweep of [`run`] over the *union* view (fast bytes
-/// win, as they do for the mount's reads), followed by a
-/// tier-consistency pass comparing every fast-tier file against its
-/// durable copy. A file the durable tier is missing or holds short is
-/// **stranded** (the crash-during-drain shape: acknowledged fast, never
-/// fully drained); matching lengths with differing bytes is
+/// Checks a two-tier stack (see [`crate::backend::TieredBackend`]) in
+/// one sweep: the structural checks of [`run`] over the *union* view
+/// (fast bytes win, as they do for the mount's reads), each file the
+/// fast tier holds then compared byte-for-byte against its durable copy
+/// (module docs, "Reads"). A file the durable tier is missing or holds
+/// short is **stranded** (the crash-during-drain shape: acknowledged
+/// fast, never fully drained); matching lengths with differing bytes is
 /// **diverged**. Both re-drain under `opts.repair` — the fast tier is
 /// authoritative, since acknowledgement happened there. Files only the
 /// durable tier holds are legitimate (the fast tier was lost after a
-/// full drain) and are checked structurally but not flagged.
+/// full drain) and are checked structurally but not flagged. Tier
+/// findings are settled after the orphan pass, so a content-store
+/// orphan it unlinks is never re-drained, and a file the sweep repaired
+/// is compared once its repair has drained.
 pub fn run_tiered(
     fast: &Arc<dyn Backend>,
     durable: &Arc<dyn Backend>,
@@ -358,67 +378,126 @@ pub fn run_tiered(
         Arc::clone(durable),
         &crate::CrfsConfig::default(),
     ));
-    let mut summary = run(&union, roots, opts);
+    let mut summary = sweep(&*union, roots, opts.threads, |path, checker| {
+        let reports = checker.summary.reports.len();
+        check_file(&union, path, opts, checker);
+        // A file repaired through the union view is compared once its
+        // repair has drained.
+        let finding = match opts.repair && checker.summary.reports.len() > reports {
+            true => Some(None),
+            false => tier_damage(fast, durable, path, checker).map(Some),
+        };
+        let found = &mut checker.summary.tier_findings;
+        found.extend(finding.map(|finding| (path.to_string(), finding)));
+    });
+    check_snapshot_orphans(&union, opts, &mut summary);
     if opts.repair {
         // Structural repairs (torn-tail truncation, orphan unlinks) went
         // through the union view; make sure none of them is still in the
-        // drain queue before comparing tiers.
+        // drain queue before settling the tiers.
         let _ = union.drain_barrier();
+        sweep_promote_staging(fast, &summary.dirs);
     }
-    // The tier-consistency pass, on the same pool: every fast-tier file
-    // under `roots` compared byte-for-byte against the durable tier.
-    let tiers = sweep(&**fast, roots, opts.threads, |path, checker| {
-        // A crash mid-promotion strands its staging file in the fast
-        // tier. It is backend-internal partial junk, not user data:
-        // never compare (or re-drain) it, and sweep it under `--repair`.
-        if crate::backend::is_promote_tmp(path) {
-            if opts.repair {
-                let _ = fast.unlink(path);
+    let findings: HashMap<_, _> = summary.tier_findings.drain(..).collect();
+    if !findings.is_empty() {
+        // The pool again, over the found files alone (re-drains sync).
+        let paths: Vec<String> = findings.keys().cloned().collect();
+        let settled = sweep(&**fast, &paths, opts.threads, |path, checker| {
+            let damage = match findings[path] {
+                // Unless the orphan pass has unlinked it since.
+                Some(damage) => fast.exists(path).then_some(damage),
+                None => tier_damage(fast, durable, path, checker),
+            };
+            if let Some(damage) = damage {
+                settle_tier(fast, durable, path, damage, opts, checker);
             }
-            return;
-        }
-        compare_tier_file(fast, durable, path, opts, &mut checker.summary);
-    });
-    merge(&mut summary, tiers);
+        });
+        merge(&mut summary, settled);
+    }
     summary.reports.sort_by(|a, b| a.path.cmp(&b.path));
     summary.elapsed = t0.elapsed();
     summary
 }
 
-fn compare_tier_file(
+/// What comparing the fast copy of `path` with its durable copy finds:
+/// `None` when they agree, or when the fast tier does not hold the file.
+fn tier_damage(
     fast: &Arc<dyn Backend>,
     durable: &Arc<dyn Backend>,
     path: &str,
-    opts: &FsckOptions,
-    summary: &mut FsckSummary,
-) {
-    let Ok(fast_len) = fast.file_len(path) else {
-        return; // raced an unlink; nothing to compare
-    };
+    checker: &mut Checker,
+) -> Option<DamageCounts> {
+    let fast_len = fast.file_len(path).ok()?;
     let mut damage = DamageCounts::default();
     match durable.file_len(path) {
-        Err(_) => damage.tier_stranded = 1,
-        Ok(durable_len) if durable_len != fast_len => damage.tier_stranded = 1,
-        Ok(_) => {
-            match tier_bytes_equal(fast, durable, path, fast_len) {
-                Ok(true) => {}
-                Ok(false) => damage.tier_diverged = 1,
-                Err(_) => damage.tier_stranded = 1,
-            };
+        Ok(len) if len == fast_len => match tier_bytes_equal(fast, durable, path, len, checker) {
+            Ok(true) => return None,
+            Ok(false) => damage.tier_diverged = 1,
+            Err(_) => damage.tier_stranded = 1,
+        },
+        _ => damage.tier_stranded = 1,
+    }
+    Some(damage)
+}
+
+/// Whether the durable copy of `path` holds the fast copy's `len`
+/// bytes, compared a window at a time. A file the window still holds
+/// whole from its check is not read from the fast tier again.
+fn tier_bytes_equal(
+    fast: &Arc<dyn Backend>,
+    durable: &Arc<dyn Backend>,
+    path: &str,
+    len: u64,
+    checker: &mut Checker,
+) -> io::Result<bool> {
+    let Checker { view, theirs, .. } = checker;
+    let ff = match view.holds(0, len as usize) {
+        true => None,
+        false => Some(fast.open(path, OpenOptions::read_only())?),
+    };
+    let df = durable.open(path, OpenOptions::read_only())?;
+    let mut off = 0u64;
+    while off < len {
+        let want = WINDOW.min((len - off) as usize);
+        if let Some(ff) = &ff {
+            view.fill(&**ff, off, want)?;
         }
+        theirs.resize(theirs.len().max(want), 0);
+        let t0 = Instant::now();
+        read_exact_at(&*df, off, &mut theirs[..want])?;
+        view.waited += t0.elapsed();
+        let at = (off - view.start) as usize;
+        if view.buf[at..at + want] != theirs[..want] {
+            return Ok(false);
+        }
+        off += want as u64;
     }
-    if damage.is_clean() {
-        return;
-    }
-    summary.damage.add(&damage);
+    Ok(true)
+}
+
+/// Counts a tier finding for `path` and, under `opts.repair`, re-drains
+/// the fast copy over the durable one.
+fn settle_tier(
+    fast: &Arc<dyn Backend>,
+    durable: &Arc<dyn Backend>,
+    path: &str,
+    damage: DamageCounts,
+    opts: &FsckOptions,
+    checker: &mut Checker,
+) {
     let mut repaired = false;
     let mut error = None;
     if opts.repair {
-        match redrain(fast, durable, path) {
+        let t0 = Instant::now();
+        let copy = checker.copy.get_or_insert_with(|| ChunkBuf::new(1 << 20));
+        match redrain(fast, durable, path, copy) {
             Ok(()) => repaired = true,
             Err(e) => error = Some(format!("re-drain failed: {e}")),
         }
+        checker.view.waited += t0.elapsed();
     }
+    let summary = &mut checker.summary;
+    summary.damage.add(&damage);
     if repaired {
         summary.repaired_files += 1;
     }
@@ -433,32 +512,15 @@ fn compare_tier_file(
     });
 }
 
-fn tier_bytes_equal(
+/// Re-drains one fast-tier file over its durable copy through `buf`:
+/// parent dirs, whole-file copy, sync — the offline analogue of the
+/// tier drain.
+fn redrain(
     fast: &Arc<dyn Backend>,
     durable: &Arc<dyn Backend>,
     path: &str,
-    len: u64,
-) -> io::Result<bool> {
-    let ff = fast.open(path, OpenOptions::read_only())?;
-    let df = durable.open(path, OpenOptions::read_only())?;
-    let mut fb = vec![0u8; 1 << 20];
-    let mut db = vec![0u8; 1 << 20];
-    let mut off = 0u64;
-    while off < len {
-        let want = fb.len().min((len - off) as usize);
-        read_exact_at(&*ff, off, &mut fb[..want])?;
-        read_exact_at(&*df, off, &mut db[..want])?;
-        if fb[..want] != db[..want] {
-            return Ok(false);
-        }
-        off += want as u64;
-    }
-    Ok(true)
-}
-
-/// Re-drains one fast-tier file over its durable copy: parent dirs,
-/// whole-file copy, sync — the offline analogue of the tier drain.
-fn redrain(fast: &Arc<dyn Backend>, durable: &Arc<dyn Backend>, path: &str) -> io::Result<()> {
+    buf: &mut ChunkBuf,
+) -> io::Result<()> {
     // Ensure the durable parent chain exists (a crash can strand a file
     // whose directory never drained either).
     let mut prefix = String::new();
@@ -480,7 +542,6 @@ fn redrain(fast: &Arc<dyn Backend>, durable: &Arc<dyn Backend>, path: &str) -> i
     let dst = durable.open(path, OpenOptions::create_truncate())?;
     let len = src.len()?;
     // Aligned, so full steps reach a direct-capable tier in place.
-    let mut buf = crate::pool::ChunkBuf::new(1 << 20);
     let mut off = 0u64;
     while off < len {
         let want = buf.len().min((len - off) as usize);
@@ -489,6 +550,20 @@ fn redrain(fast: &Arc<dyn Backend>, durable: &Arc<dyn Backend>, path: &str) -> i
         off += want as u64;
     }
     dst.sync()
+}
+
+/// Unlinks the promotion staging files (`{target}.promote-N`) a crash
+/// mid-promotion left in the fast tier's `dirs`: backend-internal
+/// partial copies that the union view hides and that are never
+/// compared or re-drained.
+fn sweep_promote_staging(fast: &Arc<dyn Backend>, dirs: &[String]) {
+    for dir in dirs {
+        for name in fast.list_dir(dir).unwrap_or_default() {
+            if crate::backend::is_promote_tmp(&name) {
+                let _ = fast.unlink(&format!("{}/{name}", dir.trim_end_matches('/')));
+            }
+        }
+    }
 }
 
 fn merge(into: &mut FsckSummary, from: FsckSummary) {
@@ -502,6 +577,8 @@ fn merge(into: &mut FsckSummary, from: FsckSummary) {
     into.reports.extend(from.reports);
     into.cas_refs.extend(from.cas_refs);
     into.manifest_keys.extend(from.manifest_keys);
+    into.tier_findings.extend(from.tier_findings);
+    into.dirs.extend(from.dirs);
     into.check_times.merge(&from.check_times);
     for (mine, theirs) in into.checker_ns.iter_mut().zip(from.checker_ns) {
         *mine += theirs;
@@ -516,11 +593,12 @@ fn merge(into: &mut FsckSummary, from: FsckSummary) {
 /// `lister` lists expands, anything else goes to `visit`. `outstanding`
 /// covers queued *and* in-flight jobs, so a checker only exits when the
 /// whole sweep is drained. Every checker the pool may grow to has a
-/// queue; `live` of them have a checker. Idle checkers park with the
-/// engine's protocol (`engine/ring.rs`, "Parking"): a waker changes the
-/// state (pushes jobs, or drops `outstanding` to zero), then takes and
-/// drops `gate` and notifies; a waiter re-checks under `gate` and waits
-/// untimed. The counters are `Relaxed`: jobs travel under the queue
+/// queue; `live` of them have a checker. `waited` says whether the last
+/// job a checker finished waited on the backend longer than it checked.
+/// Idle checkers park with the engine's protocol (`engine/ring.rs`,
+/// "Parking"): a waker changes the state (pushes jobs, or drops
+/// `outstanding` to zero), then takes and drops `gate` and notifies; a
+/// waiter re-checks under `gate` and waits untimed. The counters are `Relaxed`: jobs travel under the queue
 /// locks, parking orders through `gate`, and each counter publishes
 /// nothing but itself.
 struct StealPool<'a, F> {
@@ -529,16 +607,25 @@ struct StealPool<'a, F> {
     queues: Vec<Mutex<VecDeque<String>>>,
     outstanding: AtomicU64,
     live: AtomicUsize,
+    waited: AtomicBool,
     gate: Mutex<()>,
     idle: Condvar,
     found: Mutex<FsckSummary>,
 }
 
-/// One checker's findings, and the window buffer it reads files through.
+/// One checker's findings, and the buffers every file it checks reuses
+/// (module docs, "Reads").
 #[derive(Default)]
 struct Checker {
     summary: FsckSummary,
-    window: Vec<u8>,
+    /// The read window.
+    view: View,
+    /// A frame's stored payload and its decoded bytes.
+    frame: (Vec<u8>, Vec<u8>),
+    /// The durable copy of a tier comparison.
+    theirs: Vec<u8>,
+    /// A re-drain's aligned copy buffer, made by the first re-drain.
+    copy: Option<ChunkBuf>,
 }
 
 /// Runs `visit` on every file reachable from `roots` on `lister` over a
@@ -558,6 +645,7 @@ where
         queues: (0..most).map(|_| Mutex::new(VecDeque::new())).collect(),
         outstanding: AtomicU64::new(0),
         live: AtomicUsize::new(first),
+        waited: AtomicBool::new(false),
         gate: Mutex::new(()),
         idle: Condvar::new(),
         found: Mutex::new(FsckSummary::default()),
@@ -579,12 +667,16 @@ impl<F: Fn(&str, &mut Checker) + Sync> StealPool<'_, F> {
     fn checker<'s>(&'s self, s: &'s Scope<'s, '_>, worker: usize) {
         let mut checker = Checker::default();
         while let Some(path) = self.next_job(worker) {
+            // Each job starts with an empty window and no wait.
+            let t0 = Instant::now();
+            (checker.view.held, checker.view.waited) = (0, Duration::ZERO);
             // A listable path is a directory: expand onto our own queue
             // and let idle checkers steal the siblings.
             match self.lister.list_dir(&path) {
                 Ok(names) => {
                     let dir = path.trim_end_matches('/');
                     self.push(worker, names.iter().map(|n| format!("{dir}/{n}")).collect());
+                    checker.summary.dirs.push(path);
                 }
                 Err(_) => (self.visit)(&path, &mut checker),
             }
@@ -593,7 +685,15 @@ impl<F: Fn(&str, &mut Checker) + Sync> StealPool<'_, F> {
             if self.outstanding.fetch_sub(1, Relaxed) == 1 {
                 self.wake();
             }
-            // Grow while the outstanding jobs outnumber the checkers.
+            // Grow while the outstanding jobs outnumber the checkers, and
+            // only after two jobs in a row that waited on the backend
+            // longer than they checked: another checker overlaps waits,
+            // not CPU, and a store's latency slows every read where a
+            // preempted checker slows one.
+            let waited = checker.view.waited * 2 > t0.elapsed();
+            if !(self.waited.swap(waited, Relaxed) && waited) {
+                continue;
+            }
             let grown = self.live.fetch_update(Relaxed, Relaxed, |live| {
                 let behind = self.outstanding.load(Relaxed) > live as u64;
                 (behind && live < self.queues.len()).then_some(live + 1)
@@ -648,14 +748,41 @@ impl<F: Fn(&str, &mut Checker) + Sync> StealPool<'_, F> {
 // Per-file checks
 // ---------------------------------------------------------------------
 
+/// A checker's window buffer: `buf[..held]` are the current file's
+/// bytes from `start`. `waited` is the wall time the current job spent
+/// in backend IO, the pool's growth signal.
+#[derive(Default)]
+struct View {
+    start: u64,
+    held: usize,
+    buf: Vec<u8>,
+    waited: Duration,
+}
+
+impl View {
+    /// Whether the window holds the file's `len` bytes from `offset`.
+    fn holds(&self, offset: u64, len: usize) -> bool {
+        offset >= self.start && offset + len as u64 <= self.start + self.held as u64
+    }
+
+    /// Reads `len` bytes of `file` from `offset` into the window.
+    fn fill(&mut self, file: &dyn BackendFile, offset: u64, len: usize) -> io::Result<()> {
+        self.buf.resize(self.buf.len().max(len), 0);
+        self.held = 0;
+        let t0 = Instant::now();
+        read_exact_at(file, offset, &mut self.buf[..len])?;
+        self.waited += t0.elapsed();
+        (self.start, self.held) = (offset, len);
+        Ok(())
+    }
+}
+
 /// A checker's read-through view of one file, handed to the unchanged
 /// [`FileHead::read`] / [`walk_frames`] as their `BackendFile` (module
-/// docs, "Reads"). `view` is the checker's buffer, whose first `held`
-/// bytes are the file's from `start`: `(start, held, buf)`. A read past
-/// the end fails, as `read_exact_at` would.
+/// docs, "Reads"). A read past the end fails, as `read_exact_at` would.
 struct Window<'a> {
     file: &'a dyn BackendFile,
-    view: Mutex<(u64, usize, &'a mut Vec<u8>)>,
+    view: Mutex<&'a mut View>,
 }
 
 impl BackendFile for Window<'_> {
@@ -664,24 +791,18 @@ impl BackendFile for Window<'_> {
             return Ok(0);
         }
         let mut view = self.view.lock();
-        let (start, held, buf) = &mut *view;
-        if offset < *start || offset + out.len() as u64 > *start + *held as u64 {
+        if !view.holds(offset, out.len()) {
             // A big file's first read is its head, all a raw image is
             // ever read for; any other miss reads a window from here.
             let len = self.file.len()?;
-            let next = match len > WINDOW as u64 && *held == 0 {
+            let next = match len > WINDOW as u64 && view.held == 0 {
                 true => out.len(),
                 false => (len.saturating_sub(offset).min(WINDOW as u64) as usize).max(out.len()),
             };
-            if buf.len() < next {
-                buf.resize(next, 0);
-            }
-            *held = 0;
-            read_exact_at(self.file, offset, &mut buf[..next])?;
-            (*start, *held) = (offset, next);
+            view.fill(self.file, offset, next)?;
         }
-        let at = (offset - *start) as usize;
-        out.copy_from_slice(&buf[at..at + out.len()]);
+        let at = (offset - view.start) as usize;
+        out.copy_from_slice(&view.buf[at..at + out.len()]);
         Ok(out.len())
     }
 
@@ -719,17 +840,21 @@ fn check_file_inner(
     opts: &FsckOptions,
     checker: &mut Checker,
 ) -> FileKind {
-    let local = &mut checker.summary;
+    let Checker {
+        summary: local,
+        view,
+        frame,
+        ..
+    } = checker;
     let file = backend.open(path, OpenOptions::read_only());
     // The window's first read serves the classification and, for a
     // file that fits, everything after it.
     let opened = match &file {
         Err(e) => Err(format!("unopenable: {e}")),
         Ok(file) => {
-            let view = Mutex::new((0, 0, &mut checker.window));
             let window = Window {
                 file: &**file,
-                view,
+                view: Mutex::new(view),
             };
             match FileHead::read(&window) {
                 Ok(head) => Ok((head, window)),
@@ -749,7 +874,7 @@ fn check_file_inner(
         FileKind::Raw => local.raw_files += 1,
         FileKind::FrameLog => {
             local.frame_logs += 1;
-            check_frame_log(backend, path, &window, &head, opts, local);
+            check_frame_log(backend, path, &window, &head, opts, local, frame);
         }
         FileKind::Manifest => {
             local.manifests += 1;
@@ -779,7 +904,8 @@ fn classify(head: &FileHead) -> FileKind {
 /// validation every open performs — adding per frame the optional
 /// payload decode + checksum and the dedup-reference origin
 /// resolution, and — under `repair` — truncating a torn tail to the
-/// walk's clean prefix.
+/// walk's clean prefix. `payload` and `out` are the checker's stored
+/// and decoded frame buffers.
 fn check_frame_log(
     backend: &Arc<dyn Backend>,
     path: &str,
@@ -787,21 +913,18 @@ fn check_frame_log(
     head: &FileHead,
     opts: &FsckOptions,
     local: &mut FsckSummary,
+    (payload, out): &mut (Vec<u8>, Vec<u8>),
 ) {
     let stored_len = head.stored_len;
     let mut damage = DamageCounts::default();
     let mut frames = 0u64;
-    // One stored and one decoded buffer for the whole log, not a pair
-    // per frame.
-    let mut payload = Vec::new();
-    let mut out = Vec::new();
     let walked = walk_frames(file, head, |off, h| {
         frames += 1;
         if h.flags & (FLAG_PAD | FLAG_TRUNC) != 0 {
             return Ok(());
         }
         payload.resize(h.stored_len as usize, 0);
-        read_exact_at(file, off + FRAME_HEADER_LEN, &mut payload)?;
+        read_exact_at(file, off + FRAME_HEADER_LEN, payload)?;
         if h.format != FRAME_FORMAT {
             // Structurally sound, but its check was computed by a
             // function this build does not have (format 0: a store
@@ -811,7 +934,7 @@ fn check_frame_log(
             damage.bad_payload_checksum += 1;
         }
         if h.flags & FLAG_REF != 0 {
-            if !ref_resolves(backend, path, stored_len, &payload) {
+            if !ref_resolves(backend, path, stored_len, payload) {
                 damage.orphaned_refs += 1;
             }
             if let Some(meta) = payload.get(REF_META_LEN..) {
@@ -822,8 +945,8 @@ fn check_frame_log(
                 }
             }
         } else if opts.verify_payloads && h.format == FRAME_FORMAT {
-            let ok = decode_to_vec(h.codec, &payload, h.logical_len as usize, &mut out).is_ok()
-                && payload_digest(&out).check == h.payload_check;
+            let ok = decode_to_vec(h.codec, payload, h.logical_len as usize, out).is_ok()
+                && payload_digest(out).check == h.payload_check;
             if !ok {
                 damage.bad_payload_checksum += 1;
             }
@@ -1408,8 +1531,9 @@ mod tests {
 
     // -- reads and checkers ---------------------------------------------
 
-    /// Every backend read a [`Probe`] saw: path, offset, length.
-    type ReadLog = Arc<Mutex<Vec<(String, u64, usize)>>>;
+    /// Every backend read a [`Probe`] saw: path, offset, length, and the
+    /// thread that read.
+    type ReadLog = Arc<Mutex<Vec<(String, u64, usize, std::thread::ThreadId)>>>;
 
     /// A test decorator: logs every `read_at`, sleeps `delay` in each,
     /// and `hold` more in each read of `slow`.
@@ -1448,9 +1572,9 @@ mod tests {
 
     impl BackendFile for ProbeFile {
         fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-            self.reads
-                .lock()
-                .push((self.path.clone(), offset, buf.len()));
+            let thread = std::thread::current().id();
+            let read = (self.path.clone(), offset, buf.len(), thread);
+            self.reads.lock().push(read);
             if !self.sleep.is_zero() {
                 std::thread::sleep(self.sleep);
             }
@@ -1556,7 +1680,7 @@ mod tests {
         let reads = reads.lock().clone();
         let edges: Vec<u64> = reads
             .iter()
-            .map(|&(_, off, len)| off + len as u64)
+            .map(|&(_, off, len, _)| off + len as u64)
             .collect();
         let crossing = extents
             .iter()
@@ -1569,7 +1693,7 @@ mod tests {
             extents.len()
         );
         assert!(reads.len() <= bound, "{} reads > {bound}", reads.len());
-        assert!(reads.iter().all(|&(_, _, len)| len <= WINDOW));
+        assert!(reads.iter().all(|&(_, _, len, _)| len <= WINDOW));
     }
 
     #[test]
@@ -1588,7 +1712,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         assert!(sum.is_clean(), "{sum}");
         assert_eq!(sum.raw_files, 1);
-        let reads = reads.lock().clone();
+        let reads: Vec<_> = reads
+            .lock()
+            .iter()
+            .map(|r| (r.0.clone(), r.1, r.2))
+            .collect();
         assert_eq!(
             reads,
             [("/rank0.img".to_string(), 0, FRAME_HEADER_LEN as usize)]
@@ -1622,6 +1750,26 @@ mod tests {
         let bound = Duration::from_millis(2) * seen as u32 / 6;
         println!("fsck: {seen} reads of 2 ms in {wall:?} (bound {bound:?})");
         assert!(wall < bound, "{wall:?} for {seen} reads of 2 ms");
+    }
+
+    /// Reads that cost no wait give another checker nothing to overlap:
+    /// a default sweep of a local store stays at one checker per core,
+    /// however many files are queued.
+    #[test]
+    fn a_zero_latency_store_keeps_one_checker_per_core() {
+        let store = be();
+        populate_cas(&store, 160);
+        let (local, reads) = probe(&store, Duration::ZERO);
+        let sum = run(&local, &["/".to_string()], &FsckOptions::default());
+        assert!(sum.is_clean(), "{sum}");
+        assert!(sum.frame_logs > 160, "{sum}");
+        let threads: std::collections::HashSet<_> = reads.lock().iter().map(|r| r.3).collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(
+            threads.len() <= cores,
+            "{} checkers read on {cores} cores",
+            threads.len()
+        );
     }
 
     /// `(files, frames, damage, report paths)` of a sweep.
@@ -1731,6 +1879,67 @@ mod tests {
         fs.advance_epoch().unwrap(); // drain barrier: both tiers agree
         fs.unmount().unwrap();
         (fast, durable)
+    }
+
+    /// A tiered stack whose snapshot store holds `chunks` one-frame
+    /// content-store files, sealed, with both tiers drained.
+    fn populate_tiered_cas(chunks: usize) -> (Arc<dyn Backend>, Arc<dyn Backend>) {
+        let fast: Arc<dyn Backend> = Arc::new(MemBackend::new());
+        let durable: Arc<dyn Backend> = Arc::new(MemBackend::new());
+        let tiered: Arc<dyn Backend> = Arc::new(TieredBackend::from_config(
+            Arc::clone(&fast),
+            Arc::clone(&durable),
+            &CrfsConfig::default(),
+        ));
+        populate_cas(&tiered, chunks);
+        (fast, durable)
+    }
+
+    fn repair() -> FsckOptions {
+        FsckOptions {
+            repair: true,
+            ..FsckOptions::default()
+        }
+    }
+
+    #[test]
+    fn each_tier_copy_is_read_once() {
+        let (fast, durable) = populate_tiered_cas(40);
+        let (fast, fast_reads) = probe(&fast, Duration::ZERO);
+        let (durable, durable_reads) = probe(&durable, Duration::ZERO);
+        let sum = run_tiered(&fast, &durable, &["/".to_string()], &repair());
+        assert!(sum.is_clean() && sum.damage.is_clean(), "{sum}");
+        assert!(sum.frame_logs > 40, "{sum}");
+        for (tier, reads) in [("fast", fast_reads), ("durable", durable_reads)] {
+            let mut paths: Vec<String> = reads.lock().iter().map(|r| r.0.clone()).collect();
+            let seen = paths.len();
+            paths.sort();
+            paths.dedup();
+            println!("fsck: {seen} {tier} reads of {} files", sum.files);
+            assert_eq!(paths.len() as u64, sum.files, "{tier}: files read");
+            assert_eq!(seen as u64, sum.files, "{tier}: reads");
+        }
+    }
+
+    #[test]
+    fn the_orphan_pass_wins_over_the_tier_compare() {
+        let (fast, durable) = populate_tiered_cas(4);
+        // A chunk stored but never sealed nor referenced, caught
+        // mid-drain: its durable copy is short.
+        let orphan = cas_path((0xfeed_face, 4096));
+        for (tier, bytes) in [(&fast, &b"junk-junk"[..]), (&durable, &b"junk"[..])] {
+            let f = tier.open(&orphan, OpenOptions::create_truncate()).unwrap();
+            f.write_at(0, bytes).unwrap();
+        }
+        let fixed = run_tiered(&fast, &durable, &["/".to_string()], &repair());
+        let orphaned = DamageCounts {
+            orphaned_chunks: 1,
+            ..DamageCounts::default()
+        };
+        assert_eq!(fixed.damage, orphaned, "{fixed}");
+        assert_eq!(fixed.repaired_files, 1, "the unlink, no re-drain: {fixed}");
+        assert_eq!(fixed.reports.len(), 1, "{fixed}");
+        assert!(!fast.exists(&orphan) && !durable.exists(&orphan));
     }
 
     #[test]

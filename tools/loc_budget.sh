@@ -47,6 +47,16 @@
 # fast-tier forward, and the atomics and side mutexes the machine
 # replaces; the thread-free device-order test and the seeded `Drain`
 # walk take their place in the tests.)
+# 41,500 -> 41,700 with the one-pass tiered fsck: 41,479 -> 41,690,
+# +211 lines, 86 of them tests (each tier copy read once, one checker
+# per core on a zero-latency store, the orphan pass before the tier
+# compare, the probe's thread column). Product lines of `fsck.rs` +123,
+# a third of them docs: the checker-owned window / frame / durable /
+# copy buffers with the window's own `View`, the compare split into
+# `tier_damage` / `tier_bytes_equal` / `settle_tier` so findings settle
+# after the orphan pass, the fast-tier staging sweep as a plain listing,
+# and the read-wait gate on the pool's growth, net of the second sweep
+# over the fast tier they replace.
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -54,7 +64,7 @@
 # either replaces one of those or argues for a higher number here.
 set -eu
 
-CEILING=41500
+CEILING=41700
 UNSAFE_CEILING=4
 
 cd "$(dirname "$0")/.."
