@@ -883,7 +883,7 @@ fn engine(quick: bool) -> ExpOutput {
          headline: {:.0} MiB/s at depth {} vs {:.0} MiB/s at depth {} \
          ({scaling:.2}x) — in-flight ops scale with the descriptor \
          slab, not the issue-thread count, because workers hand RPCs \
-         to the completion ring instead of blocking on them.\n",
+         to the completion queue instead of blocking on them.\n",
         shallow.io_threads,
         shallow.depth,
         deep.depth,

@@ -26,6 +26,8 @@
 //! remains (dry run, unrepairable class, or repair failure), 2 = usage
 //! or I/O error.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 

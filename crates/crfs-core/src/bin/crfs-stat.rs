@@ -34,6 +34,8 @@
 //! Exit status: 0 = rendered, 2 = usage or unreadable/unrecognized
 //! input.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 

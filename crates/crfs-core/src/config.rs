@@ -8,7 +8,7 @@ use crate::transform::CodecKind;
 /// Kept for `benchmark/src/workload.rs`; goes with the next benchmark PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// Submission/completion rings over a slab of in-flight descriptors.
+    /// Submission/completion queues over a slab of in-flight descriptors.
     #[default]
     Ring,
 }
@@ -28,7 +28,7 @@ pub struct CrfsConfig {
     /// 4–64 MiB and settles on 16 MiB to bound memory stolen from the
     /// application.
     pub pool_size: usize,
-    /// Number of IO worker threads draining the submission ring. The paper
+    /// Number of IO worker threads draining the submission queue. The paper
     /// finds 4 "generally yields the best throughput" — enough to keep the
     /// backend busy, few enough to throttle backend contention.
     pub io_threads: usize,
@@ -220,8 +220,10 @@ impl CrfsConfig {
         (self.io_threads.max(1) * 4).next_power_of_two()
     }
 
-    /// Free-list shards of the buffer pool: `io_threads * 2` rounded up
-    /// to a power of two and capped at the pool's chunk count.
+    /// `io_threads * 2` rounded up to a power of two and capped at the
+    /// pool's chunk count. The pool has one free list and ignores it;
+    /// kept for `benchmark/src/probes.rs`, which passes it to
+    /// [`BufferPool::with_shards`](crate::pool::BufferPool::with_shards).
     pub fn resolved_pool_shards(&self) -> usize {
         (self.io_threads.max(1) * 2)
             .next_power_of_two()

@@ -2,10 +2,10 @@
 //!
 //! The paper's §IV decouples checkpoint `write()` streams from backend IO
 //! with a queue of sealed chunks drained by a bounded pool of IO threads.
-//! [`RingEngine`] is that layer: a submission ring the write path posts
+//! [`RingEngine`] is that layer: a submission queue the write path posts
 //! sealed chunks (and the restart path posts prefetch reads) onto,
 //! `io_threads` issue workers starting one backend op per chunk, and a
-//! completion ring a reaper retires in batches. [`Crfs`](crate::Crfs)
+//! completion queue a reaper retires in batches. [`Crfs`](crate::Crfs)
 //! holds it by its type; this module holds what the engine and the write
 //! path share — the chunk types and the dispatch / retire / refuse steps.
 //!
@@ -77,7 +77,7 @@ pub struct ReadChunk {
     pub issued_at: Option<Instant>,
 }
 
-/// One unit of engine work: the submission ring carries checkpoint
+/// One unit of engine work: the submission queue carries checkpoint
 /// writes and restart prefetch reads side by side.
 pub enum IoItem {
     /// A sealed aggregation chunk to write out.

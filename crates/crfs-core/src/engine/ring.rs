@@ -1,10 +1,10 @@
-//! Ring engine: submission/completion rings over an in-flight
+//! Ring engine: submission/completion queues over an in-flight
 //! descriptor slab.
 //!
 //! Per-op state lives in a slab of `ring_depth` descriptors. Submitters
-//! post descriptor indices onto a lock-free **submission ring**, a pool
-//! of `io_threads` issue workers starts the backend ops, and a reaper
-//! thread drains a **completion ring**, retiring descriptors in batches.
+//! post descriptor indices onto a **submission queue**, a pool of
+//! `io_threads` issue workers starts the backend ops, and a reaper
+//! thread drains a **completion queue**, retiring descriptors in batches.
 //! On a backend with an asynchronous write path
 //! ([`BackendFile::begin_write_at`](crate::backend::BackendFile::begin_write_at))
 //! an issue worker starts an op and immediately moves to the next —
@@ -17,7 +17,7 @@
 //! frame is *located* (stored extent, dedup origin) and its stored
 //! bytes begun with
 //! [`begin_read_at`](crate::backend::BackendFile::begin_read_at); the
-//! completion puts the descriptor back on the submission ring, and an
+//! completion puts the descriptor back on the submission queue, and an
 //! issue worker decodes, verifies and installs it — reads in flight are
 //! bounded by the slab, the pool and the read-ahead window, and decode
 //! CPU never runs on the backend's completion thread. Every other fill,
@@ -48,15 +48,18 @@
 //! ## Parking
 //!
 //! Four positions block: a submitter on a full slab, an issue worker on
-//! an empty submission ring, the reaper on an empty completion ring, and
-//! `drain` on in-flight ops. Each has a gate `Mutex` + `Condvar`. The
-//! rings themselves are lock-free, so a waker changes the condition
-//! first and then takes and drops the gate before it notifies
-//! ([`RingInner::wake`]); a waiter re-checks its condition *under the
-//! gate* and only then waits. Either the waiter's check runs after the
-//! waker's change and sees it, or the waiter already holds the gate, the
-//! waker's lock blocks until the wait releases it, and the notify finds
-//! the waiter parked. No wait is timed: an idle mount makes no wakeups.
+//! an empty submission queue, the reaper on an empty completion queue,
+//! and `drain` on in-flight ops. Each queue is plain data under one
+//! `Mutex` — the free descriptors with `closed` (`Slab`), and the
+//! submission and completion queues each with its `stopping`
+//! (`IdxQueue`) — and every `Condvar` waits on the mutex of the queue
+//! it parks on: submitters on `room` and `drain` on `quiet` (the slab's
+//! lock), issue workers and the reaper on their queue's `ready`. A
+//! waiter's check and its wait share the lock with the change that
+//! would wake it, so no wakeup is lost between them. A waker reads the
+//! parked count under the lock and notifies only when someone waits
+//! (`quiet` is notified whenever the last descriptor comes free). No
+//! wait is timed: an idle mount makes no wakeups.
 //!
 //! ## Backpressure and shutdown
 //!
@@ -64,9 +67,12 @@
 //! frees a slot. Batch acceptance is *incremental*: each chunk of a
 //! `submit_batch` acquires, fills and posts its own descriptor, so a
 //! batch larger than the slab streams through it instead of deadlocking
-//! on slots its own head holds. A shutdown racing mid-batch therefore
-//! refuses only the not-yet-posted suffix (every chunk still completes
-//! exactly once, and the caller still sees one `Unmounted`).
+//! on slots its own head holds. Shutdown sets `closed` under the slab's
+//! lock, so a submitter either took its descriptor first — and `drain`
+//! waits for it — or sees `closed` and backs out. A shutdown racing
+//! mid-batch therefore refuses only the not-yet-posted suffix (every
+//! chunk still completes exactly once, and the caller still sees one
+//! `Unmounted`).
 //!
 //! Completions may arrive in any order, but every accepted op calls
 //! `note_completed` exactly once after its buffer is back in the pool,
@@ -74,9 +80,9 @@
 //! quiescence.
 
 use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::Ordering::{Relaxed, SeqCst};
-use std::sync::atomic::{AtomicBool, AtomicUsize};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -89,7 +95,6 @@ use crate::backend::CompletionSink;
 use crate::error::{CrfsError, Result};
 use crate::obs::EventKind;
 use crate::pool::BufferPool;
-use crate::ring::Ring;
 use crate::stats::CrfsStats;
 use crate::transform::FrameFill;
 
@@ -102,7 +107,7 @@ const REAP_BATCH: usize = 64;
 enum DescState {
     /// Available for a submitter.
     Free,
-    /// Filled by a submitter, waiting on the submission ring.
+    /// Filled by a submitter, waiting on the submission queue.
     Queued(IoItem),
     /// An issue worker took the op and is calling into the backend.
     Issuing,
@@ -118,7 +123,7 @@ enum DescState {
         stored: u64,
         issued: Instant,
     },
-    /// Completed, waiting on the completion ring for the reaper.
+    /// Completed, waiting on the completion queue for the reaper.
     Done {
         chunk: SealedChunk,
         res: io::Result<()>,
@@ -127,7 +132,7 @@ enum DescState {
     /// Prefetch fill whose stored bytes the backend is reading
     /// asynchronously; the sink publishes `Filled`.
     Reading { chunk: ReadChunk, fill: FrameFill },
-    /// Prefetch fill whose read completed, back on the submission ring
+    /// Prefetch fill whose read completed, back on the submission queue
     /// for an issue worker to decode, verify and install.
     Filled {
         chunk: ReadChunk,
@@ -136,111 +141,137 @@ enum DescState {
     },
 }
 
+/// The free descriptors, under the lock `room` and `quiet` wait on.
+/// Descriptors in flight are the slab's depth minus `free`.
+struct Slab {
+    free: Vec<usize>,
+    /// Refuses new submissions (set first by shutdown).
+    closed: bool,
+    /// Submitters parked on `room`.
+    waiters: usize,
+}
+
+/// A FIFO of descriptor indices whose consumers park on it.
+struct IdxQueue {
+    state: Mutex<Pending>,
+    ready: Condvar,
+}
+
+struct Pending {
+    idxs: VecDeque<usize>,
+    /// Consumers exit once `idxs` is empty (set by shutdown only after
+    /// the slab drained).
+    stopping: bool,
+    /// Consumers parked on `ready`.
+    waiters: usize,
+}
+
+impl IdxQueue {
+    /// A queue with room for every descriptor of a `depth`-slot slab.
+    fn new(depth: usize) -> IdxQueue {
+        IdxQueue {
+            state: Mutex::new(Pending {
+                idxs: VecDeque::with_capacity(depth),
+                stopping: false,
+                waiters: 0,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn push(&self, idx: usize) {
+        let mut q = self.state.lock();
+        q.idxs.push_back(idx);
+        let wake = q.waiters > 0;
+        drop(q);
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Parks until an index is queued, then moves up to `max` of them
+    /// into `out`. `false` once stopping with nothing queued.
+    fn take(&self, max: usize, out: &mut Vec<usize>) -> bool {
+        let mut q = self.state.lock();
+        while q.idxs.is_empty() {
+            if q.stopping {
+                return false;
+            }
+            q.waiters += 1;
+            self.ready.wait(&mut q);
+            q.waiters -= 1;
+        }
+        let n = q.idxs.len().min(max);
+        out.extend(q.idxs.drain(..n));
+        true
+    }
+
+    fn stop(&self) {
+        self.state.lock().stopping = true;
+        self.ready.notify_all();
+    }
+}
+
 struct RingInner {
     slots: Box<[Mutex<DescState>]>,
-    /// Free descriptor indices (submitters pop). Like the two rings
-    /// below, sized at twice the slab so a push can only fail while a
-    /// concurrent pop is mid-flight; `push_spin` rides that out.
-    free: Ring<usize>,
-    /// Queued descriptor indices (issue workers pop).
-    subq: Ring<usize>,
-    /// Done descriptor indices (the reaper pops).
-    compq: Ring<usize>,
+    slab: Mutex<Slab>,
+    /// Submitters parked on a full slab.
+    room: Condvar,
+    /// `drain`, parked until every descriptor is free.
+    quiet: Condvar,
+    /// Queued descriptors (issue workers take them).
+    subq: IdxQueue,
+    /// Done descriptors (the reaper takes them).
+    compq: IdxQueue,
     pool: Arc<BufferPool>,
     stats: Arc<CrfsStats>,
-    /// Descriptors between submit-accept and slot-free; the drain and
-    /// shutdown quiescence condition. SeqCst pairs the submit-side
-    /// increment-then-check-closed with the shutdown-side
-    /// store-closed-then-drain (a store-buffer race either refuses the
-    /// submit or makes the drain wait for it — never neither).
-    inflight: AtomicUsize,
-    /// Refuses new submissions (set first by shutdown).
-    closed: AtomicBool,
-    /// Tells issue/reap workers to exit once their ring is empty (set
-    /// by shutdown only after the slab drained).
-    stopping: AtomicBool,
-    submit_gate: Mutex<()>,
-    submit_cv: Condvar,
-    issue_gate: Mutex<()>,
-    issue_cv: Condvar,
-    reap_gate: Mutex<()>,
-    reap_cv: Condvar,
-    quiet_gate: Mutex<()>,
-    quiet_cv: Condvar,
 }
 
 impl RingInner {
-    /// Serialized notify: called after the condition changed; taking and
-    /// dropping the gate orders the notify after any waiter that checked
-    /// the old condition has parked (see the module docs, "Parking").
-    fn wake(gate: &Mutex<()>, cv: &Condvar, all: bool) {
-        drop(gate.lock());
-        if all {
-            cv.notify_all();
-        } else {
-            cv.notify_one();
-        }
-    }
-
-    /// Decrements the in-flight descriptor count, waking quiescence
-    /// waiters at zero.
-    fn retire_inflight(&self, n: usize) {
-        if self.inflight.fetch_sub(n, SeqCst) == n {
-            Self::wake(&self.quiet_gate, &self.quiet_cv, true);
-        }
-    }
-
-    /// Acquires a free descriptor, fills it with `item` and posts it on
-    /// the submission ring. Returns the item if the engine closed
+    /// Takes a free descriptor, fills it with `item` and posts it on the
+    /// submission queue. Returns the item if the engine closed
     /// (including while parked on a full slab).
     fn submit_one(&self, item: IoItem) -> std::result::Result<(), IoItem> {
-        // Reserve before the closed check: shutdown stores `closed`
-        // (SeqCst) and then reads `inflight` (SeqCst) in its drain, so
-        // either we see closed here and back out, or the drain sees our
-        // reservation and waits for this op.
-        self.inflight.fetch_add(1, SeqCst);
-        if self.closed.load(SeqCst) {
-            self.retire_inflight(1);
-            return Err(item);
-        }
-        let idx = match self.free.pop() {
-            Some(idx) => idx,
-            None => {
-                // Full slab: park until a reap frees a descriptor.
-                let mut g = self.submit_gate.lock();
-                loop {
-                    if let Some(idx) = self.free.pop() {
-                        break idx;
-                    }
-                    if self.closed.load(SeqCst) {
-                        drop(g);
-                        self.retire_inflight(1);
-                        return Err(item);
-                    }
-                    self.submit_cv.wait(&mut g);
+        let idx = {
+            let mut slab = self.slab.lock();
+            loop {
+                if slab.closed {
+                    return Err(item);
                 }
+                if let Some(idx) = slab.free.pop() {
+                    break idx;
+                }
+                slab.waiters += 1;
+                self.room.wait(&mut slab);
+                slab.waiters -= 1;
             }
         };
         *self.slots[idx].lock() = DescState::Queued(item);
-        self.subq.push_spin(idx);
-        Self::wake(&self.issue_gate, &self.issue_cv, false);
+        self.subq.push(idx);
         Ok(())
     }
 
-    /// Publishes a finished op on the completion ring and wakes the
-    /// reaper.
-    fn push_completion(&self, idx: usize) {
-        self.compq.push_spin(idx);
-        Self::wake(&self.reap_gate, &self.reap_cv, false);
+    /// Returns retired descriptors to the slab, waking parked submitters
+    /// and, once every descriptor is free, `drain`.
+    fn free_slots(&self, idxs: &[usize]) {
+        let mut slab = self.slab.lock();
+        slab.free.extend_from_slice(idxs);
+        let room = slab.waiters > 0;
+        let quiet = slab.free.len() == self.slots.len();
+        drop(slab);
+        if room {
+            self.room.notify_all();
+        }
+        if quiet {
+            self.quiet.notify_all();
+        }
     }
 
-    /// Frees a descriptor that bypassed the completion ring (prefetch
+    /// Frees a descriptor that bypassed the completion queue (prefetch
     /// fills retire in an issue worker).
     fn release_slot(&self, idx: usize) {
         *self.slots[idx].lock() = DescState::Free;
-        self.free.push_spin(idx);
-        Self::wake(&self.submit_gate, &self.submit_cv, false);
-        self.retire_inflight(1);
+        self.free_slots(&[idx]);
     }
 
     /// Issues one queued op, or finishes a prefetch fill whose read
@@ -342,7 +373,7 @@ impl RingInner {
                         }
                         *slot = DescState::Done { chunk, res, stored };
                         drop(slot);
-                        self.push_completion(idx);
+                        self.compq.push(idx);
                     }
                     _ => unreachable!("issuing slot changed to a foreign state"),
                 }
@@ -396,16 +427,16 @@ impl RingInner {
             debug_assert!(matches!(*slot, DescState::Issuing));
             *slot = DescState::Done { chunk, res, stored };
         }
-        self.push_completion(idx);
+        self.compq.push(idx);
     }
 
     /// Retires up to [`REAP_BATCH`] completed descriptors — stats, buffer
     /// recycling, ledger completion — then recycles the descriptors.
-    fn reap(&self, idxs: Vec<usize>) {
+    fn reap(&self, idxs: &[usize]) {
         let mut bufs = Vec::with_capacity(idxs.len());
         let mut completions = Vec::with_capacity(idxs.len());
         let mut ok_bytes = 0u64;
-        for &idx in &idxs {
+        for &idx in idxs {
             let state = std::mem::replace(&mut *self.slots[idx].lock(), DescState::Free);
             match state {
                 DescState::Done { chunk, res, stored } => {
@@ -426,7 +457,7 @@ impl RingInner {
                     bufs.push(chunk.buf);
                     completions.push((chunk.entry, res));
                 }
-                _ => unreachable!("completion ring carried a non-Done descriptor"),
+                _ => unreachable!("completion queue carried a non-Done descriptor"),
             }
         }
         let n = idxs.len();
@@ -442,47 +473,23 @@ impl RingInner {
         for (entry, res) in completions {
             entry.note_completed(res);
         }
-        for idx in idxs {
-            self.free.push_spin(idx);
-        }
-        Self::wake(&self.submit_gate, &self.submit_cv, true);
-        self.retire_inflight(n);
-    }
-
-    /// Pops the next index off `ring`, parking on `gate` while it is
-    /// empty. `None` once the engine is stopping and the ring is empty.
-    fn pop_or_park(&self, ring: &Ring<usize>, gate: &Mutex<()>, cv: &Condvar) -> Option<usize> {
-        if let Some(idx) = ring.pop() {
-            return Some(idx);
-        }
-        let mut g = gate.lock();
-        loop {
-            if let Some(idx) = ring.pop() {
-                return Some(idx);
-            }
-            if self.stopping.load(SeqCst) {
-                return None;
-            }
-            cv.wait(&mut g);
-        }
+        self.free_slots(idxs);
     }
 
     fn issue_loop(self: Arc<Self>, sink: Arc<dyn CompletionSink>) {
-        while let Some(idx) = self.pop_or_park(&self.subq, &self.issue_gate, &self.issue_cv) {
-            self.issue_one(idx, &sink);
+        let mut next = Vec::with_capacity(1);
+        while self.subq.take(1, &mut next) {
+            for idx in next.drain(..) {
+                self.issue_one(idx, &sink);
+            }
         }
     }
 
     fn reap_loop(self: Arc<Self>) {
-        while let Some(first) = self.pop_or_park(&self.compq, &self.reap_gate, &self.reap_cv) {
-            let mut idxs = vec![first];
-            while idxs.len() < REAP_BATCH {
-                match self.compq.pop() {
-                    Some(idx) => idxs.push(idx),
-                    None => break,
-                }
-            }
-            self.reap(idxs);
+        let mut done = Vec::with_capacity(REAP_BATCH);
+        while self.compq.take(REAP_BATCH, &mut done) {
+            self.reap(&done);
+            done.clear();
         }
     }
 }
@@ -509,7 +516,7 @@ impl CompletionSink for RingInner {
                     stored,
                 };
                 drop(slot);
-                self.push_completion(idx);
+                self.compq.push(idx);
             }
             DescState::Reading { chunk, fill } => {
                 *slot = DescState::Filled {
@@ -520,8 +527,7 @@ impl CompletionSink for RingInner {
                 drop(slot);
                 // Decoding is an issue worker's job, not the backend's
                 // completion thread's.
-                self.subq.push_spin(idx);
-                Self::wake(&self.issue_gate, &self.issue_cv, false);
+                self.subq.push(idx);
             }
             DescState::Issuing => {
                 // Inline completion: the issuer is still between its
@@ -558,26 +564,18 @@ impl RingEngine {
         let slots = (0..depth).map(|_| Mutex::new(DescState::Free)).collect();
         let inner = Arc::new(RingInner {
             slots,
-            free: Ring::new(depth * 2),
-            subq: Ring::new(depth * 2),
-            compq: Ring::new(depth * 2),
+            slab: Mutex::new(Slab {
+                free: (0..depth).collect(),
+                closed: false,
+                waiters: 0,
+            }),
+            room: Condvar::new(),
+            quiet: Condvar::new(),
+            subq: IdxQueue::new(depth),
+            compq: IdxQueue::new(depth),
             pool: Arc::clone(&pool),
             stats: Arc::clone(&stats),
-            inflight: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
-            stopping: AtomicBool::new(false),
-            submit_gate: Mutex::new(()),
-            submit_cv: Condvar::new(),
-            issue_gate: Mutex::new(()),
-            issue_cv: Condvar::new(),
-            reap_gate: Mutex::new(()),
-            reap_cv: Condvar::new(),
-            quiet_gate: Mutex::new(()),
-            quiet_cv: Condvar::new(),
         });
-        for idx in 0..depth {
-            inner.free.push_spin(idx);
-        }
         let sink: Arc<dyn CompletionSink> = Arc::clone(&inner) as Arc<dyn CompletionSink>;
         let mut handles = Vec::with_capacity(io_threads.max(1) + 1);
         for i in 0..io_threads.max(1) {
@@ -675,9 +673,9 @@ impl RingEngine {
 
     /// Blocks until every op accepted so far has completed.
     pub fn drain(&self) {
-        let mut g = self.inner.quiet_gate.lock();
-        while self.inner.inflight.load(SeqCst) != 0 {
-            self.inner.quiet_cv.wait(&mut g);
+        let mut slab = self.inner.slab.lock();
+        while slab.free.len() < self.inner.slots.len() {
+            self.inner.quiet.wait(&mut slab);
         }
     }
 
@@ -687,13 +685,12 @@ impl RingEngine {
     /// concurrently: a second call finds the flags set and the handle
     /// list empty.
     pub fn shutdown(&self) {
-        self.inner.closed.store(true, SeqCst);
+        self.inner.slab.lock().closed = true;
         // A submitter parked on a full slab backs out on `closed`.
-        RingInner::wake(&self.inner.submit_gate, &self.inner.submit_cv, true);
+        self.inner.room.notify_all();
         self.drain();
-        self.inner.stopping.store(true, SeqCst);
-        RingInner::wake(&self.inner.issue_gate, &self.inner.issue_cv, true);
-        RingInner::wake(&self.inner.reap_gate, &self.inner.reap_cv, true);
+        self.inner.subq.stop();
+        self.inner.compq.stop();
         let mut handles = self.handles.lock();
         for h in handles.drain(..) {
             let _ = h.join();
@@ -947,6 +944,47 @@ mod tests {
         engine.shutdown();
         assert_eq!(pool.free_chunks(), 12);
         assert_eq!(stats.snapshot().ops_inflight, 0);
+    }
+
+    #[test]
+    fn many_submitters_share_a_two_slot_slab() {
+        // 4 threads × 50 chunks through 2 descriptors; the even threads'
+        // completions land on helper threads.
+        let (pool, stats, be) = fixture(8);
+        let engine = RingEngine::new(2, 2, Arc::clone(&pool), Arc::clone(&stats)).unwrap();
+        let entries: Vec<Arc<FileEntry>> = (0..4)
+            .map(|t| match t % 2 {
+                0 => deferred_entry(&be, &format!("/m{t}")),
+                _ => plain_entry(&be, &format!("/m{t}")),
+            })
+            .collect();
+        let fill = |t: usize, i: usize| (t * 50 + i) as u8;
+        std::thread::scope(|s| {
+            for (t, entry) in entries.iter().enumerate() {
+                let (pool, engine) = (&pool, &engine);
+                s.spawn(move || {
+                    for i in 0..50 {
+                        let chunk = chunk_of(pool, entry, i as u64 * 1024, fill(t, i), 1024);
+                        engine.submit(chunk).unwrap();
+                    }
+                });
+            }
+        });
+        engine.drain();
+        for (t, entry) in entries.iter().enumerate() {
+            let (_, err) = entry.wait_outstanding();
+            assert!(err.is_none(), "{err:?}");
+            let data = be.contents(&format!("/m{t}")).unwrap();
+            assert_eq!(data.len(), 50 * 1024);
+            for (i, chunk) in data.chunks(1024).enumerate() {
+                assert!(chunk.iter().all(|&b| b == fill(t, i)), "file {t} chunk {i}");
+            }
+        }
+        let snap = stats.snapshot();
+        assert_eq!((snap.chunks_completed, snap.completion_reaped), (200, 200));
+        assert_eq!(pool.free_chunks(), 8, "buffers leaked");
+        assert_eq!(snap.ops_inflight, 0);
+        engine.shutdown();
     }
 
     #[test]
@@ -1269,7 +1307,7 @@ mod tests {
     #[test]
     fn async_backend_gets_more_than_io_threads_reads_in_flight() {
         // 3 issue workers started all 12 fills; each completion sends
-        // its descriptor back through the submission ring to be decoded.
+        // its descriptor back through the submission queue to be decoded.
         assert_eq!(read_through_gate(true, 12, release_held), 12);
     }
 

@@ -14,8 +14,8 @@
 //!
 //! ## Parking
 //!
-//! A barrier waiter parks under the engine's protocol
-//! (`engine/ring.rs`, "Parking"). A completer bumps `completed` first,
+//! A barrier waiter parks behind a gate mutex, since the counters it
+//! waits on are lock-free. A completer bumps `completed` first,
 //! then takes and drops the gate and notifies, **unconditionally**; a
 //! waiter re-checks quiescence *under the gate* and only then waits.
 //! Either the completer's pass through the gate comes first, so its

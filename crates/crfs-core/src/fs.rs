@@ -136,11 +136,7 @@ impl Crfs {
     /// time).
     pub fn mount(backend: Arc<dyn Backend>, config: CrfsConfig) -> Result<Arc<Crfs>> {
         config.validate()?;
-        let pool = Arc::new(BufferPool::with_shards(
-            config.chunk_size,
-            config.pool_chunks(),
-            config.resolved_pool_shards(),
-        ));
+        let pool = Arc::new(BufferPool::new(config.chunk_size, config.pool_chunks()));
         let stats = Arc::new(CrfsStats::new());
         stats.configure_obs(config.obs);
         if let Some(path) = &config.flight_dump {

@@ -595,7 +595,7 @@ fn merge(into: &mut FsckSummary, from: FsckSummary) {
 /// whole sweep is drained. Every checker the pool may grow to has a
 /// queue; `live` of them have a checker. `waited` says whether the last
 /// job a checker finished waited on the backend longer than it checked.
-/// Idle checkers park with the engine's protocol (`engine/ring.rs`,
+/// Idle checkers park with the file ledger's protocol (`file.rs`,
 /// "Parking"): a waker changes the state (pushes jobs, or drops
 /// `outstanding` to zero), then takes and drops `gate` and notifies; a
 /// waiter re-checks under `gate` and waits untimed. The counters are `Relaxed`: jobs travel under the queue

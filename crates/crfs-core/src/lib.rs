@@ -74,6 +74,8 @@
 //! fs.unmount().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod chunking;
 pub mod config;
@@ -85,7 +87,6 @@ pub mod fsck;
 pub mod obs;
 pub mod pool;
 pub mod prefetch;
-mod ring;
 pub mod snapshot;
 pub mod stats;
 pub mod transform;

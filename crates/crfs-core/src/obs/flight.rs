@@ -7,9 +7,8 @@
 //! completion and refusal (plus integrity failures, crash-recovery
 //! trims, snapshot seals and GC activity) lands in a fixed-capacity
 //! ring stamped with a monotonic logical clock. The ring adapts the
-//! sequence-stamped-slot idea of the Vyukov MPMC queues in
-//! [`engine::ring`](crate::engine::ring) and [`pool`](crate::pool) to a
-//! *trace* discipline: producers never block and never fail — a full
+//! sequence-stamped slots of Vyukov's bounded MPMC queue to a *trace*
+//! discipline: producers never block and never fail — a full
 //! ring overwrites the oldest events, keeping the most recent window,
 //! which is exactly what a postmortem wants.
 //!

@@ -6,31 +6,18 @@
 //! bounded IO-thread count, is CRFS's *IO throttling*. IO workers return
 //! buffers with [`BufferPool::release`] after writing them out.
 //!
-//! ## Contention structure
+//! ## Free list
 //!
-//! The free list is split into power-of-two **shards**, each a bounded
-//! lock-free MPMC ring (the crate's `ring` module): the hot
-//! acquire/release path is a couple of atomic CAS/stores and never takes
-//! a lock, so writer threads and IO workers do not convoy on a free-list
-//! `Mutex`. A `Mutex` + `Condvar` pair exists purely as the **empty slow
-//! path**: a writer that finds every shard empty parks on it until a
-//! release (or `close`) wakes it.
-//!
-//! ## Parking
-//!
-//! The protocol is the engine's (`engine/ring.rs`, "Parking"). A waker
-//! changes the condition first — pushes the buffer, or stores `closed`
-//! — then takes and drops `gate` and notifies, **unconditionally**; a
-//! waiter re-checks the condition (`closed`, then every shard) *under
-//! the gate* and only then waits. Either the waker's pass through the
-//! gate comes first, so its change happens-before the check, which sees
-//! it; or the waiter holds the gate, the waker's lock blocks until the
-//! wait releases it, and the notify finds the waiter parked. No wait is
-//! timed. A notify conditional on a waiter count read *outside* the
-//! gate would reopen the race the gate closes (each side could miss the
-//! other's store); `waiters` is only the hint
-//! [`BufferPool::has_waiters`] gives the read cache. The cost is one
-//! uncontended lock and one notify per released chunk.
+//! The free buffers are one FIFO queue under a `Mutex`, and the one
+//! `Condvar` a writer parks on waits on that same mutex: the check "is
+//! a buffer free, or is the pool closed" and the wait share the lock, so
+//! a release or `close` can never slip between them. Each of
+//! [`acquire`](BufferPool::acquire), [`try_acquire`](BufferPool::try_acquire),
+//! [`release`](BufferPool::release), [`release_many`](BufferPool::release_many)
+//! and [`close`](BufferPool::close) is one critical section. A release
+//! notifies only while a writer is parked (`waiters`, counted under the
+//! lock), and no wait is timed. At ~1k chunks/s the lock is a few
+//! thousand uncontended passes a second.
 //!
 //! ## Alignment
 //!
@@ -47,13 +34,8 @@
 //! whole pool at mount; `raw_aggregate` `recover_s` showed it).
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{
-    AtomicBool, AtomicUsize,
-    Ordering::{Acquire, Relaxed, Release},
-};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-
-use crate::ring::{CachePadded, Ring};
 
 /// Alignment of every [`ChunkBuf`]: one page / logical block, the
 /// strictest thing `O_DIRECT` asks of a buffer address here.
@@ -94,73 +76,49 @@ impl std::ops::DerefMut for ChunkBuf {
 
 /// Fixed-size pool of reusable chunk buffers.
 pub struct BufferPool {
-    /// Free-list shards. Each ring's capacity is twice the pool's buffer
-    /// count, so a release fits wherever round-robin points it.
-    shards: Box<[Ring<ChunkBuf>]>,
-    shard_mask: usize,
-    /// Round-robin start points spreading acquires and releases across
-    /// shards, each on its own cache line so producers and consumers
-    /// don't bounce a shared line on every operation.
-    acquire_cursor: CachePadded<AtomicUsize>,
-    release_cursor: CachePadded<AtomicUsize>,
-    /// Empty-slow-path parking (see the module docs, "Parking"). An
-    /// acquire that finds a buffer never touches it.
-    gate: Mutex<()>,
+    free: Mutex<Free>,
+    /// Writers parked on an empty pool wait here, on `free`'s lock.
     cv: Condvar,
-    /// Writers parked on the empty pool — a hint for
-    /// [`has_waiters`](Self::has_waiters) only; no wakeup depends on it.
-    waiters: AtomicUsize,
     chunk_size: usize,
     total_chunks: usize,
-    closed: AtomicBool,
-    /// Occupancy gauge (buffers currently free), cache-line padded —
-    /// it is touched by every acquire and release. Exact whenever the
-    /// pool is quiescent; transiently approximate under concurrent
-    /// churn.
-    free_count: CachePadded<AtomicUsize>,
+}
+
+/// What the pool's lock guards (see the module docs, "Free list").
+struct Free {
+    /// Free buffers, handed out oldest-released first.
+    bufs: VecDeque<ChunkBuf>,
+    closed: bool,
+    /// Writers parked in [`BufferPool::acquire`].
+    waiters: usize,
 }
 
 impl BufferPool {
     /// Creates a pool of `total_chunks` buffers of `chunk_size` bytes
-    /// each with an automatically sized shard count. All buffers are
-    /// allocated up front, like the paper's mount-time pool — zeroed and
-    /// [`CHUNK_ALIGN`]-aligned, their pages untouched until first use.
+    /// each. All buffers are allocated up front, like the paper's
+    /// mount-time pool — zeroed and [`CHUNK_ALIGN`]-aligned, their pages
+    /// untouched until first use.
     pub fn new(chunk_size: usize, total_chunks: usize) -> BufferPool {
-        let auto = (total_chunks / 4).max(1).next_power_of_two().min(16);
-        BufferPool::with_shards(chunk_size, total_chunks, auto)
-    }
-
-    /// Creates a pool with an explicit shard count (rounded up to a
-    /// power of two, capped at `total_chunks`).
-    pub fn with_shards(chunk_size: usize, total_chunks: usize, shards: usize) -> BufferPool {
         assert!(chunk_size > 0 && total_chunks > 0);
-        let n = shards
-            .max(1)
-            .next_power_of_two()
-            .min(total_chunks.next_power_of_two());
-        // Capacity = 2x total: every buffer fits in any one shard
-        // (wherever round-robin points a release), with headroom for
-        // slots transiently unavailable while a concurrent pop is
-        // between its head-CAS and its sequence store.
-        let rings: Box<[Ring<ChunkBuf>]> = (0..n).map(|_| Ring::new(total_chunks * 2)).collect();
-        for i in 0..total_chunks {
-            if rings[i & (n - 1)].push(ChunkBuf::new(chunk_size)).is_err() {
-                unreachable!("fresh ring has room");
-            }
-        }
+        let bufs = (0..total_chunks)
+            .map(|_| ChunkBuf::new(chunk_size))
+            .collect();
         BufferPool {
-            shards: rings,
-            shard_mask: n - 1,
-            acquire_cursor: CachePadded(AtomicUsize::new(0)),
-            release_cursor: CachePadded(AtomicUsize::new(0)),
-            gate: Mutex::new(()),
+            free: Mutex::new(Free {
+                bufs,
+                closed: false,
+                waiters: 0,
+            }),
             cv: Condvar::new(),
-            waiters: AtomicUsize::new(0),
             chunk_size,
             total_chunks,
-            closed: AtomicBool::new(false),
-            free_count: CachePadded(AtomicUsize::new(total_chunks)),
         }
+    }
+
+    /// [`new`](Self::new): the pool has one free list, so `shards` is
+    /// unused. Kept for `benchmark/src/probes.rs`, which still passes
+    /// [`CrfsConfig::resolved_pool_shards`](crate::CrfsConfig::resolved_pool_shards).
+    pub fn with_shards(chunk_size: usize, total_chunks: usize, _shards: usize) -> BufferPool {
+        BufferPool::new(chunk_size, total_chunks)
     }
 
     /// Size of each buffer.
@@ -173,45 +131,16 @@ impl BufferPool {
         self.total_chunks
     }
 
-    /// Number of free-list shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Buffers currently free (occupancy gauge; exact at quiescence).
+    /// Buffers currently free.
     pub fn free_chunks(&self) -> usize {
-        self.free_count.0.load(Relaxed)
+        self.free.lock().bufs.len()
     }
 
     /// Whether any writer is currently parked on the empty pool — the
     /// read cache checks this before parking a prefetched buffer, so
     /// prefetching cannot starve the write side's back-pressure loop.
     pub fn has_waiters(&self) -> bool {
-        self.waiters.load(Relaxed) > 0
-    }
-
-    /// Lock-free scan over all shards, starting at a rotating cursor.
-    fn pop_any(&self) -> Option<ChunkBuf> {
-        let start = self.acquire_cursor.0.fetch_add(1, Relaxed);
-        for i in 0..self.shards.len() {
-            if let Some(buf) = self.shards[(start + i) & self.shard_mask].pop() {
-                self.free_count.0.fetch_sub(1, Relaxed);
-                return Some(buf);
-            }
-        }
-        None
-    }
-
-    /// Checks a returning buffer and pushes it onto the next shard.
-    fn push_next(&self, buf: ChunkBuf) {
-        assert_eq!(buf.len(), self.chunk_size, "released buffer has wrong size");
-        let prev = self.free_count.0.fetch_add(1, Relaxed);
-        assert!(
-            prev < self.total_chunks,
-            "pool over-released: more buffers than capacity"
-        );
-        let at = self.release_cursor.0.fetch_add(1, Relaxed) & self.shard_mask;
-        self.shards[at].push_spin(buf);
+        self.free.lock().waiters > 0
     }
 
     /// Takes a free buffer, blocking until one is available.
@@ -221,37 +150,31 @@ impl BufferPool {
     /// closed (unmount) — including when free buffers remain; a closed
     /// pool hands out nothing.
     pub fn acquire(&self) -> Option<(ChunkBuf, Duration)> {
-        // Closed gate first: the fast path must not outrun `close()`.
-        if self.closed.load(Acquire) {
+        let mut free = self.free.lock();
+        let mut waited = Duration::ZERO;
+        if free.bufs.is_empty() && !free.closed {
+            let t0 = Instant::now();
+            free.waiters += 1;
+            while free.bufs.is_empty() && !free.closed {
+                self.cv.wait(&mut free);
+            }
+            free.waiters -= 1;
+            waited = t0.elapsed();
+        }
+        if free.closed {
             return None;
         }
-        if let Some(buf) = self.pop_any() {
-            return Some((buf, Duration::ZERO));
-        }
-        let t0 = Instant::now();
-        self.waiters.fetch_add(1, Relaxed);
-        let mut g = self.gate.lock();
-        let got = loop {
-            if self.closed.load(Acquire) {
-                break None;
-            }
-            if let Some(buf) = self.pop_any() {
-                break Some((buf, t0.elapsed()));
-            }
-            self.cv.wait(&mut g);
-        };
-        drop(g);
-        self.waiters.fetch_sub(1, Relaxed);
-        got
+        free.bufs.pop_front().map(|buf| (buf, waited))
     }
 
     /// Non-blocking acquire. Returns `None` when the pool is empty *or*
     /// closed.
     pub fn try_acquire(&self) -> Option<ChunkBuf> {
-        if self.closed.load(Acquire) {
+        let mut free = self.free.lock();
+        if free.closed {
             return None;
         }
-        self.pop_any()
+        free.bufs.pop_front()
     }
 
     /// Returns a buffer to the pool, waking one blocked writer.
@@ -263,44 +186,55 @@ impl BufferPool {
     /// Panics if the buffer does not have the pool's chunk size (a foreign
     /// or corrupted buffer) or if the pool would exceed its capacity.
     pub fn release(&self, buf: ChunkBuf) {
-        self.push_next(buf);
-        // Pass the gate so a waiter's check is either after the push or
-        // already parked.
-        drop(self.gate.lock());
-        self.cv.notify_one();
+        let mut free = self.free.lock();
+        self.put(&mut free, buf);
+        let wake = free.waiters > 0;
+        drop(free);
+        if wake {
+            self.cv.notify_one();
+        }
     }
 
-    /// Returns a whole batch of buffers under one pass through the gate
-    /// — the IO workers' counterpart to batched submission.
-    /// Semantically `release` per buffer; the wake happens once.
+    /// Returns a whole batch of buffers in one critical section — the
+    /// IO workers' counterpart to batched submission. Semantically
+    /// `release` per buffer; the wake happens once.
     pub fn release_many(&self, bufs: impl IntoIterator<Item = ChunkBuf>) {
-        let mut released = 0usize;
+        let mut free = self.free.lock();
         for buf in bufs {
-            self.push_next(buf);
-            released += 1;
+            self.put(&mut free, buf);
         }
-        if released > 0 {
-            drop(self.gate.lock());
+        let wake = free.waiters > 0;
+        drop(free);
+        if wake {
             self.cv.notify_all();
         }
     }
 
+    /// Checks a returning buffer and queues it.
+    fn put(&self, free: &mut Free, buf: ChunkBuf) {
+        assert_eq!(buf.len(), self.chunk_size, "released buffer has wrong size");
+        assert!(
+            free.bufs.len() < self.total_chunks,
+            "pool over-released: more buffers than capacity"
+        );
+        free.bufs.push_back(buf);
+    }
+
     /// Closes the pool: blocked and future `acquire`s return `None`.
     pub fn close(&self) {
-        self.closed.store(true, Release);
-        drop(self.gate.lock());
+        self.free.lock().closed = true;
         self.cv.notify_all();
     }
 }
 
 impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let free = self.free.lock();
         f.debug_struct("BufferPool")
             .field("chunk_size", &self.chunk_size)
             .field("total_chunks", &self.total_chunks)
-            .field("free_chunks", &self.free_chunks())
-            .field("shards", &self.shards())
-            .field("closed", &self.closed.load(Relaxed))
+            .field("free_chunks", &free.bufs.len())
+            .field("closed", &free.closed)
             .finish()
     }
 }
@@ -334,11 +268,13 @@ mod tests {
             let (b, waited) = p2.acquire().unwrap();
             (b.len(), waited)
         });
-        thread::sleep(Duration::from_millis(30));
+        while !pool.has_waiters() {
+            thread::yield_now();
+        }
         pool.release(buf);
         let (len, waited) = h.join().unwrap();
         assert_eq!(len, 64);
-        assert!(waited >= Duration::from_millis(15), "waited {waited:?}");
+        assert!(waited > Duration::ZERO, "a parked acquire reports its wait");
     }
 
     #[test]
@@ -439,30 +375,28 @@ mod tests {
 
     #[test]
     fn concurrent_churn_conserves_buffers() {
-        for shards in [1usize, 2, 8] {
-            let pool = Arc::new(BufferPool::with_shards(256, 4, shards));
-            let mut handles = Vec::new();
-            for _ in 0..8 {
-                let pool = Arc::clone(&pool);
-                handles.push(thread::spawn(move || {
-                    for _ in 0..200 {
-                        let (buf, _) = pool.acquire().unwrap();
-                        pool.release(buf);
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(pool.free_chunks(), 4, "{shards} shards");
+        let pool = Arc::new(BufferPool::new(256, 4));
+        let mut handles = Vec::new();
+        for _ in 0..8 {
+            let pool = Arc::clone(&pool);
+            handles.push(thread::spawn(move || {
+                for _ in 0..200 {
+                    let (buf, _) = pool.acquire().unwrap();
+                    pool.release(buf);
+                }
+            }));
         }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(pool.free_chunks(), 4);
     }
 
     #[test]
     fn contended_exhaustion_hands_every_buffer_back() {
         // More writers than buffers: the empty slow path must park and
         // resume without losing or duplicating buffers.
-        let pool = Arc::new(BufferPool::with_shards(128, 2, 4));
+        let pool = Arc::new(BufferPool::new(128, 2));
         let mut handles = Vec::new();
         for _ in 0..6 {
             let pool = Arc::clone(&pool);
@@ -477,12 +411,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(pool.free_chunks(), 2);
-    }
-
-    #[test]
-    fn shard_count_resolution() {
-        assert_eq!(BufferPool::with_shards(64, 4, 0).shards(), 1);
-        assert_eq!(BufferPool::with_shards(64, 4, 3).shards(), 4);
-        assert_eq!(BufferPool::with_shards(64, 2, 64).shards(), 2);
     }
 }

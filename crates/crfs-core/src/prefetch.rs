@@ -35,8 +35,8 @@
 //!
 //! Two positions block: a reader on a chunk whose fetch is in flight
 //! (`ReadState::wait_pending`) and the close-time `ReadState::drain`
-//! on the ledger. Both follow the ring engine's rule
-//! (`engine/ring.rs`, "Parking"): the waiter takes `gate`, re-checks its condition *under the gate* (the slot's state, or
+//! on the ledger. Both follow the file ledger's rule
+//! (`file.rs`, "Parking"): the waiter takes `gate`, re-checks its condition *under the gate* (the slot's state, or
 //! `quiescent()`) and only then waits, untimed; every transition out of
 //! `Pending` and every retirement changes the state first and then
 //! takes and drops `gate` before it notifies. Either the waiter's check
