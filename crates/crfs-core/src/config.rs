@@ -39,11 +39,15 @@ pub struct CrfsConfig {
     /// Maximum sealed chunks a single `write()` collects before handing
     /// them to the engine as one `submit_batch`. `1` disables batching.
     pub submit_batch: usize,
-    /// Chunks of read-ahead the restart read path issues when it detects
-    /// sequential access: prefetch reads go through the IO engine (the
-    /// same worker pool that drains writes) and park in the file's read
-    /// cache. `0` disables the read subsystem entirely — reads pass
-    /// straight through to the backend, the paper's §IV-D1 behavior.
+    /// Initial window, in chunks, of the read-ahead the restart read path
+    /// issues when it detects sequential access: prefetch reads go through
+    /// the IO engine (the same worker pool that drains writes) and park in
+    /// the file's read cache. Over a store that takes fills
+    /// asynchronously the window deepens up to
+    /// [`resolved_read_window_max`](Self::resolved_read_window_max) (see
+    /// [`crate::prefetch`]). `0` disables the read subsystem entirely —
+    /// reads pass straight through to the backend, the paper's §IV-D1
+    /// behavior.
     pub read_ahead_chunks: usize,
     /// Chunk transform codec (see [`crate::transform`]). The default,
     /// [`CodecKind::None`], disables the transform stage entirely —
@@ -230,13 +234,21 @@ impl CrfsConfig {
             .min(self.pool_chunks().max(1).next_power_of_two())
     }
 
+    /// The deepest read-ahead window one file may reach:
+    /// `read_ahead_chunks`, or half the pool if that is more, so one
+    /// stream never holds more than half the pool in flight.
+    pub fn resolved_read_window_max(&self) -> usize {
+        self.read_ahead_chunks.max(self.pool_chunks() / 2)
+    }
+
     /// Read-cache slots per open file (each can park one chunk-sized
-    /// pool buffer): `read_ahead_chunks * 2` rounded up to a power of
-    /// two. Zero when prefetching is disabled.
+    /// pool buffer): twice the deepest window
+    /// ([`resolved_read_window_max`](Self::resolved_read_window_max)),
+    /// rounded up to a power of two. Zero when prefetching is disabled.
     pub fn resolved_read_cache_slots(&self) -> usize {
         match self.read_ahead_chunks {
             0 => 0,
-            n => (n * 2).next_power_of_two(),
+            _ => (self.resolved_read_window_max() * 2).next_power_of_two(),
         }
     }
 
@@ -392,6 +404,10 @@ mod tests {
         let c = c.with_read_ahead(3);
         assert_eq!(c.resolved_read_cache_slots(), 8); // next_pow2(3 * 2)
         c.validate().unwrap();
+        // A 16-chunk pool lets the window deepen to 8 chunks.
+        let c = c.with_chunk_size(1 << 20);
+        assert_eq!(c.resolved_read_window_max(), 8);
+        assert_eq!(c.resolved_read_cache_slots(), 16);
     }
 
     #[test]

@@ -177,6 +177,9 @@ fn start_fill(
         Some(Err(e)) => Err(e),
         Some(Ok(mut fill)) => {
             let Some(read) = fill.read(&*entry.file, token, sink) else {
+                if let Some(rs) = &entry.read_state {
+                    rs.note_async_fill();
+                }
                 return Some((chunk, fill)); // in flight
             };
             finish_fill(stats, pool, chunk, fill, read);

@@ -1017,6 +1017,7 @@ mod tests {
 
     use crate::config::CrfsConfig;
     use crate::fs::CrfsFile;
+    use crate::stats::StatsSnapshot;
     use crate::Crfs;
 
     #[derive(Default)]
@@ -1027,6 +1028,9 @@ mod tests {
         /// Reads pass the gate too (writes always do). Off while a test
         /// opens its file: the open scans the frame headers.
         reads: bool,
+        /// Synchronous reads shorter than this skip the gate (0: none
+        /// do), so a reader's own small read can pass a held fill.
+        gate_reads_from: usize,
         /// Accepted asynchronous ops awaiting their completion.
         held: Vec<(u64, Arc<dyn CompletionSink>)>,
     }
@@ -1123,7 +1127,11 @@ mod tests {
             Ok(true)
         }
         fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-            if !self.gate.0.lock().reads {
+            let gated = {
+                let st = self.gate.0.lock();
+                st.reads && buf.len() >= st.gate_reads_from
+            };
+            if !gated {
                 return self.inner.read_at(offset, buf);
             }
             self.pass(|| self.inner.read_at(offset, buf))
@@ -1252,9 +1260,21 @@ mod tests {
         let config = gated_config()
             .with_read_ahead(12)
             .with_codec(crate::CodecKind::Identity);
+        mount_written(mem, be, gate, config, &twelve_chunks())
+    }
+
+    /// Writes `data` as `/t` through a mount over `mem`, mounts `be`
+    /// over the same store, opens the file and turns read gating on.
+    fn mount_written<B: Backend>(
+        mem: &Arc<MemBackend>,
+        be: B,
+        gate: &Gate,
+        config: CrfsConfig,
+        data: &[u8],
+    ) -> (Arc<Crfs>, CrfsFile) {
         let fs = Crfs::mount(Arc::clone(mem) as Arc<dyn Backend>, config.clone()).unwrap();
         let f = fs.create("/t").unwrap();
-        f.write(&twelve_chunks()).unwrap();
+        f.write(data).unwrap();
         f.close().unwrap();
         fs.unmount().unwrap();
         let fs = Crfs::mount(Arc::new(be), config).unwrap();
@@ -1376,5 +1396,151 @@ mod tests {
         assert!(err.to_string().contains("injected"), "{err}");
         assert!(!matches!(err, CrfsError::IntegrityError { .. }));
         assert_eq!((snap.prefetch_issued, snap.prefetch_wasted), (12, 12));
+    }
+
+    // ------------------------------------------------------------------
+    // Demand-first reads and the window that follows the store
+    // ------------------------------------------------------------------
+
+    /// Reads `len` bytes at 0 of a one-chunk file, framed or raw, over a
+    /// synchronous gate that holds whole-chunk reads (the fill) and lets
+    /// shorter ones pass. Returns whether that read came back within
+    /// `patience` with the fill still held, and the mount's stats once
+    /// the gate has opened and the rest of the chunk has been read.
+    fn first_read_beside_a_held_fill(
+        framed: bool,
+        len: usize,
+        patience: std::time::Duration,
+    ) -> (bool, StatsSnapshot) {
+        let (mem, gate) = (Arc::new(MemBackend::new()), Gate::default());
+        let be = GatedBackend {
+            inner: Arc::clone(&mem),
+            gate: Arc::clone(&gate),
+            asynchronous: false,
+        };
+        let codec = if framed {
+            crate::CodecKind::Identity
+        } else {
+            crate::CodecKind::None
+        };
+        let config = gated_config().with_codec(codec).with_obs(true);
+        let chunk = &twelve_chunks()[..1024];
+        let (fs, f) = mount_written(&mem, be, &gate, config, chunk);
+        gate.0.lock().gate_reads_from = 1024;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let early = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut buf = vec![0u8; len];
+                let n = f.read_at(0, &mut buf).unwrap();
+                tx.send((n, buf)).unwrap();
+            });
+            let returned = rx.recv_timeout(patience).ok();
+            let held = fs.stats().prefetch_completed == 0;
+            gate.0.lock().open = true;
+            gate.1.notify_all();
+            let early = returned.is_some() && held;
+            let (n, buf) = returned.unwrap_or_else(|| {
+                rx.recv_timeout(std::time::Duration::from_secs(10))
+                    .expect("the read never returned")
+            });
+            assert_eq!((n, &buf[..]), (len, &chunk[..len]));
+            early
+        });
+        let mut rest = vec![0u8; 1024 - len];
+        assert_eq!(f.read_at(len as u64, &mut rest).unwrap(), rest.len());
+        assert_eq!(rest, chunk[len..]);
+        f.close().unwrap();
+        let snap = fs.stats();
+        fs.unmount().unwrap();
+        (early, snap)
+    }
+
+    #[test]
+    fn a_short_raw_first_read_returns_beside_its_held_fill() {
+        let (early, snap) =
+            first_read_beside_a_held_fill(false, 1, std::time::Duration::from_secs(10));
+        assert!(early, "the 1-byte read waited for chunk 0's fill");
+        // The fill carried on and served the rest of the chunk.
+        assert_eq!(
+            (snap.read_demand, snap.read_misses, snap.read_hits),
+            (1, 0, 1)
+        );
+        assert_eq!((snap.prefetch_issued, snap.prefetch_wasted), (1, 0));
+    }
+
+    #[test]
+    fn a_framed_first_read_waits_and_decodes_its_frame_once() {
+        let (early, snap) =
+            first_read_beside_a_held_fill(true, 1, std::time::Duration::from_millis(100));
+        assert!(!early, "a framed read came back before its fill");
+        assert_eq!(
+            (snap.read_demand, snap.read_misses, snap.read_hits),
+            (0, 0, 2)
+        );
+        assert_eq!(snap.stages.transform_decode.count, 1);
+    }
+
+    #[test]
+    fn a_whole_chunk_raw_read_waits_for_its_fill() {
+        let (early, snap) =
+            first_read_beside_a_held_fill(false, 1024, std::time::Duration::from_millis(100));
+        assert!(!early, "a whole-chunk read came back before its fill");
+        assert_eq!(
+            (snap.read_demand, snap.read_misses, snap.read_hits),
+            (0, 0, 1)
+        );
+    }
+
+    /// Streams a 64-chunk framed file through `be` in one-chunk reads
+    /// while every held asynchronous fill is released once a
+    /// millisecond, checks the bytes, and returns the mount's stats.
+    fn stream_64_chunks<B: Backend>(mem: &Arc<MemBackend>, be: B, gate: &Gate) -> StatsSnapshot {
+        let data: Vec<u8> = (0..64 * 1024)
+            .map(|i| (i / 1024 * 37 + i % 251) as u8)
+            .collect();
+        let config = gated_config().with_codec(crate::CodecKind::Identity);
+        let (fs, f) = mount_written(mem, be, gate, config, &data);
+        // The reader's own reads never wait on the gate; fills do.
+        gate.0.lock().gate_reads_from = usize::MAX;
+        let got = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut got = vec![0u8; data.len()];
+                for (k, chunk) in got.chunks_mut(1024).enumerate() {
+                    assert_eq!(f.read_at(k as u64 * 1024, chunk).unwrap(), 1024);
+                }
+                got
+            });
+            while !reader.is_finished() {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                release_held(gate);
+            }
+            reader.join().unwrap()
+        });
+        assert!(got == data, "a fill installed the wrong bytes");
+        release_held(gate);
+        f.close().unwrap();
+        let snap = fs.stats();
+        fs.unmount().unwrap();
+        snap
+    }
+
+    #[test]
+    fn the_window_deepens_to_half_the_pool_only_over_an_async_store() {
+        let (mem, gate) = (Arc::new(MemBackend::new()), Gate::default());
+        let be = GatedBackend {
+            inner: Arc::clone(&mem),
+            gate: Arc::clone(&gate),
+            asynchronous: true,
+        };
+        let config = gated_config();
+        assert_eq!(config.resolved_read_window_max(), config.pool_chunks() / 2);
+        let snap = stream_64_chunks(&mem, be, &gate);
+        assert_eq!(snap.read_window_max, 16, "32-chunk pool: window of 16");
+        let mem = Arc::new(MemBackend::new());
+        let snap = stream_64_chunks(&mem, Arc::clone(&mem), &gate);
+        assert_eq!(
+            snap.read_window_max, config.read_ahead_chunks as u64,
+            "a synchronous store keeps the initial window"
+        );
     }
 }

@@ -334,13 +334,7 @@ impl Crfs {
                 .backend
                 .open(&path, opts)
                 .map_err(|e| annotate(e, &path))?;
-            let read_state = (self.shared.config.read_ahead_chunks > 0).then(|| {
-                Arc::new(ReadState::new(
-                    self.shared.config.chunk_size,
-                    self.shared.config.read_ahead_chunks,
-                    self.shared.config.resolved_read_cache_slots(),
-                ))
-            });
+            let read_state = ReadState::for_config(&self.shared.config);
             // Transform-enabled mounts attach per-file frame state:
             // fresh for new/truncated files, rebuilt by a header scan
             // for re-opened framed files (the restart path), absent for
@@ -463,13 +457,7 @@ impl Crfs {
             .map_err(|e| unpin_err(self.read_error(&p, e)))?
             .map(Arc::new)
             .expect("synthesized snapshot logs are always framed");
-        let read_state = (self.shared.config.read_ahead_chunks > 0).then(|| {
-            Arc::new(ReadState::new(
-                self.shared.config.chunk_size,
-                self.shared.config.read_ahead_chunks,
-                self.shared.config.resolved_read_cache_slots(),
-            ))
-        });
+        let read_state = ReadState::for_config(&self.shared.config);
         let mut entry =
             FileEntry::with_transform(Arc::clone(&key), log, read_state, Some(file_transform));
         entry.snapshot_epoch = Some(epoch);
@@ -878,7 +866,8 @@ impl Crfs {
 
     /// Serves a read chunk-granularly from the file's cache: cached
     /// segments copy out (hits), in-flight prefetches are awaited, the
-    /// rest reads the backend directly (misses). Afterwards, a read that
+    /// rest reads the backend directly (misses, and the demand reads of
+    /// the `prefetch` module's first rule). Afterwards, a read that
     /// continued the sequential stream plans the next read-ahead window.
     fn read_via_cache(
         &self,
@@ -895,48 +884,64 @@ impl Crfs {
         // restart) span many chunks, and the pipeline must stay primed
         // across them, not just between calls.
         let sequential = rs.is_sequential(offset);
+        // The lowest chunk this call claimed: a segment at or past it
+        // would wait on a fill of its own making, one before it on a
+        // fill an earlier call issued.
+        let mut fresh = u64::MAX;
         let mut done = 0usize;
-        'segments: while done < buf.len() {
+        while done < buf.len() {
             let pos = offset + done as u64;
             let idx = pos / cs;
             let within = (pos % cs) as usize;
             let want = (buf.len() - done).min(cs as usize - within);
             if sequential {
-                self.issue_read_ahead(entry, rs, pos)?;
+                fresh = fresh.min(self.issue_read_ahead(entry, rs, pos)?);
             }
             let seg_timer = stats.stages.timer();
-            loop {
-                match rs.try_consume(idx, within, &mut buf[done..done + want], pool, stats) {
+            let n = loop {
+                let got = rs.try_consume(idx, within, &mut buf[done..done + want], pool, stats);
+                // Demand first: a short raw segment reads its own bytes
+                // rather than wait for the whole chunk it just claimed.
+                let demand = matches!(got, Consume::Pending)
+                    && idx >= fresh
+                    && entry.transform.is_none()
+                    && want < cs as usize;
+                match got {
                     Consume::Hit(n) => {
                         if let Some(t0) = seg_timer {
                             stats.stages.read_hit.record_dur(t0.elapsed());
                         }
-                        done += n;
-                        if n < want {
-                            break 'segments; // cached chunk ends: EOF
-                        }
-                        break;
+                        break n;
                     }
-                    // The chunk is being fetched right now — waiting for
-                    // it IS the prefetch win (the fetch started up to a
-                    // window ago). Aborted fetches empty the slot, so
-                    // this loop always terminates in a hit or a miss.
-                    Consume::Pending => rs.wait_pending(idx),
-                    Consume::Miss => {
-                        stats.read_misses.fetch_add(1, Relaxed);
+                    // Waiting for an earlier call's fetch IS the prefetch
+                    // win. Aborted fetches empty the slot, so this loop
+                    // always ends in a hit or a direct read.
+                    Consume::Pending if !demand => {
+                        if idx < fresh {
+                            rs.deepen();
+                        }
+                        rs.wait_pending(idx)
+                    }
+                    _ => {
+                        let direct = if demand {
+                            &stats.read_demand
+                        } else {
+                            &stats.read_misses
+                        };
+                        direct.fetch_add(1, Relaxed);
                         let n = entry
                             .read_backend(pos, &mut buf[done..done + want])
                             .map_err(|e| self.read_error(&entry.path, e))?;
                         if let Some(t0) = seg_timer {
                             stats.stages.read_miss.record_dur(t0.elapsed());
                         }
-                        done += n;
-                        if n < want {
-                            break 'segments; // EOF
-                        }
-                        break;
+                        break n;
                     }
                 }
+            };
+            done += n;
+            if n < want {
+                break; // EOF
             }
         }
         if rs.note_read(offset, done as u64) && done == buf.len() {
@@ -953,12 +958,13 @@ impl Crfs {
     /// writes, the flush barrier runs *after* the slots are claimed:
     /// any write racing the flush invalidates the claims, so a stale
     /// install can never be served (see `prefetch` module docs).
+    /// Returns the lowest chunk submitted, `u64::MAX` if none.
     fn issue_read_ahead(
         &self,
         entry: &Arc<FileEntry>,
         rs: &Arc<ReadState>,
         from: u64,
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let cs = rs.chunk_size() as u64;
         let stats = &self.shared.stats;
         let pool = &self.shared.pool;
@@ -967,10 +973,11 @@ impl Crfs {
         // value merely trims the window.
         let extent = entry.max_extent.load(Relaxed);
         let limit = extent.div_ceil(cs);
+        let window = rs.window();
         let start = (from / cs).max(rs.ahead_until());
-        let end = (from / cs + 1 + rs.read_ahead() as u64).min(limit);
+        let end = (from / cs + 1 + window as u64).min(limit);
         if start >= end {
-            return Ok(());
+            return Ok(u64::MAX);
         }
         let mut batch: Vec<ReadChunk> = Vec::with_capacity((end - start) as usize);
         // High-water only up to what is actually covered: chunks skipped
@@ -998,9 +1005,9 @@ impl Crfs {
             covered = idx + 1;
         }
         rs.note_planned(covered);
-        if batch.is_empty() {
-            return Ok(());
-        }
+        let Some(first) = batch.first().map(|c| c.idx) else {
+            return Ok(u64::MAX);
+        };
         if end * cs > entry.dirty_low.load(Relaxed) {
             // Same coherence barrier a direct read of the window would
             // take. On failure, unwind the claims and surface the error
@@ -1015,10 +1022,11 @@ impl Crfs {
         }
         rs.note_issued(batch.len() as u64);
         stats.prefetch_issued.fetch_add(batch.len() as u64, Relaxed);
+        stats.read_window_max.fetch_max(window as u64, Relaxed);
         // A refusal (engine racing unmount) already retired every chunk;
         // prefetch is best-effort, so the read itself still succeeds.
         let _ = self.shared.engine.submit_reads(batch);
-        Ok(())
+        Ok(first)
     }
 
     /// Evicts idle read-cache buffers on every open file — the pressure

@@ -358,7 +358,7 @@ mod tests {
             take_all(true).into_iter().for_each(|b| pool.release(b));
             pool.release_many(take_all(false));
             // Through the read cache: install, hit, evict.
-            let (stats, rs) = (CrfsStats::new(), ReadState::new(chunk_size, 2, 4));
+            let (stats, rs) = (CrfsStats::new(), ReadState::new(chunk_size, 2, 2, 4));
             for (idx, buf) in take_all(true).into_iter().enumerate() {
                 let gen = rs.begin(idx as u64, &pool, &stats).unwrap();
                 rs.note_issued(1);

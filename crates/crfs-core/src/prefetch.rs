@@ -10,17 +10,33 @@
 //! - Reads are served **chunk-granularly** from a small direct-mapped
 //!   cache of pool buffers (one [`ReadState`] per open file, sized by
 //!   `CrfsConfig::resolved_read_cache_slots`).
-//! - When the access pattern is sequential, the next
-//!   `read_ahead_chunks` chunks are fetched ahead of the reader through
-//!   the mount's [`RingEngine`](crate::engine::RingEngine) — the same worker
-//!   pool and batched submission path the write side uses — so backend
-//!   read latency overlaps with the application's consumption.
-//! - An **atomic issue/complete ledger** mirrors the write path's
+//! - When the access pattern is sequential, a window of chunks is
+//!   fetched ahead of the reader through the mount's
+//!   [`RingEngine`](crate::engine::RingEngine) — the same worker pool and
+//!   batched submission path the write side uses — so backend read
+//!   latency overlaps with the application's consumption.
+//! - An **issue/complete ledger** mirrors the write path's
 //!   seal/complete design: issuing a prefetch bumps `issued`, the engine
 //!   retires it exactly once (installed, discarded as stale, or refused
-//!   at shutdown) bumping `completed`, and `ReadState::drain` parks on
-//!   the pair exactly like the close/fsync barrier does. No prefetch can
+//!   at shutdown) bumping `completed`, and `ReadState::drain` parks until
+//!   the two meet, like the close/fsync barrier does. No prefetch can
 //!   leak a pool buffer or wedge unmount.
+//!
+//! A read waits only for what it needs:
+//!
+//! - **Demand first.** A raw file's segment shorter than its chunk,
+//!   whose fill the *same* read call just claimed (chunk 0 of a cold
+//!   stream, the first chunk after a jump), reads just its bytes
+//!   (`read_demand`); the fill serves the reads that follow. A framed
+//!   file's smallest read is the fill (whole frame, decode, verify), and
+//!   a whole-chunk segment costs the fill anyway: both wait.
+//! - **A window that follows the store.** The window starts at
+//!   `read_ahead_chunks` and doubles, up to
+//!   `CrfsConfig::resolved_read_window_max`, each time a reader parks on
+//!   a chunk an *earlier* call issued — once the engine saw the backend
+//!   take one of the file's fills asynchronously. On a synchronous store
+//!   `io_threads` bound the fills in flight whatever the window, so
+//!   there it stays put.
 //!
 //! Coherence with the write path has two guards (see
 //! [`Crfs`](crate::Crfs) for the orchestration): writes **invalidate**
@@ -33,28 +49,18 @@
 //!
 //! ## Parking
 //!
-//! Two positions block: a reader on a chunk whose fetch is in flight
-//! (`ReadState::wait_pending`) and the close-time `ReadState::drain`
-//! on the ledger. Both follow the file ledger's rule
-//! (`file.rs`, "Parking"): the waiter takes `gate`, re-checks its condition *under the gate* (the slot's state, or
-//! `quiescent()`) and only then waits, untimed; every transition out of
-//! `Pending` and every retirement changes the state first and then
-//! takes and drops `gate` before it notifies. Either the waiter's check
-//! runs after the change and sees it, or the waiter already holds the
-//! gate, the waker's lock blocks until the wait releases it, and the
-//! notify finds the waiter parked. The gate pass is unconditional —
-//! there is no waiter count to skip it by: a count would have to be
-//! read `SeqCst` against the ledger's atomics to close the same
-//! store-buffer race the gate already closes, and one uncontended lock
-//! per retired chunk is not worth a second protocol. No wait is timed:
-//! a reader parked behind a stalled backend makes no wakeups.
+//! A reader on an in-flight chunk (`ReadState::wait_pending`) counts
+//! itself into its slot's `parked` and waits on the slot's condvar; the
+//! close-time `ReadState::drain` does the same on the ledger. Every
+//! transition out of `Pending`, and the retirement that balances the
+//! ledger, happens under that mutex and notifies only when the count
+//! is non-zero. No wait is timed.
 
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{
-    AtomicU64, AtomicUsize,
-    Ordering::{Acquire, Relaxed, Release},
-};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
 
+use crate::config::CrfsConfig;
 use crate::pool::{BufferPool, ChunkBuf};
 use crate::stats::CrfsStats;
 
@@ -93,6 +99,8 @@ struct Slot {
     /// stale.
     next_gen: u64,
     state: SlotState,
+    /// Readers waiting in `wait_pending` on this slot.
+    parked: usize,
 }
 
 impl Slot {
@@ -108,26 +116,53 @@ impl Slot {
     }
 }
 
+/// One direct-mapped cache slot and the condvar its parked readers
+/// wait on.
+struct SlotCell {
+    slot: Mutex<Slot>,
+    left_pending: Condvar,
+}
+
+impl SlotCell {
+    /// Releases the slot's lock after a transition out of `Pending`,
+    /// waking the readers parked on it.
+    fn wake(&self, slot: MutexGuard<'_, Slot>) {
+        let parked = slot.parked > 0;
+        drop(slot);
+        if parked {
+            self.left_pending.notify_all();
+        }
+    }
+}
+
+/// The prefetch ledger: chunks handed to the engine (the read-side
+/// "sealed"), chunks it retired (installed, discarded, failed, or
+/// refused), and the drains parked on them.
+#[derive(Default)]
+struct Ledger {
+    issued: u64,
+    completed: u64,
+    parked: usize,
+}
+
 /// Per-file read cache + prefetch ledger. Shared between the read path
 /// (lookups, read-ahead planning), the write path (invalidation), and
 /// the IO engine workers (installs).
 pub struct ReadState {
     chunk_size: usize,
-    read_ahead: usize,
+    /// Chunks of read-ahead planned past the reader's chunk: starts at
+    /// `read_ahead_chunks`, deepened by [`deepen`](Self::deepen).
+    window: AtomicUsize,
+    max_window: usize,
+    /// Set once a fill of this file went into flight asynchronously.
+    async_fills: AtomicBool,
     mask: usize,
-    slots: Box<[Mutex<Slot>]>,
+    slots: Box<[SlotCell]>,
     /// Slots currently `Ready` or `Pending` — one relaxed load lets the
     /// write hot path skip invalidation entirely on write-only files.
     active: AtomicUsize,
-    /// Prefetch chunks handed to the engine (the read-side "sealed").
-    issued: AtomicU64,
-    /// Prefetch chunks retired by the engine (the read-side
-    /// "completed"): installed, discarded, failed, or refused.
-    completed: AtomicU64,
-    /// Waiters re-check under it, wakers pass through it (see the
-    /// module docs, "Parking").
-    gate: Mutex<()>,
-    cv: Condvar,
+    ledger: Mutex<Ledger>,
+    drained: Condvar,
     /// Next expected sequential read offset (0 at open, so a cold
     /// restart stream prefetches from its very first read).
     next_seq: AtomicU64,
@@ -138,35 +173,67 @@ pub struct ReadState {
 
 impl ReadState {
     /// Creates a cache of `slots` slots (power of two) for `chunk_size`
-    /// chunks with a `read_ahead`-chunk prefetch window.
-    pub fn new(chunk_size: usize, read_ahead: usize, slots: usize) -> ReadState {
+    /// chunks with a prefetch window of `read_ahead` chunks that may
+    /// deepen to `max_window`.
+    pub fn new(chunk_size: usize, read_ahead: usize, max_window: usize, slots: usize) -> ReadState {
         debug_assert!(slots.is_power_of_two());
-        debug_assert!(read_ahead > 0);
+        debug_assert!(0 < read_ahead && read_ahead <= max_window);
         ReadState {
             chunk_size,
-            read_ahead,
+            window: AtomicUsize::new(read_ahead),
+            max_window,
+            async_fills: AtomicBool::new(false),
             mask: slots - 1,
             slots: (0..slots)
-                .map(|_| {
-                    Mutex::new(Slot {
+                .map(|_| SlotCell {
+                    slot: Mutex::new(Slot {
                         next_gen: 0,
                         state: SlotState::Empty,
-                    })
+                        parked: 0,
+                    }),
+                    left_pending: Condvar::new(),
                 })
                 .collect(),
             active: AtomicUsize::new(0),
-            issued: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            gate: Mutex::new(()),
-            cv: Condvar::new(),
+            ledger: Mutex::default(),
+            drained: Condvar::new(),
             next_seq: AtomicU64::new(0),
             ahead_until: AtomicU64::new(0),
         }
     }
 
+    /// The read state of one file opened under `config`; `None` when
+    /// prefetching is disabled.
+    pub(crate) fn for_config(config: &CrfsConfig) -> Option<Arc<ReadState>> {
+        (config.read_ahead_chunks > 0).then(|| {
+            Arc::new(ReadState::new(
+                config.chunk_size,
+                config.read_ahead_chunks,
+                config.resolved_read_window_max(),
+                config.resolved_read_cache_slots(),
+            ))
+        })
+    }
+
     /// The prefetch window in chunks.
-    pub fn read_ahead(&self) -> usize {
-        self.read_ahead
+    pub fn window(&self) -> usize {
+        self.window.load(Relaxed)
+    }
+
+    /// Notes that the backend took one of this file's fills through its
+    /// asynchronous path, so a deeper window can put more reads in
+    /// flight.
+    pub(crate) fn note_async_fill(&self) {
+        self.async_fills.store(true, Relaxed);
+    }
+
+    /// Doubles the window up to its cap — called when a reader parks on
+    /// a chunk an earlier call issued. Only over an asynchronous store.
+    pub(crate) fn deepen(&self) {
+        if self.async_fills.load(Relaxed) {
+            let deeper = (self.window() * 2).min(self.max_window);
+            self.window.fetch_max(deeper, Relaxed);
+        }
     }
 
     /// The chunk size lookups and planning are keyed by.
@@ -179,7 +246,7 @@ impl ReadState {
         self.active.load(Relaxed) > 0
     }
 
-    fn slot(&self, idx: u64) -> &Mutex<Slot> {
+    fn slot(&self, idx: u64) -> &SlotCell {
         &self.slots[(idx as usize) & self.mask]
     }
 
@@ -207,7 +274,7 @@ impl ReadState {
         pool: &BufferPool,
         stats: &CrfsStats,
     ) -> Consume {
-        let mut slot = self.slot(idx).lock();
+        let mut slot = self.slot(idx).slot.lock();
         match &mut slot.state {
             SlotState::Ready {
                 idx: have,
@@ -241,18 +308,13 @@ impl ReadState {
     /// [`try_consume`](Self::try_consume). Returns once the slot has
     /// left `Pending` for `idx` (installed, aborted, invalidated).
     pub(crate) fn wait_pending(&self, idx: u64) {
-        let mut g = self.gate.lock();
-        while matches!(self.slot(idx).lock().state, SlotState::Pending { idx: i, .. } if i == idx) {
-            self.cv.wait(&mut g);
+        let cell = self.slot(idx);
+        let mut slot = cell.slot.lock();
+        slot.parked += 1;
+        while matches!(slot.state, SlotState::Pending { idx: i, .. } if i == idx) {
+            cell.left_pending.wait(&mut slot);
         }
-    }
-
-    /// Wakes every waiter after a state change. Call with no slot lock
-    /// held (waiters lock a slot under the gate).
-    fn notify(&self) {
-        // Serialize with a waiter between its check and its wait.
-        drop(self.gate.lock());
-        self.cv.notify_all();
+        slot.parked -= 1;
     }
 
     /// Claims chunk `idx`'s slot for a prefetch, returning the
@@ -262,7 +324,7 @@ impl ReadState {
     /// another chunk. A `Ready` chunk of another index (behind or
     /// outside the window, by direct mapping) is evicted.
     pub(crate) fn begin(&self, idx: u64, pool: &BufferPool, stats: &CrfsStats) -> Option<u64> {
-        let mut slot = self.slot(idx).lock();
+        let mut slot = self.slot(idx).slot.lock();
         let evicted = match &slot.state {
             SlotState::Empty => None,
             SlotState::Pending { .. } => return None,
@@ -283,24 +345,19 @@ impl ReadState {
     /// Rolls back a [`begin`](Self::begin) whose fetch was never issued
     /// (no pool buffer available). Not a ledger event.
     pub(crate) fn cancel(&self, idx: u64, gen: u64) {
-        self.clear_claim(idx, gen);
-        // Another reader of the file may have parked on the claim.
-        self.notify();
-    }
-
-    /// Empties chunk `idx`'s slot if generation `gen`'s claim still
-    /// holds it.
-    fn clear_claim(&self, idx: u64, gen: u64) {
-        let mut slot = self.slot(idx).lock();
+        let cell = self.slot(idx);
+        let mut slot = cell.slot.lock();
         if matches!(slot.state, SlotState::Pending { idx: i, gen: g } if i == idx && g == gen) {
             slot.take(&self.active);
+            // Another reader of the file may have parked on the claim.
+            cell.wake(slot);
         }
     }
 
     /// Records `n` prefetch chunks as handed to the engine — the
     /// caller-side half of the ledger, like `note_sealed`.
     pub(crate) fn note_issued(&self, n: u64) {
-        self.issued.fetch_add(n, Relaxed);
+        self.ledger.lock().issued += n;
     }
 
     /// Engine-side retirement of a successful prefetch read of `len`
@@ -318,7 +375,8 @@ impl ReadState {
         pool: &BufferPool,
         stats: &CrfsStats,
     ) {
-        let mut slot = self.slot(idx).lock();
+        let cell = self.slot(idx);
+        let mut slot = cell.slot.lock();
         let fresh =
             matches!(slot.state, SlotState::Pending { idx: i, gen: g } if i == idx && g == gen);
         if fresh && len > 0 && !pool.has_waiters() {
@@ -328,21 +386,14 @@ impl ReadState {
                 len,
                 hit: false,
             };
-            drop(slot);
+            cell.wake(slot);
             self.retire(stats);
-            self.notify();
-            return;
+        } else {
+            // Stale, or unusable (an empty read, or writers starving for
+            // buffers): clear a surviving claim, recycle the buffer.
+            drop(slot);
+            self.abort(idx, gen, buf, pool, stats);
         }
-        if fresh {
-            // Our claim survived but the result is unusable (empty read,
-            // or writers starving for buffers): clear it.
-            slot.take(&self.active);
-        }
-        drop(slot);
-        stats.prefetch_wasted.fetch_add(1, Relaxed);
-        pool.release(buf);
-        self.retire(stats);
-        self.notify();
     }
 
     /// Engine-side retirement of a failed or refused prefetch: clears
@@ -355,16 +406,21 @@ impl ReadState {
         pool: &BufferPool,
         stats: &CrfsStats,
     ) {
-        self.clear_claim(idx, gen);
+        self.cancel(idx, gen);
         stats.prefetch_wasted.fetch_add(1, Relaxed);
         pool.release(buf);
         self.retire(stats);
-        self.notify();
     }
 
     fn retire(&self, stats: &CrfsStats) {
         stats.prefetch_completed.fetch_add(1, Relaxed);
-        self.completed.fetch_add(1, Release);
+        let mut ledger = self.ledger.lock();
+        ledger.completed += 1;
+        let wake = ledger.parked > 0 && ledger.completed >= ledger.issued;
+        drop(ledger);
+        if wake {
+            self.drained.notify_all();
+        }
     }
 
     /// Invalidates every cached or in-flight chunk overlapping the byte
@@ -374,8 +430,8 @@ impl ReadState {
     /// install finds the claim gone and recycles the buffer.
     pub(crate) fn invalidate_range(&self, lo: u64, hi: u64, pool: &BufferPool, stats: &CrfsStats) {
         let cs = self.chunk_size as u64;
-        for m in self.slots.iter() {
-            let mut slot = m.lock();
+        for cell in self.slots.iter() {
+            let mut slot = cell.slot.lock();
             let idx = match slot.state {
                 SlotState::Ready { idx, .. } | SlotState::Pending { idx, .. } => idx,
                 SlotState::Empty => continue,
@@ -383,34 +439,23 @@ impl ReadState {
             let (start, end) = (idx * cs, idx * cs + cs);
             if start < hi && lo < end {
                 let state = slot.take(&self.active);
-                drop(slot);
+                cell.wake(slot);
                 Self::dispose(state, pool, stats);
             }
         }
         // Let planning re-issue the window from the invalidated point.
         self.ahead_until.fetch_min(lo / cs, Relaxed);
-        self.notify();
-    }
-
-    /// Whether every issued prefetch has been retired.
-    fn quiescent(&self) -> bool {
-        // Read `issued` first: completion only grows, so completed >=
-        // issued-at-read-time means every fetch issued before the check
-        // is retired (the same ordering argument as the write barrier).
-        let i = self.issued.load(Acquire);
-        self.completed.load(Acquire) >= i
     }
 
     /// Blocks until every issued prefetch has been retired — the
     /// read-side close barrier.
     pub(crate) fn drain(&self) {
-        if self.quiescent() {
-            return;
+        let mut ledger = self.ledger.lock();
+        ledger.parked += 1;
+        while ledger.completed < ledger.issued {
+            self.drained.wait(&mut ledger);
         }
-        let mut g = self.gate.lock();
-        while !self.quiescent() {
-            self.cv.wait(&mut g);
-        }
+        ledger.parked -= 1;
     }
 
     /// Close/unmount epilogue: invalidate everything, then wait until
@@ -424,8 +469,8 @@ impl ReadState {
     /// pressure valve a blocked writer pulls before parking on an empty
     /// pool.
     pub(crate) fn evict_ready(&self, pool: &BufferPool, stats: &CrfsStats) {
-        for m in self.slots.iter() {
-            let mut slot = m.lock();
+        for cell in self.slots.iter() {
+            let mut slot = cell.slot.lock();
             if matches!(slot.state, SlotState::Ready { .. }) {
                 let state = slot.take(&self.active);
                 drop(slot);
@@ -468,12 +513,13 @@ impl ReadState {
 
 impl std::fmt::Debug for ReadState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ledger = self.ledger.lock();
         f.debug_struct("ReadState")
             .field("slots", &self.slots.len())
-            .field("read_ahead", &self.read_ahead)
+            .field("window", &self.window())
             .field("active", &self.active.load(Relaxed))
-            .field("issued", &self.issued.load(Relaxed))
-            .field("completed", &self.completed.load(Relaxed))
+            .field("issued", &ledger.issued)
+            .field("completed", &ledger.completed)
             .finish()
     }
 }
@@ -488,7 +534,7 @@ mod tests {
         (
             Arc::new(BufferPool::new(64, 8)),
             Arc::new(CrfsStats::new()),
-            ReadState::new(64, 2, 4),
+            ReadState::new(64, 2, 2, 4),
         )
     }
 
@@ -626,6 +672,51 @@ mod tests {
                 rs.try_consume(1, 0, &mut [0u8; 8], &pool, &stats),
                 Consume::Pending
             ));
+        }
+    }
+
+    /// The same exits, each fired only once the reader is counted into
+    /// its slot's `parked`: the wake must reach a reader that is already
+    /// waiting on the slot's condvar, not just one that re-checks late.
+    #[test]
+    fn a_parked_reader_wakes_on_install_abort_and_invalidation() {
+        type Exit = fn(&ReadState, u64, u64, &BufferPool, &CrfsStats);
+        let exits: [Exit; 3] = [
+            |rs, idx, gen, pool, stats| {
+                let buf = pool.try_acquire().unwrap();
+                rs.install(idx, gen, buf, 64, pool, stats)
+            },
+            |rs, idx, gen, pool, stats| {
+                let buf = pool.try_acquire().unwrap();
+                rs.abort(idx, gen, buf, pool, stats)
+            },
+            |rs, idx, _, pool, stats| rs.invalidate_range(idx * 64, idx * 64 + 1, pool, stats),
+        ];
+        for exit in exits {
+            let (pool, stats, rs) = fixture();
+            let gen = rs.begin(1, &pool, &stats).unwrap();
+            rs.note_issued(1);
+            std::thread::scope(|s| {
+                let reader = s.spawn(|| rs.wait_pending(1));
+                while rs.slot(1).slot.lock().parked == 0 {
+                    std::thread::yield_now();
+                }
+                exit(&rs, 1, gen, &pool, &stats);
+                reader.join().unwrap();
+            });
+            assert_eq!(rs.slot(1).slot.lock().parked, 0);
+        }
+    }
+
+    #[test]
+    fn the_window_deepens_only_over_async_fills_up_to_its_cap() {
+        let rs = ReadState::new(64, 2, 8, 16);
+        rs.deepen();
+        assert_eq!(rs.window(), 2, "synchronous fills keep the window");
+        rs.note_async_fill();
+        for want in [4, 8, 8] {
+            rs.deepen();
+            assert_eq!(rs.window(), want);
         }
     }
 

@@ -272,7 +272,10 @@ impl SnapshotStore {
     /// if an earlier mount encoded it with a different codec, since
     /// reference records carry the origin's codec. A file that exists
     /// but does not validate (a torn CAS write of a crashed mount no GC
-    /// pass has collected yet) is rewritten in place. Returns the
+    /// pass has collected yet) is rewritten in place. A reused file is
+    /// synced first: a mount that died between its write and its sync
+    /// can leave it whole in the page cache only, and a seal must not
+    /// name a chunk this mount never made durable. Returns the
     /// `(codec, stored_len)` reference records must use.
     ///
     /// The caller must hold an [`InflightGuard`] for `key`.
@@ -296,6 +299,7 @@ impl SnapshotStore {
                     && h.logical_len == key.1
                     && FRAME_HEADER_LEN + u64::from(h.stored_len) == len
                 {
+                    file.sync()?;
                     return Ok((h.codec, h.stored_len));
                 }
             }
@@ -846,6 +850,20 @@ mod tests {
             FRAME_HEADER_LEN + u64::from(r1.stored_len),
             "torn file rewritten in place"
         );
+    }
+
+    /// A CAS file left by a mount that died before its sync passes the
+    /// header check; adopting it syncs it once.
+    #[test]
+    fn an_adopted_cas_file_is_synced() {
+        let mem = Arc::new(MemBackend::new());
+        let be: Arc<dyn Backend> = Arc::clone(&mem) as Arc<dyn Backend>;
+        put_chunk(&store(&be, 4), 0, b"left by an earlier mount");
+        let s = store(&be, 4);
+        let before = mem.sync_count();
+        put_chunk(&s, 0, b"left by an earlier mount");
+        assert_eq!(mem.sync_count() - before, 1, "adoption syncs the file");
+        assert_eq!(be.list_dir(CAS_DIR).unwrap().len(), 1, "file adopted");
     }
 
     #[test]

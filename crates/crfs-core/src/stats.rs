@@ -74,6 +74,12 @@ pub struct CrfsStats {
     pub read_hits: AtomicU64,
     /// Chunk-granular read segments that went to the backend directly.
     pub read_misses: AtomicU64,
+    /// Read segments served from the backend directly while their own
+    /// chunk's fill, claimed by the same read, was in flight (the
+    /// demand-first rule of [`crate::prefetch`]). Not counted as misses.
+    pub read_demand: AtomicU64,
+    /// The deepest read-ahead window, in chunks, any file issued with.
+    pub read_window_max: AtomicU64,
     /// Prefetch read chunks handed to the IO engine.
     pub prefetch_issued: AtomicU64,
     /// Prefetch read chunks retired by the engine (installed, discarded
@@ -215,6 +221,8 @@ impl CrfsStats {
             bytes_read: self.bytes_read.load(Relaxed),
             read_hits: self.read_hits.load(Relaxed),
             read_misses: self.read_misses.load(Relaxed),
+            read_demand: self.read_demand.load(Relaxed),
+            read_window_max: self.read_window_max.load(Relaxed),
             prefetch_issued: self.prefetch_issued.load(Relaxed),
             prefetch_completed: self.prefetch_completed.load(Relaxed),
             prefetch_wasted: self.prefetch_wasted.load(Relaxed),
@@ -292,6 +300,10 @@ pub struct StatsSnapshot {
     pub read_hits: u64,
     /// Read segments that went to the backend directly.
     pub read_misses: u64,
+    /// Read segments served directly while their own fill was in flight.
+    pub read_demand: u64,
+    /// The deepest read-ahead window any file issued with (chunks).
+    pub read_window_max: u64,
     /// Prefetch chunks handed to the IO engine.
     pub prefetch_issued: u64,
     /// Prefetch chunks retired by the engine.
@@ -455,6 +467,8 @@ impl StatsSnapshot {
             ("bytes_read", self.bytes_read),
             ("read_hits", self.read_hits),
             ("read_misses", self.read_misses),
+            ("read_demand", self.read_demand),
+            ("read_window_max", self.read_window_max),
             ("prefetch_issued", self.prefetch_issued),
             ("prefetch_completed", self.prefetch_completed),
             ("prefetch_wasted", self.prefetch_wasted),
@@ -583,16 +597,18 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "reads: {} ({} bytes); cache hits {} / misses {} ({:.0}% hit); \
-             prefetch {} issued, {} completed, {} wasted",
+            "reads: {} ({} bytes); cache hits {} / misses {} ({:.0}% hit) / demand {}; \
+             prefetch {} issued, {} completed, {} wasted; window max {}",
             self.reads,
             self.bytes_read,
             self.read_hits,
             self.read_misses,
             self.read_hit_rate() * 100.0,
+            self.read_demand,
             self.prefetch_issued,
             self.prefetch_completed,
-            self.prefetch_wasted
+            self.prefetch_wasted,
+            self.read_window_max
         )?;
         if self.bytes_stored > 0 || self.integrity_failures > 0 {
             writeln!(

@@ -152,6 +152,8 @@ fn display_witness(name: &str) -> &'static str {
         "reads" | "bytes_read" => "reads:",
         "read_hits" => "cache hits",
         "read_misses" => "misses",
+        "read_demand" => "demand",
+        "read_window_max" => "window max",
         "prefetch_issued" | "prefetch_completed" | "prefetch_wasted" => "prefetch",
         "bytes_logical" | "bytes_stored" => "stored",
         "dedup_hits" => "dedup hits",

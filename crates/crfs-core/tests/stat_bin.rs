@@ -94,15 +94,19 @@ fn demo_json_histograms_agree_with_counters() {
         counter(&snap, "chunks_sealed")
     );
 
-    // Read-side service times: one histogram sample per counted hit.
+    // Read-side service times: one histogram sample per counted hit,
+    // and per segment read from the backend directly (a miss or a
+    // demand read).
     assert_eq!(
         stage(&snap, "read_hit", "count"),
         counter(&snap, "read_hits")
     );
     assert_eq!(
         stage(&snap, "read_miss", "count"),
-        counter(&snap, "read_misses")
+        counter(&snap, "read_misses") + counter(&snap, "read_demand")
     );
+    // A synchronous store keeps the demo's 2-chunk window.
+    assert_eq!(counter(&snap, "read_window_max"), 2);
     assert_eq!(
         stage(&snap, "prefetch_fill", "count"),
         counter(&snap, "prefetch_completed")

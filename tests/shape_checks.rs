@@ -364,11 +364,12 @@ fn restart_read_stats_invariants_hold() {
             assert_eq!(snap.prefetch_issued, 0);
         } else {
             assert!(
-                snap.read_hits + snap.read_misses >= snap.reads,
+                snap.read_hits + snap.read_misses + snap.read_demand >= snap.reads,
                 "chunk segments at least cover read calls \
-                 ({} + {} vs {})",
+                 ({} + {} + {} vs {})",
                 snap.read_hits,
                 snap.read_misses,
+                snap.read_demand,
                 snap.reads
             );
             assert!(snap.prefetch_issued > 0, "window never engaged");

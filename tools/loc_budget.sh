@@ -65,6 +65,17 @@
 # and four gates became a mutex-guarded slab and two index queues
 # (`engine/ring.rs` +38: the new four-submitter test on a
 # two-descriptor slab is +40).
+# 41,500 -> 41,800 with demand-first restart reads and a window that
+# follows the store: 41,403 -> 41,728, +325 lines, 236 of them tests —
+# the demand, framed-wait, whole-chunk and window-depth checks over the
+# engine's gated backend (`engine/ring.rs` +166), the parked-reader
+# wake and window unit tests, the adopted-CAS-file sync check, the
+# `crfs-stat` read identities. Product
+# lines +89: `fs.rs` + `prefetch.rs` +54 (the window, the demand rule
+# and the per-slot parking, net of the gate and its proof),
+# `read_demand` / `read_window_max` in `stats.rs` +16,
+# `resolved_read_window_max` and the config docs +12, the async-fill
+# mark in `start_fill` +3, the adoption sync and its doc +4.
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -73,7 +84,7 @@
 # adds it.
 set -eu
 
-CEILING=41500
+CEILING=41800
 UNSAFE_CEILING=0
 
 cd "$(dirname "$0")/.."
