@@ -621,7 +621,7 @@ pub fn fsck_thread_sweep(quick: bool) -> Vec<FsckSweepPoint> {
                         &crfs_core::fsck::FsckOptions {
                             repair: false,
                             threads: t,
-                            verify_payloads: true,
+                            payloads: crfs_core::fsck::Payloads::All,
                         },
                     );
                     (t0.elapsed().as_secs_f64(), sum)

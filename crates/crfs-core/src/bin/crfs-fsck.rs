@@ -10,6 +10,12 @@
 //! references. Run it offline only: a live mount's in-flight chunks are
 //! registered in memory and would look like orphans.
 //!
+//! Payloads: by default a content-store chunk a sealed manifest names
+//! gets the structural walk only — the seal vouches for its bytes and a
+//! restart read verifies them — and every other DATA frame is decoded
+//! and digested (`fsck` module docs, "Trust"). `--deep` decodes every
+//! one, for an offline audit of bytes at rest; `--no-payloads` none.
+//!
 //! With `--fast <dir>` the target is a two-tier stack (DESIGN.md §9):
 //! `<dir>` is the durable tier, `--fast` the fast tier. The structural
 //! sweep runs over the union view and a tier-consistency pass compares
@@ -18,7 +24,7 @@
 //! re-drains them from the authoritative fast copy.
 //!
 //! ```text
-//! crfs-fsck [--repair | --dry-run] [--threads N] [--no-payloads]
+//! crfs-fsck [--repair | --dry-run] [--threads N] [--deep | --no-payloads]
 //!           [--fast <dir>] [--quiet | --json] <dir>
 //! ```
 //!
@@ -32,7 +38,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use crfs_core::backend::{Backend, LocalFileBackend};
-use crfs_core::fsck::{run, run_tiered, FsckOptions};
+use crfs_core::fsck::{run, run_tiered, FsckOptions, Payloads};
 
 struct Args {
     root: String,
@@ -44,7 +50,7 @@ struct Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: crfs-fsck [--repair | --dry-run] [--threads N] [--no-payloads] \
+        "usage: crfs-fsck [--repair | --dry-run] [--threads N] [--deep | --no-payloads] \
          [--fast <dir>] [--quiet | --json] <dir>\n\
          \n\
          Checks every CRFS frame log and snapshot manifest under <dir>.\n\
@@ -54,7 +60,11 @@ fn usage() -> ExitCode {
            --threads N    exactly N checker threads (default: one per core,\n\
                           growing to 16 while queued files outnumber them\n\
                           and their reads, not their checks, take the time)\n\
-           --no-payloads  skip payload decode + checksum (structural walk only)\n\
+           --deep         decode + checksum every payload, sealed chunks too\n\
+                          (by default a content-store chunk a sealed manifest\n\
+                          names gets the structural walk only: the seal\n\
+                          vouches for it and every restart read verifies it)\n\
+           --no-payloads  decode no payload (structural walk only)\n\
            --fast <dir>   treat <dir> as the durable tier of a tiered stack\n\
                           with this fast tier: the same sweep compares each\n\
                           fast copy with its durable copy (stranded/diverged\n\
@@ -80,7 +90,8 @@ fn parse(argv: &[String]) -> Option<Args> {
         match a.as_str() {
             "--repair" => args.opts.repair = true,
             "--dry-run" => args.opts.repair = false,
-            "--no-payloads" => args.opts.verify_payloads = false,
+            "--deep" => args.opts.payloads = Payloads::All,
+            "--no-payloads" => args.opts.payloads = Payloads::Skip,
             "--quiet" => args.quiet = true,
             "--json" => args.json = true,
             "--threads" => args.opts.threads = it.next()?.parse().ok()?,
@@ -132,11 +143,12 @@ fn main() -> ExitCode {
         println!("{}", summary.to_json_pretty());
     } else if args.quiet {
         println!(
-            "files={} frames={} torn_tails={} bad_header_crc={} bad_payload_checksum={} \
+            "files={} frames={} trusted_payloads={} torn_tails={} bad_header_crc={} bad_payload_checksum={} \
              orphaned_refs={} orphaned_chunks={} dangling_manifest_refs={} \
              tier_stranded={} tier_diverged={} repaired={} elapsed_ms={}",
             summary.files,
             summary.frames,
+            summary.trusted_payloads,
             summary.damage.torn_tails,
             summary.damage.bad_header_crc,
             summary.damage.bad_payload_checksum,

@@ -11,12 +11,34 @@
 //! - **Frame logs** get a full chain walk by the mount's own walker
 //!   ([`walk_frames`]: header magic + CRC, payload bounds — the one
 //!   place that decides where a log's clean prefix ends), plus, per
-//!   frame, frame format, DATA-frame decode + digest check, and
-//!   dedup-reference origin resolution. Damage is classified per the
-//!   recovery contract (DESIGN.md §6): torn tail, bad header CRC, bad
-//!   payload checksum, orphaned dedup reference.
+//!   frame, frame format, DATA-frame decode + digest check (see
+//!   "Trust"), and dedup-reference origin resolution. Damage is
+//!   classified per the recovery contract (DESIGN.md §6): torn tail,
+//!   bad header CRC, bad payload checksum, orphaned dedup reference.
 //! - **Manifests** are decoded and every chunk record resolved.
 //! - **Raw files** are counted and skipped.
+//!
+//! **Trust.** A crash can tear only what was written since the last
+//! seal: a content-store chunk a sealed manifest names was synced
+//! before that manifest was written, and every restart read decodes
+//! and verifies its bytes anyway, so a bad byte there is a detected
+//! error, never a served one. Before the sweep, fsck reads the
+//! manifests under [`SNAP_DIR`], and [`FsckOptions::payloads`] picks
+//! what is decoded:
+//!
+//! - [`Payloads::Unsealed`] (the default): a content-store chunk whose
+//!   key a decodable manifest names, and whose header agrees with that
+//!   record (one DATA frame, format, stored and logical length, check),
+//!   gets the structural walk only. Every other frame log — user logs,
+//!   the chunks of an open or crashed epoch, chunks only an
+//!   undecodable manifest names — is decoded and digested.
+//! - [`Payloads::All`] (`crfs-fsck --deep`): every DATA frame, for
+//!   offline audits of bytes at rest.
+//! - [`Payloads::Skip`] (`--no-payloads`): none.
+//!
+//! [`FsckSummary::trusted_payloads`] counts the DATA frames a sweep
+//! checked by structure only, so a clean default sweep never reads as
+//! "every payload decoded".
 //!
 //! **Repair** (`FsckOptions::repair`) applies the torn-tail discard
 //! rule persistently: a frame log whose chain walk stopped early is
@@ -35,11 +57,14 @@
 //! the classification, every header and payload, and the manifest
 //! decode; a bigger one reads its 40-byte head (a raw image stops
 //! there), then window-sized reads from the first byte the previous
-//! window did not hold. Over a store with a round trip per read, that
-//! count is the recovery time. [`run_tiered`] is one sweep too: the
-//! durable copy of a file the fast tier holds is read once, right
-//! after the check, and compared against the fast bytes still in the
-//! window, so every copy of a file that fits is read exactly once. A
+//! window did not hold. A chunk the seal vouches for and whose payload
+//! is not decoded ("Trust") is read for its head alone, and a manifest
+//! not at all: the sweep reuses the bytes read before it. Over a store
+//! with a round trip per read, that count is the recovery time.
+//! [`run_tiered`] is one sweep too: the durable copy of a file the fast
+//! tier holds is read once, right after the check, and compared against
+//! the fast bytes still in the window (read whole for it), so every
+//! copy of a file that fits is read exactly once. A
 //! checker owns every buffer a file needs — the window, a frame's
 //! stored and decoded bytes, the durable copy, a re-drain's copy — so
 //! no check allocates or zero-fills one of its own.
@@ -63,7 +88,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::Scope;
 use std::time::{Duration, Instant};
@@ -77,7 +102,7 @@ use crate::snapshot::manifest::{ChunkRecord, Manifest, Record, MANIFEST_MAGIC};
 use crate::snapshot::{parse_cas_name, parse_manifest_name, ChunkKey, CAS_DIR, SNAP_DIR};
 use crate::transform::codec::decode_to_vec;
 use crate::transform::frame::{
-    payload_digest, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
+    payload_digest, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
 };
 use crate::transform::{walk_frames, FileHead, ScanOutcome, TailDamage, REF_META_LEN};
 
@@ -89,7 +114,7 @@ const WINDOW: usize = (4 << 20) + FRAME_HEADER_LEN as usize;
 const CHECKER_DEPTH: usize = 16;
 
 /// How a check/repair sweep should run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FsckOptions {
     /// Truncate torn frame-log tails to the last valid frame (and sync)
     /// instead of only reporting them.
@@ -98,19 +123,23 @@ pub struct FsckOptions {
     /// work outnumbers the checkers and backend reads, not checks, take
     /// their time (see the module docs); N = exactly N.
     pub threads: usize,
-    /// Decode + checksum every DATA frame payload (the expensive part;
-    /// disabling leaves a structural header walk).
-    pub verify_payloads: bool,
+    /// Which DATA-frame payloads are decoded and digested (the
+    /// expensive part; module docs, "Trust").
+    pub payloads: Payloads,
 }
 
-impl Default for FsckOptions {
-    fn default() -> Self {
-        FsckOptions {
-            repair: false,
-            threads: 0,
-            verify_payloads: true,
-        }
-    }
+/// Which DATA-frame payloads a sweep decodes and digests; the rest get
+/// the structural walk only (module docs, "Trust").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Payloads {
+    /// None.
+    Skip,
+    /// All but the content-store chunks a decodable sealed manifest
+    /// names.
+    #[default]
+    Unsealed,
+    /// All of them.
+    All,
 }
 
 /// What kind of stored layout a checked file turned out to be.
@@ -224,6 +253,9 @@ pub struct FsckSummary {
     pub manifests: u64,
     /// Frames walked across all files.
     pub frames: u64,
+    /// DATA frames checked by structure only: their payloads were
+    /// neither decoded nor digested ([`FsckOptions::payloads`]).
+    pub trusted_payloads: u64,
     /// Damage totals across all files.
     pub damage: DamageCounts,
     /// Files repair restored to a clean scan.
@@ -243,9 +275,6 @@ pub struct FsckSummary {
     /// Chunks staged in a not-yet-sealed epoch appear in no manifest,
     /// so the orphan pass must honor live references too.
     cas_refs: std::collections::HashSet<String>,
-    /// Chunk keys of each manifest the sweep checked (none if it does
-    /// not decode): the orphan pass reads only the ones it did not.
-    manifest_keys: HashMap<String, Vec<ChunkKey>>,
     /// [`run_tiered`]: what each file's tier comparison found, settled
     /// after the orphan pass — `None` for a file the sweep repaired,
     /// compared only once the repair has drained.
@@ -316,6 +345,7 @@ impl FsckSummary {
             "frame_logs": self.frame_logs,
             "manifests": self.manifests,
             "frames": self.frames,
+            "trusted_payloads": self.trusted_payloads,
             "damage": self.damage.to_value(),
             "damage_total": self.damage.total(),
             "clean": self.is_clean(),
@@ -343,10 +373,11 @@ impl FsckSummary {
 /// checkers sized by `opts.threads` (see [`FsckOptions::threads`]).
 pub fn run(backend: &Arc<dyn Backend>, roots: &[String], opts: &FsckOptions) -> FsckSummary {
     let t0 = Instant::now();
+    let sealed = read_sealed(&**backend);
     let mut summary = sweep(&**backend, roots, opts.threads, |path, checker| {
-        check_file(backend, path, opts, checker)
+        check_file(backend, path, opts, &sealed, false, checker)
     });
-    check_snapshot_orphans(backend, opts, &mut summary);
+    check_snapshot_orphans(backend, opts, &sealed, &mut summary);
     summary.reports.sort_by(|a, b| a.path.cmp(&b.path));
     summary.elapsed = t0.elapsed();
     summary
@@ -378,9 +409,10 @@ pub fn run_tiered(
         Arc::clone(durable),
         &crate::CrfsConfig::default(),
     ));
+    let sealed = read_sealed(&*union);
     let mut summary = sweep(&*union, roots, opts.threads, |path, checker| {
         let reports = checker.summary.reports.len();
-        check_file(&union, path, opts, checker);
+        check_file(&union, path, opts, &sealed, true, checker);
         // A file repaired through the union view is compared once its
         // repair has drained.
         let finding = match opts.repair && checker.summary.reports.len() > reports {
@@ -390,7 +422,7 @@ pub fn run_tiered(
         let found = &mut checker.summary.tier_findings;
         found.extend(finding.map(|finding| (path.to_string(), finding)));
     });
-    check_snapshot_orphans(&union, opts, &mut summary);
+    check_snapshot_orphans(&union, opts, &sealed, &mut summary);
     if opts.repair {
         // Structural repairs (torn-tail truncation, orphan unlinks) went
         // through the union view; make sure none of them is still in the
@@ -572,11 +604,11 @@ fn merge(into: &mut FsckSummary, from: FsckSummary) {
     into.frame_logs += from.frame_logs;
     into.manifests += from.manifests;
     into.frames += from.frames;
+    into.trusted_payloads += from.trusted_payloads;
     into.damage.add(&from.damage);
     into.repaired_files += from.repaired_files;
     into.reports.extend(from.reports);
     into.cas_refs.extend(from.cas_refs);
-    into.manifest_keys.extend(from.manifest_keys);
     into.tier_findings.extend(from.tier_findings);
     into.dirs.extend(from.dirs);
     into.check_times.merge(&from.check_times);
@@ -585,32 +617,78 @@ fn merge(into: &mut FsckSummary, from: FsckSummary) {
     }
 }
 
+/// The retained sealed manifests, read before the sweep (module docs,
+/// "Trust").
+#[derive(Default)]
+struct Sealed {
+    /// Each manifest's bytes, which its check in the sweep reads
+    /// instead of the backend.
+    bytes: HashMap<String, Vec<u8>>,
+    /// The stored length and check of every chunk a decodable manifest
+    /// names, by key.
+    chunks: HashMap<ChunkKey, (u32, u64)>,
+}
+
+/// Reads every manifest under [`SNAP_DIR`] on `lister`, on the thread
+/// that then runs the sweep's first checker.
+fn read_sealed(lister: &dyn Backend) -> Sealed {
+    let mut bytes = HashMap::new();
+    for name in lister.list_dir(SNAP_DIR).unwrap_or_default() {
+        if parse_manifest_name(&name).is_none() {
+            continue;
+        }
+        let path = format!("{SNAP_DIR}/{name}");
+        let file = lister.open(&path, OpenOptions::read_only());
+        if let Ok(read) = file.and_then(|file| read_whole(&*file)) {
+            bytes.insert(path, read);
+        }
+    }
+    let mut chunks = HashMap::new();
+    for m in bytes.values().filter_map(|b| Manifest::decode(b).ok()) {
+        for (_, records) in &m.files {
+            for rec in records {
+                if let Record::Chunk(c) = rec {
+                    chunks.insert(c.key(), (c.stored_len, c.check));
+                }
+            }
+        }
+    }
+    Sealed { bytes, chunks }
+}
+
 // ---------------------------------------------------------------------
 // Work-stealing pool
 // ---------------------------------------------------------------------
 
 /// Per-checker deques with front-stealing. Jobs are backend paths: what
-/// `lister` lists expands, anything else goes to `visit`. `outstanding`
-/// covers queued *and* in-flight jobs, so a checker only exits when the
-/// whole sweep is drained. Every checker the pool may grow to has a
-/// queue; `live` of them have a checker. `waited` says whether the last
-/// job a checker finished waited on the backend longer than it checked.
-/// Idle checkers park with the file ledger's protocol (`file.rs`,
-/// "Parking"): a waker changes the state (pushes jobs, or drops
-/// `outstanding` to zero), then takes and drops `gate` and notifies; a
-/// waiter re-checks under `gate` and waits untimed. The counters are `Relaxed`: jobs travel under the queue
-/// locks, parking orders through `gate`, and each counter publishes
-/// nothing but itself.
+/// `lister` lists expands, anything else goes to `visit`. Every checker
+/// the pool may grow to has a queue; `live` of them have a checker.
+/// `waited` says whether the last job a checker finished waited on the
+/// backend longer than it checked; both are `Relaxed`, each publishing
+/// nothing but itself. Idle checkers park in the shape of
+/// `prefetch.rs`'s reads: the counts in `jobs` change only under the
+/// mutex `idle` waits on, so a push, and the finish that drains the
+/// sweep, notify only when a checker is parked, and a parked checker
+/// re-checks the queues and the count under it and waits untimed.
 struct StealPool<'a, F> {
     lister: &'a dyn Backend,
     visit: F,
     queues: Vec<Mutex<VecDeque<String>>>,
-    outstanding: AtomicU64,
+    jobs: Mutex<Jobs>,
+    idle: Condvar,
     live: AtomicUsize,
     waited: AtomicBool,
-    gate: Mutex<()>,
-    idle: Condvar,
     found: Mutex<FsckSummary>,
+}
+
+/// The pool's counts under its `idle` mutex.
+#[derive(Default)]
+struct Jobs {
+    /// Queued *and* in-flight jobs: a checker only exits when the whole
+    /// sweep is drained.
+    outstanding: u64,
+    /// Checkers waiting on `idle`.
+    parked: usize,
 }
 
 /// One checker's findings, and the buffers every file it checks reuses
@@ -639,30 +717,35 @@ where
         0 => (cores, cores.max(CHECKER_DEPTH)),
         n => (n, n),
     };
-    let pool = StealPool {
-        lister,
-        visit,
-        queues: (0..most).map(|_| Mutex::new(VecDeque::new())).collect(),
-        outstanding: AtomicU64::new(0),
-        live: AtomicUsize::new(first),
-        waited: AtomicBool::new(false),
-        gate: Mutex::new(()),
-        idle: Condvar::new(),
-        found: Mutex::new(FsckSummary::default()),
-    };
+    let pool = StealPool::new(lister, visit, first, most);
     for (i, root) in roots.iter().enumerate() {
         pool.push(i % first, vec![root.clone()]);
     }
     std::thread::scope(|s| {
-        for worker in 0..first {
+        for worker in 1..first {
             let pool = &pool;
             s.spawn(move || pool.checker(s, worker));
         }
+        pool.checker(s, 0);
     });
     pool.found.into_inner()
 }
 
-impl<F: Fn(&str, &mut Checker) + Sync> StealPool<'_, F> {
+impl<'a, F: Fn(&str, &mut Checker) + Sync> StealPool<'a, F> {
+    /// A pool of `first` checkers that may grow to `most`, with no jobs.
+    fn new(lister: &'a dyn Backend, visit: F, first: usize, most: usize) -> Self {
+        StealPool {
+            lister,
+            visit,
+            queues: (0..most).map(|_| Mutex::new(VecDeque::new())).collect(),
+            jobs: Mutex::new(Jobs::default()),
+            idle: Condvar::new(),
+            live: AtomicUsize::new(first),
+            waited: AtomicBool::new(false),
+            found: Mutex::new(FsckSummary::default()),
+        }
+    }
+
     /// One checker: jobs until the sweep drains.
     fn checker<'s>(&'s self, s: &'s Scope<'s, '_>, worker: usize) {
         let mut checker = Checker::default();
@@ -682,9 +765,14 @@ impl<F: Fn(&str, &mut Checker) + Sync> StealPool<'_, F> {
             }
             // Done (its children carry their own count); the last job
             // releases every parked checker.
-            if self.outstanding.fetch_sub(1, Relaxed) == 1 {
-                self.wake();
-            }
+            let outstanding = {
+                let mut jobs = self.jobs.lock();
+                jobs.outstanding -= 1;
+                if jobs.outstanding == 0 && jobs.parked > 0 {
+                    self.idle.notify_all();
+                }
+                jobs.outstanding
+            };
             // Grow while the outstanding jobs outnumber the checkers, and
             // only after two jobs in a row that waited on the backend
             // longer than they checked: another checker overlaps waits,
@@ -695,7 +783,7 @@ impl<F: Fn(&str, &mut Checker) + Sync> StealPool<'_, F> {
                 continue;
             }
             let grown = self.live.fetch_update(Relaxed, Relaxed, |live| {
-                let behind = self.outstanding.load(Relaxed) > live as u64;
+                let behind = outstanding > live as u64;
                 (behind && live < self.queues.len()).then_some(live + 1)
             });
             if let Ok(next) = grown {
@@ -708,9 +796,12 @@ impl<F: Fn(&str, &mut Checker) + Sync> StealPool<'_, F> {
     /// Enqueues jobs on `worker`'s own queue (tail — depth-first for
     /// the owner, while thieves take the front, breadth-first).
     fn push(&self, worker: usize, jobs: Vec<String>) {
-        self.outstanding.fetch_add(jobs.len() as u64, Relaxed);
+        let mut state = self.jobs.lock();
+        state.outstanding += jobs.len() as u64;
         self.queues[worker].lock().extend(jobs);
-        self.wake();
+        if state.parked > 0 {
+            self.idle.notify_all();
+        }
     }
 
     /// Next job for `worker`: own queue first (LIFO), then the front of
@@ -726,21 +817,18 @@ impl<F: Fn(&str, &mut Checker) + Sync> StealPool<'_, F> {
         if let Some(job) = take() {
             return Some(job);
         }
-        let mut gate = self.gate.lock();
+        let mut jobs = self.jobs.lock();
         loop {
             if let Some(job) = take() {
                 return Some(job);
             }
-            if self.outstanding.load(Relaxed) == 0 {
+            if jobs.outstanding == 0 {
                 return None;
             }
-            self.idle.wait(&mut gate);
+            jobs.parked += 1;
+            self.idle.wait(&mut jobs);
+            jobs.parked -= 1;
         }
-    }
-
-    fn wake(&self) {
-        drop(self.gate.lock());
-        self.idle.notify_all();
     }
 }
 
@@ -765,6 +853,13 @@ impl View {
         offset >= self.start && offset + len as u64 <= self.start + self.held as u64
     }
 
+    /// Holds `bytes` as a file's first bytes, read before its job.
+    fn prime(&mut self, bytes: &[u8]) {
+        self.buf.resize(self.buf.len().max(bytes.len()), 0);
+        self.buf[..bytes.len()].copy_from_slice(bytes);
+        (self.start, self.held) = (0, bytes.len());
+    }
+
     /// Reads `len` bytes of `file` from `offset` into the window.
     fn fill(&mut self, file: &dyn BackendFile, offset: u64, len: usize) -> io::Result<()> {
         self.buf.resize(self.buf.len().max(len), 0);
@@ -780,9 +875,11 @@ impl View {
 /// A checker's read-through view of one file, handed to the unchanged
 /// [`FileHead::read`] / [`walk_frames`] as their `BackendFile` (module
 /// docs, "Reads"). A read past the end fails, as `read_exact_at` would.
+/// `head_only` makes a small file's first read its head too.
 struct Window<'a> {
     file: &'a dyn BackendFile,
     view: Mutex<&'a mut View>,
+    head_only: bool,
 }
 
 impl BackendFile for Window<'_> {
@@ -793,9 +890,10 @@ impl BackendFile for Window<'_> {
         let mut view = self.view.lock();
         if !view.holds(offset, out.len()) {
             // A big file's first read is its head, all a raw image is
-            // ever read for; any other miss reads a window from here.
+            // ever read for (and a chunk the seal vouches for, read
+            // head only); any other miss reads a window from here.
             let len = self.file.len()?;
-            let next = match len > WINDOW as u64 && view.held == 0 {
+            let next = match (len > WINDOW as u64 || self.head_only) && view.held == 0 {
                 true => out.len(),
                 false => (len.saturating_sub(offset).min(WINDOW as u64) as usize).max(out.len()),
             };
@@ -809,10 +907,20 @@ impl BackendFile for Window<'_> {
     crate::forward_file_ops!(file: write_at, sync, len, set_len);
 }
 
-fn check_file(backend: &Arc<dyn Backend>, path: &str, opts: &FsckOptions, checker: &mut Checker) {
+/// Checks one file. `compare` says the caller compares the file's bytes
+/// with another copy right after ([`run_tiered`]), so the window reads
+/// it whole.
+fn check_file(
+    backend: &Arc<dyn Backend>,
+    path: &str,
+    opts: &FsckOptions,
+    sealed: &Sealed,
+    compare: bool,
+    checker: &mut Checker,
+) {
     checker.summary.files += 1;
     let t0 = Instant::now();
-    let kind = check_file_inner(backend, path, opts, checker);
+    let kind = check_file_inner(backend, path, opts, sealed, compare, checker);
     let spent = t0.elapsed();
     let local = &mut checker.summary;
     local.check_times.record_dur(spent);
@@ -838,6 +946,8 @@ fn check_file_inner(
     backend: &Arc<dyn Backend>,
     path: &str,
     opts: &FsckOptions,
+    sealed: &Sealed,
+    compare: bool,
     checker: &mut Checker,
 ) -> FileKind {
     let Checker {
@@ -846,15 +956,31 @@ fn check_file_inner(
         frame,
         ..
     } = checker;
+    // What the seal vouches for, if this is a content-store chunk a
+    // decodable manifest names: the header such a chunk must carry. A
+    // chunk whose payload is not decoded is read for its header alone,
+    // unless the caller compares its bytes.
+    let vouched = path
+        .strip_prefix(CAS_DIR)
+        .and_then(|name| parse_cas_name(name.strip_prefix('/')?))
+        .and_then(|key| {
+            let &(stored_len, check) = sealed.chunks.get(&key)?;
+            Some((key.1, stored_len, check))
+        });
+    let head_only = vouched.is_some() && opts.payloads != Payloads::All && !compare;
     let file = backend.open(path, OpenOptions::read_only());
     // The window's first read serves the classification and, for a
     // file that fits, everything after it.
     let opened = match &file {
         Err(e) => Err(format!("unopenable: {e}")),
         Ok(file) => {
+            if let Some(bytes) = sealed.bytes.get(path) {
+                view.prime(bytes);
+            }
             let window = Window {
                 file: &**file,
                 view: Mutex::new(view),
+                head_only,
             };
             match FileHead::read(&window) {
                 Ok(head) => Ok((head, window)),
@@ -874,7 +1000,16 @@ fn check_file_inner(
         FileKind::Raw => local.raw_files += 1,
         FileKind::FrameLog => {
             local.frame_logs += 1;
-            check_frame_log(backend, path, &window, &head, opts, local, frame);
+            let trust = |off: u64, h: &FrameHeader| match opts.payloads {
+                Payloads::Skip => true,
+                Payloads::Unsealed => vouched.is_some_and(|(logical_len, stored_len, check)| {
+                    off == 0
+                        && (h.logical_len, h.stored_len, h.payload_check)
+                            == (logical_len, stored_len, check)
+                }),
+                Payloads::All => false,
+            };
+            check_frame_log(backend, path, &window, &head, opts, trust, local, frame);
         }
         FileKind::Manifest => {
             local.manifests += 1;
@@ -901,17 +1036,20 @@ fn classify(head: &FileHead) -> FileKind {
 }
 
 /// Walks a frame log end to end with [`walk_frames`] — the structural
-/// validation every open performs — adding per frame the optional
-/// payload decode + checksum and the dedup-reference origin
-/// resolution, and — under `repair` — truncating a torn tail to the
-/// walk's clean prefix. `payload` and `out` are the checker's stored
-/// and decoded frame buffers.
+/// validation every open performs — adding per frame the payload
+/// decode + checksum of each DATA frame `trust` does not vouch for (by
+/// its offset and header) and the dedup-reference origin resolution,
+/// and — under `repair` — truncating a torn tail to the walk's clean
+/// prefix. `payload` and `out` are the checker's stored and decoded
+/// frame buffers.
+#[allow(clippy::too_many_arguments)]
 fn check_frame_log(
     backend: &Arc<dyn Backend>,
     path: &str,
     file: &dyn BackendFile,
     head: &FileHead,
     opts: &FsckOptions,
+    trust: impl Fn(u64, &FrameHeader) -> bool,
     local: &mut FsckSummary,
     (payload, out): &mut (Vec<u8>, Vec<u8>),
 ) {
@@ -921,6 +1059,11 @@ fn check_frame_log(
     let walked = walk_frames(file, head, |off, h| {
         frames += 1;
         if h.flags & (FLAG_PAD | FLAG_TRUNC) != 0 {
+            return Ok(());
+        }
+        let data = h.flags & FLAG_REF == 0;
+        if data && h.format == FRAME_FORMAT && trust(off, h) {
+            local.trusted_payloads += 1;
             return Ok(());
         }
         payload.resize(h.stored_len as usize, 0);
@@ -933,7 +1076,7 @@ fn check_frame_log(
             // are verified.
             damage.bad_payload_checksum += 1;
         }
-        if h.flags & FLAG_REF != 0 {
+        if !data {
             if !ref_resolves(backend, path, stored_len, payload) {
                 damage.orphaned_refs += 1;
             }
@@ -944,7 +1087,7 @@ fn check_frame_log(
                     }
                 }
             }
-        } else if opts.verify_payloads && h.format == FRAME_FORMAT {
+        } else if h.format == FRAME_FORMAT {
             let ok = decode_to_vec(h.codec, payload, h.logical_len as usize, out).is_ok()
                 && payload_digest(out).check == h.payload_check;
             if !ok {
@@ -1052,14 +1195,12 @@ fn check_manifest(
     let mut frames = 0u64;
     let mut repaired = false;
     let mut error = None;
-    let keys = local.manifest_keys.entry(path.to_string()).or_default();
-    match read_manifest(file) {
+    match read_whole(file).and_then(|bytes| Manifest::decode(&bytes)) {
         Ok(m) => {
             for (_, records) in &m.files {
                 for rec in records {
                     let Record::Chunk(c) = rec else { continue };
                     frames += 1;
-                    keys.push((c.hash, c.logical_len));
                     if !manifest_ref_resolves(backend, c) {
                         damage.dangling_manifest_refs += 1;
                     }
@@ -1101,11 +1242,10 @@ fn check_manifest(
     });
 }
 
-fn read_manifest(file: &dyn BackendFile) -> io::Result<Manifest> {
-    let len = file.len()?;
-    let mut buf = vec![0u8; len as usize];
+fn read_whole(file: &dyn BackendFile) -> io::Result<Vec<u8>> {
+    let mut buf = vec![0u8; file.len()? as usize];
     read_exact_at(file, 0, &mut buf)?;
-    Manifest::decode(&buf)
+    Ok(buf)
 }
 
 /// Whether a manifest chunk record's origin file exists and is long
@@ -1127,47 +1267,18 @@ fn manifest_ref_resolves(backend: &Arc<dyn Backend>, rec: &ChunkRecord) -> bool 
 fn check_snapshot_orphans(
     backend: &Arc<dyn Backend>,
     opts: &FsckOptions,
+    sealed: &Sealed,
     summary: &mut FsckSummary,
 ) {
-    let Ok(snap_names) = backend.list_dir(SNAP_DIR) else {
-        return; // no snapshot store on this backend
-    };
-    let mut referenced = std::collections::HashSet::new();
-    for name in &snap_names {
-        if parse_manifest_name(name).is_none() {
-            continue;
-        }
-        let path = format!("{SNAP_DIR}/{name}");
-        // The sweep recorded the keys of every manifest it checked; only
-        // one it did not visit (roots that miss `SNAP_DIR`) is read here.
-        if let Some(keys) = summary.manifest_keys.get(&path) {
-            referenced.extend(keys);
-            continue;
-        }
-        let Ok(file) = backend.open(&path, OpenOptions::read_only()) else {
-            continue;
-        };
-        // An undecodable manifest contributes no references; the main
-        // sweep already reported (and possibly repaired) it.
-        let Ok(m) = read_manifest(&*file) else {
-            continue;
-        };
-        for (_, records) in &m.files {
-            for rec in records {
-                if let Record::Chunk(c) = rec {
-                    referenced.insert((c.hash, c.logical_len));
-                }
-            }
-        }
-    }
     let Ok(cas_names) = backend.list_dir(CAS_DIR) else {
-        return;
+        return; // no snapshot store on this backend
     };
     for name in cas_names {
         // An unparseable name cannot be referenced by any manifest
         // (references are reconstructed from hash + length), so it is
         // an orphan unless a live log's REF frame still points at it.
-        if parse_cas_name(&name).is_some_and(|key| referenced.contains(&key)) {
+        // An undecodable manifest contributes no references.
+        if parse_cas_name(&name).is_some_and(|key| sealed.chunks.contains_key(&key)) {
             continue;
         }
         let path = format!("{CAS_DIR}/{name}");
@@ -1206,8 +1317,14 @@ impl std::fmt::Display for FsckSummary {
         writeln!(
             f,
             "checked {} files in {:?}: {} frame logs, {} manifests, \
-             {} raw ({} frames walked)",
-            self.files, self.elapsed, self.frame_logs, self.manifests, self.raw_files, self.frames
+             {} raw ({} frames walked, {} payloads trusted without decode)",
+            self.files,
+            self.elapsed,
+            self.frame_logs,
+            self.manifests,
+            self.raw_files,
+            self.frames,
+            self.trusted_payloads
         )?;
         if self.damage.is_clean() {
             return write!(f, "clean: no damage in any class");
@@ -1262,7 +1379,6 @@ impl std::fmt::Display for FsckSummary {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::transform::frame::FrameHeader;
     use crate::transform::CodecKind;
     use crate::{Crfs, CrfsConfig};
 
@@ -1535,6 +1651,9 @@ mod tests {
     /// thread that read.
     type ReadLog = Arc<Mutex<Vec<(String, u64, usize, std::thread::ThreadId)>>>;
 
+    /// A [`Probe`]'s reads in flight: `(now, most at once)`.
+    type InFlight = Arc<Mutex<(usize, usize)>>;
+
     /// A test decorator: logs every `read_at`, sleeps `delay` in each,
     /// and `hold` more in each read of `slow`.
     struct Probe {
@@ -1542,6 +1661,7 @@ mod tests {
         delay: Duration,
         slow: Option<(String, Duration)>,
         reads: ReadLog,
+        in_flight: InFlight,
     }
 
     struct ProbeFile {
@@ -1549,6 +1669,7 @@ mod tests {
         path: String,
         sleep: Duration,
         reads: ReadLog,
+        in_flight: InFlight,
     }
 
     impl Backend for Probe {
@@ -1565,6 +1686,7 @@ mod tests {
                 path: path.to_string(),
                 sleep: self.delay + held,
                 reads: Arc::clone(&self.reads),
+                in_flight: Arc::clone(&self.in_flight),
             }))
         }
         crate::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists, file_len, list_dir);
@@ -1575,29 +1697,46 @@ mod tests {
             let thread = std::thread::current().id();
             let read = (self.path.clone(), offset, buf.len(), thread);
             self.reads.lock().push(read);
+            {
+                let mut in_flight = self.in_flight.lock();
+                in_flight.0 += 1;
+                in_flight.1 = in_flight.1.max(in_flight.0);
+            }
             if !self.sleep.is_zero() {
                 std::thread::sleep(self.sleep);
             }
-            self.inner.read_at(offset, buf)
+            let read = self.inner.read_at(offset, buf);
+            self.in_flight.lock().0 -= 1;
+            read
         }
         crate::forward_file_ops!(inner: write_at, sync, len, set_len);
     }
 
     fn probe(inner: &Arc<dyn Backend>, delay: Duration) -> (Arc<dyn Backend>, ReadLog) {
-        let reads = ReadLog::default();
+        let (probe, reads, _) = probe_in_flight(inner, delay);
+        (probe, reads)
+    }
+
+    /// [`probe`], with its count of reads in flight.
+    fn probe_in_flight(
+        inner: &Arc<dyn Backend>,
+        delay: Duration,
+    ) -> (Arc<dyn Backend>, ReadLog, InFlight) {
+        let (reads, in_flight) = (ReadLog::default(), InFlight::default());
         let probe = Probe {
             inner: Arc::clone(inner),
             delay,
             slow: None,
             reads: Arc::clone(&reads),
+            in_flight: Arc::clone(&in_flight),
         };
-        (Arc::new(probe), reads)
+        (Arc::new(probe), reads, in_flight)
     }
 
     /// `cold_restart` pays a round trip per backend read and its
     /// recovery time is fsck's read count: a one-frame content-store
-    /// chunk is fetched whole by one read, and the orphan pass reads
-    /// only a manifest the sweep did not visit.
+    /// chunk is fetched by one read, and a manifest is read once, before
+    /// the sweep, whether or not the sweep visits it.
     #[test]
     fn a_one_frame_chunk_costs_fsck_exactly_one_read() {
         let store = be();
@@ -1609,8 +1748,7 @@ mod tests {
         assert_eq!(sum.frame_logs, chunks as u64);
         let seen = reads.lock().len();
         println!("fsck: {seen} reads for {chunks} one-frame chunks and the manifest");
-        // One per chunk, plus the orphan pass's read of the manifest the
-        // sweep never visited.
+        // One per chunk, plus the read of the manifest before the sweep.
         assert_eq!(seen, chunks + 1);
 
         reads.lock().clear();
@@ -1618,8 +1756,36 @@ mod tests {
         assert!(sum.is_clean(), "{sum}");
         assert_eq!((sum.manifests, sum.frame_logs), (1, chunks as u64 + 1));
         // Every file once (chunks, the live log, the manifest); the
-        // orphan pass reuses the sweep's decode of the manifest.
+        // manifest's check reuses the bytes read before the sweep.
         assert_eq!(reads.lock().len() as u64, sum.files);
+    }
+
+    /// A chunk the seal vouches for is read for its header alone, unless
+    /// a deep pass decodes it (or a tier compare needs its bytes:
+    /// `each_tier_copy_is_read_once`).
+    #[test]
+    fn a_vouched_chunk_costs_one_read_of_its_header() {
+        let store = be();
+        populate_snap(&store);
+        let (backend, reads) = probe(&store, Duration::ZERO);
+        let chunk_reads = |payloads| {
+            reads.lock().clear();
+            let opts = FsckOptions {
+                payloads,
+                ..opts(1)
+            };
+            assert!(run(&backend, &[CAS_DIR.to_string()], &opts).is_clean());
+            let reads = reads.lock();
+            let chunks = reads.iter().filter(|r| r.0.starts_with(CAS_DIR));
+            chunks.map(|r| (r.1, r.2)).collect::<Vec<_>>()
+        };
+        let chunks = backend.list_dir(CAS_DIR).unwrap().len();
+        let header = (0, FRAME_HEADER_LEN as usize);
+        assert_eq!(chunk_reads(Payloads::Unsealed), vec![header; chunks]);
+        assert_eq!(chunk_reads(Payloads::Skip), vec![header; chunks]);
+        let deep = chunk_reads(Payloads::All);
+        assert_eq!(deep.len(), chunks);
+        assert!(deep.iter().all(|&(off, len)| off == 0 && len > header.1));
     }
 
     #[test]
@@ -1640,7 +1806,7 @@ mod tests {
         let sum = run(&backend, &[log.to_string()], &opts(1));
         assert!(sum.is_clean(), "{sum}");
         assert_eq!(sum.frames, flags.len() as u64);
-        // The orphan pass then reads the manifest this sweep never saw.
+        // The manifest this sweep never visits is read before it.
         let reads = reads.lock().clone();
         assert_eq!(reads.iter().filter(|r| r.0 == log).count(), 1, "{reads:?}");
     }
@@ -1736,20 +1902,72 @@ mod tests {
     fn the_default_pool_keeps_a_slow_stores_reads_in_flight() {
         let store = be();
         populate_cas(&store, 160);
-        let (slow, reads) = probe(&store, Duration::from_millis(2));
+        let (slow, reads, in_flight) = probe_in_flight(&store, Duration::from_millis(2));
         let serial = run(&slow, &["/".to_string()], &opts(1));
         let serial_reads = std::mem::take(&mut *reads.lock()).len();
-        let t0 = Instant::now();
+        assert_eq!(std::mem::take(&mut *in_flight.lock()), (0, 1));
         let sum = run(&slow, &["/".to_string()], &FsckOptions::default());
-        let wall = t0.elapsed();
         assert!(sum.is_clean(), "{sum}");
         assert_eq!((sum.files, sum.frames), (serial.files, serial.frames));
         let seen = reads.lock().len();
         assert!(seen >= 64, "{seen} reads");
         assert_eq!(seen, serial_reads, "the pool changes overlap, not reads");
-        let bound = Duration::from_millis(2) * seen as u32 / 6;
-        println!("fsck: {seen} reads of 2 ms in {wall:?} (bound {bound:?})");
-        assert!(wall < bound, "{wall:?} for {seen} reads of 2 ms");
+        let most = in_flight.lock().1;
+        println!("fsck: {seen} reads of 2 ms, at most {most} in flight");
+        assert!(most >= 6, "at most {most} reads of 2 ms in flight");
+    }
+
+    /// A checker with nothing to take parks; a push wakes it, and so
+    /// does the finish that drains the sweep.
+    #[test]
+    fn a_parked_checker_wakes_on_a_push_and_on_the_final_drain() {
+        let lister = MemBackend::new();
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let (ran, visited) = std::sync::mpsc::channel::<String>();
+        let (held, ran) = (Mutex::new(held), Mutex::new(ran));
+        let late = Duration::from_secs(10);
+        let visit = |path: &str, _: &mut Checker| {
+            if path == "/held" {
+                let _ = held.lock().recv_timeout(late);
+            }
+            ran.lock().send(path.to_string()).unwrap();
+        };
+        let pool = StealPool::new(&lister, visit, 2, 2);
+        // Whether `parked` checkers are parked within ten seconds.
+        let parked = |parked: usize| {
+            let deadline = Instant::now() + late;
+            while pool.jobs.lock().parked != parked {
+                if Instant::now() > deadline {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            true
+        };
+        pool.push(0, vec!["/held".to_string()]);
+        let seen = std::thread::scope(|s| {
+            for worker in 0..2 {
+                let pool = &pool;
+                s.spawn(move || pool.checker(s, worker));
+            }
+            // One checker holds the only job; the other parks.
+            let idle = parked(1);
+            pool.push(0, vec!["/pushed".to_string()]);
+            let pushed = visited.recv_timeout(late);
+            let idle_again = parked(1);
+            release.send(()).unwrap();
+            let drained = parked(0);
+            // Whatever was seen, let a checker left parked see the end.
+            drop(pool.jobs.lock());
+            pool.idle.notify_all();
+            (idle, pushed, idle_again, drained)
+        });
+        let (idle, pushed, idle_again, drained) = seen;
+        assert!(idle && idle_again, "the idle checker never parked");
+        assert_eq!(pushed.as_deref(), Ok("/pushed"), "a push left it parked");
+        assert!(drained, "the final drain left it parked");
+        assert_eq!(pool.jobs.lock().outstanding, 0);
+        assert_eq!(visited.try_iter().collect::<Vec<_>>(), ["/held"]);
     }
 
     /// Reads that cost no wait give another checker nothing to overlap:
@@ -1835,6 +2053,7 @@ mod tests {
             delay: Duration::ZERO,
             slow: Some(("/ckpt/rank3.img".to_string(), Duration::from_millis(200))),
             reads: Arc::clone(&reads),
+            in_flight: InFlight::default(),
         });
         let t0 = Instant::now();
         let sum = run(&held, &["/".to_string()], &FsckOptions::default());
@@ -2173,11 +2392,111 @@ mod tests {
         file.close().unwrap();
         fs.unmount().unwrap();
 
-        // fsck names the same file for the same reason.
-        let sum = run(&backend, &["/".to_string()], &opts(1));
+        // A deep fsck names the same file for the same reason.
+        let deep = FsckOptions {
+            payloads: Payloads::All,
+            ..opts(1)
+        };
+        let sum = run(&backend, &["/".to_string()], &deep);
         assert_eq!(sum.damage.bad_payload_checksum, 1, "{sum}");
         assert_eq!(sum.reports.len(), 1, "{sum}");
         assert_eq!(sum.reports[0].path, victim);
+        // The default pass leaves a sealed chunk's bytes to the seal and
+        // to the restart read above, and says so.
+        let chunks = backend.list_dir(CAS_DIR).unwrap().len() as u64;
+        let sum = run(&backend, &["/".to_string()], &opts(1));
+        assert!(sum.is_clean() && sum.damage.is_clean(), "{sum}");
+        assert_eq!(sum.trusted_payloads, chunks, "{sum}");
+    }
+
+    /// Sets one bit in the middle of `path`'s first payload.
+    fn flip_payload_bit(backend: &Arc<dyn Backend>, path: &str) {
+        let f = backend.open(path, OpenOptions::read_write()).unwrap();
+        let at = FRAME_HEADER_LEN + (f.len().unwrap() - FRAME_HEADER_LEN) / 2;
+        let mut b = [0u8; 1];
+        f.read_at(at, &mut b).unwrap();
+        f.write_at(at, &[b[0] ^ 0x10]).unwrap();
+    }
+
+    #[test]
+    fn only_a_decodable_manifest_vouches_for_a_chunk() {
+        let backend = be();
+        populate_cas(&backend, 8);
+        let chunks: Vec<String> = backend
+            .list_dir(CAS_DIR)
+            .unwrap()
+            .into_iter()
+            .map(|name| format!("{CAS_DIR}/{name}"))
+            .collect();
+        let sweep = |payloads| {
+            let sum = run(
+                &backend,
+                &["/".to_string()],
+                &FsckOptions {
+                    payloads,
+                    ..opts(1)
+                },
+            );
+            (sum.trusted_payloads, sum.damage.bad_payload_checksum)
+        };
+        let n = chunks.len() as u64;
+        // The live log holds REF frames only: every DATA frame is a chunk.
+        assert_eq!(sweep(Payloads::Unsealed), (n, 0));
+        assert_eq!(sweep(Payloads::All), (0, 0));
+        assert_eq!(sweep(Payloads::Skip), (n, 0));
+
+        flip_payload_bit(&backend, &chunks[3]);
+        assert_eq!(sweep(Payloads::Unsealed), (n, 0), "sealed: trusted");
+        assert_eq!(sweep(Payloads::All), (0, 1));
+
+        // A torn seal vouches for nothing: every chunk is decoded again.
+        let f = backend
+            .open(&manifest_path(0), OpenOptions::read_write())
+            .unwrap();
+        f.set_len(f.len().unwrap() - 1).unwrap();
+        drop(f);
+        let sum = run(&backend, &["/".to_string()], &opts(1));
+        assert_eq!(sum.trusted_payloads, 0, "{sum}");
+        assert_eq!(sum.damage.bad_payload_checksum, 1, "{sum}");
+        assert!(sum.reports.iter().any(|r| r.path == chunks[3]), "{sum}");
+    }
+
+    #[test]
+    fn a_chunk_whose_header_disagrees_with_its_record_is_decoded() {
+        let backend = be();
+        populate_cas(&backend, 2);
+        let victim = backend
+            .list_dir(CAS_DIR)
+            .unwrap()
+            .into_iter()
+            .map(|name| format!("{CAS_DIR}/{name}"))
+            .next()
+            .unwrap();
+        // A valid frame under the victim's name, holding other bytes: its
+        // header, not the record, now describes what is stored.
+        let other: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+        let digest = payload_digest(&other);
+        let header = FrameHeader {
+            flags: 0,
+            codec: crate::transform::codec::STORED_RAW,
+            format: FRAME_FORMAT,
+            logical_offset: 0,
+            logical_len: other.len() as u32,
+            stored_len: other.len() as u32,
+            payload_check: digest.check,
+        };
+        let f = backend
+            .open(&victim, OpenOptions::create_truncate())
+            .unwrap();
+        f.write_at(0, &header.encode()).unwrap();
+        f.write_at(FRAME_HEADER_LEN, &other).unwrap();
+        drop(f);
+        let sum = run(&backend, &["/".to_string()], &opts(1));
+        assert_eq!(sum.trusted_payloads, 1, "the other chunk only: {sum}");
+        assert!(
+            sum.damage.is_clean(),
+            "the frame verifies on its own: {sum}"
+        );
     }
 
     #[test]

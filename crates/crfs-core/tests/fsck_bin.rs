@@ -264,6 +264,36 @@ fn snapshot_torn_manifest_repairs_by_unlink() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A flipped payload bit in a sealed content-store chunk: the default
+/// pass leaves it to the seal and counts it as trusted, `--deep`
+/// decodes it and exits 1, `--no-payloads` decodes nothing.
+#[test]
+fn deep_decodes_the_sealed_chunks_the_default_pass_trusts() {
+    let root = temp_root("snap-deep");
+    let snap = populate_snap(&root);
+    let chunks: Vec<PathBuf> = std::fs::read_dir(snap.join("cas"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    let mut bytes = std::fs::read(&chunks[0]).unwrap();
+    let mid = (FRAME_HEADER_LEN as usize + bytes.len()) / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&chunks[0], bytes).unwrap();
+    let trusted = format!("trusted_payloads={}", chunks.len());
+
+    let (code, report) = run_fsck_code(&root, &["--quiet"]);
+    assert_eq!(code, 0, "the seal vouches for the chunk: {report}");
+    assert!(report.contains(&trusted), "{report}");
+    let (code, report) = run_fsck_code(&root, &["--deep", "--quiet"]);
+    assert_eq!(code, 1, "a deep pass decodes it: {report}");
+    assert!(report.contains("trusted_payloads=0"), "{report}");
+    assert!(report.contains("bad_payload_checksum=1"), "{report}");
+    let (code, report) = run_fsck_code(&root, &["--no-payloads", "--quiet"]);
+    assert_eq!(code, 0, "{report}");
+    assert!(report.contains(&trusted), "{report}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Bad invocations (unknown flag, missing directory) are usage errors:
 /// exit 2, distinct from both "clean" and "damage found".
 #[test]

@@ -55,9 +55,19 @@ fn assert_idle(backend: Arc<dyn Backend>, drain_workers: usize) {
     f.close().unwrap();
     fs.advance_epoch().unwrap();
 
-    let (threads, before) = crfs_thread_switches();
+    // A thread names itself when it first runs: wait, boundedly, for
+    // the issue workers, the reaper and the drain workers to have run.
+    let named = fs.config().io_threads + drain_workers + 1;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (threads, before) = loop {
+        let (threads, switches) = crfs_thread_switches();
+        if threads >= named || Instant::now() > deadline {
+            break (threads, switches);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
     assert!(
-        threads > fs.config().io_threads + drain_workers,
+        threads >= named,
         "found {threads} crfs-* threads; the engine's issue workers and reaper \
          and the tier's drain workers should be named so"
     );

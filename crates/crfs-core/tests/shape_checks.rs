@@ -208,6 +208,80 @@ fn human_render_elides_idle_sections() {
     assert!(!text.contains("stage latency"), "stage table on idle mount");
 }
 
+/// Every `pub name: u64` count declared on `FsckSummary`.
+fn fsck_summary_counts() -> Vec<String> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/fsck.rs");
+    let src = std::fs::read_to_string(path).expect("read src/fsck.rs");
+    let start = src
+        .find("pub struct FsckSummary {")
+        .expect("FsckSummary struct not found in src/fsck.rs");
+    let names: Vec<String> = src[start..]
+        .lines()
+        .take_while(|line| line.trim() != "}")
+        .filter_map(|line| line.trim().strip_prefix("pub ")?.strip_suffix(": u64,"))
+        .map(str::to_string)
+        .collect();
+    assert!(names.len() >= 7, "scraped {names:?}: parser out of sync");
+    names
+}
+
+/// The line of `FsckSummary`'s `Display` that carries each count.
+fn fsck_witness(name: &str) -> &'static str {
+    match name {
+        "files" => "checked",
+        "raw_files" => "raw (",
+        "frame_logs" => "frame logs",
+        "manifests" => "manifests",
+        "frames" => "frames walked",
+        "trusted_payloads" => "payloads trusted",
+        "repaired_files" => "files repaired",
+        other => panic!("FsckSummary::{other} has no Display witness — add it to the human render"),
+    }
+}
+
+/// Every count of an fsck sweep reaches its JSON and its human render,
+/// the damage line included: a sweep that trusted sealed payloads says
+/// so in both.
+#[test]
+fn fsck_summary_reports_every_count() {
+    use crfs_core::backend::OpenOptions;
+    use crfs_core::fsck::{self, FsckOptions};
+    use crfs_core::CodecKind;
+    let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
+    let config = CrfsConfig::default()
+        .with_chunk_size(4096)
+        .with_pool_size(64 << 10)
+        .with_codec(CodecKind::Lz)
+        .with_dedup(true)
+        .with_snapshots(true);
+    let fs = Crfs::mount(Arc::clone(&backend), config).unwrap();
+    let f = fs.create("/ckpt").unwrap();
+    f.write(&(0..5 * 4096).map(|i| (i / 64) as u8).collect::<Vec<_>>())
+        .unwrap();
+    f.close().unwrap();
+    fs.advance_epoch().unwrap();
+    fs.unmount().unwrap();
+    // A torn live log, so the damage line renders too.
+    let log = backend.open("/ckpt", OpenOptions::read_write()).unwrap();
+    log.set_len(log.len().unwrap() - 7).unwrap();
+    drop(log);
+
+    let sum = fsck::run(&backend, &["/".to_string()], &FsckOptions::default());
+    assert!(
+        sum.trusted_payloads > 0 && sum.damage.torn_tails == 1,
+        "{sum}"
+    );
+    let (json, text) = (sum.to_value(), sum.to_string());
+    for name in fsck_summary_counts() {
+        assert!(json.get(&name).is_some(), "JSON lost FsckSummary::{name}");
+        let witness = fsck_witness(&name);
+        assert!(
+            text.contains(witness),
+            "Display lost FsckSummary::{name} (expected {witness:?}):\n{text}"
+        );
+    }
+}
+
 /// The paper's data path copies each byte once — user buffer → pool
 /// chunk — and the chunk is the IO buffer. On a raw mount `bytes_copied`
 /// says so exactly, whatever the write sizes and whichever backend.

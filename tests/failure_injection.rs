@@ -302,7 +302,7 @@ fn corrupted_chunks_are_detected_not_returned() {
 /// content-store chunk file, and a log whose REF frame points at it.
 #[test]
 fn pre_digest_store_reads_as_integrity_error_never_as_bytes() {
-    use crfs::core::fsck::{self, FsckOptions};
+    use crfs::core::fsck::{self, FsckOptions, Payloads};
     use crfs::core::snapshot::CAS_DIR;
     use crfs::core::transform::codec::STORED_RAW;
     use crfs::core::transform::frame::{fnv1a64, FrameHeader, FLAG_REF, FRAME_FORMAT};
@@ -385,21 +385,21 @@ fn pre_digest_store_reads_as_integrity_error_never_as_bytes() {
 
     // fsck names all four files, with or without payload verification:
     // the format is in the header.
-    for verify_payloads in [true, false] {
+    for payloads in [Payloads::All, Payloads::Skip] {
         let sum = fsck::run(
             &be,
             &["/".to_string()],
             &FsckOptions {
-                verify_payloads,
+                payloads,
                 ..FsckOptions::default()
             },
         );
         let pre_digest = 3; // old.log, old-ref.log, the CAS file
-        let relabelled = u64::from(verify_payloads);
+        let relabelled = u64::from(payloads == Payloads::All);
         assert_eq!(
             sum.damage.bad_payload_checksum,
             pre_digest + relabelled,
-            "verify_payloads={verify_payloads}: {:?}",
+            "{payloads:?}: {:?}",
             sum.reports
         );
         assert_eq!(sum.damage.torn_tails + sum.damage.bad_header_crc, 0);

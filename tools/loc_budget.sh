@@ -76,6 +76,19 @@
 # `read_demand` / `read_window_max` in `stats.rs` +16,
 # `resolved_read_window_max` and the config docs +12, the async-fill
 # mark in `start_fill` +3, the adoption sync and its doc +4.
+# 41,800 -> 42,500 with the seal as fsck's trust boundary: 41,728 ->
+# 42,427, +699 lines, 570 of them tests — the content-store crash cuts
+# and the sealed / unsealed bit-flip classes (`tests/crash_cuts.rs`
+# +254), the trust, header-only-read, pool-wake and header-mismatch
+# checks with the probe's in-flight count (`fsck.rs` tests +202), the
+# `FsckSummary` shape check (+74), `crfs-fsck --deep` (+30) and the
+# bounded thread census (+10). Product lines +129: `fsck.rs` +117 (the
+# "Trust" docs, `Payloads`, `trusted_payloads` in JSON and Display,
+# the manifests read before the sweep and reused by its checks, the
+# vouched-for header and the header-only window, the pool's `Jobs`
+# counts under the mutex its condvar waits on), net of the per-manifest
+# key lists and the orphan pass's own manifest reads they replace;
+# `crfs-fsck` +12 (`--deep`, usage, `trusted_payloads=`).
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -84,7 +97,7 @@
 # adds it.
 set -eu
 
-CEILING=41800
+CEILING=42500
 UNSAFE_CEILING=0
 
 cd "$(dirname "$0")/.."
