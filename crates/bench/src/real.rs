@@ -132,7 +132,8 @@ pub struct CompressPoint {
     pub mibs: f64,
     /// Logical chunk bytes entering the transform stage.
     pub bytes_logical: u64,
-    /// Frame bytes the backend received.
+    /// Frame bytes the backend received: user-log frames plus
+    /// content-store chunk files.
     pub bytes_stored: u64,
     /// `bytes_logical / bytes_stored`.
     pub ratio: f64,
@@ -283,8 +284,10 @@ pub fn compress_cell(
     };
 
     let logical = EPOCHS as u64 * images as u64 * chunks_per_file * chunk as u64;
+    // Everything the store holds: the user logs' frames plus, on dedup
+    // mounts, the content-store chunk files those logs reference.
     let stored = if write_snap.bytes_stored > 0 {
-        write_snap.bytes_stored
+        write_snap.bytes_stored + write_snap.snapshot_bytes
     } else {
         write_snap.bytes_out // identity-of-the-identity: raw mounts
     };
@@ -531,8 +534,11 @@ pub struct FsckSweepPoint {
     pub frames: u64,
     /// Checker threads.
     pub threads: usize,
-    /// Median wall-clock seconds of three runs.
+    /// Median wall-clock seconds of [`FSCK_ROUNDS`] runs.
     pub secs: f64,
+    /// Median over the rounds of the 1-thread scan's seconds over this
+    /// cell's, each pair run back to back in the same round.
+    pub speedup: f64,
     /// Torn tails the sweep found (must equal the tears injected).
     pub torn_found: u64,
 }
@@ -603,6 +609,10 @@ pub fn fsck_thread_sweep(quick: bool) -> Vec<FsckSweepPoint> {
         &[("small", 8, 4), ("large", 32, 12)]
     };
     let threads: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
 
     let mut out = Vec::new();
     for &(profile, files, chunks_per_file) in profiles {
@@ -610,39 +620,53 @@ pub fn fsck_thread_sweep(quick: bool) -> Vec<FsckSweepPoint> {
         let stored_bytes: u64 = (0..files)
             .map(|f| backend.file_len(&format!("/ckpt/rank{f}.img")).unwrap())
             .sum();
-        for &t in threads {
-            // Median of three runs, same rationale as the other sweeps.
-            let mut runs: Vec<(f64, crfs_core::fsck::FsckSummary)> = (0..3)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let sum = crfs_core::fsck::run(
-                        &backend,
-                        &["/ckpt".to_string()],
-                        &crfs_core::fsck::FsckOptions {
-                            repair: false,
-                            threads: t,
-                            payloads: crfs_core::fsck::Payloads::All,
-                        },
-                    );
-                    (t0.elapsed().as_secs_f64(), sum)
-                })
-                .collect();
-            runs.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let (secs, sum) = runs.remove(1);
-            assert_eq!(sum.damage.torn_tails, torn, "sweep must find every tear");
+        // A quick scan takes a millisecond or two, so one scheduling
+        // hiccup flips any single comparison. Every round runs each
+        // thread count once, back to back, in alternating order; a
+        // cell reports its median time and the median of its per-round
+        // ratios against the serial scan, as `exp obs` pairs its arms.
+        let mut secs = vec![Vec::new(); threads.len()];
+        let mut frames = 0;
+        for round in 0..FSCK_ROUNDS {
+            let mut order: Vec<usize> = (0..threads.len()).collect();
+            if round % 2 == 1 {
+                order.reverse();
+            }
+            for i in order {
+                let t0 = Instant::now();
+                let sum = crfs_core::fsck::run(
+                    &backend,
+                    &["/ckpt".to_string()],
+                    &crfs_core::fsck::FsckOptions {
+                        repair: false,
+                        threads: threads[i],
+                        payloads: crfs_core::fsck::Payloads::All,
+                    },
+                );
+                secs[i].push(t0.elapsed().as_secs_f64());
+                assert_eq!(sum.damage.torn_tails, torn, "sweep must find every tear");
+                frames = sum.frames;
+            }
+        }
+        for (i, &t) in threads.iter().enumerate() {
+            let ratios = secs[0].iter().zip(&secs[i]).map(|(s, p)| s / p.max(1e-9));
             out.push(FsckSweepPoint {
                 profile,
                 files,
                 stored_bytes,
-                frames: sum.frames,
+                frames,
                 threads: t,
-                secs,
-                torn_found: sum.damage.torn_tails,
+                secs: median(secs[i].clone()),
+                speedup: median(ratios.collect()),
+                torn_found: torn,
             });
         }
     }
     out
 }
+
+/// Rounds of the `exp fsck` sweep: each runs every thread count once.
+pub const FSCK_ROUNDS: usize = 9;
 
 // ---------------------------------------------------------------------
 // observability overhead sweep (extension; emits BENCH_obs.json)

@@ -226,7 +226,6 @@ fn demo() -> Result<(String, String), crfs_core::CrfsError> {
         .with_pool_size(64 * 16 * 1024)
         .with_codec(CodecKind::Rle)
         .with_dedup(true)
-        .with_snapshots(true)
         .with_read_ahead(2);
     let fs = Crfs::mount(Arc::new(MemBackend::new()), config)?;
     fs.mkdir_all("/ckpt")?;

@@ -56,16 +56,20 @@ pub struct CrfsConfig {
     /// per-chunk integrity checksums; `Identity` frames without
     /// compressing (the baseline isolating framing overhead).
     pub codec: CodecKind,
-    /// Content-addressed chunk dedup (requires a codec, i.e. the framed
-    /// layout): chunks whose bytes were already stored this mount emit
-    /// a tiny reference record instead of their payload.
-    pub dedup: bool,
-    /// Versioned snapshot store (requires dedup): chunk payloads land
-    /// once in a content-addressed store, every `advance_epoch` seals a
-    /// durable manifest restartable via
+    /// Content-addressed chunk dedup through the versioned snapshot
+    /// store (requires a codec, i.e. the framed layout). Every chunk
+    /// payload lands once, in its own file of the content store, and
+    /// user files hold only tiny reference records into it; every
+    /// `advance_epoch` seals a durable manifest restartable via
     /// [`Crfs::open_restart`](crate::Crfs::open_restart), and
-    /// [`Crfs::snapshot_gc`](crate::Crfs::snapshot_gc) reclaims unreferenced chunks. See
-    /// [`crate::snapshot`].
+    /// [`Crfs::snapshot_gc`](crate::Crfs::snapshot_gc) reclaims
+    /// unreferenced chunks. See [`crate::snapshot`].
+    pub dedup: bool,
+    /// A mirror of [`dedup`](Self::dedup) that no mount reads: both
+    /// builders set the pair, and [`validate`](Self::validate) rejects
+    /// a config where the two differ. Kept for
+    /// `benchmark/src/workload.rs`; goes with the next change to the
+    /// benchmark.
     pub snapshots: bool,
     /// How many sealed epochs the snapshot store retains (older
     /// manifests are retired at each seal; their exclusive chunks
@@ -167,16 +171,19 @@ impl CrfsConfig {
         self
     }
 
-    /// Convenience builder: toggles content-addressed chunk dedup.
+    /// Convenience builder: toggles content-addressed chunk dedup (and
+    /// with it the versioned snapshot store).
     pub fn with_dedup(mut self, on: bool) -> Self {
         self.dedup = on;
+        self.snapshots = on;
         self
     }
 
-    /// Convenience builder: toggles the versioned snapshot store.
-    pub fn with_snapshots(mut self, on: bool) -> Self {
-        self.snapshots = on;
-        self
+    /// The same as [`with_dedup`](Self::with_dedup). Kept for
+    /// `benchmark/src/workload.rs`; goes with the next change to the
+    /// benchmark.
+    pub fn with_snapshots(self, on: bool) -> Self {
+        self.with_dedup(on)
     }
 
     /// Convenience builder: sets the snapshot-manifest retention window.
@@ -287,14 +294,14 @@ impl CrfsConfig {
                 "dedup requires the framed layout: set codec to identity, rle or lz".into(),
             ));
         }
-        if self.snapshots && !self.dedup {
+        if self.snapshots != self.dedup {
             return Err(CrfsError::Config(
-                "snapshots require dedup (the content-addressed store is keyed by \
-                 the dedup index's chunk hashes): enable dedup and a codec"
+                "snapshots mirrors dedup (dedup always goes through the snapshot \
+                 store): set both with with_dedup"
                     .into(),
             ));
         }
-        if self.snapshots && self.snapshot_keep_epochs == 0 {
+        if self.dedup && self.snapshot_keep_epochs == 0 {
             return Err(CrfsError::Config(
                 "snapshot_keep_epochs must be at least 1".into(),
             ));
@@ -435,21 +442,30 @@ mod tests {
         let c = CrfsConfig::default();
         assert!(!c.snapshots);
         assert_eq!(c.snapshot_keep_epochs, 4);
-        let c = c
-            .with_codec(CodecKind::Lz)
-            .with_dedup(true)
-            .with_snapshots(true);
-        c.validate().unwrap();
-        // Snapshots without dedup (and hence without a codec) are rejected.
+        // Either builder sets the pair; the two valid combinations are
+        // both off and both on.
+        let lz = c.with_codec(CodecKind::Lz);
+        for on in [false, true] {
+            for c in [lz.clone().with_dedup(on), lz.clone().with_snapshots(on)] {
+                assert_eq!((c.dedup, c.snapshots), (on, on));
+                c.validate().unwrap();
+            }
+        }
+        // A struct literal where the two differ is rejected.
+        for dedup in [false, true] {
+            let c = CrfsConfig {
+                dedup,
+                snapshots: !dedup,
+                ..lz.clone()
+            };
+            assert!(c.validate().is_err(), "dedup {dedup}");
+        }
+        // Without a codec neither builder validates.
         assert!(CrfsConfig::default()
             .with_snapshots(true)
             .validate()
             .is_err());
-        assert!(CrfsConfig::default()
-            .with_codec(CodecKind::Lz)
-            .with_snapshots(true)
-            .validate()
-            .is_err());
+        let c = lz.with_dedup(true);
         assert!(c.with_snapshot_keep_epochs(0).validate().is_err());
     }
 

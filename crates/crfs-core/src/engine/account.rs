@@ -7,9 +7,9 @@
 //!
 //! [`ChunkAccounting`] is that state machine as a pure, synchronization-
 //! free value, which the discrete-event simulator (`cluster-sim`) wraps
-//! in a `RefCell` + `WaitGroup`. The threaded filesystem keeps the same
-//! two counters as atomics on [`FileEntry`](crate::file::FileEntry), with
-//! this module's [`StoredError`] as the sticky error.
+//! in a `RefCell` + `WaitGroup`, and each threaded
+//! [`FileEntry`](crate::file::FileEntry) keeps under the mutex its
+//! close/fsync barrier waits on.
 
 use std::io;
 

@@ -6,48 +6,27 @@
 //! "complete chunk count" (chunks the IO threads finished). `close()` and
 //! `fsync()` block until the counters match.
 //!
-//! The ledger counts without a lock: seal and complete are atomic
-//! increments, and the sticky error takes a `Mutex` only on the rare
-//! async-error path. The simulator runs the same two-counter rule as the
-//! pure [`ChunkAccounting`](crate::engine::account::ChunkAccounting)
-//! value.
-//!
-//! ## Parking
-//!
-//! A barrier waiter parks behind a gate mutex, since the counters it
-//! waits on are lock-free. A completer bumps `completed` first,
-//! then takes and drops the gate and notifies, **unconditionally**; a
-//! waiter re-checks quiescence *under the gate* and only then waits.
-//! Either the completer's pass through the gate comes first, so its
-//! increment happens-before the check, which sees it; or the waiter
-//! holds the gate, the completer's lock blocks until the wait releases
-//! it, and the notify finds the waiter parked. No wait is timed, and no
-//! waiter count gates the notify: read outside the gate it would reopen
-//! the race (each side could miss the other's store). The cost is one
-//! uncontended lock and one notify per completed chunk.
+//! The ledger is the pure [`ChunkAccounting`] value the simulator runs,
+//! plus a count of parked barrier waiters, both under the mutex the
+//! barrier's condvar waits on. A completion notifies only when a waiter
+//! is parked and the barrier may pass.
 
 use parking_lot::{Condvar, Mutex};
 use std::io;
-use std::sync::atomic::{
-    AtomicU64, AtomicUsize,
-    Ordering::{Acquire, Relaxed, Release},
-};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::backend::BackendFile;
 use crate::chunking::ChunkState;
-use crate::engine::account::StoredError;
+use crate::engine::account::ChunkAccounting;
 
-/// Per-file seal/complete ledger with a blocking barrier on top:
-/// lock-free counting, a gate to park/wake barrier waiters (see the
-/// module docs, "Parking") and a lock to record the sticky first error.
+/// Per-file seal/complete ledger with a blocking barrier on top: the
+/// accounting and the number of parked barrier waiters, under the
+/// mutex `cv` waits on.
 #[derive(Default)]
 struct Ledger {
-    sealed: AtomicU64,
-    completed: AtomicU64,
-    error: Mutex<Option<StoredError>>,
-    gate: Mutex<()>,
+    state: Mutex<(ChunkAccounting, usize)>,
     cv: Condvar,
 }
 
@@ -163,60 +142,36 @@ impl FileEntry {
 
     /// Registers a chunk as enqueued (bumps the write chunk count).
     pub fn note_sealed(&self) {
-        self.ledger.sealed.fetch_add(1, Relaxed);
+        self.ledger.state.lock().0.note_sealed();
     }
 
     /// Registers a chunk as finished by an IO worker, recording the first
-    /// error if the backend write failed, and wakes barrier waiters.
+    /// error if the backend write failed, and wakes a parked barrier
+    /// waiter once nothing is outstanding.
     pub fn note_completed(&self, result: io::Result<()>) {
-        let l = &self.ledger;
-        if let Err(e) = result {
-            let mut err = l.error.lock();
-            if err.is_none() {
-                *err = Some(StoredError::capture(&e));
-            }
+        let mut g = self.ledger.state.lock();
+        g.0.note_completed(result);
+        let wake = g.1 > 0 && g.0.is_quiescent();
+        drop(g);
+        if wake {
+            self.ledger.cv.notify_all();
         }
-        l.completed.fetch_add(1, Release);
-        // Pass the gate so a waiter's check is either after the
-        // increment or already parked.
-        drop(l.gate.lock());
-        l.cv.notify_all();
-    }
-
-    /// Whether every sealed chunk has completed.
-    fn quiescent(&self) -> bool {
-        // Read `sealed` first: completion only grows, so completed >=
-        // sealed-at-read-time means every chunk sealed before the check
-        // is done (later seals are concurrent with the barrier).
-        let s = self.ledger.sealed.load(Acquire);
-        self.ledger.completed.load(Acquire) >= s
     }
 
     /// Blocks until every sealed chunk has completed, then reports the
     /// sticky asynchronous error, if any. Returns the time spent blocked.
     pub fn wait_outstanding(&self) -> (Duration, Option<io::Error>) {
-        if self.quiescent() {
-            return (Duration::ZERO, self.async_error());
+        let mut g = self.ledger.state.lock();
+        if g.0.is_quiescent() {
+            return (Duration::ZERO, g.0.error());
         }
-        let l = &self.ledger;
         let t0 = Instant::now();
-        let mut g = l.gate.lock();
-        while !self.quiescent() {
-            l.cv.wait(&mut g);
+        g.1 += 1;
+        while !g.0.is_quiescent() {
+            self.ledger.cv.wait(&mut g);
         }
-        drop(g);
-        (t0.elapsed(), self.async_error())
-    }
-
-    /// Chunks currently in flight (sealed but not completed).
-    pub fn outstanding(&self) -> u64 {
-        let s = self.ledger.sealed.load(Acquire);
-        s.saturating_sub(self.ledger.completed.load(Acquire))
-    }
-
-    /// The sticky asynchronous error, if one occurred.
-    pub fn async_error(&self) -> Option<io::Error> {
-        self.ledger.error.lock().as_ref().map(StoredError::to_io)
+        g.1 -= 1;
+        (t0.elapsed(), g.0.error())
     }
 
     /// Logical file length: the larger of the stored length (frame map
@@ -233,12 +188,13 @@ impl FileEntry {
 
 impl std::fmt::Debug for FileEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let g = self.ledger.state.lock();
         f.debug_struct("FileEntry")
             .field("path", &self.path)
             .field("refcount", &self.refcount.load(Relaxed))
-            .field("sealed", &self.ledger.sealed.load(Relaxed))
-            .field("completed", &self.ledger.completed.load(Relaxed))
-            .field("has_error", &self.async_error().is_some())
+            .field("sealed", &g.0.sealed())
+            .field("completed", &g.0.completed())
+            .field("has_error", &g.0.error().is_some())
             .finish()
     }
 }
@@ -260,7 +216,7 @@ mod tests {
         let e = entry();
         e.note_sealed();
         e.note_sealed();
-        assert_eq!(e.outstanding(), 2);
+        assert_eq!(e.ledger.state.lock().0.outstanding(), 2);
 
         let e2 = Arc::clone(&e);
         let h = std::thread::spawn(move || {
@@ -273,7 +229,7 @@ mod tests {
         h.join().unwrap();
         assert!(err.is_none());
         assert!(waited >= Duration::from_millis(20));
-        assert_eq!(e.outstanding(), 0);
+        assert_eq!(e.ledger.state.lock().0.outstanding(), 0);
     }
 
     #[test]
@@ -286,7 +242,15 @@ mod tests {
         let (_, err) = e.wait_outstanding();
         assert!(err.unwrap().to_string().contains("first"));
         // Still reported on the next barrier.
-        assert!(e.async_error().unwrap().to_string().contains("first"));
+        assert!(e
+            .ledger
+            .state
+            .lock()
+            .0
+            .error()
+            .unwrap()
+            .to_string()
+            .contains("first"));
     }
 
     #[test]
@@ -321,10 +285,49 @@ mod tests {
         }
         let (_, err) = e.wait_outstanding();
         assert!(err.is_none());
-        assert_eq!(e.outstanding(), 0);
+        assert_eq!(e.ledger.state.lock().0.outstanding(), 0);
         for h in workers {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn a_parked_barrier_waiter_wakes_on_the_balancing_completion() {
+        let e = entry();
+        e.note_sealed();
+        e.note_sealed();
+        let late = Duration::from_secs(10);
+        // Whether `parked` waiters are parked within ten seconds.
+        let parked = |parked: usize| {
+            let deadline = Instant::now() + late;
+            while e.ledger.state.lock().1 != parked {
+                if Instant::now() > deadline {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            true
+        };
+        let (done, passed) = std::sync::mpsc::channel();
+        let seen = std::thread::scope(|s| {
+            s.spawn(|| done.send(e.wait_outstanding().1.is_none()).unwrap());
+            let idle = parked(1);
+            // Not the balancing one: the waiter stays parked.
+            e.note_completed(Ok(()));
+            let early = passed.recv_timeout(Duration::from_millis(50)).is_ok();
+            let idle_again = parked(1);
+            e.note_completed(Ok(()));
+            let woke = passed.recv_timeout(late);
+            // Whatever was seen, let a waiter left parked see the end.
+            drop(e.ledger.state.lock());
+            e.ledger.cv.notify_all();
+            (idle, early, idle_again, woke)
+        });
+        let (idle, early, idle_again, woke) = seen;
+        assert!(idle && idle_again, "the waiter never parked");
+        assert!(!early, "the barrier passed with a chunk outstanding");
+        assert_eq!(woke, Ok(true), "the balancing completion left it parked");
+        assert_eq!(e.ledger.state.lock().1, 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::file::{CurrentChunk, FileEntry};
 use crate::obs::EventKind;
 use crate::pool::BufferPool;
 use crate::prefetch::{Consume, ReadState};
-use crate::snapshot::{synthesize_log, GcReport, SnapshotLogFile, SnapshotStore};
+use crate::snapshot::{synthesize_log, GcReport, SnapshotLogFile, SnapshotStore, SNAP_DIR};
 use crate::stats::{CrfsStats, StatsSnapshot};
 use crate::transform::{self, FileTransform, TransformCtx};
 
@@ -192,19 +192,18 @@ impl Crfs {
     }
 
     /// Advances the mount's checkpoint epoch — call between checkpoint
-    /// rounds. On snapshot mounts this first flushes every open file
-    /// (so each staged chunk's frame is durable) and then seals the
-    /// epoch's manifest, making the checkpoint restartable via
-    /// [`open_restart`](Self::open_restart); with or without snapshots
-    /// the dedup index then evicts entries whose content stopped
-    /// recurring (see [`crate::transform::DedupIndex`]). Returns the
-    /// number of dedup entries evicted; a no-op (0) on mounts without
-    /// dedup.
+    /// rounds. On dedup mounts this first flushes every open file (so
+    /// each staged chunk's frame is durable), then seals the epoch's
+    /// manifest, making the checkpoint restartable via
+    /// [`open_restart`](Self::open_restart), and lets the dedup index
+    /// evict entries whose content stopped recurring (see
+    /// [`crate::transform::DedupIndex`]). Returns the number of dedup
+    /// entries evicted; a no-op (0) on mounts without dedup.
     pub fn advance_epoch(&self) -> Result<usize> {
         self.check_mounted()?;
         let evicted = match self.shared.transform.as_ref() {
             Some(ctx) => {
-                if ctx.snapshots().is_some() {
+                if ctx.cas().is_some() {
                     for e in self.shared.table.entries() {
                         self.flush_entry(&e)?;
                     }
@@ -224,29 +223,24 @@ impl Crfs {
 
     /// Runs one snapshot mark-and-sweep GC pass, reclaiming
     /// content-store chunks no retained manifest (and no in-flight or
-    /// staged write) reaches. A no-op report on mounts without
-    /// snapshots. See [`SnapshotStore::gc`] for the safety contract.
+    /// staged write) reaches. A no-op report on mounts without dedup.
+    /// See [`SnapshotStore::gc`] for the safety contract.
     pub fn snapshot_gc(&self) -> Result<GcReport> {
         self.check_mounted()?;
-        let Some(snap) = self.snapshot_store() else {
-            return Ok(GcReport::default());
-        };
-        let ctx = self
-            .shared
-            .transform
-            .as_ref()
-            .expect("snapshots imply transform");
-        snap.gc(ctx.dedup()).map_err(CrfsError::Io)
+        match self.snapshot_store() {
+            Some(snap) => snap.gc().map_err(CrfsError::Io),
+            None => Ok(GcReport::default()),
+        }
     }
 
     /// The retained snapshot epochs, oldest first; empty on mounts
-    /// without snapshots.
+    /// without dedup.
     pub fn snapshot_epochs(&self) -> Vec<u64> {
         self.snapshot_store().map_or_else(Vec::new, |s| s.epochs())
     }
 
     fn snapshot_store(&self) -> Option<&Arc<SnapshotStore>> {
-        self.shared.transform.as_ref().and_then(|c| c.snapshots())
+        self.shared.transform.as_ref().and_then(|c| c.cas())
     }
 
     /// The mount's transform context, when a codec is configured.
@@ -301,7 +295,12 @@ impl Crfs {
     pub fn open_with(self: &Arc<Self>, path: &str, opts: OpenOptions) -> Result<CrfsFile> {
         self.check_mounted()?;
         // Intern the path once; table key and entry share the Arc.
-        let path: Arc<str> = normalize_path(path).map_err(CrfsError::Io)?.into();
+        let path: Arc<str> = if opts.create || opts.truncate {
+            user_path(path)?
+        } else {
+            normalize_path(path).map_err(CrfsError::Io)?
+        }
+        .into();
         loop {
             let shard = self.shared.table.lock_shard(&path);
             if let Some(entry) = shard.get(&*path) {
@@ -342,10 +341,7 @@ impl Crfs {
             let file_transform = match &self.shared.transform {
                 Some(ctx) => {
                     if opts.truncate {
-                        // Any previous content (and dedup entries
-                        // pointing at it) is gone.
-                        ctx.invalidate_path(&path);
-                        if let Some(snap) = ctx.snapshots() {
+                        if let Some(snap) = ctx.cas() {
                             snap.note_reset(&path);
                         }
                         Some(Arc::new(FileTransform::fresh(Arc::clone(ctx))))
@@ -419,14 +415,14 @@ impl Crfs {
         let p = normalize_path(path).map_err(CrfsError::Io)?;
         let Some(snap) = self.snapshot_store().map(Arc::clone) else {
             return Err(CrfsError::Config(
-                "open_restart requires snapshots (enable codec + dedup + snapshots)".into(),
+                "open_restart requires snapshots (enable a codec and dedup)".into(),
             ));
         };
         let ctx = Arc::clone(
             self.shared
                 .transform
                 .as_ref()
-                .expect("snapshots imply transform"),
+                .expect("a content store implies a transform"),
         );
         // Restart views share through the open-file table like live
         // files, but under an epoch-qualified key (the NUL separator
@@ -509,9 +505,7 @@ impl Crfs {
 
     /// Applies `set_len` to an entry's backend state: framed entries go
     /// through the transform's truncation (persistent marker frames,
-    /// frame-map clamp), raw entries straight to the backend. Any
-    /// truncation also drops dedup-index entries pointing into the file
-    /// — their bytes may no longer exist.
+    /// frame-map clamp), raw entries straight to the backend.
     fn entry_set_len(&self, entry: &Arc<FileEntry>, len: u64) -> Result<()> {
         if let Some(epoch) = entry.snapshot_epoch {
             return Err(CrfsError::ReadOnlySnapshot {
@@ -519,16 +513,13 @@ impl Crfs {
                 epoch,
             });
         }
+        outside_store(&entry.path)?;
         match &entry.transform {
             Some(t) => t
                 .truncate(&entry.path, &*entry.file, len)
-                .map_err(CrfsError::Io)?,
-            None => entry.file.set_len(len).map_err(CrfsError::Io)?,
+                .map_err(CrfsError::Io),
+            None => entry.file.set_len(len).map_err(CrfsError::Io),
         }
-        if let Some(ctx) = &self.shared.transform {
-            ctx.invalidate_path(&entry.path);
-        }
-        Ok(())
     }
 
     /// Classifies a backend read failure: detected integrity violations
@@ -1049,14 +1040,14 @@ impl Crfs {
     /// Creates a directory (parent must exist).
     pub fn mkdir(&self, path: &str) -> Result<()> {
         self.check_mounted()?;
-        let p = normalize_path(path).map_err(CrfsError::Io)?;
+        let p = user_path(path)?;
         self.shared.backend.mkdir(&p).map_err(|e| annotate(e, &p))
     }
 
     /// Creates a directory and all missing parents.
     pub fn mkdir_all(&self, path: &str) -> Result<()> {
         self.check_mounted()?;
-        let p = normalize_path(path).map_err(CrfsError::Io)?;
+        let p = user_path(path)?;
         if p == "/" {
             return Ok(());
         }
@@ -1077,33 +1068,23 @@ impl Crfs {
     /// Removes an empty directory.
     pub fn rmdir(&self, path: &str) -> Result<()> {
         self.check_mounted()?;
-        let p = normalize_path(path).map_err(CrfsError::Io)?;
+        let p = user_path(path)?;
         self.shared.backend.rmdir(&p).map_err(|e| annotate(e, &p))
     }
 
     /// Removes a file. An open file keeps working on its existing handle
     /// (Unix unlink semantics, to the extent the backend supports it).
-    ///
-    /// **Dedup caveat**: on a dedup-enabled mount, other files may hold
-    /// persisted *reference records* pointing into this file (they
-    /// stored references instead of payloads when their content matched
-    /// it). Unlinking the origin makes those chunks unreadable — reads
-    /// detect it and fail with [`CrfsError::IntegrityError`] rather
-    /// than returning wrong bytes, but the data is gone. Retire
-    /// checkpoint files newest-first or as whole epoch trees (the
-    /// normal checkpoint GC discipline); see [`crate::transform::dedup`].
+    /// No other file depends on it: dedup references only ever point
+    /// into the content store, which user calls cannot modify.
     pub fn unlink(&self, path: &str) -> Result<()> {
         self.check_mounted()?;
-        let p = normalize_path(path).map_err(CrfsError::Io)?;
+        let p = user_path(path)?;
         self.shared
             .backend
             .unlink(&p)
             .map_err(|e| annotate(e, &p))?;
-        if let Some(ctx) = &self.shared.transform {
-            ctx.invalidate_path(&p);
-            if let Some(snap) = ctx.snapshots() {
-                snap.note_unlink(&p);
-            }
+        if let Some(snap) = self.snapshot_store() {
+            snap.note_unlink(&p);
         }
         Ok(())
     }
@@ -1112,8 +1093,8 @@ impl Crfs {
     /// flushed first so no chunk lands at a stale path.
     pub fn rename(&self, from: &str, to: &str) -> Result<()> {
         self.check_mounted()?;
-        let from = normalize_path(from).map_err(CrfsError::Io)?;
-        let to = normalize_path(to).map_err(CrfsError::Io)?;
+        let from = user_path(from)?;
+        let to = user_path(to)?;
         let under = format!("{from}/");
         let open_under: Vec<Arc<FileEntry>> = self
             .shared
@@ -1132,18 +1113,8 @@ impl Crfs {
             .backend
             .rename(&from, &to)
             .map_err(|e| annotate(e, &from))?;
-        // Dedup entries keyed by the old path would plant references to
-        // a name that no longer resolves; drop them (conservative —
-        // the bytes themselves are fine under the new name). The
-        // *destination* must be invalidated too: a replaced file's
-        // entries would otherwise describe offsets inside the new
-        // bytes, and a later hit would plant a reference to garbage.
-        if let Some(ctx) = &self.shared.transform {
-            ctx.invalidate_path(&from);
-            ctx.invalidate_path(&to);
-            if let Some(snap) = ctx.snapshots() {
-                snap.note_rename(&from, &to);
-            }
+        if let Some(snap) = self.snapshot_store() {
+            snap.note_rename(&from, &to);
         }
         Ok(())
     }
@@ -1154,7 +1125,7 @@ impl Crfs {
     /// afterwards).
     pub fn truncate(self: &Arc<Self>, path: &str, len: u64) -> Result<()> {
         self.check_mounted()?;
-        let p = normalize_path(path).map_err(CrfsError::Io)?;
+        let p = user_path(path)?;
         let open_entry = self.shared.table.get(&p);
         match open_entry {
             Some(entry) => {
@@ -1298,6 +1269,29 @@ impl std::fmt::Debug for Crfs {
             .field("unmounted", &self.unmounted.load(Relaxed))
             .finish()
     }
+}
+
+/// Refuses a user call that would create, truncate, rename, unlink or
+/// make a directory at `path` inside the content store's tree
+/// ([`SNAP_DIR`]): its chunk files are the dedup origins, written only
+/// by the store and deleted only by its GC.
+fn outside_store(path: &str) -> Result<()> {
+    match path.strip_prefix(SNAP_DIR) {
+        Some(rest) if rest.is_empty() || rest.starts_with('/') => {
+            Err(CrfsError::Io(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                format!("{path:?} belongs to the content store"),
+            )))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// `path` normalized, for a call that mutates it (see [`outside_store`]).
+fn user_path(path: &str) -> Result<String> {
+    let p = normalize_path(path).map_err(CrfsError::Io)?;
+    outside_store(&p)?;
+    Ok(p)
 }
 
 /// Adds the path to backend error messages that lack one.
@@ -1907,32 +1901,45 @@ mod tests {
     }
 
     #[test]
-    fn rename_invalidates_destination_dedup_entries() {
-        // /b is registered in the dedup index, then rename(/a -> /b)
-        // replaces its bytes. A later write matching OLD /b content
-        // must store its payload (no stale reference into the new /b).
-        let (fs, _be) = mount_mem(
-            small_config()
-                .with_codec(CodecKind::Identity)
-                .with_dedup(true),
-        );
+    fn the_content_store_refuses_user_mutations() {
+        use crate::snapshot::{CAS_DIR, SNAP_DIR};
+        let (fs, _be) = mount_mem(small_config().with_codec(CodecKind::Lz).with_dedup(true));
         let x = compressible(2000, 1);
+        let a = fs.create("/a").unwrap();
+        a.write(&x).unwrap();
+        a.close().unwrap();
+        let names = fs.list_dir(CAS_DIR).unwrap();
+        assert!(!names.is_empty(), "listing the store works");
+        let chunk = format!("{CAS_DIR}/{}", names[0]);
+        let denied = |r: Result<()>, what: &str| match r {
+            Err(e) => assert_eq!(e.io_kind(), io::ErrorKind::PermissionDenied, "{what}: {e}"),
+            Ok(()) => panic!("{what} went through"),
+        };
+        denied(fs.unlink(&chunk), "unlink");
+        denied(fs.truncate(&chunk, 0), "truncate");
+        denied(fs.rename(&chunk, "/stolen"), "rename out");
+        denied(fs.rename("/a", &format!("{CAS_DIR}/x")), "rename in");
+        denied(fs.rename(SNAP_DIR, "/snap"), "rename the tree");
+        denied(fs.mkdir(&format!("{SNAP_DIR}/d")), "mkdir");
+        denied(fs.mkdir_all(&format!("{CAS_DIR}/d/e")), "mkdir_all");
+        denied(fs.rmdir(CAS_DIR), "rmdir");
+        denied(fs.create(&format!("{CAS_DIR}/new")).map(drop), "create");
+        denied(fs.create(&chunk).map(drop), "re-create");
+        // Reads still work, and the handle cannot truncate either.
+        let f = fs.open(&chunk).unwrap();
+        assert_eq!(f.len().unwrap(), fs.file_len(&chunk).unwrap());
+        denied(f.set_len(0), "set_len");
+        f.close().unwrap();
+        // The chunk is intact: a duplicate written later reads back.
         let b = fs.create("/b").unwrap();
         b.write(&x).unwrap();
         b.close().unwrap();
-        let a = fs.create("/a").unwrap();
-        a.write(&compressible(2000, 2)).unwrap();
-        a.close().unwrap();
-        fs.rename("/a", "/b").unwrap();
-        let c = fs.create("/c").unwrap();
-        c.write(&x).unwrap(); // would hit the stale /b entry
-        c.close().unwrap();
-        let f = fs.open("/c").unwrap();
+        let f = fs.open("/b").unwrap();
         let mut back = vec![0u8; x.len()];
         assert_eq!(f.read_at(0, &mut back).unwrap(), x.len());
-        assert_eq!(back, x, "stale dedup entry served wrong bytes");
+        assert_eq!(back, x);
         f.close().unwrap();
-        assert_eq!(fs.stats().integrity_failures, 0);
+        assert_eq!(fs.stats().dedup_hits, names.len() as u64);
     }
 
     #[test]
@@ -2376,10 +2383,7 @@ mod tests {
     // -----------------------------------------------------------------
 
     fn snapshot_config() -> CrfsConfig {
-        small_config()
-            .with_codec(CodecKind::Lz)
-            .with_dedup(true)
-            .with_snapshots(true)
+        small_config().with_codec(CodecKind::Lz).with_dedup(true)
     }
 
     #[test]

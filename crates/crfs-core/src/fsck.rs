@@ -1497,8 +1497,8 @@ mod tests {
     #[test]
     fn orphaned_dedup_reference_is_detected() {
         let backend = be();
-        // Two identical files on a dedup mount: the second becomes a
-        // REF chain pointing at the first.
+        // Two identical files on a dedup mount: both become REF chains
+        // into the same content-store chunks.
         let fs = Crfs::mount(
             Arc::clone(&backend),
             CrfsConfig::default()
@@ -1519,10 +1519,12 @@ mod tests {
         let clean = run(&backend, &["/".to_string()], &opts(1));
         assert!(clean.damage.is_clean(), "{clean}");
 
-        // Cut the origin short: references into it are now orphans.
-        let f = backend.open("/a.img", OpenOptions::read_write()).unwrap();
-        f.set_len(10).unwrap();
-        drop(f);
+        // Cut the chunks short: references into them are now orphans.
+        for name in backend.list_dir(CAS_DIR).unwrap() {
+            let chunk = format!("{CAS_DIR}/{name}");
+            let f = backend.open(&chunk, OpenOptions::read_write()).unwrap();
+            f.set_len(10).unwrap();
+        }
         let sum = run(&backend, &["/b.img".to_string()], &opts(1));
         assert!(sum.damage.orphaned_refs > 0, "{sum}");
     }
@@ -1548,13 +1550,19 @@ mod tests {
 
     // -- one walker ---------------------------------------------------
 
-    /// Stores `bytes` as `/f` on a fresh backend and checks that the
-    /// walker, a fresh attach, the metadata scan and `--repair` all name
-    /// the same surviving prefix, and that the repaired store scans
-    /// clean.
-    fn assert_agreement(config: &CrfsConfig, bytes: &[u8], what: &str) {
+    /// Stores `bytes` as `/f` beside the content-store chunk `origin`
+    /// on a fresh backend and checks that the walker, a fresh attach,
+    /// the metadata scan and `--repair` all name the same surviving
+    /// prefix, and that the repaired store scans clean.
+    fn assert_agreement(config: &CrfsConfig, origin: &(String, Vec<u8>), bytes: &[u8], what: &str) {
         use crate::transform::{scan_logical_len, scan_outcome, FileTransform, TransformCtx};
         let backend = be();
+        backend.mkdir(SNAP_DIR).unwrap();
+        backend.mkdir(CAS_DIR).unwrap();
+        let o = backend
+            .open(&origin.0, OpenOptions::create_truncate())
+            .unwrap();
+        o.write_at(0, &origin.1).unwrap();
         let f = backend.open("/f", OpenOptions::create_truncate()).unwrap();
         f.write_at(0, bytes).unwrap();
         let walked = scan_outcome(&*f).unwrap();
@@ -1576,10 +1584,11 @@ mod tests {
         let after = backend.file_len("/f").unwrap();
         match walked {
             // Raw to the walker (empty, or the magic itself is gone):
-            // raw to the mount and to fsck, which leaves it alone.
+            // raw to the mount and to fsck, which leaves it alone (the
+            // one frame log is the chunk).
             None => {
                 assert!(bytes.is_empty() || attached.is_none(), "{what}");
-                assert_eq!((fixed.frame_logs, after), (0, bytes.len() as u64), "{what}");
+                assert_eq!((fixed.frame_logs, after), (1, bytes.len() as u64), "{what}");
             }
             Some(outcome) => {
                 let attached = attached.expect("framed to the walker is framed to attach");
@@ -1597,24 +1606,34 @@ mod tests {
 
     #[test]
     fn every_cut_and_header_flip_leaves_walker_attach_and_repair_one_answer() {
-        // A DATA frame, a REF frame to it and a TRUNC marker: every
+        // A DATA frame written without dedup, then on a dedup mount a
+        // REF frame into the content store and a TRUNC marker: every
         // frame shape a log holds.
-        let config = CrfsConfig::default()
+        let lz = CrfsConfig::default()
             .with_chunk_size(4096)
             .with_pool_size(64 * 1024)
-            .with_codec(CodecKind::Lz)
-            .with_dedup(true);
+            .with_codec(CodecKind::Lz);
+        let config = lz.clone().with_dedup(true);
         let backend = be();
-        let fs = Crfs::mount(Arc::clone(&backend), config.clone()).unwrap();
         let chunk: Vec<u8> = (0..4096).map(|i| (i / 32) as u8).collect();
+        let fs = Crfs::mount(Arc::clone(&backend), lz).unwrap();
         let f = fs.create("/f").unwrap();
-        for _ in 0..2 {
-            f.write(&chunk).unwrap();
-            f.fsync().unwrap(); // index the first copy before encoding the second
-        }
+        f.write(&chunk).unwrap();
+        f.close().unwrap();
+        fs.unmount().unwrap();
+        let fs = Crfs::mount(Arc::clone(&backend), config.clone()).unwrap();
+        let f = fs.open("/f").unwrap();
+        f.write_at(4096, &chunk).unwrap();
         f.set_len(4096 + 100).unwrap();
         f.close().unwrap();
         fs.unmount().unwrap();
+        let names = backend.list_dir(CAS_DIR).unwrap();
+        assert_eq!(names.len(), 1, "one content-store chunk");
+        let origin = format!("{CAS_DIR}/{}", names[0]);
+        let mut chunk_file = vec![0u8; backend.file_len(&origin).unwrap() as usize];
+        let o = backend.open(&origin, OpenOptions::read_only()).unwrap();
+        read_exact_at(&*o, 0, &mut chunk_file).unwrap();
+        let origin = (origin, chunk_file);
 
         let file = backend.open("/f", OpenOptions::read_only()).unwrap();
         let head = FileHead::read(&*file).unwrap();
@@ -1630,7 +1649,7 @@ mod tests {
         read_exact_at(&*file, 0, &mut log).unwrap();
 
         for cut in 0..=log.len() {
-            assert_agreement(&config, &log[..cut], &format!("cut at {cut}"));
+            assert_agreement(&config, &origin, &log[..cut], &format!("cut at {cut}"));
         }
         for at in headers {
             for byte in 0..FRAME_HEADER_LEN {
@@ -1638,6 +1657,7 @@ mod tests {
                 bad[(at + byte) as usize] ^= 0xFF;
                 assert_agreement(
                     &config,
+                    &origin,
                     &bad,
                     &format!("header at {at}: byte {byte} flipped"),
                 );
@@ -1890,7 +1910,7 @@ mod tests {
     }
 
     /// Writes one checkpoint of `chunks` distinct 4 KiB chunks on a
-    /// snapshot mount and seals it: `chunks` content-store files.
+    /// dedup mount and seals it: `chunks` content-store files.
     fn populate_cas(backend: &Arc<dyn Backend>, chunks: usize) {
         let data: Vec<u8> = (0..chunks * 4096)
             .map(|b| ((b % 4096) / 64) as u8 ^ ((b / 4096) as u8).wrapping_mul(37))
@@ -2304,8 +2324,7 @@ mod tests {
                 .with_chunk_size(4096)
                 .with_pool_size(64 * 1024)
                 .with_codec(CodecKind::Lz)
-                .with_dedup(true)
-                .with_snapshots(true),
+                .with_dedup(true),
         )
         .unwrap();
         fs.mkdir("/ckpt").unwrap();
@@ -2361,7 +2380,6 @@ mod tests {
                 .with_pool_size(64 * 1024)
                 .with_codec(CodecKind::Lz)
                 .with_dedup(true)
-                .with_snapshots(true)
                 .with_read_ahead(0),
         )
         .unwrap();

@@ -1,10 +1,10 @@
 //! The versioned snapshot store: durable incremental checkpoints with
-//! cross-epoch chunk sharing and garbage collection.
+//! cross-epoch chunk sharing and garbage collection. It is what
+//! [`CrfsConfig::dedup`](crate::CrfsConfig::dedup) turns on.
 //!
 //! Checkpoint workloads rewrite mostly-unchanged images every epoch
-//! (stdchk's observation, already exploited in-memory by the
-//! [`DedupIndex`]). This module promotes that index into a *persistent*
-//! versioned store:
+//! (stdchk's observation). This module keeps the chunks behind its
+//! [`DedupIndex`] in a *persistent* versioned store:
 //!
 //! - every unique chunk's encoded bytes live once, in a
 //!   **content-addressed store** — one standalone single-frame file per
@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 use crate::backend::{read_exact_at, Backend, BackendFile, OpenOptions};
 use crate::stats::CrfsStats;
 use crate::transform::codec::STORED_RAW;
-use crate::transform::dedup::DedupIndex;
+use crate::transform::dedup::{DedupIndex, DEDUP_KEEP_EPOCHS};
 use crate::transform::frame::{FrameHeader, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN};
 use crate::transform::REF_META_LEN;
 use manifest::{compact, ChunkRecord, Manifest, Record};
@@ -167,14 +167,17 @@ struct Inner {
 }
 
 /// The mount-scoped snapshot store. One per mount when
-/// [`CrfsConfig::snapshots`](crate::CrfsConfig::snapshots) is on;
-/// shared by the transform stage (chunk storage + staging), `fs.rs`
+/// [`CrfsConfig::dedup`](crate::CrfsConfig::dedup) is on; it owns the
+/// dedup index and is shared by the transform stage (lookups, chunk
+/// storage + staging), `fs.rs`
 /// (seal / GC / restart views), and `crfs-fsck` (path helpers).
 pub struct SnapshotStore {
     backend: Arc<dyn Backend>,
     stats: Arc<CrfsStats>,
     keep_epochs: usize,
     inner: Mutex<Inner>,
+    /// Content key → CAS file, for dedup lookups (see [`DedupIndex`]).
+    index: DedupIndex,
 }
 
 impl SnapshotStore {
@@ -201,6 +204,7 @@ impl SnapshotStore {
             stats,
             keep_epochs: keep_epochs.max(1),
             inner: Mutex::new(Inner::default()),
+            index: DedupIndex::new(DEDUP_KEEP_EPOCHS),
         };
         let mut inner = Inner::default();
         let mut epochs: Vec<u64> = store
@@ -224,32 +228,40 @@ impl SnapshotStore {
             inner.carried = m.files.into_iter().collect();
             inner.next_epoch = epoch + 1;
         }
-        *store.inner.lock() = inner;
-        Ok(Arc::new(store))
-    }
-
-    /// Seeds a fresh mount's dedup index with the newest manifest's
-    /// chunks, so the first epoch after a restart still dedups against
-    /// everything already in the store.
-    pub fn seed_dedup(&self, index: &DedupIndex) {
-        let inner = self.inner.lock();
+        // Seed the dedup index with the newest manifest's chunks, so
+        // the first epoch after a restart still dedups against
+        // everything already in the store. Only a record naming its
+        // own CAS file is an origin: a pre-digest record is keyed by
+        // another hash, and a degraded inline chunk lives in a user
+        // file that its owner may rewrite or unlink.
         for records in inner.carried.values() {
             for r in records {
                 match r {
-                    // A pre-digest record is keyed by another hash and
-                    // cannot be served: nothing may dedup against it.
-                    Record::Chunk(c) if c.format == FRAME_FORMAT => index.insert(
-                        c.hash,
-                        c.logical_len,
-                        c.origin_path.as_str().into(),
-                        c.origin_off,
-                        c.stored_len,
-                        c.codec,
-                    ),
+                    Record::Chunk(c)
+                        if c.format == FRAME_FORMAT
+                            && c.origin_off == 0
+                            && c.origin_path == cas_path((c.hash, c.logical_len)) =>
+                    {
+                        store.index.insert(
+                            c.hash,
+                            c.logical_len,
+                            c.origin_path.as_str().into(),
+                            0,
+                            c.stored_len,
+                            c.codec,
+                        )
+                    }
                     _ => {}
                 }
             }
         }
+        *store.inner.lock() = inner;
+        Ok(Arc::new(store))
+    }
+
+    /// The dedup index over this store's chunks.
+    pub fn index(&self) -> &DedupIndex {
+        &self.index
     }
 
     /// Registers `key` as in-flight *before* the dedup lookup that may
@@ -487,10 +499,10 @@ impl SnapshotStore {
     /// in-flight write. Runs under the store lock, so writers
     /// registering new chunks wait out the sweep ([`GcReport::pause`])
     /// and the mark set cannot go stale mid-sweep. Reclaimed keys are
-    /// also dropped from `dedup` so no later lookup resolves to freed
-    /// bytes. Fails fast on an unlink error — already-reclaimed chunks
+    /// also dropped from the dedup index so no later lookup resolves
+    /// to freed bytes. Fails fast on an unlink error — already-reclaimed chunks
     /// stay consistently dropped; nothing reachable was touched.
-    pub fn gc(&self, dedup: Option<&DedupIndex>) -> io::Result<GcReport> {
+    pub fn gc(&self) -> io::Result<GcReport> {
         let t0 = Instant::now();
         let inner = self.inner.lock();
         let mut mark: HashSet<ChunkKey> = inner.refcounts.keys().copied().collect();
@@ -522,9 +534,7 @@ impl SnapshotStore {
             let path = cas_path(key);
             let len = self.backend.file_len(&path).unwrap_or(0);
             self.backend.unlink(&path)?;
-            if let Some(d) = dedup {
-                d.remove(key.0, key.1);
-            }
+            self.index.remove(key.0, key.1);
             self.stats
                 .flight
                 .record(crate::obs::EventKind::GcFree, Some(&path), 0, len);
@@ -618,6 +628,7 @@ impl std::fmt::Debug for SnapshotStore {
             .field("retained", &inner.manifests.len())
             .field("refcounted_chunks", &inner.refcounts.len())
             .field("keep_epochs", &self.keep_epochs)
+            .field("index", &self.index)
             .finish()
     }
 }
@@ -822,7 +833,7 @@ mod tests {
         assert!(s.manifest_records(1, "/a").unwrap().is_some());
         assert!(s.manifest_records(1, "/b").unwrap().is_some());
         // Both manifests reference the shared chunk; GC reclaims nothing.
-        let report = s.gc(None).unwrap();
+        let report = s.gc().unwrap();
         assert_eq!(report.reclaimed_chunks, 0);
         assert_eq!(report.scanned_chunks, 2);
     }
@@ -882,19 +893,22 @@ mod tests {
         s.seal().unwrap();
         assert_eq!(s.epochs(), vec![1], "keep_epochs=1 retired epoch 0");
 
-        let dedup = DedupIndex::new(4);
-        s.seed_dedup(&dedup);
-        let report = s.gc(Some(&dedup)).unwrap();
+        for c in [&old, &live] {
+            let origin = c.origin_path.as_str().into();
+            s.index()
+                .insert(c.hash, c.logical_len, origin, 0, c.stored_len, c.codec);
+        }
+        let report = s.gc().unwrap();
         assert_eq!(report.reclaimed_chunks, 1, "only the orphaned chunk");
         assert!(report.reclaimed_bytes > 0);
         assert!(!be.exists(&old.origin_path), "old chunk unlinked");
         assert!(be.exists(&live.origin_path));
         assert!(be.exists(&fresh.origin_path));
         assert!(
-            dedup.lookup(old.hash, old.logical_len).is_none(),
+            s.index().lookup(old.hash, old.logical_len).is_none(),
             "reclaimed key dropped from the dedup index"
         );
-        assert!(dedup.lookup(live.hash, live.logical_len).is_some());
+        assert!(s.index().lookup(live.hash, live.logical_len).is_some());
     }
 
     #[test]
@@ -913,13 +927,13 @@ mod tests {
         // Epoch 0 aged out of the window but is pinned: still retained,
         // still protecting its chunk from GC.
         assert_eq!(s.epochs(), vec![0, 1]);
-        assert_eq!(s.gc(None).unwrap().reclaimed_chunks, 0);
+        assert_eq!(s.gc().unwrap().reclaimed_chunks, 0);
         assert!(be.exists(&old.origin_path));
         // Unpinning retires it; the next GC reclaims the chunk.
         s.unpin(0);
         assert_eq!(s.epochs(), vec![1]);
         assert!(!be.exists(&manifest_path(0)));
-        assert_eq!(s.gc(None).unwrap().reclaimed_chunks, 1);
+        assert_eq!(s.gc().unwrap().reclaimed_chunks, 1);
         assert!(!be.exists(&old.origin_path));
         assert!(s.pin(0).is_err(), "retired epoch cannot be pinned");
     }
@@ -949,12 +963,12 @@ mod tests {
         frame.extend_from_slice(payload);
         s.store_chunk(key, &frame, digest.check).unwrap();
 
-        assert_eq!(s.gc(None).unwrap().reclaimed_chunks, 0);
+        assert_eq!(s.gc().unwrap().reclaimed_chunks, 0);
         assert!(be.exists(&staged.origin_path));
         assert!(be.exists(&cas_path(key)));
         // Guard dropped without staging (a failed write): reclaimable.
         drop(guard);
-        let report = s.gc(None).unwrap();
+        let report = s.gc().unwrap();
         assert_eq!(report.reclaimed_chunks, 1);
         assert!(!be.exists(&cas_path(key)));
         assert!(be.exists(&staged.origin_path), "staged chunk still safe");

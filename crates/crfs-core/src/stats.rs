@@ -141,15 +141,15 @@ pub struct CrfsStats {
     pub completion_reaped: AtomicU64,
     /// Chunks newly written to the content-addressed snapshot store
     /// (chunks whose bytes were already there cost nothing and are not
-    /// counted). Zero on mounts without snapshots.
+    /// counted). Zero on mounts without dedup.
     pub snapshot_chunks: AtomicU64,
     /// Frame bytes those CAS writes stored — the *delta* an epoch
     /// actually cost. Counted separately from `bytes_stored` (which
     /// keeps tracking user-file frame traffic, reference records
     /// included, so `bytes_out == bytes_stored` keeps holding).
     pub snapshot_bytes: AtomicU64,
-    /// Epoch manifests sealed (one per `advance_epoch` on a
-    /// snapshot-enabled mount).
+    /// Epoch manifests sealed (one per `advance_epoch` on a dedup
+    /// mount).
     pub snapshot_manifests: AtomicU64,
     /// CAS chunks reclaimed by the snapshot garbage collector.
     pub gc_reclaimed_chunks: AtomicU64,

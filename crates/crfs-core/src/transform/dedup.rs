@@ -3,10 +3,9 @@
 //! Checkpoint streams are self-similar across epochs (stdchk's central
 //! observation): most chunks of epoch *k+1* are byte-identical to
 //! chunks of epoch *k*. The index maps a chunk's 128-bit content hash
-//! (plus its exact length) to the location where those bytes were
-//! stored — path and stored offset of the DATA frame. A later chunk
-//! with the same content emits a tiny *reference record* instead of its
-//! payload.
+//! (plus its exact length) to the content-store file holding those
+//! bytes as a single DATA frame. A later chunk with the same content
+//! emits a tiny *reference record* instead of its payload.
 //!
 //! **Epoch-aware eviction**: the mount carries an epoch counter
 //! ([`crate::Crfs::advance_epoch`] bumps it between checkpoint rounds).
@@ -19,19 +18,16 @@
 //! reference record carries the original chunk's integrity checksum,
 //! and the read path verifies the resolved bytes against it, so even a
 //! 128-bit collision surfaces as [`CrfsError::IntegrityError`]
-//! (detected), not silent corruption. Entries pointing into a file that
-//! is unlinked, truncated, or re-created are invalidated so *new*
-//! references are never planted on dead data.
+//! (detected), not silent corruption.
 //!
-//! **Deletion discipline**: references always point at the *first*
-//! stored occurrence of a chunk's bytes, so deduplicated files form a
-//! dependency chain newest → oldest. Already-persisted reference
-//! records embed the origin path; deleting or re-creating an origin
-//! file makes every chunk referencing it unreadable (detected as
-//! `IntegrityError`, never wrong bytes — but the payload exists
-//! nowhere else). Retire checkpoints newest-first or as whole epoch
-//! trees, the standard checkpoint GC pattern; to prune arbitrary
-//! individual files, run with dedup off.
+//! **Origins**: the index is owned by the mount's
+//! [`SnapshotStore`](crate::snapshot::SnapshotStore), and every entry
+//! names a chunk file of its content-addressed store (the `CAS_DIR` of
+//! [`crate::snapshot`]). Those files are immutable, shared by every
+//! file that references them, and deleted only by the store's GC,
+//! which drops their entries here as it goes — so no user-level
+//! create, truncate, rename or unlink can leave an entry naming bytes
+//! that no longer exist.
 //!
 //! [`CrfsError::IntegrityError`]: crate::CrfsError::IntegrityError
 
@@ -173,16 +169,6 @@ impl DedupIndex {
     pub fn remove(&self, hash: u128, len: u32) {
         self.map.lock().remove(&(hash, len));
     }
-
-    /// Drops every entry pointing into `path` — called when the file is
-    /// unlinked, truncated, renamed away, or re-created, so no *new*
-    /// reference can be planted on bytes that no longer exist.
-    pub fn invalidate_path(&self, path: &str) {
-        let prefix = format!("{path}/");
-        self.map
-            .lock()
-            .retain(|_, e| &*e.path != path && !e.path.starts_with(&prefix));
-    }
 }
 
 impl std::fmt::Debug for DedupIndex {
@@ -235,15 +221,5 @@ mod tests {
         assert_eq!(evicted, 1, "the idle entry goes");
         assert!(idx.lookup(1, 8).is_none());
         assert!(idx.lookup(2, 8).is_some(), "refreshed entry survived");
-    }
-
-    #[test]
-    fn invalidate_path_drops_only_that_file() {
-        let idx = DedupIndex::new(4);
-        idx.insert(1, 8, "/gone".into(), 0, 64, 0);
-        idx.insert(2, 8, "/kept".into(), 0, 64, 0);
-        idx.invalidate_path("/gone");
-        assert!(idx.lookup(1, 8).is_none());
-        assert!(idx.lookup(2, 8).is_some());
     }
 }

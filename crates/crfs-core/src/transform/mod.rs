@@ -142,15 +142,15 @@ fn integrity(stats: &CrfsStats, detail: String) -> io::Error {
 // Mount-level context
 // ---------------------------------------------------------------------
 
-/// Mount-scoped transform state: the configured codec, the shared dedup
-/// index, and the handles the read path needs to resolve cross-file
-/// dedup references.
+/// Mount-scoped transform state: the configured codec, the
+/// content-addressed store dedup goes through, and the handles the
+/// read path needs to resolve dedup references.
 pub struct TransformCtx {
     codec: CodecKind,
-    dedup: Option<DedupIndex>,
-    /// The versioned snapshot store, when `config.snapshots` promotes
-    /// dedup into the persistent content-addressed store.
-    snap: Option<Arc<SnapshotStore>>,
+    /// The content-addressed store and its dedup index, when
+    /// `config.dedup` is on: every REF frame this mount writes names
+    /// one of its chunk files.
+    cas: Option<Arc<SnapshotStore>>,
     backend: Arc<dyn Backend>,
     stats: Arc<CrfsStats>,
 }
@@ -158,7 +158,7 @@ pub struct TransformCtx {
 impl TransformCtx {
     /// Builds the mount's transform context, or `None` when the config
     /// disables the transform stage (`codec == None`). Fallible because
-    /// an enabled snapshot store recovers its manifests from the
+    /// an enabled content store recovers its manifests from the
     /// backend here.
     pub fn from_config(
         config: &CrfsConfig,
@@ -168,29 +168,18 @@ impl TransformCtx {
         if config.codec == CodecKind::None {
             return Ok(None);
         }
-        let dedup = config
-            .dedup
-            .then(|| DedupIndex::new(dedup::DEDUP_KEEP_EPOCHS));
-        let snap = if config.snapshots {
-            let store = SnapshotStore::open(
+        let cas = if config.dedup {
+            Some(SnapshotStore::open(
                 Arc::clone(&backend),
                 Arc::clone(&stats),
                 config.snapshot_keep_epochs,
-            )?;
-            // Recovered carried-forward records re-arm the dedup index,
-            // so the first epoch after a remount still dedups against
-            // every chunk the last sealed manifest reaches.
-            if let Some(index) = dedup.as_ref() {
-                store.seed_dedup(index);
-            }
-            Some(store)
+            )?)
         } else {
             None
         };
         Ok(Some(Arc::new(TransformCtx {
             codec: config.codec,
-            dedup,
-            snap,
+            cas,
             backend,
             stats,
         })))
@@ -201,34 +190,22 @@ impl TransformCtx {
         self.codec
     }
 
-    /// The dedup index, when dedup is enabled.
-    pub fn dedup(&self) -> Option<&DedupIndex> {
-        self.dedup.as_ref()
+    /// The content-addressed store, when dedup is enabled.
+    pub fn cas(&self) -> Option<&Arc<SnapshotStore>> {
+        self.cas.as_ref()
     }
 
-    /// The snapshot store, when versioned snapshots are enabled.
-    pub fn snapshots(&self) -> Option<&Arc<SnapshotStore>> {
-        self.snap.as_ref()
-    }
-
-    /// Advances the checkpoint epoch: seals the snapshot manifest first
-    /// (when snapshots are on — the caller must have flushed open files
-    /// so every staged record's frame is durable), then ages the dedup
-    /// index (see [`DedupIndex::advance_epoch`]); returns the number of
-    /// index entries evicted.
+    /// Advances the checkpoint epoch: seals the snapshot manifest (the
+    /// caller must have flushed open files so every staged record's
+    /// frame is durable), then ages the dedup index (see
+    /// [`DedupIndex::advance_epoch`]); returns the number of index
+    /// entries evicted. A no-op (0) without dedup.
     pub fn advance_epoch(&self) -> io::Result<usize> {
-        if let Some(snap) = &self.snap {
-            snap.seal()?;
-        }
-        Ok(self.dedup.as_ref().map_or(0, DedupIndex::advance_epoch))
-    }
-
-    /// Drops dedup entries pointing into `path` (or any path under it,
-    /// for directory renames) so no new reference lands on dead bytes.
-    pub fn invalidate_path(&self, path: &str) {
-        if let Some(d) = &self.dedup {
-            d.invalidate_path(path);
-        }
+        let Some(cas) = &self.cas else {
+            return Ok(0);
+        };
+        cas.seal()?;
+        Ok(cas.index().advance_epoch())
     }
 }
 
@@ -236,7 +213,7 @@ impl std::fmt::Debug for TransformCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TransformCtx")
             .field("codec", &self.codec)
-            .field("dedup", &self.dedup)
+            .field("cas", &self.cas)
             .finish()
     }
 }
@@ -420,10 +397,10 @@ pub struct EncodedChunk {
     /// Complete frame bytes: 40-byte header + stored payload.
     frame: Vec<u8>,
     entry: FrameEntry, // stored_off filled at commit
-    /// Content key to register in the dedup index on commit (DATA
-    /// frames on dedup-enabled mounts).
-    dedup_key: Option<(u128, u32)>,
-    /// Manifest record to stage on commit (snapshot mounts): where this
+    /// Content hash of a chunk whose CAS write failed and that landed
+    /// inline as a DATA frame: `commit` stages its in-file location.
+    degraded: Option<u128>,
+    /// Manifest record to stage on commit (dedup mounts): where this
     /// chunk's bytes live in the CAS, keyed for the next sealed epoch.
     snap_rec: Option<ChunkRecord>,
     /// Holds the chunk key unreclaimable from [`encode_chunk`]'s dedup
@@ -731,11 +708,13 @@ impl FileTransform {
         self.map.lock().frames.len()
     }
 
-    /// Encodes one sealed chunk into its frame: dedup lookup first (a
-    /// hit emits a reference record), then the configured codec with
-    /// the store-raw escape. Pure CPU — runs in IO-worker context so
-    /// chunks compress in parallel. Counts `bytes_logical`,
-    /// `transform_ns` and `dedup_hits`.
+    /// Encodes one sealed chunk into its frame. Without dedup that is a
+    /// DATA frame under the configured codec (with the store-raw
+    /// escape). With dedup it is a reference frame into the CAS: a hit
+    /// names the chunk file already there, a miss is first encoded into
+    /// a new one; only a failed CAS write lands inline as DATA. Runs in
+    /// IO-worker context so chunks compress in parallel. Counts
+    /// `bytes_logical`, `transform_ns` and `dedup_hits`.
     pub fn encode_chunk(&self, logical_offset: u64, payload: &[u8]) -> EncodedChunk {
         let stats = &self.ctx.stats;
         let t0 = Instant::now();
@@ -746,100 +725,68 @@ impl FileTransform {
         // they are handed.
         let frame::PayloadDigest { key: hash, check } = payload_digest(payload);
 
-        let mut dedup_key = None;
+        let mut degraded = None;
         let mut snap_rec = None;
         let mut inflight = None;
-        let inline = || {
-            let (frame, stored_codec) = data_frame(stats, self.ctx.codec, payload);
-            (frame, stored_codec, 0)
-        };
-        let (mut frame, codec, flags) = match self.ctx.dedup.as_ref() {
-            Some(index) => {
-                let len = payload.len() as u32;
-                // Snapshot mounts register the key as in-flight *before*
-                // the lookup: GC marks in-flight keys under the same
-                // lock, so the origin a hit resolves to cannot be swept
-                // between this lookup and the frame's commit.
-                if let Some(snap) = &self.ctx.snap {
-                    inflight = Some(snap.begin_chunk((hash, len)));
-                }
-                match index.lookup(hash, len) {
+        let (mut frame, codec, flags) = match &self.ctx.cas {
+            None => {
+                let (frame, stored_codec) = data_frame(stats, self.ctx.codec, payload);
+                (frame, stored_codec, 0)
+            }
+            Some(cas) => {
+                let key = (hash, payload.len() as u32);
+                // Register the key as in-flight *before* the lookup: GC
+                // marks in-flight keys under the same lock, so the CAS
+                // file a hit resolves to cannot be swept between this
+                // lookup and the frame's commit.
+                inflight = Some(cas.begin_chunk(key));
+                let origin = match cas.index().lookup(hash, key.1) {
                     Some(hit) => {
-                        // Reference record: origin location + path.
                         stats.dedup_hits.fetch_add(1, Relaxed);
-                        if self.ctx.snap.is_some() {
-                            snap_rec = Some(ChunkRecord {
-                                hash,
-                                logical_offset,
-                                logical_len: len,
-                                format: FRAME_FORMAT,
-                                check,
-                                origin_path: hit.path.to_string(),
-                                origin_off: hit.stored_off,
-                                stored_len: hit.stored_len,
-                                codec: hit.codec,
-                            });
-                        }
-                        let frame = ref_frame(&hit.path, hit.stored_off, hit.stored_len, hit.codec);
+                        Ok((hit.path.to_string(), hit.stored_len, hit.codec))
+                    }
+                    // Fresh content: encode it into its own single-frame
+                    // CAS file and register it for dedup.
+                    None => store_cas(stats, self.ctx.codec, cas, key, payload, check).map(
+                        |(cas_codec, cas_len)| {
+                            let origin = cas_path(key);
+                            let entry = Arc::from(origin.as_str());
+                            cas.index()
+                                .insert(hash, key.1, entry, 0, cas_len, cas_codec);
+                            (origin, cas_len, cas_codec)
+                        },
+                    ),
+                };
+                match origin {
+                    // Either way this file's log gets only a reference
+                    // frame into the CAS.
+                    Ok((origin_path, cas_len, cas_codec)) => {
+                        let frame = ref_frame(&origin_path, 0, cas_len, cas_codec);
+                        snap_rec = Some(ChunkRecord {
+                            hash,
+                            logical_offset,
+                            logical_len: key.1,
+                            format: FRAME_FORMAT,
+                            check,
+                            origin_path,
+                            origin_off: 0,
+                            stored_len: cas_len,
+                            codec: cas_codec,
+                        });
                         (frame, STORED_RAW, FLAG_REF)
                     }
-                    None => match self.ctx.snap.as_ref() {
-                        // Fresh content on a snapshot mount: encode it
-                        // into its own single-frame CAS file, register
-                        // it for dedup, and emit only a reference frame
-                        // into this file's log.
-                        Some(snap) => {
-                            match store_cas(
-                                stats,
-                                self.ctx.codec,
-                                snap,
-                                (hash, len),
-                                payload,
-                                check,
-                            ) {
-                                Ok((cas_codec, cas_len)) => {
-                                    let origin = cas_path((hash, len));
-                                    let frame = ref_frame(&origin, 0, cas_len, cas_codec);
-                                    index.insert(
-                                        hash,
-                                        len,
-                                        Arc::from(origin.as_str()),
-                                        0,
-                                        cas_len,
-                                        cas_codec,
-                                    );
-                                    snap_rec = Some(ChunkRecord {
-                                        hash,
-                                        logical_offset,
-                                        logical_len: len,
-                                        format: FRAME_FORMAT,
-                                        check,
-                                        origin_path: origin,
-                                        origin_off: 0,
-                                        stored_len: cas_len,
-                                        codec: cas_codec,
-                                    });
-                                    (frame, STORED_RAW, FLAG_REF)
-                                }
-                                // CAS write failed: degrade to an inline
-                                // DATA frame so the user's bytes still land
-                                // through the ordinary path. `commit` stages
-                                // the in-file location instead, keeping the
-                                // sealed manifest complete.
-                                Err(_) => {
-                                    dedup_key = Some((hash, len));
-                                    inline()
-                                }
-                            }
-                        }
-                        None => {
-                            dedup_key = Some((hash, len));
-                            inline()
-                        }
-                    },
+                    // CAS write failed: degrade to an inline DATA frame
+                    // so the user's bytes still land through the
+                    // ordinary path. `commit` stages its in-file
+                    // location, keeping the sealed manifest complete;
+                    // it never becomes a dedup origin.
+                    Err(_) => {
+                        degraded = Some(hash);
+                        let (frame, stored_codec) = data_frame(stats, self.ctx.codec, payload);
+                        (frame, stored_codec, 0)
+                    }
                 }
             }
-            None => inline(),
         };
         let stored_len = (frame.len() - FRAME_HEADER_LEN as usize) as u32;
         let header = FrameHeader {
@@ -872,7 +819,7 @@ impl FileTransform {
                 format: FRAME_FORMAT,
                 check,
             },
-            dedup_key,
+            degraded,
             snap_rec,
             _inflight: inflight,
         }
@@ -906,11 +853,11 @@ impl FileTransform {
     }
 
     /// Commits a successfully written frame at `stored_off`: installs it
-    /// in the frame map (making it readable), registers fresh content
-    /// in the dedup index, and on snapshot mounts stages the chunk's
-    /// manifest record for the next sealed epoch. Counts `bytes_stored`.
-    /// The in-flight GC guard carried from [`encode_chunk`](Self::encode_chunk)
-    /// drops here, *after* the record is staged.
+    /// in the frame map (making it readable) and, on dedup mounts,
+    /// stages the chunk's manifest record for the next sealed epoch.
+    /// Counts `bytes_stored`. The in-flight GC guard carried from
+    /// [`encode_chunk`](Self::encode_chunk) drops here, *after* the
+    /// record is staged.
     pub fn commit(&self, path: &Arc<str>, stored_off: u64, enc: EncodedChunk) {
         let mut e = enc.entry;
         e.stored_off = stored_off;
@@ -919,22 +866,12 @@ impl FileTransform {
             .bytes_stored
             .fetch_add(enc.frame.len() as u64, Relaxed);
         self.map.lock().insert(e);
-        if let (Some((hash, len)), Some(index)) = (enc.dedup_key, self.ctx.dedup.as_ref()) {
-            index.insert(
-                hash,
-                len,
-                Arc::clone(path),
-                stored_off,
-                e.stored_len,
-                e.codec,
-            );
-        }
-        if let Some(snap) = self.ctx.snap.as_ref() {
+        if let Some(cas) = self.ctx.cas.as_ref() {
             let rec = enc.snap_rec.or_else(|| {
                 // Degraded inline DATA frame (the CAS store failed at
                 // encode time): record its in-file location so the
                 // sealed manifest still reaches every committed byte.
-                enc.dedup_key.map(|(hash, _)| ChunkRecord {
+                enc.degraded.map(|hash| ChunkRecord {
                     hash,
                     logical_offset: e.logical_offset,
                     logical_len: e.logical_len,
@@ -947,7 +884,7 @@ impl FileTransform {
                 })
             });
             if let Some(rec) = rec {
-                snap.stage_chunk(path, stored_off, rec);
+                cas.stage_chunk(path, stored_off, rec);
             }
         }
     }
@@ -955,7 +892,7 @@ impl FileTransform {
     /// Applies `set_len` to a framed file: length 0 resets the stored
     /// log outright; any other length appends a persistent truncation
     /// marker frame (so a restart scan reaches the same logical state)
-    /// and clamps the in-memory map. Snapshot mounts stage the same
+    /// and clamps the in-memory map. Dedup mounts stage the same
     /// event for the next sealed manifest.
     pub fn truncate(&self, path: &Arc<str>, file: &dyn BackendFile, len: u64) -> io::Result<()> {
         if len == 0 {
@@ -968,7 +905,7 @@ impl FileTransform {
             // else — the deferred trim is moot.
             *self.trim.lock() = None;
             self.needs_trim.store(false, Release);
-            if let Some(snap) = self.ctx.snap.as_ref() {
+            if let Some(snap) = self.ctx.cas.as_ref() {
                 snap.note_reset(path);
             }
             return Ok(());
@@ -988,7 +925,7 @@ impl FileTransform {
         // Not counted in bytes_stored: the marker is metadata written
         // outside the engine, and `bytes_out == bytes_stored` must keep
         // holding for stats consumers (both count chunk traffic only).
-        if let Some(snap) = self.ctx.snap.as_ref() {
+        if let Some(snap) = self.ctx.cas.as_ref() {
             snap.stage_trunc(path, off, len);
         }
         self.map.lock().truncate(len);
@@ -1768,7 +1705,7 @@ mod tests {
         let ref_bytes = stats.bytes_stored.load(Relaxed) - before;
         assert_eq!(stats.dedup_hits.load(Relaxed), 1);
         assert!(
-            ref_bytes < 100,
+            ref_bytes < 128,
             "reference record must be tiny, got {ref_bytes}"
         );
         // Resolution across files, on a fresh attach (restart path).
@@ -1801,7 +1738,7 @@ mod tests {
         let err = ft.read_logical(&*file, &path, 4096, &mut buf).unwrap_err();
         assert!(is_integrity_error(&err), "got: {err}");
         assert_eq!(ft.read_logical(&*file, &path, 0, &mut buf).unwrap(), 4096);
-        assert_eq!(buf, data, "the origin itself still reads");
+        assert_eq!(buf, data, "the first reference still reads");
     }
 
     #[test]

@@ -172,7 +172,7 @@ fn run_fsck_code(root: &Path, extra: &[&str]) -> (i32, String) {
 /// local volume and returns the host-side snapshot directory.
 fn populate_snap(root: &Path) -> PathBuf {
     let backend: Arc<dyn Backend> = Arc::new(LocalFileBackend::new(root).unwrap());
-    let fs = Crfs::mount(backend, config().with_dedup(true).with_snapshots(true)).unwrap();
+    let fs = Crfs::mount(backend, config().with_dedup(true)).unwrap();
     let f = fs.create("/rank0.img").unwrap();
     f.write(&pattern()).unwrap();
     f.close().unwrap();

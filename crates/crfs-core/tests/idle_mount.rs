@@ -158,8 +158,7 @@ fn assert_parked_reader_is_idle() {
     let config = CrfsConfig::default()
         .with_chunk_size(CHUNK)
         .with_codec(CodecKind::Lz)
-        .with_dedup(true)
-        .with_snapshots(true);
+        .with_dedup(true);
     let fs = Crfs::mount(backend, config).unwrap();
     let image: Vec<u8> = (0..8 * CHUNK).map(|i| (i / 7 + i / CHUNK) as u8).collect();
     let f = fs.create("/ckpt").unwrap();

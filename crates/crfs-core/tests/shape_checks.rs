@@ -252,8 +252,7 @@ fn fsck_summary_reports_every_count() {
         .with_chunk_size(4096)
         .with_pool_size(64 << 10)
         .with_codec(CodecKind::Lz)
-        .with_dedup(true)
-        .with_snapshots(true);
+        .with_dedup(true);
     let fs = Crfs::mount(Arc::clone(&backend), config).unwrap();
     let f = fs.create("/ckpt").unwrap();
     f.write(&(0..5 * 4096).map(|i| (i / 64) as u8).collect::<Vec<_>>())

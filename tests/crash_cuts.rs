@@ -67,7 +67,7 @@ fn config() -> CrfsConfig {
 
 /// The content-store stack's mount.
 fn snap_config() -> CrfsConfig {
-    config().with_dedup(true).with_snapshots(true)
+    config().with_dedup(true)
 }
 
 fn path(file: usize) -> String {

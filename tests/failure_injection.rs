@@ -596,7 +596,6 @@ fn gc_killed_mid_reclaim_never_frees_reachable_chunks() {
         small_config()
             .with_codec(CodecKind::Lz)
             .with_dedup(true)
-            .with_snapshots(true)
             .with_snapshot_keep_epochs(KEEP)
     };
 
@@ -648,6 +647,86 @@ fn gc_killed_mid_reclaim_never_frees_reachable_chunks() {
         fs.snapshot_gc().unwrap();
         let report = fs.snapshot_gc().unwrap();
         assert_eq!(report.reclaimed_chunks, 0, "kill_after={kill_after}");
+        assert_eq!(fs.stats().integrity_failures, 0);
+        fs.unmount().unwrap();
+    }
+}
+
+/// The origin of every REF frame in the frame log at `path`, and how
+/// many DATA frames the log holds.
+fn ref_origins(be: &Arc<dyn Backend>, path: &str) -> (Vec<String>, usize) {
+    use crfs::core::transform::frame::{FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_HEADER_LEN};
+    use crfs::core::transform::{walk_frames, FileHead};
+    let file = be.open(path, OpenOptions::read_only()).unwrap();
+    let head = FileHead::read(&*file).unwrap();
+    let (mut origins, mut data) = (Vec::new(), 0);
+    walk_frames(&*file, &head, |off, h| {
+        if h.flags & FLAG_REF != 0 {
+            // The origin path follows the record's 16-byte prefix
+            // (origin offset, stored length, codec, reserved).
+            let mut record = vec![0u8; h.stored_len as usize];
+            file.read_at(off + FRAME_HEADER_LEN, &mut record)?;
+            origins.push(String::from_utf8(record[16..].to_vec()).unwrap());
+        } else if h.flags & (FLAG_PAD | FLAG_TRUNC) == 0 {
+            data += 1;
+        }
+        Ok(())
+    })
+    .unwrap()
+    .expect("a frame log");
+    (origins, data)
+}
+
+/// A chunk whose content-store write failed lands inline in its own
+/// file, and must never become a dedup origin: a later duplicate in
+/// another file references the content store, so unlinking the first
+/// file costs the duplicate nothing, live or restarted from its sealed
+/// epoch. The duplicate comes on the same mount, and on a remount that
+/// seeds its dedup index from a manifest naming the inline chunk. Every
+/// REF frame the writer emitted names a content-store chunk.
+#[test]
+fn a_degraded_chunk_is_never_a_dedup_origin() {
+    use crfs::core::snapshot::CAS_DIR;
+    let x = transform_payload(1024);
+    let config = small_config().with_codec(CodecKind::Lz).with_dedup(true);
+    for remount in [false, true] {
+        let be = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
+        let dyn_be = be.clone() as Arc<dyn Backend>;
+        let mut fs = Crfs::mount(Arc::clone(&dyn_be), config.clone()).unwrap();
+        let a = fs.create("/a").unwrap();
+        // A's handle is open; the chunk's CAS file cannot be.
+        be.set_mode(FailureMode::FailOpen);
+        a.write(&x).unwrap();
+        a.close().unwrap();
+        be.set_mode(FailureMode::None);
+        if remount {
+            fs.advance_epoch().unwrap();
+            fs.unmount().unwrap();
+            fs = Crfs::mount(Arc::clone(&dyn_be), config.clone()).unwrap();
+        }
+        let b = fs.create("/b").unwrap();
+        b.write(&x).unwrap();
+        b.close().unwrap();
+        fs.advance_epoch().unwrap();
+
+        let (a_refs, a_data) = ref_origins(&dyn_be, "/a");
+        assert_eq!((a_refs.len(), a_data), (0, 1), "A's chunk landed inline");
+        let (b_refs, b_data) = ref_origins(&dyn_be, "/b");
+        assert_eq!((b_refs.len(), b_data), (1, 0), "remount {remount}");
+        let store = format!("{CAS_DIR}/");
+        assert!(b_refs.iter().all(|o| o.starts_with(&store)), "{b_refs:?}");
+
+        fs.unlink("/a").unwrap();
+        let epoch = *fs.snapshot_epochs().last().expect("a sealed epoch");
+        for view in [
+            fs.open("/b").unwrap(),
+            fs.open_restart("/b", epoch).unwrap(),
+        ] {
+            let mut back = vec![0u8; x.len()];
+            assert_eq!(view.read_at(0, &mut back).unwrap(), x.len());
+            assert_eq!(back, x, "remount {remount}");
+            view.close().unwrap();
+        }
         assert_eq!(fs.stats().integrity_failures, 0);
         fs.unmount().unwrap();
     }

@@ -848,7 +848,6 @@ fn snapshot_restart_is_byte_exact_from_every_retained_epoch() {
                 .with_pool_size(4 * chunk)
                 .with_codec(codec)
                 .with_dedup(true)
-                .with_snapshots(true)
                 .with_snapshot_keep_epochs(keep);
 
             let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config.clone()).expect("mount");

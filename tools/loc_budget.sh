@@ -89,6 +89,22 @@
 # counts under the mutex its condvar waits on), net of the per-manifest
 # key lists and the orphan pass's own manifest reads they replace;
 # `crfs-fsck` +12 (`--deep`, usage, `trusted_payloads=`).
+# 42,500 -> 42,492 when dedup came to mean the content store: 42,427 ->
+# 42,492, +65 lines, product lines -88 and test lines +153. Product:
+# `transform/mod.rs` -63 (one CAS arm in `encode_chunk`, no index
+# registration in `commit`, `TransformCtx` with one optional store and
+# no `invalidate_path`), `file.rs` -44 (the ledger is `ChunkAccounting`
+# and a parked count under one mutex; the gate, the atomics, the
+# "Parking" proof and two accessors only tests called went),
+# `dedup.rs` -14, `fs.rs` -6 (five `invalidate_path` calls out, the
+# content-store guard in), net of `snapshot/mod.rs` +11 (the store owns
+# and seeds its index, content-store origins only), `config.rs` +7 (the
+# `snapshots` mirror and its check) and `exp fsck`'s interleaved rounds
+# in `bench/src/real.rs` +24. Tests: the degraded-chunk regression
+# (`tests/failure_injection.rs` +79), the parked-barrier wake and the
+# ledger reads (`file.rs` +47), the content-store guard (`fs.rs` +10),
+# the config pair (+9) and the fsck fixtures rebuilt over the content
+# store (+18), net of the two `invalidate_path` tests.
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -97,7 +113,7 @@
 # adds it.
 set -eu
 
-CEILING=42500
+CEILING=42492
 UNSAFE_CEILING=0
 
 cd "$(dirname "$0")/.."
