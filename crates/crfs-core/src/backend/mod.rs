@@ -34,6 +34,7 @@ pub use throttled::{ThrottleParams, ThrottledBackend};
 pub(crate) use tiered::is_promote_tmp;
 pub use tiered::{TierCounters, TieredBackend};
 
+use std::borrow::Borrow;
 use std::io;
 use std::sync::Arc;
 
@@ -333,6 +334,82 @@ pub(crate) fn read_exact_at(file: &dyn BackendFile, offset: u64, buf: &mut [u8])
         ));
     }
     Ok(())
+}
+
+/// Most reads [`read_heads`] keeps in flight: a few hundred small
+/// recovery reads over a 1 ms store cost a round trip or two.
+pub(crate) const READ_BATCH: usize = 256;
+
+/// Reads the first `want(len)` bytes of each file — whole manifests,
+/// chunk headers — with up to [`READ_BATCH`] reads in flight when the
+/// store takes asynchronous reads ([`BackendFile::begin_read_at`]). A
+/// read the store declines is read blocking on the spot if `block`;
+/// otherwise it ends the batch, and the result holds only the files
+/// before it. Files are taken from `files` as they are read and dropped
+/// once their read is begun (its bytes have landed by then), so an
+/// ended batch opens nothing more and a batch of any length holds one
+/// open handle.
+pub(crate) fn read_heads<'f, K, F: Borrow<dyn BackendFile + 'f>>(
+    files: impl IntoIterator<Item = (K, F)>,
+    want: impl Fn(u64) -> u64,
+    block: bool,
+) -> Vec<(K, io::Result<Vec<u8>>)> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let sink: Arc<dyn CompletionSink> = Arc::new(Batch(tx));
+    // Each file's key and bytes, and beside them the read's result
+    // unless it is in flight.
+    let (mut reads, mut done) = (Vec::new(), Vec::<Option<io::Result<()>>>::new());
+    let mut in_flight = 0;
+    for (key, file) in files {
+        if in_flight == READ_BATCH {
+            let (token, result) = rx.recv().expect("the batch holds its sink");
+            done[token as usize] = Some(result);
+            in_flight -= 1;
+        }
+        let f = file.borrow();
+        let mut buf = Vec::new();
+        let read = match f.len() {
+            Err(e) => Some(Err(e)),
+            Ok(len) => {
+                buf.resize(want(len) as usize, 0);
+                match f.begin_read_at(reads.len() as u64, 0, &mut buf, &sink) {
+                    Ok(true) => None,
+                    Ok(false) if !block => break,
+                    Ok(false) => Some(read_exact_at(f, 0, &mut buf)),
+                    Err(e) => Some(Err(e)),
+                }
+            }
+        };
+        in_flight += usize::from(read.is_none());
+        reads.push((key, buf));
+        done.push(read);
+    }
+    for (token, result) in rx.iter().take(in_flight) {
+        done[token as usize] = Some(result);
+    }
+    let reads = reads.into_iter().zip(done);
+    reads
+        .map(|((key, buf), done)| {
+            let done = done.expect("an accepted read completes exactly once");
+            (key, done.map(|()| buf))
+        })
+        .collect()
+}
+
+/// All of `file`'s bytes: [`read_heads`] of one file.
+pub(crate) fn read_whole(file: &dyn BackendFile) -> io::Result<Vec<u8>> {
+    let mut read = read_heads([((), file)], |len| len, true);
+    read.pop().expect("a blocking batch reads every file").1
+}
+
+/// Hands each completion of a [`read_heads`] batch to its caller.
+struct Batch(std::sync::mpsc::Sender<(u64, io::Result<()>)>);
+
+impl CompletionSink for Batch {
+    fn complete(&self, token: u64, result: io::Result<()>) {
+        // The caller receives one completion per accepted read.
+        let _ = self.0.send((token, result));
+    }
 }
 
 /// Normalizes a user path into the canonical internal form: absolute,

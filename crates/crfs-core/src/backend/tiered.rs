@@ -95,9 +95,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use super::{normalize_path, Backend, BackendFile, CompletionSink, OpenOptions};
+use super::{
+    basename_of, normalize_path, parent_of, Backend, BackendFile, CompletionSink, OpenOptions,
+};
 use crate::obs::EventKind;
 use crate::pool::ChunkBuf;
+use crate::snapshot::{parse_manifest_name, SNAP_DIR};
 use crate::stats::CrfsStats;
 
 /// Drain threads per backend. Two, so that the fast-tier re-read of the
@@ -173,6 +176,11 @@ pub(crate) fn is_promote_tmp(name: &str) -> bool {
         let digits = &name[i + PROMOTE_TMP_MARKER.len()..];
         !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit())
     })
+}
+
+/// True for a snapshot manifest's path, which the barrier syncs last.
+fn is_manifest(path: &str) -> bool {
+    parent_of(path) == SNAP_DIR && parse_manifest_name(basename_of(path)).is_some()
 }
 
 /// How one drain op ended.
@@ -445,11 +453,14 @@ impl Drain {
         self.ops.is_empty() && self.inflight_total == 0
     }
 
-    /// Ends a barrier's epoch: the durable paths to sync, and the copies
-    /// lost since the previous seal.
+    /// Ends a barrier's epoch: the durable paths to sync, snapshot
+    /// manifests last (a sealed manifest vouches for chunks in other
+    /// files, fsck's trust rule), and the copies lost since the
+    /// previous seal.
     fn seal(&mut self) -> (Vec<String>, u64) {
         self.c.barrier_waits += 1;
-        let dirty = std::mem::take(&mut self.dirty).into_iter().collect();
+        let mut dirty: Vec<String> = std::mem::take(&mut self.dirty).into_iter().collect();
+        dirty.sort_by_key(|p| is_manifest(p));
         (dirty, std::mem::take(&mut self.lost))
     }
 
@@ -664,6 +675,13 @@ impl Shared {
         };
         let mut first_err: Option<io::Error> = None;
         for path in &dirty {
+            // A manifest vouches for what was synced before it: once a
+            // sync failed or a copy was lost, none is synced. (The
+            // order binds `sync` alone; writeback may persist a
+            // manifest's drained bytes earlier.)
+            if (first_err.is_some() || lost > 0) && is_manifest(path) {
+                continue;
+            }
             match self.durable_file(path, false).and_then(|f| f.sync()) {
                 Ok(()) => {}
                 // Unlinked or renamed since it was drained: nothing left

@@ -60,7 +60,16 @@
 //! window did not hold. A chunk the seal vouches for and whose payload
 //! is not decoded ("Trust") is read for its head alone, and a manifest
 //! not at all: the sweep reuses the bytes read before it. Over a store
-//! with a round trip per read, that count is the recovery time.
+//! with a round trip per read, that count is the recovery time; over
+//! one that takes asynchronous reads ([`BackendFile::begin_read_at`])
+//! those reads go out as batches of up to 256 in flight, before the
+//! sweep — every manifest, then in [`run`] the header of every chunk a
+//! decodable manifest names under the pass's roots, which the sweep
+//! reuses as it does a manifest's bytes. Each such chunk is read once
+//! and costs its checker no wait; the batch holds one open handle, so
+//! its length never meets the process's file limit. A synchronous
+//! store declines the first header read, which ends that batch, and
+//! its sweep reads as described.
 //! [`run_tiered`] is one sweep too: the durable copy of a file the fast
 //! tier holds is read once, right after the check, and compared against
 //! the fast bytes still in the window (read whole for it), so every
@@ -79,10 +88,13 @@
 //! each time a checker finishes the second job in a row that spent
 //! more wall time waiting on backend IO than checking, while the
 //! outstanding jobs outnumber the live checkers: a checker blocked on a
-//! 1 ms read costs no CPU, so a latency-bound store gets a dozen reads
-//! in flight, while a local store, whose reads are page-cache copies,
-//! keeps one checker per core (a checker preempted mid-read slows one
-//! read, not two in a row) and a two-file store never grows the pool.
+//! 1 ms read costs no CPU, so a latency-bound synchronous store gets a
+//! dozen reads in flight, while a local store, whose reads are
+//! page-cache copies, keeps one checker per core (a checker preempted
+//! mid-read slows one read, not two in a row) and a two-file store
+//! never grows the pool. Over an asynchronous store the batch before
+//! the sweep has already read what a default pass reads of a sealed
+//! chunk, so growth serves synchronous stores only.
 //!
 //! [`ChunkFrame`]: crate::transform::frame::FrameHeader
 
@@ -95,11 +107,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::backend::{read_exact_at, Backend, BackendFile, OpenOptions};
+use crate::backend::{read_exact_at, read_heads, read_whole, Backend, BackendFile, OpenOptions};
 use crate::obs::Histogram;
 use crate::pool::ChunkBuf;
 use crate::snapshot::manifest::{ChunkRecord, Manifest, Record, MANIFEST_MAGIC};
-use crate::snapshot::{parse_cas_name, parse_manifest_name, ChunkKey, CAS_DIR, SNAP_DIR};
+use crate::snapshot::{cas_path, parse_cas_name, parse_manifest_name, ChunkKey, CAS_DIR, SNAP_DIR};
 use crate::transform::codec::decode_to_vec;
 use crate::transform::frame::{
     payload_digest, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
@@ -373,7 +385,12 @@ impl FsckSummary {
 /// checkers sized by `opts.threads` (see [`FsckOptions::threads`]).
 pub fn run(backend: &Arc<dyn Backend>, roots: &[String], opts: &FsckOptions) -> FsckSummary {
     let t0 = Instant::now();
-    let sealed = read_sealed(&**backend);
+    let heads_under = if opts.payloads == Payloads::All {
+        &[]
+    } else {
+        roots
+    };
+    let sealed = read_sealed(&**backend, heads_under);
     let mut summary = sweep(&**backend, roots, opts.threads, |path, checker| {
         check_file(backend, path, opts, &sealed, false, checker)
     });
@@ -409,7 +426,7 @@ pub fn run_tiered(
         Arc::clone(durable),
         &crate::CrfsConfig::default(),
     ));
-    let sealed = read_sealed(&*union);
+    let sealed = read_sealed(&*union, &[]);
     let mut summary = sweep(&*union, roots, opts.threads, |path, checker| {
         let reports = checker.summary.reports.len();
         check_file(&union, path, opts, &sealed, true, checker);
@@ -618,7 +635,7 @@ fn merge(into: &mut FsckSummary, from: FsckSummary) {
 }
 
 /// The retained sealed manifests, read before the sweep (module docs,
-/// "Trust").
+/// "Trust" and "Reads").
 #[derive(Default)]
 struct Sealed {
     /// Each manifest's bytes, which its check in the sweep reads
@@ -627,22 +644,29 @@ struct Sealed {
     /// The stored length and check of every chunk a decodable manifest
     /// names, by key.
     chunks: HashMap<ChunkKey, (u32, u64)>,
+    /// Those chunks' headers, by path, read as one batch over a store
+    /// that takes asynchronous reads: the sweep checks a chunk read for
+    /// its head alone from these.
+    heads: HashMap<String, Vec<u8>>,
 }
 
-/// Reads every manifest under [`SNAP_DIR`] on `lister`, on the thread
-/// that then runs the sweep's first checker.
-fn read_sealed(lister: &dyn Backend) -> Sealed {
-    let mut bytes = HashMap::new();
-    for name in lister.list_dir(SNAP_DIR).unwrap_or_default() {
-        if parse_manifest_name(&name).is_none() {
-            continue;
-        }
-        let path = format!("{SNAP_DIR}/{name}");
-        let file = lister.open(&path, OpenOptions::read_only());
-        if let Ok(read) = file.and_then(|file| read_whole(&*file)) {
-            bytes.insert(path, read);
-        }
-    }
+/// Reads every manifest under [`SNAP_DIR`] on `lister` as one batch,
+/// on the thread that then runs the sweep's first checker, then the
+/// header of every chunk they name that lies under one of `heads_under`.
+fn read_sealed(lister: &dyn Backend, heads_under: &[String]) -> Sealed {
+    let open = |path: String| {
+        let file = lister.open(&path, OpenOptions::read_only()).ok()?;
+        Some((path, file))
+    };
+    let names = lister.list_dir(SNAP_DIR).unwrap_or_default();
+    let names = names
+        .into_iter()
+        .filter(|n| parse_manifest_name(n).is_some());
+    let manifests = names.filter_map(|name| open(format!("{SNAP_DIR}/{name}")));
+    let bytes: HashMap<_, _> = read_heads(manifests, |len| len, true)
+        .into_iter()
+        .filter_map(|(path, read)| Some((path, read.ok()?)))
+        .collect();
     let mut chunks = HashMap::new();
     for m in bytes.values().filter_map(|b| Manifest::decode(b).ok()) {
         for (_, records) in &m.files {
@@ -653,7 +677,24 @@ fn read_sealed(lister: &dyn Backend) -> Sealed {
             }
         }
     }
-    Sealed { bytes, chunks }
+    // A synchronous store declines the first header read, which ends
+    // the batch: its sweep reads every chunk as it reads any file.
+    let covers = |root: &String, path: &str| {
+        let rest = path.strip_prefix(root.trim_end_matches('/'));
+        rest.is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+    };
+    let paths = chunks.keys().map(|&key| cas_path(key));
+    let paths = paths.filter(|path| heads_under.iter().any(|root| covers(root, path)));
+    let files = paths.filter_map(open);
+    let heads = read_heads(files, |len| len.min(FRAME_HEADER_LEN), false);
+    let heads = heads
+        .into_iter()
+        .filter_map(|(path, read)| Some((path, read.ok()?)));
+    Sealed {
+        bytes,
+        chunks,
+        heads: heads.collect(),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -974,7 +1015,7 @@ fn check_file_inner(
     let opened = match &file {
         Err(e) => Err(format!("unopenable: {e}")),
         Ok(file) => {
-            if let Some(bytes) = sealed.bytes.get(path) {
+            if let Some(bytes) = sealed.bytes.get(path).or(sealed.heads.get(path)) {
                 view.prime(bytes);
             }
             let window = Window {
@@ -1242,12 +1283,6 @@ fn check_manifest(
     });
 }
 
-fn read_whole(file: &dyn BackendFile) -> io::Result<Vec<u8>> {
-    let mut buf = vec![0u8; file.len()? as usize];
-    read_exact_at(file, 0, &mut buf)?;
-    Ok(buf)
-}
-
 /// Whether a manifest chunk record's origin file exists and is long
 /// enough to hold the recorded stored extent.
 fn manifest_ref_resolves(backend: &Arc<dyn Backend>, rec: &ChunkRecord) -> bool {
@@ -1379,6 +1414,7 @@ impl std::fmt::Display for FsckSummary {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::backend::{CompletionSink, READ_BATCH};
     use crate::transform::CodecKind;
     use crate::{Crfs, CrfsConfig};
 
@@ -1671,25 +1707,94 @@ mod tests {
     /// thread that read.
     type ReadLog = Arc<Mutex<Vec<(String, u64, usize, std::thread::ThreadId)>>>;
 
-    /// A [`Probe`]'s reads in flight: `(now, most at once)`.
+    /// A [`Probe`]'s reads in flight, or its open handles: `(now, most
+    /// at once)`.
     type InFlight = Arc<Mutex<(usize, usize)>>;
 
-    /// A test decorator: logs every `read_at`, sleeps `delay` in each,
-    /// and `hold` more in each read of `slow`.
+    /// Counts one more in `count`.
+    fn up(count: &InFlight) {
+        let mut count = count.lock();
+        count.0 += 1;
+        count.1 = count.1.max(count.0);
+    }
+
+    /// Every open and listing a [`Probe`] saw: op, path, and thread.
+    type OpLog = Arc<Mutex<Vec<(&'static str, String, std::thread::ThreadId)>>>;
+
+    /// A test decorator: logs every read, open and listing, counts open
+    /// handles, sleeps `delay` in each `read_at`, and `hold` more in
+    /// each read of `slow`. With `held` it takes asynchronous reads too.
     struct Probe {
         inner: Arc<dyn Backend>,
         delay: Duration,
         slow: Option<(String, Duration)>,
+        held: Option<Arc<Held>>,
         reads: ReadLog,
         in_flight: InFlight,
+        ops: OpLog,
+        handles: InFlight,
+    }
+
+    /// The completions of a [`Probe`]'s asynchronous reads of paths
+    /// under `under`: held until `batch` are pending or the `total`th
+    /// has begun, then delivered at once. Any other asynchronous read
+    /// completes inside its call.
+    struct Held {
+        under: &'static str,
+        batch: usize,
+        total: usize,
+        /// Pending completions, and the reads begun since the last
+        /// `total`.
+        state: Mutex<(Vec<Completion>, usize)>,
+    }
+
+    /// A held completion: its token and sink.
+    type Completion = (u64, Arc<dyn CompletionSink>);
+
+    fn held(under: &'static str, batch: usize, total: usize) -> Option<Arc<Held>> {
+        let state = Mutex::default();
+        Some(Arc::new(Held {
+            under,
+            batch,
+            total,
+            state,
+        }))
     }
 
     struct ProbeFile {
         inner: Box<dyn BackendFile>,
         path: String,
         sleep: Duration,
+        held: Option<Arc<Held>>,
         reads: ReadLog,
         in_flight: InFlight,
+        handles: InFlight,
+    }
+
+    impl Drop for ProbeFile {
+        fn drop(&mut self) {
+            self.handles.lock().0 -= 1;
+        }
+    }
+
+    impl Probe {
+        fn new(inner: &Arc<dyn Backend>, delay: Duration) -> Probe {
+            Probe {
+                inner: Arc::clone(inner),
+                delay,
+                slow: None,
+                held: None,
+                reads: ReadLog::default(),
+                in_flight: InFlight::default(),
+                ops: OpLog::default(),
+                handles: InFlight::default(),
+            }
+        }
+
+        fn log(&self, op: &'static str, path: &str) {
+            let thread = std::thread::current().id();
+            self.ops.lock().push((op, path.to_string(), thread));
+        }
     }
 
     impl Backend for Probe {
@@ -1697,37 +1802,83 @@ mod tests {
             "probe"
         }
         fn open(&self, path: &str, opts: OpenOptions) -> io::Result<Box<dyn BackendFile>> {
+            self.log("open", path);
             let held = match &self.slow {
                 Some((slow, hold)) if slow == path => *hold,
                 _ => Duration::ZERO,
             };
+            let inner = self.inner.open(path, opts)?;
+            up(&self.handles);
             Ok(Box::new(ProbeFile {
-                inner: self.inner.open(path, opts)?,
+                inner,
                 path: path.to_string(),
                 sleep: self.delay + held,
+                held: self.held.clone(),
                 reads: Arc::clone(&self.reads),
                 in_flight: Arc::clone(&self.in_flight),
+                handles: Arc::clone(&self.handles),
             }))
         }
-        crate::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists, file_len, list_dir);
+        fn list_dir(&self, path: &str) -> io::Result<Vec<String>> {
+            self.log("list", path);
+            self.inner.list_dir(path)
+        }
+        crate::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists, file_len);
+    }
+
+    impl ProbeFile {
+        /// Logs a read and counts it in flight.
+        fn start(&self, offset: u64, len: usize) {
+            let thread = std::thread::current().id();
+            self.reads
+                .lock()
+                .push((self.path.clone(), offset, len, thread));
+            up(&self.in_flight);
+        }
     }
 
     impl BackendFile for ProbeFile {
         fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-            let thread = std::thread::current().id();
-            let read = (self.path.clone(), offset, buf.len(), thread);
-            self.reads.lock().push(read);
-            {
-                let mut in_flight = self.in_flight.lock();
-                in_flight.0 += 1;
-                in_flight.1 = in_flight.1.max(in_flight.0);
-            }
+            self.start(offset, buf.len());
             if !self.sleep.is_zero() {
                 std::thread::sleep(self.sleep);
             }
             let read = self.inner.read_at(offset, buf);
             self.in_flight.lock().0 -= 1;
             read
+        }
+        fn begin_read_at(
+            &self,
+            token: u64,
+            offset: u64,
+            buf: &mut [u8],
+            sink: &Arc<dyn CompletionSink>,
+        ) -> io::Result<bool> {
+            let Some(held) = &self.held else {
+                return Ok(false);
+            };
+            self.start(offset, buf.len());
+            if let Err(e) = read_exact_at(&*self.inner, offset, buf) {
+                self.in_flight.lock().0 -= 1;
+                return Err(e);
+            }
+            let mut done = vec![(token, Arc::clone(sink))];
+            if self.path.starts_with(held.under) {
+                let mut state = held.state.lock();
+                state.0.append(&mut done);
+                state.1 += 1;
+                if state.1 == held.total {
+                    state.1 = 0;
+                    done = std::mem::take(&mut state.0);
+                } else if state.0.len() == held.batch {
+                    done = std::mem::take(&mut state.0);
+                }
+            }
+            for (token, sink) in done {
+                self.in_flight.lock().0 -= 1;
+                sink.complete(token, Ok(()));
+            }
+            Ok(true)
         }
         crate::forward_file_ops!(inner: write_at, sync, len, set_len);
     }
@@ -1742,14 +1893,8 @@ mod tests {
         inner: &Arc<dyn Backend>,
         delay: Duration,
     ) -> (Arc<dyn Backend>, ReadLog, InFlight) {
-        let (reads, in_flight) = (ReadLog::default(), InFlight::default());
-        let probe = Probe {
-            inner: Arc::clone(inner),
-            delay,
-            slow: None,
-            reads: Arc::clone(&reads),
-            in_flight: Arc::clone(&in_flight),
-        };
+        let probe = Probe::new(inner, delay);
+        let (reads, in_flight) = (Arc::clone(&probe.reads), Arc::clone(&probe.in_flight));
         (Arc::new(probe), reads, in_flight)
     }
 
@@ -1782,30 +1927,47 @@ mod tests {
 
     /// A chunk the seal vouches for is read for its header alone, unless
     /// a deep pass decodes it (or a tier compare needs its bytes:
-    /// `each_tier_copy_is_read_once`).
+    /// `each_tier_copy_is_read_once`). Over a store that takes
+    /// asynchronous reads that read comes before the sweep, and a pass
+    /// whose roots hold no chunk opens none.
     #[test]
     fn a_vouched_chunk_costs_one_read_of_its_header() {
         let store = be();
         populate_snap(&store);
-        let (backend, reads) = probe(&store, Duration::ZERO);
-        let chunk_reads = |payloads| {
-            reads.lock().clear();
-            let opts = FsckOptions {
-                payloads,
-                ..opts(1)
+        let chunks = store.list_dir(CAS_DIR).unwrap().len();
+        for held in [None, held(CAS_DIR, READ_BATCH, chunks)] {
+            let mut probe = Probe::new(&store, Duration::ZERO);
+            probe.held = held;
+            let (reads, ops) = (Arc::clone(&probe.reads), Arc::clone(&probe.ops));
+            let backend: Arc<dyn Backend> = Arc::new(probe);
+            let chunk_reads = |root: &str, payloads| {
+                reads.lock().clear();
+                ops.lock().clear();
+                let opts = FsckOptions {
+                    payloads,
+                    ..opts(1)
+                };
+                assert!(run(&backend, &[root.to_string()], &opts).is_clean());
+                let reads = reads.lock();
+                let chunks = reads.iter().filter(|r| r.0.starts_with(CAS_DIR));
+                chunks.map(|r| (r.1, r.2)).collect::<Vec<_>>()
             };
-            assert!(run(&backend, &[CAS_DIR.to_string()], &opts).is_clean());
-            let reads = reads.lock();
-            let chunks = reads.iter().filter(|r| r.0.starts_with(CAS_DIR));
-            chunks.map(|r| (r.1, r.2)).collect::<Vec<_>>()
-        };
-        let chunks = backend.list_dir(CAS_DIR).unwrap().len();
-        let header = (0, FRAME_HEADER_LEN as usize);
-        assert_eq!(chunk_reads(Payloads::Unsealed), vec![header; chunks]);
-        assert_eq!(chunk_reads(Payloads::Skip), vec![header; chunks]);
-        let deep = chunk_reads(Payloads::All);
-        assert_eq!(deep.len(), chunks);
-        assert!(deep.iter().all(|&(off, len)| off == 0 && len > header.1));
+            let header = (0, FRAME_HEADER_LEN as usize);
+            assert_eq!(
+                chunk_reads(CAS_DIR, Payloads::Unsealed),
+                vec![header; chunks]
+            );
+            assert_eq!(chunk_reads("/ckpt", Payloads::Unsealed), vec![]);
+            let ops = ops.lock().clone();
+            let chunk_opens = ops
+                .iter()
+                .filter(|op| op.0 == "open" && op.1.starts_with(CAS_DIR));
+            assert_eq!(chunk_opens.count(), 0, "{ops:?}");
+            assert_eq!(chunk_reads(CAS_DIR, Payloads::Skip), vec![header; chunks]);
+            let deep = chunk_reads(CAS_DIR, Payloads::All);
+            assert_eq!(deep.len(), chunks);
+            assert!(deep.iter().all(|&(off, len)| off == 0 && len > header.1));
+        }
     }
 
     #[test]
@@ -1935,6 +2097,76 @@ mod tests {
         let most = in_flight.lock().1;
         println!("fsck: {seen} reads of 2 ms, at most {most} in flight");
         assert!(most >= 6, "at most {most} reads of 2 ms in flight");
+    }
+
+    /// Over a store that takes asynchronous reads the sealed chunks'
+    /// headers go out as one batch before the sweep: [`READ_BATCH`] in
+    /// flight, not one per checker, on one open handle, and a sweep left
+    /// no read to wait on keeps one checker per core.
+    #[test]
+    fn an_async_store_gets_every_header_read_in_one_batch() {
+        let store = be();
+        // Distinct chunks: each opens with its own index.
+        let data: Vec<u8> = (0..(READ_BATCH + 40) * 4096)
+            .map(|b| match b % 4096 {
+                i @ 0..4 => (b / 4096).to_le_bytes()[i],
+                i => (i / 64) as u8,
+            })
+            .collect();
+        populate_snap_with(&store, &data);
+        let chunks = store.list_dir(CAS_DIR).unwrap().len();
+        assert!(chunks > READ_BATCH, "{chunks} chunks");
+        let mut probe = Probe::new(&store, Duration::from_millis(2));
+        probe.held = held(CAS_DIR, READ_BATCH, chunks);
+        let (in_flight, ops) = (Arc::clone(&probe.in_flight), Arc::clone(&probe.ops));
+        let handles = Arc::clone(&probe.handles);
+        let backend: Arc<dyn Backend> = Arc::new(probe);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(run(&backend, &["/".to_string()], &FsckOptions::default()));
+        });
+        let sum = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the batch waited on completions held for a deeper one");
+        assert!(sum.is_clean(), "{sum}");
+        assert_eq!(sum.trusted_payloads, chunks as u64, "{sum}");
+        assert_eq!(in_flight.lock().1, READ_BATCH.min(chunks));
+        // Open handles stay within the checkers', whatever the chunk
+        // count: a store's file limit does not bound its chunks.
+        let most_open = handles.lock().1;
+        assert!(
+            most_open <= CHECKER_DEPTH,
+            "{most_open} handles open at once"
+        );
+        let ops = ops.lock();
+        let listers = ops.iter().filter(|op| op.0 == "list").map(|op| op.2);
+        let checkers: std::collections::HashSet<_> = listers.collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(checkers.len() <= cores, "{} checkers", checkers.len());
+    }
+
+    /// A mount reads every retained manifest as one batch.
+    #[test]
+    fn a_mount_over_an_async_store_reads_its_manifests_in_one_batch() {
+        let store = be();
+        for _ in 0..3 {
+            populate_snap(&store);
+        }
+        let mut probe = Probe::new(&store, Duration::ZERO);
+        probe.held = held("/.crfs-snap/manifest-", 3, 3);
+        let in_flight = Arc::clone(&probe.in_flight);
+        let backend: Arc<dyn Backend> = Arc::new(probe);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let fs = Crfs::mount(backend, snap_config()).unwrap();
+            let _ = tx.send(fs.snapshot_epochs());
+            fs.unmount().unwrap();
+        });
+        let epochs = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the mount read its manifests one at a time");
+        assert_eq!(epochs, [0, 1, 2]);
+        assert_eq!(in_flight.lock().1, 3);
     }
 
     /// A checker with nothing to take parks; a push wakes it, and so
@@ -2067,14 +2299,10 @@ mod tests {
     fn one_held_read_with_idle_checkers_still_totals_right() {
         let store = be();
         populate(&store, 6, 20_000);
-        let reads = ReadLog::default();
-        let held: Arc<dyn Backend> = Arc::new(Probe {
-            inner: Arc::clone(&store),
-            delay: Duration::ZERO,
-            slow: Some(("/ckpt/rank3.img".to_string(), Duration::from_millis(200))),
-            reads: Arc::clone(&reads),
-            in_flight: InFlight::default(),
-        });
+        let mut probe = Probe::new(&store, Duration::ZERO);
+        probe.slow = Some(("/ckpt/rank3.img".to_string(), Duration::from_millis(200)));
+        let reads = Arc::clone(&probe.reads);
+        let held: Arc<dyn Backend> = Arc::new(probe);
         let t0 = Instant::now();
         let sum = run(&held, &["/".to_string()], &FsckOptions::default());
         assert!(t0.elapsed() >= Duration::from_millis(200));
@@ -2316,18 +2544,21 @@ mod tests {
         populate_snap_with(backend, &data);
     }
 
+    /// The dedup mount of [`populate_snap`].
+    fn snap_config() -> CrfsConfig {
+        CrfsConfig::default()
+            .with_chunk_size(4096)
+            .with_pool_size(64 * 1024)
+            .with_codec(CodecKind::Lz)
+            .with_dedup(true)
+    }
+
     /// [`populate_snap`] with `data` as the checkpoint file.
     fn populate_snap_with(backend: &Arc<dyn Backend>, data: &[u8]) {
-        let fs = Crfs::mount(
-            Arc::clone(backend),
-            CrfsConfig::default()
-                .with_chunk_size(4096)
-                .with_pool_size(64 * 1024)
-                .with_codec(CodecKind::Lz)
-                .with_dedup(true),
-        )
-        .unwrap();
-        fs.mkdir("/ckpt").unwrap();
+        let fs = Crfs::mount(Arc::clone(backend), snap_config()).unwrap();
+        if !backend.exists("/ckpt") {
+            fs.mkdir("/ckpt").unwrap();
+        }
         let f = fs.create("/ckpt/rank0.img").unwrap();
         f.write(data).unwrap();
         f.close().unwrap();
@@ -2479,6 +2710,102 @@ mod tests {
         assert!(sum.reports.iter().any(|r| r.path == chunks[3]), "{sum}");
     }
 
+    /// Writes a valid frame holding other bytes under `path`: its
+    /// header, not the manifest's record, then describes what is stored.
+    fn write_other_frame(backend: &Arc<dyn Backend>, path: &str) {
+        let other: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+        let header = FrameHeader {
+            flags: 0,
+            codec: crate::transform::codec::STORED_RAW,
+            format: FRAME_FORMAT,
+            logical_offset: 0,
+            logical_len: other.len() as u32,
+            stored_len: other.len() as u32,
+            payload_check: payload_digest(&other).check,
+        };
+        let f = backend.open(path, OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, &header.encode()).unwrap();
+        f.write_at(FRAME_HEADER_LEN, &other).unwrap();
+    }
+
+    /// A copy of every directory and file of `store`.
+    fn copy_of(store: &Arc<dyn Backend>) -> Arc<dyn Backend> {
+        let copy = be();
+        let mut dirs = vec!["/".to_string()];
+        while let Some(dir) = dirs.pop() {
+            for name in store.list_dir(&dir).unwrap() {
+                let path = format!("{}/{name}", dir.trim_end_matches('/'));
+                match store.open(&path, OpenOptions::read_only()) {
+                    Ok(file) => {
+                        let to = copy.open(&path, OpenOptions::create_truncate()).unwrap();
+                        to.write_at(0, &read_whole(&*file).unwrap()).unwrap();
+                    }
+                    Err(_) => {
+                        copy.mkdir(&path).unwrap();
+                        dirs.push(path);
+                    }
+                }
+            }
+        }
+        copy
+    }
+
+    /// Reading the sealed chunks' headers as one batch changes when they
+    /// are read, not what a sweep finds or repairs.
+    #[test]
+    fn an_async_store_sweeps_to_the_synchronous_answer() {
+        // Two manifests naming the same chunks; then one chunk whose
+        // header disagrees with its record, one shorter than a header,
+        // one missing, a torn first manifest, an orphan and a torn log.
+        let store = be();
+        populate_snap(&store);
+        populate_snap(&store);
+        let mut chunks = store.list_dir(CAS_DIR).unwrap();
+        chunks.sort();
+        let chunk = |i: usize| format!("{CAS_DIR}/{}", chunks[i]);
+        write_other_frame(&store, &chunk(0));
+        let short = store.open(&chunk(1), OpenOptions::read_write()).unwrap();
+        short.set_len(10).unwrap();
+        store.unlink(&chunk(2)).unwrap();
+        let torn = store
+            .open(&manifest_path(0), OpenOptions::read_write())
+            .unwrap();
+        torn.write_at(12, &[0xFF]).unwrap();
+        let orphan = store.open(
+            &cas_path((0xfeed_face, 4096)),
+            OpenOptions::create_truncate(),
+        );
+        orphan.unwrap().write_at(0, b"junk").unwrap();
+        let log = store
+            .open("/ckpt/rank0.img", OpenOptions::read_write())
+            .unwrap();
+        log.set_len(log.len().unwrap() - 7).unwrap();
+        // Every chunk the manifests name but the missing one.
+        let primed = chunks.len() - 1;
+        for repair in [false, true] {
+            let sweep = |is_async: bool| {
+                let mut probe = Probe::new(&copy_of(&store), Duration::ZERO);
+                probe.held = held(CAS_DIR, primed, primed).filter(|_| is_async);
+                // A repair races the REF checks of other checkers: one
+                // checker keeps the order, and so the answer, fixed.
+                let threads = if repair { 1 } else { 2 };
+                let sum = run(
+                    &(Arc::new(probe) as Arc<dyn Backend>),
+                    &["/".to_string()],
+                    &FsckOptions {
+                        repair,
+                        ..opts(threads)
+                    },
+                );
+                let totals = (sum.files, sum.frames, sum.trusted_payloads);
+                format!("{totals:?} {:?} {:?}", sum.damage, sum.reports)
+            };
+            let found = sweep(false);
+            assert!(found.contains("torn_tails: 3"), "{found}");
+            assert_eq!(sweep(true), found, "repair: {repair}");
+        }
+    }
+
     #[test]
     fn a_chunk_whose_header_disagrees_with_its_record_is_decoded() {
         let backend = be();
@@ -2490,25 +2817,7 @@ mod tests {
             .map(|name| format!("{CAS_DIR}/{name}"))
             .next()
             .unwrap();
-        // A valid frame under the victim's name, holding other bytes: its
-        // header, not the record, now describes what is stored.
-        let other: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-        let digest = payload_digest(&other);
-        let header = FrameHeader {
-            flags: 0,
-            codec: crate::transform::codec::STORED_RAW,
-            format: FRAME_FORMAT,
-            logical_offset: 0,
-            logical_len: other.len() as u32,
-            stored_len: other.len() as u32,
-            payload_check: digest.check,
-        };
-        let f = backend
-            .open(&victim, OpenOptions::create_truncate())
-            .unwrap();
-        f.write_at(0, &header.encode()).unwrap();
-        f.write_at(FRAME_HEADER_LEN, &other).unwrap();
-        drop(f);
+        write_other_frame(&backend, &victim);
         let sum = run(&backend, &["/".to_string()], &opts(1));
         assert_eq!(sum.trusted_payloads, 1, "the other chunk only: {sum}");
         assert!(

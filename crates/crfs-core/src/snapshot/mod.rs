@@ -47,7 +47,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::backend::{read_exact_at, Backend, BackendFile, OpenOptions};
+use crate::backend::{read_exact_at, read_heads, read_whole, Backend, BackendFile, OpenOptions};
 use crate::stats::CrfsStats;
 use crate::transform::codec::STORED_RAW;
 use crate::transform::dedup::{DedupIndex, DEDUP_KEEP_EPOCHS};
@@ -214,11 +214,17 @@ impl SnapshotStore {
             .filter_map(|n| parse_manifest_name(n))
             .collect();
         epochs.sort_unstable();
-        for &epoch in &epochs {
-            // A manifest that fails to decode was torn by a crash
-            // mid-seal: that epoch never committed. Skip it (crfs-fsck
-            // reports and removes the remains).
-            let Ok(m) = store.read_manifest(epoch) else {
+        // Read as one batch. A manifest that fails to decode was torn
+        // by a crash mid-seal: that epoch never committed. Skip it
+        // (crfs-fsck reports and removes the remains).
+        let files = epochs.iter().filter_map(|&epoch| {
+            let file = store
+                .backend
+                .open(&manifest_path(epoch), OpenOptions::read_only());
+            Some((epoch, file.ok()?))
+        });
+        for (epoch, read) in read_heads(files, |len| len, true) {
+            let Ok(m) = read.and_then(|bytes| Manifest::decode(&bytes)) else {
                 continue;
             };
             inner.manifests.insert(epoch, manifest_keys(&m));
@@ -613,10 +619,7 @@ impl SnapshotStore {
         let file = self
             .backend
             .open(&manifest_path(epoch), OpenOptions::read_only())?;
-        let len = file.len()?;
-        let mut buf = vec![0u8; len as usize];
-        read_exact_at(&*file, 0, &mut buf)?;
-        Manifest::decode(&buf)
+        Manifest::decode(&read_whole(&*file)?)
     }
 }
 

@@ -731,3 +731,95 @@ fn a_degraded_chunk_is_never_a_dedup_origin() {
         fs.unmount().unwrap();
     }
 }
+
+/// A durable tier that records the path of every `sync`, in order, and
+/// fails the sync of any path under `fail`.
+struct SyncLog {
+    inner: MemBackend,
+    synced: Arc<std::sync::Mutex<Vec<String>>>,
+    fail: Option<&'static str>,
+}
+
+struct SyncLogFile {
+    inner: Box<dyn crfs::core::BackendFile>,
+    path: String,
+    synced: Arc<std::sync::Mutex<Vec<String>>>,
+    fails: bool,
+}
+
+impl Backend for SyncLog {
+    fn name(&self) -> &str {
+        "sync-log"
+    }
+    fn open(
+        &self,
+        path: &str,
+        opts: OpenOptions,
+    ) -> std::io::Result<Box<dyn crfs::core::BackendFile>> {
+        Ok(Box::new(SyncLogFile {
+            inner: self.inner.open(path, opts)?,
+            path: path.to_string(),
+            synced: Arc::clone(&self.synced),
+            fails: self.fail.is_some_and(|fail| path.starts_with(fail)),
+        }))
+    }
+    crfs::core::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists, file_len, list_dir);
+}
+
+impl crfs::core::BackendFile for SyncLogFile {
+    fn sync(&self) -> std::io::Result<()> {
+        if self.fails {
+            return Err(std::io::Error::other("injected sync failure"));
+        }
+        self.synced.lock().unwrap().push(self.path.clone());
+        self.inner.sync()
+    }
+    crfs::core::forward_file_ops!(inner: write_at, read_at, len, set_len);
+}
+
+/// A sealed manifest can name a degraded chunk that lives inline in a
+/// user file, and fsck trusts what a sealed manifest names: the durable
+/// barrier syncs that user file before the manifest, and no manifest
+/// once the user file's sync failed.
+#[test]
+fn the_durable_barrier_syncs_the_manifest_last() {
+    use crfs::core::backend::TieredBackend;
+    let at = |synced: &[String], wanted: &str| synced.iter().position(|p| p.starts_with(wanted));
+    for fail in [None, Some("/ckpt/a")] {
+        let synced = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let durable = SyncLog {
+            inner: MemBackend::new(),
+            synced: Arc::clone(&synced),
+            fail,
+        };
+        let tiered = TieredBackend::from_config(
+            Arc::new(MemBackend::new()),
+            Arc::new(durable),
+            &CrfsConfig::default(),
+        );
+        let be = Arc::new(FaultyBackend::new(tiered, FailureMode::None));
+        let config = small_config().with_codec(CodecKind::Lz).with_dedup(true);
+        let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config).unwrap();
+        fs.mkdir("/ckpt").unwrap();
+        let a = fs.create("/ckpt/a").unwrap();
+        // The chunk's content-store file cannot be opened: it lands inline.
+        be.set_mode(FailureMode::FailOpen);
+        a.write(&transform_payload(1024)).unwrap();
+        a.close().unwrap();
+        be.set_mode(FailureMode::None);
+        synced.lock().unwrap().clear();
+        let advanced = fs.advance_epoch();
+        let synced = synced.lock().unwrap().clone();
+        let manifest = at(&synced, "/.crfs-snap/manifest-");
+        if fail.is_some() {
+            assert!(advanced.is_err(), "a failed sync passed the barrier");
+            assert_eq!(manifest, None, "synced after a failed sync: {synced:?}");
+            continue;
+        }
+        advanced.unwrap();
+        let user = at(&synced, "/ckpt/a");
+        assert!(user.is_some() && manifest.is_some(), "{synced:?}");
+        assert!(user < manifest, "the manifest synced first: {synced:?}");
+        fs.unmount().unwrap();
+    }
+}

@@ -105,6 +105,20 @@
 # ledger reads (`file.rs` +47), the content-store guard (`fs.rs` +10),
 # the config pair (+9) and the fsck fixtures rebuilt over the content
 # store (+18), net of the two `invalidate_path` tests.
+# 42,492 -> 42,991 with recovery reads at the store's depth: +499
+# lines, 366 of them tests — the barrier-order check over a durable
+# tier that logs its syncs and fails one on demand
+# (`tests/failure_injection.rs` +92), and in `fsck.rs` (+274) the
+# probe's asynchronous reads with held completions, its open / listing
+# log and open-handle count, the batch-depth, open-handle, roots,
+# mount-batch and async-equals-sync checks and a store copier. Product
+# lines +133: `backend/mod.rs` +77 (`read_heads`, the one batch helper
+# with its sink, and `read_whole` over it), `fsck.rs` +35 (the chunk
+# headers under the pass's roots read before the sweep, 18 of them
+# docs), `backend/tiered.rs` +18 (manifests synced last, and not after
+# a failed sync) and `snapshot/mod.rs` +3, net of fsck's `read_whole`
+# and the mount's manifest loop and `read_manifest` body folded into
+# the helper.
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -113,7 +127,7 @@
 # adds it.
 set -eu
 
-CEILING=42492
+CEILING=42991
 UNSAFE_CEILING=0
 
 cd "$(dirname "$0")/.."
