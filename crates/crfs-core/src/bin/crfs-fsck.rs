@@ -4,11 +4,11 @@
 //! frame log and snapshot epoch manifest in parallel, classifies damage
 //! (torn tail, bad header CRC, bad payload checksum, orphaned dedup
 //! reference, orphaned content-store chunk,
-//! dangling manifest reference), and — with `--repair` — truncates torn
-//! frame-log tails back to the last valid frame, unlinks undecodable
-//! (torn-seal) manifests, and unlinks content-store chunks nothing
-//! references. Run it offline only: a live mount's in-flight chunks are
-//! registered in memory and would look like orphans.
+//! dangling manifest reference), and — with `--repair`, once the sweep
+//! is done — unlinks undecodable (torn-seal) manifests and content-store
+//! chunks nothing references, and truncates torn frame-log tails back to
+//! the last valid frame. Run it offline only: a live mount's in-flight
+//! chunks are registered in memory and would look like orphans.
 //!
 //! Payloads: by default a content-store chunk a sealed manifest names
 //! gets the structural walk only — the seal vouches for its bytes and a
@@ -21,7 +21,8 @@
 //! sweep runs over the union view and a tier-consistency pass compares
 //! every fast-tier file against its durable copy — stranded or diverged
 //! files (the crash-during-drain shapes) are reported, and `--repair`
-//! re-drains them from the authoritative fast copy.
+//! re-drains them from the authoritative fast copy and unlinks the
+//! promotion staging files a crash left in the fast tier.
 //!
 //! ```text
 //! crfs-fsck [--repair | --dry-run] [--threads N] [--deep | --no-payloads]
@@ -55,7 +56,9 @@ fn usage() -> ExitCode {
          \n\
          Checks every CRFS frame log and snapshot manifest under <dir>.\n\
          \n\
-           --repair       truncate torn frame-log tails to the last valid frame\n\
+           --repair       after the sweep: truncate torn frame-log tails, unlink\n\
+                          torn manifests and orphan chunks; with --fast, re-drain\n\
+                          stranded/diverged files and unlink staging files\n\
            --dry-run      report only, never mutate (the default)\n\
            --threads N    exactly N checker threads (default: one per core,\n\
                           growing to 16 while queued files outnumber them\n\

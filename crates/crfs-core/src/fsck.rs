@@ -40,65 +40,53 @@
 //! checked by structure only, so a clean default sweep never reads as
 //! "every payload decoded".
 //!
-//! **Repair** (`FsckOptions::repair`) applies the torn-tail discard
-//! rule persistently: a frame log whose chain walk stopped early is
-//! truncated to the end of its last structurally valid frame, exactly
-//! the prefix a mount-time open scan serves ([`ScanOutcome::clean_len`]
-//! from the same walk). In-bounds damage (a
-//! DATA frame that fails its checksum mid-chain) is *reported, not
-//! repaired* — truncating would discard good frames past it, and the
-//! read path already surfaces it as an `IntegrityError` instead of
-//! wrong bytes.
+//! **Repair** checks, then plans, then applies. The sweep is read-only:
+//! per file a checker returns its kind, its own damage, its clean length
+//! (what a repair leaves: of a frame log the prefix an open scan serves,
+//! [`ScanOutcome::clean_len`]) and every REF frame and manifest chunk
+//! record it holds. After the sweep each reference resolves against its
+//! origin's clean length, and a content-store chunk nothing names is an
+//! orphan, so a dry run and a repair report the same damage on any
+//! schedule. [`FsckOptions::repair`] then runs one ordered list, made
+//! with no IO: unlink torn manifests and orphan chunks, truncate torn
+//! tails, and on two tiers drain, sweep staging files and re-drain.
+//! In-bounds damage (a DATA frame failing its checksum, a reference its
+//! origin cannot hold) is *reported, not repaired*: truncating would
+//! discard good frames past it, and the read path surfaces it as an
+//! `IntegrityError`, never as wrong bytes.
 //!
-//! **Reads.** A checker reads each file through a read-only window (a
-//! 4 MiB + header buffer it reuses from file to file) handed to the
-//! unchanged [`FileHead::read`] / [`walk_frames`] as their
-//! `BackendFile`. A file that fits is fetched by one read that serves
-//! the classification, every header and payload, and the manifest
-//! decode; a bigger one reads its 40-byte head (a raw image stops
-//! there), then window-sized reads from the first byte the previous
-//! window did not hold. A chunk the seal vouches for and whose payload
-//! is not decoded ("Trust") is read for its head alone, and a manifest
-//! not at all: the sweep reuses the bytes read before it. Over a store
-//! with a round trip per read, that count is the recovery time; over
-//! one that takes asynchronous reads ([`BackendFile::begin_read_at`])
-//! those reads go out as batches of up to 256 in flight, before the
-//! sweep — every manifest, then in [`run`] the header of every chunk a
-//! decodable manifest names under the pass's roots, which the sweep
-//! reuses as it does a manifest's bytes. Each such chunk is read once
-//! and costs its checker no wait; the batch holds one open handle, so
-//! its length never meets the process's file limit. A synchronous
-//! store declines the first header read, which ends that batch, and
-//! its sweep reads as described.
-//! [`run_tiered`] is one sweep too: the durable copy of a file the fast
-//! tier holds is read once, right after the check, and compared against
-//! the fast bytes still in the window (read whole for it), so every
-//! copy of a file that fits is read exactly once. A
-//! checker owns every buffer a file needs — the window, a frame's
-//! stored and decoded bytes, the durable copy, a re-drain's copy — so
-//! no check allocates or zero-fills one of its own.
+//! **Reads.** A checker reads each file through a reused read-only
+//! window (4 MiB plus a header) handed to the unchanged
+//! [`FileHead::read`] / [`walk_frames`] as their `BackendFile`. A file
+//! that fits is fetched by one read; a bigger one reads its 40-byte
+//! head (a raw image stops there), then window-sized reads. A chunk the
+//! seal vouches for and whose payload is not decoded is read for its
+//! head alone, and a manifest not at all: the sweep reuses the bytes
+//! read before it. Over a store that takes asynchronous reads
+//! ([`BackendFile::begin_read_at`]) those go out as batches of up to 256
+//! in flight before the sweep — every manifest, then in [`run`] the
+//! header of every chunk a decodable manifest names under the roots —
+//! on one open handle; a synchronous store declines the first, which
+//! ends that batch. [`run_tiered`] reads a file's durable copy right
+//! after its check and compares it with the fast bytes still in the
+//! window, so each copy of a file that fits is read once. A checker
+//! owns every buffer a file needs (the window, a frame's stored and
+//! decoded bytes, the durable copy, a re-drain's copy).
 //!
-//! **Checkers.** Checking parallelizes pFSCK-style: a work-stealing
-//! pool of per-file checkers. Each checker owns a deque seeded
-//! round-robin with the roots; directory expansion pushes discovered
-//! children onto the checker's own queue (depth-first, cache-warm) and
-//! idle checkers steal from the fronts of other queues, or park — so
-//! one huge directory or one long log does not serialize the sweep. A
-//! default sweep starts one checker per core and adds one, up to 16,
-//! each time a checker finishes the second job in a row that spent
-//! more wall time waiting on backend IO than checking, while the
-//! outstanding jobs outnumber the live checkers: a checker blocked on a
-//! 1 ms read costs no CPU, so a latency-bound synchronous store gets a
-//! dozen reads in flight, while a local store, whose reads are
-//! page-cache copies, keeps one checker per core (a checker preempted
-//! mid-read slows one read, not two in a row) and a two-file store
-//! never grows the pool. Over an asynchronous store the batch before
-//! the sweep has already read what a default pass reads of a sealed
-//! chunk, so growth serves synchronous stores only.
+//! **Checkers.** A pFSCK-style work-stealing pool: each checker owns a
+//! deque seeded round-robin with the roots, pushes a directory's
+//! children onto its own queue (depth-first) and, when idle, steals
+//! from the fronts of the others or parks. A default sweep starts one
+//! checker per core and adds one, up to 16, each time a checker ends
+//! its second job in a row that waited on backend IO longer than it
+//! checked, while outstanding jobs outnumber the checkers: a checker
+//! blocked on a 1 ms read costs no CPU, while a local store's reads are
+//! page-cache copies that keep one checker per core. The re-drains run
+//! on the same pool after the sweep; a clean pass never starts it.
 //!
 //! [`ChunkFrame`]: crate::transform::frame::FrameHeader
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
@@ -110,7 +98,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::backend::{read_exact_at, read_heads, read_whole, Backend, BackendFile, OpenOptions};
 use crate::obs::Histogram;
 use crate::pool::ChunkBuf;
-use crate::snapshot::manifest::{ChunkRecord, Manifest, Record, MANIFEST_MAGIC};
+use crate::snapshot::manifest::{Manifest, Record, MANIFEST_MAGIC};
 use crate::snapshot::{cas_path, parse_cas_name, parse_manifest_name, ChunkKey, CAS_DIR, SNAP_DIR};
 use crate::transform::codec::decode_to_vec;
 use crate::transform::frame::{
@@ -128,8 +116,11 @@ const CHECKER_DEPTH: usize = 16;
 /// How a check/repair sweep should run.
 #[derive(Debug, Clone, Default)]
 pub struct FsckOptions {
-    /// Truncate torn frame-log tails to the last valid frame (and sync)
-    /// instead of only reporting them.
+    /// After the sweep, repair what it found instead of only reporting
+    /// it (module docs, "Repair"): unlink torn manifests and orphan
+    /// content-store chunks, truncate torn frame-log tails to the last
+    /// valid frame (and sync), and on two tiers re-drain stranded and
+    /// diverged files and unlink promotion staging files.
     pub repair: bool,
     /// Checker threads. 0 = one per core, growing to 16 while queued
     /// work outnumbers the checkers and backend reads, not checks, take
@@ -179,15 +170,16 @@ pub struct DamageCounts {
     /// names a check this build cannot recompute — a store written
     /// before the payload digest, which no mount will serve.
     pub bad_payload_checksum: u64,
-    /// REF frames whose dedup origin is missing or too short to hold
-    /// the referenced bytes.
+    /// REF frames whose dedup origin is missing, or too short once
+    /// repaired to hold the referenced bytes.
     pub orphaned_refs: u64,
     /// Content-store chunk files that neither a sealed manifest nor a
     /// live log's REF frame references — crash remnants the next
-    /// online GC would reclaim; `--repair` unlinks them.
+    /// online GC would reclaim; `--repair` unlinks them. Counted only
+    /// by a sweep whose roots cover `/`.
     pub orphaned_chunks: u64,
-    /// Manifest chunk records whose origin file is missing or too
-    /// short to hold the recorded frame. Not repairable: the sealed
+    /// Manifest chunk records whose origin is missing, or too short once
+    /// repaired to hold the recorded frame. Not repairable: the sealed
     /// epoch has lost bytes (reported so a restart is not attempted).
     pub dangling_manifest_refs: u64,
     /// Tiered stacks only ([`run_tiered`]): files the fast tier holds
@@ -283,16 +275,35 @@ pub struct FsckSummary {
     /// frame-log / manifest — per-checker attribution of where the
     /// sweep's CPU went.
     pub checker_ns: [u64; 3],
-    /// Content-store paths referenced by REF frames in swept logs.
-    /// Chunks staged in a not-yet-sealed epoch appear in no manifest,
-    /// so the orphan pass must honor live references too.
-    cas_refs: std::collections::HashSet<String>,
-    /// [`run_tiered`]: what each file's tier comparison found, settled
-    /// after the orphan pass — `None` for a file the sweep repaired,
-    /// compared only once the repair has drained.
-    tier_findings: Vec<(String, Option<DamageCounts>)>,
+    /// What the sweep found in each file it checked.
+    found: Vec<Finding>,
     /// Directories the sweep expanded.
     dirs: Vec<String>,
+}
+
+/// What a checker found in one file, before any question across files
+/// is answered (module docs, "Repair").
+#[derive(Debug)]
+struct Finding {
+    /// The file's report, with the damage it shows on its own (and on
+    /// two tiers its tier comparison); `resolve` adds the rest.
+    report: FileReport,
+    /// What a repair leaves of it; `None` for a file that could not be
+    /// read, or a torn manifest.
+    clean_len: Option<u64>,
+    /// Each REF frame's or manifest chunk record's origin path, and the
+    /// end the referenced frame needs there.
+    refs: Vec<(String, u64)>,
+}
+
+impl Finding {
+    /// Whether a repair unlinks the file: a torn manifest or an orphan
+    /// chunk.
+    fn unlinks(&self) -> bool {
+        let damage = &self.report.damage;
+        damage.orphaned_chunks > 0
+            || (self.report.kind == FileKind::Manifest && damage.torn_tails > 0)
+    }
 }
 
 impl FileKind {
@@ -333,24 +344,17 @@ impl FsckSummary {
     /// action), per-checker time attribution, and the per-file check
     /// latency histogram.
     pub fn to_value(&self) -> serde_json::Value {
-        let reports: Vec<serde_json::Value> = self
-            .reports
-            .iter()
-            .map(|r| {
-                serde_json::json!({
-                    "path": r.path.clone(),
-                    "kind": r.kind.name(),
-                    "frames": r.frames,
-                    "damage": r.damage.to_value(),
-                    "torn_bytes": r.torn_bytes,
-                    "repaired": r.repaired,
-                    "error": match &r.error {
-                        Some(e) => serde_json::Value::String(e.clone()),
-                        None => serde_json::Value::Null,
-                    },
-                })
+        let reports = self.reports.iter().map(|r| {
+            serde_json::json!({
+                "path": r.path.clone(),
+                "kind": r.kind.name(),
+                "frames": r.frames,
+                "damage": r.damage.to_value(),
+                "torn_bytes": r.torn_bytes,
+                "repaired": r.repaired,
+                "error": r.error.clone(),
             })
-            .collect();
+        });
         serde_json::json!({
             "files": self.files,
             "raw_files": self.raw_files,
@@ -369,7 +373,7 @@ impl FsckSummary {
                 "manifest": self.checker_ns[FileKind::Manifest as usize],
             }),
             "check_times": self.check_times.snapshot().to_value(),
-            "reports": serde_json::Value::Array(reports),
+            "reports": reports.collect::<Vec<_>>(),
         })
     }
 
@@ -379,25 +383,14 @@ impl FsckSummary {
     }
 }
 
-/// Checks (and optionally repairs) every file reachable from `roots` —
-/// paths of files or directories on `backend`. Directories expand
-/// recursively; the per-file work spreads over a work-stealing pool of
-/// checkers sized by `opts.threads` (see [`FsckOptions::threads`]).
+/// Checks every file reachable from `roots` — paths of files or
+/// directories on `backend` — then, under `opts.repair`, repairs what
+/// it found. Directories expand recursively; the per-file work spreads
+/// over a work-stealing pool of checkers sized by `opts.threads` (see
+/// [`FsckOptions::threads`]). Orphan chunks are counted, and unlinked,
+/// only when `roots` cover `/`: a narrower sweep misses references.
 pub fn run(backend: &Arc<dyn Backend>, roots: &[String], opts: &FsckOptions) -> FsckSummary {
-    let t0 = Instant::now();
-    let heads_under = if opts.payloads == Payloads::All {
-        &[]
-    } else {
-        roots
-    };
-    let sealed = read_sealed(&**backend, heads_under);
-    let mut summary = sweep(&**backend, roots, opts.threads, |path, checker| {
-        check_file(backend, path, opts, &sealed, false, checker)
-    });
-    check_snapshot_orphans(backend, opts, &sealed, &mut summary);
-    summary.reports.sort_by(|a, b| a.path.cmp(&b.path));
-    summary.elapsed = t0.elapsed();
-    summary
+    check(backend, None, roots, opts)
 }
 
 /// Checks a two-tier stack (see [`crate::backend::TieredBackend`]) in
@@ -410,206 +403,339 @@ pub fn run(backend: &Arc<dyn Backend>, roots: &[String], opts: &FsckOptions) -> 
 /// **diverged**. Both re-drain under `opts.repair` — the fast tier is
 /// authoritative, since acknowledgement happened there. Files only the
 /// durable tier holds are legitimate (the fast tier was lost after a
-/// full drain) and are checked structurally but not flagged. Tier
-/// findings are settled after the orphan pass, so a content-store
-/// orphan it unlinks is never re-drained, and a file the sweep repaired
-/// is compared once its repair has drained.
+/// full drain) and are checked structurally but not flagged. A file the
+/// repair unlinks has no tier finding, and one it truncates is compared
+/// again once the truncation has drained.
 pub fn run_tiered(
     fast: &Arc<dyn Backend>,
     durable: &Arc<dyn Backend>,
     roots: &[String],
     opts: &FsckOptions,
 ) -> FsckSummary {
-    let t0 = Instant::now();
     let union: Arc<dyn Backend> = Arc::new(crate::backend::TieredBackend::from_config(
         Arc::clone(fast),
         Arc::clone(durable),
         &crate::CrfsConfig::default(),
     ));
-    let sealed = read_sealed(&*union, &[]);
-    let mut summary = sweep(&*union, roots, opts.threads, |path, checker| {
-        let reports = checker.summary.reports.len();
-        check_file(&union, path, opts, &sealed, true, checker);
-        // A file repaired through the union view is compared once its
-        // repair has drained.
-        let finding = match opts.repair && checker.summary.reports.len() > reports {
-            true => Some(None),
-            false => tier_damage(fast, durable, path, checker).map(Some),
-        };
-        let found = &mut checker.summary.tier_findings;
-        found.extend(finding.map(|finding| (path.to_string(), finding)));
+    check(&union, Some(Tiers { fast, durable }), roots, opts)
+}
+
+/// A two-tier stack's fast and durable tiers.
+#[derive(Clone, Copy)]
+struct Tiers<'a> {
+    fast: &'a Arc<dyn Backend>,
+    durable: &'a Arc<dyn Backend>,
+}
+
+/// [`run`] over `store`, or [`run_tiered`] over `store`, the union view
+/// of `tiers`: the read-only sweep, the answers across files, and under
+/// `opts.repair` the plan and its apply (module docs, "Repair").
+fn check(
+    store: &Arc<dyn Backend>,
+    tiers: Option<Tiers>,
+    roots: &[String],
+    opts: &FsckOptions,
+) -> FsckSummary {
+    let t0 = Instant::now();
+    // A tier compare reads each chunk whole, as a deep pass does.
+    let heads_under = match tiers.is_none() && opts.payloads != Payloads::All {
+        true => roots,
+        false => &[],
+    };
+    let sealed = read_sealed(&**store, heads_under);
+    let compare = tiers.is_some();
+    let mut summary = sweep(&**store, roots, opts.threads, |path, checker| {
+        let t0 = Instant::now();
+        let mut found = check_file(store, path, opts.payloads, &sealed, compare, checker);
+        let (spent, local) = (t0.elapsed(), &mut checker.summary);
+        local.files += 1;
+        local.check_times.record_dur(spent);
+        local.checker_ns[found.report.kind as usize] += spent.as_nanos() as u64;
+        if let Some(tiers) = tiers {
+            found.report.damage.add(&tiers.damage(path, checker));
+        }
+        checker.summary.found.push(found);
     });
-    check_snapshot_orphans(&union, opts, &sealed, &mut summary);
+    let mut found = std::mem::take(&mut summary.found);
+    found.sort_by(|a, b| a.report.path.cmp(&b.report.path));
+    let len = |origin: &str| store.file_len(origin).ok();
+    resolve(&mut found, &sealed, roots, len);
     if opts.repair {
-        // Structural repairs (torn-tail truncation, orphan unlinks) went
-        // through the union view; make sure none of them is still in the
-        // drain queue before settling the tiers.
-        let _ = union.drain_barrier();
-        sweep_promote_staging(fast, &summary.dirs);
+        let plan = plan(&found, compare);
+        apply(&plan, &mut found, store, tiers, &summary.dirs, opts.threads);
     }
-    let findings: HashMap<_, _> = summary.tier_findings.drain(..).collect();
-    if !findings.is_empty() {
-        // The pool again, over the found files alone (re-drains sync).
-        let paths: Vec<String> = findings.keys().cloned().collect();
-        let settled = sweep(&**fast, &paths, opts.threads, |path, checker| {
-            let damage = match findings[path] {
-                // Unless the orphan pass has unlinked it since.
-                Some(damage) => fast.exists(path).then_some(damage),
-                None => tier_damage(fast, durable, path, checker),
-            };
-            if let Some(damage) = damage {
-                settle_tier(fast, durable, path, damage, opts, checker);
-            }
-        });
-        merge(&mut summary, settled);
+    let damaged = |r: &FileReport| !r.damage.is_clean() || r.error.is_some();
+    let reports = found.into_iter().map(|f| f.report);
+    summary.reports = reports.filter(damaged).collect();
+    for r in &summary.reports {
+        summary.damage.add(&r.damage);
+        summary.repaired_files += u64::from(r.repaired);
     }
-    summary.reports.sort_by(|a, b| a.path.cmp(&b.path));
     summary.elapsed = t0.elapsed();
     summary
 }
 
-/// What comparing the fast copy of `path` with its durable copy finds:
-/// `None` when they agree, or when the fast tier does not hold the file.
-fn tier_damage(
-    fast: &Arc<dyn Backend>,
-    durable: &Arc<dyn Backend>,
-    path: &str,
-    checker: &mut Checker,
-) -> Option<DamageCounts> {
-    let fast_len = fast.file_len(path).ok()?;
-    let mut damage = DamageCounts::default();
-    match durable.file_len(path) {
-        Ok(len) if len == fast_len => match tier_bytes_equal(fast, durable, path, len, checker) {
-            Ok(true) => return None,
-            Ok(false) => damage.tier_diverged = 1,
-            Err(_) => damage.tier_stranded = 1,
-        },
-        _ => damage.tier_stranded = 1,
-    }
-    Some(damage)
+/// Whether `root` is `path` or one of its ancestors.
+fn covers(root: &str, path: &str) -> bool {
+    let rest = path.strip_prefix(root.trim_end_matches('/'));
+    rest.is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
-/// Whether the durable copy of `path` holds the fast copy's `len`
-/// bytes, compared a window at a time. A file the window still holds
-/// whole from its check is not read from the fast tier again.
-fn tier_bytes_equal(
-    fast: &Arc<dyn Backend>,
-    durable: &Arc<dyn Backend>,
-    path: &str,
-    len: u64,
-    checker: &mut Checker,
-) -> io::Result<bool> {
-    let Checker { view, theirs, .. } = checker;
-    let ff = match view.holds(0, len as usize) {
-        true => None,
-        false => Some(fast.open(path, OpenOptions::read_only())?),
-    };
-    let df = durable.open(path, OpenOptions::read_only())?;
-    let mut off = 0u64;
-    while off < len {
-        let want = WINDOW.min((len - off) as usize);
-        if let Some(ff) = &ff {
-            view.fill(&**ff, off, want)?;
-        }
-        theirs.resize(theirs.len().max(want), 0);
-        let t0 = Instant::now();
-        read_exact_at(&*df, off, &mut theirs[..want])?;
-        view.waited += t0.elapsed();
-        let at = (off - view.start) as usize;
-        if view.buf[at..at + want] != theirs[..want] {
-            return Ok(false);
-        }
-        off += want as u64;
-    }
-    Ok(true)
-}
-
-/// Counts a tier finding for `path` and, under `opts.repair`, re-drains
-/// the fast copy over the durable one.
-fn settle_tier(
-    fast: &Arc<dyn Backend>,
-    durable: &Arc<dyn Backend>,
-    path: &str,
-    damage: DamageCounts,
-    opts: &FsckOptions,
-    checker: &mut Checker,
+/// Answers what no one file can (module docs, "Repair"): each reference
+/// against its origin's clean length — `outside` gives the store's
+/// length of an origin no root covers — and, when the roots cover `/`,
+/// which content-store chunks nothing names. A file the repair unlinks
+/// keeps no tier finding: nothing of it is left to drain.
+fn resolve(
+    found: &mut [Finding],
+    sealed: &Sealed,
+    roots: &[String],
+    outside: impl Fn(&str) -> Option<u64>,
 ) {
-    let mut repaired = false;
-    let mut error = None;
-    if opts.repair {
+    let under = |path: &str| roots.iter().any(|root| covers(root, path));
+    let (mut clean, mut named) = (HashMap::new(), HashSet::new());
+    for f in found.iter() {
+        clean.insert(f.report.path.as_str(), f.clean_len);
+        named.extend(f.refs.iter().map(|(origin, _)| origin.as_str()));
+    }
+    let whole = under("/");
+    let answers: Vec<(u64, bool)> = found
+        .iter()
+        .map(|f| {
+            let dangling = f.refs.iter().filter(|(origin, end)| {
+                let len = match clean.get(origin.as_str()) {
+                    Some(&len) => len,
+                    None if under(origin) => None,
+                    None => outside(origin),
+                };
+                len.is_none_or(|len| *end > len)
+            });
+            let path = f.report.path.as_str();
+            let chunk = path.strip_prefix(CAS_DIR).and_then(|n| n.strip_prefix('/'));
+            let vouched = chunk
+                .and_then(parse_cas_name)
+                .map(|key| sealed.chunks.contains_key(&key));
+            let orphan = whole && chunk.is_some() && vouched != Some(true) && !named.contains(path);
+            (dangling.count() as u64, orphan)
+        })
+        .collect();
+    for (f, (dangling, orphan)) in found.iter_mut().zip(answers) {
+        let damage = &mut f.report.damage;
+        match f.report.kind {
+            FileKind::Manifest => damage.dangling_manifest_refs += dangling,
+            _ => damage.orphaned_refs += dangling,
+        }
+        damage.orphaned_chunks = u64::from(orphan);
+        if f.unlinks() {
+            let damage = &mut f.report.damage;
+            (damage.tier_stranded, damage.tier_diverged) = (0, 0);
+        }
+    }
+}
+
+/// One repair of [`plan`]'s list; each names a finding by its index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Action {
+    /// Unlink a torn manifest or an orphan chunk.
+    Unlink(usize),
+    /// Cut a torn frame log back to this clean length, and sync.
+    Truncate(usize, u64),
+    /// Two tiers: land every repair still queued for the durable tier,
+    /// then unlink the fast tier's promotion staging files.
+    Barrier,
+    /// Two tiers: re-drain a file's fast copy over its durable one —
+    /// when `true` (a file just truncated) only if the two still differ.
+    Redrain(usize, bool),
+}
+
+/// The repairs the resolved `found` asks for, in the order they run:
+/// torn manifests unlinked, orphan chunks unlinked, torn tails
+/// truncated, and on two tiers the barrier, then the re-drains. No IO.
+fn plan(found: &[Finding], tiered: bool) -> Vec<Action> {
+    let indexed = || found.iter().enumerate();
+    let manifest = |f: &Finding| f.report.kind == FileKind::Manifest;
+    let truncate = |f: &Finding| match f.clean_len {
+        Some(len) if !f.unlinks() && f.report.torn_bytes > 0 => Some(len),
+        _ => None,
+    };
+    let unlink = |is_manifest: bool| {
+        let unlinked = indexed().filter(move |(_, f)| f.unlinks() && manifest(f) == is_manifest);
+        unlinked.map(|(i, _)| Action::Unlink(i))
+    };
+    let mut actions: Vec<Action> = unlink(true).chain(unlink(false)).collect();
+    actions.extend(indexed().filter_map(|(i, f)| Some(Action::Truncate(i, truncate(f)?))));
+    if tiered {
+        actions.push(Action::Barrier);
+        let tier = |f: &Finding| f.report.damage.tier_stranded + f.report.damage.tier_diverged > 0;
+        let drains = indexed().filter(|(_, f)| !f.unlinks() && (tier(f) || truncate(f).is_some()));
+        actions.extend(drains.map(|(i, f)| Action::Redrain(i, truncate(f).is_some())));
+    }
+    actions
+}
+
+/// Runs [`plan`]'s `actions` on `store` (on two tiers, the union view)
+/// and fills in each report's `repaired` and `error`. The re-drains go
+/// over the fast tier on the checker pool.
+fn apply(
+    actions: &[Action],
+    found: &mut [Finding],
+    store: &Arc<dyn Backend>,
+    tiers: Option<Tiers>,
+    dirs: &[String],
+    threads: usize,
+) {
+    let mut redrains = HashMap::new();
+    for &action in actions {
+        let (i, done) = match action {
+            Action::Unlink(i) => (i, store.unlink(&found[i].report.path)),
+            Action::Truncate(i, len) => (i, truncate(store, &found[i].report.path, len)),
+            Action::Barrier => {
+                let _ = store.drain_barrier();
+                if let Some(tiers) = tiers {
+                    tiers.sweep_staging(dirs);
+                }
+                continue;
+            }
+            Action::Redrain(i, recompare) => {
+                redrains.insert(found[i].report.path.clone(), (i, recompare));
+                continue;
+            }
+        };
+        let done = done.map_err(|e| format!("repair failed: {e}"));
+        note(&mut found[i].report, done);
+    }
+    if let (Some(tiers), false) = (tiers, redrains.is_empty()) {
+        let paths: Vec<String> = redrains.keys().cloned().collect();
+        let drained = Mutex::new(Vec::new());
+        sweep(&**tiers.fast, &paths, threads, |path, checker| {
+            let (i, recompare) = redrains[path];
+            let done = match recompare && tiers.damage(path, checker).is_clean() {
+                true => Ok(()),
+                false => tiers.redrain(path, checker),
+            };
+            let done = done.map_err(|e| format!("re-drain failed: {e}"));
+            drained.lock().push((i, done));
+        });
+        for (i, done) in drained.into_inner() {
+            note(&mut found[i].report, done);
+        }
+    }
+    for f in found.iter_mut() {
+        let lost = &f.report.damage;
+        let lost = lost.bad_payload_checksum + lost.orphaned_refs + lost.dangling_manifest_refs;
+        let whole = f.report.error.is_none() && (lost == 0 || f.unlinks());
+        f.report.repaired &= whole;
+    }
+}
+
+/// Records one repair's outcome on its report.
+fn note(report: &mut FileReport, done: Result<(), String>) {
+    match done {
+        Ok(()) => report.repaired = true,
+        Err(e) => report.error = Some(e),
+    }
+}
+
+fn truncate(backend: &Arc<dyn Backend>, path: &str, clean_len: u64) -> io::Result<()> {
+    let rw = backend.open(path, OpenOptions::read_write())?;
+    rw.set_len(clean_len)?;
+    rw.sync()
+}
+
+impl Tiers<'_> {
+    /// What comparing the fast copy of `path` with its durable copy
+    /// finds: nothing when they agree, or when the fast tier does not
+    /// hold the file.
+    fn damage(&self, path: &str, checker: &mut Checker) -> DamageCounts {
+        let mut damage = DamageCounts::default();
+        let Ok(fast_len) = self.fast.file_len(path) else {
+            return damage;
+        };
+        match self.durable.file_len(path) {
+            Ok(len) if len == fast_len => match self.bytes_equal(path, len, checker) {
+                Ok(true) => {}
+                Ok(false) => damage.tier_diverged = 1,
+                Err(_) => damage.tier_stranded = 1,
+            },
+            _ => damage.tier_stranded = 1,
+        }
+        damage
+    }
+
+    /// Whether the durable copy of `path` holds the fast copy's `len`
+    /// bytes, compared a window at a time. A file the window still
+    /// holds whole from its check is not read from the fast tier again.
+    fn bytes_equal(&self, path: &str, len: u64, checker: &mut Checker) -> io::Result<bool> {
+        let Checker { view, theirs, .. } = checker;
+        let ff = match view.holds(0, len as usize) {
+            true => None,
+            false => Some(self.fast.open(path, OpenOptions::read_only())?),
+        };
+        let df = self.durable.open(path, OpenOptions::read_only())?;
+        let mut off = 0u64;
+        while off < len {
+            let want = WINDOW.min((len - off) as usize);
+            if let Some(ff) = &ff {
+                view.fill(&**ff, off, want)?;
+            }
+            theirs.resize(theirs.len().max(want), 0);
+            let t0 = Instant::now();
+            read_exact_at(&*df, off, &mut theirs[..want])?;
+            view.waited += t0.elapsed();
+            let at = (off - view.start) as usize;
+            if view.buf[at..at + want] != theirs[..want] {
+                return Ok(false);
+            }
+            off += want as u64;
+        }
+        Ok(true)
+    }
+
+    /// Re-drains one fast-tier file over its durable copy through the
+    /// checker's copy buffer: parent dirs, whole-file copy, sync — the
+    /// offline analogue of the tier drain.
+    fn redrain(&self, path: &str, checker: &mut Checker) -> io::Result<()> {
         let t0 = Instant::now();
-        let copy = checker.copy.get_or_insert_with(|| ChunkBuf::new(1 << 20));
-        match redrain(fast, durable, path, copy) {
-            Ok(()) => repaired = true,
-            Err(e) => error = Some(format!("re-drain failed: {e}")),
+        // Ensure the durable parent chain exists (a crash can strand a
+        // file whose directory never drained either).
+        let (mut dir, parent) = (String::new(), crate::backend::parent_of(path));
+        for name in parent.split('/').filter(|n| !n.is_empty()) {
+            dir = format!("{dir}/{name}");
+            if !self.durable.exists(&dir) {
+                match self.durable.mkdir(&dir) {
+                    Err(e) if e.kind() != io::ErrorKind::AlreadyExists => return Err(e),
+                    _ => {}
+                }
+            }
         }
+        let buf = checker.copy.get_or_insert_with(|| ChunkBuf::new(1 << 20));
+        let src = self.fast.open(path, OpenOptions::read_only())?;
+        let dst = self.durable.open(path, OpenOptions::create_truncate())?;
+        let len = src.len()?;
+        // Aligned, so full steps reach a direct-capable tier in place.
+        let mut off = 0u64;
+        while off < len {
+            let want = buf.len().min((len - off) as usize);
+            read_exact_at(&*src, off, &mut buf[..want])?;
+            dst.write_at(off, &buf[..want])?;
+            off += want as u64;
+        }
+        dst.sync()?;
         checker.view.waited += t0.elapsed();
+        Ok(())
     }
-    let summary = &mut checker.summary;
-    summary.damage.add(&damage);
-    if repaired {
-        summary.repaired_files += 1;
-    }
-    summary.reports.push(FileReport {
-        path: path.to_string(),
-        kind: FileKind::Raw,
-        frames: 0,
-        damage,
-        torn_bytes: 0,
-        repaired,
-        error,
-    });
-}
 
-/// Re-drains one fast-tier file over its durable copy through `buf`:
-/// parent dirs, whole-file copy, sync — the offline analogue of the
-/// tier drain.
-fn redrain(
-    fast: &Arc<dyn Backend>,
-    durable: &Arc<dyn Backend>,
-    path: &str,
-    buf: &mut ChunkBuf,
-) -> io::Result<()> {
-    // Ensure the durable parent chain exists (a crash can strand a file
-    // whose directory never drained either).
-    let mut prefix = String::new();
-    for comp in crate::backend::parent_of(path)
-        .split('/')
-        .filter(|c| !c.is_empty())
-    {
-        prefix = format!("{prefix}/{comp}");
-        if durable.exists(&prefix) {
-            continue;
-        }
-        match durable.mkdir(&prefix) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let src = fast.open(path, OpenOptions::read_only())?;
-    let dst = durable.open(path, OpenOptions::create_truncate())?;
-    let len = src.len()?;
-    // Aligned, so full steps reach a direct-capable tier in place.
-    let mut off = 0u64;
-    while off < len {
-        let want = buf.len().min((len - off) as usize);
-        read_exact_at(&*src, off, &mut buf[..want])?;
-        dst.write_at(off, &buf[..want])?;
-        off += want as u64;
-    }
-    dst.sync()
-}
-
-/// Unlinks the promotion staging files (`{target}.promote-N`) a crash
-/// mid-promotion left in the fast tier's `dirs`: backend-internal
-/// partial copies that the union view hides and that are never
-/// compared or re-drained.
-fn sweep_promote_staging(fast: &Arc<dyn Backend>, dirs: &[String]) {
-    for dir in dirs {
-        for name in fast.list_dir(dir).unwrap_or_default() {
-            if crate::backend::is_promote_tmp(&name) {
-                let _ = fast.unlink(&format!("{}/{name}", dir.trim_end_matches('/')));
+    /// Unlinks the promotion staging files (`{target}.promote-N`) a
+    /// crash mid-promotion left in the fast tier's `dirs`:
+    /// backend-internal partial copies that the union view hides and
+    /// that are never compared or re-drained.
+    fn sweep_staging(&self, dirs: &[String]) {
+        for dir in dirs {
+            for name in self.fast.list_dir(dir).unwrap_or_default() {
+                if crate::backend::is_promote_tmp(&name) {
+                    let path = format!("{}/{name}", dir.trim_end_matches('/'));
+                    let _ = self.fast.unlink(&path);
+                }
             }
         }
     }
@@ -622,11 +748,7 @@ fn merge(into: &mut FsckSummary, from: FsckSummary) {
     into.manifests += from.manifests;
     into.frames += from.frames;
     into.trusted_payloads += from.trusted_payloads;
-    into.damage.add(&from.damage);
-    into.repaired_files += from.repaired_files;
-    into.reports.extend(from.reports);
-    into.cas_refs.extend(from.cas_refs);
-    into.tier_findings.extend(from.tier_findings);
+    into.found.extend(from.found);
     into.dirs.extend(from.dirs);
     into.check_times.merge(&from.check_times);
     for (mine, theirs) in into.checker_ns.iter_mut().zip(from.checker_ns) {
@@ -679,10 +801,6 @@ fn read_sealed(lister: &dyn Backend, heads_under: &[String]) -> Sealed {
     }
     // A synchronous store declines the first header read, which ends
     // the batch: its sweep reads every chunk as it reads any file.
-    let covers = |root: &String, path: &str| {
-        let rest = path.strip_prefix(root.trim_end_matches('/'));
-        rest.is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
-    };
     let paths = chunks.keys().map(|&key| cas_path(key));
     let paths = paths.filter(|path| heads_under.iter().any(|root| covers(root, path)));
     let files = paths.filter_map(open);
@@ -948,49 +1066,35 @@ impl BackendFile for Window<'_> {
     crate::forward_file_ops!(file: write_at, sync, len, set_len);
 }
 
+/// A finding of `kind` in `path` with no damage yet, whose clean length
+/// is `len`.
+fn finding(path: &str, kind: FileKind, len: Option<u64>) -> Finding {
+    Finding {
+        report: FileReport {
+            path: path.to_string(),
+            kind,
+            frames: 0,
+            damage: DamageCounts::default(),
+            torn_bytes: 0,
+            repaired: false,
+            error: None,
+        },
+        clean_len: len,
+        refs: Vec::new(),
+    }
+}
+
 /// Checks one file. `compare` says the caller compares the file's bytes
 /// with another copy right after ([`run_tiered`]), so the window reads
 /// it whole.
 fn check_file(
     backend: &Arc<dyn Backend>,
     path: &str,
-    opts: &FsckOptions,
+    payloads: Payloads,
     sealed: &Sealed,
     compare: bool,
     checker: &mut Checker,
-) {
-    checker.summary.files += 1;
-    let t0 = Instant::now();
-    let kind = check_file_inner(backend, path, opts, sealed, compare, checker);
-    let spent = t0.elapsed();
-    let local = &mut checker.summary;
-    local.check_times.record_dur(spent);
-    local.checker_ns[kind as usize] += spent.as_nanos() as u64;
-}
-
-/// The report of a file that could not be checked at all.
-fn unchecked(path: &str, kind: FileKind, error: String) -> FileReport {
-    FileReport {
-        path: path.to_string(),
-        kind,
-        frames: 0,
-        damage: DamageCounts::default(),
-        torn_bytes: 0,
-        repaired: false,
-        error: Some(error),
-    }
-}
-
-/// The untimed body of [`check_file`]; returns the classified kind so
-/// the caller can attribute the check time per checker.
-fn check_file_inner(
-    backend: &Arc<dyn Backend>,
-    path: &str,
-    opts: &FsckOptions,
-    sealed: &Sealed,
-    compare: bool,
-    checker: &mut Checker,
-) -> FileKind {
+) -> Finding {
     let Checker {
         summary: local,
         view,
@@ -1008,7 +1112,7 @@ fn check_file_inner(
             let &(stored_len, check) = sealed.chunks.get(&key)?;
             Some((key.1, stored_len, check))
         });
-    let head_only = vouched.is_some() && opts.payloads != Payloads::All && !compare;
+    let head_only = vouched.is_some() && payloads != Payloads::All && !compare;
     let file = backend.open(path, OpenOptions::read_only());
     // The window's first read serves the classification and, for a
     // file that fits, everything after it.
@@ -1032,16 +1136,17 @@ fn check_file_inner(
     let (head, window) = match opened {
         Ok(opened) => opened,
         Err(error) => {
-            local.reports.push(unchecked(path, FileKind::Raw, error));
-            return FileKind::Raw;
+            let mut found = finding(path, FileKind::Raw, None);
+            found.report.error = Some(error);
+            return found;
         }
     };
-    let kind = classify(&head);
-    match kind {
+    let mut found = finding(path, classify(&head), Some(head.stored_len));
+    match found.report.kind {
         FileKind::Raw => local.raw_files += 1,
         FileKind::FrameLog => {
             local.frame_logs += 1;
-            let trust = |off: u64, h: &FrameHeader| match opts.payloads {
+            let trust = |off: u64, h: &FrameHeader| match payloads {
                 Payloads::Skip => true,
                 Payloads::Unsealed => vouched.is_some_and(|(logical_len, stored_len, check)| {
                     off == 0
@@ -1050,14 +1155,15 @@ fn check_file_inner(
                 }),
                 Payloads::All => false,
             };
-            check_frame_log(backend, path, &window, &head, opts, trust, local, frame);
+            check_frame_log(&window, &head, trust, local, frame, &mut found);
         }
         FileKind::Manifest => {
             local.manifests += 1;
-            check_manifest(backend, path, &window, opts, local);
+            check_manifest(&window, &mut found);
         }
     }
-    kind
+    local.frames += found.report.frames;
+    found
 }
 
 /// Sniffs the leading magic. Framed-vs-raw is the open scan's own rule
@@ -1079,26 +1185,20 @@ fn classify(head: &FileHead) -> FileKind {
 /// Walks a frame log end to end with [`walk_frames`] — the structural
 /// validation every open performs — adding per frame the payload
 /// decode + checksum of each DATA frame `trust` does not vouch for (by
-/// its offset and header) and the dedup-reference origin resolution,
-/// and — under `repair` — truncating a torn tail to the walk's clean
-/// prefix. `payload` and `out` are the checker's stored and decoded
-/// frame buffers.
-#[allow(clippy::too_many_arguments)]
+/// its offset and header) and each REF frame's reference. `payload`
+/// and `out` are the checker's stored and decoded frame buffers.
 fn check_frame_log(
-    backend: &Arc<dyn Backend>,
-    path: &str,
     file: &dyn BackendFile,
     head: &FileHead,
-    opts: &FsckOptions,
     trust: impl Fn(u64, &FrameHeader) -> bool,
     local: &mut FsckSummary,
     (payload, out): &mut (Vec<u8>, Vec<u8>),
+    found: &mut Finding,
 ) {
-    let stored_len = head.stored_len;
-    let mut damage = DamageCounts::default();
-    let mut frames = 0u64;
+    let Finding { report, refs, .. } = found;
+    let FileReport { frames, damage, .. } = report;
     let walked = walk_frames(file, head, |off, h| {
-        frames += 1;
+        *frames += 1;
         if h.flags & (FLAG_PAD | FLAG_TRUNC) != 0 {
             return Ok(());
         }
@@ -1118,15 +1218,9 @@ fn check_frame_log(
             damage.bad_payload_checksum += 1;
         }
         if !data {
-            if !ref_resolves(backend, path, stored_len, payload) {
-                damage.orphaned_refs += 1;
-            }
-            if let Some(meta) = payload.get(REF_META_LEN..) {
-                if let Ok(origin) = std::str::from_utf8(meta) {
-                    if origin.starts_with(CAS_DIR) {
-                        local.cas_refs.insert(origin.to_string());
-                    }
-                }
+            match ref_of(payload) {
+                Some(r) => refs.push(r),
+                None => damage.orphaned_refs += 1,
             }
         } else if h.format == FRAME_FORMAT {
             let ok = decode_to_vec(h.codec, payload, h.logical_len as usize, out).is_ok()
@@ -1137,19 +1231,13 @@ fn check_frame_log(
         }
         Ok(())
     });
-    local.frames += frames;
     let outcome: ScanOutcome = match walked {
         Ok(outcome) => outcome.expect("classified framed from the same head"),
         Err(e) => {
             // A backend read failed mid-walk. That is not a torn tail:
             // nothing is known about the bytes past it, so nothing is
             // cut.
-            local.damage.add(&damage);
-            local.reports.push(FileReport {
-                frames,
-                damage,
-                ..unchecked(path, FileKind::FrameLog, format!("unreadable: {e}"))
-            });
+            found.report.error = Some(format!("unreadable: {e}"));
             return;
         }
     };
@@ -1158,192 +1246,44 @@ fn check_frame_log(
         Some(TailDamage::BadHeaderCrc) => damage.bad_header_crc += 1,
         None => {}
     }
-    local.damage.add(&damage);
-    if damage.is_clean() {
-        return;
-    }
-    let mut repaired = false;
-    let mut error = None;
-    if opts.repair && outcome.damage.is_some() {
-        // Persist the discard rule: cut back to the prefix every open
-        // already serves. In-bounds damage (checksum/orphan) stays —
-        // truncating there would throw away good frames past it.
-        match repair_truncate(backend, path, outcome.clean_len) {
-            Ok(()) => {
-                repaired = damage.bad_payload_checksum == 0 && damage.orphaned_refs == 0;
-            }
-            Err(e) => error = Some(format!("repair failed: {e}")),
-        }
-    }
-    if repaired {
-        local.repaired_files += 1;
-    }
-    local.reports.push(FileReport {
-        path: path.to_string(),
-        kind: FileKind::FrameLog,
-        frames,
-        damage,
-        torn_bytes: stored_len - outcome.clean_len,
-        repaired,
-        error,
-    });
+    found.report.torn_bytes = head.stored_len - outcome.clean_len;
+    found.clean_len = Some(outcome.clean_len);
 }
 
-/// Whether a REF frame's origin exists and is long enough to hold the
-/// referenced stored extent.
-fn ref_resolves(backend: &Arc<dyn Backend>, path: &str, own_len: u64, payload: &[u8]) -> bool {
-    if payload.len() < REF_META_LEN {
-        return false;
-    }
-    let origin_off = u64::from_le_bytes(payload[..8].try_into().unwrap());
-    let origin_len = u32::from_le_bytes(payload[8..12].try_into().unwrap());
-    let Ok(origin_path) = std::str::from_utf8(&payload[REF_META_LEN..]) else {
-        return false;
-    };
-    let origin_total = if origin_path == path {
-        own_len
-    } else {
-        match backend.file_len(origin_path) {
-            Ok(n) => n,
-            Err(_) => return false,
-        }
-    };
-    origin_off + FRAME_HEADER_LEN + u64::from(origin_len) <= origin_total
-}
-
-fn repair_truncate(backend: &Arc<dyn Backend>, path: &str, clean_len: u64) -> io::Result<()> {
-    let rw = backend.open(path, OpenOptions::read_write())?;
-    rw.set_len(clean_len)?;
-    rw.sync()
+/// A REF frame's origin path and the end the referenced frame needs
+/// there; `None` for a REF whose payload names no origin.
+fn ref_of(payload: &[u8]) -> Option<(String, u64)> {
+    let meta = payload.get(..REF_META_LEN)?;
+    let origin_off = u64::from_le_bytes(meta[..8].try_into().unwrap());
+    let origin_len = u32::from_le_bytes(meta[8..12].try_into().unwrap());
+    let origin = std::str::from_utf8(&payload[REF_META_LEN..]).ok()?;
+    let end = origin_off + FRAME_HEADER_LEN + u64::from(origin_len);
+    Some((origin.to_string(), end))
 }
 
 /// Validates a sealed epoch manifest: structural decode (magic,
-/// version, crc trailer) plus per-record origin resolution — every
-/// chunk record must point at an existing file long enough to hold the
-/// recorded frame. An undecodable manifest is a torn seal; the recovery
-/// contract says that epoch never existed, so `--repair` unlinks it.
-/// Dangling records are *not* repairable: the sealed epoch has lost
-/// bytes, and the only honest outcome is to report it so a restart from
-/// that epoch is not attempted.
-fn check_manifest(
-    backend: &Arc<dyn Backend>,
-    path: &str,
-    file: &dyn BackendFile,
-    opts: &FsckOptions,
-    local: &mut FsckSummary,
-) {
-    let mut damage = DamageCounts::default();
-    let mut frames = 0u64;
-    let mut repaired = false;
-    let mut error = None;
-    match read_whole(file).and_then(|bytes| Manifest::decode(&bytes)) {
-        Ok(m) => {
-            for (_, records) in &m.files {
-                for rec in records {
-                    let Record::Chunk(c) = rec else { continue };
-                    frames += 1;
-                    if !manifest_ref_resolves(backend, c) {
-                        damage.dangling_manifest_refs += 1;
-                    }
-                    if c.format != FRAME_FORMAT {
-                        damage.bad_payload_checksum += 1;
-                    }
-                }
-            }
-        }
-        Err(e) => {
-            damage.torn_tails += 1;
-            if opts.repair {
-                match backend.unlink(path) {
-                    Ok(()) => repaired = true,
-                    Err(e) => error = Some(format!("repair failed: {e}")),
-                }
-            }
-            if error.is_none() && !opts.repair {
-                error = Some(format!("manifest does not decode: {e}"));
-            }
-        }
-    }
-    local.frames += frames;
-    if damage.is_clean() {
+/// version, crc trailer), each chunk record's format, and each record's
+/// reference, which [`resolve`] answers. An undecodable manifest is a
+/// torn seal; the recovery contract says that epoch never existed, so
+/// `--repair` unlinks it. Dangling records are *not* repairable: the
+/// sealed epoch has lost bytes, and the only honest outcome is to
+/// report it so a restart from that epoch is not attempted.
+fn check_manifest(file: &dyn BackendFile, found: &mut Finding) {
+    let Ok(m) = read_whole(file).and_then(|bytes| Manifest::decode(&bytes)) else {
+        found.report.damage.torn_tails += 1;
+        found.clean_len = None;
         return;
-    }
-    local.damage.add(&damage);
-    if repaired {
-        local.repaired_files += 1;
-    }
-    local.reports.push(FileReport {
-        path: path.to_string(),
-        kind: FileKind::Manifest,
-        frames,
-        damage,
-        torn_bytes: 0,
-        repaired,
-        error,
-    });
-}
-
-/// Whether a manifest chunk record's origin file exists and is long
-/// enough to hold the recorded stored extent.
-fn manifest_ref_resolves(backend: &Arc<dyn Backend>, rec: &ChunkRecord) -> bool {
-    match backend.file_len(&rec.origin_path) {
-        Ok(total) => rec.origin_off + FRAME_HEADER_LEN + u64::from(rec.stored_len) <= total,
-        Err(_) => false,
-    }
-}
-
-/// Post-sweep global pass: any content-store chunk file that no
-/// decodable manifest references is an orphan — a remnant of a crash
-/// between CAS store and seal, or of a GC interrupted mid-sweep. They
-/// waste space but carry no reachable data, so `--repair` unlinks them.
-/// This check is only sound offline: a live mount's in-flight chunks
-/// are registered in memory, not in a sealed manifest, and would show
-/// up here as false orphans.
-fn check_snapshot_orphans(
-    backend: &Arc<dyn Backend>,
-    opts: &FsckOptions,
-    sealed: &Sealed,
-    summary: &mut FsckSummary,
-) {
-    let Ok(cas_names) = backend.list_dir(CAS_DIR) else {
-        return; // no snapshot store on this backend
     };
-    for name in cas_names {
-        // An unparseable name cannot be referenced by any manifest
-        // (references are reconstructed from hash + length), so it is
-        // an orphan unless a live log's REF frame still points at it.
-        // An undecodable manifest contributes no references.
-        if parse_cas_name(&name).is_some_and(|key| sealed.chunks.contains_key(&key)) {
-            continue;
-        }
-        let path = format!("{CAS_DIR}/{name}");
-        if summary.cas_refs.contains(&path) {
-            continue;
-        }
-        let mut repaired = false;
-        let mut error = None;
-        if opts.repair {
-            match backend.unlink(&path) {
-                Ok(()) => repaired = true,
-                Err(e) => error = Some(format!("repair failed: {e}")),
+    for (_, records) in &m.files {
+        for rec in records {
+            let Record::Chunk(c) = rec else { continue };
+            found.report.frames += 1;
+            let end = c.origin_off + FRAME_HEADER_LEN + u64::from(c.stored_len);
+            found.refs.push((c.origin_path.clone(), end));
+            if c.format != FRAME_FORMAT {
+                found.report.damage.bad_payload_checksum += 1;
             }
         }
-        summary.damage.orphaned_chunks += 1;
-        if repaired {
-            summary.repaired_files += 1;
-        }
-        summary.reports.push(FileReport {
-            path,
-            kind: FileKind::FrameLog,
-            frames: 0,
-            damage: DamageCounts {
-                orphaned_chunks: 1,
-                ..DamageCounts::default()
-            },
-            torn_bytes: 0,
-            repaired,
-            error,
-        });
     }
 }
 
@@ -1424,14 +1364,7 @@ mod tests {
 
     /// Writes `files` frame logs of `len` bytes each under `/ckpt`.
     fn populate(backend: &Arc<dyn Backend>, files: usize, len: usize) {
-        let fs = Crfs::mount(
-            Arc::clone(backend),
-            CrfsConfig::default()
-                .with_chunk_size(4096)
-                .with_pool_size(64 * 1024)
-                .with_codec(CodecKind::Lz),
-        )
-        .unwrap();
+        let fs = Crfs::mount(Arc::clone(backend), lz()).unwrap();
         fs.mkdir("/ckpt").unwrap();
         for i in 0..files {
             let f = fs.create(&format!("/ckpt/rank{i}.img")).unwrap();
@@ -1447,6 +1380,22 @@ mod tests {
             threads,
             ..FsckOptions::default()
         }
+    }
+
+    /// A repair on the default checker count.
+    fn repair() -> FsckOptions {
+        FsckOptions {
+            repair: true,
+            ..FsckOptions::default()
+        }
+    }
+
+    /// The framed `lz` mount the fixtures write with.
+    fn lz() -> CrfsConfig {
+        CrfsConfig::default()
+            .with_chunk_size(4096)
+            .with_pool_size(64 * 1024)
+            .with_codec(CodecKind::Lz)
     }
 
     #[test]
@@ -1479,20 +1428,10 @@ mod tests {
         assert_eq!(dry.reports[0].path, victim);
         assert!(!dry.reports[0].repaired, "dry run must not repair");
         assert!(dry.reports[0].torn_bytes > 0);
-        assert_eq!(
-            backend.file_len(victim).unwrap(),
-            len - 50,
-            "dry run must not mutate"
-        );
+        let kept = backend.file_len(victim).unwrap();
+        assert_eq!(kept, len - 50, "dry run must not mutate");
 
-        let fixed = run(
-            &backend,
-            &["/".to_string()],
-            &FsckOptions {
-                repair: true,
-                ..opts(2)
-            },
-        );
+        let fixed = run(&backend, &["/".to_string()], &repair());
         assert_eq!(fixed.repaired_files, 1);
         assert!(fixed.is_clean(), "{fixed}");
         let after = run(&backend, &["/".to_string()], &opts(2));
@@ -1505,29 +1444,14 @@ mod tests {
         populate(&backend, 1, 20_000);
         let victim = "/ckpt/rank0.img";
         // Flip a byte inside the first frame's payload.
-        let f = backend.open(victim, OpenOptions::read_write()).unwrap();
-        let at = FRAME_HEADER_LEN + 5;
-        let mut b = [0u8; 1];
-        f.read_at(at, &mut b).unwrap();
-        f.write_at(at, &[b[0] ^ 0xFF]).unwrap();
-        drop(f);
+        flip(&backend, victim, FRAME_HEADER_LEN + 5, 0xFF);
         let len = backend.file_len(victim).unwrap();
 
-        let sum = run(
-            &backend,
-            &["/ckpt".to_string()],
-            &FsckOptions {
-                repair: true,
-                ..opts(1)
-            },
-        );
+        let sum = run(&backend, &["/ckpt".to_string()], &repair());
         assert_eq!(sum.damage.bad_payload_checksum, 1);
         assert_eq!(sum.repaired_files, 0, "mid-chain damage is not truncated");
-        assert_eq!(
-            backend.file_len(victim).unwrap(),
-            len,
-            "no good frames were discarded"
-        );
+        let kept = backend.file_len(victim).unwrap();
+        assert_eq!(kept, len, "no good frames were discarded");
     }
 
     #[test]
@@ -1535,15 +1459,7 @@ mod tests {
         let backend = be();
         // Two identical files on a dedup mount: both become REF chains
         // into the same content-store chunks.
-        let fs = Crfs::mount(
-            Arc::clone(&backend),
-            CrfsConfig::default()
-                .with_chunk_size(4096)
-                .with_pool_size(64 * 1024)
-                .with_codec(CodecKind::Lz)
-                .with_dedup(true),
-        )
-        .unwrap();
+        let fs = Crfs::mount(Arc::clone(&backend), snap_config()).unwrap();
         let data: Vec<u8> = (0..8192).map(|b| (b / 64) as u8).collect();
         for name in ["/a.img", "/b.img"] {
             let f = fs.create(name).unwrap();
@@ -1563,25 +1479,6 @@ mod tests {
         }
         let sum = run(&backend, &["/b.img".to_string()], &opts(1));
         assert!(sum.damage.orphaned_refs > 0, "{sum}");
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_results() {
-        let backend = be();
-        populate(&backend, 8, 30_000);
-        // Tear two logs.
-        for victim in ["/ckpt/rank2.img", "/ckpt/rank5.img"] {
-            let len = backend.file_len(victim).unwrap();
-            let f = backend.open(victim, OpenOptions::read_write()).unwrap();
-            f.set_len(len - 33).unwrap();
-        }
-        let serial = run(&backend, &["/".to_string()], &opts(1));
-        let parallel = run(&backend, &["/".to_string()], &opts(4));
-        assert_eq!(serial.files, parallel.files);
-        assert_eq!(serial.frames, parallel.frames);
-        assert_eq!(serial.damage, parallel.damage);
-        assert_eq!(serial.reports.len(), parallel.reports.len());
-        assert_eq!(serial.damage.torn_tails, 2);
     }
 
     // -- one walker ---------------------------------------------------
@@ -1611,11 +1508,7 @@ mod tests {
         drop(f);
 
         let roots = ["/".to_string()];
-        let repair = FsckOptions {
-            repair: true,
-            ..opts(1)
-        };
-        let fixed = run(&backend, &roots, &repair);
+        let fixed = run(&backend, &roots, &repair());
         assert!(fixed.is_clean(), "{what}: {fixed}");
         let after = backend.file_len("/f").unwrap();
         match walked {
@@ -1634,10 +1527,8 @@ mod tests {
             }
         }
         let rescan = run(&backend, &roots, &opts(1));
-        assert!(
-            rescan.damage.is_clean() && rescan.reports.is_empty(),
-            "{what}: {rescan}"
-        );
+        let clean = rescan.damage.is_clean() && rescan.reports.is_empty();
+        assert!(clean, "{what}: {rescan}");
     }
 
     #[test]
@@ -1645,14 +1536,10 @@ mod tests {
         // A DATA frame written without dedup, then on a dedup mount a
         // REF frame into the content store and a TRUNC marker: every
         // frame shape a log holds.
-        let lz = CrfsConfig::default()
-            .with_chunk_size(4096)
-            .with_pool_size(64 * 1024)
-            .with_codec(CodecKind::Lz);
-        let config = lz.clone().with_dedup(true);
+        let config = snap_config();
         let backend = be();
         let chunk: Vec<u8> = (0..4096).map(|i| (i / 32) as u8).collect();
-        let fs = Crfs::mount(Arc::clone(&backend), lz).unwrap();
+        let fs = Crfs::mount(Arc::clone(&backend), lz()).unwrap();
         let f = fs.create("/f").unwrap();
         f.write(&chunk).unwrap();
         f.close().unwrap();
@@ -1953,10 +1840,8 @@ mod tests {
                 chunks.map(|r| (r.1, r.2)).collect::<Vec<_>>()
             };
             let header = (0, FRAME_HEADER_LEN as usize);
-            assert_eq!(
-                chunk_reads(CAS_DIR, Payloads::Unsealed),
-                vec![header; chunks]
-            );
+            let sealed = chunk_reads(CAS_DIR, Payloads::Unsealed);
+            assert_eq!(sealed, vec![header; chunks]);
             assert_eq!(chunk_reads("/ckpt", Payloads::Unsealed), vec![]);
             let ops = ops.lock().clone();
             let chunk_opens = ops
@@ -2065,19 +1950,22 @@ mod tests {
             .iter()
             .map(|r| (r.0.clone(), r.1, r.2))
             .collect();
-        assert_eq!(
-            reads,
-            [("/rank0.img".to_string(), 0, FRAME_HEADER_LEN as usize)]
-        );
+        let head = ("/rank0.img".to_string(), 0, FRAME_HEADER_LEN as usize);
+        assert_eq!(reads, [head]);
+    }
+
+    /// `n` distinct 4 KiB chunks, the `first`th to the `first + n - 1`th
+    /// of up to 256.
+    fn distinct(first: usize, n: usize) -> Vec<u8> {
+        (first * 4096..(first + n) * 4096)
+            .map(|b| ((b % 4096) / 64) as u8 ^ ((b / 4096) as u8).wrapping_mul(37))
+            .collect()
     }
 
     /// Writes one checkpoint of `chunks` distinct 4 KiB chunks on a
     /// dedup mount and seals it: `chunks` content-store files.
     fn populate_cas(backend: &Arc<dyn Backend>, chunks: usize) {
-        let data: Vec<u8> = (0..chunks * 4096)
-            .map(|b| ((b % 4096) / 64) as u8 ^ ((b / 4096) as u8).wrapping_mul(37))
-            .collect();
-        populate_snap_with(backend, &data);
+        populate_snap_with(backend, &distinct(0, chunks));
     }
 
     #[test]
@@ -2134,10 +2022,7 @@ mod tests {
         // Open handles stay within the checkers', whatever the chunk
         // count: a store's file limit does not bound its chunks.
         let most_open = handles.lock().1;
-        assert!(
-            most_open <= CHECKER_DEPTH,
-            "{most_open} handles open at once"
-        );
+        assert!(most_open <= CHECKER_DEPTH, "{most_open} handles open");
         let ops = ops.lock();
         let listers = ops.iter().filter(|op| op.0 == "list").map(|op| op.2);
         let checkers: std::collections::HashSet<_> = listers.collect();
@@ -2234,11 +2119,11 @@ mod tests {
         assert!(sum.is_clean(), "{sum}");
         assert!(sum.frame_logs > 160, "{sum}");
         let threads: std::collections::HashSet<_> = reads.lock().iter().map(|r| r.3).collect();
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (checkers, cores) = (threads.len(), std::thread::available_parallelism());
+        let cores = cores.map_or(1, |n| n.get());
         assert!(
-            threads.len() <= cores,
-            "{} checkers read on {cores} cores",
-            threads.len()
+            checkers <= cores,
+            "{checkers} checkers read on {cores} cores"
         );
     }
 
@@ -2251,14 +2136,7 @@ mod tests {
     #[test]
     fn sweeps_of_late_found_directories_end_with_the_serial_answer() {
         let backend = be();
-        let fs = Crfs::mount(
-            Arc::clone(&backend),
-            CrfsConfig::default()
-                .with_chunk_size(4096)
-                .with_pool_size(64 * 1024)
-                .with_codec(CodecKind::Lz),
-        )
-        .unwrap();
+        let fs = Crfs::mount(Arc::clone(&backend), lz()).unwrap();
         // Four levels, each holding logs next to the next directory: the
         // deepest work is discovered last.
         let mut dir = String::new();
@@ -2328,14 +2206,7 @@ mod tests {
             Arc::clone(&durable),
             &CrfsConfig::default(),
         ));
-        let fs = Crfs::mount(
-            tiered,
-            CrfsConfig::default()
-                .with_chunk_size(4096)
-                .with_pool_size(64 * 1024)
-                .with_codec(CodecKind::Lz),
-        )
-        .unwrap();
+        let fs = Crfs::mount(tiered, lz()).unwrap();
         fs.mkdir("/ckpt").unwrap();
         for i in 0..3 {
             let f = fs.create(&format!("/ckpt/rank{i}.img")).unwrap();
@@ -2360,13 +2231,6 @@ mod tests {
         ));
         populate_cas(&tiered, chunks);
         (fast, durable)
-    }
-
-    fn repair() -> FsckOptions {
-        FsckOptions {
-            repair: true,
-            ..FsckOptions::default()
-        }
     }
 
     #[test]
@@ -2434,30 +2298,18 @@ mod tests {
         let dry = run_tiered(&fast, &durable, &["/".to_string()], &opts(1));
         assert_eq!(dry.damage.tier_stranded, 2, "{dry}");
         assert!(!dry.is_clean());
-        assert!(
-            durable.file_len("/ckpt/rank2.img").is_err(),
-            "dry run must not re-drain"
-        );
+        let missing = durable.file_len("/ckpt/rank2.img").is_err();
+        assert!(missing, "dry run must not re-drain");
 
-        let fixed = run_tiered(
-            &fast,
-            &durable,
-            &["/".to_string()],
-            &FsckOptions {
-                repair: true,
-                ..opts(1)
-            },
-        );
+        let fixed = run_tiered(&fast, &durable, &["/".to_string()], &repair());
         assert_eq!(fixed.damage.tier_stranded, 2);
         assert_eq!(fixed.repaired_files, 2);
         assert!(fixed.is_clean(), "{fixed}");
         // Both tiers now agree byte-for-byte.
         let after = run_tiered(&fast, &durable, &["/".to_string()], &opts(1));
         assert!(after.damage.is_clean(), "{after}");
-        assert_eq!(
-            durable.file_len(victim).unwrap(),
-            fast.file_len(victim).unwrap()
-        );
+        let lens = [&durable, &fast].map(|tier| tier.file_len(victim).unwrap());
+        assert_eq!(lens[0], lens[1]);
     }
 
     #[test]
@@ -2465,24 +2317,12 @@ mod tests {
         let (fast, durable) = populate_tiered();
         let victim = "/ckpt/rank0.img";
         // Same length, different bytes: flip one durable byte.
-        let f = durable.open(victim, OpenOptions::read_write()).unwrap();
-        let mut b = [0u8; 1];
-        f.read_at(40, &mut b).unwrap();
-        f.write_at(40, &[b[0] ^ 0xFF]).unwrap();
-        drop(f);
+        let b = [flip(&durable, victim, 40, 0xFF)];
 
         let dry = run_tiered(&fast, &durable, &["/".to_string()], &opts(1));
         assert_eq!(dry.damage.tier_diverged, 1, "{dry}");
 
-        let fixed = run_tiered(
-            &fast,
-            &durable,
-            &["/".to_string()],
-            &FsckOptions {
-                repair: true,
-                ..opts(1)
-            },
-        );
+        let fixed = run_tiered(&fast, &durable, &["/".to_string()], &repair());
         assert!(fixed.is_clean(), "{fixed}");
         let mut fb = [0u8; 1];
         let df = durable.open(victim, OpenOptions::read_only()).unwrap();
@@ -2505,15 +2345,7 @@ mod tests {
         assert_eq!(dry.damage.tier_stranded, 0);
         assert!(fast.exists(tmp), "dry run must not sweep");
 
-        let fixed = run_tiered(
-            &fast,
-            &durable,
-            &["/".to_string()],
-            &FsckOptions {
-                repair: true,
-                ..opts(1)
-            },
-        );
+        let fixed = run_tiered(&fast, &durable, &["/".to_string()], &repair());
         assert!(fixed.is_clean(), "{fixed}");
         assert!(!fast.exists(tmp), "repair sweeps the leftover staging file");
         assert!(!durable.exists(tmp), "the junk was never re-drained");
@@ -2527,10 +2359,7 @@ mod tests {
         let sum = run_tiered(&fast, &durable, &["/".to_string()], &opts(1));
         assert!(sum.is_clean(), "{sum}");
         assert_eq!(sum.damage.tier_stranded, 0);
-        assert_eq!(
-            sum.frame_logs, 3,
-            "the union sweep still checks the durable-only file"
-        );
+        assert_eq!(sum.frame_logs, 3, "the durable-only file is checked");
     }
 
     // -- snapshot store checks ----------------------------------------
@@ -2546,11 +2375,7 @@ mod tests {
 
     /// The dedup mount of [`populate_snap`].
     fn snap_config() -> CrfsConfig {
-        CrfsConfig::default()
-            .with_chunk_size(4096)
-            .with_pool_size(64 * 1024)
-            .with_codec(CodecKind::Lz)
-            .with_dedup(true)
+        lz().with_dedup(true)
     }
 
     /// [`populate_snap`] with `data` as the checkpoint file.
@@ -2595,25 +2420,14 @@ mod tests {
         let mut hdr = [0u8; FRAME_HEADER_LEN as usize];
         f.read_at(0, &mut hdr).unwrap();
         assert_eq!(FrameHeader::decode(&hdr).unwrap().codec, STORED_LZ);
-        let mut b = [0u8; 1];
-        f.read_at(FRAME_HEADER_LEN, &mut b).unwrap();
-        assert!(b[0] < 128, "an LZ stream opens with literals");
-        f.write_at(FRAME_HEADER_LEN, &[b[0] ^ 0x80]).unwrap();
         drop(f);
+        let b = flip(&backend, &victim, FRAME_HEADER_LEN, 0x80);
+        assert!(b < 128, "an LZ stream opens with literals");
 
         // Restart: every chunk but the damaged one reads; that one is an
         // integrity error, counted as payload damage, and hands out no
         // byte.
-        let fs = Crfs::mount(
-            Arc::clone(&backend),
-            CrfsConfig::default()
-                .with_chunk_size(4096)
-                .with_pool_size(64 * 1024)
-                .with_codec(CodecKind::Lz)
-                .with_dedup(true)
-                .with_read_ahead(0),
-        )
-        .unwrap();
+        let fs = Crfs::mount(Arc::clone(&backend), snap_config().with_read_ahead(0)).unwrap();
         let file = fs.open("/ckpt/rank0.img").unwrap();
         let mut failed = 0;
         for chunk in 0..5u64 {
@@ -2624,14 +2438,10 @@ mod tests {
                     .enumerate()
                     .all(|(i, &b)| b == ((chunk as usize * 4096 + i) / 64) as u8)),
                 Err(e) => {
-                    assert!(
-                        matches!(e, crate::CrfsError::IntegrityError { .. }),
-                        "{e:?}"
-                    );
-                    assert!(
-                        buf.iter().all(|&b| b == 0 || b == 0xAA),
-                        "bytes of an unverified chunk reached the caller"
-                    );
+                    let detected = matches!(e, crate::CrfsError::IntegrityError { .. });
+                    assert!(detected, "{e:?}");
+                    let blank = buf.iter().all(|&b| b == 0 || b == 0xAA);
+                    assert!(blank, "bytes of an unverified chunk reached the caller");
                     failed += 1;
                 }
             }
@@ -2658,13 +2468,25 @@ mod tests {
         assert_eq!(sum.trusted_payloads, chunks, "{sum}");
     }
 
-    /// Sets one bit in the middle of `path`'s first payload.
-    fn flip_payload_bit(backend: &Arc<dyn Backend>, path: &str) {
+    /// Flips the bits of `mask` in `path`'s byte `at`; returns the byte
+    /// it held.
+    fn flip(backend: &Arc<dyn Backend>, path: &str, at: u64, mask: u8) -> u8 {
         let f = backend.open(path, OpenOptions::read_write()).unwrap();
-        let at = FRAME_HEADER_LEN + (f.len().unwrap() - FRAME_HEADER_LEN) / 2;
         let mut b = [0u8; 1];
         f.read_at(at, &mut b).unwrap();
-        f.write_at(at, &[b[0] ^ 0x10]).unwrap();
+        f.write_at(at, &[b[0] ^ mask]).unwrap();
+        b[0]
+    }
+
+    /// Sets one bit in the middle of `path`'s first payload.
+    fn flip_payload_bit(backend: &Arc<dyn Backend>, path: &str) {
+        let len = backend.file_len(path).unwrap();
+        flip(
+            backend,
+            path,
+            FRAME_HEADER_LEN + (len - FRAME_HEADER_LEN) / 2,
+            0x10,
+        );
     }
 
     #[test]
@@ -2728,23 +2550,37 @@ mod tests {
         f.write_at(FRAME_HEADER_LEN, &other).unwrap();
     }
 
-    /// A copy of every directory and file of `store`.
-    fn copy_of(store: &Arc<dyn Backend>) -> Arc<dyn Backend> {
-        let copy = be();
+    /// Every directory (`None`) and file of `store`, by path.
+    fn tree_of(store: &Arc<dyn Backend>) -> std::collections::BTreeMap<String, Option<Vec<u8>>> {
+        let mut tree = std::collections::BTreeMap::new();
         let mut dirs = vec!["/".to_string()];
         while let Some(dir) = dirs.pop() {
             for name in store.list_dir(&dir).unwrap() {
                 let path = format!("{}/{name}", dir.trim_end_matches('/'));
-                match store.open(&path, OpenOptions::read_only()) {
-                    Ok(file) => {
-                        let to = copy.open(&path, OpenOptions::create_truncate()).unwrap();
-                        to.write_at(0, &read_whole(&*file).unwrap()).unwrap();
-                    }
+                let bytes = match store.open(&path, OpenOptions::read_only()) {
+                    Ok(file) => Some(read_whole(&*file).unwrap()),
                     Err(_) => {
-                        copy.mkdir(&path).unwrap();
-                        dirs.push(path);
+                        dirs.push(path.clone());
+                        None
                     }
+                };
+                tree.insert(path, bytes);
+            }
+        }
+        tree
+    }
+
+    /// A copy of every directory and file of `store`.
+    fn copy_of(store: &Arc<dyn Backend>) -> Arc<dyn Backend> {
+        let copy = be();
+        // In path order, so every directory comes before what it holds.
+        for (path, bytes) in tree_of(store) {
+            match bytes {
+                Some(bytes) => {
+                    let to = copy.open(&path, OpenOptions::create_truncate()).unwrap();
+                    to.write_at(0, &bytes).unwrap();
                 }
+                None => copy.mkdir(&path).unwrap(),
             }
         }
         copy
@@ -2786,16 +2622,10 @@ mod tests {
             let sweep = |is_async: bool| {
                 let mut probe = Probe::new(&copy_of(&store), Duration::ZERO);
                 probe.held = held(CAS_DIR, primed, primed).filter(|_| is_async);
-                // A repair races the REF checks of other checkers: one
-                // checker keeps the order, and so the answer, fixed.
-                let threads = if repair { 1 } else { 2 };
                 let sum = run(
                     &(Arc::new(probe) as Arc<dyn Backend>),
                     &["/".to_string()],
-                    &FsckOptions {
-                        repair,
-                        ..opts(threads)
-                    },
+                    &FsckOptions { repair, ..opts(2) },
                 );
                 let totals = (sum.files, sum.frames, sum.trusted_payloads);
                 format!("{totals:?} {:?} {:?}", sum.damage, sum.reports)
@@ -2843,15 +2673,7 @@ mod tests {
         assert_eq!(dry.reports[0].path, orphan);
         assert!(backend.file_len(&orphan).is_ok(), "dry run must not unlink");
 
-        let fixed = run(
-            &backend,
-            &["/".to_string()],
-            &FsckOptions {
-                repair: true,
-                threads: 1,
-                ..FsckOptions::default()
-            },
-        );
+        let fixed = run(&backend, &["/".to_string()], &repair());
         assert_eq!(fixed.damage.orphaned_chunks, 1);
         assert_eq!(fixed.repaired_files, 1);
         assert!(backend.file_len(&orphan).is_err(), "repair unlinks orphans");
@@ -2871,15 +2693,7 @@ mod tests {
             .unwrap();
         backend.unlink(&format!("{victim}/{name}")).unwrap();
 
-        let sum = run(
-            &backend,
-            &["/".to_string()],
-            &FsckOptions {
-                repair: true,
-                threads: 1,
-                ..FsckOptions::default()
-            },
-        );
+        let sum = run(&backend, &["/".to_string()], &repair());
         assert!(sum.damage.dangling_manifest_refs >= 1, "{sum}");
         let report = sum
             .reports
@@ -2895,41 +2709,197 @@ mod tests {
         let backend = be();
         populate_snap(&backend);
         let path = manifest_path(0);
-        let f = backend.open(&path, OpenOptions::read_write()).unwrap();
-        let mut b = [0u8; 1];
-        f.read_at(12, &mut b).unwrap();
-        f.write_at(12, &[b[0] ^ 0xFF]).unwrap();
-        drop(f);
+        flip(&backend, &path, 12, 0xFF);
 
         let dry = run(&backend, &["/".to_string()], &opts(1));
         assert_eq!(dry.manifests, 1);
-        assert_eq!(
-            dry.reports
-                .iter()
-                .filter(|r| r.kind == FileKind::Manifest)
-                .count(),
-            1
-        );
+        let manifests = dry.reports.iter().filter(|r| r.kind == FileKind::Manifest);
+        assert_eq!(manifests.count(), 1);
         assert!(backend.file_len(&path).is_ok(), "dry run must not unlink");
         // The live log's REF frames keep the chunks referenced, so the
         // lost manifest must not cascade into chunk reclamation.
         assert_eq!(dry.damage.orphaned_chunks, 0, "{dry}");
 
-        let fixed = run(
-            &backend,
-            &["/".to_string()],
-            &FsckOptions {
-                repair: true,
-                threads: 1,
-                ..FsckOptions::default()
-            },
-        );
+        let fixed = run(&backend, &["/".to_string()], &repair());
         assert!(fixed.damage.torn_tails >= 1, "{fixed}");
         assert!(backend.file_len(&path).is_err(), "torn seal is unlinked");
         let after = run(&backend, &["/".to_string()], &opts(1));
         assert!(
             after.is_clean(),
-            "manifest gone, live-referenced chunks kept: {after}"
+            "manifest gone, referenced chunks kept: {after}"
         );
+    }
+
+    // -- check, then repair -------------------------------------------
+
+    /// A sealed epoch and four live logs of five chunks each, byte 20 of
+    /// every chunk header flipped: a repair cuts every chunk to nothing.
+    fn populate_flipped() -> Arc<dyn Backend> {
+        let store = be();
+        populate_snap_with(&store, &distinct(0, 5));
+        let fs = Crfs::mount(Arc::clone(&store), snap_config()).unwrap();
+        for log in 1..5 {
+            let f = fs.create(&format!("/ckpt/live{log}.img")).unwrap();
+            f.write(&distinct(log * 5, 5)).unwrap();
+            f.close().unwrap();
+        }
+        fs.unmount().unwrap();
+        for name in store.list_dir(CAS_DIR).unwrap() {
+            flip(&store, &format!("{CAS_DIR}/{name}"), 20, 0xFF);
+        }
+        store
+    }
+
+    /// What a sweep reports, but for its timings.
+    fn report_of(sum: &FsckSummary) -> String {
+        let totals = (sum.files, sum.raw_files, sum.frame_logs, sum.manifests);
+        let more = (sum.frames, sum.trusted_payloads, sum.repaired_files);
+        format!("{totals:?} {more:?} {:?} {:?}", sum.damage, sum.reports)
+    }
+
+    #[test]
+    fn a_repair_reports_and_leaves_the_same_on_any_checker_count() {
+        let store = populate_flipped();
+        let roots = ["/".to_string()];
+        let dry = run(&store, &roots, &opts(1));
+        let refs = |d: DamageCounts| (d.orphaned_refs, d.dangling_manifest_refs);
+        // The sealed log's 5 REF frames, the live logs' 20, 5 records.
+        assert_eq!((refs(dry.damage), dry.damage.bad_header_crc), ((25, 5), 25));
+        let mut first = None;
+        for threads in [1, 2, 4, 16].repeat(3) {
+            let (copy, mut repair) = (copy_of(&store), repair());
+            repair.threads = threads;
+            let fixed = run(&copy, &roots, &repair);
+            assert_eq!(fixed.damage, dry.damage, "{threads} checkers");
+            let rescan = run(&copy, &roots, &opts(threads)).damage;
+            assert_eq!(refs(rescan), refs(fixed.damage), "{threads} checkers");
+            let got = (report_of(&fixed), tree_of(&copy));
+            let first = first.get_or_insert_with(|| got.clone());
+            assert!(got == *first, "{threads} checkers: {}", got.0);
+        }
+    }
+
+    #[test]
+    fn a_narrowed_repair_keeps_the_chunks_other_logs_name() {
+        let store = be();
+        let fs = Crfs::mount(Arc::clone(&store), snap_config()).unwrap();
+        fs.mkdir("/ckpt").unwrap();
+        for (i, name) in ["/ckpt/a", "/ckpt/b"].into_iter().enumerate() {
+            let f = fs.create(name).unwrap();
+            f.write(&distinct(i * 5, 5)).unwrap();
+            f.close().unwrap();
+        }
+        fs.unmount().unwrap();
+        let chunks = store.list_dir(CAS_DIR).unwrap();
+        assert!(run(&store, &["/".to_string()], &opts(1)).damage.is_clean());
+        let narrowed = run(&store, &["/ckpt/a".to_string()], &repair());
+        assert!(narrowed.damage.is_clean(), "{narrowed}");
+        assert_eq!(store.list_dir(CAS_DIR).unwrap(), chunks);
+        let fs = Crfs::mount(Arc::clone(&store), snap_config()).unwrap();
+        let mut got = vec![0u8; 5 * 4096];
+        fs.open("/ckpt/b").unwrap().read_at(0, &mut got).unwrap();
+        assert!(got == distinct(5, 5));
+        fs.unmount().unwrap();
+    }
+
+    #[test]
+    fn a_torn_file_stranded_on_two_tiers_gets_one_report() {
+        let (fast, durable) = populate_tiered();
+        let victim = "/ckpt/rank1.img";
+        let len = fast.file_len(victim).unwrap();
+        for (tier, keep) in [(&fast, len - 50), (&durable, len / 2)] {
+            let f = tier.open(victim, OpenOptions::read_write()).unwrap();
+            f.set_len(keep).unwrap();
+        }
+        let roots = ["/".to_string()];
+        for opts in [opts(2), repair()] {
+            let sum = run_tiered(&fast, &durable, &roots, &opts);
+            assert_eq!(sum.reports.len(), 1, "{sum}");
+            let r = &sum.reports[0];
+            assert_eq!((r.path.as_str(), r.kind), (victim, FileKind::FrameLog));
+            assert_eq!(r.repaired, opts.repair, "{sum}");
+            assert_eq!((r.damage.torn_tails, r.damage.tier_stranded), (1, 1));
+        }
+        let after = run_tiered(&fast, &durable, &roots, &opts(2));
+        assert!(after.damage.is_clean() && after.reports.is_empty());
+    }
+
+    // -- the plan -----------------------------------------------------
+
+    use Action::{Barrier, Redrain, Truncate, Unlink};
+
+    /// A resolved finding: `torn` bytes past a clean length of 100.
+    fn resolved(kind: FileKind, torn: u64, damaged: fn(&mut DamageCounts)) -> Finding {
+        let mut found = finding("/f", kind, Some(100));
+        found.report.torn_bytes = torn;
+        damaged(&mut found.report.damage);
+        found
+    }
+
+    /// [`plan`] of one [`resolved`] finding, on one tier and on two.
+    fn plans(kind: FileKind, torn: u64, damaged: fn(&mut DamageCounts)) -> [Vec<Action>; 2] {
+        let found = [resolved(kind, torn, damaged)];
+        [plan(&found, false), plan(&found, true)]
+    }
+
+    #[test]
+    fn plan_truncates_a_torn_tail_and_compares_it_again_on_two_tiers() {
+        let [one, two] = plans(FileKind::FrameLog, 7, |d| d.torn_tails = 1);
+        assert_eq!(one, [Truncate(0, 100)]);
+        assert_eq!(two, [Truncate(0, 100), Barrier, Redrain(0, true)]);
+    }
+
+    #[test]
+    fn plan_unlinks_a_torn_manifest() {
+        let [one, two] = plans(FileKind::Manifest, 0, |d| d.torn_tails = 1);
+        assert_eq!((one, two), (vec![Unlink(0)], vec![Unlink(0), Barrier]));
+    }
+
+    #[test]
+    fn plan_unlinks_an_orphan_chunk_torn_or_not() {
+        let [one, two] = plans(FileKind::FrameLog, 7, |d| d.orphaned_chunks = 1);
+        assert_eq!((one, two), (vec![Unlink(0)], vec![Unlink(0), Barrier]));
+    }
+
+    #[test]
+    fn plan_redrains_a_stranded_file() {
+        let [one, two] = plans(FileKind::Raw, 0, |d| d.tier_stranded = 1);
+        assert_eq!((one, two), (vec![], vec![Barrier, Redrain(0, false)]));
+    }
+
+    #[test]
+    fn plan_redrains_a_diverged_file() {
+        let [one, two] = plans(FileKind::FrameLog, 0, |d| d.tier_diverged = 1);
+        assert_eq!((one, two), (vec![], vec![Barrier, Redrain(0, false)]));
+    }
+
+    /// A staging file is no finding (the union view hides it): every
+    /// repair of two tiers sweeps for them, a clean one too.
+    #[test]
+    fn plan_sweeps_staging_files_on_every_repair_of_two_tiers() {
+        let [one, two] = plans(FileKind::Raw, 0, |_| {});
+        assert!(one.is_empty());
+        assert_eq!((two, plan(&[], true)), (vec![Barrier], vec![Barrier]));
+    }
+
+    #[test]
+    fn plan_unlinks_an_orphan_that_is_also_a_tier_finding_and_drains_nothing() {
+        let [one, two] = plans(FileKind::Raw, 0, |d| {
+            (d.orphaned_chunks, d.tier_stranded) = (1, 1)
+        });
+        assert_eq!((one, two), (vec![Unlink(0)], vec![Unlink(0), Barrier]));
+    }
+
+    #[test]
+    fn plan_runs_unlinks_then_truncations_then_the_barrier_and_drains() {
+        let found = [
+            resolved(FileKind::FrameLog, 0, |d| d.tier_stranded = 1),
+            resolved(FileKind::FrameLog, 7, |d| d.torn_tails = 1),
+            resolved(FileKind::Raw, 0, |d| d.orphaned_chunks = 1),
+            resolved(FileKind::Manifest, 0, |d| d.torn_tails = 1),
+        ];
+        let steps = plan(&found, true);
+        assert_eq!(steps[..3], [Unlink(3), Unlink(2), Truncate(1, 100)]);
+        assert_eq!(steps[3..], [Barrier, Redrain(0, false), Redrain(1, true)]);
     }
 }

@@ -393,6 +393,35 @@ fn json_mode_reports_damage_classes_timing_and_repair() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A frame log whose durable copy diverged from its fast copy is one
+/// `--json` entry, classified as a frame log, before and after repair.
+#[test]
+fn a_diverged_frame_log_is_one_json_entry() {
+    use serde_json::Value;
+    let (fast, durable) = (temp_root("tier-fast"), temp_root("tier-durable"));
+    let log = populate(&fast);
+    let mut bytes = std::fs::read(&log).unwrap();
+    bytes[FRAME_HEADER_LEN as usize + 3] ^= 0x10;
+    std::fs::write(durable.join("rank0.img"), bytes).unwrap();
+    for (mode, code) in [("--dry-run", 1), ("--repair", 0)] {
+        let args = ["--fast", fast.to_str().unwrap(), mode, "--json"];
+        let (got, report) = run_fsck_code(&durable, &args);
+        assert_eq!(got, code, "{mode}: {report}");
+        let v: Value = serde_json::from_str(&report).unwrap();
+        let reports = v.get("reports").and_then(Value::as_array).unwrap();
+        assert_eq!(reports.len(), 1, "{mode}: {report}");
+        let r = &reports[0];
+        assert_eq!(r.get("path").and_then(Value::as_str), Some("/rank0.img"));
+        assert_eq!(r.get("kind").and_then(Value::as_str), Some("frame_log"));
+        let diverged = r.get("damage").and_then(|d| d.get("tier_diverged"));
+        assert_eq!(diverged.and_then(Value::as_u64), Some(1), "{mode}");
+    }
+    let healed = std::fs::read(durable.join("rank0.img")).unwrap();
+    assert!(healed == std::fs::read(&log).unwrap(), "the fast copy won");
+    let _ = std::fs::remove_dir_all(&fast);
+    let _ = std::fs::remove_dir_all(&durable);
+}
+
 /// `--quiet` and `--json` are mutually exclusive output modes.
 #[test]
 fn json_conflicts_with_quiet() {

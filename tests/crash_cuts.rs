@@ -126,7 +126,6 @@ fn checkpoint(fs: &Arc<Crfs>, image: u64) -> Vec<bool> {
 fn assert_repairs_clean(sweep: impl Fn(&FsckOptions) -> FsckSummary, label: &str) {
     let repair = sweep(&FsckOptions {
         repair: true,
-        threads: 1,
         ..FsckOptions::default()
     });
     assert!(repair.is_clean(), "{label}: repair {:?}", repair.reports);

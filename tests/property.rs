@@ -553,7 +553,6 @@ fn crash_point_recovery_yields_acked_prefix_and_never_wrong_bytes() {
             let roots = ["/".to_string()];
             let repair = FsckOptions {
                 repair: true,
-                threads: 1,
                 ..FsckOptions::default()
             };
             let sum = fsck::run(&backend, &roots, &repair);

@@ -301,7 +301,6 @@ fn framed_rewrite_cut_never_serves_a_byte_of_the_previous_epoch() {
         let roots = ["/".to_string()];
         let repair = FsckOptions {
             repair: true,
-            threads: 1,
             ..FsckOptions::default()
         };
         fsck::run(&backend, &roots, &repair);

@@ -119,6 +119,21 @@
 # a failed sync) and `snapshot/mod.rs` +3, net of fsck's `read_whole`
 # and the mount's manifest loop and `read_manifest` body folded into
 # the helper.
+# 42,991 -> 42,990 with fsck checking, then repairing: -1 line, the
+# ceiling lowered to the count. Product lines of `fsck.rs` 1,412 ->
+# 1,352: the four repair-then-report blocks (`settle_tier`,
+# `check_snapshot_orphans` and the ones in `check_frame_log` and
+# `check_manifest`), `cas_refs`, `tier_findings`, the `opts.repair`
+# plumbing and the per-reference `file_len` probes went; `Finding`,
+# `resolve`, the IO-free `plan`, `apply` and the `Tiers` pair with its
+# compare, re-drain and staging methods came. `crfs-fsck` +3 (the
+# `--repair` usage). Tests +56: the checker-count determinism,
+# narrowed-repair and one-report checks and one `plan` check per
+# finding class (`fsck.rs`), the diverged `--json` entry
+# (`fsck_bin.rs` +29), net of the serial-vs-parallel sweep test the
+# late-found-directories test already covers, three one-checker pins,
+# and fixture helpers (`repair()`, `lz()`, `flip`) in place of
+# repeated literals.
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -127,7 +142,7 @@
 # adds it.
 set -eu
 
-CEILING=42991
+CEILING=42990
 UNSAFE_CEILING=0
 
 cd "$(dirname "$0")/.."
