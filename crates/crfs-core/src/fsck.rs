@@ -12,7 +12,8 @@
 //!   ([`walk_frames`]: header magic + CRC, payload bounds — the one
 //!   place that decides where a log's clean prefix ends), plus, per
 //!   frame, frame format, DATA-frame decode + digest check (see
-//!   "Trust"), and dedup-reference origin resolution. Damage is
+//!   "Trust"), and dedup-reference resolution: a REF frame names a
+//!   content-store chunk by key, whose file is [`cas_path`] of it. Damage is
 //!   classified per the recovery contract (DESIGN.md §6): torn tail,
 //!   bad header CRC, bad payload checksum, orphaned dedup reference.
 //! - **Manifests** are decoded and every chunk record resolved.
@@ -28,7 +29,7 @@
 //!
 //! - [`Payloads::Unsealed`] (the default): a content-store chunk whose
 //!   key a decodable manifest names, and whose header agrees with that
-//!   record (one DATA frame, format, stored and logical length, check),
+//!   record (one DATA frame: codec, format, lengths, check, offset 0),
 //!   gets the structural walk only. Every other frame log — user logs,
 //!   the chunks of an open or crashed epoch, chunks only an
 //!   undecodable manifest names — is decoded and digested.
@@ -53,7 +54,12 @@
 //! In-bounds damage (a DATA frame failing its checksum, a reference its
 //! origin cannot hold) is *reported, not repaired*: truncating would
 //! discard good frames past it, and the read path surfaces it as an
-//! `IntegrityError`, never as wrong bytes.
+//! `IntegrityError`, never as wrong bytes. So is any damage to a chunk a
+//! decodable manifest names: no crash tore it (it was synced before its
+//! seal). Content of another format (a manifest of another version, a
+//! REF frame of another frame format) names chunks this build cannot
+//! read: the sweep then counts no orphan chunks, and a store with such
+//! a manifest is reported and left exactly as it is.
 //!
 //! **Reads.** A checker reads each file through a reused read-only
 //! window (4 MiB plus a header) handed to the unchanged
@@ -102,9 +108,10 @@ use crate::snapshot::manifest::{Manifest, Record, MANIFEST_MAGIC};
 use crate::snapshot::{cas_path, parse_cas_name, parse_manifest_name, ChunkKey, CAS_DIR, SNAP_DIR};
 use crate::transform::codec::decode_to_vec;
 use crate::transform::frame::{
-    payload_digest, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
+    payload_digest, ChunkRef, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT,
+    FRAME_HEADER_LEN,
 };
-use crate::transform::{walk_frames, FileHead, ScanOutcome, TailDamage, REF_META_LEN};
+use crate::transform::{walk_frames, FileHead, ScanOutcome, TailDamage};
 
 /// Bytes a checker reads at once: a one-frame content-store chunk of
 /// the default 4 MiB `chunk_size`, header included, fits.
@@ -176,7 +183,8 @@ pub struct DamageCounts {
     /// Content-store chunk files that neither a sealed manifest nor a
     /// live log's REF frame references — crash remnants the next
     /// online GC would reclaim; `--repair` unlinks them. Counted only
-    /// by a sweep whose roots cover `/`.
+    /// by a sweep whose roots cover `/` and that met no content of
+    /// another format.
     pub orphaned_chunks: u64,
     /// Manifest chunk records whose origin is missing, or too short once
     /// repaired to hold the recorded frame. Not repairable: the sealed
@@ -291,9 +299,14 @@ struct Finding {
     /// What a repair leaves of it; `None` for a file that could not be
     /// read, or a torn manifest.
     clean_len: Option<u64>,
-    /// Each REF frame's or manifest chunk record's origin path, and the
+    /// Each REF frame's or manifest chunk record's chunk path, and the
     /// end the referenced frame needs there.
     refs: Vec<(String, u64)>,
+    /// A content-store chunk a decodable manifest names: never cut.
+    sealed: bool,
+    /// The file names content of another format: a manifest of another
+    /// version, or a REF frame of another frame format.
+    foreign: bool,
 }
 
 impl Finding {
@@ -459,8 +472,9 @@ fn check(
     let mut found = std::mem::take(&mut summary.found);
     found.sort_by(|a, b| a.report.path.cmp(&b.report.path));
     let len = |origin: &str| store.file_len(origin).ok();
-    resolve(&mut found, &sealed, roots, len);
-    if opts.repair {
+    resolve(&mut found, roots, len);
+    let foreign_manifest = |f: &Finding| f.foreign && f.report.kind == FileKind::Manifest;
+    if opts.repair && !found.iter().any(foreign_manifest) {
         let plan = plan(&found, compare);
         apply(&plan, &mut found, store, tiers, &summary.dirs, opts.threads);
     }
@@ -483,22 +497,18 @@ fn covers(root: &str, path: &str) -> bool {
 
 /// Answers what no one file can (module docs, "Repair"): each reference
 /// against its origin's clean length — `outside` gives the store's
-/// length of an origin no root covers — and, when the roots cover `/`,
-/// which content-store chunks nothing names. A file the repair unlinks
-/// keeps no tier finding: nothing of it is left to drain.
-fn resolve(
-    found: &mut [Finding],
-    sealed: &Sealed,
-    roots: &[String],
-    outside: impl Fn(&str) -> Option<u64>,
-) {
+/// length of an origin no root covers — and, when the roots cover `/`
+/// and no file names content of another format, which content-store
+/// chunks nothing names. A file the repair unlinks keeps no tier
+/// finding: nothing of it is left to drain.
+fn resolve(found: &mut [Finding], roots: &[String], outside: impl Fn(&str) -> Option<u64>) {
     let under = |path: &str| roots.iter().any(|root| covers(root, path));
     let (mut clean, mut named) = (HashMap::new(), HashSet::new());
     for f in found.iter() {
         clean.insert(f.report.path.as_str(), f.clean_len);
         named.extend(f.refs.iter().map(|(origin, _)| origin.as_str()));
     }
-    let whole = under("/");
+    let whole = under("/") && !found.iter().any(|f| f.foreign);
     let answers: Vec<(u64, bool)> = found
         .iter()
         .map(|f| {
@@ -512,10 +522,7 @@ fn resolve(
             });
             let path = f.report.path.as_str();
             let chunk = path.strip_prefix(CAS_DIR).and_then(|n| n.strip_prefix('/'));
-            let vouched = chunk
-                .and_then(parse_cas_name)
-                .map(|key| sealed.chunks.contains_key(&key));
-            let orphan = whole && chunk.is_some() && vouched != Some(true) && !named.contains(path);
+            let orphan = whole && chunk.is_some() && !f.sealed && !named.contains(path);
             (dangling.count() as u64, orphan)
         })
         .collect();
@@ -549,13 +556,14 @@ enum Action {
 }
 
 /// The repairs the resolved `found` asks for, in the order they run:
-/// torn manifests unlinked, orphan chunks unlinked, torn tails
-/// truncated, and on two tiers the barrier, then the re-drains. No IO.
+/// torn manifests unlinked, orphan chunks unlinked, torn tails but a
+/// sealed chunk's truncated, and on two tiers the barrier, then the
+/// re-drains. No IO.
 fn plan(found: &[Finding], tiered: bool) -> Vec<Action> {
     let indexed = || found.iter().enumerate();
     let manifest = |f: &Finding| f.report.kind == FileKind::Manifest;
     let truncate = |f: &Finding| match f.clean_len {
-        Some(len) if !f.unlinks() && f.report.torn_bytes > 0 => Some(len),
+        Some(len) if !f.unlinks() && !f.sealed && f.report.torn_bytes > 0 => Some(len),
         _ => None,
     };
     let unlink = |is_manifest: bool| {
@@ -763,9 +771,9 @@ struct Sealed {
     /// Each manifest's bytes, which its check in the sweep reads
     /// instead of the backend.
     bytes: HashMap<String, Vec<u8>>,
-    /// The stored length and check of every chunk a decodable manifest
-    /// names, by key.
-    chunks: HashMap<ChunkKey, (u32, u64)>,
+    /// The header of every chunk a decodable manifest names, which its
+    /// record determines, by key.
+    chunks: HashMap<ChunkKey, FrameHeader>,
     /// Those chunks' headers, by path, read as one batch over a store
     /// that takes asynchronous reads: the sweep checks a chunk read for
     /// its head alone from these.
@@ -794,7 +802,8 @@ fn read_sealed(lister: &dyn Backend, heads_under: &[String]) -> Sealed {
         for (_, records) in &m.files {
             for rec in records {
                 if let Record::Chunk(c) = rec {
-                    chunks.insert(c.key(), (c.stored_len, c.check));
+                    let h = FrameHeader::chunk(c.codec, c.logical_len, c.stored_len, c.check);
+                    chunks.insert(c.key(), h);
                 }
             }
         }
@@ -1081,6 +1090,8 @@ fn finding(path: &str, kind: FileKind, len: Option<u64>) -> Finding {
         },
         clean_len: len,
         refs: Vec::new(),
+        sealed: false,
+        foreign: false,
     }
 }
 
@@ -1108,10 +1119,7 @@ fn check_file(
     let vouched = path
         .strip_prefix(CAS_DIR)
         .and_then(|name| parse_cas_name(name.strip_prefix('/')?))
-        .and_then(|key| {
-            let &(stored_len, check) = sealed.chunks.get(&key)?;
-            Some((key.1, stored_len, check))
-        });
+        .and_then(|key| sealed.chunks.get(&key));
     let head_only = vouched.is_some() && payloads != Payloads::All && !compare;
     let file = backend.open(path, OpenOptions::read_only());
     // The window's first read serves the classification and, for a
@@ -1142,17 +1150,14 @@ fn check_file(
         }
     };
     let mut found = finding(path, classify(&head), Some(head.stored_len));
+    found.sealed = vouched.is_some();
     match found.report.kind {
         FileKind::Raw => local.raw_files += 1,
         FileKind::FrameLog => {
             local.frame_logs += 1;
             let trust = |off: u64, h: &FrameHeader| match payloads {
                 Payloads::Skip => true,
-                Payloads::Unsealed => vouched.is_some_and(|(logical_len, stored_len, check)| {
-                    off == 0
-                        && (h.logical_len, h.stored_len, h.payload_check)
-                            == (logical_len, stored_len, check)
-                }),
+                Payloads::Unsealed => off == 0 && vouched == Some(h),
                 Payloads::All => false,
             };
             check_frame_log(&window, &head, trust, local, frame, &mut found);
@@ -1195,7 +1200,12 @@ fn check_frame_log(
     (payload, out): &mut (Vec<u8>, Vec<u8>),
     found: &mut Finding,
 ) {
-    let Finding { report, refs, .. } = found;
+    let Finding {
+        report,
+        refs,
+        foreign,
+        ..
+    } = found;
     let FileReport { frames, damage, .. } = report;
     let walked = walk_frames(file, head, |off, h| {
         *frames += 1;
@@ -1207,22 +1217,23 @@ fn check_frame_log(
             local.trusted_payloads += 1;
             return Ok(());
         }
+        if h.format != FRAME_FORMAT {
+            // Structurally sound, but written by another build (0:
+            // before the payload digest, 1: before keyed references):
+            // no mount will serve it. The header says so, whether or
+            // not payloads are verified.
+            damage.bad_payload_checksum += 1;
+            *foreign |= !data;
+            return Ok(());
+        }
         payload.resize(h.stored_len as usize, 0);
         read_exact_at(file, off + FRAME_HEADER_LEN, payload)?;
-        if h.format != FRAME_FORMAT {
-            // Structurally sound, but its check was computed by a
-            // function this build does not have (format 0: a store
-            // written before the payload digest): no mount will
-            // serve it. The header says so, whether or not payloads
-            // are verified.
-            damage.bad_payload_checksum += 1;
-        }
         if !data {
-            match ref_of(payload) {
-                Some(r) => refs.push(r),
+            match ChunkRef::decode(payload) {
+                Some(r) => refs.push(reference((r.hash, h.logical_len), r.stored_len)),
                 None => damage.orphaned_refs += 1,
             }
-        } else if h.format == FRAME_FORMAT {
+        } else {
             let ok = decode_to_vec(h.codec, payload, h.logical_len as usize, out).is_ok()
                 && payload_digest(out).check == h.payload_check;
             if !ok {
@@ -1250,36 +1261,39 @@ fn check_frame_log(
     found.clean_len = Some(outcome.clean_len);
 }
 
-/// A REF frame's origin path and the end the referenced frame needs
-/// there; `None` for a REF whose payload names no origin.
-fn ref_of(payload: &[u8]) -> Option<(String, u64)> {
-    let meta = payload.get(..REF_META_LEN)?;
-    let origin_off = u64::from_le_bytes(meta[..8].try_into().unwrap());
-    let origin_len = u32::from_le_bytes(meta[8..12].try_into().unwrap());
-    let origin = std::str::from_utf8(&payload[REF_META_LEN..]).ok()?;
-    let end = origin_off + FRAME_HEADER_LEN + u64::from(origin_len);
-    Some((origin.to_string(), end))
+/// A reference to the chunk of `key` whose frame stores `stored_len`
+/// bytes: the chunk's path, and the end the frame needs there.
+fn reference(key: ChunkKey, stored_len: u32) -> (String, u64) {
+    (cas_path(key), FRAME_HEADER_LEN + u64::from(stored_len))
 }
 
 /// Validates a sealed epoch manifest: structural decode (magic,
 /// version, crc trailer), each chunk record's format, and each record's
 /// reference, which [`resolve`] answers. An undecodable manifest is a
 /// torn seal; the recovery contract says that epoch never existed, so
-/// `--repair` unlinks it. Dangling records are *not* repairable: the
-/// sealed epoch has lost bytes, and the only honest outcome is to
-/// report it so a restart from that epoch is not attempted.
+/// `--repair` unlinks it; one of another version is reported. Dangling
+/// records are *not* repairable: the sealed epoch has lost bytes, and
+/// the only honest outcome is to report it so a restart from that epoch
+/// is not attempted.
 fn check_manifest(file: &dyn BackendFile, found: &mut Finding) {
-    let Ok(m) = read_whole(file).and_then(|bytes| Manifest::decode(&bytes)) else {
-        found.report.damage.torn_tails += 1;
-        found.clean_len = None;
-        return;
+    let m = match read_whole(file).and_then(|bytes| Manifest::decode(&bytes)) {
+        Ok(m) => m,
+        Err(e) if e.kind() == io::ErrorKind::Unsupported => {
+            found.report.error = Some(e.to_string());
+            found.foreign = true;
+            return;
+        }
+        Err(_) => {
+            found.report.damage.torn_tails += 1;
+            found.clean_len = None;
+            return;
+        }
     };
     for (_, records) in &m.files {
         for rec in records {
             let Record::Chunk(c) = rec else { continue };
             found.report.frames += 1;
-            let end = c.origin_off + FRAME_HEADER_LEN + u64::from(c.stored_len);
-            found.refs.push((c.origin_path.clone(), end));
+            found.refs.push(reference(c.key(), c.stored_len));
             if c.format != FRAME_FORMAT {
                 found.report.damage.bad_payload_checksum += 1;
             }
@@ -2536,15 +2550,8 @@ mod tests {
     /// header, not the manifest's record, then describes what is stored.
     fn write_other_frame(backend: &Arc<dyn Backend>, path: &str) {
         let other: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-        let header = FrameHeader {
-            flags: 0,
-            codec: crate::transform::codec::STORED_RAW,
-            format: FRAME_FORMAT,
-            logical_offset: 0,
-            logical_len: other.len() as u32,
-            stored_len: other.len() as u32,
-            payload_check: payload_digest(&other).check,
-        };
+        let (raw, len) = (crate::transform::codec::STORED_RAW, other.len() as u32);
+        let header = FrameHeader::chunk(raw, len, len, payload_digest(&other).check);
         let f = backend.open(path, OpenOptions::create_truncate()).unwrap();
         f.write_at(0, &header.encode()).unwrap();
         f.write_at(FRAME_HEADER_LEN, &other).unwrap();
@@ -2730,10 +2737,68 @@ mod tests {
         );
     }
 
+    /// A sealed chunk was synced before its seal, so no crash tore it:
+    /// damage there is damage at rest, which the repair reports and
+    /// never cuts. Here a flipped header byte, on 1 and 4 checkers.
+    #[test]
+    fn a_repair_never_cuts_a_sealed_chunk() {
+        let store = be();
+        let data = distinct(0, 5);
+        populate_snap_with(&store, &data);
+        let victim = format!("{CAS_DIR}/{}", store.list_dir(CAS_DIR).unwrap()[0]);
+        flip(&store, &victim, 20, 0xFF);
+        let (roots, before) = (["/".to_string()], tree_of(&store));
+        for threads in [1, 4] {
+            let dry = run(&store, &roots, &opts(threads));
+            assert_eq!(dry.damage.bad_header_crc, 1, "{dry}");
+            let mut fix = repair();
+            fix.threads = threads;
+            let fixed = run(&store, &roots, &fix);
+            assert_eq!(fixed.damage, dry.damage, "{threads} checkers");
+            let report = fixed.reports.iter().find(|r| r.path == victim);
+            assert!(report.is_some_and(|r| !r.repaired), "{fixed}");
+            assert!(tree_of(&store) == before, "{threads} checkers: {fixed}");
+        }
+        // The keyed read takes the chunk's stored length and codec from
+        // the reference and checks the digest: the header is not read.
+        let fs = Crfs::mount(Arc::clone(&store), snap_config()).unwrap();
+        let mut back = vec![0u8; data.len()];
+        let f = fs.open("/ckpt/rank0.img").unwrap();
+        assert_eq!(f.read_at(0, &mut back).unwrap(), data.len());
+        assert!(back == data && fs.stats().integrity_failures == 0);
+        f.close().unwrap();
+        fs.unmount().unwrap();
+    }
+
+    /// A REF frame of another frame format names a chunk by a layout
+    /// this build cannot read: it is unverifiable, and the sweep that
+    /// meets it counts no orphan chunk and unlinks none.
+    #[test]
+    fn a_ref_frame_of_another_format_keeps_every_chunk() {
+        let store = be();
+        populate_snap(&store);
+        let orphan = cas_path((0xfeed_face, 4096));
+        let f = store.open(&orphan, OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, b"junk").unwrap();
+        // What a format-1 build wrote: the chunk's path in the record.
+        let mut record = [0u8; 16].to_vec();
+        record.extend_from_slice(orphan.as_bytes());
+        let mut header = FrameHeader::chunk(0, 4096, record.len() as u32, 0);
+        (header.flags, header.format) = (FLAG_REF, 1);
+        let log = store.open("/old.log", OpenOptions::create_truncate());
+        let frame = [&header.encode()[..], &record].concat();
+        log.unwrap().write_at(0, &frame).unwrap();
+        let sum = run(&store, &["/".to_string()], &repair());
+        assert_eq!(sum.damage.bad_payload_checksum, 1, "{sum}");
+        assert_eq!(sum.damage.orphaned_chunks, 0, "{sum}");
+        assert!(store.file_len(&orphan).is_ok(), "{sum}");
+    }
+
     // -- check, then repair -------------------------------------------
 
     /// A sealed epoch and four live logs of five chunks each, byte 20 of
-    /// every chunk header flipped: a repair cuts every chunk to nothing.
+    /// every chunk header flipped: a repair cuts every unsealed chunk to
+    /// nothing, and reports the sealed ones.
     fn populate_flipped() -> Arc<dyn Backend> {
         let store = be();
         populate_snap_with(&store, &distinct(0, 5));

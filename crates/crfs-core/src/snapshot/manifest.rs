@@ -16,19 +16,21 @@
 //!   per file: path_len u16 | path | record_count u32
 //!     per record: tag u8
 //!       0 (chunk): logical_offset u64 | logical_len u32 | check u64 |
-//!                  hash u128 | origin_off u64 | stored_len u32 |
-//!                  codec u8 | format u8 (version 2 only) |
-//!                  origin_path_len u16 | origin_path
+//!                  hash u128 | stored_len u32 | codec u8 | format u8
 //!       1 (trunc): new_len u64
 //! crc32 of everything above, u32
 //! ```
 //!
-//! Version 2 added the per-chunk `format` byte: the frame format
+//! A chunk record is 43 bytes, tag included, and names no path: its
+//! chunk is the content-store file of its key `(hash, logical_len)`
+//! ([`cas_path`](super::cas_path)). `format` is the frame format
 //! ([`FRAME_FORMAT`](crate::transform::frame::FRAME_FORMAT)) that
-//! `check` and `hash` were computed under. A version-1 manifest still
-//! decodes — its epoch exists, its structure can be checked — with
-//! every chunk at format 0 (FNV-1a check), which the read path refuses
-//! to serve: this build cannot verify those payloads.
+//! `check` and `hash` were computed under.
+//!
+//! This build reads [`MANIFEST_VERSION`] only. A manifest whose CRC
+//! holds but whose version differs was sealed by another build: it
+//! decodes as [`io::ErrorKind::Unsupported`], not as a torn seal, so
+//! nothing takes it for crash debris.
 //!
 //! The trailing CRC makes torn manifests (a crash mid-seal) detectable:
 //! mount-time recovery and `crfs-fsck` alike skip a manifest that fails
@@ -41,12 +43,12 @@ use crate::transform::frame::crc32;
 
 /// Magic word opening every manifest ("CRSM" — CRfs Snapshot Manifest).
 pub const MANIFEST_MAGIC: [u8; 4] = *b"CRSM";
-/// The manifest version this build writes.
-pub const MANIFEST_VERSION: u16 = 2;
+/// The manifest version this build writes and reads.
+pub const MANIFEST_VERSION: u16 = 3;
 
-/// One chunk of a snapshotted file: where its logical bytes sit and
-/// where the stored (encoded) bytes live.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One chunk of a snapshotted file: where its logical bytes sit, and
+/// how they are stored in the content-store chunk of its key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRecord {
     /// 128-bit content key of the logical payload (the CAS key): the
     /// key half of [`payload_digest`](crate::transform::frame::payload_digest).
@@ -59,11 +61,6 @@ pub struct ChunkRecord {
     pub format: u8,
     /// Check half of the payload digest, verified on every read.
     pub check: u64,
-    /// Backend path holding the stored bytes (a CAS chunk file, or a
-    /// user frame log for chunks stored inline as a fallback).
-    pub origin_path: String,
-    /// Stored offset of the origin frame header within `origin_path`.
-    pub origin_off: u64,
     /// Stored (encoded) payload length in bytes.
     pub stored_len: u32,
     /// Codec id the stored payload was encoded with.
@@ -78,7 +75,7 @@ impl ChunkRecord {
 }
 
 /// One entry of a file's flattened frame history.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Record {
     /// A chunk reference (see [`ChunkRecord`]).
     Chunk(ChunkRecord),
@@ -102,46 +99,15 @@ pub struct Manifest {
 impl Manifest {
     /// Serializes the manifest, CRC trailer included.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.files.len() * 64);
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&[0u8; 2]);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&(self.files.len() as u32).to_le_bytes());
-        for (path, records) in &self.files {
-            out.extend_from_slice(&(path.len() as u16).to_le_bytes());
-            out.extend_from_slice(path.as_bytes());
-            out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-            for r in records {
-                match r {
-                    Record::Chunk(c) => {
-                        out.push(0);
-                        out.extend_from_slice(&c.logical_offset.to_le_bytes());
-                        out.extend_from_slice(&c.logical_len.to_le_bytes());
-                        out.extend_from_slice(&c.check.to_le_bytes());
-                        out.extend_from_slice(&c.hash.to_le_bytes());
-                        out.extend_from_slice(&c.origin_off.to_le_bytes());
-                        out.extend_from_slice(&c.stored_len.to_le_bytes());
-                        out.push(c.codec);
-                        out.push(c.format);
-                        out.extend_from_slice(&(c.origin_path.len() as u16).to_le_bytes());
-                        out.extend_from_slice(c.origin_path.as_bytes());
-                    }
-                    Record::Trunc { new_len } => {
-                        out.push(1);
-                        out.extend_from_slice(&new_len.to_le_bytes());
-                    }
-                }
-            }
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let files = self.files.iter().map(|(p, r)| (p.as_str(), r.as_slice()));
+        encode(self.epoch, files)
     }
 
     /// Parses and validates a serialized manifest. An `InvalidData`
     /// error means the bytes are not an intact manifest — a torn seal
-    /// or corruption; callers treat the epoch as nonexistent.
+    /// or corruption; callers treat the epoch as nonexistent. An
+    /// intact manifest of another version is `Unsupported`: it was
+    /// sealed by another build, and its error names the version.
     pub fn decode(buf: &[u8]) -> io::Result<Manifest> {
         if buf.len() < 4 + 2 + 2 + 8 + 4 + 4 {
             return Err(corrupt("manifest too short"));
@@ -156,8 +122,11 @@ impl Manifest {
             return Err(corrupt("bad manifest magic"));
         }
         let version = r.u16()?;
-        if !(1..=MANIFEST_VERSION).contains(&version) {
-            return Err(corrupt("unsupported manifest version"));
+        if version != MANIFEST_VERSION {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!("manifest version {version}; this build reads version {MANIFEST_VERSION}"),
+            ));
         }
         r.u16()?; // reserved
         let epoch = r.u64()?;
@@ -171,30 +140,15 @@ impl Manifest {
             let mut records = Vec::with_capacity(record_count.min(4096));
             for _ in 0..record_count {
                 match r.u8()? {
-                    0 => {
-                        let logical_offset = r.u64()?;
-                        let logical_len = r.u32()?;
-                        let check = r.u64()?;
-                        let hash = r.u128()?;
-                        let origin_off = r.u64()?;
-                        let stored_len = r.u32()?;
-                        let codec = r.u8()?;
-                        let format = if version >= 2 { r.u8()? } else { 0 };
-                        let origin_path_len = r.u16()? as usize;
-                        let origin_path = String::from_utf8(r.bytes(origin_path_len)?.to_vec())
-                            .map_err(|_| corrupt("manifest origin path is not UTF-8"))?;
-                        records.push(Record::Chunk(ChunkRecord {
-                            hash,
-                            logical_offset,
-                            logical_len,
-                            format,
-                            check,
-                            origin_path,
-                            origin_off,
-                            stored_len,
-                            codec,
-                        }));
-                    }
+                    0 => records.push(Record::Chunk(ChunkRecord {
+                        logical_offset: r.u64()?,
+                        logical_len: r.u32()?,
+                        check: r.u64()?,
+                        hash: r.u128()?,
+                        stored_len: r.u32()?,
+                        codec: r.u8()?,
+                        format: r.u8()?,
+                    })),
                     1 => records.push(Record::Trunc { new_len: r.u64()? }),
                     _ => return Err(corrupt("unknown manifest record tag")),
                 }
@@ -206,6 +160,47 @@ impl Manifest {
         }
         Ok(Manifest { epoch, files })
     }
+}
+
+/// Serializes the manifest sealing `epoch` over `files` (path, records)
+/// in the order given, CRC trailer included — [`Manifest::encode`]
+/// without owning the records.
+pub fn encode<'a>(
+    epoch: u64,
+    files: impl ExactSizeIterator<Item = (&'a str, &'a [Record])>,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 + files.len() * 64);
+    out.extend_from_slice(&MANIFEST_MAGIC);
+    out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
+    out.extend_from_slice(&[0u8; 2]);
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out.extend_from_slice(&(files.len() as u32).to_le_bytes());
+    for (path, records) in files {
+        out.extend_from_slice(&(path.len() as u16).to_le_bytes());
+        out.extend_from_slice(path.as_bytes());
+        out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for r in records {
+            match r {
+                Record::Chunk(c) => {
+                    out.push(0);
+                    out.extend_from_slice(&c.logical_offset.to_le_bytes());
+                    out.extend_from_slice(&c.logical_len.to_le_bytes());
+                    out.extend_from_slice(&c.check.to_le_bytes());
+                    out.extend_from_slice(&c.hash.to_le_bytes());
+                    out.extend_from_slice(&c.stored_len.to_le_bytes());
+                    out.push(c.codec);
+                    out.push(c.format);
+                }
+                Record::Trunc { new_len } => {
+                    out.push(1);
+                    out.extend_from_slice(&new_len.to_le_bytes());
+                }
+            }
+        }
+    }
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
 }
 
 /// Drops records wholly hidden by newer ones, bounding manifest growth
@@ -324,8 +319,6 @@ mod tests {
             logical_len: len,
             format: crate::transform::frame::FRAME_FORMAT,
             check: seed as u64,
-            origin_path: format!("/.crfs-snap/cas/{seed:02x}"),
-            origin_off: 0,
             stored_len: len / 2,
             codec: 2,
         })
@@ -345,35 +338,6 @@ mod tests {
         };
         let bytes = m.encode();
         assert_eq!(Manifest::decode(&bytes).unwrap(), m);
-    }
-
-    #[test]
-    fn version_1_manifest_decodes_with_pre_digest_records() {
-        // What a build before the payload digest sealed: version 1, no
-        // format byte in the chunk record. The epoch must still exist
-        // (its structure can be listed and checked); its records carry
-        // format 0, which the read path refuses to serve.
-        let Record::Chunk(rec) = chunk(0, 100, 3) else {
-            unreachable!()
-        };
-        let m = Manifest {
-            epoch: 7,
-            files: vec![("/f".to_string(), vec![Record::Chunk(rec.clone())])],
-        };
-        let mut v1 = m.encode();
-        v1.truncate(v1.len() - 4); // CRC
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        // The one chunk record ends the body: format byte, then the
-        // origin path with its u16 length.
-        v1.remove(v1.len() - rec.origin_path.len() - 2 - 1);
-        let crc = crc32(&v1);
-        v1.extend_from_slice(&crc.to_le_bytes());
-
-        let old = Manifest::decode(&v1).unwrap();
-        let expect = Record::Chunk(ChunkRecord { format: 0, ..rec });
-        assert_eq!(old.files, vec![("/f".to_string(), vec![expect])]);
-        // Re-encoding writes the current version and keeps the format.
-        assert_eq!(Manifest::decode(&old.encode()).unwrap(), old);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! - [`SnapshotStore::seal`] (driven by
 //!   [`Crfs::advance_epoch`](crate::Crfs::advance_epoch)) writes an
 //!   **epoch manifest** ([`manifest`]): every file's flattened frame
-//!   history, each chunk pinned by hash + CAS location. A manifest
+//!   history, each chunk named by its key alone (the seal first copies
+//!   a chunk whose CAS write failed out of its user file). A manifest
 //!   either seals completely (CRC-validated) or does not exist — a
 //!   crash mid-epoch loses only the unsealed epoch, never a sealed one;
 //! - restart from *any retained epoch*: the manifest's records
@@ -31,8 +32,8 @@
 //!   so retention never retires a manifest a reader still needs.
 //!
 //! Refcount invariants (checked by `crfs-fsck`, see [`crate::fsck`]):
-//! every chunk record of every retained manifest points at an existing
-//! origin long enough to hold its frame; every CAS file is referenced
+//! every chunk record of every retained manifest names an existing
+//! chunk long enough to hold its frame; every CAS file is referenced
 //! by at least one retained manifest (or is in-flight/staged, a state
 //! only a live mount can observe). Chunks are only ever freed by GC,
 //! and GC marks under the same lock writers register under — a chunk
@@ -41,7 +42,7 @@
 pub mod manifest;
 
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -51,8 +52,9 @@ use crate::backend::{read_exact_at, read_heads, read_whole, Backend, BackendFile
 use crate::stats::CrfsStats;
 use crate::transform::codec::STORED_RAW;
 use crate::transform::dedup::{DedupIndex, DEDUP_KEEP_EPOCHS};
-use crate::transform::frame::{FrameHeader, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN};
-use crate::transform::REF_META_LEN;
+use crate::transform::frame::{
+    ChunkRef, FrameHeader, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
+};
 use manifest::{compact, ChunkRecord, Manifest, Record};
 
 /// Backend directory holding all snapshot state (manifests + CAS).
@@ -141,8 +143,10 @@ struct FileStage {
     /// Records staged this epoch, keyed by the stored offset their
     /// frame landed at in the user file's log — workers commit out of
     /// completion order, and sorting by stored offset restores
-    /// allocation order, the newest-wins authority.
-    records: Vec<(u64, Record)>,
+    /// allocation order, the newest-wins authority — and whether the
+    /// frame is a degraded chunk's inline DATA frame, which the seal
+    /// copies into the store.
+    records: Vec<(u64, Record, bool)>,
 }
 
 /// State behind the store lock.
@@ -224,8 +228,15 @@ impl SnapshotStore {
             Some((epoch, file.ok()?))
         });
         for (epoch, read) in read_heads(files, |len| len, true) {
-            let Ok(m) = read.and_then(|bytes| Manifest::decode(&bytes)) else {
-                continue;
+            let m = match read.and_then(|bytes| Manifest::decode(&bytes)) {
+                Ok(m) => m,
+                // Sealed by another build: adopting around it would let
+                // the next seal overwrite it.
+                Err(e) if e.kind() == io::ErrorKind::Unsupported => {
+                    let path = manifest_path(epoch);
+                    return Err(io::Error::new(e.kind(), format!("{path}: {e}")));
+                }
+                Err(_) => continue,
             };
             inner.manifests.insert(epoch, manifest_keys(&m));
             for key in &inner.manifests[&epoch] {
@@ -236,29 +247,12 @@ impl SnapshotStore {
         }
         // Seed the dedup index with the newest manifest's chunks, so
         // the first epoch after a restart still dedups against
-        // everything already in the store. Only a record naming its
-        // own CAS file is an origin: a pre-digest record is keyed by
-        // another hash, and a degraded inline chunk lives in a user
-        // file that its owner may rewrite or unlink.
+        // everything already in the store.
         for records in inner.carried.values() {
-            for r in records {
-                match r {
-                    Record::Chunk(c)
-                        if c.format == FRAME_FORMAT
-                            && c.origin_off == 0
-                            && c.origin_path == cas_path((c.hash, c.logical_len)) =>
-                    {
-                        store.index.insert(
-                            c.hash,
-                            c.logical_len,
-                            c.origin_path.as_str().into(),
-                            0,
-                            c.stored_len,
-                            c.codec,
-                        )
-                    }
-                    _ => {}
-                }
+            for c in chunks(records).filter(|c| c.format == FRAME_FORMAT) {
+                store
+                    .index
+                    .add(c.hash, c.logical_len, c.stored_len, c.codec);
             }
         }
         *store.inner.lock() = inner;
@@ -311,12 +305,8 @@ impl SnapshotStore {
             let mut hdr = [0u8; FRAME_HEADER_LEN as usize];
             read_exact_at(&*file, 0, &mut hdr)?;
             if let Ok(h) = FrameHeader::decode(&hdr) {
-                if h.flags == 0
-                    && h.format == FRAME_FORMAT
-                    && h.payload_check == check
-                    && h.logical_len == key.1
-                    && FRAME_HEADER_LEN + u64::from(h.stored_len) == len
-                {
+                let ours = FrameHeader::chunk(h.codec, key.1, h.stored_len, check);
+                if h == ours && FRAME_HEADER_LEN + u64::from(h.stored_len) == len {
                     file.sync()?;
                     return Ok((h.codec, h.stored_len));
                 }
@@ -337,28 +327,23 @@ impl SnapshotStore {
     }
 
     /// Stages one committed chunk of `path` for the next seal.
-    /// `stored_off` is where the chunk's (reference) frame landed in
-    /// the user file's log — the seal's ordering key.
-    pub fn stage_chunk(&self, path: &str, stored_off: u64, rec: ChunkRecord) {
+    /// `stored_off` is where the chunk's frame landed in the user file's
+    /// log — the seal's ordering key, and for an `inline` chunk (its CAS
+    /// write failed) where the seal reads its DATA frame back to store it.
+    pub fn stage_chunk(&self, path: &str, stored_off: u64, rec: ChunkRecord, inline: bool) {
         let mut inner = self.inner.lock();
-        inner
-            .staged
-            .entry(path.to_string())
-            .or_default()
-            .records
-            .push((stored_off, Record::Chunk(rec)));
+        let stage = inner.staged.entry(path.to_string()).or_default();
+        stage.records.push((stored_off, Record::Chunk(rec), inline));
     }
 
     /// Stages a persistent truncation of `path` to `new_len`
     /// (`stored_off` = the marker frame's offset).
     pub fn stage_trunc(&self, path: &str, stored_off: u64, new_len: u64) {
         let mut inner = self.inner.lock();
-        inner
-            .staged
-            .entry(path.to_string())
-            .or_default()
+        let stage = inner.staged.entry(path.to_string()).or_default();
+        stage
             .records
-            .push((stored_off, Record::Trunc { new_len }));
+            .push((stored_off, Record::Trunc { new_len }, false));
     }
 
     /// Notes that `path`'s stored log was reset (truncate-to-zero or
@@ -381,83 +366,109 @@ impl SnapshotStore {
         stage.records.clear();
     }
 
-    /// Notes a rename: `from`'s effective history (carried + staged)
-    /// moves to `to`, and `from` is dropped at the next seal. The moved
-    /// records keep their CAS origins, which rename does not disturb.
+    /// Notes a rename of a file or directory: the history (carried
+    /// and staged) of `from` and of every file under it moves to the new
+    /// path, staged degraded chunks included, and replaces what the new
+    /// path had. The log is the same file, so its stored offsets hold.
     pub fn note_rename(&self, from: &str, to: &str) {
         let mut inner = self.inner.lock();
-        let moved = {
-            let stage = inner.staged.remove(from).unwrap_or_default();
-            let mut records: Vec<Record> = if stage.reset {
-                Vec::new()
-            } else {
-                inner.carried.get(from).cloned().unwrap_or_default()
-            };
-            let mut staged = stage.records;
-            staged.sort_by_key(|(off, _)| *off);
-            records.extend(staged.into_iter().map(|(_, r)| r));
-            records
+        let inner = &mut *inner;
+        let under = |p: &&String| {
+            p.strip_prefix(from)
+                .is_some_and(|r| r.is_empty() || r.starts_with('/'))
         };
-        let gone = inner.staged.entry(from.to_string()).or_default();
-        gone.reset = true;
-        gone.removed = true;
-        gone.records.clear();
-        let dst = inner.staged.entry(to.to_string()).or_default();
-        dst.reset = true;
-        dst.removed = false;
-        // Synthetic ascending keys: any frame appended to `to` after
-        // the rename allocates past the renamed log's real tail, which
-        // is comfortably beyond these indices.
-        dst.records = moved
+        let olds = inner
+            .carried
+            .keys()
+            .chain(inner.staged.keys())
+            .filter(under);
+        // `from` itself always: renaming a file with no history over
+        // one with a history drops the latter.
+        let olds: BTreeSet<String> = olds.cloned().chain([from.to_string()]).collect();
+        let moved: Vec<_> = olds
             .into_iter()
-            .enumerate()
-            .map(|(i, r)| (i as u64, r))
+            .map(|old| {
+                let stage = inner.staged.remove(&old).unwrap_or_default();
+                (
+                    format!("{to}{}", &old[from.len()..]),
+                    inner.carried.remove(&old),
+                    stage,
+                )
+            })
             .collect();
+        for (new, carried, stage) in moved {
+            match carried {
+                Some(carried) => inner.carried.insert(new.clone(), carried),
+                None => inner.carried.remove(&new),
+            };
+            inner.staged.insert(new, stage);
+        }
     }
 
     /// Seals the current epoch: merges every staged file's records onto
     /// its carried history (compacted, see [`manifest::compact`]),
-    /// writes + syncs the epoch manifest, bumps refcounts for its
-    /// chunks, and retires manifests beyond the retention window (the
-    /// newest `keep_epochs`, pinned epochs excluded). Returns the
-    /// sealed epoch number.
+    /// copying each degraded chunk into the store on the way, writes +
+    /// syncs the epoch manifest, bumps refcounts for its chunks, and
+    /// retires manifests beyond the retention window (the newest
+    /// `keep_epochs`, pinned epochs excluded). Returns the sealed epoch
+    /// number. A seal that fails changes nothing.
     pub fn seal(&self) -> io::Result<u64> {
         let t0 = self.stats.stages.timer();
         let mut inner = self.inner.lock();
-        let mut files: BTreeMap<String, Vec<Record>> = inner.carried.drain().collect();
-        for (path, stage) in std::mem::take(&mut inner.staged) {
-            if stage.removed {
-                files.remove(&path);
-                continue;
+        let inner = &mut *inner;
+        // The new history of every staged file (`None`: dropped).
+        let mut changed = Vec::with_capacity(inner.staged.len());
+        for (path, stage) in &inner.staged {
+            let carried = inner.carried.get(path).filter(|_| !stage.reset);
+            let mut records: Vec<Record> = carried.into_iter().flatten().copied().collect();
+            let mut staged = stage.records.clone();
+            staged.sort_by_key(|(off, ..)| *off);
+            for (off, mut record, inline) in staged {
+                if let (true, Record::Chunk(c)) = (inline, &mut record) {
+                    (c.codec, c.stored_len) = self.copy_inline(path, off, c)?;
+                }
+                records.push(record);
             }
-            let mut records = if stage.reset {
-                Vec::new()
-            } else {
-                files.remove(&path).unwrap_or_default()
+            changed.push((path.clone(), (!stage.removed).then(|| compact(records))));
+        }
+        let mut files: BTreeMap<&str, &[Record]> = inner
+            .carried
+            .iter()
+            .map(|(p, r)| (&p[..], &r[..]))
+            .collect();
+        for (path, records) in &changed {
+            match records {
+                Some(records) => files.insert(path, records),
+                None => files.remove(&path[..]),
             };
-            let mut staged = stage.records;
-            staged.sort_by_key(|(off, _)| *off);
-            records.extend(staged.into_iter().map(|(_, r)| r));
-            files.insert(path, compact(records));
         }
         let epoch = inner.next_epoch;
-        let m = Manifest {
-            epoch,
-            files: files.into_iter().collect(),
-        };
-        let path = manifest_path(epoch);
-        let file = self.backend.open(&path, OpenOptions::create_truncate())?;
-        file.write_at(0, &m.encode())?;
+        let keys: HashSet<ChunkKey> = files
+            .values()
+            .flat_map(|r| chunks(*r))
+            .map(|c| c.key())
+            .collect();
+        let bytes = manifest::encode(epoch, files.into_iter());
+        let file = self
+            .backend
+            .open(&manifest_path(epoch), OpenOptions::create_truncate())?;
+        file.write_at(0, &bytes)?;
         file.sync()?;
-        let keys = manifest_keys(&m);
+        // Sealed: the new history is the base the next seal extends.
+        for (path, records) in changed {
+            match records {
+                Some(records) => inner.carried.insert(path, records),
+                None => inner.carried.remove(&path),
+            };
+        }
+        inner.staged.clear();
         for key in &keys {
             *inner.refcounts.entry(*key).or_insert(0) += 1;
         }
-        inner.manifests.insert(epoch, keys);
-        inner.carried = m.files.into_iter().collect();
+        inner.manifests.insert(epoch, keys.into_iter().collect());
         inner.next_epoch = epoch + 1;
         self.stats.snapshot_manifests.fetch_add(1, Relaxed);
-        self.enforce_retention(&mut inner);
+        self.enforce_retention(inner);
         if let Some(t0) = t0 {
             self.stats.stages.snapshot_seal.record_dur(t0.elapsed());
         }
@@ -468,6 +479,26 @@ impl SnapshotStore {
             inner.carried.len() as u64,
         );
         Ok(epoch)
+    }
+
+    /// Stores the inline DATA frame of `rec` at `off` of `path` under
+    /// its key, its header re-encoded at logical offset 0, returning
+    /// [`store_chunk`](Self::store_chunk)'s `(codec, stored_len)`. The
+    /// seal holds the store lock, which keeps GC out.
+    fn copy_inline(&self, path: &str, off: u64, rec: &ChunkRecord) -> io::Result<(u8, u32)> {
+        let file = self.backend.open(path, OpenOptions::read_only())?;
+        let mut frame = vec![0u8; FRAME_HEADER_LEN as usize + rec.stored_len as usize];
+        read_exact_at(&*file, off, &mut frame)?;
+        let mut h = FrameHeader::decode(&frame[..FRAME_HEADER_LEN as usize])?;
+        h.logical_offset = 0;
+        let header = FrameHeader::chunk(rec.codec, rec.logical_len, rec.stored_len, rec.check);
+        if h != header {
+            let chunk = cas_path(rec.key());
+            let e = format!("{path}@{off} no longer holds chunk {chunk}");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, e));
+        }
+        frame[..FRAME_HEADER_LEN as usize].copy_from_slice(&header.encode());
+        self.store_chunk(rec.key(), &frame, rec.check)
     }
 
     /// Retires manifests beyond the newest `keep_epochs`, skipping
@@ -514,10 +545,10 @@ impl SnapshotStore {
         let mut mark: HashSet<ChunkKey> = inner.refcounts.keys().copied().collect();
         mark.extend(inner.inflight.keys().copied());
         for records in inner.carried.values() {
-            mark.extend(chunk_keys(records));
+            mark.extend(chunks(records).map(|c| c.key()));
         }
         for stage in inner.staged.values() {
-            mark.extend(chunk_keys(stage.records.iter().map(|(_, r)| r)));
+            mark.extend(chunks(stage.records.iter().map(|(_, r, _)| r)).map(|c| c.key()));
         }
         let names = self.backend.list_dir(CAS_DIR)?;
         self.stats.flight.record(
@@ -638,46 +669,42 @@ impl std::fmt::Debug for SnapshotStore {
 
 /// The distinct chunk keys a manifest references.
 fn manifest_keys(m: &Manifest) -> Vec<ChunkKey> {
-    let mut keys: HashSet<ChunkKey> = HashSet::new();
-    for (_, records) in &m.files {
-        keys.extend(chunk_keys(records));
-    }
-    keys.into_iter().collect()
+    let keys = m.files.iter().flat_map(|(_, r)| chunks(r)).map(|c| c.key());
+    keys.collect::<HashSet<_>>().into_iter().collect()
 }
 
-fn chunk_keys<'a, I>(records: I) -> impl Iterator<Item = ChunkKey> + 'a
-where
-    I: IntoIterator<Item = &'a Record>,
-    I::IntoIter: 'a,
-{
+/// The chunk records among `records`.
+fn chunks<'a>(
+    records: impl IntoIterator<Item = &'a Record>,
+) -> impl Iterator<Item = &'a ChunkRecord> {
     records.into_iter().filter_map(|r| match r {
-        Record::Chunk(c) => Some(c.key()),
+        Record::Chunk(c) => Some(c),
         Record::Trunc { .. } => None,
     })
 }
 
 /// Synthesizes an in-memory frame log replaying `records`: one
-/// reference frame per chunk record (pointing at its CAS / origin
-/// location) and one truncation marker per trunc record, in manifest
-/// order. Feeding the result to the ordinary
+/// reference frame per chunk record (naming its chunk by key) and one
+/// truncation marker per trunc record, in manifest order. Feeding the
+/// result to the ordinary
 /// [`FileTransform::attach`](crate::transform::FileTransform::attach)
 /// scanner reproduces the file's logical state at seal time byte-exactly
 /// — restart needs no special read path.
 pub fn synthesize_log(records: &[Record]) -> Vec<u8> {
     let mut out = Vec::new();
     for r in records {
-        match r {
+        let (header, payload) = match *r {
             Record::Chunk(c) => {
-                let mut payload = Vec::with_capacity(REF_META_LEN + c.origin_path.len());
-                payload.extend_from_slice(&c.origin_off.to_le_bytes());
-                payload.extend_from_slice(&c.stored_len.to_le_bytes());
-                payload.push(c.codec);
-                payload.extend_from_slice(&[0u8; 3]);
-                payload.extend_from_slice(c.origin_path.as_bytes());
+                let payload = ChunkRef {
+                    hash: c.hash,
+                    stored_len: c.stored_len,
+                    codec: c.codec,
+                }
+                .encode();
                 let header = FrameHeader {
                     codec: STORED_RAW,
                     flags: FLAG_REF,
-                    // The record's own format, so a view of a pre-digest
+                    // The record's own format, so a view of an older
                     // epoch reads as unverifiable, not as a mismatch.
                     format: c.format,
                     logical_offset: c.logical_offset,
@@ -685,22 +712,23 @@ pub fn synthesize_log(records: &[Record]) -> Vec<u8> {
                     stored_len: payload.len() as u32,
                     payload_check: c.check,
                 };
-                out.extend_from_slice(&header.encode());
-                out.extend_from_slice(&payload);
+                (header, Some(payload))
             }
             Record::Trunc { new_len } => {
                 let header = FrameHeader {
                     codec: STORED_RAW,
                     flags: FLAG_TRUNC,
                     format: FRAME_FORMAT,
-                    logical_offset: *new_len,
+                    logical_offset: new_len,
                     logical_len: 0,
                     stored_len: 0,
                     payload_check: 0,
                 };
-                out.extend_from_slice(&header.encode());
+                (header, None)
             }
-        }
+        };
+        out.extend_from_slice(&header.encode());
+        out.extend(payload.iter().flatten());
     }
     out
 }
@@ -774,15 +802,8 @@ mod tests {
         let digest = payload_digest(payload);
         let key = (digest.key, payload.len() as u32);
         let check = digest.check;
-        let header = FrameHeader {
-            codec: STORED_RAW,
-            flags: 0,
-            format: FRAME_FORMAT,
-            logical_offset: 0,
-            logical_len: payload.len() as u32,
-            stored_len: payload.len() as u32,
-            payload_check: check,
-        };
+        let len = payload.len() as u32;
+        let header = FrameHeader::chunk(STORED_RAW, len, len, check);
         let mut frame = header.encode().to_vec();
         frame.extend_from_slice(payload);
         let guard = s.begin_chunk(key);
@@ -794,8 +815,6 @@ mod tests {
             logical_len: payload.len() as u32,
             format: FRAME_FORMAT,
             check,
-            origin_path: cas_path(key),
-            origin_off: 0,
             stored_len,
             codec,
         }
@@ -806,7 +825,7 @@ mod tests {
         let be = mem();
         let s = store(&be, 4);
         let rec = put_chunk(&s, 0, b"epoch zero bytes");
-        s.stage_chunk("/f", 0, rec.clone());
+        s.stage_chunk("/f", 0, rec, false);
         s.stage_trunc("/f", 100, 10);
         let epoch = s.seal().unwrap();
         assert_eq!(epoch, 0);
@@ -828,10 +847,10 @@ mod tests {
     fn unchanged_files_carry_forward_and_share_chunks() {
         let be = mem();
         let s = store(&be, 4);
-        s.stage_chunk("/a", 0, put_chunk(&s, 0, b"shared across epochs"));
+        s.stage_chunk("/a", 0, put_chunk(&s, 0, b"shared across epochs"), false);
         s.seal().unwrap();
         // Epoch 1 stages nothing for /a: the manifest still carries it.
-        s.stage_chunk("/b", 0, put_chunk(&s, 0, b"fresh in epoch one"));
+        s.stage_chunk("/b", 0, put_chunk(&s, 0, b"fresh in epoch one"), false);
         s.seal().unwrap();
         assert!(s.manifest_records(1, "/a").unwrap().is_some());
         assert!(s.manifest_records(1, "/b").unwrap().is_some());
@@ -847,7 +866,7 @@ mod tests {
         let s = store(&be, 4);
         let r1 = put_chunk(&s, 0, b"same payload");
         let r2 = put_chunk(&s, 4096, b"same payload");
-        assert_eq!(r1.origin_path, r2.origin_path);
+        assert_eq!(r1.key(), r2.key());
         assert_eq!(
             be.list_dir(CAS_DIR).unwrap().len(),
             1,
@@ -886,27 +905,25 @@ mod tests {
         let s = store(&be, 1); // retain one epoch
         let old = put_chunk(&s, 0, &[0xAA; 64]);
         let live = put_chunk(&s, 4096, &[0xBB; 64]);
-        s.stage_chunk("/f", 0, old.clone());
-        s.stage_chunk("/f", 100, live.clone());
+        s.stage_chunk("/f", 0, old, false);
+        s.stage_chunk("/f", 100, live, false);
         s.seal().unwrap();
         // Epoch 1 fully rewrites the old region; the old chunk becomes
         // unreachable once epoch 0's manifest ages out.
         let fresh = put_chunk(&s, 0, &[0xCC; 64]);
-        s.stage_chunk("/f", 200, fresh.clone());
+        s.stage_chunk("/f", 200, fresh, false);
         s.seal().unwrap();
         assert_eq!(s.epochs(), vec![1], "keep_epochs=1 retired epoch 0");
 
         for c in [&old, &live] {
-            let origin = c.origin_path.as_str().into();
-            s.index()
-                .insert(c.hash, c.logical_len, origin, 0, c.stored_len, c.codec);
+            s.index().add(c.hash, c.logical_len, c.stored_len, c.codec);
         }
         let report = s.gc().unwrap();
         assert_eq!(report.reclaimed_chunks, 1, "only the orphaned chunk");
         assert!(report.reclaimed_bytes > 0);
-        assert!(!be.exists(&old.origin_path), "old chunk unlinked");
-        assert!(be.exists(&live.origin_path));
-        assert!(be.exists(&fresh.origin_path));
+        assert!(!be.exists(&cas_path(old.key())), "old chunk unlinked");
+        assert!(be.exists(&cas_path(live.key())));
+        assert!(be.exists(&cas_path(fresh.key())));
         assert!(
             s.index().lookup(old.hash, old.logical_len).is_none(),
             "reclaimed key dropped from the dedup index"
@@ -919,25 +936,25 @@ mod tests {
         let be = mem();
         let s = store(&be, 1);
         let old = put_chunk(&s, 0, &[0x11; 64]);
-        s.stage_chunk("/f", 0, old.clone());
+        s.stage_chunk("/f", 0, old, false);
         s.seal().unwrap();
         s.pin(0).unwrap();
         // A full rewrite of the same region: the old chunk leaves the
         // new epoch's manifest entirely.
         let fresh = put_chunk(&s, 0, &[0x22; 64]);
-        s.stage_chunk("/f", 100, fresh);
+        s.stage_chunk("/f", 100, fresh, false);
         s.seal().unwrap();
         // Epoch 0 aged out of the window but is pinned: still retained,
         // still protecting its chunk from GC.
         assert_eq!(s.epochs(), vec![0, 1]);
         assert_eq!(s.gc().unwrap().reclaimed_chunks, 0);
-        assert!(be.exists(&old.origin_path));
+        assert!(be.exists(&cas_path(old.key())));
         // Unpinning retires it; the next GC reclaims the chunk.
         s.unpin(0);
         assert_eq!(s.epochs(), vec![1]);
         assert!(!be.exists(&manifest_path(0)));
         assert_eq!(s.gc().unwrap().reclaimed_chunks, 1);
-        assert!(!be.exists(&old.origin_path));
+        assert!(!be.exists(&cas_path(old.key())));
         assert!(s.pin(0).is_err(), "retired epoch cannot be pinned");
     }
 
@@ -947,50 +964,46 @@ mod tests {
         let s = store(&be, 2);
         // Staged but not yet sealed: no manifest references it.
         let staged = put_chunk(&s, 0, b"staged, unsealed");
-        s.stage_chunk("/f", 0, staged.clone());
+        s.stage_chunk("/f", 0, staged, false);
         // In-flight: registered, stored, not yet committed/staged.
         let payload = b"in flight right now";
         let digest = payload_digest(payload);
         let key = (digest.key, payload.len() as u32);
         let guard = s.begin_chunk(key);
-        let header = FrameHeader {
-            codec: STORED_RAW,
-            flags: 0,
-            format: FRAME_FORMAT,
-            logical_offset: 0,
-            logical_len: payload.len() as u32,
-            stored_len: payload.len() as u32,
-            payload_check: digest.check,
-        };
+        let len = payload.len() as u32;
+        let header = FrameHeader::chunk(STORED_RAW, len, len, digest.check);
         let mut frame = header.encode().to_vec();
         frame.extend_from_slice(payload);
         s.store_chunk(key, &frame, digest.check).unwrap();
 
         assert_eq!(s.gc().unwrap().reclaimed_chunks, 0);
-        assert!(be.exists(&staged.origin_path));
+        assert!(be.exists(&cas_path(staged.key())));
         assert!(be.exists(&cas_path(key)));
         // Guard dropped without staging (a failed write): reclaimable.
         drop(guard);
         let report = s.gc().unwrap();
         assert_eq!(report.reclaimed_chunks, 1);
         assert!(!be.exists(&cas_path(key)));
-        assert!(be.exists(&staged.origin_path), "staged chunk still safe");
+        assert!(
+            be.exists(&cas_path(staged.key())),
+            "staged chunk still safe"
+        );
     }
 
     #[test]
     fn reset_unlink_and_rename_shape_the_next_seal() {
         let be = mem();
         let s = store(&be, 4);
-        s.stage_chunk("/keep", 0, put_chunk(&s, 0, b"keep me"));
-        s.stage_chunk("/gone", 0, put_chunk(&s, 0, b"unlink me"));
-        s.stage_chunk("/moved", 0, put_chunk(&s, 0, b"rename me"));
-        s.stage_chunk("/wiped", 0, put_chunk(&s, 0, b"truncate me"));
+        s.stage_chunk("/keep", 0, put_chunk(&s, 0, b"keep me"), false);
+        s.stage_chunk("/gone", 0, put_chunk(&s, 0, b"unlink me"), false);
+        s.stage_chunk("/moved", 0, put_chunk(&s, 0, b"rename me"), false);
+        s.stage_chunk("/wiped", 0, put_chunk(&s, 0, b"truncate me"), false);
         s.seal().unwrap();
 
         s.note_unlink("/gone");
         s.note_rename("/moved", "/dest");
         s.note_reset("/wiped");
-        s.stage_chunk("/wiped", 0, put_chunk(&s, 0, b"rewritten"));
+        s.stage_chunk("/wiped", 0, put_chunk(&s, 0, b"rewritten"), false);
         s.seal().unwrap();
 
         let mut paths = s.manifest_paths(1).unwrap();
@@ -1009,9 +1022,9 @@ mod tests {
     fn torn_manifest_is_skipped_at_recovery() {
         let be = mem();
         let s = store(&be, 4);
-        s.stage_chunk("/f", 0, put_chunk(&s, 0, b"epoch zero"));
+        s.stage_chunk("/f", 0, put_chunk(&s, 0, b"epoch zero"), false);
         s.seal().unwrap();
-        s.stage_chunk("/f", 100, put_chunk(&s, 0, b"epoch one"));
+        s.stage_chunk("/f", 100, put_chunk(&s, 0, b"epoch one"), false);
         s.seal().unwrap();
         // Tear epoch 1's manifest mid-seal.
         let path = manifest_path(1);
@@ -1031,47 +1044,55 @@ mod tests {
         assert_eq!(s2.seal().unwrap(), 1, "torn manifest was overwritten");
     }
 
+    /// A reference on disk: a 64-byte REF frame (40 header + 24
+    /// record) in the synthesized log, a 43-byte chunk record in the
+    /// manifest, each decoding back to what was encoded.
     #[test]
     fn synthesized_log_scans_back_to_the_same_records() {
-        let records = vec![
-            Record::Chunk(ChunkRecord {
-                hash: 42,
-                logical_offset: 4096,
-                logical_len: 512,
-                format: FRAME_FORMAT,
-                check: 7,
-                origin_path: cas_path((42, 512)),
-                origin_off: 0,
-                stored_len: 300,
-                codec: 2,
-            }),
-            Record::Trunc { new_len: 4200 },
-        ];
+        let rec = ChunkRecord {
+            hash: 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
+            logical_offset: 4096,
+            logical_len: 512,
+            format: FRAME_FORMAT,
+            check: 7,
+            stored_len: 300,
+            codec: 2,
+        };
+        let records = vec![Record::Chunk(rec), Record::Trunc { new_len: 4200 }];
         let log = synthesize_log(&records);
+        assert_eq!(log.len(), 64 + 40, "a REF frame, then a TRUNC marker");
         let file = SnapshotLogFile::new(log);
-        // Walk the log manually: one REF frame + one TRUNC marker.
         let mut hdr = [0u8; FRAME_HEADER_LEN as usize];
         read_exact_at(&file, 0, &mut hdr).unwrap();
         let h = FrameHeader::decode(&hdr).unwrap();
-        assert_eq!(h.flags, FLAG_REF);
-        assert_eq!(h.logical_offset, 4096);
-        assert_eq!(h.logical_len, 512);
-        assert_eq!(h.payload_check, 7);
-        assert_eq!(h.format, FRAME_FORMAT, "the record's format, verbatim");
+        assert_eq!(
+            (h.flags, h.logical_offset, h.logical_len),
+            (FLAG_REF, 4096, 512)
+        );
+        assert_eq!((h.payload_check, h.format), (7, FRAME_FORMAT));
         let mut payload = vec![0u8; h.stored_len as usize];
         read_exact_at(&file, FRAME_HEADER_LEN, &mut payload).unwrap();
-        assert_eq!(u64::from_le_bytes(payload[..8].try_into().unwrap()), 0);
-        assert_eq!(u32::from_le_bytes(payload[8..12].try_into().unwrap()), 300);
-        assert_eq!(payload[12], 2);
-        assert_eq!(&payload[REF_META_LEN..], cas_path((42, 512)).as_bytes());
-        let trunc_off = FRAME_HEADER_LEN + u64::from(h.stored_len);
-        read_exact_at(&file, trunc_off, &mut hdr).unwrap();
+        let r = ChunkRef::decode(&payload).expect("a keyed reference");
+        assert_eq!((r.hash, r.stored_len, r.codec), (rec.hash, 300, 2));
+        assert_eq!(ChunkRef::decode(&payload[1..]), None, "not 24 bytes");
+        read_exact_at(&file, 64, &mut hdr).unwrap();
         let t = FrameHeader::decode(&hdr).unwrap();
-        assert_eq!(t.flags, FLAG_TRUNC);
-        assert_eq!(t.logical_offset, 4200);
+        assert_eq!((t.flags, t.logical_offset), (FLAG_TRUNC, 4200));
         // The view is immutable.
         assert!(file.write_at(0, b"x").is_err());
         assert!(file.set_len(0).is_err());
+
+        let manifest = |records: Vec<Record>| Manifest {
+            epoch: 1,
+            files: vec![("/f".to_string(), records)],
+        };
+        let (none, one) = (manifest(vec![]), manifest(vec![Record::Chunk(rec)]));
+        assert_eq!(
+            one.encode().len() - none.encode().len(),
+            43,
+            "a chunk record"
+        );
+        assert_eq!(Manifest::decode(&one.encode()).unwrap(), one);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Checkpoint streams are self-similar across epochs (stdchk's central
 //! observation): most chunks of epoch *k+1* are byte-identical to
-//! chunks of epoch *k*. The index maps a chunk's 128-bit content hash
-//! (plus its exact length) to the content-store file holding those
-//! bytes as a single DATA frame. A later chunk with the same content
-//! emits a tiny *reference record* instead of its payload.
+//! chunks of epoch *k*. The index holds the keys — 128-bit content hash
+//! plus exact length — of the content-store chunks this mount may
+//! reference, each with how its single DATA frame is stored. The key
+//! is the chunk's whole address: a later chunk with the same content
+//! emits a tiny *reference record* naming it instead of its payload.
 //!
 //! **Epoch-aware eviction**: the mount carries an epoch counter
 //! ([`crate::Crfs::advance_epoch`] bumps it between checkpoint rounds).
@@ -36,24 +37,18 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Where a previously stored chunk's DATA frame lives — everything a
-/// reference record needs to resolve the bytes without re-reading the
-/// origin's frame header.
+/// How a previously stored chunk's DATA frame is stored — with its key,
+/// everything a reference record needs to resolve the bytes without
+/// re-reading the chunk's frame header.
 #[derive(Debug, Clone)]
 pub struct DedupHit {
-    /// Path of the file holding the original frame.
-    pub path: Arc<str>,
-    /// Stored offset of the original frame header within that file.
-    pub stored_off: u64,
-    /// Stored payload length of the original frame.
+    /// Stored payload length of the chunk's frame.
     pub stored_len: u32,
-    /// Stored codec id of the original frame's payload.
+    /// Stored codec id of the chunk's payload.
     pub codec: u8,
 }
 
 struct DedupEntry {
-    path: Arc<str>,
-    stored_off: u64,
     stored_len: u32,
     codec: u8,
     /// Epoch this entry was last inserted or hit in.
@@ -65,15 +60,13 @@ struct DedupEntry {
 /// chunks must still be there when the next round writes them again.
 pub const DEDUP_KEEP_EPOCHS: u64 = 2;
 
-/// Content hash → stored location, with epoch-aware eviction.
+/// Content key → how the chunk is stored, with epoch-aware eviction.
 pub struct DedupIndex {
     /// Keyed by (content hash, exact length): a length mismatch can
     /// never dedup, whatever the hash says.
     map: Mutex<HashMap<(u128, u32), DedupEntry>>,
     epoch: AtomicU64,
     keep_epochs: u64,
-    hits: AtomicU64,
-    inserts: AtomicU64,
 }
 
 impl DedupIndex {
@@ -84,29 +77,12 @@ impl DedupIndex {
             map: Mutex::new(HashMap::new()),
             epoch: AtomicU64::new(0),
             keep_epochs: keep_epochs.max(1),
-            hits: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
         }
     }
 
     /// The current epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Relaxed)
-    }
-
-    /// Index entries currently held.
-    pub fn len(&self) -> usize {
-        self.map.lock().len()
-    }
-
-    /// Whether the index holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime hit / insert counts.
-    pub fn counts(&self) -> (u64, u64) {
-        (self.hits.load(Relaxed), self.inserts.load(Relaxed))
     }
 
     /// Looks up content; a hit refreshes the entry's epoch (it is part
@@ -116,10 +92,7 @@ impl DedupIndex {
         let mut map = self.map.lock();
         let e = map.get_mut(&(hash, len))?;
         e.last_epoch = now;
-        self.hits.fetch_add(1, Relaxed);
         Some(DedupHit {
-            path: Arc::clone(&e.path),
-            stored_off: e.stored_off,
             stored_len: e.stored_len,
             codec: e.codec,
         })
@@ -129,27 +102,21 @@ impl DedupIndex {
     /// duplicate store (two workers compressing identical chunks
     /// concurrently) keeps the existing entry so references stay
     /// consistent.
-    pub fn insert(
-        &self,
-        hash: u128,
-        len: u32,
-        path: Arc<str>,
-        stored_off: u64,
-        stored_len: u32,
-        codec: u8,
-    ) {
+    pub fn add(&self, hash: u128, len: u32, stored_len: u32, codec: u8) {
         let now = self.epoch.load(Relaxed);
         let mut map = self.map.lock();
-        map.entry((hash, len)).or_insert_with(|| {
-            self.inserts.fetch_add(1, Relaxed);
-            DedupEntry {
-                path,
-                stored_off,
-                stored_len,
-                codec,
-                last_epoch: now,
-            }
+        map.entry((hash, len)).or_insert(DedupEntry {
+            stored_len,
+            codec,
+            last_epoch: now,
         });
+    }
+
+    /// [`add`](Self::add) in the form that also took a file and a
+    /// stored offset, which the key now implies; both are ignored. The
+    /// repository benchmark's probe still calls it.
+    pub fn insert(&self, hash: u128, len: u32, _: Arc<str>, _: u64, stored_len: u32, codec: u8) {
+        self.add(hash, len, stored_len, codec);
     }
 
     /// Advances the mount epoch and evicts entries idle for more than
@@ -174,7 +141,7 @@ impl DedupIndex {
 impl std::fmt::Debug for DedupIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DedupIndex")
-            .field("entries", &self.len())
+            .field("entries", &self.map.lock().len())
             .field("epoch", &self.epoch())
             .field("keep_epochs", &self.keep_epochs)
             .finish()
@@ -189,33 +156,31 @@ mod tests {
     fn lookup_hits_and_misses() {
         let idx = DedupIndex::new(2);
         assert!(idx.lookup(1, 100).is_none());
-        idx.insert(1, 100, "/a".into(), 40, 64, 0);
+        idx.add(1, 100, 64, 2);
         let hit = idx.lookup(1, 100).expect("hit");
-        assert_eq!(&*hit.path, "/a");
-        assert_eq!(hit.stored_off, 40);
+        assert_eq!((hit.stored_len, hit.codec), (64, 2));
         // Same hash, different length: never a hit.
         assert!(idx.lookup(1, 101).is_none());
-        assert_eq!(idx.counts(), (1, 1));
     }
 
     #[test]
     fn first_insert_wins() {
         let idx = DedupIndex::new(2);
-        idx.insert(7, 10, "/first".into(), 0, 64, 0);
-        idx.insert(7, 10, "/second".into(), 999, 64, 0);
-        assert_eq!(&*idx.lookup(7, 10).unwrap().path, "/first");
+        idx.add(7, 10, 64, 0);
+        idx.insert(7, 10, "/ignored".into(), 999, 32, 1);
+        assert_eq!(idx.lookup(7, 10).unwrap().stored_len, 64);
     }
 
     #[test]
     fn epoch_eviction_keeps_live_working_set() {
         let idx = DedupIndex::new(1);
-        idx.insert(1, 8, "/old".into(), 0, 64, 0);
-        idx.insert(2, 8, "/live".into(), 40, 64, 0);
-        // Epoch 1: only /live's content recurs (a lookup refreshes it).
+        idx.add(1, 8, 64, 0);
+        idx.add(2, 8, 64, 0);
+        // Epoch 1: only key 2's content recurs (a lookup refreshes it).
         let evicted = idx.advance_epoch();
         assert_eq!(evicted, 0, "one idle epoch is within keep_epochs");
         assert!(idx.lookup(2, 8).is_some());
-        // Epoch 2: /old has now been idle for 2 > keep_epochs=1.
+        // Epoch 2: key 1 has now been idle for 2 > keep_epochs=1.
         let evicted = idx.advance_epoch();
         assert_eq!(idx.epoch(), 2);
         assert_eq!(evicted, 1, "the idle entry goes");

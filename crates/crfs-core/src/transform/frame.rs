@@ -21,13 +21,15 @@
 //!   over the *logical* (decoded) payload — verified after decode on
 //!   every read, so corruption anywhere between encode and decode
 //!   surfaces as an integrity error.
-//! - `format` says which function produced `payload_check`:
-//!   [`FRAME_FORMAT`] for the digest, 0 for the FNV-1a-64 of stores
-//!   written before it. There is one verification function: a frame
-//!   of any other format than [`FRAME_FORMAT`] still scans
-//!   structurally, but its payload cannot be verified and is therefore
-//!   never served — a pre-digest store reads as an integrity error, it
-//!   is *not* re-verified with FNV.
+//! - `format` says how this build reads the frame: [`FRAME_FORMAT`]
+//!   (2) is the digest check with keyed REF payloads ([`ChunkRef`]); 1
+//!   was the same digest with REF payloads that spelled out a path, 0
+//!   the FNV-1a-64 check of stores written before the digest. There is
+//!   one reader: a frame of any other format than [`FRAME_FORMAT`]
+//!   still scans structurally, but its payload cannot be verified (or
+//!   its reference resolved) and is therefore never served — an older
+//!   store reads as an integrity error, it is *not* re-read the old
+//!   way.
 //! - the header carries its own CRC-32, so a corrupted header is
 //!   detected as corruption rather than misparsed.
 //! - frames appear in the file in *allocation order*; that order is the
@@ -62,13 +64,14 @@ use std::io;
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"CRFK");
 /// Byte size of a frame header.
 pub const FRAME_HEADER_LEN: u64 = 40;
-/// The frame format this build writes and verifies: `payload_check` is
-/// the check half of [`payload_digest`]. Format 0 frames (FNV-1a-64
-/// check) predate it.
-pub const FRAME_FORMAT: u8 = 1;
+/// The frame format this build writes and reads: `payload_check` is the
+/// check half of [`payload_digest`], and a REF payload is a
+/// [`ChunkRef`]. Format 1 (REF payloads naming a path and an offset)
+/// and format 0 (FNV-1a-64 check) predate it.
+pub const FRAME_FORMAT: u8 = 2;
 
-/// Flag bit: the payload is a dedup *reference record* (origin stored
-/// offset + origin path), not chunk bytes.
+/// Flag bit: the payload is a dedup *reference record* ([`ChunkRef`]),
+/// not chunk bytes.
 pub const FLAG_REF: u8 = 1 << 0;
 /// Flag bit: a truncation marker — no payload; `logical_offset` is the
 /// new logical length.
@@ -118,6 +121,20 @@ impl FrameHeader {
         out
     }
 
+    /// The header of a content-store chunk: one DATA frame of this
+    /// build's format, at logical offset 0.
+    pub fn chunk(codec: u8, logical_len: u32, stored_len: u32, payload_check: u64) -> FrameHeader {
+        FrameHeader {
+            codec,
+            flags: 0,
+            format: FRAME_FORMAT,
+            logical_offset: 0,
+            logical_len,
+            stored_len,
+            payload_check,
+        }
+    }
+
     /// Parses and validates a header (magic + CRC). An
     /// `InvalidData` error means the bytes are not an intact frame
     /// header — corruption, a torn write, or a raw (unframed) file.
@@ -140,6 +157,44 @@ impl FrameHeader {
             logical_len: u32::from_le_bytes(buf[16..20].try_into().unwrap()),
             stored_len: u32::from_le_bytes(buf[20..24].try_into().unwrap()),
             payload_check: u64::from_le_bytes(buf[24..32].try_into().unwrap()),
+        })
+    }
+}
+
+/// Byte size of a REF frame's payload, one [`ChunkRef`].
+pub const REF_LEN: usize = 24;
+
+/// The payload of a REF frame, `hash u128 | stored_len u32 | codec u8 |
+/// reserved [u8; 3]`: the content-store chunk of key `(hash, the
+/// header's logical_len)` holds the frame's bytes, stored so.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkRef {
+    /// 128-bit content key half of [`payload_digest`].
+    pub hash: u128,
+    /// Stored payload length of the chunk's frame.
+    pub stored_len: u32,
+    /// Stored codec id of the chunk's payload.
+    pub codec: u8,
+}
+
+impl ChunkRef {
+    /// Serializes the record into its 24-byte form.
+    pub fn encode(&self) -> [u8; REF_LEN] {
+        let mut out = [0u8; REF_LEN];
+        out[..16].copy_from_slice(&self.hash.to_le_bytes());
+        out[16..20].copy_from_slice(&self.stored_len.to_le_bytes());
+        out[20] = self.codec;
+        out
+    }
+
+    /// Parses a REF payload; `None` unless it is exactly [`REF_LEN`]
+    /// bytes.
+    pub fn decode(payload: &[u8]) -> Option<ChunkRef> {
+        let payload: &[u8; REF_LEN] = payload.try_into().ok()?;
+        Some(ChunkRef {
+            hash: u128::from_le_bytes(payload[..16].try_into().unwrap()),
+            stored_len: u32::from_le_bytes(payload[16..20].try_into().unwrap()),
+            codec: payload[20],
         })
     }
 }
@@ -374,8 +429,8 @@ mod tests {
     }
 
     /// `(length, key, check)` of `pattern(length)`. These pin the
-    /// on-disk meaning of format 1: a change here is a format change
-    /// and needs a new [`FRAME_FORMAT`].
+    /// digest of formats 1 and 2: a change here is a format change and
+    /// needs a new [`FRAME_FORMAT`].
     const KNOWN: [(usize, u128, u64); 6] = [
         (0, 0x467dceeca03ddc1258f1ccfd821d4aaf, 0x9ea3fc0f26048066),
         (1, 0xb4d47fce3c02e04885f57e07b98ebcab, 0xfca68753a43117ae),

@@ -30,7 +30,7 @@
 //! Fingerprinting: [`frame::payload_digest`] walks each sealed payload
 //! **once** and yields the 128-bit dedup/CAS key and the 64-bit frame
 //! check together, so a dedup hit costs one word-wide pass and a
-//! ~60-byte reference frame; the codec only ever sees a miss.
+//! 64-byte reference frame; the codec only ever sees a miss.
 //!
 //! Integrity: every frame carries that check of its logical payload,
 //! verified after decode on **every** read — direct reads, prefetch
@@ -91,14 +91,9 @@ use crate::snapshot::{cas_path, manifest::ChunkRecord, ChunkKey, InflightGuard, 
 use crate::stats::CrfsStats;
 use codec::{check_expansion, decode_into, encode_payload, max_stored_len, STORED_RAW};
 use frame::{
-    payload_digest, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT, FRAME_HEADER_LEN,
-    FRAME_MAGIC,
+    payload_digest, ChunkRef, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_FORMAT,
+    FRAME_HEADER_LEN, FRAME_MAGIC, REF_LEN,
 };
-
-/// Byte length of the fixed metadata prefix of a REF frame payload
-/// (origin stored offset + stored length + codec + reserved); the
-/// origin path follows as UTF-8.
-pub(crate) const REF_META_LEN: usize = 16;
 
 // ---------------------------------------------------------------------
 // Integrity error marker
@@ -397,12 +392,12 @@ pub struct EncodedChunk {
     /// Complete frame bytes: 40-byte header + stored payload.
     frame: Vec<u8>,
     entry: FrameEntry, // stored_off filled at commit
-    /// Content hash of a chunk whose CAS write failed and that landed
-    /// inline as a DATA frame: `commit` stages its in-file location.
-    degraded: Option<u128>,
-    /// Manifest record to stage on commit (dedup mounts): where this
-    /// chunk's bytes live in the CAS, keyed for the next sealed epoch.
+    /// Manifest record to stage on commit (dedup mounts): this chunk,
+    /// keyed for the next sealed epoch.
     snap_rec: Option<ChunkRecord>,
+    /// The chunk's CAS write failed and it landed inline as a DATA
+    /// frame: `commit` stages its in-file location with the record.
+    degraded: bool,
     /// Holds the chunk key unreclaimable from [`encode_chunk`]'s dedup
     /// lookup until the record is staged in [`FileTransform::commit`]
     /// (the guard drops when the `EncodedChunk` does).
@@ -440,15 +435,16 @@ fn data_frame(stats: &CrfsStats, codec: CodecKind, payload: &[u8]) -> (Vec<u8>, 
     (frame, stored_codec)
 }
 
-/// A REF frame (header still blank) whose record names `stored_len`
-/// bytes of `codec` at `stored_off` of `origin`.
-fn ref_frame(origin: &str, stored_off: u64, stored_len: u32, codec: u8) -> Vec<u8> {
-    let mut frame = new_frame(REF_META_LEN + origin.len());
-    frame.extend_from_slice(&stored_off.to_le_bytes());
-    frame.extend_from_slice(&stored_len.to_le_bytes());
-    frame.push(codec);
-    frame.extend_from_slice(&[0u8; 3]);
-    frame.extend_from_slice(origin.as_bytes());
+/// A REF frame (header still blank) naming the chunk of `hash`, stored
+/// as `codec` in `stored_len` bytes.
+fn ref_frame(hash: u128, (codec, stored_len): (u8, u32)) -> Vec<u8> {
+    let mut frame = new_frame(REF_LEN);
+    let record = ChunkRef {
+        hash,
+        stored_len,
+        codec,
+    };
+    frame.extend_from_slice(&record.encode());
     frame
 }
 
@@ -468,15 +464,7 @@ fn store_cas(
 ) -> io::Result<(u8, u32)> {
     let (mut cas, cas_codec) = data_frame(stats, codec, payload);
     let stored_len = (cas.len() - FRAME_HEADER_LEN as usize) as u32;
-    let header = FrameHeader {
-        codec: cas_codec,
-        flags: 0,
-        format: FRAME_FORMAT,
-        logical_offset: 0,
-        logical_len: key.1,
-        stored_len,
-        payload_check: check,
-    };
+    let header = FrameHeader::chunk(cas_codec, key.1, stored_len, check);
     cas[..FRAME_HEADER_LEN as usize].copy_from_slice(&header.encode());
     snap.store_chunk(key, &cas, check)
 }
@@ -487,43 +475,29 @@ fn store_cas(
 /// and is dropped with the [`FileTransform`].
 #[derive(Default)]
 struct Scratch {
-    /// The frame's own stored payload: chunk bytes, or a reference
-    /// record.
+    /// The stored bytes: the frame's own payload, or those of the chunk
+    /// its reference record names.
     frame: Vec<u8>,
-    /// A reference's origin stored bytes.
-    origin: Vec<u8>,
     /// The decoded logical payload.
     out: Vec<u8>,
 }
 
-/// Where one frame's stored bytes live: its own payload, or the bytes
-/// of the origin its dedup reference record names.
+/// Where one frame's stored bytes live: its own payload, or the
+/// content-store chunk its dedup reference record names.
 struct Extent {
-    /// The origin's open handle; `None` reads the frame's own file.
-    handle: Option<Arc<dyn BackendFile>>,
+    /// The chunk a REF frame names and its open handle; `None` reads
+    /// the frame's own file.
+    origin: Option<(ChunkKey, Arc<dyn BackendFile>)>,
     /// Byte offset of the stored bytes in that file.
     off: u64,
     /// Codec of the stored bytes.
     codec: u8,
-    /// The origin's frame offset, for a REF frame (its path stays in
-    /// the record in the scratch).
-    origin: Option<u64>,
 }
 
 impl Extent {
     /// The file the stored bytes are read from.
     fn source<'a>(&'a self, file: &'a dyn BackendFile) -> &'a dyn BackendFile {
-        self.handle.as_deref().unwrap_or(file)
-    }
-
-    /// The scratch buffer the stored bytes land in, sized by
-    /// [`FileTransform::locate`].
-    fn stored<'s>(&self, s: &'s mut Scratch) -> &'s mut [u8] {
-        if self.origin.is_some() {
-            &mut s.origin
-        } else {
-            &mut s.frame
-        }
+        self.origin.as_ref().map_or(file, |(_, chunk)| &**chunk)
     }
 }
 
@@ -549,7 +523,7 @@ impl FrameFill {
         sink: &Arc<dyn crate::backend::CompletionSink>,
     ) -> Option<io::Result<()>> {
         let e = &self.extent;
-        let (src, buf) = (e.source(file), e.stored(&mut self.scratch));
+        let (src, buf) = (e.source(file), &mut self.scratch.frame);
         match src.begin_read_at(token, e.off, buf, sink) {
             Ok(true) => None,
             Ok(false) => Some(read_exact_at(src, e.off, buf)),
@@ -563,9 +537,9 @@ impl FrameFill {
 /// of every file on a transform-enabled mount whose stored layout is
 /// framed (new files always; existing files when the header scan
 /// recognizes them).
-/// How many dedup-origin file handles a [`FileTransform`] caches for
-/// reference resolution (restart reads of deduped files resolve the
-/// same one or two origin files thousands of times).
+/// How many content-store chunk handles a [`FileTransform`] caches for
+/// reference resolution (a restart read of a file whose chunks repeat
+/// resolves the same few chunks thousands of times).
 const ORIGIN_CACHE_CAP: usize = 8;
 
 pub struct FileTransform {
@@ -588,11 +562,10 @@ pub struct FileTransform {
     /// which already excludes discarded torn bytes and so would never
     /// match a damaged file).
     scan_raw: u64,
-    /// Open backend handles of dedup-origin files, keyed by path —
-    /// resolving N reference records into the same origin must not
-    /// cost N backend opens. Bounded FIFO; dropped with the entry at
-    /// close.
-    origins: Mutex<Vec<(String, Arc<dyn BackendFile>)>>,
+    /// Open backend handles of content-store chunks, by key —
+    /// resolving N reference records into the same chunk must not cost
+    /// N backend opens. Bounded FIFO; dropped with the entry at close.
+    origins: Mutex<Vec<(ChunkKey, Arc<dyn BackendFile>)>>,
     /// Idle fetch scratch: a read pops one (or starts an empty one) and
     /// pushes it back, so the list holds as many as reads ever ran at
     /// once on this file.
@@ -725,8 +698,8 @@ impl FileTransform {
         // they are handed.
         let frame::PayloadDigest { key: hash, check } = payload_digest(payload);
 
-        let mut degraded = None;
         let mut snap_rec = None;
+        let mut degraded = false;
         let mut inflight = None;
         let (mut frame, codec, flags) = match &self.ctx.cas {
             None => {
@@ -740,52 +713,43 @@ impl FileTransform {
                 // file a hit resolves to cannot be swept between this
                 // lookup and the frame's commit.
                 inflight = Some(cas.begin_chunk(key));
-                let origin = match cas.index().lookup(hash, key.1) {
+                let stored = match cas.index().lookup(hash, key.1) {
                     Some(hit) => {
                         stats.dedup_hits.fetch_add(1, Relaxed);
-                        Ok((hit.path.to_string(), hit.stored_len, hit.codec))
+                        Ok((hit.codec, hit.stored_len))
                     }
                     // Fresh content: encode it into its own single-frame
                     // CAS file and register it for dedup.
-                    None => store_cas(stats, self.ctx.codec, cas, key, payload, check).map(
-                        |(cas_codec, cas_len)| {
-                            let origin = cas_path(key);
-                            let entry = Arc::from(origin.as_str());
-                            cas.index()
-                                .insert(hash, key.1, entry, 0, cas_len, cas_codec);
-                            (origin, cas_len, cas_codec)
-                        },
+                    None => store_cas(stats, self.ctx.codec, cas, key, payload, check).inspect(
+                        |&(cas_codec, cas_len)| cas.index().add(hash, key.1, cas_len, cas_codec),
                     ),
                 };
-                match origin {
+                let (frame, (codec, stored_len), flags) = match stored {
                     // Either way this file's log gets only a reference
-                    // frame into the CAS.
-                    Ok((origin_path, cas_len, cas_codec)) => {
-                        let frame = ref_frame(&origin_path, 0, cas_len, cas_codec);
-                        snap_rec = Some(ChunkRecord {
-                            hash,
-                            logical_offset,
-                            logical_len: key.1,
-                            format: FRAME_FORMAT,
-                            check,
-                            origin_path,
-                            origin_off: 0,
-                            stored_len: cas_len,
-                            codec: cas_codec,
-                        });
-                        (frame, STORED_RAW, FLAG_REF)
-                    }
+                    // frame naming the chunk by its key.
+                    Ok(stored) => (ref_frame(hash, stored), stored, FLAG_REF),
                     // CAS write failed: degrade to an inline DATA frame
                     // so the user's bytes still land through the
-                    // ordinary path. `commit` stages its in-file
-                    // location, keeping the sealed manifest complete;
-                    // it never becomes a dedup origin.
+                    // ordinary path. `commit` stages it with its
+                    // in-file location, and the seal copies it into the
+                    // store; it is never a dedup origin before that.
                     Err(_) => {
-                        degraded = Some(hash);
-                        let (frame, stored_codec) = data_frame(stats, self.ctx.codec, payload);
-                        (frame, stored_codec, 0)
+                        degraded = true;
+                        let (frame, codec) = data_frame(stats, self.ctx.codec, payload);
+                        let stored_len = (frame.len() - FRAME_HEADER_LEN as usize) as u32;
+                        (frame, (codec, stored_len), 0)
                     }
-                }
+                };
+                snap_rec = Some(ChunkRecord {
+                    hash,
+                    logical_offset,
+                    logical_len: key.1,
+                    format: FRAME_FORMAT,
+                    check,
+                    stored_len,
+                    codec,
+                });
+                (frame, if degraded { codec } else { STORED_RAW }, flags)
             }
         };
         let stored_len = (frame.len() - FRAME_HEADER_LEN as usize) as u32;
@@ -819,8 +783,8 @@ impl FileTransform {
                 format: FRAME_FORMAT,
                 check,
             },
-            degraded,
             snap_rec,
+            degraded,
             _inflight: inflight,
         }
     }
@@ -854,7 +818,8 @@ impl FileTransform {
 
     /// Commits a successfully written frame at `stored_off`: installs it
     /// in the frame map (making it readable) and, on dedup mounts,
-    /// stages the chunk's manifest record for the next sealed epoch.
+    /// stages the chunk's manifest record for the next sealed epoch — a
+    /// degraded chunk's with its location here, for the seal to copy.
     /// Counts `bytes_stored`. The in-flight GC guard carried from
     /// [`encode_chunk`](Self::encode_chunk) drops here, *after* the
     /// record is staged.
@@ -866,26 +831,8 @@ impl FileTransform {
             .bytes_stored
             .fetch_add(enc.frame.len() as u64, Relaxed);
         self.map.lock().insert(e);
-        if let Some(cas) = self.ctx.cas.as_ref() {
-            let rec = enc.snap_rec.or_else(|| {
-                // Degraded inline DATA frame (the CAS store failed at
-                // encode time): record its in-file location so the
-                // sealed manifest still reaches every committed byte.
-                enc.degraded.map(|hash| ChunkRecord {
-                    hash,
-                    logical_offset: e.logical_offset,
-                    logical_len: e.logical_len,
-                    format: e.format,
-                    check: e.check,
-                    origin_path: path.to_string(),
-                    origin_off: stored_off,
-                    stored_len: e.stored_len,
-                    codec: e.codec,
-                })
-            });
-            if let Some(rec) = rec {
-                cas.stage_chunk(path, stored_off, rec);
-            }
+        if let (Some(cas), Some(rec)) = (self.ctx.cas.as_ref(), enc.snap_rec) {
+            cas.stage_chunk(path, stored_off, rec, enc.degraded);
         }
     }
 
@@ -1113,13 +1060,13 @@ impl FileTransform {
         direct: Option<&mut [u8]>,
     ) -> io::Result<()> {
         let e = self.locate(file, path, f, s)?;
-        read_exact_at(e.source(file), e.off, e.stored(s))?;
+        read_exact_at(e.source(file), e.off, &mut s.frame)?;
         self.finish(path, f, &e, s, direct)
     }
 
-    /// Finds where frame `f`'s stored bytes live and sizes the scratch
-    /// buffer they land in. A DATA frame's are its own payload; a REF
-    /// frame's record is read here (it is small) and names the origin.
+    /// Finds where frame `f`'s stored bytes live and sizes `s.frame`
+    /// for them. A DATA frame's are its own payload; a REF
+    /// frame's record is read here (it is small) and names the chunk.
     fn locate(
         &self,
         file: &dyn BackendFile,
@@ -1129,79 +1076,66 @@ impl FileTransform {
     ) -> io::Result<Extent> {
         let stats = &self.ctx.stats;
         if f.format != FRAME_FORMAT {
-            // One verification function: a check this build cannot
-            // recompute is a payload it cannot vouch for.
+            // One reader: a check this build cannot recompute, or a
+            // reference it cannot resolve, is a payload it cannot vouch
+            // for.
             stats.bad_payload_checksum.fetch_add(1, Relaxed);
             return Err(integrity(
                 stats,
                 format!(
                     "chunk at {} of {path:?} has frame format {} (0: written before the \
-                     payload digest, FNV-1a check); only format {FRAME_FORMAT} can be verified",
+                     payload digest; 1: before keyed references); only format \
+                     {FRAME_FORMAT} can be read",
                     f.logical_offset, f.format
                 ),
             ));
         }
-        s.frame.resize(f.stored_len as usize, 0);
         let own = Extent {
-            handle: None,
+            origin: None,
             off: f.stored_off + FRAME_HEADER_LEN,
             codec: f.codec,
-            origin: None,
         };
         if f.flags & FLAG_REF == 0 {
+            s.frame.resize(f.stored_len as usize, 0);
             return Ok(own);
         }
-        read_exact_at(file, own.off, &mut s.frame)?;
-        let record = &s.frame[..];
-        if record.len() < REF_META_LEN {
-            return Err(integrity(
-                stats,
-                format!(
-                    "reference record at {} of {path:?} truncated",
-                    f.logical_offset
-                ),
-            ));
-        }
-        let origin_off = u64::from_le_bytes(record[..8].try_into().unwrap());
-        let origin_len = u32::from_le_bytes(record[8..12].try_into().unwrap());
-        let origin_path = std::str::from_utf8(&record[REF_META_LEN..]).map_err(|_| {
+        let malformed = |what: String| {
+            let at = f.logical_offset;
             integrity(
                 stats,
-                format!(
-                    "reference record at {} of {path:?} has a bad path",
-                    f.logical_offset
-                ),
+                format!("reference record at {at} of {path:?} {what}"),
             )
-        })?;
+        };
+        let mut record = [0u8; REF_LEN];
+        let r = match f.stored_len as usize {
+            REF_LEN => {
+                read_exact_at(file, own.off, &mut record).map(|()| ChunkRef::decode(&record))?
+            }
+            _ => None,
+        };
+        let r = r.ok_or_else(|| malformed(format!("is {} bytes, not {REF_LEN}", f.stored_len)))?;
         // The record's bytes carry no check of their own, and this
         // length sizes a buffer: no encoder stores more than the payload
         // it was given (the store-raw escape).
-        if origin_len > f.logical_len {
-            return Err(integrity(
-                stats,
-                format!(
-                    "reference record at {} of {path:?} names {origin_len} stored bytes \
-                     for a {}-byte chunk",
-                    f.logical_offset, f.logical_len
-                ),
-            ));
+        if r.stored_len > f.logical_len {
+            return Err(malformed(format!(
+                "names {} stored bytes for a {}-byte chunk",
+                r.stored_len, f.logical_len
+            )));
         }
-        let handle = if origin_path == path {
-            None
-        } else {
-            Some(self.origin_handle(origin_path).map_err(|e| {
-                integrity(
-                    stats,
-                    format!("dedup origin {origin_path:?} unavailable: {e}"),
-                )
-            })?)
-        };
-        s.origin.resize(origin_len as usize, 0);
+        let key = (r.hash, f.logical_len);
+        let chunk = self.origin_handle(key).map_err(|e| {
+            let chunk = cas_path(key);
+            integrity(
+                stats,
+                format!("content-store chunk {chunk:?} unavailable: {e}"),
+            )
+        })?;
+        s.frame.resize(r.stored_len as usize, 0);
         Ok(Extent {
-            handle,
-            off: origin_off + FRAME_HEADER_LEN,
-            codec: record[12],
-            origin: Some(origin_off),
+            origin: Some((key, chunk)),
+            off: FRAME_HEADER_LEN,
+            codec: r.codec,
         })
     }
 
@@ -1218,17 +1152,18 @@ impl FileTransform {
     ) -> io::Result<()> {
         let stats = &self.ctx.stats;
         let t0 = Instant::now();
-        let Scratch { frame, origin, out } = s;
-        let stored: &[u8] = if e.origin.is_some() { origin } else { frame };
+        let Scratch { frame: stored, out } = s;
         // Stored bytes that do not decode are payload damage wherever
         // they live: inline in this file or in a CAS chunk.
         let undecodable = |err: io::Error| {
             stats.bad_payload_checksum.fetch_add(1, Relaxed);
-            let detail = match e.origin {
-                Some(ooff) => format!(
-                    "dedup origin {:?}@{ooff} undecodable: {err}",
-                    String::from_utf8_lossy(&frame[REF_META_LEN..])
-                ),
+            let detail = match &e.origin {
+                Some((key, _)) => {
+                    format!(
+                        "content-store chunk {:?} undecodable: {err}",
+                        cas_path(*key)
+                    )
+                }
                 None => format!(
                     "chunk at {} of {path:?} undecodable: {err}",
                     f.logical_offset
@@ -1269,28 +1204,25 @@ impl FileTransform {
         Ok(())
     }
 
-    /// An open handle on a dedup-origin file, served from the bounded
-    /// per-file cache — a restart read resolving thousands of
-    /// references into the same origin must pay one backend open, not
+    /// An open handle on the content-store chunk of `key`, served from
+    /// the bounded per-file cache — a restart read resolving thousands
+    /// of references into the same chunk must pay one backend open, not
     /// one per reference.
-    fn origin_handle(&self, origin_path: &str) -> io::Result<Arc<dyn BackendFile>> {
-        {
-            let origins = self.origins.lock();
-            if let Some((_, f)) = origins.iter().find(|(p, _)| p == origin_path) {
-                return Ok(Arc::clone(f));
-            }
+    fn origin_handle(&self, key: ChunkKey) -> io::Result<Arc<dyn BackendFile>> {
+        if let Some((_, f)) = self.origins.lock().iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(f));
         }
         let opened: Arc<dyn BackendFile> = Arc::from(
             self.ctx
                 .backend
-                .open(origin_path, OpenOptions::read_only())?,
+                .open(&cas_path(key), OpenOptions::read_only())?,
         );
         let mut origins = self.origins.lock();
-        if !origins.iter().any(|(p, _)| p == origin_path) {
+        if !origins.iter().any(|(k, _)| *k == key) {
             if origins.len() >= ORIGIN_CACHE_CAP {
                 origins.remove(0);
             }
-            origins.push((origin_path.to_string(), Arc::clone(&opened)));
+            origins.push((key, Arc::clone(&opened)));
         }
         Ok(opened)
     }
@@ -1704,9 +1636,10 @@ mod tests {
         write_all(&ft2, &*f2, &p2, 0, &data); // identical content: REF
         let ref_bytes = stats.bytes_stored.load(Relaxed) - before;
         assert_eq!(stats.dedup_hits.load(Relaxed), 1);
-        assert!(
-            ref_bytes < 128,
-            "reference record must be tiny, got {ref_bytes}"
+        assert_eq!(
+            ref_bytes,
+            FRAME_HEADER_LEN + REF_LEN as u64,
+            "a 64-byte REF frame"
         );
         // Resolution across files, on a fresh attach (restart path).
         let ft2 = FileTransform::attach(Arc::clone(&ctx), &*f2)
@@ -1729,10 +1662,10 @@ mod tests {
         write_all(&ft, &*file, &path, 0, &data);
         let reference = file.len().unwrap();
         write_all(&ft, &*file, &path, 4096, &data); // same content: REF
-                                                    // Rot in the record's origin length (bytes 8..12 of the REF
+                                                    // Rot in the record's stored length (bytes 16..20 of the REF
                                                     // payload, which no checksum covers): an error, not a 4 GiB
                                                     // buffer and a short read.
-        file.write_at(reference + FRAME_HEADER_LEN + 8, &[0xFF; 4])
+        file.write_at(reference + FRAME_HEADER_LEN + 16, &[0xFF; 4])
             .unwrap();
         let mut buf = vec![0u8; 4096];
         let err = ft.read_logical(&*file, &path, 4096, &mut buf).unwrap_err();

@@ -264,6 +264,62 @@ fn snapshot_torn_manifest_repairs_by_unlink() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Every file under `dir`, by path, with its bytes.
+fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        match path.is_dir() {
+            true => files.extend(tree(&path)),
+            false => files.push((path.clone(), std::fs::read(&path).unwrap())),
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A manifest another build sealed — its CRC holds, its version is not
+/// this build's — is neither adopted nor taken for a torn seal: the
+/// mount fails naming the version, and `crfs-fsck --repair` reports it
+/// and leaves every file byte-identical, though the store also holds an
+/// orphan chunk and a torn log that it would otherwise repair.
+#[test]
+fn a_manifest_of_another_version_is_refused_not_destroyed() {
+    use crfs_core::snapshot::manifest::MANIFEST_VERSION;
+    use crfs_core::transform::frame::crc32;
+    for version in [MANIFEST_VERSION - 1, MANIFEST_VERSION + 1] {
+        let root = temp_root(&format!("snap-version-{version}"));
+        let snap = populate_snap(&root);
+        let mut other = std::fs::read(snap.join("manifest-0.mfst")).unwrap();
+        other.truncate(other.len() - 4);
+        other[4..6].copy_from_slice(&version.to_le_bytes());
+        other[8..16].copy_from_slice(&1u64.to_le_bytes()); // epoch 1
+        let crc = crc32(&other);
+        other.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(snap.join("manifest-1.mfst"), other).unwrap();
+        let orphan = format!("{:032x}-{:x}", 0xfeed_faceu64, 0x1000);
+        std::fs::write(snap.join("cas").join(orphan), b"junk").unwrap();
+        let log = std::fs::OpenOptions::new()
+            .write(true)
+            .open(root.join("rank0.img"))
+            .unwrap();
+        log.set_len(log.metadata().unwrap().len() - 7).unwrap();
+        let before = tree(&root);
+
+        let backend: Arc<dyn Backend> = Arc::new(LocalFileBackend::new(&root).unwrap());
+        let err = Crfs::mount(backend, config().with_dedup(true)).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("version {version}")),
+            "{err}"
+        );
+        let (code, report) = run_fsck_code(&root, &["--repair"]);
+        assert_eq!(code, 1, "version {version}: {report}");
+        assert!(report.contains("manifest-1.mfst"), "{report}");
+        assert!(tree(&root) == before, "version {version}: {report}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
 /// A flipped payload bit in a sealed content-store chunk: the default
 /// pass leaves it to the seal and counts it as trusted, `--deep`
 /// decodes it and exits 1, `--no-payloads` decodes nothing.

@@ -652,21 +652,25 @@ fn gc_killed_mid_reclaim_never_frees_reachable_chunks() {
     }
 }
 
-/// The origin of every REF frame in the frame log at `path`, and how
-/// many DATA frames the log holds.
+/// The content-store chunk every REF frame in the frame log at `path`
+/// names, and how many DATA frames the log holds.
 fn ref_origins(be: &Arc<dyn Backend>, path: &str) -> (Vec<String>, usize) {
-    use crfs::core::transform::frame::{FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_HEADER_LEN};
+    use crfs::core::snapshot::cas_path;
+    use crfs::core::transform::frame::{
+        ChunkRef, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_HEADER_LEN,
+    };
     use crfs::core::transform::{walk_frames, FileHead};
     let file = be.open(path, OpenOptions::read_only()).unwrap();
     let head = FileHead::read(&*file).unwrap();
     let (mut origins, mut data) = (Vec::new(), 0);
     walk_frames(&*file, &head, |off, h| {
         if h.flags & FLAG_REF != 0 {
-            // The origin path follows the record's 16-byte prefix
-            // (origin offset, stored length, codec, reserved).
+            // The record names the chunk by its hash; the frame's
+            // logical length completes the key.
             let mut record = vec![0u8; h.stored_len as usize];
             file.read_at(off + FRAME_HEADER_LEN, &mut record)?;
-            origins.push(String::from_utf8(record[16..].to_vec()).unwrap());
+            let r = ChunkRef::decode(&record).expect("a keyed reference");
+            origins.push(cas_path((r.hash, h.logical_len)));
         } else if h.flags & (FLAG_PAD | FLAG_TRUNC) == 0 {
             data += 1;
         }
@@ -677,13 +681,26 @@ fn ref_origins(be: &Arc<dyn Backend>, path: &str) -> (Vec<String>, usize) {
     (origins, data)
 }
 
+/// Writes `bytes` to a new file `path`, calling `mode` with
+/// `FailOpen` once the file is open and with `None` after: a mode that
+/// makes every backend open fail lands the chunk inline, for its
+/// content-store file cannot be opened.
+fn write_file(fs: &Arc<Crfs>, path: &str, bytes: &[u8], mode: impl Fn(FailureMode)) {
+    let f = fs.create(path).unwrap();
+    mode(FailureMode::FailOpen);
+    f.write(bytes).unwrap();
+    f.close().unwrap();
+    mode(FailureMode::None);
+}
+
 /// A chunk whose content-store write failed lands inline in its own
 /// file, and must never become a dedup origin: a later duplicate in
 /// another file references the content store, so unlinking the first
 /// file costs the duplicate nothing, live or restarted from its sealed
 /// epoch. The duplicate comes on the same mount, and on a remount that
-/// seeds its dedup index from a manifest naming the inline chunk. Every
-/// REF frame the writer emitted names a content-store chunk.
+/// seeds its dedup index from the manifest sealed while the chunk lived
+/// inline. Every REF frame the writer emitted names a content-store
+/// chunk.
 #[test]
 fn a_degraded_chunk_is_never_a_dedup_origin() {
     use crfs::core::snapshot::CAS_DIR;
@@ -693,20 +710,13 @@ fn a_degraded_chunk_is_never_a_dedup_origin() {
         let be = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
         let dyn_be = be.clone() as Arc<dyn Backend>;
         let mut fs = Crfs::mount(Arc::clone(&dyn_be), config.clone()).unwrap();
-        let a = fs.create("/a").unwrap();
-        // A's handle is open; the chunk's CAS file cannot be.
-        be.set_mode(FailureMode::FailOpen);
-        a.write(&x).unwrap();
-        a.close().unwrap();
-        be.set_mode(FailureMode::None);
+        write_file(&fs, "/a", &x, |m| be.set_mode(m));
         if remount {
             fs.advance_epoch().unwrap();
             fs.unmount().unwrap();
             fs = Crfs::mount(Arc::clone(&dyn_be), config.clone()).unwrap();
         }
-        let b = fs.create("/b").unwrap();
-        b.write(&x).unwrap();
-        b.close().unwrap();
+        write_file(&fs, "/b", &x, |_| ());
         fs.advance_epoch().unwrap();
 
         let (a_refs, a_data) = ref_origins(&dyn_be, "/a");
@@ -727,6 +737,78 @@ fn a_degraded_chunk_is_never_a_dedup_origin() {
             assert_eq!(back, x, "remount {remount}");
             view.close().unwrap();
         }
+        assert_eq!(fs.stats().integrity_failures, 0);
+        fs.unmount().unwrap();
+    }
+}
+
+/// Reads the whole of `path` as sealed in `epoch`.
+fn restart(fs: &Arc<Crfs>, path: &str, epoch: u64, len: usize) -> Vec<u8> {
+    let view = fs.open_restart(path, epoch).unwrap();
+    let mut back = vec![0u8; len];
+    assert_eq!(view.read_at(0, &mut back).unwrap(), len, "{path}@{epoch}");
+    view.close().unwrap();
+    back
+}
+
+/// The seal copies a degraded chunk into the content store, so no
+/// sealed epoch depends on the user file it landed in: after the seal
+/// that file is unlinked, re-created with other bytes or renamed away,
+/// and the epoch still restarts byte-exact, with nothing dangling.
+#[test]
+fn a_sealed_degraded_chunk_outlives_its_file() {
+    use crfs::core::fsck::{self, FsckOptions};
+    let x = transform_payload(1024);
+    let config = small_config().with_codec(CodecKind::Lz).with_dedup(true);
+    for change in ["unlink", "re-create", "rename"] {
+        let be = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
+        let dyn_be = be.clone() as Arc<dyn Backend>;
+        let fs = Crfs::mount(Arc::clone(&dyn_be), config.clone()).unwrap();
+        write_file(&fs, "/a", &x, |m| be.set_mode(m));
+        assert_eq!(ref_origins(&dyn_be, "/a"), (vec![], 1), "landed inline");
+        fs.advance_epoch().unwrap();
+        match change {
+            "unlink" => fs.unlink("/a").unwrap(),
+            "re-create" => write_file(&fs, "/a", &[9; 100], |_| ()),
+            _ => fs.rename("/a", "/moved").unwrap(),
+        }
+        assert_eq!(restart(&fs, "/a", 0, x.len()), x, "{change}");
+        assert_eq!(fs.stats().integrity_failures, 0, "{change}");
+        fs.unmount().unwrap();
+        let sum = fsck::run(&dyn_be, &["/".to_string()], &FsckOptions::default());
+        assert_eq!(sum.damage.dangling_manifest_refs, 0, "{change}: {sum}");
+    }
+}
+
+/// A seal that fails changes nothing: the epochs sealed before it, and
+/// what was staged since, are all in the next seal that succeeds —
+/// whether the manifest could not be written or a degraded chunk could
+/// not be copied into the content store.
+#[test]
+fn a_failed_seal_keeps_the_history() {
+    let config = small_config().with_codec(CodecKind::Lz).with_dedup(true);
+    let (a, b) = (transform_payload(1024), transform_payload(3000));
+    for degraded in [false, true] {
+        let be = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
+        let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config.clone()).unwrap();
+        write_file(&fs, "/a", &a, |_| ());
+        fs.advance_epoch().unwrap();
+        write_file(&fs, "/b", &b, |m| {
+            if degraded {
+                be.set_mode(m)
+            }
+        });
+        // The manifest cannot be created, or the inline chunk read back.
+        be.set_mode(match degraded {
+            true => FailureMode::FailReadsAfter(0),
+            false => FailureMode::FailOpen,
+        });
+        assert!(fs.advance_epoch().is_err(), "degraded {degraded}");
+        be.set_mode(FailureMode::None);
+        fs.advance_epoch().unwrap();
+        assert_eq!(fs.snapshot_epochs(), vec![0, 1], "degraded {degraded}");
+        assert_eq!(restart(&fs, "/a", 1, a.len()), a, "degraded {degraded}");
+        assert_eq!(restart(&fs, "/b", 1, b.len()), b, "degraded {degraded}");
         assert_eq!(fs.stats().integrity_failures, 0);
         fs.unmount().unwrap();
     }
@@ -777,10 +859,10 @@ impl crfs::core::BackendFile for SyncLogFile {
     crfs::core::forward_file_ops!(inner: write_at, read_at, len, set_len);
 }
 
-/// A sealed manifest can name a degraded chunk that lives inline in a
-/// user file, and fsck trusts what a sealed manifest names: the durable
-/// barrier syncs that user file before the manifest, and no manifest
-/// once the user file's sync failed.
+/// fsck trusts what a sealed manifest names, so on a tiered stack the
+/// durable barrier syncs every other file before the manifest — here a
+/// user file holding a degraded chunk, which the seal also copied into
+/// the content store — and no manifest once the user file's sync failed.
 #[test]
 fn the_durable_barrier_syncs_the_manifest_last() {
     use crfs::core::backend::TieredBackend;
@@ -801,12 +883,7 @@ fn the_durable_barrier_syncs_the_manifest_last() {
         let config = small_config().with_codec(CodecKind::Lz).with_dedup(true);
         let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config).unwrap();
         fs.mkdir("/ckpt").unwrap();
-        let a = fs.create("/ckpt/a").unwrap();
-        // The chunk's content-store file cannot be opened: it lands inline.
-        be.set_mode(FailureMode::FailOpen);
-        a.write(&transform_payload(1024)).unwrap();
-        a.close().unwrap();
-        be.set_mode(FailureMode::None);
+        write_file(&fs, "/ckpt/a", &transform_payload(1024), |m| be.set_mode(m));
         synced.lock().unwrap().clear();
         let advanced = fs.advance_epoch();
         let synced = synced.lock().unwrap().clone();

@@ -134,6 +134,24 @@
 # late-found-directories test already covers, three one-checker pins,
 # and fixture helpers (`repair()`, `lz()`, `flip`) in place of
 # repeated literals.
+# 42,990 -> 43,126 with references named by key: +136 lines, product
+# lines of crfs-core/src 14,742 -> 14,733 (-9) and test lines +145.
+# Product: `transform/mod.rs` -68 (the REF record's path parse, its
+# UTF-8 error and self-origin case, the second scratch buffer — the
+# 24-byte record is read into a stack array — and the degraded record
+# built in `commit`), `dedup.rs` -33 (entries hold no
+# path or offset; unused hit / insert counters), `manifest.rs` -5 (one
+# decode version, a 43-byte record), net of `frame.rs` +55 (the 24-byte
+# `ChunkRef` and `FrameHeader::chunk`), `snapshot/mod.rs` +28 (the seal
+# builds the new history beside the old and copies degraded chunks into
+# the store first; a rename moves a directory's files) and `fsck.rs`
+# +14 (sealed chunks never cut, content of another format left alone).
+# Tests: the failed-seal and sealed-degraded-chunk regressions
+# (`tests/failure_injection.rs` +77), the manifest-of-another-version
+# check through the `crfs-fsck` binary (`fsck_bin.rs` +56), and in
+# `crfs-core/src` +12: the sealed-chunk and foreign-REF fsck checks,
+# net of the version-1 manifest test and the REF / record shape pins
+# folded into the synthesized-log test.
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -142,7 +160,7 @@
 # adds it.
 set -eu
 
-CEILING=42990
+CEILING=43126
 UNSAFE_CEILING=0
 
 cd "$(dirname "$0")/.."
