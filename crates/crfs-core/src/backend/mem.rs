@@ -2,6 +2,20 @@
 //!
 //! Used by unit tests, property tests and examples; also handy as a
 //! RAM-disk-like staging target.
+//!
+//! ## Crash states
+//!
+//! [`MemBackend::crashing_after`] models a power cut by what was synced,
+//! as ALICE and CrashMonkey build crash states from a persistence model.
+//! Each file keeps the image its last `sync` made durable and the whole
+//! writes and resizes made since (a truncating open is a resize to 0).
+//! The power fails at the `n`th write, resize or sync: it and every
+//! later one fail, and so does every namespace op after it.
+//! [`MemBackend::crash_image`] then builds what a reboot finds: each
+//! file's synced image plus a seeded subset of its changes since,
+//! applied in order. Namespace ops (create, mkdir, rename, unlink) are
+//! durable at once and in order, as if each synced its directory: a file
+//! created and never synced comes back, holding a subset of its writes.
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -10,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use super::{normalize_path, parent_of, Backend, BackendFile, OpenOptions};
+use crate::transform::frame::fnv1a64;
 
 #[derive(Clone)]
 enum Node {
@@ -23,6 +38,87 @@ pub struct MemBackend {
     /// Counts fsync calls, so tests can assert durability points. Shared
     /// with every open file handle.
     syncs: Arc<AtomicU64>,
+    /// The crash model's record (module docs, "Crash states").
+    journal: Option<Arc<Mutex<Journal>>>,
+}
+
+/// What the crash model remembers: the steps (writes, resizes, syncs)
+/// seen, the step at which the power fails, and per file, by identity
+/// (a rename keeps it), what a crash keeps of it.
+#[derive(Default)]
+struct Journal {
+    steps: u64,
+    cut: u64,
+    files: HashMap<usize, FileJournal>,
+}
+
+struct FileJournal {
+    /// Holds the file, so that its identity is not reused.
+    _data: Arc<RwLock<Vec<u8>>>,
+    synced: Vec<u8>,
+    since: Vec<Change>,
+}
+
+/// A change to a file's bytes since its last sync.
+enum Change {
+    Write(u64, Vec<u8>),
+    SetLen(u64),
+}
+
+impl Change {
+    fn apply(&self, bytes: &mut Vec<u8>) {
+        match self {
+            Change::Write(offset, data) => {
+                let (at, end) = (*offset as usize, *offset as usize + data.len());
+                if bytes.len() < end {
+                    bytes.resize(end, 0);
+                }
+                bytes[at..end].copy_from_slice(data);
+            }
+            Change::SetLen(len) => bytes.resize(*len as usize, 0),
+        }
+    }
+}
+
+impl Journal {
+    /// Fails once the power is out.
+    fn alive(&self) -> io::Result<()> {
+        match self.steps > self.cut {
+            true => Err(io::Error::other("modelled power cut: the backend is down")),
+            false => Ok(()),
+        }
+    }
+
+    /// Counts one step, which fails from the cut on.
+    fn step(&mut self) -> io::Result<()> {
+        self.steps += 1;
+        self.alive()
+    }
+
+    fn file(&mut self, data: &Arc<RwLock<Vec<u8>>>) -> &mut FileJournal {
+        let key = Arc::as_ptr(data) as usize;
+        self.files.entry(key).or_insert_with(|| FileJournal {
+            _data: Arc::clone(data),
+            synced: Vec::new(),
+            since: Vec::new(),
+        })
+    }
+
+    /// A step that changes `data`'s bytes, recorded if it is taken.
+    fn change(&mut self, data: &Arc<RwLock<Vec<u8>>>, change: Change) -> io::Result<()> {
+        self.step()?;
+        self.file(data).since.push(change);
+        Ok(())
+    }
+
+    /// A sync of `data`: its bytes now are what a crash keeps.
+    fn sync(&mut self, data: &Arc<RwLock<Vec<u8>>>) -> io::Result<()> {
+        self.step()?;
+        let file = self.file(data);
+        file.synced = data.read().clone();
+        file.since.clear();
+        Ok(())
+    }
 }
 
 impl Default for MemBackend {
@@ -39,7 +135,67 @@ impl MemBackend {
         MemBackend {
             nodes: Mutex::new(nodes),
             syncs: Arc::new(AtomicU64::new(0)),
+            journal: None,
         }
+    }
+
+    /// An empty filesystem whose power fails at its `cut`th write,
+    /// resize or sync, counted from 0 (module docs, "Crash states");
+    /// `u64::MAX` never fails.
+    pub fn crashing_after(cut: u64) -> MemBackend {
+        let journal = Journal {
+            cut,
+            ..Journal::default()
+        };
+        MemBackend {
+            journal: Some(Arc::new(Mutex::new(journal))),
+            ..MemBackend::new()
+        }
+    }
+
+    /// Writes, resizes and syncs seen by a [`crashing_after`]
+    /// backend, the failed ones included.
+    ///
+    /// [`crashing_after`]: Self::crashing_after
+    pub fn crash_steps(&self) -> u64 {
+        self.journal.as_ref().map_or(0, |j| j.lock().steps)
+    }
+
+    /// What a reboot after the power cut finds (module docs, "Crash
+    /// states"): each file's synced image plus the changes since that
+    /// `seed` keeps, a fair coin per change, drawn per path.
+    pub fn crash_image(&self, seed: u64) -> MemBackend {
+        // The tree first, then the journal: the order a truncating open
+        // takes them in.
+        let source = self.nodes.lock();
+        let journal = self.journal.as_ref().expect("a crashing_after backend");
+        let journal = journal.lock();
+        let image = MemBackend::new();
+        let mut nodes = image.nodes.lock();
+        for (path, node) in source.iter() {
+            let node = match node {
+                Node::Dir => Node::Dir,
+                Node::File(data) => {
+                    let mut bytes = Vec::new();
+                    if let Some(file) = journal.files.get(&(Arc::as_ptr(data) as usize)) {
+                        bytes = file.synced.clone();
+                        let mut coin = Coin(seed ^ fnv1a64(path.as_bytes()));
+                        let kept = file.since.iter().filter(|_| coin.heads());
+                        kept.for_each(|change| change.apply(&mut bytes));
+                    }
+                    Node::File(Arc::new(RwLock::new(bytes)))
+                }
+            };
+            nodes.insert(path.clone(), node);
+        }
+        drop(nodes);
+        image
+    }
+
+    /// Fails once a [`crashing_after`](Self::crashing_after) backend's
+    /// power is out.
+    fn alive(&self) -> io::Result<()> {
+        self.journal.as_ref().map_or(Ok(()), |j| j.lock().alive())
     }
 
     /// Number of `sync` calls observed across all files.
@@ -80,6 +236,20 @@ impl MemBackend {
     }
 }
 
+/// A seeded coin per path: splitmix64 over the seed and the path's
+/// FNV-1a hash.
+struct Coin(u64);
+
+impl Coin {
+    fn heads(&mut self) -> bool {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) & 1 == 1
+    }
+}
+
 impl Backend for MemBackend {
     fn name(&self) -> &str {
         "mem"
@@ -87,10 +257,16 @@ impl Backend for MemBackend {
 
     fn open(&self, path: &str, opts: OpenOptions) -> io::Result<Box<dyn BackendFile>> {
         let path = normalize_path(path)?;
+        if opts.write || opts.create {
+            self.alive()?;
+        }
         let mut nodes = self.nodes.lock();
         let data = match nodes.get(&path) {
             Some(Node::File(d)) => {
                 if opts.truncate {
+                    if let Some(journal) = &self.journal {
+                        journal.lock().change(d, Change::SetLen(0))?;
+                    }
                     d.write().clear();
                 }
                 Arc::clone(d)
@@ -118,11 +294,13 @@ impl Backend for MemBackend {
             data,
             opts,
             backend_syncs: Arc::clone(&self.syncs),
+            journal: self.journal.clone(),
         }))
     }
 
     fn mkdir(&self, path: &str) -> io::Result<()> {
         let path = normalize_path(path)?;
+        self.alive()?;
         let mut nodes = self.nodes.lock();
         if nodes.contains_key(&path) {
             return Err(io::Error::new(
@@ -137,6 +315,7 @@ impl Backend for MemBackend {
 
     fn rmdir(&self, path: &str) -> io::Result<()> {
         let path = normalize_path(path)?;
+        self.alive()?;
         if path == "/" {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -172,6 +351,7 @@ impl Backend for MemBackend {
 
     fn unlink(&self, path: &str) -> io::Result<()> {
         let path = normalize_path(path)?;
+        self.alive()?;
         let mut nodes = self.nodes.lock();
         match nodes.get(&path) {
             Some(Node::File(_)) => {
@@ -192,6 +372,7 @@ impl Backend for MemBackend {
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
         let from = normalize_path(from)?;
         let to = normalize_path(to)?;
+        self.alive()?;
         let mut nodes = self.nodes.lock();
         let node = nodes.get(&from).cloned().ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, format!("{from:?} not found"))
@@ -284,6 +465,7 @@ struct MemFile {
     data: Arc<RwLock<Vec<u8>>>,
     opts: OpenOptions,
     backend_syncs: Arc<AtomicU64>,
+    journal: Option<Arc<Mutex<Journal>>>,
 }
 
 impl BackendFile for MemFile {
@@ -293,6 +475,10 @@ impl BackendFile for MemFile {
                 io::ErrorKind::PermissionDenied,
                 "file not opened for writing",
             ));
+        }
+        if let Some(journal) = &self.journal {
+            let change = Change::Write(offset, data.to_vec());
+            journal.lock().change(&self.data, change)?;
         }
         let mut v = self.data.write();
         let end = offset as usize + data.len();
@@ -321,6 +507,9 @@ impl BackendFile for MemFile {
     }
 
     fn sync(&self) -> io::Result<()> {
+        if let Some(journal) = &self.journal {
+            journal.lock().sync(&self.data)?;
+        }
         self.backend_syncs.fetch_add(1, Relaxed);
         Ok(())
     }
@@ -330,6 +519,9 @@ impl BackendFile for MemFile {
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
+        if let Some(journal) = &self.journal {
+            journal.lock().change(&self.data, Change::SetLen(len))?;
+        }
         let mut v = self.data.write();
         v.resize(len as usize, 0);
         Ok(())
@@ -449,6 +641,36 @@ mod tests {
             .unwrap();
         let f = be.open("/t", OpenOptions::create_truncate()).unwrap();
         assert_eq!(f.len().unwrap(), 0);
+    }
+
+    /// A crash keeps each file's synced image and a seeded subset of
+    /// its changes since; the power cut fails the cut step and every
+    /// later op, and namespace ops before it are durable.
+    #[test]
+    fn a_crash_keeps_what_was_synced_and_a_subset_of_the_rest() {
+        let be = MemBackend::crashing_after(5);
+        be.mkdir("/d").unwrap();
+        let f = be.open("/d/f", OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, b"synced").unwrap();
+        f.sync().unwrap();
+        for (at, byte) in [(0, b"S"), (6, b"+"), (7, b"!")] {
+            f.write_at(at, byte).unwrap();
+        }
+        assert!(f.write_at(8, b"?").is_err(), "the cut step");
+        assert!(f.sync().is_err() && be.unlink("/d/f").is_err());
+        assert_eq!(be.crash_steps(), 7);
+        let mut kept = std::collections::HashSet::new();
+        for seed in 0..64 {
+            let image = be.crash_image(seed);
+            let bytes = image.contents("/d/f").unwrap();
+            assert!(bytes.starts_with(b"synced") || bytes.starts_with(b"Synced"));
+            assert!(!bytes.ends_with(b"?"), "a failed write landed");
+            assert_eq!(be.crash_image(seed).contents("/d/f").unwrap(), bytes);
+            kept.insert(bytes);
+        }
+        // Every subset of the three writes: S, + and ! each kept or not
+        // (a lone ! lands past a zero byte).
+        assert_eq!(kept.len(), 8, "{kept:?}");
     }
 
     #[test]

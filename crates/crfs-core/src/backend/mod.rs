@@ -449,6 +449,22 @@ pub fn parent_of(path: &str) -> &str {
     }
 }
 
+/// Makes every directory above `path` on `backend` that is missing: a
+/// re-drain may land a file whose directory never reached that tier.
+pub(crate) fn mkdir_parents(backend: &dyn Backend, path: &str) -> io::Result<()> {
+    let mut dir = String::new();
+    for name in parent_of(path).split('/').filter(|n| !n.is_empty()) {
+        dir = format!("{dir}/{name}");
+        if !backend.exists(&dir) {
+            match backend.mkdir(&dir) {
+                Err(e) if e.kind() != io::ErrorKind::AlreadyExists => return Err(e),
+                _ => {}
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Final component of a normalized path (empty for the root).
 pub fn basename_of(path: &str) -> &str {
     match path.rfind('/') {

@@ -213,10 +213,11 @@ impl Crfs {
             None => 0,
         };
         // Epoch durability gate (DESIGN.md §9): on a tiered backend the
-        // manifest seal above only acknowledged fast-tier placement.
-        // The epoch counts as durable once this barrier confirms the
-        // manifest and every frame it references reached the durable
-        // tier; single-tier backends return immediately.
+        // seal above landed every chunk its manifest names on the
+        // durable tier before writing the manifest, which it only
+        // acknowledged on the fast tier. The epoch counts as durable
+        // once this barrier confirms the manifest reached the durable
+        // tier too; single-tier backends return immediately.
         self.shared.backend.drain_barrier().map_err(CrfsError::Io)?;
         Ok(evicted)
     }

@@ -37,6 +37,18 @@
 //!   offline audits of bytes at rest.
 //! - [`Payloads::Skip`] (`--no-payloads`): none.
 //!
+//! On two tiers ([`run_tiered`]) the trust boundary is the set of
+//! manifests that decode **on the durable tier**: a seal writes its
+//! manifest only after a drain barrier has landed and synced every
+//! chunk it names, and no barrier returns `Ok` while a durable file
+//! misses acknowledged bytes (`backend::tiered`, "Durability
+//! contract"), so a durable manifest never outlives its chunks. A chunk
+//! such a manifest names gets the single-tier treatment — no tier
+//! compare, no re-drain — and [`Payloads::All`] compares it too. A
+//! manifest only the fast tier holds (the crash came before it drained)
+//! vouches for nothing: its chunks are decoded, compared and re-drained
+//! like any unsealed file.
+//!
 //! [`FsckSummary::trusted_payloads`] counts the DATA frames a sweep
 //! checked by structure only, so a clean default sweep never reads as
 //! "every payload decoded".
@@ -48,9 +60,16 @@
 //! record it holds. After the sweep each reference resolves against its
 //! origin's clean length, and a content-store chunk nothing names is an
 //! orphan, so a dry run and a repair report the same damage on any
-//! schedule. [`FsckOptions::repair`] then runs one ordered list, made
-//! with no IO: unlink torn manifests and orphan chunks, truncate torn
-//! tails, and on two tiers drain, sweep staging files and re-drain.
+//! schedule. A sealed chunk's references resolve against the bytes its
+//! record names whenever the file holds them: a damaged header alone
+//! loses no byte a keyed read serves. [`FsckOptions::repair`] then runs
+//! one ordered list, made with no IO: unlink torn manifests and orphan
+//! chunks, truncate torn tails, and on two tiers drain, sweep staging
+//! files and re-drain — never a fast copy that failed its digest, which
+//! would overwrite the durable copy that may be the only good one, and
+//! manifests last: only once every other re-drain has synced, and none
+//! once a fast copy was left out for its digest (it may be a chunk one
+//! names).
 //! In-bounds damage (a DATA frame failing its checksum, a reference its
 //! origin cannot hold) is *reported, not repaired*: truncating would
 //! discard good frames past it, and the read path surfaces it as an
@@ -67,17 +86,21 @@
 //! that fits is fetched by one read; a bigger one reads its 40-byte
 //! head (a raw image stops there), then window-sized reads. A chunk the
 //! seal vouches for and whose payload is not decoded is read for its
-//! head alone, and a manifest not at all: the sweep reuses the bytes
-//! read before it. Over a store that takes asynchronous reads
+//! head alone, and in [`run`] a manifest not at all: the sweep reuses
+//! the bytes read before it. Over a store that takes asynchronous reads
 //! ([`BackendFile::begin_read_at`]) those go out as batches of up to 256
 //! in flight before the sweep — every manifest, then in [`run`] the
 //! header of every chunk a decodable manifest names under the roots —
 //! on one open handle; a synchronous store declines the first, which
-//! ends that batch. [`run_tiered`] reads a file's durable copy right
-//! after its check and compares it with the fast bytes still in the
-//! window, so each copy of a file that fits is read once. A checker
-//! owns every buffer a file needs (the window, a frame's stored and
-//! decoded bytes, the durable copy, a re-drain's copy).
+//! ends that batch. [`run_tiered`] reads the manifests from the durable
+//! tier before the sweep, and the sweep reads the union view, where the
+//! fast copy wins: a sealed chunk's header, and every other file whole,
+//! whose durable copy is read right after its check and compared with
+//! the fast bytes still in the window. So the durable tier reads the
+//! unsealed files once each and the manifests twice (before the sweep
+//! and for their compare), and the fast tier every file once. A
+//! checker owns every buffer a file needs (the window, a frame's stored
+//! and decoded bytes, the durable copy, a re-drain's copy).
 //!
 //! **Checkers.** A pFSCK-style work-stealing pool: each checker owns a
 //! deque seeded round-robin with the roots, pushes a directory's
@@ -101,7 +124,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::backend::{read_exact_at, read_heads, read_whole, Backend, BackendFile, OpenOptions};
+use crate::backend::{
+    basename_of, mkdir_parents, parent_of, read_exact_at, read_heads, read_whole, Backend,
+    BackendFile, OpenOptions,
+};
 use crate::obs::Histogram;
 use crate::pool::ChunkBuf;
 use crate::snapshot::manifest::{Manifest, Record, MANIFEST_MAGIC};
@@ -302,7 +328,8 @@ struct Finding {
     /// Each REF frame's or manifest chunk record's chunk path, and the
     /// end the referenced frame needs there.
     refs: Vec<(String, u64)>,
-    /// A content-store chunk a decodable manifest names: never cut.
+    /// A content-store chunk a decodable manifest names (on two tiers,
+    /// a durable one): never cut, and on two tiers not compared.
     sealed: bool,
     /// The file names content of another format: a manifest of another
     /// version, or a REF frame of another frame format.
@@ -409,8 +436,9 @@ pub fn run(backend: &Arc<dyn Backend>, roots: &[String], opts: &FsckOptions) -> 
 /// Checks a two-tier stack (see [`crate::backend::TieredBackend`]) in
 /// one sweep: the structural checks of [`run`] over the *union* view
 /// (fast bytes win, as they do for the mount's reads), each file the
-/// fast tier holds then compared byte-for-byte against its durable copy
-/// (module docs, "Reads"). A file the durable tier is missing or holds
+/// fast tier holds but a chunk a durable manifest vouches for then
+/// compared byte-for-byte against its durable copy (module docs,
+/// "Trust" and "Reads"). A file the durable tier is missing or holds
 /// short is **stranded** (the crash-during-drain shape: acknowledged
 /// fast, never fully drained); matching lengths with differing bytes is
 /// **diverged**. Both re-drain under `opts.repair` — the fast tier is
@@ -450,21 +478,29 @@ fn check(
     opts: &FsckOptions,
 ) -> FsckSummary {
     let t0 = Instant::now();
-    // A tier compare reads each chunk whole, as a deep pass does.
-    let heads_under = match tiers.is_none() && opts.payloads != Payloads::All {
-        true => roots,
-        false => &[],
+    // On two tiers the seal vouches for what a durable manifest names
+    // (module docs, "Trust"); a header batch there would read the copy
+    // the sweep does not check.
+    let (lister, heads_under) = match tiers {
+        Some(tiers) => (tiers.durable, &[][..]),
+        None if opts.payloads != Payloads::All => (store, roots),
+        None => (store, &[][..]),
     };
-    let sealed = read_sealed(&**store, heads_under);
-    let compare = tiers.is_some();
+    let mut sealed = read_sealed(&**lister, heads_under);
+    if tiers.is_some() {
+        // The sweep checks the union view, where a fast copy wins.
+        sealed.bytes.clear();
+    }
     let mut summary = sweep(&**store, roots, opts.threads, |path, checker| {
         let t0 = Instant::now();
-        let mut found = check_file(store, path, opts.payloads, &sealed, compare, checker);
+        let mut found = check_file(store, path, opts.payloads, &sealed, checker);
         let (spent, local) = (t0.elapsed(), &mut checker.summary);
         local.files += 1;
         local.check_times.record_dur(spent);
         local.checker_ns[found.report.kind as usize] += spent.as_nanos() as u64;
-        if let Some(tiers) = tiers {
+        // A chunk the seal vouches for is left to it, as on one tier.
+        let trusted = found.sealed && opts.payloads != Payloads::All;
+        if let (Some(tiers), false) = (tiers, trusted) {
             found.report.damage.add(&tiers.damage(path, checker));
         }
         checker.summary.found.push(found);
@@ -475,7 +511,7 @@ fn check(
     resolve(&mut found, roots, len);
     let foreign_manifest = |f: &Finding| f.foreign && f.report.kind == FileKind::Manifest;
     if opts.repair && !found.iter().any(foreign_manifest) {
-        let plan = plan(&found, compare);
+        let plan = plan(&found, tiers.is_some());
         apply(&plan, &mut found, store, tiers, &summary.dirs, opts.threads);
     }
     let damaged = |r: &FileReport| !r.damage.is_clean() || r.error.is_some();
@@ -553,12 +589,22 @@ enum Action {
     /// Two tiers: re-drain a file's fast copy over its durable one —
     /// when `true` (a file just truncated) only if the two still differ.
     Redrain(usize, bool),
+    /// Two tiers: run the re-drains listed so far, and those after only
+    /// if every one returned `Ok`.
+    Settle,
+    /// Two tiers: withhold a manifest's re-drain, a file it may name
+    /// having been left out.
+    Withhold(usize),
 }
 
 /// The repairs the resolved `found` asks for, in the order they run:
 /// torn manifests unlinked, orphan chunks unlinked, torn tails but a
 /// sealed chunk's truncated, and on two tiers the barrier, then the
-/// re-drains. No IO.
+/// re-drains, manifests last and behind a [`Action::Settle`]: a durable
+/// manifest persists after the chunks it names, as a seal's does
+/// (DESIGN.md §9). A fast copy that failed its digest is never
+/// re-drained — the durable copy may be the only good one — and once
+/// one is left out, no manifest is re-drained: it might name it. No IO.
 fn plan(found: &[Finding], tiered: bool) -> Vec<Action> {
     let indexed = || found.iter().enumerate();
     let manifest = |f: &Finding| f.report.kind == FileKind::Manifest;
@@ -574,16 +620,36 @@ fn plan(found: &[Finding], tiered: bool) -> Vec<Action> {
     actions.extend(indexed().filter_map(|(i, f)| Some(Action::Truncate(i, truncate(f)?))));
     if tiered {
         actions.push(Action::Barrier);
-        let tier = |f: &Finding| f.report.damage.tier_stranded + f.report.damage.tier_diverged > 0;
+        let damage = |f: &Finding| f.report.damage;
+        let tier = |f: &Finding| damage(f).tier_stranded + damage(f).tier_diverged > 0;
         let drains = indexed().filter(|(_, f)| !f.unlinks() && (tier(f) || truncate(f).is_some()));
-        actions.extend(drains.map(|(i, f)| Action::Redrain(i, truncate(f).is_some())));
+        let (bad, drains): (Vec<_>, Vec<_>) =
+            drains.partition(|(_, f)| damage(f).bad_payload_checksum > 0);
+        let (manifests, others): (Vec<_>, Vec<_>) = drains
+            .into_iter()
+            .partition(|(_, f)| is_manifest(&f.report.path));
+        let redrain = |(i, f): (usize, &Finding)| Action::Redrain(i, truncate(f).is_some());
+        actions.extend(others.into_iter().map(redrain));
+        if !manifests.is_empty() {
+            actions.push(Action::Settle);
+            let manifests = manifests.into_iter();
+            match bad.is_empty() {
+                true => actions.extend(manifests.map(redrain)),
+                false => actions.extend(manifests.map(|(i, _)| Action::Withhold(i))),
+            }
+        }
     }
     actions
 }
 
+/// Why [`apply`] left a manifest's re-drain out: a file before it was
+/// not re-drained, or its re-drain failed.
+const WITHHELD: &str = "re-drain withheld: a file it may name did not re-drain";
+
 /// Runs [`plan`]'s `actions` on `store` (on two tiers, the union view)
 /// and fills in each report's `repaired` and `error`. The re-drains go
-/// over the fast tier on the checker pool.
+/// over the fast tier on the checker pool, a batch per
+/// [`Action::Settle`].
 fn apply(
     actions: &[Action],
     found: &mut [Finding],
@@ -592,7 +658,7 @@ fn apply(
     dirs: &[String],
     threads: usize,
 ) {
-    let mut redrains = HashMap::new();
+    let (mut batch, mut settled) = (Vec::new(), true);
     for &action in actions {
         let (i, done) = match action {
             Action::Unlink(i) => (i, store.unlink(&found[i].report.path)),
@@ -605,27 +671,24 @@ fn apply(
                 continue;
             }
             Action::Redrain(i, recompare) => {
-                redrains.insert(found[i].report.path.clone(), (i, recompare));
+                batch.push((i, recompare));
                 continue;
             }
+            Action::Settle => {
+                settled = redrain(&std::mem::take(&mut batch), found, tiers, threads);
+                continue;
+            }
+            Action::Withhold(i) => (i, Err(io::Error::other(WITHHELD))),
         };
         let done = done.map_err(|e| format!("repair failed: {e}"));
         note(&mut found[i].report, done);
     }
-    if let (Some(tiers), false) = (tiers, redrains.is_empty()) {
-        let paths: Vec<String> = redrains.keys().cloned().collect();
-        let drained = Mutex::new(Vec::new());
-        sweep(&**tiers.fast, &paths, threads, |path, checker| {
-            let (i, recompare) = redrains[path];
-            let done = match recompare && tiers.damage(path, checker).is_clean() {
-                true => Ok(()),
-                false => tiers.redrain(path, checker),
-            };
-            let done = done.map_err(|e| format!("re-drain failed: {e}"));
-            drained.lock().push((i, done));
-        });
-        for (i, done) in drained.into_inner() {
-            note(&mut found[i].report, done);
+    match settled {
+        true => _ = redrain(&batch, found, tiers, threads),
+        false => {
+            for (i, _) in batch {
+                note(&mut found[i].report, Err(WITHHELD.to_string()));
+            }
         }
     }
     for f in found.iter_mut() {
@@ -634,6 +697,40 @@ fn apply(
         let whole = f.report.error.is_none() && (lost == 0 || f.unlinks());
         f.report.repaired &= whole;
     }
+}
+
+/// Runs `batch`'s re-drains over the fast tier of `tiers` on the
+/// checker pool; returns whether every one returned `Ok`.
+fn redrain(
+    batch: &[(usize, bool)],
+    found: &mut [Finding],
+    tiers: Option<Tiers>,
+    threads: usize,
+) -> bool {
+    let Some(tiers) = tiers.filter(|_| !batch.is_empty()) else {
+        return true;
+    };
+    let redrains: HashMap<String, (usize, bool)> = batch
+        .iter()
+        .map(|&(i, recompare)| (found[i].report.path.clone(), (i, recompare)))
+        .collect();
+    let paths: Vec<String> = redrains.keys().cloned().collect();
+    let drained = Mutex::new(Vec::new());
+    sweep(&**tiers.fast, &paths, threads, |path, checker| {
+        let (i, recompare) = redrains[path];
+        let done = match recompare && tiers.damage(path, checker).is_clean() {
+            true => Ok(()),
+            false => tiers.redrain(path, checker),
+        };
+        let done = done.map_err(|e| format!("re-drain failed: {e}"));
+        drained.lock().push((i, done));
+    });
+    let mut settled = true;
+    for (i, done) in drained.into_inner() {
+        settled &= done.is_ok();
+        note(&mut found[i].report, done);
+    }
+    settled
 }
 
 /// Records one repair's outcome on its report.
@@ -704,18 +801,8 @@ impl Tiers<'_> {
     /// offline analogue of the tier drain.
     fn redrain(&self, path: &str, checker: &mut Checker) -> io::Result<()> {
         let t0 = Instant::now();
-        // Ensure the durable parent chain exists (a crash can strand a
-        // file whose directory never drained either).
-        let (mut dir, parent) = (String::new(), crate::backend::parent_of(path));
-        for name in parent.split('/').filter(|n| !n.is_empty()) {
-            dir = format!("{dir}/{name}");
-            if !self.durable.exists(&dir) {
-                match self.durable.mkdir(&dir) {
-                    Err(e) if e.kind() != io::ErrorKind::AlreadyExists => return Err(e),
-                    _ => {}
-                }
-            }
-        }
+        // A crash can strand a file whose directory never drained either.
+        mkdir_parents(&**self.durable, path)?;
         let buf = checker.copy.get_or_insert_with(|| ChunkBuf::new(1 << 20));
         let src = self.fast.open(path, OpenOptions::read_only())?;
         let dst = self.durable.open(path, OpenOptions::create_truncate())?;
@@ -765,11 +852,12 @@ fn merge(into: &mut FsckSummary, from: FsckSummary) {
 }
 
 /// The retained sealed manifests, read before the sweep (module docs,
-/// "Trust" and "Reads").
+/// "Trust" and "Reads"); on two tiers, from the durable tier.
 #[derive(Default)]
 struct Sealed {
     /// Each manifest's bytes, which its check in the sweep reads
-    /// instead of the backend.
+    /// instead of the backend (on two tiers, which its fast copy is
+    /// compared with).
     bytes: HashMap<String, Vec<u8>>,
     /// The header of every chunk a decodable manifest names, which its
     /// record determines, by key.
@@ -1095,15 +1183,12 @@ fn finding(path: &str, kind: FileKind, len: Option<u64>) -> Finding {
     }
 }
 
-/// Checks one file. `compare` says the caller compares the file's bytes
-/// with another copy right after ([`run_tiered`]), so the window reads
-/// it whole.
+/// Checks one file.
 fn check_file(
     backend: &Arc<dyn Backend>,
     path: &str,
     payloads: Payloads,
     sealed: &Sealed,
-    compare: bool,
     checker: &mut Checker,
 ) -> Finding {
     let Checker {
@@ -1114,13 +1199,12 @@ fn check_file(
     } = checker;
     // What the seal vouches for, if this is a content-store chunk a
     // decodable manifest names: the header such a chunk must carry. A
-    // chunk whose payload is not decoded is read for its header alone,
-    // unless the caller compares its bytes.
+    // chunk whose payload is not decoded is read for its header alone.
     let vouched = path
         .strip_prefix(CAS_DIR)
         .and_then(|name| parse_cas_name(name.strip_prefix('/')?))
         .and_then(|key| sealed.chunks.get(&key));
-    let head_only = vouched.is_some() && payloads != Payloads::All && !compare;
+    let head_only = vouched.is_some() && payloads != Payloads::All;
     let file = backend.open(path, OpenOptions::read_only());
     // The window's first read serves the classification and, for a
     // file that fits, everything after it.
@@ -1161,6 +1245,15 @@ fn check_file(
                 Payloads::All => false,
             };
             check_frame_log(&window, &head, trust, local, frame, &mut found);
+            // A sealed chunk is never cut, and a keyed read needs only
+            // the bytes its record says it stores: a damaged header
+            // alone loses none of them.
+            if let (Some(h), Some(len)) = (vouched, &mut found.clean_len) {
+                let whole = FRAME_HEADER_LEN + u64::from(h.stored_len);
+                if head.stored_len >= whole {
+                    *len = (*len).max(whole);
+                }
+            }
         }
         FileKind::Manifest => {
             local.manifests += 1;
@@ -1259,6 +1352,11 @@ fn check_frame_log(
     }
     found.report.torn_bytes = head.stored_len - outcome.clean_len;
     found.clean_len = Some(outcome.clean_len);
+}
+
+/// Whether `path` names a snapshot manifest.
+fn is_manifest(path: &str) -> bool {
+    parent_of(path) == SNAP_DIR && parse_manifest_name(basename_of(path)).is_some()
 }
 
 /// A reference to the chunk of `key` whose frame stores `stored_len`
@@ -1619,10 +1717,11 @@ mod tests {
         count.1 = count.1.max(count.0);
     }
 
-    /// Every open and listing a [`Probe`] saw: op, path, and thread.
+    /// Every open, listing, write and sync a [`Probe`] saw: op, path,
+    /// and thread.
     type OpLog = Arc<Mutex<Vec<(&'static str, String, std::thread::ThreadId)>>>;
 
-    /// A test decorator: logs every read, open and listing, counts open
+    /// A test decorator: logs every read, open, listing, write and sync, counts open
     /// handles, sleeps `delay` in each `read_at`, and `hold` more in
     /// each read of `slow`. With `held` it takes asynchronous reads too.
     struct Probe {
@@ -1670,6 +1769,7 @@ mod tests {
         reads: ReadLog,
         in_flight: InFlight,
         handles: InFlight,
+        ops: OpLog,
     }
 
     impl Drop for ProbeFile {
@@ -1718,6 +1818,7 @@ mod tests {
                 reads: Arc::clone(&self.reads),
                 in_flight: Arc::clone(&self.in_flight),
                 handles: Arc::clone(&self.handles),
+                ops: Arc::clone(&self.ops),
             }))
         }
         fn list_dir(&self, path: &str) -> io::Result<Vec<String>> {
@@ -1735,6 +1836,11 @@ mod tests {
                 .lock()
                 .push((self.path.clone(), offset, len, thread));
             up(&self.in_flight);
+        }
+
+        fn log(&self, op: &'static str) {
+            let thread = std::thread::current().id();
+            self.ops.lock().push((op, self.path.clone(), thread));
         }
     }
 
@@ -1781,7 +1887,15 @@ mod tests {
             }
             Ok(true)
         }
-        crate::forward_file_ops!(inner: write_at, sync, len, set_len);
+        fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
+            self.log("write");
+            self.inner.write_at(offset, data)
+        }
+        fn sync(&self) -> io::Result<()> {
+            self.log("sync");
+            self.inner.sync()
+        }
+        crate::forward_file_ops!(inner: len, set_len);
     }
 
     fn probe(inner: &Arc<dyn Backend>, delay: Duration) -> (Arc<dyn Backend>, ReadLog) {
@@ -2247,6 +2361,10 @@ mod tests {
         (fast, durable)
     }
 
+    /// On two tiers the durable tier reads the manifests, before the
+    /// sweep, and each file the seal does not vouch for — a manifest's
+    /// copy again, for its compare; the fast tier reads every file
+    /// once, a sealed chunk its header only.
     #[test]
     fn each_tier_copy_is_read_once() {
         let (fast, durable) = populate_tiered_cas(40);
@@ -2254,16 +2372,196 @@ mod tests {
         let (durable, durable_reads) = probe(&durable, Duration::ZERO);
         let sum = run_tiered(&fast, &durable, &["/".to_string()], &repair());
         assert!(sum.is_clean() && sum.damage.is_clean(), "{sum}");
-        assert!(sum.frame_logs > 40, "{sum}");
-        for (tier, reads) in [("fast", fast_reads), ("durable", durable_reads)] {
-            let mut paths: Vec<String> = reads.lock().iter().map(|r| r.0.clone()).collect();
-            let seen = paths.len();
-            paths.sort();
-            paths.dedup();
-            println!("fsck: {seen} {tier} reads of {} files", sum.files);
-            assert_eq!(paths.len() as u64, sum.files, "{tier}: files read");
-            assert_eq!(seen as u64, sum.files, "{tier}: reads");
+        assert_eq!((sum.frame_logs, sum.trusted_payloads), (41, 40), "{sum}");
+        let reads = |log: &ReadLog| -> Vec<(String, u64, usize)> {
+            let mut reads: Vec<_> = log.lock().iter().map(|r| (r.0.clone(), r.1, r.2)).collect();
+            reads.sort();
+            reads
+        };
+        let (fast, durable) = (reads(&fast_reads), reads(&durable_reads));
+        println!(
+            "fsck: {} fast and {} durable reads of {} files",
+            fast.len(),
+            durable.len(),
+            sum.files
+        );
+        let mut paths: Vec<&str> = fast.iter().map(|r| r.0.as_str()).collect();
+        paths.dedup();
+        assert_eq!((paths.len(), fast.len()), (42, 42), "fast: {fast:?}");
+        let header = (0, FRAME_HEADER_LEN as usize);
+        let mut chunks = fast.iter().filter(|r| r.0.starts_with(CAS_DIR));
+        assert!(chunks.clone().count() == 40 && chunks.all(|r| (r.1, r.2) == header));
+        let durable: Vec<&str> = durable.iter().map(|r| r.0.as_str()).collect();
+        let manifest = manifest_path(0);
+        assert_eq!(durable, [&*manifest, &*manifest, "/ckpt/rank0.img"]);
+    }
+
+    /// Mounts `durable` alone and restarts epoch 0's `/ckpt/rank0.img`,
+    /// which must read `data` byte for byte.
+    fn assert_durable_restarts(durable: &Arc<dyn Backend>, data: &[u8]) {
+        let fs = Crfs::mount(Arc::clone(durable), snap_config()).unwrap();
+        let f = fs.open_restart("/ckpt/rank0.img", 0).unwrap();
+        let mut back = vec![0u8; data.len()];
+        assert_eq!(f.read_at(0, &mut back).unwrap(), data.len());
+        assert!(back == data && fs.stats().integrity_failures == 0);
+        f.close().unwrap();
+        fs.unmount().unwrap();
+    }
+
+    /// The chunk files of `store`, sorted.
+    fn cas_files(store: &Arc<dyn Backend>) -> Vec<String> {
+        let names = store.list_dir(CAS_DIR).unwrap();
+        names.iter().map(|n| format!("{CAS_DIR}/{n}")).collect()
+    }
+
+    /// A manifest whose barrier never finished: the durable tier lacks
+    /// it and two of its chunks. It vouches for nothing, so every chunk
+    /// is decoded and compared, and the repair re-drains all three.
+    #[test]
+    fn a_fast_only_manifest_vouches_for_nothing() {
+        let (fast, durable) = populate_tiered_cas(4);
+        let chunks = cas_files(&fast);
+        durable.unlink(&manifest_path(0)).unwrap();
+        durable.unlink(&chunks[0]).unwrap();
+        let short = durable.open(&chunks[1], OpenOptions::read_write()).unwrap();
+        short.set_len(FRAME_HEADER_LEN).unwrap();
+        let roots = ["/".to_string()];
+        let dry = run_tiered(&fast, &durable, &roots, &opts(1));
+        assert_eq!(
+            (dry.damage.tier_stranded, dry.trusted_payloads),
+            (3, 0),
+            "{dry}"
+        );
+        let fixed = run_tiered(&fast, &durable, &roots, &repair());
+        assert!(fixed.is_clean() && fixed.repaired_files == 3, "{fixed}");
+        let after = run_tiered(&fast, &durable, &roots, &opts(1));
+        assert!(
+            after.damage.is_clean() && after.trusted_payloads == 4,
+            "{after}"
+        );
+        assert_durable_restarts(&durable, &distinct(0, 4));
+    }
+
+    /// A fast-only manifest names a stranded chunk whose fast copy fails
+    /// its digest. The chunk is not re-drained, so neither is the
+    /// manifest: the durable tier never vouches for the chunk, and the
+    /// next check still reports both.
+    #[test]
+    fn a_manifest_naming_a_bad_fast_copy_is_not_redrained() {
+        let (fast, durable) = populate_tiered_cas(4);
+        let victim = cas_files(&fast).remove(0);
+        let manifest = manifest_path(0);
+        durable.unlink(&manifest).unwrap();
+        durable.unlink(&victim).unwrap();
+        flip_payload_bit(&fast, &victim);
+        let roots = ["/".to_string()];
+        let fixed = run_tiered(&fast, &durable, &roots, &repair());
+        let report = |sum: &FsckSummary, path: &str| {
+            let report = sum.reports.iter().find(|r| r.path == path);
+            report
+                .unwrap_or_else(|| panic!("{path} unreported: {sum}"))
+                .clone()
+        };
+        let withheld = report(&fixed, &manifest);
+        let error = withheld.error.unwrap_or_default();
+        assert!(error.contains("withheld") && !withheld.repaired, "{fixed}");
+        assert!(!durable.exists(&manifest) && !durable.exists(&victim));
+        let after = run_tiered(&fast, &durable, &roots, &opts(1));
+        let stranded = DamageCounts {
+            tier_stranded: 1,
+            ..DamageCounts::default()
+        };
+        assert_eq!(report(&after, &manifest).damage, stranded, "{after}");
+        let bad = DamageCounts {
+            bad_payload_checksum: 1,
+            ..stranded
+        };
+        assert_eq!(report(&after, &victim).damage, bad, "{after}");
+    }
+
+    /// A stranded manifest is re-drained once every chunk re-drain has
+    /// synced, and not at all once one of them failed.
+    #[test]
+    fn a_repair_redrains_a_manifest_after_the_chunks_it_names() {
+        for fail in [false, true] {
+            let (fast, durable) = populate_tiered_cas(4);
+            let chunks = cas_files(&fast);
+            for path in [&manifest_path(0), &chunks[0], &chunks[2]] {
+                durable.unlink(path).unwrap();
+            }
+            let mode = match fail {
+                true => crate::backend::FailureMode::FailWritesAfter(1),
+                false => crate::backend::FailureMode::None,
+            };
+            let faulty: Arc<dyn Backend> = Arc::new(crate::backend::FaultyBackend::new(
+                Arc::clone(&durable),
+                mode,
+            ));
+            let probe = Probe::new(&faulty, Duration::ZERO);
+            let ops = Arc::clone(&probe.ops);
+            let logged: Arc<dyn Backend> = Arc::new(probe);
+            let fixed = run_tiered(&fast, &logged, &["/".to_string()], &repair());
+            let ops: Vec<(&str, String)> =
+                ops.lock().iter().map(|op| (op.0, op.1.clone())).collect();
+            let manifest = manifest_path(0);
+            let written = ops.iter().position(|op| *op == ("write", manifest.clone()));
+            let report = fixed.reports.iter().find(|r| r.path == manifest).unwrap();
+            if fail {
+                assert_eq!(written, None, "{ops:?}");
+                let error = report.error.as_deref().unwrap_or_default();
+                assert!(error.contains("withheld") && !report.repaired, "{fixed}");
+                assert!(!durable.exists(&manifest));
+                continue;
+            }
+            let synced = ops
+                .iter()
+                .rposition(|op| op.0 == "sync" && op.1 != manifest);
+            assert!(synced.is_some() && synced < written, "{ops:?}");
+            assert!(fixed.is_clean() && fixed.repaired_files == 3, "{fixed}");
+            assert_durable_restarts(&durable, &distinct(0, 4));
         }
+    }
+
+    /// A bit flipped in a sealed chunk's fast copy: the default repair
+    /// reads its header and changes nothing, and a deep one reports it
+    /// and leaves the durable copy, the good one, as it was.
+    #[test]
+    fn a_deep_repair_never_spreads_a_bad_fast_copy() {
+        let (fast, durable) = populate_tiered_cas(4);
+        let victim = cas_files(&fast).remove(0);
+        flip_payload_bit(&fast, &victim);
+        let before = (tree_of(&fast), tree_of(&durable));
+        let (fast_probe, fast_reads) = probe(&fast, Duration::ZERO);
+        let (durable_probe, durable_reads) = probe(&durable, Duration::ZERO);
+        let roots = ["/".to_string()];
+        let sum = run_tiered(&fast_probe, &durable_probe, &roots, &repair());
+        assert!(sum.is_clean() && sum.damage.is_clean(), "{sum}");
+        let victim_reads = |log: &ReadLog| {
+            let reads = log.lock();
+            let reads = reads.iter().filter(|r| r.0 == victim);
+            reads.map(|r| (r.1, r.2)).collect::<Vec<_>>()
+        };
+        assert_eq!(victim_reads(&fast_reads), [(0, FRAME_HEADER_LEN as usize)]);
+        assert_eq!(victim_reads(&durable_reads), []);
+        assert!((tree_of(&fast), tree_of(&durable)) == before, "{sum}");
+
+        let deep = FsckOptions {
+            payloads: Payloads::All,
+            ..repair()
+        };
+        let sum = run_tiered(&fast, &durable, &roots, &deep);
+        let damage = DamageCounts {
+            bad_payload_checksum: 1,
+            tier_diverged: 1,
+            ..DamageCounts::default()
+        };
+        assert_eq!(sum.damage, damage, "{sum}");
+        assert!(
+            sum.reports.iter().all(|r| r.path == victim && !r.repaired),
+            "{sum}"
+        );
+        assert!(tree_of(&durable) == before.1, "{sum}");
+        assert_durable_restarts(&durable, &distinct(0, 4));
     }
 
     #[test]
@@ -2751,6 +3049,10 @@ mod tests {
         for threads in [1, 4] {
             let dry = run(&store, &roots, &opts(threads));
             assert_eq!(dry.damage.bad_header_crc, 1, "{dry}");
+            // The keyed restart read below serves every byte: nothing
+            // that names the chunk dangles.
+            let refs = (dry.damage.orphaned_refs, dry.damage.dangling_manifest_refs);
+            assert_eq!(refs, (0, 0), "{dry}");
             let mut fix = repair();
             fix.threads = threads;
             let fixed = run(&store, &roots, &fix);
@@ -2828,8 +3130,9 @@ mod tests {
         let roots = ["/".to_string()];
         let dry = run(&store, &roots, &opts(1));
         let refs = |d: DamageCounts| (d.orphaned_refs, d.dangling_manifest_refs);
-        // The sealed log's 5 REF frames, the live logs' 20, 5 records.
-        assert_eq!((refs(dry.damage), dry.damage.bad_header_crc), ((25, 5), 25));
+        // The live logs' 20 REF frames; the sealed chunks, never cut,
+        // still hold every byte their records name.
+        assert_eq!((refs(dry.damage), dry.damage.bad_header_crc), ((20, 0), 25));
         let mut first = None;
         for threads in [1, 2, 4, 16].repeat(3) {
             let (copy, mut repair) = (copy_of(&store), repair());
@@ -2891,7 +3194,7 @@ mod tests {
 
     // -- the plan -----------------------------------------------------
 
-    use Action::{Barrier, Redrain, Truncate, Unlink};
+    use Action::{Barrier, Redrain, Settle, Truncate, Unlink, Withhold};
 
     /// A resolved finding: `torn` bytes past a clean length of 100.
     fn resolved(kind: FileKind, torn: u64, damaged: fn(&mut DamageCounts)) -> Finding {
@@ -2953,6 +3256,64 @@ mod tests {
             (d.orphaned_chunks, d.tier_stranded) = (1, 1)
         });
         assert_eq!((one, two), (vec![Unlink(0)], vec![Unlink(0), Barrier]));
+    }
+
+    /// A manifest's re-drain runs after every other, and only if they
+    /// all returned `Ok`.
+    #[test]
+    fn plan_redrains_a_manifest_after_every_other_file() {
+        let mut found = [
+            resolved(FileKind::Manifest, 0, |d| d.tier_stranded = 1),
+            resolved(FileKind::FrameLog, 0, |d| d.tier_stranded = 1),
+            resolved(FileKind::FrameLog, 7, |d| d.torn_tails = 1),
+        ];
+        found[0].report.path = manifest_path(3);
+        let steps = plan(&found, true);
+        assert_eq!(
+            steps[1..],
+            [
+                Barrier,
+                Redrain(1, false),
+                Redrain(2, true),
+                Settle,
+                Redrain(0, false)
+            ]
+        );
+        assert_eq!(
+            plan(&found[1..], true),
+            [
+                Truncate(1, 100),
+                Barrier,
+                Redrain(0, false),
+                Redrain(1, true)
+            ]
+        );
+    }
+
+    /// `--deep` fails a fast copy's digest: the durable copy may be the
+    /// only good one, so it is not re-drained over.
+    #[test]
+    fn plan_never_redrains_a_fast_copy_that_failed_its_digest() {
+        let [one, two] = plans(FileKind::FrameLog, 0, |d| {
+            (d.bad_payload_checksum, d.tier_diverged) = (1, 1)
+        });
+        assert_eq!((one, two), (vec![], vec![Barrier]));
+    }
+
+    /// A fast copy left out for its digest may be a chunk a stranded
+    /// manifest names, so that manifest's re-drain is withheld.
+    #[test]
+    fn plan_withholds_a_manifest_once_a_fast_copy_was_left_out() {
+        let mut found = [
+            resolved(FileKind::Manifest, 0, |d| d.tier_stranded = 1),
+            resolved(FileKind::FrameLog, 0, |d| {
+                (d.bad_payload_checksum, d.tier_stranded) = (1, 1)
+            }),
+            resolved(FileKind::FrameLog, 0, |d| d.tier_stranded = 1),
+        ];
+        found[0].report.path = manifest_path(3);
+        let steps = [Barrier, Redrain(2, false), Settle, Withhold(0)];
+        assert_eq!(plan(&found, true), steps);
     }
 
     #[test]

@@ -407,7 +407,8 @@ impl SnapshotStore {
 
     /// Seals the current epoch: merges every staged file's records onto
     /// its carried history (compacted, see [`manifest::compact`]),
-    /// copying each degraded chunk into the store on the way, writes +
+    /// copying each degraded chunk into the store on the way, runs the
+    /// backend's [`drain_barrier`](Backend::drain_barrier), writes +
     /// syncs the epoch manifest, bumps refcounts for its chunks, and
     /// retires manifests beyond the retention window (the newest
     /// `keep_epochs`, pinned epochs excluded). Returns the sealed epoch
@@ -449,6 +450,11 @@ impl SnapshotStore {
             .map(|c| c.key())
             .collect();
         let bytes = manifest::encode(epoch, files.into_iter());
+        // Every chunk the manifest names is stored by now. On a tiered
+        // stack the barrier lands and syncs each on the durable tier
+        // before the manifest's first byte is written, so a durable
+        // manifest never outlives its chunks (DESIGN.md §9).
+        self.backend.drain_barrier()?;
         let file = self
             .backend
             .open(&manifest_path(epoch), OpenOptions::create_truncate())?;

@@ -13,7 +13,9 @@
 //! - the content store: the framed mount with dedup and snapshots, two
 //!   checkpoints each sealed as an epoch, the second rewriting every
 //!   other chunk — the cut hits a chunk file, a REF frame of a live log
-//!   or a manifest.
+//!   or a manifest;
+//! - the content store over `Tiered(Mem, FaultyBackend(Mem))`, where the
+//!   cut hits the drain of any of those to the durable tier.
 //!
 //! After the power comes back every cut must meet the same oracle:
 //!
@@ -29,7 +31,16 @@
 //!   fired, and then the two tiers are byte-identical;
 //! - on the content store, the sealed epochs are exactly those whose
 //!   seal returned `Ok`, and each restarts byte-exact: a cut between the
-//!   chunk syncs and the manifest leaves the previous epoch restartable.
+//!   chunk syncs and the manifest leaves the previous epoch restartable
+//!   (on the tiered content store, from the durable tier alone).
+//!
+//! A prefix cut keeps every write before it. A power cut keeps what was
+//! synced and any subset of the rest (`MemBackend::crashing_after`, the
+//! first step of a crash model built from what was synced): the tiered
+//! content store's durable tier is cut at every step of two seals and
+//! rebuilt from several seeded subsets, and every epoch whose barrier
+//! returned `Ok` restarts byte-exact from it, while no durable manifest
+//! names a missing or short chunk.
 //!
 //! Two more classes flip a bit in a chunk file's payload, where a crash
 //! leaves the frame's structure whole: in a chunk a sealed manifest
@@ -295,27 +306,40 @@ fn two_sealed_epochs(backend: &Arc<dyn Backend>) -> (Vec<Vec<bool>>, Vec<bool>) 
 }
 
 /// The sealed epochs on `fs` are exactly those whose seal returned
-/// `Ok`, and epoch `e` restarts as checkpoint `e + 1`, byte for byte.
-fn assert_sealed_epochs_exact(fs: &Arc<Crfs>, sealed: &[bool], label: &str) {
+/// `Ok`, and in epoch `e` each file restarts as the last checkpoint up
+/// to `e + 1` that `acked` it, byte for byte.
+fn assert_sealed_epochs_exact(fs: &Arc<Crfs>, sealed: &[bool], acked: &[Vec<bool>], label: &str) {
     let epochs: Vec<u64> = (0..sealed.len() as u64)
         .filter(|&e| sealed[e as usize])
         .collect();
     assert_eq!(fs.snapshot_epochs(), epochs, "{label}: sealed epochs");
     for epoch in epochs {
-        for file in 0..FILES {
-            let f = fs.open_restart(&path(file), epoch).expect("restart view");
-            let mut got = vec![0u8; CHUNK];
-            for idx in 0..CHUNKS {
-                let n = f
-                    .read_at(idx * CHUNK as u64, &mut got)
-                    .expect("sealed chunk");
-                assert!(
-                    n == CHUNK && got == image_payload(epoch + 1, file, idx),
-                    "{label}: epoch {epoch}, file {file}, chunk {idx} served wrong bytes"
-                );
-            }
-            f.close().unwrap();
+        let image = |file| (1..=epoch + 1).rev().find(|&i| acked[i as usize - 1][file]);
+        assert_epoch_exact(
+            fs,
+            epoch,
+            |file| image(file).expect("a sealed file was acked"),
+            label,
+        );
+    }
+}
+
+/// Epoch `epoch` on `fs` restarts each file as checkpoint
+/// `image(file)`, byte for byte.
+fn assert_epoch_exact(fs: &Arc<Crfs>, epoch: u64, image: impl Fn(usize) -> u64, label: &str) {
+    for file in 0..FILES {
+        let f = fs.open_restart(&path(file), epoch).expect("restart view");
+        let mut got = vec![0u8; CHUNK];
+        for idx in 0..CHUNKS {
+            let at = format!("{label}: epoch {epoch}, file {file}, chunk {idx}");
+            let n = f.read_at(idx * CHUNK as u64, &mut got);
+            let n = n.unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert!(
+                n == CHUNK && got == image_payload(image(file), file, idx),
+                "{at}: wrong bytes"
+            );
         }
+        f.close().unwrap();
     }
 }
 
@@ -340,15 +364,144 @@ fn content_store_cut_at_every_write_repairs_and_restarts_every_sealed_epoch() {
             let backend: Arc<dyn Backend> = Arc::clone(&faulty) as Arc<dyn Backend>;
             let (acked, sealed) = two_sealed_epochs(&backend);
             assert!(faulty.is_dead(), "{label}: the cut never fired");
+            let whole = |e: usize| acked[e].iter().all(|&a| a);
+            assert!(
+                (0..2).all(|e| !sealed[e] || whole(e)),
+                "{label}: sealed unacked"
+            );
             faulty.revive();
 
             assert_repairs_clean(|opts| fsck::run(&backend, &all, opts), &label);
             let fs = Crfs::mount(backend, snap_config()).expect("remount");
             assert_live_files_exact(&fs, &acked[1], &[1, 2], &label);
-            assert_sealed_epochs_exact(&fs, &sealed, &label);
+            assert_sealed_epochs_exact(&fs, &sealed, &acked, &label);
             fs.unmount().expect("unmount");
         }
     }
+}
+
+/// Two checkpoints on the content store over `Tiered(Mem, durable)`,
+/// each sealed as an epoch, then the stack dropped (its drain workers
+/// joined). Returns the fast tier, per checkpoint which files were
+/// acked and whether the epoch's barrier returned `Ok`, and the epochs
+/// the mount sealed.
+fn two_tiered_epochs(
+    durable: Arc<dyn Backend>,
+) -> (Arc<MemBackend>, Vec<Vec<bool>>, Vec<bool>, Vec<u64>) {
+    let fast = Arc::new(MemBackend::new());
+    let tiered = TieredBackend::from_config(
+        Arc::clone(&fast) as Arc<dyn Backend>,
+        durable,
+        &snap_config(),
+    );
+    let fs = Crfs::mount(Arc::new(tiered), snap_config()).unwrap();
+    let (mut acked, mut barriers) = (Vec::new(), Vec::new());
+    for image in 1..=2 {
+        acked.push(checkpoint(&fs, image));
+        barriers.push(fs.advance_epoch().is_ok());
+    }
+    let sealed = fs.snapshot_epochs();
+    let _ = fs.unmount();
+    (fast, acked, barriers, sealed)
+}
+
+#[test]
+fn tiered_content_store_cut_at_every_durable_write_restarts_every_sealed_epoch_from_the_durable_tier(
+) {
+    type Durable = FaultyBackend<MemBackend>;
+    let faulty = |mode| Arc::new(Durable::new(MemBackend::new(), mode));
+    let ops = {
+        let durable = faulty(FailureMode::None);
+        let (_, acked, barriers, sealed) = two_tiered_epochs(durable.clone());
+        assert_eq!(
+            (acked, barriers),
+            (vec![vec![true; FILES]; 2], vec![true; 2])
+        );
+        assert_eq!(sealed, [0, 1]);
+        durable.writes_seen()
+    };
+    assert!(ops >= FILES as u64 * CHUNKS * 3 / 2, "{ops} drain writes");
+
+    let all = ["/".to_string()];
+    for op in 0..ops {
+        for byte in TORN_BYTES {
+            let label = format!("tiered content store op {op} byte {byte}");
+            let durable = faulty(FailureMode::TornWriteAt { op, byte });
+            let (fast, acked, _, sealed) = two_tiered_epochs(durable.clone());
+            assert!(durable.is_dead(), "{label}: the cut never fired");
+            durable.revive();
+
+            let (fast, durable): (Arc<dyn Backend>, Arc<dyn Backend>) = (fast, durable);
+            assert_repairs_clean(|opts| fsck::run_tiered(&fast, &durable, &all, opts), &label);
+            let fs = Crfs::mount(durable, snap_config()).expect("remount");
+            assert_live_files_exact(&fs, &acked[1], &[1, 2], &label);
+            // The epochs the mount sealed, each before the cut or after
+            // its seal's barrier landed every chunk; a file whose
+            // re-create the dead durable tier refused keeps its first
+            // checkpoint.
+            let sealed: Vec<bool> = (0..2).map(|e| sealed.contains(&e)).collect();
+            assert_sealed_epochs_exact(&fs, &sealed, &acked, &label);
+            fs.unmount().expect("unmount");
+        }
+    }
+}
+
+/// Subsets of the unsynced writes each crash state keeps.
+const CRASH_SEEDS: u64 = 4;
+
+/// One crash state of the tiered content store: the power fails at
+/// durable step `cut`, and a reboot keeps the subset `seed` draws. Every
+/// epoch whose barrier returned `Ok` restarts byte-exact from the
+/// durable tier, and no durable manifest names a missing or short
+/// chunk.
+fn assert_crash_state_restarts(cut: u64, seed: u64, durable: &MemBackend, barriers: &[bool]) {
+    let label = format!("durable step {cut}, seed {seed}");
+    let image: Arc<dyn Backend> = Arc::new(durable.crash_image(seed));
+    let sum = fsck::run(&image, &["/".to_string()], &FsckOptions::default());
+    assert_eq!(sum.damage.dangling_manifest_refs, 0, "{label}: {sum}");
+    let fs = Crfs::mount(image, snap_config()).expect("remount");
+    let epochs = fs.snapshot_epochs();
+    for epoch in (0..barriers.len() as u64).filter(|&e| barriers[e as usize]) {
+        assert!(epochs.contains(&epoch), "{label}: epoch {epoch} is gone");
+        assert_epoch_exact(&fs, epoch, |_| epoch + 1, &label);
+    }
+    fs.unmount().expect("unmount");
+}
+
+/// The durable tier of the tiered content store from each step of two
+/// seals on, [`CRASH_SEEDS`] subsets each.
+#[test]
+fn tiered_content_store_crash_states_from_what_was_synced_restart_every_acked_epoch() {
+    let run = |cut: u64| {
+        let durable = Arc::new(MemBackend::crashing_after(cut));
+        let (_, _, barriers, _) = two_tiered_epochs(durable.clone());
+        (durable, barriers)
+    };
+    let (durable, barriers) = run(u64::MAX);
+    assert_eq!(barriers, [true, true]);
+    let steps = durable.crash_steps();
+    assert!(
+        steps >= FILES as u64 * CHUNKS * 3 / 2,
+        "{steps} durable steps"
+    );
+    for cut in 0..=steps {
+        let (durable, barriers) = run(cut);
+        for seed in 0..CRASH_SEEDS {
+            assert_crash_state_restarts(cut, seed, &durable, &barriers);
+        }
+    }
+}
+
+/// The first crash state the sweep above found while the drain wrote a
+/// manifest's durable copy before the barrier synced its chunks: the
+/// power fails at durable step 37, and seed 2 keeps the manifest of
+/// epoch 0 but not 7 of the chunk writes it names.
+#[test]
+fn a_durable_manifest_never_outlives_its_chunks() {
+    let (cut, seed) = (37, 2);
+    let durable = Arc::new(MemBackend::crashing_after(cut));
+    let (_, _, barriers, _) = two_tiered_epochs(durable.clone());
+    assert_crash_state_restarts(cut, seed, &durable, &barriers);
 }
 
 /// The content store's chunk files.

@@ -5,7 +5,9 @@
 
 use std::sync::Arc;
 
-use crfs::core::backend::{Backend, FailureMode, FaultyBackend, MemBackend, OpenOptions};
+use crfs::core::backend::{
+    Backend, FailureMode, FaultyBackend, MemBackend, OpenOptions, TieredBackend,
+};
 use crfs::core::{Crfs, CrfsConfig, CrfsError, Vfs};
 
 fn small_config() -> CrfsConfig {
@@ -814,18 +816,21 @@ fn a_failed_seal_keeps_the_history() {
     }
 }
 
-/// A durable tier that records the path of every `sync`, in order, and
-/// fails the sync of any path under `fail`.
+/// Every `write_at` and `sync` a [`SyncLog`] saw, in order: op and path.
+type OpLog = Arc<std::sync::Mutex<Vec<(&'static str, String)>>>;
+
+/// A durable tier that records every `write_at` and `sync`, in order,
+/// and fails the sync of any path under `fail`.
 struct SyncLog {
     inner: MemBackend,
-    synced: Arc<std::sync::Mutex<Vec<String>>>,
+    ops: OpLog,
     fail: Option<&'static str>,
 }
 
 struct SyncLogFile {
     inner: Box<dyn crfs::core::BackendFile>,
     path: String,
-    synced: Arc<std::sync::Mutex<Vec<String>>>,
+    ops: OpLog,
     fails: bool,
 }
 
@@ -841,7 +846,7 @@ impl Backend for SyncLog {
         Ok(Box::new(SyncLogFile {
             inner: self.inner.open(path, opts)?,
             path: path.to_string(),
-            synced: Arc::clone(&self.synced),
+            ops: Arc::clone(&self.ops),
             fails: self.fail.is_some_and(|fail| path.starts_with(fail)),
         }))
     }
@@ -853,10 +858,37 @@ impl crfs::core::BackendFile for SyncLogFile {
         if self.fails {
             return Err(std::io::Error::other("injected sync failure"));
         }
-        self.synced.lock().unwrap().push(self.path.clone());
+        self.ops.lock().unwrap().push(("sync", self.path.clone()));
         self.inner.sync()
     }
-    crfs::core::forward_file_ops!(inner: write_at, read_at, len, set_len);
+    fn write_at(&self, offset: u64, data: &[u8]) -> std::io::Result<()> {
+        self.ops.lock().unwrap().push(("write", self.path.clone()));
+        self.inner.write_at(offset, data)
+    }
+    crfs::core::forward_file_ops!(inner: read_at, len, set_len);
+}
+
+/// A tiered dedup mount whose durable tier is a [`SyncLog`] failing the
+/// syncs under `fail`, and the log.
+fn sync_logged(
+    fail: Option<&'static str>,
+) -> (Arc<Crfs>, Arc<FaultyBackend<TieredBackend>>, OpLog) {
+    let ops = OpLog::default();
+    let durable = SyncLog {
+        inner: MemBackend::new(),
+        ops: Arc::clone(&ops),
+        fail,
+    };
+    let tiered = TieredBackend::from_config(
+        Arc::new(MemBackend::new()),
+        Arc::new(durable),
+        &CrfsConfig::default(),
+    );
+    let be = Arc::new(FaultyBackend::new(tiered, FailureMode::None));
+    let config = small_config().with_codec(CodecKind::Lz).with_dedup(true);
+    let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config).unwrap();
+    fs.mkdir("/ckpt").unwrap();
+    (fs, be, ops)
 }
 
 /// fsck trusts what a sealed manifest names, so on a tiered stack the
@@ -865,28 +897,19 @@ impl crfs::core::BackendFile for SyncLogFile {
 /// the content store — and no manifest once the user file's sync failed.
 #[test]
 fn the_durable_barrier_syncs_the_manifest_last() {
-    use crfs::core::backend::TieredBackend;
     let at = |synced: &[String], wanted: &str| synced.iter().position(|p| p.starts_with(wanted));
     for fail in [None, Some("/ckpt/a")] {
-        let synced = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let durable = SyncLog {
-            inner: MemBackend::new(),
-            synced: Arc::clone(&synced),
-            fail,
-        };
-        let tiered = TieredBackend::from_config(
-            Arc::new(MemBackend::new()),
-            Arc::new(durable),
-            &CrfsConfig::default(),
-        );
-        let be = Arc::new(FaultyBackend::new(tiered, FailureMode::None));
-        let config = small_config().with_codec(CodecKind::Lz).with_dedup(true);
-        let fs = Crfs::mount(be.clone() as Arc<dyn Backend>, config).unwrap();
-        fs.mkdir("/ckpt").unwrap();
+        let (fs, be, ops) = sync_logged(fail);
         write_file(&fs, "/ckpt/a", &transform_payload(1024), |m| be.set_mode(m));
-        synced.lock().unwrap().clear();
+        ops.lock().unwrap().clear();
         let advanced = fs.advance_epoch();
-        let synced = synced.lock().unwrap().clone();
+        let synced: Vec<String> = ops
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|op| op.0 == "sync")
+            .map(|op| op.1.clone())
+            .collect();
         let manifest = at(&synced, "/.crfs-snap/manifest-");
         if fail.is_some() {
             assert!(advanced.is_err(), "a failed sync passed the barrier");
@@ -899,4 +922,85 @@ fn the_durable_barrier_syncs_the_manifest_last() {
         assert!(user < manifest, "the manifest synced first: {synced:?}");
         fs.unmount().unwrap();
     }
+}
+
+/// Persistence is ordered, not only the syncs: the seal writes its
+/// manifest only once a barrier has synced every durable write before
+/// it, so whatever writeback persists first, no durable manifest
+/// outlives the chunks it names.
+#[test]
+fn the_durable_tier_sees_a_manifest_written_after_every_other_sync() {
+    let (fs, be, ops) = sync_logged(None);
+    for epoch in 0..2 {
+        let name = format!("/ckpt/r{epoch}");
+        // The second epoch's chunk lands inline, and the seal copies it.
+        let degraded = |m| {
+            if epoch == 1 {
+                be.set_mode(m)
+            }
+        };
+        write_file(&fs, &name, &transform_payload(3000 + epoch), degraded);
+        fs.advance_epoch().unwrap();
+    }
+    fs.unmount().unwrap();
+    let ops = ops.lock().unwrap().clone();
+    let manifest = |path: &str| path.starts_with("/.crfs-snap/manifest-");
+    let mut manifests = 0;
+    for (at, (op, path)) in ops.iter().enumerate() {
+        if *op != "write" || !manifest(path) || ops[..at].iter().any(|o| o == &ops[at]) {
+            continue;
+        }
+        manifests += 1;
+        // Every other path written before it was synced since.
+        for (written, (_, other)) in ops[..at].iter().enumerate().filter(|(_, o)| o.0 == "write") {
+            let synced = ops[written..at]
+                .iter()
+                .any(|o| o.0 == "sync" && o.1 == *other);
+            assert!(
+                manifest(other) || synced,
+                "{path} written before {other} synced: {ops:?}"
+            );
+        }
+    }
+    assert_eq!(manifests, 2, "{ops:?}");
+}
+
+/// A chunk copy the drain lost stays owed after the barrier that
+/// reported it. The next epoch writes the same bytes, so it reuses the
+/// chunks and writes none of them again; its seal's barrier re-drains
+/// them before the manifest that names them, and the newest sealed
+/// epoch restarts from the durable tier alone.
+#[test]
+fn a_lost_chunk_copy_is_redrained_before_a_later_manifest_names_it() {
+    use crfs::core::fsck::{self, FsckOptions};
+    let fast: Arc<dyn Backend> = Arc::new(MemBackend::new());
+    let durable = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
+    let tiered = TieredBackend::from_config(
+        Arc::clone(&fast),
+        durable.clone() as Arc<dyn Backend>,
+        &CrfsConfig::default(),
+    );
+    let config = small_config().with_codec(CodecKind::Lz).with_dedup(true);
+    let fs = Crfs::mount(Arc::new(tiered), config.clone()).unwrap();
+    fs.mkdir("/ckpt").unwrap();
+    let x = transform_payload(4096);
+    durable.set_mode(FailureMode::FailWritesAfter(0));
+    write_file(&fs, "/ckpt/a", &x, |_| ());
+    assert!(
+        fs.advance_epoch().is_err(),
+        "the lost copies passed the barrier"
+    );
+    durable.set_mode(FailureMode::None);
+    write_file(&fs, "/ckpt/a", &x, |_| ());
+    fs.advance_epoch().unwrap();
+    let newest = *fs.snapshot_epochs().last().expect("an epoch sealed");
+    fs.unmount().unwrap();
+
+    let durable: Arc<dyn Backend> = durable;
+    let sum = fsck::run_tiered(&fast, &durable, &["/".to_string()], &FsckOptions::default());
+    assert!(sum.damage.is_clean(), "{sum}");
+    let fs = Crfs::mount(durable, config).unwrap();
+    assert_eq!(restart(&fs, "/ckpt/a", newest, x.len()), x);
+    assert_eq!(fs.stats().integrity_failures, 0);
+    fs.unmount().unwrap();
 }

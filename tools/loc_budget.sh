@@ -152,6 +152,29 @@
 # `crfs-core/src` +12: the sealed-chunk and foreign-REF fsck checks,
 # net of the version-1 manifest test and the REF / record shape pins
 # folded into the synthesized-log test.
+# 43,126 -> 44,140 with the seal vouching on both tiers: +1,014
+# lines, 629 of them tests. Product +385: `backend/mem.rs` +192 (the
+# crash model: each file's synced image and its changes since, the
+# step at which the power fails, `crash_image` and its seeded coin; 22
+# comment lines net), `fsck.rs` +98 (the durable manifests as the
+# tiered trust boundary, manifests re-drained last behind `Settle` and
+# withheld once a fast copy was left out, no re-drain of a fast copy
+# that failed its digest, a sealed chunk's references resolved against
+# its record), `backend/tiered.rs` +72 (the owed files in place of a
+# lost count, the barrier's re-drain of each one an earlier barrier
+# reported, the sync failure owed too; the manifest-last sort and the
+# `is_manifest` it needed gone), `backend/mod.rs` +16 (`mkdir_parents`,
+# shared with the fsck re-drain, which lost its own copy) and the
+# seal's barrier before the manifest (`snapshot/mod.rs` +6; `fs.rs`
+# +1 says why). Tests:
+# the tiered content-store crash cuts, the crash states from what was
+# synced and the committed seed (`tests/crash_cuts.rs` +152), the
+# write/sync order over a logging durable tier and a chunk copy lost
+# in one epoch and reused in the next (`tests/failure_injection.rs`
+# +104), in `fsck.rs` +263 the rewritten read counts, the fast-only
+# manifest, the re-drain order and its failure, the deep repair, the
+# withheld manifest and three plan cases, the owed files and their walk
+# (`tiered.rs` +80) and the crash model's unit test (`mem.rs` +30).
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -160,7 +183,7 @@
 # adds it.
 set -eu
 
-CEILING=43126
+CEILING=44140
 UNSAFE_CEILING=0
 
 cd "$(dirname "$0")/.."
