@@ -336,23 +336,18 @@ pub(crate) fn read_exact_at(file: &dyn BackendFile, offset: u64, buf: &mut [u8])
     Ok(())
 }
 
-/// Most reads [`read_heads`] keeps in flight: a few hundred small
+/// Most reads [`read_batch`] keeps in flight: a few hundred small
 /// recovery reads over a 1 ms store cost a round trip or two.
 pub(crate) const READ_BATCH: usize = 256;
 
-/// Reads the first `want(len)` bytes of each file — whole manifests,
-/// chunk headers — with up to [`READ_BATCH`] reads in flight when the
-/// store takes asynchronous reads ([`BackendFile::begin_read_at`]). A
-/// read the store declines is read blocking on the spot if `block`;
-/// otherwise it ends the batch, and the result holds only the files
-/// before it. Files are taken from `files` as they are read and dropped
-/// once their read is begun (its bytes have landed by then), so an
-/// ended batch opens nothing more and a batch of any length holds one
-/// open handle.
-pub(crate) fn read_heads<'f, K, F: Borrow<dyn BackendFile + 'f>>(
+/// Reads each of `files` whole — the retained manifests — with up to
+/// [`READ_BATCH`] reads in flight when the store takes asynchronous
+/// reads ([`BackendFile::begin_read_at`]); a read the store declines is
+/// read blocking on the spot. Files are taken from `files` as they are
+/// read and dropped once their read is begun (its bytes have landed by
+/// then), so a batch of any length holds one open handle.
+pub(crate) fn read_batch<'f, K, F: Borrow<dyn BackendFile + 'f>>(
     files: impl IntoIterator<Item = (K, F)>,
-    want: impl Fn(u64) -> u64,
-    block: bool,
 ) -> Vec<(K, io::Result<Vec<u8>>)> {
     let (tx, rx) = std::sync::mpsc::channel();
     let sink: Arc<dyn CompletionSink> = Arc::new(Batch(tx));
@@ -371,10 +366,9 @@ pub(crate) fn read_heads<'f, K, F: Borrow<dyn BackendFile + 'f>>(
         let read = match f.len() {
             Err(e) => Some(Err(e)),
             Ok(len) => {
-                buf.resize(want(len) as usize, 0);
+                buf.resize(len as usize, 0);
                 match f.begin_read_at(reads.len() as u64, 0, &mut buf, &sink) {
                     Ok(true) => None,
-                    Ok(false) if !block => break,
                     Ok(false) => Some(read_exact_at(f, 0, &mut buf)),
                     Err(e) => Some(Err(e)),
                 }
@@ -396,13 +390,15 @@ pub(crate) fn read_heads<'f, K, F: Borrow<dyn BackendFile + 'f>>(
         .collect()
 }
 
-/// All of `file`'s bytes: [`read_heads`] of one file.
+/// All of `file`'s bytes: [`read_batch`] of one file.
 pub(crate) fn read_whole(file: &dyn BackendFile) -> io::Result<Vec<u8>> {
-    let mut read = read_heads([((), file)], |len| len, true);
-    read.pop().expect("a blocking batch reads every file").1
+    read_batch([((), file)])
+        .pop()
+        .expect("a batch reads every file")
+        .1
 }
 
-/// Hands each completion of a [`read_heads`] batch to its caller.
+/// Hands each completion of a [`read_batch`] to its caller.
 struct Batch(std::sync::mpsc::Sender<(u64, io::Result<()>)>);
 
 impl CompletionSink for Batch {

@@ -43,15 +43,16 @@
 //!   `Ok`: the barrier waits for the queue to empty, syncs every
 //!   durable file written since the previous barrier, and fails while
 //!   any file is *owed* — its drain copy or sync failed, or a rename
-//!   reached the fast tier only — which is how a crash mid-drain
-//!   surfaces. A file stays owed until a later barrier has re-drained
-//!   it whole from the fast tier (each barrier re-drains the files an
-//!   earlier one reported) with no new loss, so no barrier returns `Ok`
-//!   while a durable file misses bytes the fast tier acknowledged, even
-//!   when nothing rewrites them (a deduplicated chunk is reused, not
-//!   written). After a crash the fast tier holds the acknowledged
-//!   prefix; the `crfs-fsck` tier-consistency pass re-drains what the
-//!   durable tier is missing (see `fsck::run_tiered`).
+//!   or a truncating open reached the fast tier only — which is how a
+//!   crash mid-drain surfaces. A file stays owed until a later barrier
+//!   has re-drained it whole from the fast tier (each barrier re-drains
+//!   the files an earlier one reported) with no new loss, so no barrier
+//!   returns `Ok` while a durable file misses bytes the fast tier
+//!   acknowledged, even when nothing rewrites them (a deduplicated
+//!   chunk is reused, not written). After a crash the fast tier holds
+//!   the acknowledged prefix; the `crfs-fsck` tier-consistency pass
+//!   re-drains what the durable tier is missing (see
+//!   `fsck::run_tiered`).
 //! - **Retention**: the fast tier keeps a full mirror, so reads serve
 //!   fast bytes. A file only the durable tier holds (the fast tier was
 //!   lost) is read straight from the durable tier; a non-truncating
@@ -423,7 +424,8 @@ impl Drain {
 
     /// Owes `path` (module docs, "Durability contract"): its durable
     /// copy misses bytes the fast tier acknowledged — a drain copy or
-    /// sync failed, or a rename reached the fast tier only. `reported`:
+    /// sync failed, or a rename or a truncating open reached the fast
+    /// tier only. `reported`:
     /// the barrier at hand reports it.
     fn lose(&mut self, path: &str, reported: bool) {
         self.losses += 1;
@@ -972,12 +974,16 @@ impl Backend for TieredBackend {
                 self.shared.flush_path(&path);
                 if self.shared.durable.exists(&path) {
                     self.shared.forget_durable(&path);
-                    drop(
-                        self.shared
-                            .durable
-                            .open(&path, OpenOptions::create_truncate())?,
-                    );
-                    self.shared.drain.lock().touch(&path);
+                    let durable = &self.shared.durable;
+                    let cut = durable.open(&path, OpenOptions::create_truncate()).is_ok();
+                    let mut d = self.shared.drain.lock();
+                    match cut {
+                        true => d.touch(&path),
+                        // Acknowledgement needs the fast tier only: owed,
+                        // the re-drain sizes the durable copy to the fast
+                        // one.
+                        false => d.lose(&path, false),
+                    }
                 }
             } else if !self.shared.fast.exists(&path) && self.shared.durable.exists(&path) {
                 // The fast copy was lost but the file exists durable: a
@@ -1539,6 +1545,37 @@ mod tests {
         assert!(be.exists("/d/duronly"));
         assert_eq!(be.file_len("/d/duronly").unwrap(), 2);
         assert_eq!(be.file_len("/d/fastonly").unwrap(), 1);
+    }
+
+    /// Acknowledgement needs the fast tier only: a truncating open whose
+    /// durable cut fails owes the file instead, and the re-drain that
+    /// answers it sizes the durable copy to the fast one.
+    #[test]
+    fn a_truncating_open_owes_a_durable_copy_it_cannot_cut() {
+        let (fast, durable_mem) = mems();
+        let durable = Arc::new(FaultyBackend::new(
+            Arc::clone(&durable_mem) as Arc<dyn Backend>,
+            FailureMode::None,
+        ));
+        let be = TieredBackend::from_config(
+            Arc::clone(&fast) as Arc<dyn Backend>,
+            Arc::clone(&durable) as Arc<dyn Backend>,
+            &CrfsConfig::default(),
+        );
+        let f = be.open("/t", OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, b"a-long-first-generation").unwrap();
+        drop(f);
+        be.drain_barrier().unwrap();
+        // The durable tier refuses every open.
+        durable.set_mode(FailureMode::FailOpen);
+        let f = be.open("/t", OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, b"short").unwrap();
+        drop(f);
+        assert!(be.drain_barrier().is_err(), "the durable cut is owed");
+        durable.revive();
+        be.drain_barrier().unwrap();
+        assert_eq!(durable_mem.contents("/t").unwrap(), b"short");
+        assert_eq!(fast.contents("/t").unwrap(), b"short");
     }
 
     #[test]

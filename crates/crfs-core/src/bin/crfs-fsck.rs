@@ -11,10 +11,11 @@
 //! chunks are registered in memory and would look like orphans.
 //!
 //! Payloads: by default a content-store chunk a sealed manifest names
-//! gets the structural walk only — the seal vouches for its bytes and a
-//! restart read verifies them — and every other DATA frame is decoded
-//! and digested (`fsck` module docs, "Trust"). `--deep` decodes every
-//! one, for an offline audit of bytes at rest; `--no-payloads` none.
+//! is counted from the directory listing, neither opened nor read — the
+//! seal vouches for its bytes and a restart read verifies them — and
+//! every other DATA frame is decoded and digested (`fsck` module docs,
+//! "Trust"). `--deep` reads and decodes every one, for an offline audit
+//! of bytes at rest; `--no-payloads` decodes none.
 //!
 //! With `--fast <dir>` the target is a two-tier stack (DESIGN.md §9):
 //! `<dir>` is the durable tier, `--fast` the fast tier. The structural
@@ -65,8 +66,8 @@ fn usage() -> ExitCode {
                           and their reads, not their checks, take the time)\n\
            --deep         decode + checksum every payload, sealed chunks too\n\
                           (by default a content-store chunk a sealed manifest\n\
-                          names gets the structural walk only: the seal\n\
-                          vouches for it and every restart read verifies it)\n\
+                          names is counted from the listing, not read: the\n\
+                          seal vouches for it and every restart read verifies it)\n\
            --no-payloads  decode no payload (structural walk only)\n\
            --fast <dir>   treat <dir> as the durable tier of a tiered stack\n\
                           with this fast tier: the same sweep compares each\n\

@@ -21,37 +21,45 @@
 //!
 //! **Trust.** A crash can tear only what was written since the last
 //! seal: a content-store chunk a sealed manifest names was synced
-//! before that manifest was written, and every restart read decodes
-//! and verifies its bytes anyway, so a bad byte there is a detected
-//! error, never a served one. Before the sweep, fsck reads the
+//! before that manifest was written (by `store_chunk`'s sync, and on
+//! two tiers by the seal's drain barrier too), and every restart read
+//! decodes and verifies its bytes anyway, so a bad byte there is a
+//! detected error, never a served one. Before the sweep, fsck reads the
 //! manifests under [`SNAP_DIR`], and [`FsckOptions::payloads`] picks
-//! what is decoded:
+//! what is checked:
 //!
 //! - [`Payloads::Unsealed`] (the default): a content-store chunk whose
-//!   key a decodable manifest names, and whose header agrees with that
-//!   record (one DATA frame: codec, format, lengths, check, offset 0),
-//!   gets the structural walk only. Every other frame log — user logs,
-//!   the chunks of an open or crashed epoch, chunks only an
-//!   undecodable manifest names — is decoded and digested.
-//! - [`Payloads::All`] (`crfs-fsck --deep`): every DATA frame, for
-//!   offline audits of bytes at rest.
-//! - [`Payloads::Skip`] (`--no-payloads`): none.
+//!   key a decodable manifest names is counted straight from the
+//!   directory listing of the tier that manifest was read from, neither
+//!   opened nor read. Its clean length is the one its record names, so
+//!   every reference to it resolves, and one missing from that listing
+//!   leaves the records that name it dangling. A short or rotted chunk
+//!   at rest is left to the restart read and to `--deep`. Every other
+//!   frame log — user logs, the chunks of an open or crashed epoch,
+//!   chunks only an undecodable manifest names — is walked, decoded and
+//!   digested.
+//! - [`Payloads::All`] (`crfs-fsck --deep`): every file is walked and
+//!   every DATA frame decoded, for offline audits of bytes at rest.
+//! - [`Payloads::Skip`] (`--no-payloads`): as the default, but no DATA
+//!   frame is decoded.
 //!
 //! On two tiers ([`run_tiered`]) the trust boundary is the set of
-//! manifests that decode **on the durable tier**: a seal writes its
-//! manifest only after a drain barrier has landed and synced every
-//! chunk it names, and no barrier returns `Ok` while a durable file
-//! misses acknowledged bytes (`backend::tiered`, "Durability
-//! contract"), so a durable manifest never outlives its chunks. A chunk
-//! such a manifest names gets the single-tier treatment — no tier
-//! compare, no re-drain — and [`Payloads::All`] compares it too. A
-//! manifest only the fast tier holds (the crash came before it drained)
-//! vouches for nothing: its chunks are decoded, compared and re-drained
-//! like any unsealed file.
+//! manifests that decode **on the durable tier**, and the listing that
+//! vouches for a chunk is the durable tier's one listing of
+//! [`CAS_DIR`]: a seal writes its manifest only after a drain barrier
+//! has landed and synced every chunk it names, and no barrier returns
+//! `Ok` while a durable file misses acknowledged bytes
+//! (`backend::tiered`, "Durability contract"), so a durable manifest
+//! never outlives its chunks. A chunk such a manifest names that the
+//! durable tier does not list is walked, decoded and compared like an
+//! unsealed file, so it is found stranded and re-drained. A manifest
+//! only the fast tier holds (the crash came before it drained) vouches
+//! for nothing: its chunks are decoded, compared and re-drained like
+//! any unsealed file.
 //!
-//! [`FsckSummary::trusted_payloads`] counts the DATA frames a sweep
-//! checked by structure only, so a clean default sweep never reads as
-//! "every payload decoded".
+//! [`FsckSummary::trusted_payloads`] counts the DATA frames a sweep did
+//! not decode, so a clean default sweep never reads as "every payload
+//! decoded".
 //!
 //! **Repair** checks, then plans, then applies. The sweep is read-only:
 //! per file a checker returns its kind, its own damage, its clean length
@@ -64,12 +72,13 @@
 //! record names whenever the file holds them: a damaged header alone
 //! loses no byte a keyed read serves. [`FsckOptions::repair`] then runs
 //! one ordered list, made with no IO: unlink torn manifests and orphan
-//! chunks, truncate torn tails, and on two tiers drain, sweep staging
-//! files and re-drain — never a fast copy that failed its digest, which
-//! would overwrite the durable copy that may be the only good one, and
-//! manifests last: only once every other re-drain has synced, and none
-//! once a fast copy was left out for its digest (it may be a chunk one
-//! names).
+//! chunks, truncate torn tails, and on two tiers restore, drain, sweep
+//! staging files and re-drain. A sealed chunk's fast copy that failed
+//! its check is restored from its durable copy when that one decodes to
+//! its record's digest, and is never re-drained: that would overwrite
+//! the durable copy that may be the only good one. Manifests re-drain
+//! last: only once every other re-drain has synced, and none once a
+//! fast copy was left out for its digest (it may be a chunk one names).
 //! In-bounds damage (a DATA frame failing its checksum, a reference its
 //! origin cannot hold) is *reported, not repaired*: truncating would
 //! discard good frames past it, and the read path surfaces it as an
@@ -80,27 +89,24 @@
 //! read: the sweep then counts no orphan chunks, and a store with such
 //! a manifest is reported and left exactly as it is.
 //!
-//! **Reads.** A checker reads each file through a reused read-only
-//! window (4 MiB plus a header) handed to the unchanged
+//! **Reads.** Outside `--deep` a chunk the seal vouches for costs no
+//! open and no read. A checker reads every other file through a reused
+//! read-only window (4 MiB plus a header) handed to the unchanged
 //! [`FileHead::read`] / [`walk_frames`] as their `BackendFile`. A file
 //! that fits is fetched by one read; a bigger one reads its 40-byte
-//! head (a raw image stops there), then window-sized reads. A chunk the
-//! seal vouches for and whose payload is not decoded is read for its
-//! head alone, and in [`run`] a manifest not at all: the sweep reuses
-//! the bytes read before it. Over a store that takes asynchronous reads
-//! ([`BackendFile::begin_read_at`]) those go out as batches of up to 256
-//! in flight before the sweep — every manifest, then in [`run`] the
-//! header of every chunk a decodable manifest names under the roots —
-//! on one open handle; a synchronous store declines the first, which
-//! ends that batch. [`run_tiered`] reads the manifests from the durable
-//! tier before the sweep, and the sweep reads the union view, where the
-//! fast copy wins: a sealed chunk's header, and every other file whole,
-//! whose durable copy is read right after its check and compared with
-//! the fast bytes still in the window. So the durable tier reads the
-//! unsealed files once each and the manifests twice (before the sweep
-//! and for their compare), and the fast tier every file once. A
-//! checker owns every buffer a file needs (the window, a frame's stored
-//! and decoded bytes, the durable copy, a re-drain's copy).
+//! head (a raw image stops there), then window-sized reads. The
+//! manifests are read before the sweep, on one open handle, as a batch
+//! of up to 256 in flight over a store that takes asynchronous reads
+//! ([`BackendFile::begin_read_at`]); in [`run`] the sweep checks a
+//! manifest from those bytes. [`run_tiered`] reads the manifests from
+//! the durable tier, and the sweep reads the union view, where the fast
+//! copy wins: every file it visits whole, whose durable copy is read
+//! right after its check and compared with the fast bytes still in the
+//! window. So the durable tier reads the unsealed files once each and
+//! the manifests twice (before the sweep and for their compare), and
+//! the fast tier every file it visits once. A checker owns every buffer
+//! a file needs (the window, a frame's stored and decoded bytes, the
+//! durable copy, a re-drain's copy).
 //!
 //! **Checkers.** A pFSCK-style work-stealing pool: each checker owns a
 //! deque seeded round-robin with the roots, pushes a directory's
@@ -125,7 +131,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::backend::{
-    basename_of, mkdir_parents, parent_of, read_exact_at, read_heads, read_whole, Backend,
+    basename_of, mkdir_parents, parent_of, read_batch, read_exact_at, read_whole, Backend,
     BackendFile, OpenOptions,
 };
 use crate::obs::Histogram;
@@ -164,8 +170,8 @@ pub struct FsckOptions {
     pub payloads: Payloads,
 }
 
-/// Which DATA-frame payloads a sweep decodes and digests; the rest get
-/// the structural walk only (module docs, "Trust").
+/// Which DATA-frame payloads a sweep decodes and digests (module docs,
+/// "Trust").
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Payloads {
     /// None.
@@ -291,8 +297,8 @@ pub struct FsckSummary {
     pub manifests: u64,
     /// Frames walked across all files.
     pub frames: u64,
-    /// DATA frames checked by structure only: their payloads were
-    /// neither decoded nor digested ([`FsckOptions::payloads`]).
+    /// DATA frames whose payloads were neither decoded nor digested
+    /// ([`FsckOptions::payloads`]).
     pub trusted_payloads: u64,
     /// Damage totals across all files.
     pub damage: DamageCounts,
@@ -329,8 +335,12 @@ struct Finding {
     /// end the referenced frame needs there.
     refs: Vec<(String, u64)>,
     /// A content-store chunk a decodable manifest names (on two tiers,
-    /// a durable one): never cut, and on two tiers not compared.
+    /// a durable one): never cut, and outside a deep pass counted from
+    /// a listing when that lists it.
     sealed: bool,
+    /// Two tiers: a sealed chunk whose fast copy failed its check while
+    /// its durable copy decodes to its record's digest.
+    restorable: bool,
     /// The file names content of another format: a manifest of another
     /// version, or a REF frame of another frame format.
     foreign: bool,
@@ -343,6 +353,15 @@ impl Finding {
         let damage = &self.report.damage;
         damage.orphaned_chunks > 0
             || (self.report.kind == FileKind::Manifest && damage.torn_tails > 0)
+    }
+
+    /// Whether the copy checked failed its check in a way a re-drain
+    /// would spread: a payload that fails its digest, or a sealed
+    /// chunk's damage, which no repair cuts away.
+    fn spoilt(&self) -> bool {
+        let damage = &self.report.damage;
+        let cut = damage.torn_tails + damage.bad_header_crc;
+        damage.bad_payload_checksum > 0 || (self.sealed && cut > 0)
     }
 }
 
@@ -479,28 +498,37 @@ fn check(
 ) -> FsckSummary {
     let t0 = Instant::now();
     // On two tiers the seal vouches for what a durable manifest names
-    // (module docs, "Trust"); a header batch there would read the copy
-    // the sweep does not check.
-    let (lister, heads_under) = match tiers {
-        Some(tiers) => (tiers.durable, &[][..]),
-        None if opts.payloads != Payloads::All => (store, roots),
-        None => (store, &[][..]),
+    // (module docs, "Trust").
+    let lister = tiers.map_or(store, |tiers| tiers.durable);
+    let mut sealed = read_sealed(&**lister);
+    // The chunk names that tier lists, which vouch for the chunks a
+    // decodable manifest names; none on a deep pass.
+    let lists = opts.payloads != Payloads::All && roots.iter().any(|root| covers(root, CAS_DIR));
+    let listed: HashSet<String> = match lists {
+        true => lister.list_dir(CAS_DIR).into_iter().flatten().collect(),
+        false => HashSet::new(),
     };
-    let mut sealed = read_sealed(&**lister, heads_under);
     if tiers.is_some() {
         // The sweep checks the union view, where a fast copy wins.
         sealed.bytes.clear();
     }
     let mut summary = sweep(&**store, roots, opts.threads, |path, checker| {
         let t0 = Instant::now();
-        let mut found = check_file(store, path, opts.payloads, &sealed, checker);
+        let vouched = sealed
+            .header(path)
+            .filter(|_| listed.contains(basename_of(path)));
+        let mut found = match vouched {
+            Some(h) => listed_chunk(path, h, &mut checker.summary),
+            None => check_file(store, path, opts.payloads, &sealed, checker),
+        };
         let (spent, local) = (t0.elapsed(), &mut checker.summary);
         local.files += 1;
         local.check_times.record_dur(spent);
         local.checker_ns[found.report.kind as usize] += spent.as_nanos() as u64;
-        // A chunk the seal vouches for is left to it, as on one tier.
-        let trusted = found.sealed && opts.payloads != Payloads::All;
-        if let (Some(tiers), false) = (tiers, trusted) {
+        if let (Some(tiers), None) = (tiers, vouched) {
+            if let (true, Some(h)) = (found.spoilt(), sealed.header(path)) {
+                found.restorable = tiers.durable_verifies(path, h, checker);
+            }
             found.report.damage.add(&tiers.damage(path, checker));
         }
         checker.summary.found.push(found);
@@ -583,6 +611,9 @@ enum Action {
     Unlink(usize),
     /// Cut a torn frame log back to this clean length, and sync.
     Truncate(usize, u64),
+    /// Two tiers: copy a sealed chunk's verified durable copy over its
+    /// spoilt fast one.
+    Restore(usize),
     /// Two tiers: land every repair still queued for the durable tier,
     /// then unlink the fast tier's promotion staging files.
     Barrier,
@@ -599,12 +630,14 @@ enum Action {
 
 /// The repairs the resolved `found` asks for, in the order they run:
 /// torn manifests unlinked, orphan chunks unlinked, torn tails but a
-/// sealed chunk's truncated, and on two tiers the barrier, then the
-/// re-drains, manifests last and behind a [`Action::Settle`]: a durable
-/// manifest persists after the chunks it names, as a seal's does
-/// (DESIGN.md §9). A fast copy that failed its digest is never
-/// re-drained — the durable copy may be the only good one — and once
-/// one is left out, no manifest is re-drained: it might name it. No IO.
+/// sealed chunk's truncated, and on two tiers the restores, the
+/// barrier, then the re-drains, manifests last and behind a
+/// [`Action::Settle`]: a durable manifest persists after the chunks it
+/// names, as a seal's does (DESIGN.md §9). A fast copy that failed its
+/// check is never re-drained — the durable copy may be the only good
+/// one; a sealed chunk's is restored from a durable copy that verifies
+/// — and once one is left out unrestored, no manifest is re-drained: it
+/// might name it. No IO.
 fn plan(found: &[Finding], tiered: bool) -> Vec<Action> {
     let indexed = || found.iter().enumerate();
     let manifest = |f: &Finding| f.report.kind == FileKind::Manifest;
@@ -619,12 +652,14 @@ fn plan(found: &[Finding], tiered: bool) -> Vec<Action> {
     let mut actions: Vec<Action> = unlink(true).chain(unlink(false)).collect();
     actions.extend(indexed().filter_map(|(i, f)| Some(Action::Truncate(i, truncate(f)?))));
     if tiered {
+        let restores = indexed().filter(|(_, f)| f.restorable);
+        actions.extend(restores.map(|(i, _)| Action::Restore(i)));
         actions.push(Action::Barrier);
         let damage = |f: &Finding| f.report.damage;
         let tier = |f: &Finding| damage(f).tier_stranded + damage(f).tier_diverged > 0;
-        let drains = indexed().filter(|(_, f)| !f.unlinks() && (tier(f) || truncate(f).is_some()));
-        let (bad, drains): (Vec<_>, Vec<_>) =
-            drains.partition(|(_, f)| damage(f).bad_payload_checksum > 0);
+        let drains = indexed()
+            .filter(|(_, f)| !f.unlinks() && !f.restorable && (tier(f) || truncate(f).is_some()));
+        let (bad, drains): (Vec<_>, Vec<_>) = drains.partition(|(_, f)| f.spoilt());
         let (manifests, others): (Vec<_>, Vec<_>) = drains
             .into_iter()
             .partition(|(_, f)| is_manifest(&f.report.path));
@@ -663,6 +698,10 @@ fn apply(
         let (i, done) = match action {
             Action::Unlink(i) => (i, store.unlink(&found[i].report.path)),
             Action::Truncate(i, len) => (i, truncate(store, &found[i].report.path, len)),
+            Action::Restore(i) => {
+                let tiers = tiers.expect("only two tiers restore");
+                (i, tiers.restore(&found[i].report.path))
+            }
             Action::Barrier => {
                 let _ = store.drain_barrier();
                 if let Some(tiers) = tiers {
@@ -694,7 +733,7 @@ fn apply(
     for f in found.iter_mut() {
         let lost = &f.report.damage;
         let lost = lost.bad_payload_checksum + lost.orphaned_refs + lost.dangling_manifest_refs;
-        let whole = f.report.error.is_none() && (lost == 0 || f.unlinks());
+        let whole = f.report.error.is_none() && (lost == 0 || f.unlinks() || f.restorable);
         f.report.repaired &= whole;
     }
 }
@@ -820,6 +859,31 @@ impl Tiers<'_> {
         Ok(())
     }
 
+    /// Whether the durable copy of sealed chunk `path` is the frame its
+    /// record names: header `h`, then a payload that decodes to its
+    /// digest.
+    fn durable_verifies(&self, path: &str, h: &FrameHeader, checker: &mut Checker) -> bool {
+        let file = self.durable.open(path, OpenOptions::read_only());
+        let Ok(bytes) = file.and_then(|file| read_whole(&*file)) else {
+            return false;
+        };
+        let (head, payload) = bytes.split_at(bytes.len().min(FRAME_HEADER_LEN as usize));
+        let out = &mut checker.frame.1;
+        FrameHeader::decode(head).is_ok_and(|got| got == *h)
+            && payload.len() == h.stored_len as usize
+            && decode_to_vec(h.codec, payload, h.logical_len as usize, out).is_ok()
+            && payload_digest(out).check == h.payload_check
+    }
+
+    /// Copies the durable copy of `path` over its fast copy, and syncs:
+    /// the one copy a repair makes toward the fast tier.
+    fn restore(&self, path: &str) -> io::Result<()> {
+        let bytes = read_whole(&*self.durable.open(path, OpenOptions::read_only())?)?;
+        let fast = self.fast.open(path, OpenOptions::create_truncate())?;
+        fast.write_at(0, &bytes)?;
+        fast.sync()
+    }
+
     /// Unlinks the promotion staging files (`{target}.promote-N`) a
     /// crash mid-promotion left in the fast tier's `dirs`:
     /// backend-internal partial copies that the union view hides and
@@ -834,6 +898,19 @@ impl Tiers<'_> {
             }
         }
     }
+}
+
+/// The finding of the sealed chunk at `path`, counted from a listing
+/// (module docs, "Trust"): one DATA frame, not decoded, whose clean
+/// length its record's header `h` names.
+fn listed_chunk(path: &str, h: &FrameHeader, local: &mut FsckSummary) -> Finding {
+    let len = FRAME_HEADER_LEN + u64::from(h.stored_len);
+    let mut found = finding(path, FileKind::FrameLog, Some(len));
+    (found.report.frames, found.sealed) = (1, true);
+    local.frame_logs += 1;
+    local.frames += 1;
+    local.trusted_payloads += 1;
+    found
 }
 
 fn merge(into: &mut FsckSummary, from: FsckSummary) {
@@ -862,26 +939,28 @@ struct Sealed {
     /// The header of every chunk a decodable manifest names, which its
     /// record determines, by key.
     chunks: HashMap<ChunkKey, FrameHeader>,
-    /// Those chunks' headers, by path, read as one batch over a store
-    /// that takes asynchronous reads: the sweep checks a chunk read for
-    /// its head alone from these.
-    heads: HashMap<String, Vec<u8>>,
 }
 
-/// Reads every manifest under [`SNAP_DIR`] on `lister` as one batch,
-/// on the thread that then runs the sweep's first checker, then the
-/// header of every chunk they name that lies under one of `heads_under`.
-fn read_sealed(lister: &dyn Backend, heads_under: &[String]) -> Sealed {
-    let open = |path: String| {
+impl Sealed {
+    /// The header the record of the chunk at `path` determines, if a
+    /// decodable manifest names it.
+    fn header(&self, path: &str) -> Option<&FrameHeader> {
+        let name = path.strip_prefix(CAS_DIR)?.strip_prefix('/')?;
+        self.chunks.get(&parse_cas_name(name)?)
+    }
+}
+
+/// Reads every manifest under [`SNAP_DIR`] on `lister` as one batch, on
+/// the thread that then runs the sweep's first checker.
+fn read_sealed(lister: &dyn Backend) -> Sealed {
+    let names = lister.list_dir(SNAP_DIR).unwrap_or_default();
+    let manifests = names.into_iter().filter_map(|name| {
+        parse_manifest_name(&name)?;
+        let path = format!("{SNAP_DIR}/{name}");
         let file = lister.open(&path, OpenOptions::read_only()).ok()?;
         Some((path, file))
-    };
-    let names = lister.list_dir(SNAP_DIR).unwrap_or_default();
-    let names = names
-        .into_iter()
-        .filter(|n| parse_manifest_name(n).is_some());
-    let manifests = names.filter_map(|name| open(format!("{SNAP_DIR}/{name}")));
-    let bytes: HashMap<_, _> = read_heads(manifests, |len| len, true)
+    });
+    let bytes: HashMap<_, _> = read_batch(manifests)
         .into_iter()
         .filter_map(|(path, read)| Some((path, read.ok()?)))
         .collect();
@@ -896,20 +975,7 @@ fn read_sealed(lister: &dyn Backend, heads_under: &[String]) -> Sealed {
             }
         }
     }
-    // A synchronous store declines the first header read, which ends
-    // the batch: its sweep reads every chunk as it reads any file.
-    let paths = chunks.keys().map(|&key| cas_path(key));
-    let paths = paths.filter(|path| heads_under.iter().any(|root| covers(root, path)));
-    let files = paths.filter_map(open);
-    let heads = read_heads(files, |len| len.min(FRAME_HEADER_LEN), false);
-    let heads = heads
-        .into_iter()
-        .filter_map(|(path, read)| Some((path, read.ok()?)));
-    Sealed {
-        bytes,
-        chunks,
-        heads: heads.collect(),
-    }
+    Sealed { bytes, chunks }
 }
 
 // ---------------------------------------------------------------------
@@ -1131,11 +1197,9 @@ impl View {
 /// A checker's read-through view of one file, handed to the unchanged
 /// [`FileHead::read`] / [`walk_frames`] as their `BackendFile` (module
 /// docs, "Reads"). A read past the end fails, as `read_exact_at` would.
-/// `head_only` makes a small file's first read its head too.
 struct Window<'a> {
     file: &'a dyn BackendFile,
     view: Mutex<&'a mut View>,
-    head_only: bool,
 }
 
 impl BackendFile for Window<'_> {
@@ -1146,10 +1210,9 @@ impl BackendFile for Window<'_> {
         let mut view = self.view.lock();
         if !view.holds(offset, out.len()) {
             // A big file's first read is its head, all a raw image is
-            // ever read for (and a chunk the seal vouches for, read
-            // head only); any other miss reads a window from here.
+            // ever read for; any other miss reads a window from here.
             let len = self.file.len()?;
-            let next = match (len > WINDOW as u64 || self.head_only) && view.held == 0 {
+            let next = match len > WINDOW as u64 && view.held == 0 {
                 true => out.len(),
                 false => (len.saturating_sub(offset).min(WINDOW as u64) as usize).max(out.len()),
             };
@@ -1179,6 +1242,7 @@ fn finding(path: &str, kind: FileKind, len: Option<u64>) -> Finding {
         clean_len: len,
         refs: Vec::new(),
         sealed: false,
+        restorable: false,
         foreign: false,
     }
 }
@@ -1198,26 +1262,20 @@ fn check_file(
         ..
     } = checker;
     // What the seal vouches for, if this is a content-store chunk a
-    // decodable manifest names: the header such a chunk must carry. A
-    // chunk whose payload is not decoded is read for its header alone.
-    let vouched = path
-        .strip_prefix(CAS_DIR)
-        .and_then(|name| parse_cas_name(name.strip_prefix('/')?))
-        .and_then(|key| sealed.chunks.get(&key));
-    let head_only = vouched.is_some() && payloads != Payloads::All;
+    // decodable manifest names: the header such a chunk must carry.
+    let vouched = sealed.header(path);
     let file = backend.open(path, OpenOptions::read_only());
     // The window's first read serves the classification and, for a
     // file that fits, everything after it.
     let opened = match &file {
         Err(e) => Err(format!("unopenable: {e}")),
         Ok(file) => {
-            if let Some(bytes) = sealed.bytes.get(path).or(sealed.heads.get(path)) {
+            if let Some(bytes) = sealed.bytes.get(path) {
                 view.prime(bytes);
             }
             let window = Window {
                 file: &**file,
                 view: Mutex::new(view),
-                head_only,
             };
             match FileHead::read(&window) {
                 Ok(head) => Ok((head, window)),
@@ -1239,12 +1297,8 @@ fn check_file(
         FileKind::Raw => local.raw_files += 1,
         FileKind::FrameLog => {
             local.frame_logs += 1;
-            let trust = |off: u64, h: &FrameHeader| match payloads {
-                Payloads::Skip => true,
-                Payloads::Unsealed => off == 0 && vouched == Some(h),
-                Payloads::All => false,
-            };
-            check_frame_log(&window, &head, trust, local, frame, &mut found);
+            let decode = payloads != Payloads::Skip;
+            check_frame_log(&window, &head, decode, local, frame, &mut found);
             // A sealed chunk is never cut, and a keyed read needs only
             // the bytes its record says it stores: a damaged header
             // alone loses none of them.
@@ -1281,14 +1335,14 @@ fn classify(head: &FileHead) -> FileKind {
 }
 
 /// Walks a frame log end to end with [`walk_frames`] — the structural
-/// validation every open performs — adding per frame the payload
-/// decode + checksum of each DATA frame `trust` does not vouch for (by
-/// its offset and header) and each REF frame's reference. `payload`
-/// and `out` are the checker's stored and decoded frame buffers.
+/// validation every open performs — adding per frame, if `decode`, the
+/// payload decode + checksum of each DATA frame, and each REF frame's
+/// reference. `payload` and `out` are the checker's stored and decoded
+/// frame buffers.
 fn check_frame_log(
     file: &dyn BackendFile,
     head: &FileHead,
-    trust: impl Fn(u64, &FrameHeader) -> bool,
+    decode: bool,
     local: &mut FsckSummary,
     (payload, out): &mut (Vec<u8>, Vec<u8>),
     found: &mut Finding,
@@ -1306,7 +1360,7 @@ fn check_frame_log(
             return Ok(());
         }
         let data = h.flags & FLAG_REF == 0;
-        if data && h.format == FRAME_FORMAT && trust(off, h) {
+        if data && h.format == FRAME_FORMAT && !decode {
             local.trusted_payloads += 1;
             return Ok(());
         }
@@ -1914,43 +1968,53 @@ mod tests {
     }
 
     /// `cold_restart` pays a round trip per backend read and its
-    /// recovery time is fsck's read count: a one-frame content-store
-    /// chunk is fetched by one read, and a manifest is read once, before
-    /// the sweep, whether or not the sweep visits it.
+    /// recovery time is fsck's read count: a deep pass fetches a
+    /// one-frame content-store chunk by one read, a default pass none,
+    /// and a manifest is read once, before the sweep, whether or not the
+    /// sweep visits it.
     #[test]
     fn a_one_frame_chunk_costs_fsck_exactly_one_read() {
         let store = be();
         populate_snap(&store);
         let (backend, reads) = probe(&store, Duration::ZERO);
-        let chunks = backend.list_dir(CAS_DIR).unwrap().len();
-        let sum = run(&backend, &[CAS_DIR.to_string()], &opts(1));
+        let chunks = backend.list_dir(CAS_DIR).unwrap().len() as u64;
+        let deep = |threads| FsckOptions {
+            payloads: Payloads::All,
+            ..opts(threads)
+        };
+        let sum = run(&backend, &[CAS_DIR.to_string()], &deep(1));
         assert!(sum.is_clean(), "{sum}");
-        assert_eq!(sum.frame_logs, chunks as u64);
-        let seen = reads.lock().len();
-        println!("fsck: {seen} reads for {chunks} one-frame chunks and the manifest");
+        assert_eq!(sum.frame_logs, chunks);
+        let seen = std::mem::take(&mut *reads.lock()).len() as u64;
+        println!("fsck --deep: {seen} reads for {chunks} one-frame chunks and the manifest");
         // One per chunk, plus the read of the manifest before the sweep.
         assert_eq!(seen, chunks + 1);
+        let sum = run(&backend, &[CAS_DIR.to_string()], &opts(1));
+        assert_eq!((sum.frame_logs, sum.trusted_payloads), (chunks, chunks));
+        // The manifest alone: the listing counted every chunk.
+        assert_eq!(std::mem::take(&mut *reads.lock()).len(), 1);
 
-        reads.lock().clear();
-        let sum = run(&backend, &["/".to_string()], &opts(1));
-        assert!(sum.is_clean(), "{sum}");
-        assert_eq!((sum.manifests, sum.frame_logs), (1, chunks as u64 + 1));
-        // Every file once (chunks, the live log, the manifest); the
-        // manifest's check reuses the bytes read before the sweep.
-        assert_eq!(reads.lock().len() as u64, sum.files);
+        for opts in [opts(1), deep(1)] {
+            let sum = run(&backend, &["/".to_string()], &opts);
+            assert!(sum.is_clean(), "{sum}");
+            assert_eq!((sum.manifests, sum.frame_logs), (1, chunks + 1));
+            // Every file once (chunks, the live log, the manifest) but
+            // those the listing counted; the manifest's check reuses the
+            // bytes read before the sweep.
+            let reads = std::mem::take(&mut *reads.lock()).len() as u64;
+            assert_eq!(reads, sum.files - sum.trusted_payloads, "{opts:?}");
+        }
     }
 
-    /// A chunk the seal vouches for is read for its header alone, unless
-    /// a deep pass decodes it (or a tier compare needs its bytes:
-    /// `each_tier_copy_is_read_once`). Over a store that takes
-    /// asynchronous reads that read comes before the sweep, and a pass
-    /// whose roots hold no chunk opens none.
+    /// A chunk the seal vouches for is read only by a deep pass, which
+    /// reads it whole, once; any other pass counts it from the listing.
+    /// Over a store that takes asynchronous reads too.
     #[test]
-    fn a_vouched_chunk_costs_one_read_of_its_header() {
+    fn a_vouched_chunk_is_read_only_by_a_deep_pass() {
         let store = be();
         populate_snap(&store);
         let chunks = store.list_dir(CAS_DIR).unwrap().len();
-        for held in [None, held(CAS_DIR, READ_BATCH, chunks)] {
+        for held in [None, held("/.crfs-snap/manifest-", 1, 1)] {
             let mut probe = Probe::new(&store, Duration::ZERO);
             probe.held = held;
             let (reads, ops) = (Arc::clone(&probe.reads), Arc::clone(&probe.ops));
@@ -1963,23 +2027,25 @@ mod tests {
                     ..opts(1)
                 };
                 assert!(run(&backend, &[root.to_string()], &opts).is_clean());
+                let ops = ops.lock();
+                let opens = ops
+                    .iter()
+                    .filter(|op| op.0 == "open" && op.1.starts_with(CAS_DIR));
                 let reads = reads.lock();
                 let chunks = reads.iter().filter(|r| r.0.starts_with(CAS_DIR));
-                chunks.map(|r| (r.1, r.2)).collect::<Vec<_>>()
+                (
+                    chunks.map(|r| (r.1, r.2)).collect::<Vec<_>>(),
+                    opens.count(),
+                )
             };
-            let header = (0, FRAME_HEADER_LEN as usize);
-            let sealed = chunk_reads(CAS_DIR, Payloads::Unsealed);
-            assert_eq!(sealed, vec![header; chunks]);
-            assert_eq!(chunk_reads("/ckpt", Payloads::Unsealed), vec![]);
-            let ops = ops.lock().clone();
-            let chunk_opens = ops
-                .iter()
-                .filter(|op| op.0 == "open" && op.1.starts_with(CAS_DIR));
-            assert_eq!(chunk_opens.count(), 0, "{ops:?}");
-            assert_eq!(chunk_reads(CAS_DIR, Payloads::Skip), vec![header; chunks]);
-            let deep = chunk_reads(CAS_DIR, Payloads::All);
-            assert_eq!(deep.len(), chunks);
-            assert!(deep.iter().all(|&(off, len)| off == 0 && len > header.1));
+            for root in [CAS_DIR, "/", "/ckpt"] {
+                assert_eq!(chunk_reads(root, Payloads::Unsealed), (vec![], 0));
+                assert_eq!(chunk_reads(root, Payloads::Skip), (vec![], 0));
+            }
+            let (deep, opens) = chunk_reads(CAS_DIR, Payloads::All);
+            assert_eq!((deep.len(), opens), (chunks, chunks));
+            let header = FRAME_HEADER_LEN as usize;
+            assert!(deep.iter().all(|&(off, len)| off == 0 && len > header));
         }
     }
 
@@ -2099,7 +2165,7 @@ mod tests {
     #[test]
     fn the_default_pool_keeps_a_slow_stores_reads_in_flight() {
         let store = be();
-        populate_cas(&store, 160);
+        populate(&store, 160, 4096);
         let (slow, reads, in_flight) = probe_in_flight(&store, Duration::from_millis(2));
         let serial = run(&slow, &["/".to_string()], &opts(1));
         let serial_reads = std::mem::take(&mut *reads.lock()).len();
@@ -2115,12 +2181,12 @@ mod tests {
         assert!(most >= 6, "at most {most} reads of 2 ms in flight");
     }
 
-    /// Over a store that takes asynchronous reads the sealed chunks'
-    /// headers go out as one batch before the sweep: [`READ_BATCH`] in
-    /// flight, not one per checker, on one open handle, and a sweep left
-    /// no read to wait on keeps one checker per core.
+    /// Over a store that takes asynchronous reads the manifests go out as
+    /// one batch before the sweep, and no sealed chunk is opened, however
+    /// many there are: a sweep left no read to wait on keeps one checker
+    /// per core and few handles open.
     #[test]
-    fn an_async_store_gets_every_header_read_in_one_batch() {
+    fn an_async_store_reads_its_manifests_in_one_batch_and_no_chunk() {
         let store = be();
         // Distinct chunks: each opens with its own index.
         let data: Vec<u8> = (0..(READ_BATCH + 40) * 4096)
@@ -2129,13 +2195,15 @@ mod tests {
                 i => (i / 64) as u8,
             })
             .collect();
-        populate_snap_with(&store, &data);
+        for _ in 0..3 {
+            populate_snap_with(&store, &data);
+        }
         let chunks = store.list_dir(CAS_DIR).unwrap().len();
         assert!(chunks > READ_BATCH, "{chunks} chunks");
         let mut probe = Probe::new(&store, Duration::from_millis(2));
-        probe.held = held(CAS_DIR, READ_BATCH, chunks);
+        probe.held = held("/.crfs-snap/manifest-", 3, 3);
         let (in_flight, ops) = (Arc::clone(&probe.in_flight), Arc::clone(&probe.ops));
-        let handles = Arc::clone(&probe.handles);
+        let (handles, reads) = (Arc::clone(&probe.handles), Arc::clone(&probe.reads));
         let backend: Arc<dyn Backend> = Arc::new(probe);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
@@ -2143,15 +2211,22 @@ mod tests {
         });
         let sum = rx
             .recv_timeout(Duration::from_secs(60))
-            .expect("the batch waited on completions held for a deeper one");
+            .expect("the manifests were read one at a time");
         assert!(sum.is_clean(), "{sum}");
         assert_eq!(sum.trusted_payloads, chunks as u64, "{sum}");
-        assert_eq!(in_flight.lock().1, READ_BATCH.min(chunks));
-        // Open handles stay within the checkers', whatever the chunk
-        // count: a store's file limit does not bound its chunks.
+        assert_eq!(in_flight.lock().1, 3);
+        let read: Vec<String> = reads.lock().iter().map(|r| r.0.clone()).collect();
+        assert!(
+            read.iter().all(|path| !path.starts_with(CAS_DIR)),
+            "{read:?}"
+        );
         let most_open = handles.lock().1;
         assert!(most_open <= CHECKER_DEPTH, "{most_open} handles open");
         let ops = ops.lock();
+        let opens = ops
+            .iter()
+            .filter(|op| op.0 == "open" && op.1.starts_with(CAS_DIR));
+        assert_eq!(opens.count(), 0);
         let listers = ops.iter().filter(|op| op.0 == "list").map(|op| op.2);
         let checkers: std::collections::HashSet<_> = listers.collect();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -2241,11 +2316,11 @@ mod tests {
     #[test]
     fn a_zero_latency_store_keeps_one_checker_per_core() {
         let store = be();
-        populate_cas(&store, 160);
+        populate(&store, 160, 4096);
         let (local, reads) = probe(&store, Duration::ZERO);
         let sum = run(&local, &["/".to_string()], &FsckOptions::default());
         assert!(sum.is_clean(), "{sum}");
-        assert!(sum.frame_logs > 160, "{sum}");
+        assert_eq!(sum.frame_logs, 160, "{sum}");
         let threads: std::collections::HashSet<_> = reads.lock().iter().map(|r| r.3).collect();
         let (checkers, cores) = (threads.len(), std::thread::available_parallelism());
         let cores = cores.map_or(1, |n| n.get());
@@ -2363,8 +2438,8 @@ mod tests {
 
     /// On two tiers the durable tier reads the manifests, before the
     /// sweep, and each file the seal does not vouch for — a manifest's
-    /// copy again, for its compare; the fast tier reads every file
-    /// once, a sealed chunk its header only.
+    /// copy again, for its compare; the fast tier reads each of those
+    /// files once, and no tier opens or reads a sealed chunk.
     #[test]
     fn each_tier_copy_is_read_once() {
         let (fast, durable) = populate_tiered_cas(40);
@@ -2373,8 +2448,8 @@ mod tests {
         let sum = run_tiered(&fast, &durable, &["/".to_string()], &repair());
         assert!(sum.is_clean() && sum.damage.is_clean(), "{sum}");
         assert_eq!((sum.frame_logs, sum.trusted_payloads), (41, 40), "{sum}");
-        let reads = |log: &ReadLog| -> Vec<(String, u64, usize)> {
-            let mut reads: Vec<_> = log.lock().iter().map(|r| (r.0.clone(), r.1, r.2)).collect();
+        let reads = |log: &ReadLog| -> Vec<String> {
+            let mut reads: Vec<_> = log.lock().iter().map(|r| r.0.clone()).collect();
             reads.sort();
             reads
         };
@@ -2385,21 +2460,86 @@ mod tests {
             durable.len(),
             sum.files
         );
-        let mut paths: Vec<&str> = fast.iter().map(|r| r.0.as_str()).collect();
-        paths.dedup();
-        assert_eq!((paths.len(), fast.len()), (42, 42), "fast: {fast:?}");
-        let header = (0, FRAME_HEADER_LEN as usize);
-        let mut chunks = fast.iter().filter(|r| r.0.starts_with(CAS_DIR));
-        assert!(chunks.clone().count() == 40 && chunks.all(|r| (r.1, r.2) == header));
-        let durable: Vec<&str> = durable.iter().map(|r| r.0.as_str()).collect();
         let manifest = manifest_path(0);
+        assert_eq!(fast, [&*manifest, "/ckpt/rank0.img"]);
         assert_eq!(durable, [&*manifest, &*manifest, "/ckpt/rank0.img"]);
     }
 
-    /// Mounts `durable` alone and restarts epoch 0's `/ckpt/rank0.img`,
-    /// which must read `data` byte for byte.
-    fn assert_durable_restarts(durable: &Arc<dyn Backend>, data: &[u8]) {
-        let fs = Crfs::mount(Arc::clone(durable), snap_config()).unwrap();
+    /// A default pass over one tier or two opens and reads no chunk a
+    /// manifest names (on two tiers, a durable one): the listing of the
+    /// tier the manifest was read from counts it.
+    #[test]
+    fn a_default_pass_opens_and_reads_no_chunk_a_manifest_names() {
+        let (fast, durable) = populate_tiered_cas(8);
+        let chunks = cas_files(&durable);
+        let probed = |store: &Arc<dyn Backend>| {
+            let probe = Probe::new(store, Duration::ZERO);
+            let (reads, ops) = (Arc::clone(&probe.reads), Arc::clone(&probe.ops));
+            (Arc::new(probe) as Arc<dyn Backend>, reads, ops)
+        };
+        // Every open and read of a chunk file the probes saw.
+        let touched = |reads: &ReadLog, ops: &OpLog| {
+            let opens = ops
+                .lock()
+                .iter()
+                .filter(|op| op.0 == "open")
+                .map(|op| op.1.clone())
+                .collect::<Vec<_>>();
+            let reads = reads.lock().iter().map(|r| r.0.clone()).collect::<Vec<_>>();
+            let chunk = |path: &String| chunks.contains(path);
+            opens
+                .into_iter()
+                .chain(reads)
+                .filter(chunk)
+                .collect::<Vec<_>>()
+        };
+        let roots = ["/".to_string()];
+        let (one, reads, ops) = probed(&durable);
+        let sum = run(&one, &roots, &repair());
+        assert!(sum.is_clean() && sum.trusted_payloads == 8, "{sum}");
+        assert_eq!(touched(&reads, &ops), Vec::<String>::new());
+        let (fast, fast_reads, fast_ops) = probed(&fast);
+        let (durable, reads, ops) = probed(&durable);
+        let sum = run_tiered(&fast, &durable, &roots, &repair());
+        assert!(sum.is_clean() && sum.trusted_payloads == 8, "{sum}");
+        assert_eq!(touched(&fast_reads, &fast_ops), Vec::<String>::new());
+        assert_eq!(touched(&reads, &ops), Vec::<String>::new());
+    }
+
+    /// A chunk a durable manifest names has lost its durable copy, its
+    /// fast copy kept: the durable listing does not vouch for it, so it
+    /// is checked and compared, found stranded and re-drained, and the
+    /// durable tier alone then restarts the epoch.
+    #[test]
+    fn a_sealed_chunk_missing_from_the_durable_tier_is_redrained() {
+        let (fast, durable) = populate_tiered_cas(4);
+        let victim = cas_files(&durable).remove(1);
+        durable.unlink(&victim).unwrap();
+        let roots = ["/".to_string()];
+        let dry = run_tiered(&fast, &durable, &roots, &opts(1));
+        let stranded = DamageCounts {
+            tier_stranded: 1,
+            ..DamageCounts::default()
+        };
+        assert_eq!(dry.damage, stranded, "{dry}");
+        assert_eq!(dry.reports[0].path, victim, "{dry}");
+        assert_eq!(dry.trusted_payloads, 3, "{dry}");
+        let fixed = run_tiered(&fast, &durable, &roots, &repair());
+        assert!(fixed.is_clean() && fixed.repaired_files == 1, "{fixed}");
+        assert!(durable.exists(&victim));
+        let after = run_tiered(&fast, &durable, &roots, &opts(1));
+        assert!(
+            after.damage.is_clean() && after.trusted_payloads == 4,
+            "{after}"
+        );
+        assert_restarts(&durable, &distinct(0, 4));
+    }
+
+    /// Mounts `store` (the durable tier alone, or the union view) and
+    /// restarts epoch 0's `/ckpt/rank0.img`, which must read `data` byte
+    /// for byte.
+    fn assert_restarts(store: &Arc<dyn Backend>, data: &[u8]) {
+        let fs = Crfs::mount(Arc::clone(store), snap_config()).unwrap();
         let f = fs.open_restart("/ckpt/rank0.img", 0).unwrap();
         let mut back = vec![0u8; data.len()];
         assert_eq!(f.read_at(0, &mut back).unwrap(), data.len());
@@ -2439,7 +2579,7 @@ mod tests {
             after.damage.is_clean() && after.trusted_payloads == 4,
             "{after}"
         );
-        assert_durable_restarts(&durable, &distinct(0, 4));
+        assert_restarts(&durable, &distinct(0, 4));
     }
 
     /// A fast-only manifest names a stranded chunk whose fast copy fails
@@ -2518,13 +2658,16 @@ mod tests {
                 .rposition(|op| op.0 == "sync" && op.1 != manifest);
             assert!(synced.is_some() && synced < written, "{ops:?}");
             assert!(fixed.is_clean() && fixed.repaired_files == 3, "{fixed}");
-            assert_durable_restarts(&durable, &distinct(0, 4));
+            assert_restarts(&durable, &distinct(0, 4));
         }
     }
 
     /// A bit flipped in a sealed chunk's fast copy: the default repair
-    /// reads its header and changes nothing, and a deep one reports it
-    /// and leaves the durable copy, the good one, as it was.
+    /// neither opens nor reads it and changes nothing, and a deep one
+    /// reports it, leaves the durable copy, the good one, as it was, and
+    /// restores the fast copy from it: the union view then restarts
+    /// byte-exact and a rescan is clean. With no good copy left on
+    /// either tier it only reports.
     #[test]
     fn a_deep_repair_never_spreads_a_bad_fast_copy() {
         let (fast, durable) = populate_tiered_cas(4);
@@ -2536,20 +2679,19 @@ mod tests {
         let roots = ["/".to_string()];
         let sum = run_tiered(&fast_probe, &durable_probe, &roots, &repair());
         assert!(sum.is_clean() && sum.damage.is_clean(), "{sum}");
-        let victim_reads = |log: &ReadLog| {
-            let reads = log.lock();
-            let reads = reads.iter().filter(|r| r.0 == victim);
-            reads.map(|r| (r.1, r.2)).collect::<Vec<_>>()
-        };
-        assert_eq!(victim_reads(&fast_reads), [(0, FRAME_HEADER_LEN as usize)]);
-        assert_eq!(victim_reads(&durable_reads), []);
+        let victim_reads = |log: &ReadLog| log.lock().iter().filter(|r| r.0 == victim).count();
+        assert_eq!(
+            (victim_reads(&fast_reads), victim_reads(&durable_reads)),
+            (0, 0)
+        );
         assert!((tree_of(&fast), tree_of(&durable)) == before, "{sum}");
 
-        let deep = FsckOptions {
+        let deep = |repair| FsckOptions {
             payloads: Payloads::All,
-            ..repair()
+            repair,
+            ..opts(1)
         };
-        let sum = run_tiered(&fast, &durable, &roots, &deep);
+        let sum = run_tiered(&fast, &durable, &roots, &deep(true));
         let damage = DamageCounts {
             bad_payload_checksum: 1,
             tier_diverged: 1,
@@ -2557,11 +2699,36 @@ mod tests {
         };
         assert_eq!(sum.damage, damage, "{sum}");
         assert!(
-            sum.reports.iter().all(|r| r.path == victim && !r.repaired),
+            sum.reports.iter().all(|r| r.path == victim && r.repaired),
             "{sum}"
         );
         assert!(tree_of(&durable) == before.1, "{sum}");
-        assert_durable_restarts(&durable, &distinct(0, 4));
+        assert!(tree_of(&fast)[&victim] == before.1[&victim], "{sum}");
+        let union: Arc<dyn Backend> = Arc::new(TieredBackend::from_config(
+            Arc::clone(&fast),
+            Arc::clone(&durable),
+            &CrfsConfig::default(),
+        ));
+        assert_restarts(&union, &distinct(0, 4));
+        drop(union);
+        for rescan in [opts(1), deep(false)] {
+            let sum = run_tiered(&fast, &durable, &roots, &rescan);
+            assert!(sum.damage.is_clean() && sum.reports.is_empty(), "{sum}");
+        }
+        assert_restarts(&durable, &distinct(0, 4));
+
+        // Both copies bad: nothing to restore from, so only reports.
+        flip_payload_bit(&fast, &victim);
+        flip_payload_bit(&durable, &victim);
+        let (fast_was, durable_was) = (tree_of(&fast), tree_of(&durable));
+        let sum = run_tiered(&fast, &durable, &roots, &deep(true));
+        let bad = DamageCounts {
+            tier_diverged: 0,
+            ..damage
+        };
+        assert_eq!(sum.damage, bad, "{sum}");
+        assert!(sum.reports.iter().all(|r| !r.repaired), "{sum}");
+        assert!((tree_of(&fast), tree_of(&durable)) == (fast_was, durable_was));
     }
 
     #[test]
@@ -2891,8 +3058,8 @@ mod tests {
         copy
     }
 
-    /// Reading the sealed chunks' headers as one batch changes when they
-    /// are read, not what a sweep finds or repairs.
+    /// Reading the manifests as one batch changes when they are read, not
+    /// what a sweep finds or repairs, on a default pass or a deep one.
     #[test]
     fn an_async_store_sweeps_to_the_synchronous_answer() {
         // Two manifests naming the same chunks; then one chunk whose
@@ -2921,23 +3088,27 @@ mod tests {
             .open("/ckpt/rank0.img", OpenOptions::read_write())
             .unwrap();
         log.set_len(log.len().unwrap() - 7).unwrap();
-        // Every chunk the manifests name but the missing one.
-        let primed = chunks.len() - 1;
-        for repair in [false, true] {
-            let sweep = |is_async: bool| {
-                let mut probe = Probe::new(&copy_of(&store), Duration::ZERO);
-                probe.held = held(CAS_DIR, primed, primed).filter(|_| is_async);
-                let sum = run(
-                    &(Arc::new(probe) as Arc<dyn Backend>),
-                    &["/".to_string()],
-                    &FsckOptions { repair, ..opts(2) },
-                );
-                let totals = (sum.files, sum.frames, sum.trusted_payloads);
-                format!("{totals:?} {:?} {:?}", sum.damage, sum.reports)
-            };
-            let found = sweep(false);
-            assert!(found.contains("torn_tails: 3"), "{found}");
-            assert_eq!(sweep(true), found, "repair: {repair}");
+        // A default pass counts the short chunk from the listing; a deep
+        // one finds it torn.
+        for (payloads, torn) in [(Payloads::Unsealed, 2), (Payloads::All, 3)] {
+            for repair in [false, true] {
+                let sweep = |is_async: bool| {
+                    let mut probe = Probe::new(&copy_of(&store), Duration::ZERO);
+                    probe.held = held("/.crfs-snap/manifest-", 2, 2).filter(|_| is_async);
+                    let opts = FsckOptions {
+                        repair,
+                        payloads,
+                        ..opts(2)
+                    };
+                    let backend: Arc<dyn Backend> = Arc::new(probe);
+                    let sum = run(&backend, &["/".to_string()], &opts);
+                    let totals = (sum.files, sum.frames, sum.trusted_payloads);
+                    format!("{totals:?} {:?} {:?}", sum.damage, sum.reports)
+                };
+                let found = sweep(false);
+                assert!(found.contains(&format!("torn_tails: {torn}")), "{found}");
+                assert_eq!(sweep(true), found, "{payloads:?}, repair: {repair}");
+            }
         }
     }
 
@@ -2953,12 +3124,19 @@ mod tests {
             .next()
             .unwrap();
         write_other_frame(&backend, &victim);
-        let sum = run(&backend, &["/".to_string()], &opts(1));
-        assert_eq!(sum.trusted_payloads, 1, "the other chunk only: {sum}");
+        let deep = FsckOptions {
+            payloads: Payloads::All,
+            ..opts(1)
+        };
+        let sum = run(&backend, &["/".to_string()], &deep);
+        assert_eq!(sum.trusted_payloads, 0, "{sum}");
         assert!(
             sum.damage.is_clean(),
             "the frame verifies on its own: {sum}"
         );
+        // A default pass counts both chunks from the listing.
+        let sum = run(&backend, &["/".to_string()], &opts(1));
+        assert!(sum.damage.is_clean() && sum.trusted_payloads == 2, "{sum}");
     }
 
     #[test]
@@ -3036,8 +3214,9 @@ mod tests {
     }
 
     /// A sealed chunk was synced before its seal, so no crash tore it:
-    /// damage there is damage at rest, which the repair reports and
-    /// never cuts. Here a flipped header byte, on 1 and 4 checkers.
+    /// damage there is damage at rest, which a deep repair reports and
+    /// never cuts, and a default one leaves to the restart read. Here a
+    /// flipped header byte, on 1 and 4 checkers.
     #[test]
     fn a_repair_never_cuts_a_sealed_chunk() {
         let store = be();
@@ -3046,16 +3225,24 @@ mod tests {
         let victim = format!("{CAS_DIR}/{}", store.list_dir(CAS_DIR).unwrap()[0]);
         flip(&store, &victim, 20, 0xFF);
         let (roots, before) = (["/".to_string()], tree_of(&store));
+        let fixed = run(&store, &roots, &repair());
+        assert!(
+            fixed.damage.is_clean() && tree_of(&store) == before,
+            "{fixed}"
+        );
         for threads in [1, 4] {
-            let dry = run(&store, &roots, &opts(threads));
+            let deep = |repair| FsckOptions {
+                payloads: Payloads::All,
+                repair,
+                threads,
+            };
+            let dry = run(&store, &roots, &deep(false));
             assert_eq!(dry.damage.bad_header_crc, 1, "{dry}");
             // The keyed restart read below serves every byte: nothing
             // that names the chunk dangles.
             let refs = (dry.damage.orphaned_refs, dry.damage.dangling_manifest_refs);
             assert_eq!(refs, (0, 0), "{dry}");
-            let mut fix = repair();
-            fix.threads = threads;
-            let fixed = run(&store, &roots, &fix);
+            let fixed = run(&store, &roots, &deep(true));
             assert_eq!(fixed.damage, dry.damage, "{threads} checkers");
             let report = fixed.reports.iter().find(|r| r.path == victim);
             assert!(report.is_some_and(|r| !r.repaired), "{fixed}");
@@ -3124,26 +3311,35 @@ mod tests {
         format!("{totals:?} {more:?} {:?} {:?}", sum.damage, sum.reports)
     }
 
+    /// A default pass finds the 20 unsealed chunks' headers bad, and a
+    /// deep one the 5 sealed ones too.
     #[test]
     fn a_repair_reports_and_leaves_the_same_on_any_checker_count() {
         let store = populate_flipped();
         let roots = ["/".to_string()];
-        let dry = run(&store, &roots, &opts(1));
-        let refs = |d: DamageCounts| (d.orphaned_refs, d.dangling_manifest_refs);
-        // The live logs' 20 REF frames; the sealed chunks, never cut,
-        // still hold every byte their records name.
-        assert_eq!((refs(dry.damage), dry.damage.bad_header_crc), ((20, 0), 25));
-        let mut first = None;
-        for threads in [1, 2, 4, 16].repeat(3) {
-            let (copy, mut repair) = (copy_of(&store), repair());
-            repair.threads = threads;
-            let fixed = run(&copy, &roots, &repair);
-            assert_eq!(fixed.damage, dry.damage, "{threads} checkers");
-            let rescan = run(&copy, &roots, &opts(threads)).damage;
-            assert_eq!(refs(rescan), refs(fixed.damage), "{threads} checkers");
-            let got = (report_of(&fixed), tree_of(&copy));
-            let first = first.get_or_insert_with(|| got.clone());
-            assert!(got == *first, "{threads} checkers: {}", got.0);
+        for (payloads, bad_headers) in [(Payloads::Unsealed, 20), (Payloads::All, 25)] {
+            let sweep = |repair, threads| FsckOptions {
+                repair,
+                threads,
+                payloads,
+            };
+            let dry = run(&store, &roots, &sweep(false, 1));
+            let refs = |d: DamageCounts| (d.orphaned_refs, d.dangling_manifest_refs);
+            // The live logs' 20 REF frames; the sealed chunks, never cut,
+            // still hold every byte their records name.
+            let found = (refs(dry.damage), dry.damage.bad_header_crc);
+            assert_eq!(found, ((20, 0), bad_headers), "{dry}");
+            let mut first = None;
+            for threads in [1, 2, 4, 16].repeat(3) {
+                let copy = copy_of(&store);
+                let fixed = run(&copy, &roots, &sweep(true, threads));
+                assert_eq!(fixed.damage, dry.damage, "{threads} checkers");
+                let rescan = run(&copy, &roots, &sweep(false, threads)).damage;
+                assert_eq!(refs(rescan), refs(fixed.damage), "{threads} checkers");
+                let got = (report_of(&fixed), tree_of(&copy));
+                let first = first.get_or_insert_with(|| got.clone());
+                assert!(got == *first, "{threads} checkers: {}", got.0);
+            }
         }
     }
 
@@ -3194,7 +3390,7 @@ mod tests {
 
     // -- the plan -----------------------------------------------------
 
-    use Action::{Barrier, Redrain, Settle, Truncate, Unlink, Withhold};
+    use Action::{Barrier, Redrain, Restore, Settle, Truncate, Unlink, Withhold};
 
     /// A resolved finding: `torn` bytes past a clean length of 100.
     fn resolved(kind: FileKind, torn: u64, damaged: fn(&mut DamageCounts)) -> Finding {
@@ -3327,5 +3523,37 @@ mod tests {
         let steps = plan(&found, true);
         assert_eq!(steps[..3], [Unlink(3), Unlink(2), Truncate(1, 100)]);
         assert_eq!(steps[3..], [Barrier, Redrain(0, false), Redrain(1, true)]);
+    }
+
+    /// A sealed chunk's fast copy that failed its check, whose durable
+    /// copy verifies, is restored before the barrier and never
+    /// re-drained; a manifest that may name it still re-drains.
+    #[test]
+    fn plan_restores_a_spoilt_sealed_fast_copy_from_its_durable_copy() {
+        let mut found = [
+            resolved(FileKind::Manifest, 0, |d| d.tier_stranded = 1),
+            resolved(FileKind::FrameLog, 0, |d| {
+                (d.bad_payload_checksum, d.tier_diverged) = (1, 1)
+            }),
+        ];
+        found[0].report.path = manifest_path(3);
+        (found[1].sealed, found[1].restorable) = (true, true);
+        let steps = [Restore(1), Barrier, Settle, Redrain(0, false)];
+        assert_eq!(plan(&found, true), steps);
+        assert_eq!(plan(&found, false), []);
+    }
+
+    /// A sealed chunk is never cut, so a torn fast copy of one is not
+    /// re-drained either; an unsealed one is cut, then re-drained.
+    #[test]
+    fn plan_never_redrains_a_torn_sealed_fast_copy() {
+        let mut found = [resolved(FileKind::FrameLog, 7, |d| {
+            (d.torn_tails, d.tier_stranded) = (1, 1)
+        })];
+        found[0].sealed = true;
+        assert_eq!(plan(&found, true), [Barrier]);
+        found[0].sealed = false;
+        let steps = [Truncate(0, 100), Barrier, Redrain(0, true)];
+        assert_eq!(plan(&found, true), steps);
     }
 }

@@ -48,7 +48,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::backend::{read_exact_at, read_heads, read_whole, Backend, BackendFile, OpenOptions};
+use crate::backend::{read_batch, read_exact_at, read_whole, Backend, BackendFile, OpenOptions};
 use crate::stats::CrfsStats;
 use crate::transform::codec::STORED_RAW;
 use crate::transform::dedup::{DedupIndex, DEDUP_KEEP_EPOCHS};
@@ -227,7 +227,7 @@ impl SnapshotStore {
                 .open(&manifest_path(epoch), OpenOptions::read_only());
             Some((epoch, file.ok()?))
         });
-        for (epoch, read) in read_heads(files, |len| len, true) {
+        for (epoch, read) in read_batch(files) {
             let m = match read.and_then(|bytes| Manifest::decode(&bytes)) {
                 Ok(m) => m,
                 // Sealed by another build: adopting around it would let
@@ -280,18 +280,33 @@ impl SnapshotStore {
     /// as the caller computed it for the frame) in the CAS,
     /// deduplicating against a chunk already on disk: an existing file
     /// whose frame validates, is of this build's format and matches
-    /// `check` is reused as-is — even
-    /// if an earlier mount encoded it with a different codec, since
-    /// reference records carry the origin's codec. A file that exists
-    /// but does not validate (a torn CAS write of a crashed mount no GC
-    /// pass has collected yet) is rewritten in place. A reused file is
-    /// synced first: a mount that died between its write and its sync
-    /// can leave it whole in the page cache only, and a seal must not
-    /// name a chunk this mount never made durable. Returns the
+    /// `check` is reused — even if an earlier mount encoded it with a
+    /// different codec, since reference records carry the origin's
+    /// codec. Only a chunk a retained manifest or this mount's staged
+    /// history names is reused as-is; any other is written again, in
+    /// place and byte for byte, so that on a tiered stack this mount's
+    /// drain owes its durable copy before a seal names it. A file that
+    /// exists but does not validate (a torn CAS write of a crashed mount
+    /// no GC pass has collected yet) is rewritten in place. A reused
+    /// file is synced first: a mount that died between its write and
+    /// its sync can leave it whole in the page cache only, and a seal
+    /// must not name a chunk this mount never made durable. Returns the
     /// `(codec, stored_len)` reference records must use.
     ///
     /// The caller must hold an [`InflightGuard`] for `key`.
     pub fn store_chunk(&self, key: ChunkKey, frame: &[u8], check: u64) -> io::Result<(u8, u32)> {
+        self.store(key, frame, check, || self.names(key))
+    }
+
+    /// [`store_chunk`](Self::store_chunk), with `named` saying whether
+    /// an existing valid file may be reused as-is.
+    fn store(
+        &self,
+        key: ChunkKey,
+        frame: &[u8],
+        check: u64,
+        named: impl FnOnce() -> bool,
+    ) -> io::Result<(u8, u32)> {
         let path = cas_path(key);
         let file = self.backend.open(
             &path,
@@ -307,6 +322,11 @@ impl SnapshotStore {
             if let Ok(h) = FrameHeader::decode(&hdr) {
                 let ours = FrameHeader::chunk(h.codec, key.1, h.stored_len, check);
                 if h == ours && FRAME_HEADER_LEN + u64::from(h.stored_len) == len {
+                    if !named() {
+                        // Left by an earlier mount, whose drain may have
+                        // lost its durable copy.
+                        file.write_at(0, &read_whole(&*file)?)?;
+                    }
                     file.sync()?;
                     return Ok((h.codec, h.stored_len));
                 }
@@ -324,6 +344,16 @@ impl SnapshotStore {
         let h = FrameHeader::decode(&frame[..FRAME_HEADER_LEN as usize])
             .expect("caller passed a valid frame");
         Ok((h.codec, h.stored_len))
+    }
+
+    /// Whether a retained manifest or this mount's staged history names
+    /// the chunk of `key`: a seal that named it, or this mount's own
+    /// store of it, queued its durable copy.
+    fn names(&self, key: ChunkKey) -> bool {
+        let inner = self.inner.lock();
+        let staged = inner.staged.values().flat_map(|stage| &stage.records);
+        inner.refcounts.contains_key(&key)
+            || chunks(staged.map(|(_, r, _)| r)).any(|c| c.key() == key)
     }
 
     /// Stages one committed chunk of `path` for the next seal.
@@ -504,7 +534,9 @@ impl SnapshotStore {
             return Err(io::Error::new(io::ErrorKind::InvalidData, e));
         }
         frame[..FRAME_HEADER_LEN as usize].copy_from_slice(&header.encode());
-        self.store_chunk(rec.key(), &frame, rec.check)
+        // The seal holds the store lock, so an existing file is written
+        // again rather than looked up.
+        self.store(rec.key(), &frame, rec.check, || false)
     }
 
     /// Retires manifests beyond the newest `keep_epochs`, skipping

@@ -782,6 +782,47 @@ fn a_sealed_degraded_chunk_outlives_its_file() {
     }
 }
 
+/// A chunk copy lost in an epoch whose seal failed, then an unmount:
+/// the next mount stores the same bytes and finds the chunk files the
+/// first one left. No retained manifest and none of its own staged
+/// history names them, so it writes them again, its seal's barrier
+/// lands them before the manifest that names them, and that epoch
+/// restarts from the durable tier alone.
+#[test]
+fn a_chunk_an_earlier_mount_left_is_drained_before_a_seal_names_it() {
+    let fast: Arc<dyn Backend> = Arc::new(MemBackend::new());
+    let durable = Arc::new(FaultyBackend::new(MemBackend::new(), FailureMode::None));
+    let config = small_config().with_codec(CodecKind::Lz).with_dedup(true);
+    let mount = || {
+        let durable = durable.clone() as Arc<dyn Backend>;
+        let tiered = TieredBackend::from_config(Arc::clone(&fast), durable, &CrfsConfig::default());
+        Crfs::mount(Arc::new(tiered), config.clone()).unwrap()
+    };
+    let x = transform_payload(4096);
+    let fs = mount();
+    fs.mkdir("/ckpt").unwrap();
+    durable.set_mode(FailureMode::FailWritesAfter(0));
+    write_file(&fs, "/ckpt/a", &x, |_| ());
+    assert!(
+        fs.advance_epoch().is_err(),
+        "the lost copies passed the barrier"
+    );
+    durable.set_mode(FailureMode::None);
+    let _ = fs.unmount();
+    drop(fs);
+
+    let fs = mount();
+    write_file(&fs, "/ckpt/a", &x, |_| ());
+    fs.advance_epoch().unwrap();
+    let epoch = *fs.snapshot_epochs().last().expect("an epoch sealed");
+    fs.unmount().unwrap();
+    drop(fs);
+    let fs = Crfs::mount(durable as Arc<dyn Backend>, config.clone()).unwrap();
+    assert_eq!(restart(&fs, "/ckpt/a", epoch, x.len()), x);
+    assert_eq!(fs.stats().integrity_failures, 0);
+    fs.unmount().unwrap();
+}
+
 /// A seal that fails changes nothing: the epochs sealed before it, and
 /// what was staged since, are all in the next seal that succeeds —
 /// whether the manifest could not be written or a degraded chunk could

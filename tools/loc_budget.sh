@@ -175,6 +175,21 @@
 # manifest, the re-drain order and its failure, the deep repair, the
 # withheld manifest and three plan cases, the owed files and their walk
 # (`tiered.rs` +80) and the crash model's unit test (`mem.rs` +30).
+# 44,140 -> 44,475 with recovery counting sealed chunks from a listing:
+# +335 lines, 246 of them tests. Deleted: `Sealed::heads`, the header
+# batch of every vouched chunk, `Window::head_only`, the
+# `Payloads::Unsealed` trust arm of `check_file` and `read_heads`'
+# `want` / `block` parameters with its "ends the batch" branch
+# (`read_batch` now). Product +89: `fsck.rs` +54 (the listing rule,
+# `Sealed::header`, `listed_chunk`, and the `--deep` restore of a
+# sealed chunk's fast copy from a durable copy that verifies),
+# `snapshot/mod.rs` +32 (a chunk an earlier mount left is written again
+# before a seal names it), `backend/tiered.rs` +6 (a truncating open
+# whose durable cut fails owes the file), `backend/mod.rs` -4. Tests:
+# `fsck.rs` +174 (the no-open / no-read probes on one tier and two, the
+# durable-stranded sealed chunk, the restore, two plan cases, and the
+# header-damage promises moved to `--deep`), `tiered.rs` +31,
+# `tests/failure_injection.rs` +41.
 #
 # Also counts `unsafe` blocks, impls and fns in the same tree minus
 # crates/shims/ (stand-ins for crates.io, not the product). The budget
@@ -183,7 +198,7 @@
 # adds it.
 set -eu
 
-CEILING=44140
+CEILING=44475
 UNSAFE_CEILING=0
 
 cd "$(dirname "$0")/.."
